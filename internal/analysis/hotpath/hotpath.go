@@ -14,6 +14,9 @@
 //   - append to a fresh, capacity-less slice declared in the same
 //     function (var s []T, s := []T{}, s := make([]T, 0)) — grow it
 //     with a capacity hint or reuse scratch buffers,
+//   - a map built per call (make(map…) or a map literal) — a visited
+//     set or memo allocated on every call; scan a small slice, reuse a
+//     stamp array, or keep the map on the receiver,
 //   - interface boxing of scalar arguments (passing an int/float/bool
 //     where a parameter is interface-typed allocates),
 //   - closures created inside loops that capture the loop variable
@@ -51,6 +54,8 @@ func run(pass *vet.Pass) (any, error) {
 	return nil, nil
 }
 
+const perCallMapMsg = "hot path builds a map per call; scan a slice, reuse scratch state, or keep the map on the receiver"
+
 func checkFunc(pass *vet.Pass, fn *ast.FuncDecl) {
 	fresh := freshSlices(pass, fn)
 	report := func(pos token.Pos, format string, args ...any) {
@@ -64,8 +69,16 @@ func checkFunc(pass *vet.Pass, fn *ast.FuncDecl) {
 	}
 
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.CompositeLit); ok && isMap(pass.TypesInfo.TypeOf(lit)) {
+			report(lit.Pos(), perCallMapMsg)
+			return true
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
+			return true
+		}
+		if isBuiltinCall(pass, call, "make") && len(call.Args) > 0 && isMap(pass.TypesInfo.TypeOf(call.Args[0])) {
+			report(call.Pos(), perCallMapMsg)
 			return true
 		}
 		if callee := calleeFunc(pass, call); callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "fmt" {
@@ -124,6 +137,23 @@ func freshSlices(pass *vet.Pass, fn *ast.FuncDecl) map[types.Object]bool {
 	return fresh
 }
 
+func isMap(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+func isBuiltinCall(pass *vet.Pass, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
+}
+
 func isSlice(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Slice)
 	return ok
@@ -136,11 +166,7 @@ func capacityless(pass *vet.Pass, e ast.Expr) bool {
 	case *ast.CompositeLit:
 		return isSlice(pass.TypesInfo.TypeOf(e)) && len(e.Elts) == 0
 	case *ast.CallExpr:
-		id, ok := ast.Unparen(e.Fun).(*ast.Ident)
-		if !ok {
-			return false
-		}
-		if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); !ok || b.Name() != "make" {
+		if !isBuiltinCall(pass, e, "make") {
 			return false
 		}
 		if len(e.Args) >= 3 {
@@ -160,11 +186,7 @@ func capacityless(pass *vet.Pass, e ast.Expr) bool {
 // unboundedAppendTarget returns the fresh-slice object an append call
 // grows, or nil.
 func unboundedAppendTarget(pass *vet.Pass, call *ast.CallExpr, fresh map[types.Object]bool) types.Object {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); !ok || b.Name() != "append" {
+	if !isBuiltinCall(pass, call, "append") {
 		return nil
 	}
 	if len(call.Args) == 0 {

@@ -31,6 +31,23 @@ func fanOut(xs []int) int {
 	return len(fresh) + len(sized) + len(empty) + len(zeroMake)
 }
 
+// perCallMaps is manet.PathFrom's old shape: a visited set built on
+// every call.
+//
+//minkowski:hotpath
+func perCallMaps(path []string, index map[string]int) bool {
+	seen := map[string]bool{}               // want `builds a map per call`
+	memo := make(map[string]int, len(path)) // want `builds a map per call`
+	for _, p := range path {
+		if seen[p] {
+			return false
+		}
+		seen[p] = true
+		memo[p] = index[p] // reading a caller-owned map: fine
+	}
+	return len(memo) > 0
+}
+
 func sink(v interface{}) {}
 
 func typed(v int) {}

@@ -13,7 +13,7 @@
 //     idiom),
 //   - sends on a channel, or
 //   - calls into an order-sensitive sink package (CDPI/actuation,
-//     telemetry).
+//     telemetry, the radio fabric, the change-log).
 //
 // Counters, max/min folds, deletes from the ranged map, and other
 // commutative bodies are not flagged. A site that is genuinely
@@ -41,10 +41,15 @@ var Analyzer = &vet.Analyzer{
 
 // SinkPackages are import paths whose calls are order-sensitive
 // effects: dispatching to them from inside a map sweep bakes map
-// order into the system's behavior. Tests may append to this list.
+// order into the system's behavior. The radio fabric is one because
+// ending a link fires OnDown callbacks that read the mesh as the
+// earlier iterations left it; the change-log because its entries keep
+// the order they were appended in. Tests may append to this list.
 var SinkPackages = []string{
 	"minkowski/internal/cdpi",
 	"minkowski/internal/telemetry",
+	"minkowski/internal/radio",
+	"minkowski/internal/explain",
 }
 
 func run(pass *vet.Pass) (any, error) {

@@ -4,6 +4,9 @@ package mapitertest
 import (
 	"sort"
 
+	"minkowski/internal/explain"
+	"minkowski/internal/platform"
+	"minkowski/internal/radio"
 	"minkowski/internal/telemetry"
 )
 
@@ -42,6 +45,28 @@ func channelSend(m map[string]int, ch chan<- string) {
 func telemetrySink(m map[string]bool, r *telemetry.Reachability) {
 	for node, up := range m { // want `calls into order-sensitive package minkowski/internal/telemetry`
 		r.Observe(0, node, telemetry.LayerLink, up)
+	}
+}
+
+// powerTransitions is the shape of core.stepFleet's power sweep before
+// it iterated ID-sorted: failing nodes and logging in map order.
+func powerTransitions(balloons map[string]*platform.Node, wasOn map[string]bool, fab *radio.Fabric, log *explain.Log) {
+	for id, n := range balloons { // want `calls into order-sensitive package minkowski/internal/radio` `calls into order-sensitive package minkowski/internal/explain`
+		on := n.Operational()
+		if wasOn[id] && !on {
+			fab.FailNode(id, radio.ReasonPowerLoss)
+			log.Append(0, explain.EvNodeLeave, id, "payload powered down")
+		}
+		wasOn[id] = on
+	}
+}
+
+func sortedPowerTransitions(nodes []*platform.Node, wasOn map[string]bool, fab *radio.Fabric) {
+	for _, n := range nodes { // a slice in ID order: fine
+		if wasOn[n.ID] && !n.Operational() {
+			fab.FailNode(n.ID, radio.ReasonPowerLoss)
+		}
+		wasOn[n.ID] = n.Operational()
 	}
 }
 

@@ -298,10 +298,7 @@ func (c *Controller) checkWeatherStaleness() {
 // the fine-grained availability signal the chaosavail figure samples
 // through fault windows. NaN when nothing is in service.
 func (c *Controller) DataPlaneFrac() float64 {
-	links := dataplane.LinkCheckerFunc(func(a, b string) bool {
-		_, ok := c.Fabric.LinkBetween(a, b)
-		return ok
-	})
+	links := dataplane.LinkCheckerFunc(c.Fabric.Adjacent)
 	total, up := 0, 0
 	for _, n := range c.Fleet.Nodes() {
 		if !c.inService(n) {
@@ -421,7 +418,7 @@ func (c *Controller) deliveryWalk(r *dataplane.Route) (delivered, deafHop bool) 
 		if !ok {
 			return false, false
 		}
-		if _, up := c.Fabric.LinkBetween(cur, nh); !up {
+		if !c.Fabric.Adjacent(cur, nh) {
 			return false, false
 		}
 		if c.Net.Deaf(cur, nh) {

@@ -523,8 +523,15 @@ func (c *Controller) stepFleet(dt float64) {
 		c.Data.FlushNode(n.ID)
 		c.NBI.ReleaseBackhaul(n.ID)
 	}
-	// Power transitions: flush hardware state on power-down.
-	for id, n := range c.Fleet.Balloons {
+	// Power transitions: flush hardware state on power-down. ID order,
+	// not map order: when two balloons power down in one step, the order
+	// of the FailNode calls decides what mesh the first one's OnDown
+	// callbacks see and how the log reads.
+	for _, n := range c.Fleet.Nodes() {
+		if n.Kind != platform.KindBalloon {
+			continue
+		}
+		id := n.ID
 		on := n.Operational()
 		if c.wasOn[id] && !on {
 			c.Fabric.FailNode(id, radio.ReasonPowerLoss)

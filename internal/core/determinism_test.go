@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"minkowski/internal/chaos"
+	"minkowski/internal/explain"
 )
 
 // TestEndToEndDeterminism is the regression test the vet suite exists
@@ -181,5 +182,54 @@ func TestEndToEndDeterminismScale3Chaos(t *testing.T) {
 	}
 	if len(a) == 0 {
 		t.Fatal("empty journal + graph — scenario produced no activity")
+	}
+}
+
+// TestNightfallPowerDownDeterminism covers the step the other
+// determinism runs never reach: dusk, when the diurnal power cycle
+// switches several payloads off inside one fleet step. The order in
+// which stepFleet fails their links decides what mesh each OnDown
+// callback (and the in-band responses it sends) sees, so it must not
+// follow map order. Four same-seed runs through the night must agree
+// on one TelemetryDigest and one change-log.
+func TestNightfallPowerDownDeterminism(t *testing.T) {
+	run := func() (uint64, string, int) {
+		cfg := DefaultConfig()
+		cfg.Seed = 7
+		cfg.FleetSize = 11 // experiments.baseScenario at scale 1
+		cfg.SolveIntervalS = 120
+		cfg.AgentConnCheckS = 10
+		cfg.StartTODHours = 17
+		c := New(cfg)
+		c.RunHours(4)
+		var log bytes.Buffer
+		sameStep := 0
+		lastAt, linksUp := -1.0, false
+		for _, e := range c.Log.Query(explain.Filter{}) {
+			fmt.Fprintln(&log, e)
+			if e.Kind == explain.EvLinkState {
+				linksUp = true
+			}
+			if e.Kind == explain.EvNodeLeave && e.Detail == "payload powered down" {
+				if e.At == lastAt && linksUp {
+					sameStep++
+				}
+				lastAt = e.At
+			}
+		}
+		return c.TelemetryDigest(), log.String(), sameStep
+	}
+	digest, log, sameStep := run()
+	if sameStep < 2 {
+		t.Fatalf("scenario has %d same-step power-downs after links formed; need at least 2", sameStep)
+	}
+	for i := 2; i <= 4; i++ {
+		d, l, _ := run()
+		if d != digest {
+			t.Errorf("run %d: TelemetryDigest %x, run 1 had %x", i, d, digest)
+		}
+		if l != log {
+			t.Errorf("run %d: change-log differs from run 1", i)
+		}
 	}
 }

@@ -14,25 +14,14 @@ import (
 // potential operable time" — a balloon outside the service region
 // isn't potential operable time.
 func (c *Controller) inService(n *platform.Node) bool {
-	if n.Kind != platform.KindBalloon || !n.Operational() {
-		return false
-	}
-	for _, r := range c.NBI.ActiveRequests() {
-		if r.Node == n.ID {
-			return true
-		}
-	}
-	return false
+	return n.Kind == platform.KindBalloon && n.Operational() && c.NBI.HasActiveBackhaul(n.ID)
 }
 
 // sampleTelemetry observes the Fig. 6/7 signals for every balloon
 // currently in its potential service window.
 func (c *Controller) sampleTelemetry() {
 	now := c.Eng.Now()
-	links := dataplane.LinkCheckerFunc(func(a, b string) bool {
-		_, ok := c.Fabric.LinkBetween(a, b)
-		return ok
-	})
+	links := dataplane.LinkCheckerFunc(c.Fabric.Adjacent)
 	for _, n := range c.Fleet.Nodes() {
 		if !c.inService(n) {
 			continue
@@ -50,7 +39,7 @@ func (c *Controller) sampleTelemetry() {
 		c.Reach.Observe(now, id, telemetry.LayerData, dataUp)
 	}
 	// Fig. 7: redundancy utilization (established vs intended).
-	installed := len(c.Fabric.UpLinks())
+	installed := c.Fabric.UpCount()
 	grounds := len(c.gateways)
 	operBalloons := 0
 	for _, n := range c.Fleet.OperationalNodes() {
@@ -80,11 +69,8 @@ func (c *Controller) intendedLinkCount() int {
 // recovering within 20 s for 75% of broken routes.
 func (c *Controller) sampleRecovery() {
 	now := c.Eng.Now()
-	links := dataplane.LinkCheckerFunc(func(a, b string) bool {
-		_, ok := c.Fabric.LinkBetween(a, b)
-		return ok
-	})
-	installed := len(c.Fabric.UpLinks())
+	links := dataplane.LinkCheckerFunc(c.Fabric.Adjacent)
+	installed := c.Fabric.UpCount()
 	for _, n := range c.Fleet.Nodes() {
 		if !c.inService(n) {
 			continue

@@ -149,6 +149,7 @@ func (e *Evaluator) incrementalGraph(xcvrs []*platform.Transceiver, lead float64
 
 	// --- Group transceivers by platform, predict once per platform.
 	if scr.nodeIdx == nil {
+		//minkowski:hotpath-ok built on the first call only, then cleared and reused
 		scr.nodeIdx = make(map[*platform.Node]int32, 64)
 	}
 	clear(scr.nodeIdx)

@@ -119,7 +119,7 @@ func (a *AODV) Start() {
 			a.stats.BytesSent += int64(len(nbrs) * a.cfg.HelloBytes)
 			// Expire routes whose next hop is gone or lifetime passed.
 			for dst, r := range n.routes {
-				if now > r.expires || !stillAdjacent(a.net, id, r.nextHop) {
+				if now > r.expires || !a.net.Adjacent(id, r.nextHop) {
 					delete(n.routes, dst)
 					// RERR to interested upstreams (simplified: cost
 					// accounting only; re-discovery is driven below).
@@ -165,7 +165,7 @@ func (a *AODV) forwardRREQ(at, origin, dst string, rreqID uint64, hops int, skip
 		a.stats.MessagesSent++
 		a.stats.BytesSent += int64(a.cfg.RREQBytes)
 		deliver(a.eng, a.net, a.cfg.LossProb, at, nb, func() {
-			if !stillAdjacent(a.net, nb, at) {
+			if !a.net.Adjacent(nb, at) {
 				return
 			}
 			a.receiveRREQ(nb, at, origin, dst, rreqID, hops+1)
@@ -209,14 +209,14 @@ func (a *AODV) sendRREP(at, origin, dst string, hopsFromDst int) {
 	}
 	n := a.node(at)
 	r, ok := n.routes[origin]
-	if !ok || !stillAdjacent(a.net, at, r.nextHop) {
+	if !ok || !a.net.Adjacent(at, r.nextHop) {
 		return // reverse path gone; discovery will retry
 	}
 	nh := r.nextHop
 	a.stats.MessagesSent++
 	a.stats.BytesSent += int64(a.cfg.RREPBytes)
 	deliver(a.eng, a.net, a.cfg.LossProb, at, nh, func() {
-		if !stillAdjacent(a.net, nh, at) {
+		if !a.net.Adjacent(nh, at) {
 			return
 		}
 		m := a.node(nh)
@@ -241,7 +241,7 @@ func (a *AODV) NextHop(src, dst string) (string, bool) {
 	if !ok || a.eng.Now() > r.expires {
 		return "", false
 	}
-	if !stillAdjacent(a.net, src, r.nextHop) {
+	if !a.net.Adjacent(src, r.nextHop) {
 		return "", false
 	}
 	return r.nextHop, true

@@ -110,7 +110,7 @@ func (b *BATMAN) flood(from, orig string, seqno uint64, tq float64, skip string)
 		b.stats.MessagesSent++
 		b.stats.BytesSent += int64(b.cfg.OGMBytes)
 		deliver(b.eng, b.net, b.cfg.LossProb, from, nb, func() {
-			if !stillAdjacent(b.net, nb, from) {
+			if !b.net.Adjacent(nb, from) {
 				return
 			}
 			b.receive(nb, from, orig, seqno, tq)
@@ -161,7 +161,7 @@ func (b *BATMAN) NextHop(src, dst string) (string, bool) {
 		return "", false
 	}
 	// The next hop must still be adjacent.
-	if !stillAdjacent(b.net, src, r.nextHop) {
+	if !b.net.Adjacent(src, r.nextHop) {
 		return "", false
 	}
 	return r.nextHop, true

@@ -94,7 +94,7 @@ func (d *DSDV) Start() {
 			n.seqno += 2 // even seqnos: destination-generated
 			// Expire dead routes first.
 			for dst, r := range n.routes {
-				if now-r.heardAt > d.cfg.RouteLifetimeS || !stillAdjacent(d.net, id, r.nextHop) {
+				if now-r.heardAt > d.cfg.RouteLifetimeS || !d.net.Adjacent(id, r.nextHop) {
 					delete(n.routes, dst)
 				}
 			}
@@ -119,7 +119,7 @@ func (d *DSDV) Start() {
 				d.stats.MessagesSent++
 				d.stats.BytesSent += int64(size)
 				deliver(d.eng, d.net, d.cfg.LossProb, id, nb, func() {
-					if !stillAdjacent(d.net, nb, id) {
+					if !d.net.Adjacent(nb, id) {
 						return
 					}
 					d.receive(nb, id, advCopy)
@@ -158,7 +158,7 @@ func (d *DSDV) NextHop(src, dst string) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	if !stillAdjacent(d.net, src, r.nextHop) {
+	if !d.net.Adjacent(src, r.nextHop) {
 		return "", false
 	}
 	return r.nextHop, true

@@ -56,7 +56,8 @@ func (fn *FabricNet) Nodes() []string {
 }
 
 // Neighbors implements Network from installed links, minus the
-// directions a partial partition has silenced.
+// directions a partial partition has silenced. With none silenced it
+// is the fabric's own slice.
 func (fn *FabricNet) Neighbors(id string) []string {
 	nbs := fn.Fabric.Neighbors(id)
 	blocked := fn.deaf[id]
@@ -70,6 +71,12 @@ func (fn *FabricNet) Neighbors(id string) []string {
 		}
 	}
 	return out
+}
+
+// Adjacent implements Network: an installed link joins a and b, and
+// the a → b direction is not silenced.
+func (fn *FabricNet) Adjacent(a, b string) bool {
+	return fn.Fabric.Adjacent(a, b) && !fn.deaf[a][b]
 }
 
 // Latency implements Network: propagation plus a processing floor.

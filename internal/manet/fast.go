@@ -100,6 +100,8 @@ func bfsNextHops(net Network, src string) map[string]string {
 
 // NextHop implements Router. Stale entries whose next hop is no
 // longer adjacent fail (the transient blackhole before convergence).
+//
+//minkowski:hotpath
 func (f *Fast) NextHop(src, dst string) (string, bool) {
 	f.maybeRecompute()
 	t, ok := f.tables[src]
@@ -110,7 +112,7 @@ func (f *Fast) NextHop(src, dst string) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	if !stillAdjacent(f.net, src, nh) {
+	if !f.net.Adjacent(src, nh) {
 		return "", false
 	}
 	return nh, true

@@ -15,6 +15,7 @@
 package manet
 
 import (
+	"slices"
 	"sort"
 
 	"minkowski/internal/sim"
@@ -27,8 +28,13 @@ type Network interface {
 	// Nodes returns all node IDs, sorted.
 	Nodes() []string
 	// Neighbors returns the nodes adjacent to id over installed
-	// links, sorted.
+	// links, sorted. The slice is a read-only view: an implementation
+	// may hand out its own storage (the radio fabric does), so callers
+	// must not modify it and should copy what they keep.
 	Neighbors(id string) []string
+	// Adjacent reports whether b is in Neighbors(a). Links may die while
+	// a message is in flight, so protocols re-check with it on delivery.
+	Adjacent(a, b string) bool
 	// Latency returns the one-hop delivery latency in seconds between
 	// adjacent nodes (typically sub-millisecond propagation plus
 	// serialization).
@@ -61,22 +67,24 @@ type Router interface {
 // PathFrom walks NextHop from src toward dst and returns the node
 // path if the route completes without loops. This is how the
 // simulation "forwards" control-plane traffic.
+//
+//minkowski:hotpath
 func PathFrom(r Router, src, dst string) ([]string, bool) {
 	if src == dst {
 		return []string{src}, true
 	}
-	path := []string{src}
-	seen := map[string]bool{src: true}
+	path := make([]string, 1, 8)
+	path[0] = src
 	cur := src
 	for i := 0; i < 64; i++ {
 		nh, ok := r.NextHop(cur, dst)
 		if !ok {
 			return nil, false
 		}
-		if seen[nh] {
+		// The walk is at most 64 hops, so the path is its own visited set.
+		if slices.Contains(path, nh) {
 			return nil, false // loop
 		}
-		seen[nh] = true
 		path = append(path, nh)
 		if nh == dst {
 			return path, true
@@ -103,17 +111,6 @@ func deliver(eng *sim.Engine, net Network, lossProb float64, a, b string, fn fun
 		lat = 0.003
 	}
 	eng.After(lat, func() { fn() })
-}
-
-// stillAdjacent checks current adjacency (links may have died while a
-// message was in flight).
-func stillAdjacent(net Network, a, b string) bool {
-	for _, n := range net.Neighbors(a) {
-		if n == b {
-			return true
-		}
-	}
-	return false
 }
 
 // sortedCopy returns a sorted copy of ids.
@@ -204,6 +201,9 @@ func (s *StaticNetwork) Neighbors(id string) []string {
 	sort.Strings(out)
 	return out
 }
+
+// Adjacent implements Network.
+func (s *StaticNetwork) Adjacent(a, b string) bool { return s.adj[a][b] }
 
 // Latency implements Network.
 func (s *StaticNetwork) Latency(a, b string) float64 { return s.LatencyS }

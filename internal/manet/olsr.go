@@ -195,7 +195,7 @@ func (o *OLSR) floodTC(from, origin string, seq uint64, selectors []string, skip
 		o.stats.MessagesSent++
 		o.stats.BytesSent += int64(o.cfg.TCHeaderBytes + o.cfg.TCEntryBytes*len(selectors))
 		deliver(o.eng, o.net, o.cfg.LossProb, from, nb, func() {
-			if !stillAdjacent(o.net, nb, from) {
+			if !o.net.Adjacent(nb, from) {
 				return
 			}
 			o.receiveTC(nb, from, origin, seq, selectors)
@@ -306,7 +306,7 @@ func (o *OLSR) NextHop(src, dst string) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	if !stillAdjacent(o.net, src, nh) {
+	if !o.net.Adjacent(src, nh) {
 		return "", false
 	}
 	return nh, true

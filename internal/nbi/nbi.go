@@ -145,6 +145,13 @@ func (s *Service) ReleaseBackhaul(node string) {
 	}
 }
 
+// HasActiveBackhaul reports whether a node's backhaul request is
+// active.
+func (s *Service) HasActiveBackhaul(node string) bool {
+	r, ok := s.requests["backhaul/"+node]
+	return ok && r.Active
+}
+
 // ActiveRequests returns active backhaul requests sorted by ID.
 func (s *Service) ActiveRequests() []*BackhaulRequest {
 	var out []*BackhaulRequest

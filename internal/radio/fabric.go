@@ -2,7 +2,7 @@ package radio
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"minkowski/internal/geo"
 	"minkowski/internal/platform"
@@ -88,10 +88,18 @@ func DefaultConfig() Config {
 // physical truth: platform positions, antenna envelopes, and the true
 // weather field.
 type Fabric struct {
-	cfg     Config
-	eng     *sim.Engine
-	wx      *weather.Field
-	links   map[LinkID]*Link
+	cfg   Config
+	eng   *sim.Engine
+	wx    *weather.Field
+	links map[LinkID]*Link
+	// live holds the same links as the map, in LinkID order.
+	live []*Link
+	// adj indexes the links in StateUp by endpoint node (see nodeAdj);
+	// upCount is how many there are. A link is in the index exactly
+	// while its State is StateUp: finishAcquire and end update it
+	// before OnUp/OnDown fire, so callbacks already see the new mesh.
+	adj     map[string]*nodeAdj
+	upCount int
 	history []*Link // completed links, for telemetry
 	// cursed marks transceiver pairs with persistent un-modelled
 	// failures.
@@ -113,6 +121,7 @@ func NewFabric(eng *sim.Engine, wx *weather.Field, cfg Config) *Fabric {
 		eng:    eng,
 		wx:     wx,
 		links:  make(map[LinkID]*Link),
+		adj:    make(map[string]*nodeAdj),
 		cursed: make(map[LinkID]bool),
 		tried:  make(map[LinkID]bool),
 	}
@@ -161,6 +170,8 @@ func (f *Fabric) Establish(xa, xb *platform.Transceiver, ch rf.Channel, attempt 
 		State: StateSlewing, CommandedAt: f.eng.Now(), Attempt: attempt,
 	}
 	f.links[id] = l
+	at, _ := slices.BinarySearchFunc(f.live, id, compareLinkToID)
+	f.live = slices.Insert(f.live, at, l)
 	// Slew both gimbals concurrently; acquisition begins when the
 	// slower finishes.
 	pa := geo.PointingTo(xa.Node.Position(), xb.Node.Position())
@@ -228,6 +239,7 @@ func (f *Fabric) finishAcquire(l *Link) {
 	l.Measured = b
 	l.State = StateUp
 	l.EstablishedAt = f.eng.Now()
+	f.indexUp(l)
 	if f.OnUp != nil {
 		f.OnUp(l)
 	}
@@ -285,36 +297,30 @@ func (f *Fabric) end(l *Link, r Reason) {
 	if l.State == StateDown {
 		return
 	}
+	if l.State == StateUp {
+		f.indexDown(l)
+	}
 	l.State = StateDown
 	l.EndReason = r
 	l.EndedAt = f.eng.Now()
 	l.XA.Busy, l.XB.Busy = false, false
 	delete(f.links, l.ID)
+	at, _ := slices.BinarySearchFunc(f.live, l.ID, compareLinkToID)
+	f.live = slices.Delete(f.live, at, at+1)
 	f.history = append(f.history, l)
 	if f.OnDown != nil {
 		f.OnDown(l, r)
 	}
 }
 
-// checkAll re-evaluates every installed link against the truth.
+// checkAll re-evaluates every installed link against the truth, in
+// LinkID order. It walks a snapshot: a check can end a link, and the
+// OnDown callback may establish another.
 func (f *Fabric) checkAll() {
-	// Deterministic iteration order.
-	ids := make([]LinkID, 0, len(f.links))
-	for id := range f.links {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].A != ids[j].A {
-			return ids[i].A < ids[j].A
+	for _, l := range f.Links() {
+		if l.State == StateUp {
+			f.checkLink(l)
 		}
-		return ids[i].B < ids[j].B
-	})
-	for _, id := range ids {
-		l, ok := f.links[id]
-		if !ok || l.State != StateUp {
-			continue
-		}
-		f.checkLink(l)
 	}
 }
 
@@ -375,24 +381,16 @@ func (f *Fabric) Get(id LinkID) (*Link, bool) {
 }
 
 // Links returns all live links (any state except down), sorted by ID.
-func (f *Fabric) Links() []*Link {
-	out := make([]*Link, 0, len(f.links))
-	for _, l := range f.links {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID.A != out[j].ID.A {
-			return out[i].ID.A < out[j].ID.A
-		}
-		return out[i].ID.B < out[j].ID.B
-	})
-	return out
-}
+// The slice is the caller's own.
+func (f *Fabric) Links() []*Link { return slices.Clone(f.live) }
 
 // UpLinks returns only the links in StateUp, sorted by ID.
 func (f *Fabric) UpLinks() []*Link {
-	var out []*Link
-	for _, l := range f.Links() {
+	if f.upCount == 0 {
+		return nil
+	}
+	out := make([]*Link, 0, f.upCount)
+	for _, l := range f.live {
 		if l.Up() {
 			out = append(out, l)
 		}
@@ -402,57 +400,6 @@ func (f *Fabric) UpLinks() []*Link {
 
 // History returns all completed links in completion order.
 func (f *Fabric) History() []*Link { return f.history }
-
-// NodeUp reports whether a node has at least one installed link.
-func (f *Fabric) NodeUp(nodeID string) bool {
-	for _, l := range f.links {
-		if !l.Up() {
-			continue
-		}
-		a, b := l.Nodes()
-		if a == nodeID || b == nodeID {
-			return true
-		}
-	}
-	return false
-}
-
-// Neighbors returns the node IDs reachable over installed links from
-// a node, sorted.
-func (f *Fabric) Neighbors(nodeID string) []string {
-	seen := map[string]bool{}
-	for _, l := range f.links {
-		if !l.Up() {
-			continue
-		}
-		a, b := l.Nodes()
-		if a == nodeID {
-			seen[b] = true
-		} else if b == nodeID {
-			seen[a] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// LinkBetween returns the installed link between two nodes, if any.
-func (f *Fabric) LinkBetween(nodeA, nodeB string) (*Link, bool) {
-	for _, l := range f.links {
-		if !l.Up() {
-			continue
-		}
-		a, b := l.Nodes()
-		if (a == nodeA && b == nodeB) || (a == nodeB && b == nodeA) {
-			return l, true
-		}
-	}
-	return nil, false
-}
 
 // PropagationDelay returns the one-way propagation delay over a link
 // in seconds (speed of light over the slant range).

@@ -8,6 +8,7 @@ package radio
 
 import (
 	"fmt"
+	"strings"
 
 	"minkowski/internal/platform"
 	"minkowski/internal/rf"
@@ -29,6 +30,17 @@ func MakeLinkID(a, b string) LinkID {
 
 // String implements fmt.Stringer.
 func (id LinkID) String() string { return id.A + "<->" + id.B }
+
+// compare orders LinkIDs by (A, B).
+func (id LinkID) compare(o LinkID) int {
+	if c := strings.Compare(id.A, o.A); c != 0 {
+		return c
+	}
+	return strings.Compare(id.B, o.B)
+}
+
+// compareLinkToID is the order of the fabric's sorted link slices.
+func compareLinkToID(l *Link, id LinkID) int { return l.ID.compare(id) }
 
 // State is a link's lifecycle position.
 type State int

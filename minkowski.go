@@ -200,8 +200,7 @@ func (s *Simulation) dataUp(id string) bool {
 type linkChecker struct{ c *core.Controller }
 
 func (lc linkChecker) LinkUp(a, b string) bool {
-	_, ok := lc.c.Fabric.LinkBetween(a, b)
-	return ok
+	return lc.c.Fabric.Adjacent(a, b)
 }
 
 // Routes returns the programmed source-destination routes (request
