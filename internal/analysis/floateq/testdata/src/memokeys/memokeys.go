@@ -10,10 +10,10 @@ type entry struct {
 	lead   float64
 }
 
-func cacheHit(ent *entry, uPos, vPos lla, lead float64) bool {
-	//minkowski:floateq-ok cache entries are valid only at bit-identical endpoint positions
+func memoHit(ent *entry, uPos, vPos lla, lead float64) bool {
+	//minkowski:floateq-ok memo entries are valid only at bit-identical endpoint positions
 	if ent.pA == uPos && ent.pB == vPos {
-		//minkowski:floateq-ok cached evaluations are lead-specific
+		//minkowski:floateq-ok memoized evaluations are lead-specific
 		return ent.lead == lead
 	}
 	return false

@@ -7,7 +7,6 @@ import (
 	"minkowski/internal/explain"
 	"minkowski/internal/geo"
 	"minkowski/internal/platform"
-	"minkowski/internal/telemetry"
 )
 
 // byzantineSpoofDistM is how far a byzantine node's position lie
@@ -18,29 +17,6 @@ const byzantineSpoofDistM = 250e3
 // byzantineMarginSpoofDB is the inflation a byzantine node applies to
 // its measured link margins (honest model error is a few dB).
 const byzantineMarginSpoofDB = 45
-
-// newPositionGuard builds the plausibility gate from config.
-func newPositionGuard(cfg Config) *telemetry.PositionGuard {
-	g := telemetry.NewPositionGuard()
-	if cfg.GuardMaxSpeedMS > 0 {
-		g.MaxSpeedMS = cfg.GuardMaxSpeedMS
-	}
-	if cfg.GuardSlackM > 0 {
-		g.SlackM = cfg.GuardSlackM
-	}
-	return g
-}
-
-// marginBound resolves the Fig. 10 calibration's rejection bound.
-func marginBound(cfg Config) float64 {
-	if cfg.ByzantineMarginRejectDB < 0 {
-		return 0 // disabled
-	}
-	if cfg.ByzantineMarginRejectDB > 0 {
-		return cfg.ByzantineMarginRejectDB
-	}
-	return 30
-}
 
 // attachReporter wires an agent's heartbeat state report to the
 // node's (possibly byzantine) self-claimed position.

@@ -281,9 +281,6 @@ func (c *Controller) checkWeatherStaleness() {
 		return
 	}
 	c.WxModel.Degraded = stale
-	// The flip changes every estimate the fused model serves, so any
-	// cached link evaluations are now wrong.
-	c.Evaluator.BumpWeatherEpoch()
 	if stale {
 		c.Log.Append(c.Eng.Now(), explain.EvAnomaly, "weather-model",
 			"inputs stale; degraded fallback chain active with pessimism penalty")

@@ -71,23 +71,6 @@ type Config struct {
 	// tests that don't want the diurnal cycle).
 	DisablePower bool
 
-	// --- Evaluator performance knobs --------------------------------
-
-	// EvalBruteForce disables the incremental spatially-indexed Link
-	// Evaluator pipeline and falls back to the reference O(N²) sweep
-	// (equivalence testing and performance baselines). The default
-	// incremental pipeline is bit-identical to the sweep at the
-	// default EvalDisplacementEpsM of 0.
-	EvalBruteForce bool
-	// EvalDisplacementEpsM is the evaluator cache's displacement
-	// epsilon in meters: a cached link evaluation is reused while both
-	// endpoints' predicted positions stay within this distance of
-	// where it was computed and the weather epoch is unchanged. 0
-	// requires exact position equality (no approximation); positive
-	// values trade bounded staleness for cache hits on slowly
-	// drifting fleets.
-	EvalDisplacementEpsM float64
-
 	// --- Solve-pipeline performance knobs ---------------------------
 
 	// SolveWorkers caps the solver's per-request shortest-path fan-out
@@ -103,9 +86,9 @@ type Config struct {
 	// zero Config leaves it off so legacy scenarios are untouched.
 	WarmSolve bool
 	// DisableStandbyPrewarm stops the primary from streaming its
-	// solver warm state to the standby and drops the evaluator cache
-	// at promotion — the pre-fix cold-standby behaviour, kept for the
-	// promotion-latency contrast experiment. Tests only.
+	// solver warm state to the standby and resets the evaluator's
+	// delta baseline at promotion — the pre-fix cold-standby behaviour,
+	// kept for the promotion-latency contrast experiment. Tests only.
 	DisableStandbyPrewarm bool
 
 	// --- Observability knobs (internal/obs, DESIGN §11) -------------
@@ -118,12 +101,6 @@ type Config struct {
 	// zero Config leaves it off, matching the WarmSolve convention for
 	// legacy scenarios.
 	ObsEnabled bool
-	// ObsFlightWindowS is the flight recorder's dump lookback in
-	// sim-seconds. 0 keeps the obs default (120).
-	ObsFlightWindowS float64
-	// ObsFlightCap bounds the flight-recorder ring. 0 keeps the obs
-	// default (4096 records).
-	ObsFlightCap int
 
 	// --- Robustness knobs -------------------------------------------
 
@@ -131,9 +108,6 @@ type Config struct {
 	// last failure is older than this, bounding the linkFails map over
 	// long runs. 0 keeps the default (3600 s).
 	FailMemoryHorizonS float64
-	// ReachabilityPeriodS overrides the reachability tracker's
-	// aggregation period when > 0 (default one day).
-	ReachabilityPeriodS float64
 	// WeatherStaleAfterS is the fused-model age beyond which the
 	// controller declares its weather inputs stale and flips the model
 	// into Degraded mode (stale-fallback chain + pessimism penalty).
@@ -150,12 +124,6 @@ type Config struct {
 	// excused / lost-beyond-grace). 0 (the default) keeps the meter off
 	// so legacy scenarios are byte-identical.
 	DeliveryProbeS float64
-	// DeliveryGraceS is the bounded-loss repair allowance for the
-	// delivery meter: a route may sit reachable-but-undelivered for up
-	// to this many accumulated controllable seconds before drops count
-	// as lost (inv-dataplane-delivery). 0 keeps the default (600 s —
-	// several solve cycles plus the route-stagger window).
-	DeliveryGraceS float64
 	// EstablishRetry paces link-establishment re-dispatch between
 	// attempts. The zero value preserves the paper's production
 	// behaviour — "links were retried repeatedly", immediately; set a
@@ -171,21 +139,11 @@ type Config struct {
 	// --- Controller replication (primary/standby failover) ----------
 
 	// ReplicationEnabled runs the control plane as a replicated pair: a
-	// primary holding a renewable leadership lease plus a warm standby
-	// tailing the journal stream, promoting itself (with a fresh
-	// fencing epoch) when the lease lapses. Off by default so legacy
-	// single-controller scenarios stay byte-identical.
+	// primary holding a renewable leadership lease (leaseTTLS) plus a
+	// warm standby tailing the journal stream, promoting itself (with a
+	// fresh fencing epoch) when the lease lapses. Off by default so
+	// legacy single-controller scenarios stay byte-identical.
 	ReplicationEnabled bool
-	// LeaseTTLS is the leadership lease time-to-live. A primary that
-	// cannot renew within the TTL is considered dead and the standby
-	// may take over. 0 keeps the default (30 s).
-	LeaseTTLS float64
-	// LeaseCheckS is the lease renew/watch cadence for both replicas.
-	// 0 keeps the default (5 s).
-	LeaseCheckS float64
-	// ReplDelayS is the one-way journal-stream latency primary →
-	// standby (datacenter-to-datacenter). 0 keeps the default (0.5 s).
-	ReplDelayS float64
 	// DisableEpochFencing makes agents enact stale-epoch commands
 	// instead of rejecting them — the pre-fix split-brain behaviour the
 	// chaos-search repros demonstrate. Tests only.
@@ -198,17 +156,6 @@ type Config struct {
 	// blindly — the pre-fix behaviour the chaos search exploits. Tests
 	// only; the guard is on by default.
 	DisableTelemetryGuard bool
-	// GuardMaxSpeedMS / GuardSlackM override the guard's plausibility
-	// envelope (fastest credible platform speed, fix-jitter slack)
-	// when > 0.
-	GuardMaxSpeedMS float64
-	GuardSlackM     float64
-	// ByzantineMarginRejectDB bounds the |measured − modelled| link
-	// margin admitted into the Fig. 10 calibration sample: honest
-	// model error is a few dB, so anything beyond the bound is treated
-	// as byzantine or broken instrumentation and dropped. 0 keeps the
-	// default (30 dB); negative disables the bound.
-	ByzantineMarginRejectDB float64
 	// SymmetricInBand restores the pre-directional in-band model where
 	// the node → EC direction reuses the EC → node path, resurrecting
 	// the ghost-heartbeat failure under partial partitions. Tests only.
@@ -248,35 +195,31 @@ type Config struct {
 	RouteStaggerS float64
 }
 
-// leaseTTL / leaseCheck / replDelay resolve replication knob defaults.
-func (c Config) leaseTTL() float64 {
-	if c.LeaseTTLS > 0 {
-		return c.LeaseTTLS
-	}
-	return 30
-}
-
-func (c Config) leaseCheck() float64 {
-	if c.LeaseCheckS > 0 {
-		return c.LeaseCheckS
-	}
-	return 5
-}
-
-func (c Config) replDelay() float64 {
-	if c.ReplDelayS > 0 {
-		return c.ReplDelayS
-	}
-	return 0.5
-}
-
-// deliveryGrace resolves the bounded-loss grace default.
-func (c Config) deliveryGrace() float64 {
-	if c.DeliveryGraceS > 0 {
-		return c.DeliveryGraceS
-	}
-	return 600
-}
+const (
+	// leaseTTLS is the leadership lease time-to-live: a primary that
+	// cannot renew within it is considered dead and the standby may
+	// take over.
+	leaseTTLS = 30
+	// leaseCheckS is the lease renew/watch cadence of both replicas.
+	leaseCheckS = 5
+	// replDelayS is the one-way journal-stream latency primary →
+	// standby (datacenter-to-datacenter).
+	replDelayS = 0.5
+	// deliveryGraceS is the delivery meter's bounded-loss repair
+	// allowance: a route may sit reachable-but-undelivered for this
+	// many accumulated controllable seconds before drops count as lost
+	// (inv-dataplane-delivery) — several solve cycles plus the
+	// route-stagger window.
+	deliveryGraceS = 600
+	// marginRejectDB bounds the |measured − modelled| link margin
+	// admitted into the Fig. 10 calibration sample: honest model error
+	// is a few dB, so anything beyond it is treated as byzantine or
+	// broken instrumentation and dropped.
+	marginRejectDB = 30
+	// reachabilityPeriodS is the reachability tracker's aggregation
+	// period: one day.
+	reachabilityPeriodS = 86400
+)
 
 // DefaultConfig is a Kenya-like deployment ready for experiments.
 func DefaultConfig() Config {

@@ -238,10 +238,6 @@ func New(cfg Config) *Controller {
 	}
 	solverCfg.Workers = cfg.SolveWorkers
 
-	reachPeriod := cfg.ReachabilityPeriodS
-	if reachPeriod <= 0 {
-		reachPeriod = 86400
-	}
 	c := &Controller{
 		Cfg: cfg, Eng: eng, Obs: ob, obsm: obsm,
 		Wx: wx, Wind: wd, FMS: fms, Fleet: fleet, Fabric: fabric,
@@ -256,14 +252,14 @@ func New(cfg Config) *Controller {
 		},
 		Data:         dataplane.NewState(),
 		NBI:          nbi.NewService(),
-		Reach:        telemetry.NewReachability(reachPeriod),
+		Reach:        telemetry.NewReachability(reachabilityPeriodS),
 		LinkLife:     telemetry.NewLinkLife(),
 		Recovery:     telemetry.NewRecovery(),
 		RecoveryCtrl: telemetry.NewRecovery(),
 		Redund:       &telemetry.Redundancy{},
 		Churn:        &telemetry.Churn{},
-		ModelErr:     &telemetry.ModelError{MaxAbsDB: marginBound(cfg)},
-		PosGuard:     newPositionGuard(cfg),
+		ModelErr:     &telemetry.ModelError{MaxAbsDB: marginRejectDB},
+		PosGuard:     telemetry.NewPositionGuard(),
 		Log:          &explain.Log{Cap: 200000},
 		Scrubber:     &explain.Scrubber{Cap: 5000},
 		gateways:     gateways,
@@ -276,12 +272,10 @@ func New(cfg Config) *Controller {
 		reported:     map[string]geo.LLA{},
 	}
 	if cfg.DeliveryProbeS > 0 {
-		c.Delivery = dataplane.NewDeliveryMeter(cfg.deliveryGrace())
+		c.Delivery = dataplane.NewDeliveryMeter(deliveryGraceS)
 	}
 	evalCfg := linkeval.DefaultConfig()
 	evalCfg.DropMarginal = cfg.DropMarginalLinks
-	evalCfg.Incremental = !cfg.EvalBruteForce
-	evalCfg.DisplacementEpsM = cfg.EvalDisplacementEpsM
 	if cfg.SolveWorkers > 0 {
 		// Pin the evaluator's sweep width alongside the solver's, so
 		// per-shard obs spans are well-defined. Output is byte-identical
@@ -308,10 +302,10 @@ func New(cfg Config) *Controller {
 		// epoch 1) with ctl-b as its warm standby, bootstrapped from a
 		// snapshot of the (empty) journal and tailing every write.
 		c.actingID, c.standbyID = "ctl-a", "ctl-b"
-		c.Lease = &LeaseService{TTLS: cfg.leaseTTL()}
+		c.Lease = &LeaseService{TTLS: leaseTTLS}
 		ep, _ := c.Lease.Acquire(c.actingID, 0)
 		c.epoch = ep
-		c.Repl = NewReplicator(eng, cfg.replDelay())
+		c.Repl = NewReplicator(eng, replDelayS)
 		c.attachStandby()
 	}
 	c.installObs()
@@ -413,14 +407,10 @@ func (c *Controller) predictPositionsBatch(n *platform.Node, leads []float64) []
 // install schedules every periodic process.
 func (c *Controller) install() {
 	eng := c.Eng
-	// Physical world: weather and flight at 1-minute ticks. Time
-	// advancing changes the *estimated* weather too (forecast cells
-	// self-advect, source ages grow past thresholds), so the tick
-	// also advances the evaluator's weather epoch.
+	// Physical world: weather and flight at 1-minute ticks.
 	eng.Every(60, func() bool {
 		c.Wx.Step(60)
 		c.stepFleet(60)
-		c.Evaluator.BumpWeatherEpoch()
 		return true
 	})
 	// Gauges sample each minute; forecasts refresh every 12 h. A
@@ -433,7 +423,6 @@ func (c *Controller) install() {
 		for _, g := range c.Gauges {
 			g.Sample()
 		}
-		c.Evaluator.BumpWeatherEpoch()
 		return true
 	})
 	eng.Every(12*3600, func() bool {
@@ -494,7 +483,7 @@ func (c *Controller) install() {
 	// gated on c.down: the standby replica's watchdog is exactly what
 	// must keep running while the primary process is dead.
 	if c.Cfg.ReplicationEnabled {
-		eng.Every(c.Cfg.leaseCheck(), func() bool {
+		eng.Every(leaseCheckS, func() bool {
 			c.leaseTick()
 			return true
 		})
@@ -576,7 +565,6 @@ func (c *Controller) rebuildFusion() {
 	}
 	c.WxModel.Sources = sources
 	c.Evaluator.Weather = c.WxModel
-	c.Evaluator.BumpWeatherEpoch()
 }
 
 // manageService emulates the LTE management stack: balloons in the
@@ -632,7 +620,6 @@ func (c *Controller) solveCycle() {
 	c.lastEvalStats = c.Evaluator.Stats()
 	ev.SetAttrInt("candidates", len(graph))
 	ev.SetAttrInt("pairs", int(evalDelta.PairsEnumerated))
-	ev.SetAttrInt("cache_hits", int(evalDelta.CacheHits))
 	ev.SetAttrInt("reevals", int(evalDelta.ReEvals))
 	ev.SetAttrInt("edge_churn", edgeDelta.Churn())
 	c.shardSpans(ev, "eval-shard", c.Evaluator.LastShardItems())
@@ -682,9 +669,9 @@ func (c *Controller) solveCycle() {
 	c.lastPlan = plan
 	c.realignRoutes()
 	c.Log.Appendf(now, explain.EvSolve, fmt.Sprintf("cycle-%d", c.SolveRuns),
-		"candidates=%d links=%d redundant=%d routes=%d unsatisfied=%d utility=%.0f evalpairs=%d pruned=%d reevals=%d cachehits=%d edgechurn=%d pathreuse=%d/%d",
+		"candidates=%d links=%d redundant=%d routes=%d unsatisfied=%d utility=%.0f evalpairs=%d pruned=%d reevals=%d edgechurn=%d pathreuse=%d/%d",
 		len(graph), len(plan.Links), plan.RedundantCount(), len(plan.Routes), len(plan.Unsatisfied), plan.Utility,
-		evalDelta.PairsEnumerated, evalDelta.PairsPruned, evalDelta.ReEvals, evalDelta.CacheHits,
+		evalDelta.PairsEnumerated, evalDelta.PairsPruned, evalDelta.ReEvals,
 		edgeDelta.Churn(), ws.LastReused, ws.LastReused+ws.LastRecomputed)
 	di := sp.Child("dispatch")
 	acts := c.Intents.Reconcile(plan, now)

@@ -82,7 +82,7 @@ func (c *Controller) procForIntent(id radio.LinkID, li *intent.LinkIntent) *ctlS
 	return nil
 }
 
-// leaseTick is both replicas' renew/watch loop (every Cfg.LeaseCheckS).
+// leaseTick is both replicas' renew/watch loop (every leaseCheckS).
 // The acting primary renews its lease; the standby watches for a lapse
 // and promotes itself. A partitioned primary cannot reach the lease
 // service, so its lease silently expires — that is the entire
@@ -141,9 +141,9 @@ func (c *Controller) promote(epoch uint64) {
 	var warm *solver.Warm
 	if c.Cfg.DisableStandbyPrewarm {
 		// Model the pre-fix cold standby: no warm adoption, and the
-		// promoted process starts with an empty evaluator cache.
+		// promoted process starts with no candidate-graph baseline.
 		c.Repl.TakeStandbyWarm()
-		c.Evaluator.DropCache()
+		c.Evaluator.ResetDelta()
 	} else if warm = c.Repl.TakeStandbyWarm(); warm != nil {
 		c.obsm.warmAdoptions.Inc()
 	}

@@ -26,11 +26,7 @@ type obsMetrics struct {
 // newObs builds the controller's observability bundle from the sim
 // clock and interns the hot-path handles.
 func newObs(cfg Config, now func() float64) (*obs.Obs, obsMetrics) {
-	o := obs.New(obs.Config{
-		Enabled:       cfg.ObsEnabled,
-		FlightCap:     cfg.ObsFlightCap,
-		FlightWindowS: cfg.ObsFlightWindowS,
-	}, now)
+	o := obs.New(obs.Config{Enabled: cfg.ObsEnabled}, now)
 	m := obsMetrics{
 		warmAdoptions: o.Reg.Counter("failover.warm_adoptions"),
 		cmdDeafDrops:  o.Reg.Counter("cdpi.cmd_deaf_drops"),
@@ -68,10 +64,8 @@ func (c *Controller) installObs() {
 	reg.GaugeFunc("satcom.delivered", func() float64 { return float64(c.Sat.Delivered) })
 	reg.GaugeFunc("satcom.dropped", func() float64 { return float64(c.Sat.Dropped) })
 	reg.GaugeFunc("satcom.requeued", func() float64 { return float64(c.Sat.Requeued) })
-	reg.GaugeFunc("eval.cache_len", func() float64 { return float64(c.Evaluator.CacheLen()) })
 	reg.GaugeFunc("eval.pairs_enumerated", func() float64 { return float64(c.Evaluator.Stats().PairsEnumerated) })
 	reg.GaugeFunc("eval.pairs_pruned", func() float64 { return float64(c.Evaluator.Stats().PairsPruned) })
-	reg.GaugeFunc("eval.cache_hits", func() float64 { return float64(c.Evaluator.Stats().CacheHits) })
 	reg.GaugeFunc("eval.reevals", func() float64 { return float64(c.Evaluator.Stats().ReEvals) })
 	reg.GaugeFunc("warm.paths_reused", func() float64 { return float64(c.warm.Stats().PathsReused) })
 	reg.GaugeFunc("warm.paths_recomputed", func() float64 { return float64(c.warm.Stats().PathsRecomputed) })
@@ -111,10 +105,10 @@ func (c *Controller) ObsSnapshot() obs.Snapshot { return c.Obs.Reg.Snapshot() }
 // (nil with tracing disabled).
 func (c *Controller) ObsTrees() []*obs.Span { return c.Obs.Tracer.Trees() }
 
-// ObsFlightDump exports the flight recorder's black box — the last
-// ObsFlightWindowS sim-seconds of span/metric/event records (nil with
-// tracing disabled). The chaos runner attaches this to every
-// invariant violation.
+// ObsFlightDump exports the flight recorder's black box — the span,
+// metric and event records inside the recorder's lookback window (the
+// obs default; nil with tracing disabled). The chaos runner attaches
+// this to every invariant violation.
 func (c *Controller) ObsFlightDump() *obs.FlightDump { return c.Obs.Rec.Dump() }
 
 // onEnactment is the cdpi completion hook: counters + latency always;

@@ -45,53 +45,31 @@ func benchEvaluator(incremental bool) *Evaluator {
 	return New(cfg, &gradientRain{}, nil)
 }
 
-// BenchmarkCandidateGraph compares the three evaluation regimes at
+// BenchmarkCandidateGraph compares the two evaluation pipelines at
 // each fidelity scale:
 //
-//	bruteforce:       the reference O(N²) sweep
-//	incremental-cold: spatial index + shared pair geometry, with the
-//	                  weather epoch bumped every iteration so the
-//	                  evaluation cache never hits (worst case)
-//	incremental-warm: static fleet within one epoch — the cache
-//	                  serves repeats (best case)
+//	bruteforce:  the reference O(N²) sweep
+//	incremental: spatial index + shared pair geometry
 func BenchmarkCandidateGraph(b *testing.B) {
 	for _, scale := range []int{1, 3} {
 		xs := benchFleet(scale)
-		b.Run(fmt.Sprintf("bruteforce/scale%d", scale), func(b *testing.B) {
-			e := benchEvaluator(false)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = e.CandidateGraph(xs, 0)
+		for _, incremental := range []bool{false, true} {
+			name := "bruteforce"
+			if incremental {
+				name = "incremental"
 			}
-			reportPairs(b, e)
-		})
-		b.Run(fmt.Sprintf("incremental-cold/scale%d", scale), func(b *testing.B) {
-			e := benchEvaluator(true)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.BumpWeatherEpoch()
-				_ = e.CandidateGraph(xs, 0)
-			}
-			reportPairs(b, e)
-		})
-		b.Run(fmt.Sprintf("incremental-warm/scale%d", scale), func(b *testing.B) {
-			e := benchEvaluator(true)
-			_ = e.CandidateGraph(xs, 0) // warm the cache
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = e.CandidateGraph(xs, 0)
-			}
-			reportPairs(b, e)
-		})
+			b.Run(fmt.Sprintf("%s/scale%d", name, scale), func(b *testing.B) {
+				e := benchEvaluator(incremental)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = e.CandidateGraph(xs, 0)
+				}
+				if s := e.Stats(); s.Graphs > 0 {
+					b.ReportMetric(float64(s.PairsPossible)/float64(s.Graphs), "pairs/op")
+				}
+			})
+		}
 	}
-}
-
-func reportPairs(b *testing.B, e *Evaluator) {
-	s := e.Stats()
-	if s.Graphs > 0 {
-		b.ReportMetric(float64(s.PairsPossible)/float64(s.Graphs), "pairs/op")
-	}
-	b.ReportMetric(s.HitRate()*100, "cachehit%")
 }
 
 // BenchmarkPathAttenuation compares one 16-sample path integration on
@@ -137,13 +115,10 @@ func exactPathAttenuation(src weather.Source, fGHz float64, a, b geo.LLA) float6
 
 // benchRecord is one scale's row in BENCH_linkeval.json.
 type benchRecord struct {
-	BruteNsOp   float64 `json:"brute_ns_op"`
-	ColdNsOp    float64 `json:"incremental_cold_ns_op"`
-	WarmNsOp    float64 `json:"incremental_warm_ns_op"`
-	PairsPerSec float64 `json:"incremental_pairs_per_s"`
-	WarmHitRate float64 `json:"warm_cache_hit_rate"`
-	ColdSpeedup float64 `json:"cold_speedup_vs_brute"`
-	WarmSpeedup float64 `json:"warm_speedup_vs_brute"`
+	BruteNsOp       float64 `json:"brute_ns_op"`
+	IncrementalNsOp float64 `json:"incremental_ns_op"`
+	PairsPerSec     float64 `json:"incremental_pairs_per_s"`
+	Speedup         float64 `json:"speedup_vs_brute"`
 }
 
 // TestWriteBenchJSON measures the benchmark suite and writes the
@@ -160,54 +135,28 @@ func TestWriteBenchJSON(t *testing.T) {
 	summary := map[string]benchRecord{}
 	for _, scale := range []int{1, 3} {
 		xs := benchFleet(scale)
-		brute := testing.Benchmark(func(b *testing.B) {
-			e := benchEvaluator(false)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = e.CandidateGraph(xs, 0)
-			}
-		})
-		cold := testing.Benchmark(func(b *testing.B) {
-			e := benchEvaluator(true)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.BumpWeatherEpoch()
-				_ = e.CandidateGraph(xs, 0)
-			}
-		})
-		warmEval := benchEvaluator(true)
-		_ = warmEval.CandidateGraph(xs, 0)
-		preWarm := warmEval.Stats()
-		warm := testing.Benchmark(func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = warmEval.CandidateGraph(xs, 0)
-			}
-		})
-		warmDelta := warmEval.Stats().Sub(preWarm)
-		// Pairs the brute sweep would have evaluated, per second of
-		// incremental-cold evaluation.
-		pairsPossible := warmDelta.PairsPossible
-		if g := warmDelta.Graphs; g > 0 {
-			pairsPossible /= g
+		measure := func(e *Evaluator) float64 {
+			return float64(testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					_ = e.CandidateGraph(xs, 0)
+				}
+			}).NsPerOp())
 		}
+		inc := benchEvaluator(true)
 		rec := benchRecord{
-			BruteNsOp:   float64(brute.NsPerOp()),
-			ColdNsOp:    float64(cold.NsPerOp()),
-			WarmNsOp:    float64(warm.NsPerOp()),
-			WarmHitRate: warmDelta.HitRate(),
+			BruteNsOp:       measure(benchEvaluator(false)),
+			IncrementalNsOp: measure(inc),
 		}
-		if rec.ColdNsOp > 0 {
-			rec.ColdSpeedup = rec.BruteNsOp / rec.ColdNsOp
-			rec.PairsPerSec = float64(pairsPossible) / (rec.ColdNsOp / 1e9)
-		}
-		if rec.WarmNsOp > 0 {
-			rec.WarmSpeedup = rec.BruteNsOp / rec.WarmNsOp
+		if rec.IncrementalNsOp > 0 {
+			rec.Speedup = rec.BruteNsOp / rec.IncrementalNsOp
+			// Pairs the brute sweep would have evaluated, per second of
+			// incremental evaluation.
+			st := inc.Stats()
+			rec.PairsPerSec = float64(st.PairsPossible/st.Graphs) / (rec.IncrementalNsOp / 1e9)
 		}
 		summary[fmt.Sprintf("scale%d", scale)] = rec
-		t.Logf("scale%d: brute %.2fms cold %.2fms warm %.2fms cold-speedup %.1fx warm-speedup %.1fx hit %.0f%%",
-			scale, rec.BruteNsOp/1e6, rec.ColdNsOp/1e6, rec.WarmNsOp/1e6,
-			rec.ColdSpeedup, rec.WarmSpeedup, rec.WarmHitRate*100)
+		t.Logf("scale%d: brute %.2fms incremental %.2fms speedup %.1fx",
+			scale, rec.BruteNsOp/1e6, rec.IncrementalNsOp/1e6, rec.Speedup)
 	}
 	data, err := json.MarshalIndent(summary, "", "  ")
 	if err != nil {

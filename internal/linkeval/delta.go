@@ -18,7 +18,7 @@ import (
 // graphs, by link identity and report content.
 type EdgeDelta struct {
 	// Valid is false on the first emission (no previous graph to
-	// diff against) and after DropCache.
+	// diff against) and after ResetDelta.
 	Valid bool
 	// Added / Removed / Changed / Unchanged count link IDs new since
 	// the previous graph, gone from it, present in both with any
@@ -82,10 +82,15 @@ func (e *Evaluator) CandidateGraphDelta(xcvrs []*platform.Transceiver, lead floa
 			}
 		}
 	}
-	// Snapshot by value: later cache mutation or scratch reuse cannot
-	// alias into the recorded previous graph.
+	// Snapshot by value: a consumer mutating the returned reports
+	// cannot alias into the recorded previous graph.
 	if cap(e.last) < len(g) {
 		e.last = make([]Report, len(g))
+	}
+	// A shorter graph must not leave the departed platforms'
+	// transceivers pinned by the tail of the backing array.
+	if len(g) < len(e.last) {
+		clear(e.last[len(g):])
 	}
 	e.last = e.last[:len(g)]
 	for k, r := range g {
@@ -95,12 +100,10 @@ func (e *Evaluator) CandidateGraphDelta(xcvrs []*platform.Transceiver, lead floa
 	return g, d
 }
 
-// DropCache discards every cached pair evaluation and the delta
-// baseline, as after a controller restart or a cold standby
-// promotion. The next CandidateGraph recomputes everything; the next
-// CandidateGraphDelta emits Valid=false.
-func (e *Evaluator) DropCache() {
-	clear(e.cache)
+// ResetDelta discards the delta baseline, as after a controller
+// restart or a cold standby promotion: the next CandidateGraphDelta
+// emits Valid=false.
+func (e *Evaluator) ResetDelta() {
 	e.last = nil
 	e.haveLast = false
 }

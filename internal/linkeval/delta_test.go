@@ -82,8 +82,6 @@ func TestCandidateGraphDeltaCrossValidation(t *testing.T) {
 			}
 		}
 		src.phase += 0.3
-		ev.BumpWeatherEpoch()
-		twin.BumpWeatherEpoch()
 	}
 }
 
@@ -125,7 +123,8 @@ func TestCandidateGraphDeltaChurnIsPartial(t *testing.T) {
 // TestShardedSweepWorkerInvariance pins the tentpole claim for the
 // evaluator: the sharded candidate sweep emits byte-identical graphs
 // at any Parallelism, for both the incremental pipeline and the
-// brute-force reference, including across cache-warm repeat calls.
+// brute-force reference, including across repeat calls on reused
+// scratch.
 func TestShardedSweepWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	nodes, xs := randomFleet(rng, 22)
@@ -158,16 +157,13 @@ func TestShardedSweepWorkerInvariance(t *testing.T) {
 			n.Balloon.Pos.Alt = alt
 		}
 		src.phase += 0.5
-		for _, name := range order {
-			evs[name].BumpWeatherEpoch()
-		}
 	}
 }
 
 // TestEmptyGraphIsAValidBaseline: a first emission with zero
 // candidates must still establish the delta baseline — the next call
 // is a valid all-Added delta, not a silent re-cold-start (an empty
-// snapshot must not be confused with DropCache).
+// snapshot must not be confused with ResetDelta).
 func TestEmptyGraphIsAValidBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	_, xs := randomFleet(rng, 10)
@@ -189,11 +185,17 @@ func TestEmptyGraphIsAValidBaseline(t *testing.T) {
 	if g2, d2 := ev.CandidateGraphDelta(nil, 0); len(g2) != 0 || !d2.Valid || d2.Removed != len(g) {
 		t.Fatalf("delta down to empty: got %d reports, %+v", len(g2), d2)
 	}
+	// The shrunk baseline must not keep the departed transceivers alive.
+	for i, r := range ev.last[:cap(ev.last)] {
+		if r.XA != nil || r.XB != nil {
+			t.Fatalf("baseline slot %d still pins %v after the graph emptied", i, r.ID)
+		}
+	}
 }
 
-// TestDropCacheResetsDeltaBaseline: DropCache must clear both the
-// pair cache and the delta baseline (a cold promoted controller).
-func TestDropCacheResetsDeltaBaseline(t *testing.T) {
+// TestResetDeltaBaseline: ResetDelta must clear the delta baseline (a
+// cold promoted controller).
+func TestResetDeltaBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	_, xs := randomFleet(rng, 10)
 	ev := New(DefaultConfig(), clearSky{}, nil)
@@ -201,18 +203,12 @@ func TestDropCacheResetsDeltaBaseline(t *testing.T) {
 	if _, d := ev.CandidateGraphDelta(xs, 0); !d.Valid {
 		t.Fatal("second delta should have a baseline")
 	}
-	if ev.CacheLen() == 0 {
-		t.Fatal("cache should be populated")
-	}
-	ev.DropCache()
-	if ev.CacheLen() != 0 {
-		t.Fatal("DropCache left cache entries")
-	}
+	ev.ResetDelta()
 	g, d := ev.CandidateGraphDelta(xs, 0)
 	if d.Valid {
-		t.Fatal("post-DropCache delta must be invalid")
+		t.Fatal("post-ResetDelta delta must be invalid")
 	}
 	if len(g) == 0 {
-		t.Fatal("post-DropCache graph empty")
+		t.Fatal("post-ResetDelta graph empty")
 	}
 }

@@ -6,15 +6,13 @@ import (
 
 	"minkowski/internal/geo"
 	"minkowski/internal/platform"
-	"minkowski/internal/radio"
-	"minkowski/internal/weather"
 )
 
 // This file implements the incremental spatially-indexed candidate
-// graph pipeline (DESIGN.md §7). Three layers of work-sharing sit on
+// graph pipeline (DESIGN.md §7). Two layers of work-sharing sit on
 // top of the same staged pipeline EvaluatePair runs:
 //
-//  1. Platforms are predicted once per epoch and bucketed into a
+//  1. Platforms are predicted once per graph and bucketed into a
 //     geo.CellIndex with cell edge MaxRangeM, so pair enumeration
 //     walks only the 27-cell neighborhood of each platform instead of
 //     all N² pairs. The exact slant-range gate is kept downstream, so
@@ -22,10 +20,9 @@ import (
 //  2. Per platform pair, geometry (range, both pointing solutions,
 //     line of sight, path attenuation, budgets per gain pair) is
 //     memoized in a pairGeom shared by the transceiver fan-out.
-//  3. Per link, the previous evaluation is cached and reused while
-//     the weather epoch is unchanged and both endpoints' predicted
-//     positions are within DisplacementEpsM of where the evaluation
-//     was computed (exact equality at the default eps of 0).
+//
+// Nothing is carried from one graph to the next: every call evaluates
+// every in-range pair and returns freshly allocated reports.
 //
 // Bit-identity with the brute-force sweep rests on two invariants:
 //
@@ -44,7 +41,7 @@ import (
 //     precomputed from that layout, which also makes the parallel
 //     fan-out race-free: workers write disjoint slots.
 
-// nodeEnt is one platform in the current evaluation epoch.
+// nodeEnt is one platform in the graph being built.
 type nodeEnt struct {
 	node *platform.Node
 	pos  geo.LLA
@@ -63,33 +60,6 @@ type npTask struct {
 	partnerTotal int32 // total partner transceivers across all of u's tasks
 }
 
-// cacheEntry is one cached link evaluation. pA/pB are the predicted
-// endpoint positions it was computed at, keyed to the link ID's A and
-// B sides; rep == nil records an evaluated-infeasible pair so
-// negatives are cached too.
-type cacheEntry struct {
-	pA, pB geo.LLA
-	lead   float64
-	epoch  uint64
-	// vol is the attenuation volume the evaluation used (nil = Source
-	// integration); swapping the evaluator's Volume invalidates.
-	vol *weather.Volume
-	rep *Report
-}
-
-type cacheUpdate struct {
-	id  radio.LinkID
-	ent cacheEntry
-}
-
-// workerState is per-worker reusable state: evaluation scratch plus
-// the cache updates collected during the parallel fan-out and
-// committed serially afterwards.
-type workerState struct {
-	scratch evalScratch
-	updates []cacheUpdate
-}
-
 type bfPair struct{ a, b int32 }
 
 // graphScratch holds every reusable buffer of the evaluator, so
@@ -104,14 +74,12 @@ type graphScratch struct {
 	index    *geo.CellIndex
 	partners []int32
 	tasks    []npTask
-	workers  []workerState
-	// lastPurgeEpoch tracks when stale cache entries were last swept.
-	lastPurgeEpoch uint64
+	workers  []evalScratch
 }
 
 func (e *Evaluator) ensureWorkers(n int) {
 	for len(e.scr.workers) < n {
-		e.scr.workers = append(e.scr.workers, workerState{})
+		e.scr.workers = append(e.scr.workers, evalScratch{})
 	}
 }
 
@@ -135,17 +103,6 @@ func (e *Evaluator) resizeResults(n int) []*Report {
 func (e *Evaluator) incrementalGraph(xcvrs []*platform.Transceiver, lead float64, posOf func(*platform.Node) geo.LLA) []*Report {
 	scr := &e.scr
 	e.stats.Graphs++
-	e.evalSeq++
-
-	// Sweep cache entries from dead epochs: they can never hit again.
-	if scr.lastPurgeEpoch != e.weatherEpoch {
-		for id, ent := range e.cache {
-			if ent.epoch != e.weatherEpoch {
-				delete(e.cache, id)
-			}
-		}
-		scr.lastPurgeEpoch = e.weatherEpoch
-	}
 
 	// --- Group transceivers by platform, predict once per platform.
 	if scr.nodeIdx == nil {
@@ -238,8 +195,8 @@ func (e *Evaluator) incrementalGraph(xcvrs []*platform.Transceiver, lead float64
 	results := e.resizeResults(int(slotBase))
 
 	// --- Parallel fan-out over platform-pair tasks. Workers write
-	// disjoint result slots and collect cache updates locally; updates
-	// and stats are committed serially after the join.
+	// disjoint result slots and count locally; stats are summed
+	// serially after the join.
 	workers := e.workerCount(len(tasks))
 	e.ensureWorkers(workers)
 	e.resetShardItems(workers)
@@ -275,14 +232,9 @@ func (e *Evaluator) incrementalGraph(xcvrs []*platform.Transceiver, lead float64
 	}
 	for w := 0; w < workers; w++ {
 		st := &scr.workers[w]
-		for _, up := range st.updates {
-			e.cache[up.id] = up.ent
-		}
-		st.updates = st.updates[:0]
-		e.stats.RangePruned += st.scratch.stats.RangePruned
-		e.stats.CacheHits += st.scratch.stats.CacheHits
-		e.stats.ReEvals += st.scratch.stats.ReEvals
-		st.scratch.stats = Stats{}
+		e.stats.RangePruned += st.stats.RangePruned
+		e.stats.ReEvals += st.stats.ReEvals
+		st.stats = Stats{}
 	}
 
 	// --- Emit: slots are already in (ID.A, ID.B) order.
@@ -301,31 +253,10 @@ func (e *Evaluator) incrementalGraph(xcvrs []*platform.Transceiver, lead float64
 	return out
 }
 
-// cacheHit reports whether a cached entry may serve the pair at the
-// current epoch and positions.
-//
-//minkowski:hotpath
-func (e *Evaluator) cacheHit(ent *cacheEntry, uPos, vPos geo.LLA, lead float64) bool {
-	if ent.epoch != e.weatherEpoch || ent.vol != e.Volume {
-		return false
-	}
-	// Volume attenuation interpolates over lead time, so cached
-	// values are lead-specific; Source-backed estimation is not.
-	//minkowski:floateq-ok cache key: volume-backed evaluations are valid only at the exact lead they were computed for
-	if e.Volume != nil && ent.lead != lead {
-		return false
-	}
-	if eps := e.cfg.DisplacementEpsM; eps > 0 {
-		return geo.SlantRange(ent.pA, uPos) <= eps && geo.SlantRange(ent.pB, vPos) <= eps
-	}
-	//minkowski:floateq-ok cache key: eps=0 bit-identity contract requires exact position equality
-	return ent.pA == uPos && ent.pB == vPos
-}
-
 // runTask evaluates every transceiver pair of one platform pair.
 //
 //minkowski:hotpath
-func (e *Evaluator) runTask(t npTask, lead float64, st *workerState, xcvrs []*platform.Transceiver) {
+func (e *Evaluator) runTask(t npTask, lead float64, st *evalScratch, xcvrs []*platform.Transceiver) {
 	ue := &e.scr.nodes[t.u]
 	ve := &e.scr.nodes[t.v]
 	results := e.scr.results
@@ -334,7 +265,7 @@ func (e *Evaluator) runTask(t npTask, lead float64, st *workerState, xcvrs []*pl
 	// change its norm).
 	dist := ve.ecef.Sub(ue.ecef).Norm()
 	if dist > e.cfg.MaxRangeM {
-		st.scratch.stats.RangePruned += uint64(len(ue.xc) * len(ve.xc))
+		st.stats.RangePruned += uint64(len(ue.xc) * len(ve.xc))
 		return
 	}
 	g := pairGeom{posA: ue.pos, posB: ve.pos, dist: dist}
@@ -347,34 +278,8 @@ func (e *Evaluator) runTask(t npTask, lead float64, st *workerState, xcvrs []*pl
 			if xbi < xai {
 				a, b, orient = xbi, xai, 1
 			}
-			xa, xb := xcvrs[a], xcvrs[b]
-			id := radio.MakeLinkID(xa.ID, xb.ID)
-			if ent, ok := e.cache[id]; ok && e.cacheHit(&ent, ue.pos, ve.pos, lead) {
-				st.scratch.stats.CacheHits++
-				rep := ent.rep
-				//minkowski:floateq-ok cache key: restamp only when the cached lead differs bit-exactly
-				if rep != nil && rep.Lead != lead {
-					// Cross-lead reuse (Volume nil): clone with the
-					// lead restamped; all other fields are
-					// lead-independent.
-					nr := st.scratch.newReport()
-					*nr = *rep
-					nr.Lead = lead
-					rep = nr
-				}
-				results[slot] = rep
-				continue
-			}
-			rep, _, _ := e.evalStaged(xa, xb, lead, &g, orient, &st.scratch)
-			st.scratch.stats.ReEvals++
-			results[slot] = rep
-			// ID.A is always the anchor (lower node ID) side: the '/'
-			// separator sorts below alphanumerics, so node-ID order
-			// implies transceiver-ID order.
-			st.updates = append(st.updates, cacheUpdate{id: id, ent: cacheEntry{
-				pA: ue.pos, pB: ve.pos, lead: lead, epoch: e.weatherEpoch,
-				vol: e.Volume, rep: rep,
-			}})
+			results[slot], _, _ = e.evalStaged(xcvrs[a], xcvrs[b], lead, &g, orient, st)
+			st.stats.ReEvals++
 		}
 	}
 }

@@ -74,8 +74,8 @@ func compareGraphs(t *testing.T, label string, inc, brute []*Report) {
 }
 
 // TestIncrementalMatchesBruteForce is the central equivalence
-// property: across randomized fleets, wind-driven drift, weather-epoch
-// bumps, and cache-serving repeat calls, the incremental pipeline's
+// property: across randomized fleets, wind-driven drift, weather
+// changes, and same-instant repeat calls, the incremental pipeline's
 // candidate graph is bit-identical to the brute-force reference.
 func TestIncrementalMatchesBruteForce(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
@@ -95,28 +95,21 @@ func TestIncrementalMatchesBruteForce(t *testing.T) {
 				gb := brute.CandidateGraph(xs, 0)
 				gi := inc.CandidateGraph(xs, 0)
 				compareGraphs(t, label, gi, gb)
-				// Same instant again: served largely from cache, must
-				// still match bitwise.
-				pre := inc.Stats()
+				// Same instant again on the reused scratch: must still
+				// match bitwise.
 				gi2 := inc.CandidateGraph(xs, 0)
-				compareGraphs(t, label+"-cached", gi2, gb)
-				if d := inc.Stats().Sub(pre); d.CacheHits == 0 {
-					t.Fatalf("%s: repeat call produced no cache hits", label)
-				}
+				compareGraphs(t, label+"-repeat", gi2, gb)
 				if step%2 == 0 {
 					// Wind: drift every balloon a few km in a random
-					// direction (positions change → cache must miss).
+					// direction.
 					for _, n := range nodes {
 						alt := n.Balloon.Pos.Alt
 						n.Balloon.Pos = geo.Offset(n.Balloon.Pos, geo.Deg(rng.Float64()*360), 2000+6000*rng.Float64())
 						n.Balloon.Pos.Alt = alt
 					}
 				} else {
-					// Weather evolves: shift the pattern and advance
-					// the incremental evaluator's epoch (brute force
-					// has no cache to invalidate).
+					// Weather evolves: shift the pattern.
 					src.phase += 0.7
-					inc.BumpWeatherEpoch()
 				}
 			}
 			// Horizon with a drifting predictor: per-lead graphs must
@@ -142,88 +135,22 @@ func TestIncrementalMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestForcedEpochBumpReEvaluates: an epoch bump with no movement must
-// drop every cached entry and recompute, still bit-identically.
-func TestForcedEpochBumpReEvaluates(t *testing.T) {
+// TestConsecutiveGraphsShareNoReports: two graphs of the same instant
+// are equal but hand out distinct reports, so a consumer editing one
+// graph cannot change another.
+func TestConsecutiveGraphsShareNoReports(t *testing.T) {
 	e := New(DefaultConfig(), clearSky{}, nil)
 	xs := testFleetXcvrs()
 	g1 := e.CandidateGraph(xs, 0)
-	pre := e.Stats()
-	e.BumpWeatherEpoch()
 	g2 := e.CandidateGraph(xs, 0)
-	d := e.Stats().Sub(pre)
-	if d.CacheHits != 0 {
-		t.Errorf("post-bump evaluation saw %d cache hits, want 0", d.CacheHits)
-	}
-	if d.ReEvals == 0 {
-		t.Error("post-bump evaluation did no re-evals")
-	}
-	compareGraphs(t, "epoch-bump", g2, g1)
-}
-
-// TestDisplacementEpsilonCacheInvalidation pins the cache-invalidation
-// boundary: inside DisplacementEpsM a cached report (with its stale
-// geometry) is served; beyond it, or on a weather-epoch bump, the pair
-// re-evaluates.
-func TestDisplacementEpsilonCacheInvalidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DisplacementEpsM = 1000
-	cfg.Parallelism = 1
-	n1 := mkBalloon("hbal-001", -1, 36.5, 18000)
-	n2 := mkBalloon("hbal-002", -1, 38.0, 18000)
-	var xs []*platform.Transceiver
-	xs = append(xs, n1.Xcvrs...)
-	xs = append(xs, n2.Xcvrs...)
-	e := New(cfg, clearSky{}, nil)
-	g1 := e.CandidateGraph(xs, 0)
 	if len(g1) == 0 {
 		t.Fatal("no candidates in the baseline graph")
 	}
-	d1 := g1[0].DistM
-	s1 := e.Stats()
-
-	// Drift 400 m: inside the epsilon. Every pair must be served from
-	// cache — including the now slightly stale distance.
-	alt := n2.Balloon.Pos.Alt
-	n2.Balloon.Pos = geo.Offset(n2.Balloon.Pos, geo.Deg(90), 400)
-	n2.Balloon.Pos.Alt = alt
-	g2 := e.CandidateGraph(xs, 0)
-	d := e.Stats().Sub(s1)
-	if d.ReEvals != 0 {
-		t.Errorf("drift within epsilon re-evaluated %d pairs, want 0", d.ReEvals)
-	}
-	if d.CacheHits == 0 {
-		t.Error("drift within epsilon produced no cache hits")
-	}
-	if g2[0].DistM != d1 {
-		t.Errorf("cache hit must serve the cached report (DistM %v, want stale %v)", g2[0].DistM, d1)
-	}
-
-	// Drift 800 m more: 1200 m from the cached evaluation position,
-	// beyond the epsilon → re-evaluate with fresh geometry.
-	s2 := e.Stats()
-	n2.Balloon.Pos = geo.Offset(n2.Balloon.Pos, geo.Deg(90), 800)
-	n2.Balloon.Pos.Alt = alt
-	g3 := e.CandidateGraph(xs, 0)
-	d = e.Stats().Sub(s2)
-	if d.ReEvals == 0 {
-		t.Error("drift beyond epsilon did not re-evaluate")
-	}
-	if g3[0].DistM == d1 {
-		t.Error("re-evaluation past epsilon must refresh the geometry")
-	}
-
-	// Weather-epoch bump with no movement: the epsilon does not save
-	// the entry — everything re-evaluates.
-	s3 := e.Stats()
-	e.BumpWeatherEpoch()
-	_ = e.CandidateGraph(xs, 0)
-	d = e.Stats().Sub(s3)
-	if d.CacheHits != 0 {
-		t.Errorf("epoch bump still served %d cache hits", d.CacheHits)
-	}
-	if d.ReEvals == 0 {
-		t.Error("epoch bump did not force re-evaluation")
+	compareGraphs(t, "repeat", g2, g1)
+	for i := range g1 {
+		if g1[i] == g2[i] {
+			t.Fatalf("report %v is the same object in both graphs", g1[i].ID)
+		}
 	}
 }
 

@@ -17,16 +17,12 @@
 //     pair from scratch (the paper's "all pairs of transceivers").
 //   - The default incremental pipeline (DESIGN.md §7) buckets
 //     platforms in a geographic cell index so only pairs within
-//     plausible range are enumerated, shares per-platform-pair
-//     geometry and attenuation across the transceiver fan-out, and
-//     reuses cached per-link evaluations until an endpoint moves
-//     beyond a displacement epsilon or the weather epoch advances.
+//     plausible range are enumerated and shares per-platform-pair
+//     geometry and attenuation across the transceiver fan-out.
 //
-// With the default exact settings (DisplacementEpsM = 0) the two
-// pipelines are bit-identical — the equivalence property tests prove
-// it under randomized wind — so every figure keeps its shape while
-// the hot path drops the redundant work Fig. 4 shows dominates
-// (candidate graphs change only a few percent hour to hour).
+// The two pipelines are bit-identical — the equivalence property
+// tests prove it under randomized wind — so every figure keeps its
+// shape. Neither carries evaluations from one call to the next.
 package linkeval
 
 import (
@@ -45,7 +41,7 @@ import (
 // time (seconds into the future). The core controller wires this to
 // the FMS's trajectory predictions; lead 0 must return the current
 // (GPS-reported) position. Predictions must be deterministic: the
-// evaluator predicts once per platform per epoch and shares the
+// evaluator predicts once per platform per graph and shares the
 // result across every pair the platform participates in.
 type PositionPredictor func(n *platform.Node, lead float64) geo.LLA
 
@@ -103,19 +99,10 @@ type Config struct {
 	// +4.3 dB right-shift of Fig. 10.
 	PessimismDB float64
 	// Incremental enables the spatially-indexed incremental pipeline
-	// (cell index, shared platform-pair geometry, evaluation cache).
-	// Disabled, CandidateGraph falls back to the reference
-	// brute-force O(N²) sweep.
+	// (cell index, shared platform-pair geometry). Disabled,
+	// CandidateGraph runs the reference brute-force O(N²) sweep the
+	// equivalence tests compare against.
 	Incremental bool
-	// DisplacementEpsM is the cache-invalidation displacement
-	// epsilon: a cached pair evaluation is reused while both
-	// endpoints' predicted positions stay within this many meters of
-	// the positions it was computed at AND the weather epoch is
-	// unchanged. 0 requires exact position equality, which keeps the
-	// incremental pipeline bit-identical to brute force; positive
-	// values trade bounded staleness for cache hits on slowly
-	// drifting fleets.
-	DisplacementEpsM float64
 }
 
 // DefaultConfig returns the evaluation policy used in production
@@ -128,7 +115,6 @@ func DefaultConfig() Config {
 		Parallelism:        0,
 		PessimismDB:        4.3,
 		Incremental:        true,
-		DisplacementEpsM:   0,
 	}
 }
 
@@ -150,9 +136,8 @@ type Stats struct {
 	// RangePruned counts enumerated pairs gated by the exact slant
 	// range check (the index neighborhood is a superset).
 	RangePruned uint64
-	// CacheHits counts pair evaluations served from the cache.
-	CacheHits uint64
-	// ReEvals counts pair evaluations actually recomputed.
+	// ReEvals counts pair evaluations run through the staged pipeline
+	// (enumerated pairs that passed the exact range gate).
 	ReEvals uint64
 }
 
@@ -164,24 +149,14 @@ func (s Stats) Sub(o Stats) Stats {
 		PairsEnumerated: s.PairsEnumerated - o.PairsEnumerated,
 		PairsPruned:     s.PairsPruned - o.PairsPruned,
 		RangePruned:     s.RangePruned - o.RangePruned,
-		CacheHits:       s.CacheHits - o.CacheHits,
 		ReEvals:         s.ReEvals - o.ReEvals,
 	}
 }
 
-// HitRate returns the cache hit fraction of all enumerated-and-in-
-// range evaluations, in [0,1].
-func (s Stats) HitRate() float64 {
-	den := s.CacheHits + s.ReEvals
-	if den == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(den)
-}
-
 // Evaluator computes candidate graphs. It is not safe for concurrent
-// CandidateGraph/Horizon calls (internal scratch and cache are
-// reused); the per-call evaluation fan-out is parallel internally.
+// CandidateGraph/Horizon calls (internal scratch is reused); the
+// per-call evaluation fan-out is parallel internally. The only state
+// carried between calls is CandidateGraphDelta's baseline.
 type Evaluator struct {
 	cfg Config
 	// Weather is the TS-SDN's *estimated* moisture model (fused
@@ -197,11 +172,8 @@ type Evaluator struct {
 	// Horizon uses it when set instead of one Predict call per lead.
 	PredictBatch func(n *platform.Node, leads []float64) []geo.LLA
 
-	weatherEpoch uint64
-	evalSeq      uint64
-	cache        map[radio.LinkID]cacheEntry
-	stats        Stats
-	scr          graphScratch
+	stats Stats
+	scr   graphScratch
 
 	// lastShardItems records, per worker slot, how many evaluation
 	// tasks the most recent graph build's fan-out assigned to it.
@@ -226,31 +198,21 @@ func New(cfg Config, wx weather.Source, predict PositionPredictor) *Evaluator {
 	if predict == nil {
 		predict = CurrentPositions
 	}
-	return &Evaluator{
-		cfg: cfg, Weather: wx, Predict: predict,
-		cache: map[radio.LinkID]cacheEntry{},
-	}
+	return &Evaluator{cfg: cfg, Weather: wx, Predict: predict}
 }
 
 // Config returns the evaluation policy.
 func (e *Evaluator) Config() Config { return e.cfg }
 
-// WeatherEpoch returns the current weather-model epoch.
-func (e *Evaluator) WeatherEpoch() uint64 { return e.weatherEpoch }
-
-// BumpWeatherEpoch advances the weather-model epoch, invalidating
-// every cached pair evaluation. The owner must call it whenever the
-// estimated weather may have changed: new gauge samples, a fresh
-// forecast, a fusion rebuild, a degraded-mode flip, or simulation
-// time advancing while any time-varying source (an advecting
-// forecast) is live.
-func (e *Evaluator) BumpWeatherEpoch() { e.weatherEpoch++ }
+// BumpWeatherEpoch does nothing.
+//
+// Deprecated: the evaluation cache it invalidated is gone. Kept only
+// because bench/e2e/trace.go calls it and bench/ is frozen; delete it
+// together with that call.
+func (e *Evaluator) BumpWeatherEpoch() {}
 
 // Stats returns the cumulative work counters.
 func (e *Evaluator) Stats() Stats { return e.stats }
-
-// CacheLen returns the number of cached pair evaluations (telemetry).
-func (e *Evaluator) CacheLen() int { return len(e.cache) }
 
 // --- Shared staged pipeline -----------------------------------------
 
@@ -311,9 +273,8 @@ type budgetMemo struct {
 }
 
 // evalScratch is per-worker reusable state: the path-sample buffer
-// and a bump-allocated report chunk (reports escape into graphs and
-// the cache, so chunks are never recycled — they only amortize
-// allocation count).
+// and a bump-allocated report chunk (reports escape into graphs, so
+// chunks are never recycled — they only amortize allocation count).
 type evalScratch struct {
 	pts    []geo.LLA
 	repBuf []Report
@@ -539,9 +500,9 @@ func (e *Evaluator) CandidateGraph(xcvrs []*platform.Transceiver, lead float64) 
 
 // bruteForceGraph is the reference O(N²) sweep: every cross-platform
 // pair evaluated from scratch, results sorted by ID. It reuses the
-// evaluator's pair/result scratch buffers but shares no geometry and
-// consults no cache — the equivalence tests hold the incremental
-// pipeline to this output bit for bit.
+// evaluator's pair/result scratch buffers but shares no geometry —
+// the equivalence tests hold the incremental pipeline to this output
+// bit for bit.
 func (e *Evaluator) bruteForceGraph(xcvrs []*platform.Transceiver, lead float64) []*Report {
 	pairs := e.scr.bfPairs[:0]
 	for i := 0; i < len(xcvrs); i++ {
@@ -562,7 +523,7 @@ func (e *Evaluator) bruteForceGraph(xcvrs []*platform.Transceiver, lead float64)
 	e.resetShardItems(workers)
 	if workers <= 1 {
 		e.lastShardItems[0] = len(pairs)
-		s := &e.scr.workers[0].scratch
+		s := &e.scr.workers[0]
 		for k, p := range pairs {
 			results[k] = e.evaluatePairScratch(xcvrs[p.a], xcvrs[p.b], lead, s)
 		}
@@ -582,7 +543,7 @@ func (e *Evaluator) bruteForceGraph(xcvrs []*platform.Transceiver, lead float64)
 			wg.Add(1)
 			go func(lo, hi, w int) {
 				defer wg.Done()
-				s := &e.scr.workers[w].scratch
+				s := &e.scr.workers[w]
 				for k := lo; k < hi; k++ {
 					p := pairs[k]
 					results[k] = e.evaluatePairScratch(xcvrs[p.a], xcvrs[p.b], lead, s)

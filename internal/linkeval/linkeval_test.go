@@ -232,20 +232,3 @@ func TestVolumeBackedEvaluation(t *testing.T) {
 		t.Errorf("volume-backed graph size %d vs direct %d", len(cached), len(direct))
 	}
 }
-
-func BenchmarkCandidateGraph30Balloons(b *testing.B) {
-	var xs []*platform.Transceiver
-	for i := 0; i < 30; i++ {
-		lon := 35.0 + float64(i%6)*0.9
-		lat := -3.0 + float64(i/6)*0.9
-		n := mkBalloon(string(rune('a'+i/26))+string(rune('a'+i%26)), lat, lon, 18000)
-		xs = append(xs, n.Xcvrs...)
-	}
-	gs := platform.NewGroundStation("gs-0", geo.LLADeg(-1.3, 36.8, 1600), nil)
-	xs = append(xs, gs.Xcvrs...)
-	e := New(DefaultConfig(), clearSky{}, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = e.CandidateGraph(xs, 0)
-	}
-}
