@@ -7,7 +7,7 @@
 // CI machines differ wildly in absolute speed, so the guard never
 // compares ns/op across runs. It compares *speedup ratios* — every
 // numeric field whose name contains "speedup" (e.g.
-// speedup_vs_brute, warm_speedup_vs_reference) — which divide
+// speedup_vs_brute, cold_speedup_vs_reference) — which divide
 // out the machine: a >20% drop at any scale means the optimized path
 // itself got slower relative to the reference measured on the same
 // box, and the build fails. Other fields (ns/op, reuse rates) are

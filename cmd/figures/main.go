@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -23,34 +25,126 @@ import (
 	"minkowski/internal/experiments"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "figure to regenerate (4,6,7,8,9,10,11,13,headline,appA,appD,ablations,chaosavail,all)")
-	scale := flag.Int("scale", 1, "fidelity scale: 1 quick, 3 paper-like fleet/duration")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	csvDir := flag.String("csv", "", "directory to write CSV series into (optional)")
-	cpuProfile := flag.String("profile", "", "write a CPU profile of the run to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
-	solveWorkers := flag.Int("solve-workers", 0, "solver fan-out width (0 = one worker per core); results are byte-identical at any setting")
-	coldSolve := flag.Bool("cold-solve", false, "disable warm-started solving (measure the incremental re-solve's contribution)")
-	obsPath := flag.String("obs", "", "run the canonical scenario and write the observability export (metrics snapshot + solve-cycle span trees) to this file instead of regenerating figures")
-	flag.Parse()
+// one adapts a single-figure generator to the runners table.
+func one(fn func(experiments.Options) *experiments.Result) func(experiments.Options) []*experiments.Result {
+	return func(o experiments.Options) []*experiments.Result {
+		return []*experiments.Result{fn(o)}
+	}
+}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+// runners maps a lower-cased -fig value to its generator.
+var runners = map[string]func(experiments.Options) []*experiments.Result{
+	"all":        experiments.All,
+	"4":          one(experiments.Fig04),
+	"fig04":      one(experiments.Fig04),
+	"6":          one(experiments.Fig06),
+	"fig06":      one(experiments.Fig06),
+	"7":          one(experiments.Fig07),
+	"fig07":      one(experiments.Fig07),
+	"8":          one(experiments.Fig08),
+	"fig08":      one(experiments.Fig08),
+	"9":          one(experiments.Fig09),
+	"fig09":      one(experiments.Fig09),
+	"10":         one(experiments.Fig10),
+	"fig10":      one(experiments.Fig10),
+	"11":         one(experiments.Fig11),
+	"fig11":      one(experiments.Fig11),
+	"13":         one(experiments.Fig13),
+	"fig13":      one(experiments.Fig13),
+	"headline":   one(experiments.Headline),
+	"appa":       one(experiments.AppA),
+	"appd":       one(experiments.AppD),
+	"ablations":  experiments.Ablations,
+	"retry":      one(experiments.AblationRetryPolicy),
+	"abl-retry":  one(experiments.AblationRetryPolicy),
+	"chaosavail": one(experiments.ChaosAvail),
+}
+
+// options is a validated command line.
+type options struct {
+	exp        experiments.Options
+	figures    func(experiments.Options) []*experiments.Result
+	csvDir     string
+	cpuProfile string
+	memProfile string
+	obsPath    string
+}
+
+// parseArgs parses and validates the command line. Every problem is
+// reported on errOut as one line (the flag package adds its usage text
+// to its own) and returned, so main rejects bad input before any
+// profile is started or scenario run.
+func parseArgs(args []string, errOut io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	fig := fs.String("fig", "all", "figure to regenerate (4,6,7,8,9,10,11,13,headline,appA,appD,ablations,chaosavail,all)")
+	scale := fs.Int("scale", 1, "fidelity scale: 1 quick, 3 paper-like fleet/duration")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	csvDir := fs.String("csv", "", "directory to write CSV series into (optional)")
+	cpuProfile := fs.String("profile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
+	solveWorkers := fs.Int("solve-workers", 0, "solver fan-out width (0 = one worker per core); results are byte-identical at any setting")
+	obsPath := fs.String("obs", "", "run the canonical scenario and write the observability export (metrics snapshot + solve-cycle span trees) to this file instead of regenerating figures")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	figures, known := runners[strings.ToLower(*fig)]
+	var err error
+	switch {
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q (figures takes flags only)", fs.Arg(0))
+	case *scale < 1:
+		err = fmt.Errorf("-scale must be at least 1, got %d", *scale)
+	case *solveWorkers < 0:
+		err = fmt.Errorf("-solve-workers must be 0 (one per core) or positive, got %d", *solveWorkers)
+	case !known:
+		err = fmt.Errorf("unknown figure %q", *fig)
+	}
+	if err != nil {
+		fmt.Fprintf(errOut, "figures: %v\n", err)
+		return nil, err
+	}
+	return &options{
+		exp:        experiments.Options{Seed: *seed, Scale: *scale, SolveWorkers: *solveWorkers},
+		figures:    figures,
+		csvDir:     *csvDir,
+		cpuProfile: *cpuProfile,
+		memProfile: *memProfile,
+		obsPath:    *obsPath,
+	}, nil
+}
+
+func main() {
+	o, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	os.Exit(run(o))
+}
+
+// run executes a validated command line and returns the exit status.
+// It returns rather than exits so the deferred profile writers always
+// run and a failed run still leaves a complete profile.
+func run(o *options) int {
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "profile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "profile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
+	if o.memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
+			f, err := os.Create(o.memProfile)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
 				return
@@ -63,66 +157,30 @@ func main() {
 		}()
 	}
 
-	o := experiments.Options{Seed: *seed, Scale: *scale, SolveWorkers: *solveWorkers, ColdSolve: *coldSolve}
-	if *obsPath != "" {
-		b, err := experiments.ObsExport(o)
+	if o.obsPath != "" {
+		b, err := experiments.ObsExport(o.exp)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "obs: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		b = append(b, '\n')
-		if err := os.WriteFile(*obsPath, b, 0o644); err != nil {
+		if err := os.WriteFile(o.obsPath, b, 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "obs: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		fmt.Printf("wrote observability export to %s\n", *obsPath)
-		return
+		fmt.Printf("wrote observability export to %s\n", o.obsPath)
+		return 0
 	}
-	var results []*experiments.Result
-	switch strings.ToLower(*fig) {
-	case "all":
-		results = experiments.All(o)
-	case "4", "fig04":
-		results = append(results, experiments.Fig04(o))
-	case "6", "fig06":
-		results = append(results, experiments.Fig06(o))
-	case "7", "fig07":
-		results = append(results, experiments.Fig07(o))
-	case "8", "fig08":
-		results = append(results, experiments.Fig08(o))
-	case "9", "fig09":
-		results = append(results, experiments.Fig09(o))
-	case "10", "fig10":
-		results = append(results, experiments.Fig10(o))
-	case "11", "fig11":
-		results = append(results, experiments.Fig11(o))
-	case "13", "fig13":
-		results = append(results, experiments.Fig13(o))
-	case "headline":
-		results = append(results, experiments.Headline(o))
-	case "appa":
-		results = append(results, experiments.AppA(o))
-	case "appd":
-		results = append(results, experiments.AppD(o))
-	case "ablations":
-		results = experiments.Ablations(o)
-	case "retry", "abl-retry":
-		results = append(results, experiments.AblationRetryPolicy(o))
-	case "chaosavail":
-		results = append(results, experiments.ChaosAvail(o))
-	default:
-		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
-		os.Exit(2)
-	}
-	for _, r := range results {
+	for _, r := range o.figures(o.exp) {
 		fmt.Println(r)
-		if *csvDir != "" {
-			if err := writeCSVs(*csvDir, r); err != nil {
+		if o.csvDir != "" {
+			if err := writeCSVs(o.csvDir, r); err != nil {
 				fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 		}
 	}
+	return 0
 }
 
 func writeCSVs(dir string, r *experiments.Result) error {

@@ -16,8 +16,8 @@
 //	goexec    — no loop-var capture, unsynchronized captured writes, or
 //	            WaitGroup.Add misuse in goroutine-executed closures
 //	dettaint  — no wall-clock / unseeded-rand / GOMAXPROCS / map-order
-//	            reads reachable from Solve, SolveWarm, or
-//	            //minkowski:hotpath roots (whole-load call graph)
+//	            reads reachable from Solve or //minkowski:hotpath
+//	            roots (whole-load call graph)
 //	directive — no malformed or unknown //minkowski: directives
 //
 // Packages are analyzed in dependency order so facts exported by an

@@ -9,9 +9,9 @@
 // concurrent GOMAXPROCS change re-sharded a solve in flight.
 //
 // The analyzer takes the hotpath roots of the package under analysis —
-// functions named Solve or SolveWarm, and functions annotated
-// //minkowski:hotpath — and walks the whole-load static call graph
-// (Pass.Graph) from them. Any reachable site that
+// functions named Solve (or another of RootNames), and functions
+// annotated //minkowski:hotpath — and walks the whole-load static call
+// graph (Pass.Graph) from them. Any reachable site that
 //
 //   - reads the wall clock (time.Now / Since / Until),
 //   - draws from the unseeded global math/rand source,
@@ -49,7 +49,7 @@ import (
 // Analyzer is the determinism-taint checker.
 var Analyzer = &vet.Analyzer{
 	Name: "dettaint",
-	Doc:  "flag wall-clock, unseeded-rand, GOMAXPROCS, and map-order reads reachable from Solve/SolveWarm///minkowski:hotpath roots",
+	Doc:  "flag wall-clock, unseeded-rand, GOMAXPROCS, and map-order reads reachable from Solve///minkowski:hotpath roots",
 	Run:  run,
 }
 
@@ -60,8 +60,7 @@ var Analyzer = &vet.Analyzer{
 // across same-seed runs, so anything they reach is held to the same
 // no-wall-clock/no-map-order standard as the solver itself.
 var RootNames = map[string]bool{
-	"Solve": true, "SolveWarm": true,
-	"Snapshot": true, "Encode": true, "Dump": true,
+	"Solve": true, "Snapshot": true, "Encode": true, "Dump": true,
 	"ObsSnapshot": true, "ObsTrees": true, "ObsFlightDump": true,
 }
 

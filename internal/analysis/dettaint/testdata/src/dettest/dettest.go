@@ -1,6 +1,6 @@
 // Package dettest exercises the dettaint analyzer: wall-clock,
 // unseeded-rand, GOMAXPROCS, and map-order sinks reached through call
-// chains from Solve/SolveWarm///minkowski:hotpath roots, with
+// chains from Solve///minkowski:hotpath roots, with
 // per-site //minkowski:dettaint-ok exemptions.
 package dettest
 
@@ -32,9 +32,10 @@ func shard(x int) int { return x % workers() }
 
 func workers() int { return runtime.GOMAXPROCS(0) }
 
-// SolveWarm is a root by name; the global rand source is one call
-// down.
-func SolveWarm(x int) int { // want `hotpath root SolveWarm reaches the unseeded global rand source \(rand\.Intn\)`
+// HotJitter reaches the global rand source one call down.
+//
+//minkowski:hotpath
+func HotJitter(x int) int { // want `hotpath root HotJitter reaches the unseeded global rand source \(rand\.Intn\)`
 	return jitter(x)
 }
 

@@ -40,11 +40,13 @@ type Options struct {
 	GhostGraceS float64
 	// PromotionBoundS is the time after the leadership lease can
 	// first lapse within which a standby must have promoted and
-	// resumed solving. 0 = default (90 s: one lease check past the
-	// TTL for the takeover, immediate reconciliation, at most one
-	// 60 s solve interval, a little slack — tightened from the
-	// original 150 s once the standby started adopting the streamed
-	// solver warm state instead of re-deriving everything cold).
+	// resumed solving. 0 = default (90 s). The probe's deadline is
+	// fault start + lease TTL (30 s) + one leaseCheckS (5 s) for the
+	// standby to see the lapse and take over + this bound;
+	// reconciliation is immediate and the promoted replica's next
+	// solve is at most one 60 s solve interval away, which leaves
+	// 30 s of slack. A solve takes zero sim-seconds, so the bound
+	// does not depend on how the solver starts.
 	PromotionBoundS float64
 }
 

@@ -80,16 +80,6 @@ type Config struct {
 	// explicit (> 0) value additionally makes per-shard obs spans
 	// well-defined, so the tracer emits them only then.
 	SolveWorkers int
-	// WarmSolve carries solver warm-start state between solve cycles
-	// so unchanged requests skip re-routing; output plans stay
-	// byte-identical to cold solves. DefaultConfig enables it; the
-	// zero Config leaves it off so legacy scenarios are untouched.
-	WarmSolve bool
-	// DisableStandbyPrewarm stops the primary from streaming its
-	// solver warm state to the standby and resets the evaluator's
-	// delta baseline at promotion — the pre-fix cold-standby behaviour,
-	// kept for the promotion-latency contrast experiment. Tests only.
-	DisableStandbyPrewarm bool
 
 	// --- Observability knobs (internal/obs, DESIGN §11) -------------
 
@@ -98,8 +88,7 @@ type Config struct {
 	// the storage behind several telemetry counters). Tracing never
 	// feeds back into control decisions — plans, journals, and digests
 	// are byte-identical either way — so DefaultConfig enables it; the
-	// zero Config leaves it off, matching the WarmSolve convention for
-	// legacy scenarios.
+	// zero Config leaves it off for legacy scenarios.
 	ObsEnabled bool
 
 	// --- Robustness knobs -------------------------------------------
@@ -247,7 +236,6 @@ func DefaultConfig() Config {
 			{ID: "gs-nakuru", Pos: nakuru, Terrain: terrain(310, 140), ECLatency: 0.025},
 		},
 		SolveIntervalS:        120,
-		WarmSolve:             true,
 		ObsEnabled:            true,
 		PredictiveLeadS:       180,
 		TelemetrySampleS:      30,

@@ -99,10 +99,9 @@ type Controller struct {
 	Delivery *dataplane.DeliveryMeter
 
 	// Obs is the deterministic observability bundle (DESIGN §11):
-	// metrics registry (always live — it stores WarmAdoptions /
-	// CmdDeafDrops), solve-cycle span tracer, and flight recorder
-	// (both gated on Cfg.ObsEnabled). obsm holds the interned
-	// hot-path handles.
+	// metrics registry (always live — it stores CmdDeafDrops),
+	// solve-cycle span tracer, and flight recorder (both gated on
+	// Cfg.ObsEnabled). obsm holds the interned hot-path handles.
 	Obs  *obs.Obs
 	obsm obsMetrics
 
@@ -637,42 +636,20 @@ func (c *Controller) solveCycle() {
 		Penalties:  c.adaptivePenalties(),
 	}
 	so := sp.Child("solve")
-	var plan *solver.Plan
-	if c.Cfg.WarmSolve {
-		if c.warm == nil {
-			c.warm = solver.NewWarm()
-		}
-		plan = c.Solver.SolveWarm(in, c.warm)
-	} else {
-		plan = c.Solver.Solve(in)
-	}
-	ws := c.warm.Stats()
+	plan := c.Solver.Solve(in)
 	so.SetAttrInt("links", len(plan.Links))
 	so.SetAttrInt("routes", len(plan.Routes))
 	so.SetAttrInt("unsatisfied", len(plan.Unsatisfied))
 	so.SetAttrFloat("utility", plan.Utility)
-	if c.Cfg.WarmSolve {
-		wr := so.Child("warm-reuse")
-		wr.SetAttrInt("reused", ws.LastReused)
-		wr.SetAttrInt("recomputed", ws.LastRecomputed)
-		wr.EndSpan()
-	}
 	c.shardSpans(so, "solve-shard", c.Solver.LastShardLoads())
 	so.EndSpan()
-	if c.Cfg.WarmSolve && c.Repl != nil && !c.leasePartitioned {
-		// Stream this cycle's warm state to the standby seat so a
-		// promotion starts with a hot solver.
-		pub := sp.Child("replicate-warm")
-		c.Repl.PublishWarm(c.warm)
-		pub.EndSpan()
-	}
 	c.lastPlan = plan
 	c.realignRoutes()
 	c.Log.Appendf(now, explain.EvSolve, fmt.Sprintf("cycle-%d", c.SolveRuns),
-		"candidates=%d links=%d redundant=%d routes=%d unsatisfied=%d utility=%.0f evalpairs=%d pruned=%d reevals=%d edgechurn=%d pathreuse=%d/%d",
+		"candidates=%d links=%d redundant=%d routes=%d unsatisfied=%d utility=%.0f evalpairs=%d pruned=%d reevals=%d edgechurn=%d",
 		len(graph), len(plan.Links), plan.RedundantCount(), len(plan.Routes), len(plan.Unsatisfied), plan.Utility,
 		evalDelta.PairsEnumerated, evalDelta.PairsPruned, evalDelta.ReEvals,
-		edgeDelta.Churn(), ws.LastReused, ws.LastReused+ws.LastRecomputed)
+		edgeDelta.Churn())
 	di := sp.Child("dispatch")
 	acts := c.Intents.Reconcile(plan, now)
 	c.actuate(acts)

@@ -16,10 +16,10 @@ import (
 // wall-clock read, unseeded RNG, or unsorted map sweep anywhere in
 // the control loop shows up here as a diff.
 // Beyond run-to-run stability, the same scenario is replayed across
-// solve-pipeline configurations — multiple SolveWorkers settings and
-// warm-start off — and every variant must be byte-identical to the
-// baseline: worker count and warm reuse are throughput knobs, never
-// semantic ones.
+// SolveWorkers settings, and every variant must be byte-identical to
+// the baseline: worker count is a throughput knob, never a semantic
+// one. (TestGoldenJournalDigests pins the same scenario's journal and
+// plans to constants, so a change to the pipeline itself shows there.)
 func TestEndToEndDeterminism(t *testing.T) {
 	run := func(mut func(*Config)) []byte {
 		b, _ := runWithObs(mut)
@@ -50,8 +50,6 @@ func TestEndToEndDeterminism(t *testing.T) {
 	diff("repeat run", base, run(nil))
 	diff("SolveWorkers=2", base, run(func(cfg *Config) { cfg.SolveWorkers = 2 }))
 	diff("SolveWorkers=8", base, run(func(cfg *Config) { cfg.SolveWorkers = 8 }))
-	diff("WarmSolve=false", base, run(func(cfg *Config) { cfg.WarmSolve = false }))
-	diff("cold+workers", base, run(func(cfg *Config) { cfg.WarmSolve = false; cfg.SolveWorkers = 4 }))
 	// Observability must be a pure observer: turning the tracer and
 	// flight recorder off entirely must not move a byte of the journal.
 	diff("ObsEnabled=false", base, run(func(cfg *Config) { cfg.ObsEnabled = false }))
@@ -61,9 +59,8 @@ func TestEndToEndDeterminism(t *testing.T) {
 // output itself: with the recorder fully enabled, two same-seed runs
 // must produce byte-identical encoded metric snapshots, and the
 // snapshot must not change with solve-pipeline configuration — worker
-// count and warm reuse are invisible to the registry (shard layout
-// appears only in span trees, and only at an explicitly pinned
-// width).
+// count is invisible to the registry (shard layout appears only in
+// span trees, and only at an explicitly pinned width).
 func TestObsSnapshotDeterminism(t *testing.T) {
 	snap := func(mut func(*Config)) []byte {
 		_, s := runWithObs(mut)
@@ -87,14 +84,21 @@ func TestObsSnapshotDeterminism(t *testing.T) {
 	}
 }
 
+// detConfig is the determinism scenario at the given fleet size (11,
+// 16, 21 = experiments.baseScenario at scales 1, 2, 3).
+func detConfig(fleet int) Config {
+	cfg := DefaultConfig()
+	cfg.Seed = 7
+	cfg.FleetSize = fleet
+	cfg.SolveIntervalS = 120
+	cfg.AgentConnCheckS = 10
+	return cfg
+}
+
 // runWithObs runs the scale-1 determinism scenario and returns the
 // journal+graph bytes and the encoded obs snapshot.
 func runWithObs(mut func(*Config)) (journal, obsSnap []byte) {
-	cfg := DefaultConfig()
-	cfg.Seed = 7
-	cfg.FleetSize = 11 // experiments.baseScenario at scale 1
-	cfg.SolveIntervalS = 120
-	cfg.AgentConnCheckS = 10
+	cfg := detConfig(11) // experiments.baseScenario at scale 1
 	if mut != nil {
 		mut(&cfg)
 	}

@@ -27,10 +27,6 @@ type ctlState struct {
 	epoch uint64
 	// replica names the replica running this process ("ctl-a"/"ctl-b").
 	replica string
-	// warm is this process's solver warm-start state (nil = next solve
-	// is cold). The acting primary streams clones of it to the standby
-	// seat after each solve; a promotion adopts the streamed snapshot.
-	warm *solver.Warm
 }
 
 // procs lists the live control processes in deterministic order:
@@ -133,27 +129,12 @@ func (c *Controller) promote(epoch uint64) {
 		c.Frontend.Restart()
 	}
 	j, _ := c.Repl.TakeStandbyJournal()
-	// Hot-standby pre-warm: adopt the solver warm state the deposed
-	// primary streamed to this seat, so the first post-promotion solve
-	// reuses unchanged work instead of starting cold. Warm state is an
-	// accelerator, never a semantic input — the plan is byte-identical
-	// either way — so adopting a slightly stale snapshot is always safe.
-	var warm *solver.Warm
-	if c.Cfg.DisableStandbyPrewarm {
-		// Model the pre-fix cold standby: no warm adoption, and the
-		// promoted process starts with no candidate-graph baseline.
-		c.Repl.TakeStandbyWarm()
-		c.Evaluator.ResetDelta()
-	} else if warm = c.Repl.TakeStandbyWarm(); warm != nil {
-		c.obsm.warmAdoptions.Inc()
-	}
 	c.ctlState = ctlState{
 		Intents: intent.NewStore(),
 		Journal: j,
 		arms:    map[radio.LinkID]*armState{},
 		epoch:   epoch,
 		replica: c.standbyID,
-		warm:    warm,
 	}
 	c.actingID, c.standbyID = c.standbyID, c.actingID
 	c.standbyDown = true // the promoted replica has no standby yet
@@ -288,7 +269,6 @@ func (c *Controller) dropActingMemory() {
 	c.arms = map[radio.LinkID]*armState{}
 	c.Intents = intent.NewStore()
 	c.lastPlan = nil
-	c.warm = nil
 }
 
 // installRogueLoop keeps the deposed ex-primary solving on its own
@@ -306,16 +286,14 @@ func (c *Controller) installRogueLoop() {
 // rogueSolve is the deposed primary's solve cycle: same evaluator and
 // solver (both are deterministic, and the simulation's event loop
 // serializes their use — any internal worker fan-out is confined to
-// one solve call — so sharing them is safe), its own warm state
-// (carried from before the deposition; the acting process got the
-// streamed snapshot instead), its own intent store and stale-epoch
-// dispatches. Modeling
-// simplification: the rogue retains full dispatch reach over the CDPI
-// — the worst case for split-brain, and exactly what agent-side epoch
-// fencing must neutralize. (The opposite regime — a live replica with
-// REDUCED dispatch reach — is probed separately by the
-// replica-partition chaos kind, which deafens one replica's command
-// path while leaving its lease and replication intact.)
+// one solve call — so sharing them is safe), its own intent store and
+// stale-epoch dispatches. Modeling simplification: the rogue retains
+// full dispatch reach over the CDPI — the worst case for split-brain,
+// and exactly what agent-side epoch fencing must neutralize. (The
+// opposite regime — a live replica with REDUCED dispatch reach — is
+// probed separately by the replica-partition chaos kind, which deafens
+// one replica's command path while leaving its lease and replication
+// intact.)
 func (c *Controller) rogueSolve() {
 	r := c.rogue
 	now := c.Eng.Now()
@@ -341,15 +319,7 @@ func (c *Controller) rogueSolve() {
 		// No adaptive penalties: that feedback memory belongs to the
 		// acting process, and double-decaying it here would perturb it.
 	}
-	var plan *solver.Plan
-	if c.Cfg.WarmSolve {
-		if r.warm == nil {
-			r.warm = solver.NewWarm()
-		}
-		plan = c.Solver.SolveWarm(in, r.warm)
-	} else {
-		plan = c.Solver.Solve(in)
-	}
+	plan := c.Solver.Solve(in)
 	r.lastPlan = plan
 	acts := r.Intents.Reconcile(plan, now)
 	if !acts.Empty() {

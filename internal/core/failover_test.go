@@ -71,75 +71,6 @@ func TestFailoverPromotesStandby(t *testing.T) {
 	}
 }
 
-// TestFailoverAdoptsStreamedWarmState pins the hot-standby pre-warm
-// path: the acting primary streams its solver warm-start snapshot to
-// the standby seat after every solve, and the promotion adopts the
-// last-arrived snapshot so the first post-promotion solve reuses paths
-// instead of starting cold. The DisableStandbyPrewarm contrast run
-// models the pre-fix behavior (promotion discards the snapshot and
-// drops the evaluator cache).
-func TestFailoverAdoptsStreamedWarmState(t *testing.T) {
-	script := chaos.Scenario{
-		Name: "prewarm-failover",
-		Faults: []chaos.Fault{
-			{Kind: chaos.ControllerFailover, At: 3600, Duration: 600},
-		},
-	}
-
-	cfg := replConfig(7)
-	c := New(cfg)
-	c.InstallChaos(script)
-	c.RunHours(3)
-
-	if c.Promotions != 1 {
-		t.Fatalf("Promotions = %d, want 1", c.Promotions)
-	}
-	if c.Repl.WarmPublished == 0 {
-		t.Fatal("WarmPublished = 0 — primary never streamed warm state to the standby")
-	}
-	if c.Repl.WarmApplied == 0 {
-		t.Fatal("WarmApplied = 0 — no warm snapshot ever landed on the standby seat")
-	}
-	if c.WarmAdoptions() != 1 {
-		t.Fatalf("WarmAdoptions = %d, want 1 — the promotion did not adopt the streamed snapshot", c.WarmAdoptions())
-	}
-	// The promoted replica kept warm-solving: its warm state is live and
-	// has reused paths across cycles (the adopted snapshot made the very
-	// first post-promotion solve a reuse candidate rather than a cold
-	// start).
-	if c.warm == nil {
-		t.Fatal("acting replica has no warm state after promotion")
-	}
-	ws := c.warm.Stats()
-	if ws.PathsReused == 0 {
-		t.Errorf("warm stats show zero reused paths after promotion: %+v", ws)
-	}
-
-	// Contrast: with the pre-warm disabled the same scenario promotes
-	// identically but adopts nothing.
-	cold := replConfig(7)
-	cold.DisableStandbyPrewarm = true
-	cc := New(cold)
-	cc.InstallChaos(script)
-	cc.RunHours(3)
-	if cc.Promotions != 1 {
-		t.Fatalf("contrast Promotions = %d, want 1", cc.Promotions)
-	}
-	if cc.WarmAdoptions() != 0 {
-		t.Errorf("contrast WarmAdoptions = %d, want 0 with DisableStandbyPrewarm", cc.WarmAdoptions())
-	}
-
-	// And with warm solving off entirely, nothing is ever published.
-	off := replConfig(7)
-	off.WarmSolve = false
-	oc := New(off)
-	oc.InstallChaos(script)
-	oc.RunHours(3)
-	if oc.Repl.WarmPublished != 0 {
-		t.Errorf("WarmPublished = %d with WarmSolve off, want 0", oc.Repl.WarmPublished)
-	}
-}
-
 // TestPartitionFencingStopsSplitBrain partitions the primary away from
 // the lease service while its process stays live. The standby promotes;
 // the deposed primary keeps solving and dispatching at its stale epoch.

@@ -1,0 +1,73 @@
+package core
+
+import (
+	"fmt"
+	"hash/fnv"
+	"runtime"
+	"testing"
+
+	"minkowski/internal/chaos"
+)
+
+// goldenRun drives cfg (under script, if it has faults) for the given
+// number of sim-hours and returns the final Journal.Digest plus an FNV
+// chain over the Plan.Fingerprint of every solve cycle. The engine is
+// advanced one sim-second at a time — far below any solve interval —
+// so each cycle's plan is seen exactly once; a held cycle re-hashes the
+// plan it kept in force, a crashed process hashes as "nil".
+func goldenRun(cfg Config, script chaos.Scenario, hours int) (journal, plans uint64) {
+	c := New(cfg)
+	if len(script.Faults) > 0 {
+		c.InstallChaos(script)
+	}
+	chain := fnv.New64a()
+	seen := 0
+	for s := 1; s <= hours*3600; s++ {
+		c.Run(float64(s))
+		if c.SolveRuns == seen {
+			continue
+		}
+		seen = c.SolveRuns
+		fp := "nil\n"
+		if p := c.LastPlan(); p != nil {
+			fp = p.Fingerprint()
+		}
+		fmt.Fprintf(chain, "cycle %d\n%s", seen, fp)
+	}
+	return c.Journal.Digest(), chain.Sum64()
+}
+
+// TestGoldenJournalDigests is the cheap byte-identity oracle for
+// refactors (ROADMAP 4a): the dispatch journal's end state and every
+// cycle's plan, folded to two constants per scenario. A change that is
+// meant to leave behaviour alone must leave these alone; a change that
+// is meant to move them updates the constants and says why.
+func TestGoldenJournalDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden constants were captured on amd64; %s may fuse or round float ops differently", runtime.GOARCH)
+	}
+	failover := chaos.Scenario{
+		Name: "golden-failover",
+		Faults: []chaos.Fault{
+			{Kind: chaos.ControllerFailover, At: 3600, Duration: 600},
+		},
+	}
+	for _, tc := range []struct {
+		name           string
+		cfg            Config
+		script         chaos.Scenario
+		hours          int
+		journal, plans uint64
+	}{
+		{"scale1", detConfig(11), chaos.Scenario{}, 2, 0x641d88f930cb1334, 0xc5054dd55f354738},
+		{"scale2", detConfig(16), chaos.Scenario{}, 2, 0xdc39a2d22e9db4bc, 0xc32af1f813906006},
+		{"failover-promotion", replConfig(7), failover, 3, 0x338bc875054e32ab, 0x77c9e2098a6aae0d},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j, p := goldenRun(tc.cfg, tc.script, tc.hours)
+			if j != tc.journal || p != tc.plans {
+				t.Errorf("journal digest %#x, plan chain %#x; golden %#x, %#x", j, p, tc.journal, tc.plans)
+			}
+		})
+	}
+}

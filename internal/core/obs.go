@@ -10,10 +10,9 @@ import (
 // obsMetrics holds the controller's interned registry handles so every
 // hot-path record is a direct array op — no name lookups after New.
 // The registry is always live (these counters are the authoritative
-// storage behind WarmAdoptions / CmdDeafDrops); Cfg.ObsEnabled gates
-// only the tracer and the flight recorder.
+// storage behind CmdDeafDrops); Cfg.ObsEnabled gates only the tracer
+// and the flight recorder.
 type obsMetrics struct {
-	warmAdoptions obs.Counter
 	cmdDeafDrops  obs.Counter
 	dispatches    obs.Counter
 	solveHolds    obs.Counter
@@ -28,7 +27,6 @@ type obsMetrics struct {
 func newObs(cfg Config, now func() float64) (*obs.Obs, obsMetrics) {
 	o := obs.New(obs.Config{Enabled: cfg.ObsEnabled}, now)
 	m := obsMetrics{
-		warmAdoptions: o.Reg.Counter("failover.warm_adoptions"),
 		cmdDeafDrops:  o.Reg.Counter("cdpi.cmd_deaf_drops"),
 		dispatches:    o.Reg.Counter("cdpi.dispatches"),
 		solveHolds:    o.Reg.Counter("solve.holds"),
@@ -67,8 +65,6 @@ func (c *Controller) installObs() {
 	reg.GaugeFunc("eval.pairs_enumerated", func() float64 { return float64(c.Evaluator.Stats().PairsEnumerated) })
 	reg.GaugeFunc("eval.pairs_pruned", func() float64 { return float64(c.Evaluator.Stats().PairsPruned) })
 	reg.GaugeFunc("eval.reevals", func() float64 { return float64(c.Evaluator.Stats().ReEvals) })
-	reg.GaugeFunc("warm.paths_reused", func() float64 { return float64(c.warm.Stats().PathsReused) })
-	reg.GaugeFunc("warm.paths_recomputed", func() float64 { return float64(c.warm.Stats().PathsRecomputed) })
 	if c.Lease != nil {
 		reg.GaugeFunc("lease.flap_denials", func() float64 { return float64(c.Lease.FlapDenials()) })
 		reg.GaugeFunc("lease.renewals", func() float64 { return float64(c.Lease.Renewals) })
@@ -85,11 +81,6 @@ func (c *Controller) installObs() {
 	}
 	c.Obs.Rec.SetReplica(c.actingID)
 }
-
-// WarmAdoptions counts promotions that adopted a streamed solver
-// warm-state snapshot (hot-standby pre-warm). Thin reader over the
-// registry counter that replaced the old struct field.
-func (c *Controller) WarmAdoptions() int { return int(c.obsm.warmAdoptions.Count()) }
 
 // CmdDeafDrops counts commands lost to a replica-partition fault (the
 // issuing replica's command path was deafened). Thin reader over the

@@ -4,7 +4,6 @@ import (
 	"minkowski/internal/intent"
 	"minkowski/internal/radio"
 	"minkowski/internal/sim"
-	"minkowski/internal/solver"
 )
 
 // Replicator is the primary → standby journal stream. It taps the
@@ -26,22 +25,11 @@ type Replicator struct {
 	standbyEpoch uint64
 	inflight     int
 
-	// standbyWarm is the standby seat's solver warm-start snapshot,
-	// streamed from the acting primary after each solve so a promotion
-	// starts with a hot solver. It rides its own in-flight counter:
-	// journal-convergence probes key off InFlight() and must not see
-	// warm snapshots as unreplayed mutations.
-	standbyWarm  *solver.Warm
-	warmInflight int
-
 	// Published / Applied / DroppedDisconnected count stream traffic:
 	// mutations entering the stream, mutations applied to the standby,
 	// and mutations discarded because the stream was down (partition)
 	// or the standby seat changed hands mid-flight.
 	Published, Applied, DroppedDisconnected int
-	// WarmPublished / WarmApplied count solver warm-state snapshots
-	// entering the stream and landing on the standby seat.
-	WarmPublished, WarmApplied int
 }
 
 // NewReplicator creates a disconnected replicator; Bootstrap attaches
@@ -70,7 +58,6 @@ func (r *Replicator) Reset() {
 	r.connected = false
 	r.standby = NewJournal()
 	r.standbyEpoch = 0
-	r.standbyWarm = nil
 }
 
 // TakeStandbyJournal hands the standby's journal to a promoting
@@ -82,38 +69,6 @@ func (r *Replicator) TakeStandbyJournal() (*Journal, uint64) {
 	r.standbyEpoch = 0
 	r.connected = false
 	return j, ep
-}
-
-// PublishWarm ships the acting primary's solver warm state to the
-// standby seat. The snapshot is cloned at publish time (the primary
-// keeps mutating its own copy every solve) and delivered after the
-// stream delay, subject to the same seat-identity rule as journal
-// mutations: if the seat turned over in flight, the snapshot is
-// dropped.
-func (r *Replicator) PublishWarm(w *solver.Warm) {
-	if !r.connected || w == nil {
-		return
-	}
-	cp := w.Clone()
-	r.WarmPublished++
-	r.warmInflight++
-	dst := r.standby
-	r.eng.After(r.DelayS, func() {
-		r.warmInflight--
-		if !r.connected || r.standby != dst {
-			return
-		}
-		r.WarmApplied++
-		r.standbyWarm = cp
-	})
-}
-
-// TakeStandbyWarm hands the standby seat's warm snapshot to a
-// promoting replica (nil when nothing arrived) and clears the seat.
-func (r *Replicator) TakeStandbyWarm() *solver.Warm {
-	w := r.standbyWarm
-	r.standbyWarm = nil
-	return w
 }
 
 // Connected reports whether the stream is attached.

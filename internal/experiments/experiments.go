@@ -61,10 +61,6 @@ type Options struct {
 	// worker per core). Output is byte-identical at any setting — this
 	// is a wall-clock knob for the larger scales only.
 	SolveWorkers int
-	// ColdSolve disables warm-started solving (every cycle recomputes
-	// all initial paths). Results are byte-identical either way; the
-	// flag exists to measure the warm path's contribution.
-	ColdSolve bool
 }
 
 // DefaultOptions is the quick configuration used by benches.
@@ -85,7 +81,6 @@ func baseScenario(o Options) core.Config {
 	cfg.SolveIntervalS = 120
 	cfg.AgentConnCheckS = 10
 	cfg.SolveWorkers = o.SolveWorkers
-	cfg.WarmSolve = !o.ColdSolve
 	return cfg
 }
 

@@ -10,7 +10,7 @@ import (
 // ObsExport runs the canonical base scenario with observability on
 // and returns the export artifact as indented JSON: the end-of-run
 // metrics snapshot (name-sorted, canonical) plus the retained
-// solve-cycle span trees. Deterministic in (Seed, Scale, ColdSolve):
+// solve-cycle span trees. Deterministic in (Seed, Scale):
 // the bytes are identical across -solve-workers and GOMAXPROCS as
 // long as SolveWorkers is not explicitly pinned (shard spans are only
 // emitted at a pinned width — see internal/obs package docs).

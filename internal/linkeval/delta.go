@@ -3,11 +3,8 @@ package linkeval
 // Candidate-edge delta emission: CandidateGraphDelta wraps
 // CandidateGraph and reports exactly which link IDs appeared,
 // disappeared, or changed any report field since the previous call —
-// the controller's solve loop uses it for telemetry and to decide how
-// much warm-solver reuse to expect. (The solver's Warm state computes
-// its own cost-signature delta internally so its correctness argument
-// is self-contained; EdgeDelta is the coarser, any-field-changed
-// view.)
+// the controller's solve loop uses it for telemetry (the edge_churn
+// span attribute and solve-log field).
 
 import (
 	"minkowski/internal/platform"
@@ -18,7 +15,7 @@ import (
 // graphs, by link identity and report content.
 type EdgeDelta struct {
 	// Valid is false on the first emission (no previous graph to
-	// diff against) and after ResetDelta.
+	// diff against).
 	Valid bool
 	// Added / Removed / Changed / Unchanged count link IDs new since
 	// the previous graph, gone from it, present in both with any
@@ -98,12 +95,4 @@ func (e *Evaluator) CandidateGraphDelta(xcvrs []*platform.Transceiver, lead floa
 	}
 	e.haveLast = true
 	return g, d
-}
-
-// ResetDelta discards the delta baseline, as after a controller
-// restart or a cold standby promotion: the next CandidateGraphDelta
-// emits Valid=false.
-func (e *Evaluator) ResetDelta() {
-	e.last = nil
-	e.haveLast = false
 }

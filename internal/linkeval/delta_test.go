@@ -163,7 +163,7 @@ func TestShardedSweepWorkerInvariance(t *testing.T) {
 // TestEmptyGraphIsAValidBaseline: a first emission with zero
 // candidates must still establish the delta baseline — the next call
 // is a valid all-Added delta, not a silent re-cold-start (an empty
-// snapshot must not be confused with ResetDelta).
+// snapshot must not be confused with no snapshot).
 func TestEmptyGraphIsAValidBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	_, xs := randomFleet(rng, 10)
@@ -190,25 +190,5 @@ func TestEmptyGraphIsAValidBaseline(t *testing.T) {
 		if r.XA != nil || r.XB != nil {
 			t.Fatalf("baseline slot %d still pins %v after the graph emptied", i, r.ID)
 		}
-	}
-}
-
-// TestResetDeltaBaseline: ResetDelta must clear the delta baseline (a
-// cold promoted controller).
-func TestResetDeltaBaseline(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	_, xs := randomFleet(rng, 10)
-	ev := New(DefaultConfig(), clearSky{}, nil)
-	ev.CandidateGraphDelta(xs, 0)
-	if _, d := ev.CandidateGraphDelta(xs, 0); !d.Valid {
-		t.Fatal("second delta should have a baseline")
-	}
-	ev.ResetDelta()
-	g, d := ev.CandidateGraphDelta(xs, 0)
-	if d.Valid {
-		t.Fatal("post-ResetDelta delta must be invalid")
-	}
-	if len(g) == 0 {
-		t.Fatal("post-ResetDelta graph empty")
 	}
 }

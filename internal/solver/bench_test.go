@@ -42,7 +42,7 @@ func benchInputs(scale int) []Input {
 	return ins
 }
 
-// BenchmarkSolve is the single-shot cold solve at each fidelity scale:
+// BenchmarkSolve is the single-shot solve at each fidelity scale:
 // the retained seed implementation (reference) against the rewritten
 // engine at one worker and at eight.
 func BenchmarkSolve(b *testing.B) {
@@ -74,10 +74,9 @@ func BenchmarkSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveCycle is the production regime: steady-state re-solve
-// over a drifting scenario (the controller's per-interval call), where
-// warm state carries cycle to cycle. This is the number the ≥3×
-// acceptance bar is measured on.
+// BenchmarkSolveCycle is the controller's per-interval call: a
+// steady-state re-solve over a drifting scenario, one Solver (and its
+// scratch arenas) carried cycle to cycle.
 func BenchmarkSolveCycle(b *testing.B) {
 	for scale := 1; scale <= 3; scale++ {
 		ins := benchInputs(scale)
@@ -95,39 +94,15 @@ func BenchmarkSolveCycle(b *testing.B) {
 				_ = s.Solve(ins[i%len(ins)])
 			}
 		})
-		b.Run(fmt.Sprintf("warm/scale%d", scale), func(b *testing.B) {
-			s := New(DefaultConfig())
-			warm := NewWarm()
-			for _, in := range ins { // prime the warm chain once around
-				_ = s.SolveWarm(in, warm)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = s.SolveWarm(ins[i%len(ins)], warm)
-			}
-			reportReuse(b, warm)
-		})
-		b.Run(fmt.Sprintf("warm-parallel/scale%d", scale), func(b *testing.B) {
+		b.Run(fmt.Sprintf("cold-parallel/scale%d", scale), func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.Workers = 8
 			s := New(cfg)
-			warm := NewWarm()
-			for _, in := range ins {
-				_ = s.SolveWarm(in, warm)
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = s.SolveWarm(ins[i%len(ins)], warm)
+				_ = s.Solve(ins[i%len(ins)])
 			}
-			reportReuse(b, warm)
 		})
-	}
-}
-
-func reportReuse(b *testing.B, w *Warm) {
-	st := w.Stats()
-	if tot := st.PathsReused + st.PathsRecomputed; tot > 0 {
-		b.ReportMetric(100*float64(st.PathsReused)/float64(tot), "reuse%")
 	}
 }
 
@@ -135,12 +110,9 @@ func reportReuse(b *testing.B, w *Warm) {
 type solverBenchRecord struct {
 	ReferenceNsOp       float64 `json:"reference_ns_op"`
 	ColdNsOp            float64 `json:"cold_ns_op"`
-	WarmNsOp            float64 `json:"warm_ns_op"`
-	WarmParallelNsOp    float64 `json:"warm_parallel_ns_op"`
-	PathReuseRate       float64 `json:"path_reuse_rate"`
+	ColdParallelNsOp    float64 `json:"cold_parallel_ns_op"`
 	ColdSpeedup         float64 `json:"cold_speedup_vs_reference"`
-	WarmSpeedup         float64 `json:"warm_speedup_vs_reference"`
-	WarmParallelSpeedup float64 `json:"warm_parallel_speedup_vs_reference"`
+	ColdParallelSpeedup float64 `json:"cold_parallel_speedup_vs_reference"`
 }
 
 // TestWriteBenchJSON measures the solve-cycle suite and writes the
@@ -171,56 +143,30 @@ func TestWriteBenchJSON(t *testing.T) {
 				_ = s.Solve(ins[i%len(ins)])
 			}
 		})
-		warmState := NewWarm()
-		warmSolver := New(DefaultConfig())
-		for _, in := range ins {
-			_ = warmSolver.SolveWarm(in, warmState)
-		}
-		preStats := warmState.Stats()
-		warm := testing.Benchmark(func(b *testing.B) {
+		coldPar := testing.Benchmark(func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Workers = 8
+			s := New(cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = warmSolver.SolveWarm(ins[i%len(ins)], warmState)
-			}
-		})
-		postStats := warmState.Stats()
-		parCfg := DefaultConfig()
-		parCfg.Workers = 8
-		parSolver := New(parCfg)
-		parState := NewWarm()
-		for _, in := range ins {
-			_ = parSolver.SolveWarm(in, parState)
-		}
-		warmPar := testing.Benchmark(func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = parSolver.SolveWarm(ins[i%len(ins)], parState)
+				_ = s.Solve(ins[i%len(ins)])
 			}
 		})
 		rec := solverBenchRecord{
 			ReferenceNsOp:    float64(ref.NsPerOp()),
 			ColdNsOp:         float64(cold.NsPerOp()),
-			WarmNsOp:         float64(warm.NsPerOp()),
-			WarmParallelNsOp: float64(warmPar.NsPerOp()),
-		}
-		reused := postStats.PathsReused - preStats.PathsReused
-		recomputed := postStats.PathsRecomputed - preStats.PathsRecomputed
-		if tot := reused + recomputed; tot > 0 {
-			rec.PathReuseRate = float64(reused) / float64(tot)
+			ColdParallelNsOp: float64(coldPar.NsPerOp()),
 		}
 		if rec.ColdNsOp > 0 {
 			rec.ColdSpeedup = rec.ReferenceNsOp / rec.ColdNsOp
 		}
-		if rec.WarmNsOp > 0 {
-			rec.WarmSpeedup = rec.ReferenceNsOp / rec.WarmNsOp
-		}
-		if rec.WarmParallelNsOp > 0 {
-			rec.WarmParallelSpeedup = rec.ReferenceNsOp / rec.WarmParallelNsOp
+		if rec.ColdParallelNsOp > 0 {
+			rec.ColdParallelSpeedup = rec.ReferenceNsOp / rec.ColdParallelNsOp
 		}
 		summary[fmt.Sprintf("scale%d", scale)] = rec
-		t.Logf("scale%d: reference %.3fms cold %.3fms warm %.3fms warm-par %.3fms cold-speedup %.1fx warm-speedup %.1fx reuse %.0f%%",
-			scale, rec.ReferenceNsOp/1e6, rec.ColdNsOp/1e6, rec.WarmNsOp/1e6, rec.WarmParallelNsOp/1e6,
-			rec.ColdSpeedup, rec.WarmSpeedup, rec.PathReuseRate*100)
+		t.Logf("scale%d: reference %.3fms cold %.3fms cold-par %.3fms cold-speedup %.1fx cold-par-speedup %.1fx",
+			scale, rec.ReferenceNsOp/1e6, rec.ColdNsOp/1e6, rec.ColdParallelNsOp/1e6,
+			rec.ColdSpeedup, rec.ColdParallelSpeedup)
 	}
 	data, err := json.MarshalIndent(summary, "", "  ")
 	if err != nil {

@@ -75,8 +75,7 @@ type spScratch struct {
 	prevEdge []int32
 	prevNode []int32
 	stamp    uint32
-	popped   []int32 // nodes popped by the current run (warm recording)
-	capped   bool    // current run hit the MaxPathLen cutoff at least once
+	capped   bool // current run hit the MaxPathLen cutoff at least once
 }
 
 func (s *spScratch) ensure(n int) {
@@ -108,7 +107,6 @@ func (s *spScratch) begin() uint32 {
 	}
 	s.stamp++
 	s.heap = s.heap[:0]
-	s.popped = s.popped[:0]
 	s.capped = false
 	return s.stamp
 }
@@ -122,13 +120,12 @@ func (s *spScratch) begin() uint32 {
 // permanent under the greedy's shrinking edge set. A cap-pruned
 // failure proves nothing (hop-capped reachability is not monotone)
 // and leaves nilKnown false so the request is retried like the
-// reference retries every nil request. When record is set the
-// popped-node list is kept in ws.popped for warm-state bookkeeping.
-// Semantics — including the order equal-cost ties resolve in — match
-// SolveReference exactly; see the package comment in this file.
+// reference retries every nil request. Semantics — including the order
+// equal-cost ties resolve in — match SolveReference exactly; see the
+// package comment in this file.
 //
 //minkowski:hotpath
-func (c *ctx) shortestPath(ri int32, chosenOnly bool, ws *spScratch, record bool) {
+func (c *ctx) shortestPath(ri int32, chosenOnly bool, ws *spScratch) {
 	rq := &c.reqs[ri]
 	out := c.paths[ri][:0]
 	if rq.srcIsDst {
@@ -152,9 +149,6 @@ func (c *ctx) shortestPath(ri int32, chosenOnly bool, ws *spScratch, record bool
 			continue
 		}
 		ws.done[cur.node] = st
-		if record {
-			ws.popped = append(ws.popped, cur.node)
-		}
 		if cur.node == rq.dst || (rq.dst < 0 && c.gw[cur.node]) {
 			// Reconstruct: count, size exactly, fill backwards.
 			n := cur.node

@@ -10,15 +10,15 @@ import (
 	"minkowski/internal/rf"
 )
 
-// This file is the optimized solve engine behind Solve/SolveWarm. It
-// executes the same Appendix B iterative greedy as SolveReference —
-// the retained seed implementation in reference.go — but over index
+// This file is the optimized solve engine behind Solve. It executes
+// the same Appendix B iterative greedy as SolveReference — the
+// retained seed implementation in reference.go — but over index
 // arrays instead of string-keyed maps, with scratch reuse across
-// cycles, per-request Dijkstra batches fanned out over a worker pool
-// with a deterministic index-slot merge, and (optionally) warm-state
-// path reuse from the previous cycle (warm.go). Output plans are
-// byte-identical to SolveReference at any worker count; DESIGN.md §10
-// gives the argument, the equivalence property tests enforce it.
+// cycles and per-request Dijkstra batches fanned out over a worker
+// pool with a deterministic index-slot merge. Nothing but the scratch
+// arenas outlives a solve. Output plans are byte-identical to
+// SolveReference at any worker count; DESIGN.md §10 gives the
+// argument, the equivalence property tests enforce it.
 
 // edge is the engine's mutable view of one candidate.
 type edge struct {
@@ -61,10 +61,7 @@ type ctx struct {
 	paths    [][]int32 // per request: current path (edge indexes)
 	has      []bool    // per request: path found
 	nilKnown []bool    // per request: proven PERMANENTLY unreachable (failed search, hop cap never fired)
-	reused   []bool    // per request: initial path reused from warm
-	popped   [][]string
 	broken   []int32
-	initTodo []int32
 	routeNds [][]string
 	routeOK  []bool
 	degree   []int32
@@ -158,8 +155,6 @@ func (c *ctx) reset(cfg Config, in *Input, workers int) {
 	c.paths = growPaths(c.paths, nR)
 	c.has = growBool(c.has, nR)
 	c.nilKnown = growBool(c.nilKnown, nR)
-	c.reused = growBool(c.reused, nR)
-	c.popped = growStrRows(c.popped, nR)
 	c.routeNds = growStrRows(c.routeNds, nR)
 	c.routeOK = growBool(c.routeOK, nR)
 	c.util = growF64(c.util, len(c.edges))
@@ -325,11 +320,11 @@ func (s *Solver) forEach(n int, fn func(i int, ws *spScratch)) {
 	wg.Wait()
 }
 
-// run is the optimized solve pipeline: initial routing (warm-reused
-// where provably safe, Dijkstra batches otherwise), the sequential
-// greedy commit loop with parallel re-route batches, the final
-// chosen-only routing pass, and the redundancy secondary objective.
-func (s *Solver) run(in *Input, w *Warm) *Plan {
+// run is the optimized solve pipeline: the initial per-request
+// Dijkstra batch, the sequential greedy commit loop with parallel
+// re-route batches, the final chosen-only routing pass, and the
+// redundancy secondary objective.
+func (s *Solver) run(in *Input) *Plan {
 	c := &s.c
 	maxW := s.cfg.Workers
 	if maxW <= 0 {
@@ -348,30 +343,9 @@ func (s *Solver) run(in *Input, w *Warm) *Plan {
 	plan := &Plan{Routes: make(map[string][]string, nR)}
 
 	// --- Initial routing phase --------------------------------------
-	reusable := w.planReuse(c)
-	c.initTodo = c.initTodo[:0]
-	for i := 0; i < nR; i++ {
-		if !c.reused[i] {
-			c.initTodo = append(c.initTodo, int32(i))
-		}
-	}
-	record := w != nil
-	todo := c.initTodo
-	s.forEach(len(todo), func(k int, ws *spScratch) {
-		ri := todo[k]
-		c.shortestPath(ri, false, ws, record)
-		if record {
-			// Snapshot the popped-node IDs for warm bookkeeping.
-			p := c.popped[ri][:0]
-			for _, ni := range ws.popped {
-				p = append(p, c.nodes[ni])
-			}
-			c.popped[ri] = p
-		}
+	s.forEach(nR, func(ri int, ws *spScratch) {
+		c.shortestPath(int32(ri), false, ws)
 	})
-	if w != nil {
-		w.record(c, reusable)
-	}
 
 	// --- Greedy commit loop (sequential, seed-identical) ------------
 	for {
@@ -437,7 +411,7 @@ func (s *Solver) run(in *Input, w *Warm) *Plan {
 		}
 		brk := c.broken
 		s.forEach(len(brk), func(k int, ws *spScratch) {
-			c.shortestPath(brk[k], false, ws, false)
+			c.shortestPath(brk[k], false, ws)
 		})
 	}
 

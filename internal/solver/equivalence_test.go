@@ -1,8 +1,7 @@
 package solver
 
-// Equivalence property tests: the optimized engine (Solve/SolveWarm,
-// at any worker count, warm or cold) must produce byte-identical
-// plans to SolveReference — the retained seed implementation — on
+// Equivalence property tests: the optimized engine (Solve, at any
+// worker count) must produce byte-identical plans to SolveReference — the retained seed implementation — on
 // evolving multi-cycle scenarios with drifting positions, churning
 // existing-link sets, penalties, and drains. Run in CI at
 // GOMAXPROCS=1,2,8 under -race.
@@ -21,8 +20,7 @@ import (
 
 // eqWorld is a drifting fleet scenario: a grid of balloons over a few
 // gateways, with a deterministic LCG nudging positions each cycle so
-// consecutive candidate graphs overlap heavily but never exactly (the
-// production regime warm solves exploit).
+// consecutive candidate graphs overlap heavily but never exactly.
 type eqWorld struct {
 	nodes    []*platform.Node
 	balloons []*flight.Balloon
@@ -82,7 +80,7 @@ func (w *eqWorld) drift() {
 
 // input builds one solve cycle's Input. existing carries the previous
 // plan's links (hysteresis); every few cycles a drain or a penalty
-// appears to exercise invalidation paths.
+// appears.
 func (w *eqWorld) input(existing map[radio.LinkID]bool) Input {
 	var xs []*platform.Transceiver
 	for _, n := range w.nodes {
@@ -119,7 +117,7 @@ func existingFrom(p *Plan) map[radio.LinkID]bool {
 	return out
 }
 
-// TestEngineMatchesReferenceCold: cold Solve == SolveReference on
+// TestEngineMatchesReferenceCold: Solve == SolveReference on
 // every cycle of a drifting scenario, at several worker counts.
 func TestEngineMatchesReferenceCold(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
@@ -135,163 +133,12 @@ func TestEngineMatchesReferenceCold(t *testing.T) {
 				want := ref.SolveReference(in).Fingerprint()
 				got := s.Solve(in).Fingerprint()
 				if got != want {
-					t.Fatalf("cycle %d: cold engine diverged from reference\nengine:\n%s\nreference:\n%s", cyc, got, want)
+					t.Fatalf("cycle %d: engine diverged from reference\nengine:\n%s\nreference:\n%s", cyc, got, want)
 				}
 				existing = existingFrom(ref.SolveReference(in))
 				w.drift()
 			}
 		})
-	}
-}
-
-// TestWarmMatchesReferenceAcrossCycles: a warm chain (state carried
-// cycle to cycle) stays byte-identical to per-cycle cold reference
-// solves, and actually reuses paths (non-vacuous).
-func TestWarmMatchesReferenceAcrossCycles(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			w := newEqWorld(9, 0xBEEF)
-			cfg := DefaultConfig()
-			cfg.Workers = workers
-			s := New(cfg)
-			ref := New(DefaultConfig())
-			warm := NewWarm()
-			existing := map[radio.LinkID]bool{}
-			for cyc := 0; cyc < 8; cyc++ {
-				in := w.input(existing)
-				want := ref.SolveReference(in).Fingerprint()
-				got := s.SolveWarm(in, warm).Fingerprint()
-				if got != want {
-					t.Fatalf("cycle %d: warm solve diverged from reference\nwarm:\n%s\nreference:\n%s", cyc, got, want)
-				}
-				existing = existingFrom(ref.SolveReference(in))
-				w.drift()
-			}
-			st := warm.Stats()
-			if st.Cycles != 8 || st.ColdStarts < 1 {
-				t.Fatalf("warm stats off: %+v", st)
-			}
-			if st.PathsReused == 0 {
-				t.Fatalf("vacuous test: warm chain never reused a path: %+v", st)
-			}
-		})
-	}
-}
-
-// TestWarmIdenticalInputsFullReuse: re-solving the exact same input
-// must reuse every request's path and still match the reference.
-func TestWarmIdenticalInputsFullReuse(t *testing.T) {
-	w := newEqWorld(6, 0x5EED)
-	s := New(DefaultConfig())
-	ref := New(DefaultConfig())
-	warm := NewWarm()
-	in := w.input(map[radio.LinkID]bool{})
-	want := ref.SolveReference(in).Fingerprint()
-	if got := s.SolveWarm(in, warm).Fingerprint(); got != want {
-		t.Fatalf("first warm solve diverged")
-	}
-	if got := s.SolveWarm(in, warm).Fingerprint(); got != want {
-		t.Fatalf("second warm solve diverged")
-	}
-	st := warm.Stats()
-	if st.LastRecomputed != 0 || st.LastReused != len(in.Requests) {
-		t.Fatalf("identical input should reuse all paths: %+v", st)
-	}
-	if st.LastDirtyEdges != 0 {
-		t.Fatalf("identical input should dirty no edges: %+v", st)
-	}
-}
-
-// TestWarmInvalidatesOnPolicyAndGatewayChange: warm state must fall
-// back to a recorded cold start when the solve policy or gateway set
-// changes, and stay correct.
-func TestWarmInvalidatesOnPolicyAndGatewayChange(t *testing.T) {
-	w := newEqWorld(6, 0xFACE)
-	warm := NewWarm()
-	in := w.input(map[radio.LinkID]bool{})
-
-	s := New(DefaultConfig())
-	s.SolveWarm(in, warm)
-	cold0 := warm.Stats().ColdStarts
-
-	// Policy change: new Solver with different hysteresis.
-	cfg2 := DefaultConfig()
-	cfg2.HysteresisBonus = 0.25
-	s2 := New(cfg2)
-	ref2 := New(cfg2)
-	if got, want := s2.SolveWarm(in, warm).Fingerprint(), ref2.SolveReference(in).Fingerprint(); got != want {
-		t.Fatalf("post-policy-change warm solve diverged")
-	}
-	if warm.Stats().ColdStarts != cold0+1 {
-		t.Fatalf("policy change should force a cold start: %+v", warm.Stats())
-	}
-
-	// Gateway change.
-	in2 := in
-	in2.Gateways = []string{"gs-alpha"}
-	if got, want := s2.SolveWarm(in2, warm).Fingerprint(), ref2.SolveReference(in2).Fingerprint(); got != want {
-		t.Fatalf("post-gateway-change warm solve diverged")
-	}
-	if warm.Stats().ColdStarts != cold0+2 {
-		t.Fatalf("gateway change should force a cold start: %+v", warm.Stats())
-	}
-
-	// Worker-count change must NOT invalidate (normalized out).
-	cfg3 := cfg2
-	cfg3.Workers = 7
-	s3 := New(cfg3)
-	if got, want := s3.SolveWarm(in2, warm).Fingerprint(), ref2.SolveReference(in2).Fingerprint(); got != want {
-		t.Fatalf("worker-count change diverged")
-	}
-	if warm.Stats().ColdStarts != cold0+2 {
-		t.Fatalf("worker-count change must not force a cold start: %+v", warm.Stats())
-	}
-}
-
-// TestWarmDuplicateRequestIDsFallCold: duplicate request IDs are out
-// of the warm contract — the solve must fall cold (and never reuse),
-// not corrupt state.
-func TestWarmDuplicateRequestIDsFallCold(t *testing.T) {
-	w := newEqWorld(4, 0xD00D)
-	s := New(DefaultConfig())
-	warm := NewWarm()
-	in := w.input(map[radio.LinkID]bool{})
-	in.Requests = append(in.Requests, in.Requests[0]) // duplicate ID
-	s.SolveWarm(in, warm)
-	s.SolveWarm(in, warm)
-	st := warm.Stats()
-	if st.PathsReused != 0 || st.ColdStarts != 2 {
-		t.Fatalf("duplicate request IDs must disable reuse: %+v", st)
-	}
-	if warm.Ready() {
-		t.Fatalf("warm state must not be recorded from a non-recordable cycle")
-	}
-}
-
-// TestWarmCloneIsolation: a cloned warm state (the replication-stream
-// snapshot) must keep working independently of the original's
-// continued mutation.
-func TestWarmCloneIsolation(t *testing.T) {
-	w := newEqWorld(6, 0xAB1E)
-	s := New(DefaultConfig())
-	ref := New(DefaultConfig())
-	warm := NewWarm()
-	existing := map[radio.LinkID]bool{}
-	in := w.input(existing)
-	s.SolveWarm(in, warm)
-	snap := warm.Clone()
-
-	// The original keeps solving across drifts...
-	for i := 0; i < 3; i++ {
-		w.drift()
-		in = w.input(existing)
-		s.SolveWarm(in, warm)
-	}
-	// ...then a "promoted" solver adopts the old snapshot and must
-	// still match the reference on the newest input.
-	s2 := New(DefaultConfig())
-	if got, want := s2.SolveWarm(in, snap).Fingerprint(), ref.SolveReference(in).Fingerprint(); got != want {
-		t.Fatalf("adopted warm snapshot diverged from reference")
 	}
 }
 
@@ -302,8 +149,8 @@ func TestWarmCloneIsolation(t *testing.T) {
 // node can finalize with fewer hops and un-cap a path). The reference
 // re-runs every nil request each iteration and final-routes everyone;
 // the engine must match byte for byte — it may only memoize nils
-// whose search never hit the cap. Runs cold and warm-chained, across
-// tight caps, seeds, and worker counts.
+// whose search never hit the cap. Runs across tight caps, seeds, and
+// worker counts.
 func TestEngineMatchesReferenceTightHopCap(t *testing.T) {
 	for _, maxLen := range []int{1, 2, 3, 4} {
 		for _, seed := range []uint64{0x7C4A, 0xA11CE} {
@@ -314,8 +161,6 @@ func TestEngineMatchesReferenceTightHopCap(t *testing.T) {
 					cfg.Workers = workers
 					s := New(cfg)
 					ref := New(cfg)
-					warmS := New(cfg)
-					warm := NewWarm()
 					w := newEqWorld(12, seed)
 					existing := map[radio.LinkID]bool{}
 					sawUnsat := false
@@ -324,10 +169,7 @@ func TestEngineMatchesReferenceTightHopCap(t *testing.T) {
 						refPlan := ref.SolveReference(in)
 						want := refPlan.Fingerprint()
 						if got := s.Solve(in).Fingerprint(); got != want {
-							t.Fatalf("cycle %d: cold engine diverged under cap %d\nengine:\n%s\nreference:\n%s", cyc, maxLen, got, want)
-						}
-						if got := warmS.SolveWarm(in, warm).Fingerprint(); got != want {
-							t.Fatalf("cycle %d: warm engine diverged under cap %d\nengine:\n%s\nreference:\n%s", cyc, maxLen, got, want)
+							t.Fatalf("cycle %d: engine diverged under cap %d\nengine:\n%s\nreference:\n%s", cyc, maxLen, got, want)
 						}
 						sawUnsat = sawUnsat || len(refPlan.Unsatisfied) > 0
 						existing = existingFrom(refPlan)
@@ -385,7 +227,7 @@ func TestHopCapUnreachableBecomesRoutable(t *testing.T) {
 	eSM := mkRep(s.Xcvrs[1], m.Xcvrs[1])
 	eSX := mkRep(s.Xcvrs[0], x.Xcvrs[0])
 	in := Input{
-		// Strictly ID-sorted (the warm ordering contract).
+		// Strictly ID-sorted, as the evaluator emits them.
 		Candidates: []*linkeval.Report{eMD, eXM, eSM, eSX},
 		Requests: []Request{
 			{ID: "r1", Src: "s", Dst: "d", MinBitrateBps: 10e6},
@@ -405,18 +247,13 @@ func TestHopCapUnreachableBecomesRoutable(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfgW := cfg
 		cfgW.Workers = workers
-		if got := New(cfgW).Solve(in).Fingerprint(); got != want {
-			t.Errorf("cold engine (workers=%d) stranded the un-capped request:\nengine:\n%s\nreference:\n%s", workers, got, want)
-		}
+		// One Solver re-solving the same input: the nilKnown memo is
+		// per-solve scratch and must not leak into the next cycle.
 		sw := New(cfgW)
-		warm := NewWarm()
 		for cyc := 0; cyc < 3; cyc++ {
-			if got := sw.SolveWarm(in, warm).Fingerprint(); got != want {
-				t.Errorf("warm cycle %d (workers=%d) diverged:\nengine:\n%s\nreference:\n%s", cyc, workers, got, want)
+			if got := sw.Solve(in).Fingerprint(); got != want {
+				t.Errorf("cycle %d (workers=%d): engine stranded the un-capped request:\nengine:\n%s\nreference:\n%s", cyc, workers, got, want)
 			}
-		}
-		if st := warm.Stats(); st.PathsReused == 0 {
-			t.Errorf("warm chain never reused a path (vacuous permNil coverage): %+v", st)
 		}
 	}
 }

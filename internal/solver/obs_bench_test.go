@@ -11,7 +11,7 @@ import (
 )
 
 // obsBenchHarness mimics the controller's per-cycle instrumentation
-// (internal/core solveCycle) around a warm solve: a root span with
+// (internal/core solveCycle) around a solve: a root span with
 // attrs, a solve child span, counter recording, and a flight-recorder
 // metric line. Benchmarked in three regimes:
 //
@@ -37,14 +37,14 @@ func newObsBenchHarness(enabled bool) *obsBenchHarness {
 	return h
 }
 
-// cycle runs one instrumented warm solve, advancing the fake sim
+// cycle runs one instrumented solve, advancing the fake sim
 // clock the way the controller's solve interval does.
-func (h *obsBenchHarness) cycle(s *Solver, in Input, w *Warm, n int) *Plan {
+func (h *obsBenchHarness) cycle(s *Solver, in Input, n int) *Plan {
 	h.clock += 120
 	sp := h.o.Tracer.StartCycle("solve-cycle")
 	sp.SetAttrInt("cycle", n)
 	so := sp.Child("solve")
-	p := s.SolveWarm(in, w)
+	p := s.Solve(in)
 	h.solveRuns.Inc()
 	so.SetAttrInt("links", len(p.Links))
 	so.SetAttrInt("routes", len(p.Routes))
@@ -59,43 +59,31 @@ func (h *obsBenchHarness) cycle(s *Solver, in Input, w *Warm, n int) *Plan {
 }
 
 // BenchmarkObsOverhead measures the observability tax on the
-// production solve regime (BenchmarkSolveCycle's warm steady state).
+// production solve regime (BenchmarkSolveCycle's steady state).
 func BenchmarkObsOverhead(b *testing.B) {
 	for scale := 1; scale <= 2; scale++ {
 		ins := benchInputs(scale)
 		b.Run(fmt.Sprintf("off/scale%d", scale), func(b *testing.B) {
 			s := New(DefaultConfig())
-			w := NewWarm()
-			for _, in := range ins {
-				_ = s.SolveWarm(in, w)
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = s.SolveWarm(ins[i%len(ins)], w)
+				_ = s.Solve(ins[i%len(ins)])
 			}
 		})
 		b.Run(fmt.Sprintf("disabled/scale%d", scale), func(b *testing.B) {
 			s := New(DefaultConfig())
-			w := NewWarm()
 			h := newObsBenchHarness(false)
-			for _, in := range ins {
-				_ = s.SolveWarm(in, w)
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = h.cycle(s, ins[i%len(ins)], w, i)
+				_ = h.cycle(s, ins[i%len(ins)], i)
 			}
 		})
 		b.Run(fmt.Sprintf("enabled/scale%d", scale), func(b *testing.B) {
 			s := New(DefaultConfig())
-			w := NewWarm()
 			h := newObsBenchHarness(true)
-			for _, in := range ins {
-				_ = s.SolveWarm(in, w)
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = h.cycle(s, ins[i%len(ins)], w, i)
+				_ = h.cycle(s, ins[i%len(ins)], i)
 			}
 		})
 	}
@@ -132,37 +120,25 @@ func TestWriteObsBenchJSON(t *testing.T) {
 		}
 		off := measure(func(b *testing.B) {
 			s := New(DefaultConfig())
-			w := NewWarm()
-			for _, in := range ins {
-				_ = s.SolveWarm(in, w)
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = s.SolveWarm(ins[i%len(ins)], w)
+				_ = s.Solve(ins[i%len(ins)])
 			}
 		})
 		disabled := measure(func(b *testing.B) {
 			s := New(DefaultConfig())
-			w := NewWarm()
 			h := newObsBenchHarness(false)
-			for _, in := range ins {
-				_ = s.SolveWarm(in, w)
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = h.cycle(s, ins[i%len(ins)], w, i)
+				_ = h.cycle(s, ins[i%len(ins)], i)
 			}
 		})
 		enabled := measure(func(b *testing.B) {
 			s := New(DefaultConfig())
-			w := NewWarm()
 			h := newObsBenchHarness(true)
-			for _, in := range ins {
-				_ = s.SolveWarm(in, w)
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = h.cycle(s, ins[i%len(ins)], w, i)
+				_ = h.cycle(s, ins[i%len(ins)], i)
 			}
 		})
 		rec := obsBenchRecord{OffNsOp: off, DisabledNsOp: disabled, EnabledNsOp: enabled}

@@ -4,7 +4,7 @@ package solver
 // retained verbatim — string-keyed maps, per-iteration full utility
 // recomputation, from-scratch Dijkstra per request — as the ground
 // truth for the optimized engine. The equivalence property tests
-// assert Solve/SolveWarm produce byte-identical plans; the benchmarks
+// assert Solve produces byte-identical plans; the benchmarks
 // use it as the "seed sequential" baseline. The only mechanical change
 // from the seed is refHeap: a concrete frontier heap reproducing
 // container/heap's exact sift algorithm (same comparisons, same swaps,

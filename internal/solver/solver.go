@@ -25,11 +25,12 @@
 //
 // Two implementations coexist: SolveReference (reference.go) is the
 // seed's literal map-based single-threaded algorithm, kept as ground
-// truth; Solve/SolveWarm run the optimized engine (engine.go,
-// dijkstra.go, warm.go) — index arrays, reusable scratch, a concrete
-// frontier heap, parallel per-request Dijkstra batches, and optional
-// warm-started incremental re-solve — whose output is byte-identical
-// to the reference at any worker count (DESIGN.md §10).
+// truth; Solve runs the optimized engine (engine.go, dijkstra.go) —
+// index arrays, reusable scratch, a concrete frontier heap and
+// parallel per-request Dijkstra batches — whose output is
+// byte-identical to the reference at any worker count (DESIGN.md §10).
+// A solve is a pure function of its Input: the only thing carried from
+// one cycle to the next is Input.Existing.
 package solver
 
 import (
@@ -46,9 +47,8 @@ import (
 // Request is one connectivity request c_{x→y}: the LTE stack asking
 // for backhaul from a balloon to the ground segment.
 type Request struct {
-	// ID names the request ("backhaul/hbal-001"). IDs must be unique
-	// within one Input; the warm-start path falls back to a cold solve
-	// when they are not.
+	// ID names the request ("backhaul/hbal-001"); Plan.Routes is keyed
+	// by it, so IDs must be unique within one Input.
 	ID string
 	// Src is the requesting node.
 	Src string
@@ -240,18 +240,27 @@ func (s *Solver) LastShardLoads() []int { return s.lastShardLoads }
 // New creates a solver.
 func New(cfg Config) *Solver { return &Solver{cfg: cfg} }
 
-// Solve runs one cold cycle with the optimized engine. The plan is
+// Solve runs one cycle with the optimized engine. The plan is
 // byte-identical to SolveReference(in).
 //
 //minkowski:hotpath
-func (s *Solver) Solve(in Input) *Plan { return s.run(&in, nil) }
+func (s *Solver) Solve(in Input) *Plan { return s.run(&in) }
 
-// SolveWarm runs one cycle with warm-start state: requests whose
-// previous-cycle shortest path is provably still the answer (see
-// Warm) skip the initial Dijkstra, and w is updated in place with
-// this cycle's state for the next call. A nil w degrades to Solve.
-// The plan is byte-identical to a cold solve of the same input.
-func (s *Solver) SolveWarm(in Input, w *Warm) *Plan { return s.run(&in, w) }
+// Warm is the empty remnant of the deleted warm-start state.
+//
+// Deprecated: kept only because bench/e2e/trace.go, which this tree may
+// not edit, still names it; delete with its two call sites there.
+type Warm struct{}
+
+// NewWarm returns an empty Warm.
+//
+// Deprecated: see Warm.
+func NewWarm() *Warm { return &Warm{} }
+
+// SolveWarm is Solve; the second argument is ignored.
+//
+// Deprecated: see Warm.
+func (s *Solver) SolveWarm(in Input, _ *Warm) *Plan { return s.Solve(in) }
 
 // RedundancyBounds returns Appendix A's L_min and L_max for a
 // topology of B balloons (3 transceivers each) and G ground stations

@@ -316,25 +316,3 @@ func TestMarginalLinksOnlyWhenNecessary(t *testing.T) {
 		t.Error("marginal-only path should still satisfy the request")
 	}
 }
-
-func BenchmarkSolve30Balloons(b *testing.B) {
-	gs := platform.NewGroundStation("gs-0", geo.LLADeg(-1.3, 36.6, 1600), nil)
-	nodes := []*platform.Node{gs}
-	for i := 0; i < 30; i++ {
-		id := "hbal-" + string(rune('a'+i/10)) + string(rune('0'+i%10))
-		nodes = append(nodes, mkBalloon(id, -3+float64(i/6), 35+float64(i%6)*0.9))
-	}
-	var xs []*platform.Transceiver
-	for _, n := range nodes {
-		xs = append(xs, n.Xcvrs...)
-	}
-	e := linkeval.New(linkeval.DefaultConfig(), clearSky{}, nil)
-	cands := e.CandidateGraph(xs, 0)
-	reqs := backhaulRequests(nodes)
-	s := New(DefaultConfig())
-	in := Input{Candidates: cands, Requests: reqs, Existing: map[radio.LinkID]bool{}, Gateways: []string{"gs-0"}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Solve(in)
-	}
-}

@@ -161,8 +161,8 @@ func NewField(cfg Config) *Field {
 			{BaseAltM: 1500, TopAltM: 3000, LWC: 0.25},
 		},
 	}
-	// Warm-up: pre-spawn cells as if the generator had been running,
-	// with random ages.
+	// Pre-spawn cells as if the generator had been running, with
+	// random ages.
 	expected := cfg.CellSpawnPerHour * cfg.seasonScale()
 	n := int(expected) // steady-state population for ~1 h mean life
 	for i := 0; i < n; i++ {
