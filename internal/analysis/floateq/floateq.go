@@ -15,7 +15,7 @@
 //     deterministic by construction;
 //   - except at sites annotated `//minkowski:floateq-ok <why>` inside
 //     the allowlisted memo-key packages (internal/linkeval,
-//     internal/itu). Outside those packages the annotation has no
+//     internal/itu, internal/radio). Outside those packages the annotation has no
 //     effect — refactor instead.
 package floateq
 
@@ -40,6 +40,7 @@ var Analyzer = &vet.Analyzer{
 var AllowPackages = []string{
 	"minkowski/internal/linkeval",
 	"minkowski/internal/itu",
+	"minkowski/internal/radio",
 }
 
 func allowlisted(pkgPath string) bool {

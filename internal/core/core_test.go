@@ -259,3 +259,37 @@ func BenchmarkControllerHour(b *testing.B) {
 		c.RunHours(1)
 	}
 }
+
+// TestPathIntegratedOncePerWorldStep is the radio path memo's evidence
+// from a real run: links are checked every CheckInterval (10 s) while
+// the world moves every 60 s, so about one check in six integrates the
+// path, plus the one at each acquisition. The gauges must read the
+// counters.
+func TestPathIntegratedOncePerWorldStep(t *testing.T) {
+	c := New(detConfig(11))
+	c.RunHours(2)
+	f := c.Fabric
+	established := 0
+	for _, l := range append(f.History(), f.UpLinks()...) {
+		if l.EstablishedAt > 0 {
+			established++
+		}
+	}
+	t.Logf("%d link checks, %d path integrations (%.3f), %d links established",
+		f.LinkChecks, f.PathIntegrations, float64(f.PathIntegrations)/float64(f.LinkChecks), established)
+	if f.LinkChecks < 1000 {
+		t.Fatalf("only %d link checks in 2 h: the run formed no mesh", f.LinkChecks)
+	}
+	if f.PathIntegrations > f.LinkChecks/5+established {
+		t.Errorf("%d path integrations for %d checks and %d established links; want at most checks/5 + established",
+			f.PathIntegrations, f.LinkChecks, established)
+	}
+	got := map[string]float64{}
+	for _, m := range c.ObsSnapshot().Metrics {
+		got[m.Name] = m.Value
+	}
+	if got["fabric.link_checks"] != float64(f.LinkChecks) || got["fabric.path_integrations"] != float64(f.PathIntegrations) {
+		t.Errorf("gauges read %v checks, %v integrations; counters are %d, %d",
+			got["fabric.link_checks"], got["fabric.path_integrations"], f.LinkChecks, f.PathIntegrations)
+	}
+}

@@ -52,6 +52,16 @@ func TestGoldenJournalDigests(t *testing.T) {
 			{Kind: chaos.ControllerFailover, At: 3600, Duration: 600},
 		},
 	}
+	// A symmetric mesh partition, then a whole-controller crash while
+	// the mesh is still healing: the restart reconciles against a fabric
+	// the partition reshaped.
+	partitionCrash := chaos.Scenario{
+		Name: "golden-partition-crash",
+		Faults: []chaos.Fault{
+			{Kind: chaos.ManetPartition, Target: "hbal-001,hbal-004", At: 2400, Duration: 1200},
+			{Kind: chaos.ControllerCrash, At: 4500, Duration: 420},
+		},
+	}
 	for _, tc := range []struct {
 		name           string
 		cfg            Config
@@ -61,7 +71,9 @@ func TestGoldenJournalDigests(t *testing.T) {
 	}{
 		{"scale1", detConfig(11), chaos.Scenario{}, 2, 0x641d88f930cb1334, 0xc5054dd55f354738},
 		{"scale2", detConfig(16), chaos.Scenario{}, 2, 0xdc39a2d22e9db4bc, 0xc32af1f813906006},
+		{"scale3", detConfig(21), chaos.Scenario{}, 2, 0x317a493c9c608542, 0xc696d3a6984518ec},
 		{"failover-promotion", replConfig(7), failover, 3, 0x338bc875054e32ab, 0x77c9e2098a6aae0d},
+		{"partition-crash", fastConfig(5), partitionCrash, 3, 0x7e9cd9fcf2a84c8d, 0x29d8e0e7fc02f7d5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			j, p := goldenRun(tc.cfg, tc.script, tc.hours)

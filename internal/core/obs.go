@@ -62,6 +62,8 @@ func (c *Controller) installObs() {
 	reg.GaugeFunc("satcom.delivered", func() float64 { return float64(c.Sat.Delivered) })
 	reg.GaugeFunc("satcom.dropped", func() float64 { return float64(c.Sat.Dropped) })
 	reg.GaugeFunc("satcom.requeued", func() float64 { return float64(c.Sat.Requeued) })
+	reg.GaugeFunc("fabric.link_checks", func() float64 { return float64(c.Fabric.LinkChecks) })
+	reg.GaugeFunc("fabric.path_integrations", func() float64 { return float64(c.Fabric.PathIntegrations) })
 	reg.GaugeFunc("eval.pairs_enumerated", func() float64 { return float64(c.Evaluator.Stats().PairsEnumerated) })
 	reg.GaugeFunc("eval.pairs_pruned", func() float64 { return float64(c.Evaluator.Stats().PairsPruned) })
 	reg.GaugeFunc("eval.reevals", func() float64 { return float64(c.Evaluator.Stats().ReEvals) })

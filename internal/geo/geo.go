@@ -26,8 +26,12 @@ const (
 	EarthMeanRadius = 6371008.8
 )
 
-// eccSq is the first eccentricity squared of the WGS84 ellipsoid.
-const eccSq = EarthFlattening * (2 - EarthFlattening)
+// eccSq and ecc2Sq are the first and second eccentricity squared of the
+// WGS84 ellipsoid.
+const (
+	eccSq  = EarthFlattening * (2 - EarthFlattening)
+	ecc2Sq = eccSq / (1 - eccSq)
+)
 
 // Deg converts degrees to radians.
 func Deg(d float64) float64 { return d * math.Pi / 180 }
@@ -107,36 +111,42 @@ func (p LLA) ToECEF() Vec3 {
 	}
 }
 
-// ToLLA converts an ECEF vector back to geodetic coordinates using
-// Bowring's iterative method (a handful of iterations converge to
-// sub-millimeter accuracy for terrestrial and stratospheric altitudes).
+// bowring inverts ToECEF with one step of Bowring's closed form from the
+// parametric-latitude starting guess, on square roots alone: it returns
+// the sine and cosine of the geodetic latitude and the altitude. One
+// step is exact to rounding from below the surface to far beyond any
+// altitude flown here (DESIGN.md §13 has the measured errors), and the
+// altitude form p·cosφ + z·sinφ − a·√(1−e²sin²φ) needs no polar branch.
+func (v Vec3) bowring() (sinLat, cosLat, alt float64) {
+	p := math.Sqrt(v.X*v.X + v.Y*v.Y)
+	// Parametric latitude β of the guess: tan β = a·z / (b·p).
+	sb, cb := EarthSemiMajor*v.Z, EarthSemiMinor*p
+	r := math.Sqrt(sb*sb + cb*cb)
+	sb, cb = sb/r, cb/r
+	// tan φ = (z + e'²·b·sin³β) / (p − e²·a·cos³β).
+	num := v.Z + ecc2Sq*EarthSemiMinor*sb*sb*sb
+	den := p - eccSq*EarthSemiMajor*cb*cb*cb
+	r = math.Sqrt(num*num + den*den)
+	sinLat, cosLat = num/r, den/r
+	alt = p*cosLat + v.Z*sinLat - EarthSemiMajor*math.Sqrt(1-eccSq*sinLat*sinLat)
+	return sinLat, cosLat, alt
+}
+
+// Altitude returns the height of an ECEF point above the WGS84
+// ellipsoid without any trigonometry: all a path sample above the
+// weather needs.
+//
+//minkowski:hotpath
+func (v Vec3) Altitude() float64 {
+	_, _, alt := v.bowring()
+	return alt
+}
+
+// ToLLA converts an ECEF vector back to geodetic coordinates. Its
+// altitude is Altitude's, bit for bit.
 func (v Vec3) ToLLA() LLA {
-	lon := math.Atan2(v.Y, v.X)
-	p := math.Hypot(v.X, v.Y)
-	if p == 0 {
-		// On the polar axis.
-		lat := math.Pi / 2
-		if v.Z < 0 {
-			lat = -lat
-		}
-		return LLA{Lat: lat, Lon: 0, Alt: math.Abs(v.Z) - EarthSemiMinor}
-	}
-	lat := math.Atan2(v.Z, p*(1-eccSq))
-	for i := 0; i < 8; i++ {
-		sinLat := math.Sin(lat)
-		n := EarthSemiMajor / math.Sqrt(1-eccSq*sinLat*sinLat)
-		alt := p/math.Cos(lat) - n
-		newLat := math.Atan2(v.Z, p*(1-eccSq*n/(n+alt)))
-		if math.Abs(newLat-lat) < 1e-12 {
-			lat = newLat
-			break
-		}
-		lat = newLat
-	}
-	sinLat := math.Sin(lat)
-	n := EarthSemiMajor / math.Sqrt(1-eccSq*sinLat*sinLat)
-	alt := p/math.Cos(lat) - n
-	return LLA{Lat: lat, Lon: lon, Alt: alt}
+	sinLat, cosLat, alt := v.bowring()
+	return LLA{Lat: math.Atan2(sinLat, cosLat), Lon: math.Atan2(v.Y, v.X), Alt: alt}
 }
 
 // SlantRange returns the straight-line (line-of-sight) distance in
@@ -303,37 +313,27 @@ func GrazingAltitude(a, b LLA) float64 {
 	return closest.Norm() - EarthMeanRadius
 }
 
-// SampleSegment returns n+1 evenly spaced geodetic positions along the
-// straight ECEF segment from a to b (inclusive of both endpoints). The
-// weather substrate integrates attenuation along these samples.
-func SampleSegment(a, b LLA, n int) []LLA {
-	return SampleSegmentInto(nil, a, b, n)
+// Segment is the straight ECEF chord between two positions. The
+// weather substrate integrates attenuation along points of it.
+type Segment struct {
+	from, dir Vec3 // start point, and end − start
 }
 
-// SampleSegmentInto is SampleSegment writing into dst's backing array
-// when it has the capacity, so hot paths (the Link Evaluator samples
-// every candidate path every epoch) can reuse one scratch buffer
-// instead of allocating per call.
+// NewSegment returns the chord from a to b.
+func NewSegment(a, b LLA) Segment {
+	pa := a.ToECEF()
+	return Segment{from: pa, dir: b.ToECEF().Sub(pa)}
+}
+
+// Length returns the chord length in meters: SlantRange(a, b), bit for
+// bit.
+func (s Segment) Length() float64 { return s.dir.Norm() }
+
+// Point returns the point a fraction t of the way along the chord
+// (0 is a, 1 is b).
 //
 //minkowski:hotpath
-func SampleSegmentInto(dst []LLA, a, b LLA, n int) []LLA {
-	if n < 1 {
-		n = 1
-	}
-	pa := a.ToECEF()
-	pb := b.ToECEF()
-	d := pb.Sub(pa)
-	if cap(dst) >= n+1 {
-		dst = dst[:n+1]
-	} else {
-		dst = make([]LLA, n+1)
-	}
-	for i := 0; i <= n; i++ {
-		t := float64(i) / float64(n)
-		dst[i] = pa.Add(d.Scale(t)).ToLLA()
-	}
-	return dst
-}
+func (s Segment) Point(t float64) Vec3 { return s.from.Add(s.dir.Scale(t)) }
 
 // WrapAngle normalizes an angle to [0, 2π).
 func WrapAngle(a float64) float64 {

@@ -31,21 +31,103 @@ func TestECEFKnownPoints(t *testing.T) {
 	}
 }
 
-func TestECEFRoundTrip(t *testing.T) {
-	f := func(latDeg, lonDeg, altKm float64) bool {
-		lat := math.Mod(math.Abs(latDeg), 89)
-		if latDeg < 0 {
+// iterativeToLLA is the fixed-point Bowring iteration ToLLA used before
+// the closed form: kept here as the independent oracle. Its p/cos(lat)
+// altitude loses digits toward the poles (2e-5 m at 89.9°, metres
+// beyond 89.99°), so the comparison below stops trusting it there.
+func iterativeToLLA(v Vec3) LLA {
+	lon := math.Atan2(v.Y, v.X)
+	p := math.Hypot(v.X, v.Y)
+	if p == 0 {
+		lat := math.Pi / 2
+		if v.Z < 0 {
 			lat = -lat
 		}
-		lon := math.Mod(lonDeg, 179.9)
-		alt := math.Mod(math.Abs(altKm), 40) * 1000
-		p := LLADeg(lat, lon, alt)
-		back := p.ToECEF().ToLLA()
-		return almostEq(back.Lat, p.Lat, 1e-9) &&
-			almostEq(back.Lon, p.Lon, 1e-9) &&
-			almostEq(back.Alt, p.Alt, 1e-3)
+		return LLA{Lat: lat, Lon: 0, Alt: math.Abs(v.Z) - EarthSemiMinor}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	lat := math.Atan2(v.Z, p*(1-eccSq))
+	for i := 0; i < 8; i++ {
+		sinLat := math.Sin(lat)
+		n := EarthSemiMajor / math.Sqrt(1-eccSq*sinLat*sinLat)
+		alt := p/math.Cos(lat) - n
+		newLat := math.Atan2(v.Z, p*(1-eccSq*n/(n+alt)))
+		if math.Abs(newLat-lat) < 1e-12 {
+			lat = newLat
+			break
+		}
+		lat = newLat
+	}
+	sinLat := math.Sin(lat)
+	n := EarthSemiMajor / math.Sqrt(1-eccSq*sinLat*sinLat)
+	return LLA{Lat: lat, Lon: lon, Alt: p/math.Cos(lat) - n}
+}
+
+// roundTripPoint maps three arbitrary floats onto the domain the
+// round-trip contract covers: every latitude (poles included), every
+// longitude short of the ±180° seam, −1…60 km.
+func roundTripPoint(latDeg, lonDeg, altKm float64) LLA {
+	lat := math.Max(-90, math.Min(90, math.Mod(latDeg, 91))) // the clamp lands a share of draws on the poles
+	return LLADeg(lat, math.Mod(lonDeg, 179.9), -1000+math.Mod(math.Abs(altKm), 61)*1000)
+}
+
+func checkRoundTrip(t *testing.T, p LLA) {
+	t.Helper()
+	v := p.ToECEF()
+	back := v.ToLLA()
+	if !almostEq(back.Lat, p.Lat, 1e-11) || !almostEq(back.Alt, p.Alt, 1e-7) {
+		t.Errorf("round trip of %+v: got %+v (Δlat %.3g rad, Δalt %.3g m)", p, back, back.Lat-p.Lat, back.Alt-p.Alt)
+	}
+	// Longitude is undefined on the polar axis.
+	if math.Abs(p.Lat) < Deg(89.999) && !almostEq(back.Lon, p.Lon, 1e-11) {
+		t.Errorf("round trip of %+v: Δlon %.3g rad", p, back.Lon-p.Lon)
+	}
+	// Exact: Altitude and ToLLA().Alt are one computation.
+	if alt := v.Altitude(); alt != back.Alt {
+		t.Errorf("Altitude() = %v, ToLLA().Alt = %v: must be bit-identical", alt, back.Alt)
+	}
+}
+
+func TestECEFRoundTrip(t *testing.T) {
+	f := func(latDeg, lonDeg, altKm float64) bool {
+		checkRoundTrip(t, roundTripPoint(latDeg, lonDeg, altKm))
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	for _, lat := range []float64{-90, -89.9999, 0, 45, 89.9999, 90} {
+		for _, alt := range []float64{-1000, 0, 18000, 60000} {
+			checkRoundTrip(t, LLADeg(lat, 37, alt))
+		}
+	}
+	// Exactly on the polar axis: p == 0, where the sample has no
+	// longitude and the altitude is |z| − b.
+	for _, z := range []float64{EarthSemiMinor + 18000, -EarthSemiMinor - 18000} {
+		got := Vec3{0, 0, z}.ToLLA()
+		want := LLA{Lat: math.Copysign(math.Pi/2, z), Lon: 0, Alt: 18000}
+		if !almostEq(got.Lat, want.Lat, 1e-15) || got.Lon != 0 || !almostEq(got.Alt, want.Alt, 1e-7) {
+			t.Errorf("ToLLA on the polar axis (z=%v) = %+v, want %+v", z, got, want)
+		}
+	}
+}
+
+// TestToLLAMatchesIterativeBowring holds the closed form to the
+// iteration it replaced, over the same domain.
+func TestToLLAMatchesIterativeBowring(t *testing.T) {
+	f := func(latDeg, lonDeg, altKm float64) bool {
+		p := roundTripPoint(latDeg, lonDeg, altKm)
+		v := p.ToECEF()
+		got, want := v.ToLLA(), iterativeToLLA(v)
+		altTol := 1e-4
+		if math.Abs(p.Lat) > Deg(89.9) {
+			altTol = math.Inf(1)
+		}
+		return almostEq(got.Lat, want.Lat, 1e-11) &&
+			almostEq(got.Lon, want.Lon, 1e-11) &&
+			almostEq(got.Alt, want.Alt, altTol) &&
+			almostEq(v.Altitude(), want.Alt, altTol)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }
@@ -208,21 +290,25 @@ func TestENURoundTrip(t *testing.T) {
 func TestSampleSegment(t *testing.T) {
 	a := LLADeg(-1, 37, 1600)
 	b := LLADeg(-1.5, 38, 18000)
-	samples := SampleSegment(a, b, 10)
-	if len(samples) != 11 {
-		t.Fatalf("len(samples) = %d, want 11", len(samples))
+	seg := NewSegment(a, b)
+	// Exact: the chord length is SlantRange's own expression.
+	if seg.Length() != SlantRange(a, b) {
+		t.Errorf("Length() = %v, SlantRange = %v: must be bit-identical", seg.Length(), SlantRange(a, b))
 	}
-	if SlantRange(samples[0], a) > 1 {
-		t.Error("first sample should be the start point")
+	if SlantRange(seg.Point(0).ToLLA(), a) > 1e-6 {
+		t.Error("Point(0) should be the start point")
 	}
-	if SlantRange(samples[10], b) > 1 {
-		t.Error("last sample should be the end point")
+	if SlantRange(seg.Point(1).ToLLA(), b) > 1e-6 {
+		t.Error("Point(1) should be the end point")
 	}
 	// Altitude should increase monotonically along the segment.
-	for i := 1; i < len(samples); i++ {
-		if samples[i].Alt < samples[i-1].Alt-200 {
-			t.Errorf("altitude not roughly monotone at %d: %v -> %v", i, samples[i-1].Alt, samples[i].Alt)
+	prev := seg.Point(0).Altitude()
+	for i := 1; i <= 10; i++ {
+		alt := seg.Point(float64(i) / 10).Altitude()
+		if alt < prev-200 {
+			t.Errorf("altitude not roughly monotone at %d: %v -> %v", i, prev, alt)
 		}
+		prev = alt
 	}
 }
 

@@ -85,24 +85,25 @@ func BenchmarkPathAttenuation(b *testing.B) {
 		}
 	})
 	b.Run("memoized", func(b *testing.B) {
-		var scratch []geo.LLA
 		for i := 0; i < b.N; i++ {
-			_, scratch = weather.EstimatePathAttenuationScratch(src, 72, a, c, scratch)
+			weather.EstimatePathAttenuation(src, 72, a, c)
 		}
 	})
 }
 
 // exactPathAttenuation re-derives the full spectroscopy per sample —
-// what EstimatePathAttenuation did before the LUT.
+// what EstimatePathAttenuation did before the LUT — on the same chord
+// samples.
 func exactPathAttenuation(src weather.Source, fGHz float64, a, b geo.LLA) float64 {
 	const samples = 16
-	pts := geo.SampleSegment(a, b, samples)
-	stepKm := geo.SlantRange(a, b) / float64(samples) / 1000
+	seg := geo.NewSegment(a, b)
+	stepKm := seg.Length() / float64(samples) / 1000
 	total := 0.0
-	for _, p := range pts {
+	for i := 0; i <= samples; i++ {
+		p := seg.Point(float64(i) / float64(samples)).ToLLA()
 		pr, tk, rho := itu.AtmosphereAt(p.Alt, weather.SeaLevelVapourDensity)
 		spec := itu.GaseousSpecific(fGHz, pr, tk, rho)
-		if p.Alt < 12000 {
+		if p.Alt < weather.MoistureCeilingM {
 			if rate, ok := src.EstimateRain(p); ok && rate > 0 {
 				spec += itu.RainSpecific(fGHz, rate, itu.Horizontal)
 				spec += itu.CloudSpecific(fGHz, tk, 0.5*math.Min(rate/20, 1.5))

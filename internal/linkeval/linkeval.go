@@ -272,11 +272,10 @@ type budgetMemo struct {
 	class        rf.MarginClass
 }
 
-// evalScratch is per-worker reusable state: the path-sample buffer
-// and a bump-allocated report chunk (reports escape into graphs, so
-// chunks are never recycled — they only amortize allocation count).
+// evalScratch is per-worker reusable state: a bump-allocated report
+// chunk (reports escape into graphs, so chunks are never recycled —
+// they only amortize allocation count) and the worker's counters.
 type evalScratch struct {
-	pts    []geo.LLA
 	repBuf []Report
 	stats  Stats
 }
@@ -292,22 +291,13 @@ func (s *evalScratch) newReport() *Report {
 
 // pathAttenuation returns the modelled moisture+gas attenuation for a
 // candidate path.
+//
+//minkowski:hotpath
 func (e *Evaluator) pathAttenuation(a, b geo.LLA, lead float64) float64 {
 	if e.Volume != nil {
 		return e.Volume.PathAttenuation(e.cfg.Channel.CenterGHz, a, b, lead)
 	}
 	return weather.EstimatePathAttenuation(e.Weather, e.cfg.Channel.CenterGHz, a, b)
-}
-
-//minkowski:hotpath
-func (e *Evaluator) pathAttenuationScratch(a, b geo.LLA, lead float64, s *evalScratch) float64 {
-	var att float64
-	if e.Volume != nil {
-		att, s.pts = e.Volume.PathAttenuationScratch(e.cfg.Channel.CenterGHz, a, b, lead, s.pts)
-	} else {
-		att, s.pts = weather.EstimatePathAttenuationScratch(e.Weather, e.cfg.Channel.CenterGHz, a, b, s.pts)
-	}
-	return att
 }
 
 func radioEqual(a, b rf.Radio) bool {
@@ -371,11 +361,7 @@ func (e *Evaluator) evalStaged(xa, xb *platform.Transceiver, lead float64, g *pa
 		if orient == 1 {
 			atA, atB = g.posB, g.posA
 		}
-		if s != nil {
-			g.atmos[orient] = e.pathAttenuationScratch(atA, atB, lead, s)
-		} else {
-			g.atmos[orient] = e.pathAttenuation(atA, atB, lead)
-		}
+		g.atmos[orient] = e.pathAttenuation(atA, atB, lead)
 		g.atmosOK[orient] = true
 	}
 	atmos := g.atmos[orient] + e.cfg.PessimismDB

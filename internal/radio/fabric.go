@@ -106,6 +106,11 @@ type Fabric struct {
 	cursed map[LinkID]bool
 	tried  map[LinkID]bool
 
+	// LinkChecks counts link measurements (acquisitions and periodic
+	// checks); PathIntegrations counts the ones that had to integrate
+	// the path because the world had moved since the link's last one.
+	LinkChecks, PathIntegrations int
+
 	// OnUp is called when a link reaches StateUp.
 	OnUp func(*Link)
 	// OnDown is called exactly once when a link reaches StateDown,
@@ -267,18 +272,30 @@ func (f *Fabric) feasible(l *Link) (Reason, bool) {
 
 // measure computes the true link budget as the radios would measure
 // it right now: true weather, boresight gains (or a side-lobe on one
-// end), plus tracking noise.
+// end), plus tracking noise. The world moves less often than links are
+// checked, so range and attenuation are integrated once per distinct
+// (positions, weather) and every check in between reuses the bits.
 func (f *Fabric) measure(l *Link) rf.Budget {
+	f.LinkChecks++
 	posA, posB := l.XA.Node.Position(), l.XB.Node.Position()
-	dist := geo.SlantRange(posA, posB)
-	atmos := f.wx.PathAttenuation(l.Channel.CenterGHz, posA, posB)
+	m := l.path
+	//minkowski:floateq-ok memo key: the memo serves only bit-identical endpoint positions
+	if m == nil || m.posA != posA || m.posB != posB || m.wxVersion != f.wx.Version() {
+		f.PathIntegrations++
+		m = &pathMemo{
+			posA: posA, posB: posB, wxVersion: f.wx.Version(),
+			dist:  geo.SlantRange(posA, posB),
+			atmos: f.wx.PathAttenuation(l.Channel.CenterGHz, posA, posB),
+		}
+		l.path = m
+	}
 	gainA := l.XA.Mount.Pattern.PeakDBi
 	gainB := l.XB.Mount.Pattern.PeakDBi
 	if l.SideLobe {
 		gainB += l.XB.Mount.Pattern.FirstSideLobeDB
 	}
 	noise := math.Abs(f.rng().NormFloat64()) * f.cfg.TrackingNoiseDB
-	return rf.BestBudget(l.XA.Radio, l.Channel, gainA, gainB, dist, atmos, 0.5+noise)
+	return rf.BestBudget(l.XA.Radio, l.Channel, gainA, gainB, m.dist, m.atmos, 0.5+noise)
 }
 
 // Withdraw gracefully tears down a link (or cancels an in-flight
@@ -303,6 +320,7 @@ func (f *Fabric) end(l *Link, r Reason) {
 	l.State = StateDown
 	l.EndReason = r
 	l.EndedAt = f.eng.Now()
+	l.path = nil // history keeps ended links; it need not keep their memo
 	l.XA.Busy, l.XB.Busy = false, false
 	delete(f.links, l.ID)
 	at, _ := slices.BinarySearchFunc(f.live, l.ID, compareLinkToID)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 
+	"minkowski/internal/geo"
 	"minkowski/internal/platform"
 	"minkowski/internal/rf"
 )
@@ -150,6 +151,21 @@ type Link struct {
 
 	// belowMarginChecks counts consecutive fade checks for hysteresis.
 	belowMarginChecks int
+	// path memoises the slow half of the last measurement while the
+	// link is live; nil before the first one and again once it ends.
+	path *pathMemo
+}
+
+// pathMemo is the part of a link measurement that only moves when the
+// world does — slant range and true path attenuation — keyed on the
+// complete identity of its inputs: both endpoint positions, bit for
+// bit, and the weather field's version. (The channel, the only other
+// input, is fixed for the life of a Link.)
+type pathMemo struct {
+	posA, posB geo.LLA
+	wxVersion  uint64
+	dist       float64 // meters
+	atmos      float64 // dB
 }
 
 // IsB2G reports whether the link has a ground endpoint.

@@ -268,30 +268,17 @@ func (fu *Fused) Name() string { return "fused" }
 // (exact rain; gaseous/cloud interpolated on 50 m altitude knots with
 // relative error < 10⁻⁴ — see DESIGN.md §7 for the bound).
 func EstimatePathAttenuation(src Source, fGHz float64, a, b geo.LLA) float64 {
-	att, _ := EstimatePathAttenuationScratch(src, fGHz, a, b, nil)
-	return att
-}
-
-// EstimatePathAttenuationScratch is EstimatePathAttenuation reusing a
-// caller-owned sample buffer; it returns the (possibly grown) buffer
-// so evaluator workers can amortize the allocation across the ~O(N²)
-// paths they integrate per epoch.
-func EstimatePathAttenuationScratch(src Source, fGHz float64, a, b geo.LLA, scratch []geo.LLA) (float64, []geo.LLA) {
-	const samples = 16
 	lut := itu.LUTFor(fGHz, SeaLevelVapourDensity, itu.Horizontal)
-	scratch = geo.SampleSegmentInto(scratch, a, b, samples)
-	stepKm := geo.SlantRange(a, b) / float64(samples) / 1000
-	total := 0.0
-	for _, p := range scratch {
+	return integratePath(a, b, MoistureCeilingM, func(p geo.LLA, moist bool) float64 {
 		spec := lut.GaseousAt(p.Alt)
-		if p.Alt < 12000 { // moisture only below cloud tops
-			if rate, ok := src.EstimateRain(p); ok && rate > 0 {
-				spec += lut.RainSpecificAt(rate)
-				// Estimated convective cloud accompanying the rain.
-				spec += lut.CloudSpecificAt(p.Alt, 0.5*math.Min(rate/20, 1.5))
-			}
+		if !moist {
+			return spec
 		}
-		total += spec * stepKm
-	}
-	return total, scratch
+		if rate, ok := src.EstimateRain(p); ok && rate > 0 {
+			spec += lut.RainSpecificAt(rate)
+			// Estimated convective cloud accompanying the rain.
+			spec += lut.CloudSpecificAt(p.Alt, 0.5*math.Min(rate/20, 1.5))
+		}
+		return spec
+	})
 }

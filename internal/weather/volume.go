@@ -46,7 +46,7 @@ func DefaultVolumeConfig() VolumeConfig {
 	return VolumeConfig{
 		Region:   KenyaRegion(),
 		LatCells: 32, LonCells: 36, AltCells: 8,
-		AltMaxM: 12000, TimeStep: 7, HorizonS: 3600,
+		AltMaxM: MoistureCeilingM, TimeStep: 7, HorizonS: 3600,
 	}
 }
 
@@ -144,27 +144,17 @@ func (v *Volume) At(p geo.LLA, lead float64) float64 {
 }
 
 // PathAttenuation integrates the interpolated specific attenuation
-// along a straight path at a lead time, adding the gaseous baseline.
+// along a straight path at a lead time, adding the gaseous baseline
+// from the memoized itu.AttenLUT.
 func (v *Volume) PathAttenuation(fGHz float64, a, b geo.LLA, lead float64) float64 {
-	att, _ := v.PathAttenuationScratch(fGHz, a, b, lead, nil)
-	return att
-}
-
-// PathAttenuationScratch is PathAttenuation reusing a caller-owned
-// sample buffer (returned possibly grown), with the gaseous baseline
-// served from the memoized itu.AttenLUT.
-func (v *Volume) PathAttenuationScratch(fGHz float64, a, b geo.LLA, lead float64, scratch []geo.LLA) (float64, []geo.LLA) {
-	const samples = 16
 	lut := itu.LUTFor(fGHz, SeaLevelVapourDensity, itu.Horizontal)
-	scratch = geo.SampleSegmentInto(scratch, a, b, samples)
-	stepKm := geo.SlantRange(a, b) / float64(samples) / 1000
-	total := 0.0
-	for _, p := range scratch {
+	return integratePath(a, b, v.altMaxM, func(p geo.LLA, moist bool) float64 {
 		spec := lut.GaseousAt(p.Alt)
-		spec += v.At(p, lead)
-		total += spec * stepKm
-	}
-	return total, scratch
+		if moist {
+			spec += v.At(p, lead)
+		}
+		return spec
+	})
 }
 
 // MoistureFuncFromSource builds the sampling function for a volume

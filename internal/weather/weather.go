@@ -29,6 +29,12 @@ import (
 // package assumes.
 const SeaLevelVapourDensity = 7.5
 
+// MoistureCeilingM is the altitude (meters) above which the atmosphere
+// is dry in every model here: generated convective cells top out below
+// it, the default Volume grid ends at it, and a path sample at or above
+// it is integrated on its altitude alone.
+const MoistureCeilingM = 12000.0
+
 // Region is the geographic box weather is simulated over.
 type Region struct {
 	LatMinDeg, LatMaxDeg float64
@@ -149,6 +155,8 @@ type Field struct {
 	now    float64
 	cells  []*RainCell
 	clouds []CloudLayer
+	// version counts the field's mutations; see Version.
+	version uint64
 }
 
 // NewField creates a weather field and warms it up so the region
@@ -179,6 +187,11 @@ func (f *Field) Now() float64 { return f.now }
 // Cells returns the live cell count (for tests and telemetry).
 func (f *Field) Cells() int { return len(f.cells) }
 
+// Version identifies the field's state: Step and InjectCell, the only
+// two mutators, each advance it, so two reads of the field at one
+// version return the same bits.
+func (f *Field) Version() uint64 { return f.version }
+
 func (f *Field) spawnCell() *RainCell {
 	r := f.cfg.Region
 	lat := r.LatMinDeg + f.rng.Float64()*(r.LatMaxDeg-r.LatMinDeg)
@@ -198,6 +211,7 @@ func (f *Field) spawnCell() *RainCell {
 // Step advances the field by dt seconds: advects cells, retires dead
 // ones, and spawns new ones at the seasonal Poisson rate.
 func (f *Field) Step(dt float64) {
+	f.version++
 	f.now += dt
 	live := f.cells[:0]
 	for _, c := range f.cells {
@@ -224,6 +238,7 @@ func (f *Field) Step(dt float64) {
 // is born so that it is at peak intensity now and persists for lifeS
 // more seconds.
 func (f *Field) InjectCell(center geo.LLA, radiusM, peakRate, topAltM, lifeS float64) {
+	f.version++
 	f.cells = append(f.cells, &RainCell{
 		Center: center, RadiusM: radiusM, PeakRate: peakRate,
 		TopAltM: topAltM,
@@ -232,39 +247,72 @@ func (f *Field) InjectCell(center geo.LLA, radiusM, peakRate, topAltM, lifeS flo
 	})
 }
 
-// RainRateAt returns the true rain rate (mm/h) at a surface position,
-// right now. Rain only affects the column below each cell's top.
-func (f *Field) RainRateAt(p geo.LLA) float64 {
-	total := 0.0
-	for _, c := range f.cells {
-		if p.Alt > c.TopAltM {
-			continue
-		}
-		total += c.RateAt(p, f.now)
-	}
-	return total
-}
-
-// LWCAt returns the true cloud liquid water content (g/m³) at a 3-D
-// position: stratiform layers plus the saturated cores of convective
+// moistureAt returns the true rain rate (mm/h) and cloud liquid water
+// content (g/m³) at a 3-D position, right now, evaluating each cell's
+// footprint once. Rain only affects the column below each cell's top;
+// cloud is the stratiform layers plus the saturated cores of convective
 // cells.
-func (f *Field) LWCAt(p geo.LLA) float64 {
-	lwc := 0.0
+func (f *Field) moistureAt(p geo.LLA) (rain, lwc float64) {
 	for _, l := range f.clouds {
 		if p.Alt >= l.BaseAltM && p.Alt <= l.TopAltM {
 			lwc += l.LWC
 		}
 	}
 	for _, c := range f.cells {
-		if p.Alt < 1000 || p.Alt > c.TopAltM {
+		if p.Alt > c.TopAltM {
 			continue
 		}
+		rate := c.RateAt(p, f.now)
+		rain += rate
 		// Convective cloud roughly co-located with the rain footprint.
-		if rate := c.RateAt(p, f.now); rate > 0.5 {
+		if p.Alt >= 1000 && rate > 0.5 {
 			lwc += 0.5 * math.Min(rate/20, 1.5)
 		}
 	}
-	return lwc
+	return rain, lwc
+}
+
+// RainRateAt returns the true rain rate (mm/h) at a position.
+func (f *Field) RainRateAt(p geo.LLA) float64 {
+	rain, _ := f.moistureAt(p)
+	return rain
+}
+
+// ceilingM returns an altitude no true moisture reaches: the model
+// ceiling, raised to the top of any injected cell taller than it.
+func (f *Field) ceilingM() float64 {
+	ceiling := MoistureCeilingM
+	for _, c := range f.cells {
+		ceiling = math.Max(ceiling, c.TopAltM)
+	}
+	return ceiling
+}
+
+// pathSamples is the number of equal steps every path integral takes.
+const pathSamples = 16
+
+// integratePath is the one path integrator: it sums specific(sample)
+// in dB/km over the pathSamples+1 evenly spaced points of the straight
+// chord a→b, times the step length. Every sample carries its altitude;
+// only a sample below ceilingM — one that can hold moisture — is moist
+// and carries latitude and longitude too, so a chord that stays in the
+// stratosphere is integrated without any trigonometry.
+//
+//minkowski:hotpath
+func integratePath(a, b geo.LLA, ceilingM float64, specific func(p geo.LLA, moist bool) float64) float64 {
+	seg := geo.NewSegment(a, b)
+	stepKm := seg.Length() / pathSamples / 1000
+	total := 0.0
+	for i := 0; i <= pathSamples; i++ {
+		v := seg.Point(float64(i) / pathSamples)
+		p := geo.LLA{Alt: v.Altitude()}
+		moist := p.Alt < ceilingM
+		if moist {
+			p = v.ToLLA()
+		}
+		total += specific(p, moist) * stepKm
+	}
+	return total
 }
 
 // PathAttenuation integrates the true attenuation in dB along the
@@ -273,20 +321,19 @@ func (f *Field) LWCAt(p geo.LLA) float64 {
 // it stays on the exact closed forms (no LUT quantization) so the
 // physical truth is independent of the evaluator's memoization.
 func (f *Field) PathAttenuation(fGHz float64, a, b geo.LLA) float64 {
-	const samples = 16
-	pts := geo.SampleSegment(a, b, samples)
-	stepKm := geo.SlantRange(a, b) / float64(samples) / 1000
-	total := 0.0
-	for _, p := range pts {
+	return integratePath(a, b, f.ceilingM(), func(p geo.LLA, moist bool) float64 {
 		pr, tk, rho := itu.AtmosphereAt(p.Alt, SeaLevelVapourDensity)
 		spec := itu.GaseousSpecific(fGHz, pr, tk, rho)
-		if rate := f.RainRateAt(p); rate > 0 {
-			spec += itu.RainSpecific(fGHz, rate, itu.Horizontal)
+		if !moist {
+			return spec
 		}
-		if lwc := f.LWCAt(p); lwc > 0 {
+		rain, lwc := f.moistureAt(p)
+		if rain > 0 {
+			spec += itu.RainSpecific(fGHz, rain, itu.Horizontal)
+		}
+		if lwc > 0 {
 			spec += itu.CloudSpecific(fGHz, tk, lwc)
 		}
-		total += spec * stepKm
-	}
-	return total
+		return spec
+	})
 }

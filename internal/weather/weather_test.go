@@ -92,10 +92,11 @@ func TestRainOnlyBelowCellTop(t *testing.T) {
 	// The stratosphere must always be dry: B2B links fly above
 	// weather (§2.2).
 	strat := geo.LLADeg(-1, 37, 18000)
-	if f.RainRateAt(strat) != 0 {
+	rain, lwc := f.moistureAt(strat)
+	if rain != 0 {
 		t.Error("rain at 18 km altitude")
 	}
-	if f.LWCAt(strat) != 0 {
+	if lwc != 0 {
 		t.Error("cloud at 18 km altitude")
 	}
 }
@@ -327,5 +328,34 @@ func BenchmarkVolumeAt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = v.At(p, 1800)
+	}
+}
+
+// TestTruthSeesCellAboveModelCeiling: an injected cell may be taller
+// than MoistureCeilingM; the truth integrator must still find its rain
+// on a path that flies between the ceiling and the cell top.
+func TestTruthSeesCellAboveModelCeiling(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CellSpawnPerHour = 0
+	f := NewField(cfg)
+	a, b := geo.LLADeg(-1, 36.8, 13000), geo.LLADeg(-1, 37.2, 13500)
+	clear := f.PathAttenuation(80, a, b)
+	f.InjectCell(geo.LLADeg(-1, 37, 0), 15e3, 60, 15000, 3600)
+	if wet := f.PathAttenuation(80, a, b); wet < clear+1 {
+		t.Errorf("13 km path under a 15 km-tall storm: %.3f dB, clear %.3f dB", wet, clear)
+	}
+}
+
+func TestVersionAdvancesOnEveryMutation(t *testing.T) {
+	f := NewField(DefaultConfig())
+	v := f.Version()
+	f.Step(60)
+	if f.Version() == v {
+		t.Error("Step did not advance Version")
+	}
+	v = f.Version()
+	f.InjectCell(geo.LLADeg(-1, 37, 0), 10e3, 5, 6000, 600)
+	if f.Version() == v {
+		t.Error("InjectCell did not advance Version")
 	}
 }
