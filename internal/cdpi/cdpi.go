@@ -133,11 +133,13 @@ func (c Channel) String() string {
 }
 
 // InBand models the in-band control path: frontend (EC) ↔ ground
-// station (wired) ↔ mesh (MANET-routed) ↔ node.
+// station (wired) ↔ mesh (MANET-routed) ↔ node. Every question is one
+// walk of the router's next hops by node index into buffers InBand
+// owns; only PathTo and PathUp turn the result into node IDs.
 type InBand struct {
 	Eng *sim.Engine
 	// Router provides mesh next hops.
-	Router manet.Router
+	Router *manet.Fast
 	// Net provides adjacency and per-hop latency.
 	Net manet.Network
 	// Gateways are the ground-station node IDs with wired EC access.
@@ -153,161 +155,163 @@ type InBand struct {
 	SymmetricCompat bool
 	// Bytes counts in-band control traffic.
 	Bytes int64
-	// partitioned nodes are unreachable over the mesh (chaos: a MANET
-	// partition or a gateway site loss) even though the underlying
-	// radio links may still exist.
-	partitioned map[string]bool
+	// partitioned nodes, by index, are unreachable over the mesh
+	// (chaos: a MANET partition or a gateway site loss) even though the
+	// underlying radio links may still exist.
+	partitioned []bool
+	// gw is Gateways by index, resolved on first use.
+	gw []int32
+	// best holds the path the last route call chose, cand the one it
+	// was trying; they swap and never share storage.
+	best, cand []int32
 }
 
 // SetPartitioned isolates a node from (or rejoins it to) the in-band
 // mesh. A partitioned gateway stops serving as an EC entry point; a
 // partitioned balloon is unreachable and cannot relay.
 func (ib *InBand) SetPartitioned(node string, isolated bool) {
-	if ib.partitioned == nil {
-		ib.partitioned = map[string]bool{}
+	i := ib.Net.IDs().Intern(node)
+	if int(i) >= len(ib.partitioned) {
+		if !isolated {
+			return
+		}
+		ib.partitioned = append(ib.partitioned, make([]bool, int(i)+1-len(ib.partitioned))...)
 	}
-	if isolated {
-		ib.partitioned[node] = true
-	} else {
-		delete(ib.partitioned, node)
-	}
+	ib.partitioned[i] = isolated
 }
 
 // Partitioned reports whether a node is currently isolated.
-func (ib *InBand) Partitioned(node string) bool { return ib.partitioned[node] }
+func (ib *InBand) Partitioned(node string) bool {
+	i, ok := ib.Net.IDs().Lookup(node)
+	return ok && ib.isolated(i)
+}
+
+//minkowski:hotpath
+func (ib *InBand) isolated(i int32) bool {
+	return int(i) < len(ib.partitioned) && ib.partitioned[i]
+}
 
 // pathUsable rejects paths touching any partitioned node.
-func (ib *InBand) pathUsable(p []string) bool {
+//
+//minkowski:hotpath
+func (ib *InBand) pathUsable(p []int32) bool {
 	for _, n := range p {
-		if ib.partitioned[n] {
+		if ib.isolated(n) {
 			return false
 		}
 	}
 	return true
 }
 
-// PathTo returns the full node path (GS first) from the EC to a node
-// over the best available gateway, if any.
-func (ib *InBand) PathTo(node string) ([]string, bool) {
-	if ib.partitioned[node] {
-		return nil, false
+// route finds the shortest usable mesh path between the EC and a node
+// over the gateways, in order, the first of equally short ones winning:
+// gateway → node, or node → gateway when up. With directed mesh
+// adjacency (partial partitions) the two are NOT each other's reverse:
+// each direction routes over its own live edges. On success the path
+// (in travel order) is in ib.best until the next call.
+//
+//minkowski:hotpath
+func (ib *InBand) route(node int32, up bool) bool {
+	if len(ib.gw) != len(ib.Gateways) {
+		ib.gw = ib.gw[:0]
+		for _, g := range ib.Gateways {
+			ib.gw = append(ib.gw, ib.Net.IDs().Intern(g))
+		}
 	}
-	var best []string
-	for _, gw := range ib.Gateways {
-		if ib.partitioned[gw] {
+	ib.best = ib.best[:0]
+	if ib.isolated(node) {
+		return false
+	}
+	for _, gw := range ib.gw {
+		if ib.isolated(gw) {
 			continue
 		}
 		if gw == node {
-			return []string{gw}, true
+			ib.best = append(ib.best[:0], gw)
+			return true
 		}
-		if p, ok := manet.PathFrom(ib.Router, gw, node); ok && ib.pathUsable(p) {
-			if best == nil || len(p) < len(best) {
-				best = p
-			}
+		src, dst := gw, node
+		if up {
+			src, dst = node, gw
+		}
+		var ok bool
+		ib.cand, ok = ib.Router.AppendPath(ib.cand[:0], src, dst)
+		if ok && ib.pathUsable(ib.cand) && (len(ib.best) == 0 || len(ib.cand) < len(ib.best)) {
+			ib.best, ib.cand = ib.cand, ib.best
 		}
 	}
-	return best, best != nil
+	return len(ib.best) > 0
 }
+
+// routeTo is route for a node ID; a name the mesh has never seen has
+// no route.
+func (ib *InBand) routeTo(node string, up bool) bool {
+	i, ok := ib.Net.IDs().Lookup(node)
+	return ok && ib.route(i, up)
+}
+
+// path is route for callers that want the node IDs along it.
+func (ib *InBand) path(node string, up bool) ([]string, bool) {
+	if !ib.routeTo(node, up) {
+		return nil, false
+	}
+	out := make([]string, len(ib.best))
+	for k, i := range ib.best {
+		out[k] = ib.Net.IDs().Name(i)
+	}
+	return out, true
+}
+
+// PathTo returns the full node path (GS first) from the EC to a node
+// over the best available gateway, if any.
+func (ib *InBand) PathTo(node string) ([]string, bool) { return ib.path(node, false) }
 
 // Connected reports whether the EC can currently reach the node
 // in-band.
-func (ib *InBand) Connected(node string) bool {
-	_, ok := ib.PathTo(node)
-	return ok
-}
+func (ib *InBand) Connected(node string) bool { return ib.routeTo(node, false) }
 
 // PathUp returns the full node path (node first, GS last) from a node
-// to the EC over the best reachable gateway. With directed mesh
-// adjacency (partial partitions) this is NOT the reverse of PathTo:
-// each direction routes over its own live edges.
-func (ib *InBand) PathUp(node string) ([]string, bool) {
-	if ib.partitioned[node] {
-		return nil, false
-	}
-	var best []string
-	for _, gw := range ib.Gateways {
-		if ib.partitioned[gw] {
-			continue
-		}
-		if gw == node {
-			return []string{gw}, true
-		}
-		if p, ok := manet.PathFrom(ib.Router, node, gw); ok && ib.pathUsable(p) {
-			if best == nil || len(p) < len(best) {
-				best = p
-			}
-		}
-	}
-	return best, best != nil
-}
+// to the EC over the best reachable gateway.
+func (ib *InBand) PathUp(node string) ([]string, bool) { return ib.path(node, true) }
+
+// RoutedUp reports whether the mesh currently carries the node → EC
+// direction, whatever SymmetricCompat pretends.
+func (ib *InBand) RoutedUp(node string) bool { return ib.routeTo(node, true) }
 
 // ConnectedUp reports whether the node can currently reach the EC
 // in-band (the direction heartbeats and responses travel).
 func (ib *InBand) ConnectedUp(node string) bool {
-	if ib.SymmetricCompat {
-		return ib.Connected(node)
-	}
-	_, ok := ib.PathUp(node)
-	return ok
+	return ib.routeTo(node, !ib.SymmetricCompat)
 }
 
-// Latency returns the modelled one-way EC→node latency along a path.
-func (ib *InBand) latency(path []string) float64 {
-	d := ib.WiredOneWayS
-	for i := 1; i < len(path); i++ {
-		d += ib.Net.Latency(path[i-1], path[i])
+// send delivers size bytes along the node's current path in the given
+// direction, invoking done(ok). Delivery fails (after the latency it
+// would have taken) if no route exists or the path breaks mid-flight.
+func (ib *InBand) send(node string, up bool, size int, done func(bool)) {
+	lat := ib.WiredOneWayS
+	routed := ib.routeTo(node, up)
+	if routed {
+		ib.Bytes += int64(size)
+		for k := 1; k < len(ib.best); k++ {
+			lat += ib.Net.LatencyAt(ib.best[k-1], ib.best[k])
+		}
 	}
-	return d
-}
-
-// Send delivers size bytes from the EC to the node over the mesh,
-// invoking done(ok). Delivery fails (after the latency it would have
-// taken) if no route exists or the path breaks mid-flight; the
-// CDPI's retry machinery handles it.
-func (ib *InBand) Send(node string, size int, done func(bool)) {
-	path, ok := ib.PathTo(node)
-	if !ok {
-		ib.Eng.After(ib.WiredOneWayS, func() {
-			if done != nil {
-				done(false)
-			}
-		})
-		return
-	}
-	ib.Bytes += int64(size)
-	lat := ib.latency(path)
 	ib.Eng.After(lat, func() {
 		// Re-validate: the path may have broken while in flight.
 		if done != nil {
-			done(ib.Connected(node))
+			done(routed && ib.routeTo(node, up))
 		}
 	})
 }
+
+// Send delivers size bytes from the EC to the node over the mesh; the
+// CDPI's retry machinery handles a failed delivery.
+func (ib *InBand) Send(node string, size int, done func(bool)) { ib.send(node, false, size, done) }
 
 // SendUp delivers from the node to the EC (responses, heartbeats)
 // along the node → gateway direction of the mesh. A node whose uplink
 // direction is dead cannot heartbeat, even if commands still reach it
 // downstream.
 func (ib *InBand) SendUp(node string, size int, done func(bool)) {
-	if ib.SymmetricCompat {
-		ib.Send(node, size, done)
-		return
-	}
-	path, ok := ib.PathUp(node)
-	if !ok {
-		ib.Eng.After(ib.WiredOneWayS, func() {
-			if done != nil {
-				done(false)
-			}
-		})
-		return
-	}
-	ib.Bytes += int64(size)
-	lat := ib.latency(path)
-	ib.Eng.After(lat, func() {
-		// Re-validate: the uplink may have broken while in flight.
-		if done != nil {
-			done(ib.ConnectedUp(node))
-		}
-	})
+	ib.send(node, !ib.SymmetricCompat, size, done)
 }

@@ -382,7 +382,7 @@ func runOnce(s Script, opts Options) (Result, error) {
 	c.Eng.Every(ghostProbeS, func() bool {
 		for _, id := range c.Net.Nodes() {
 			up := c.Frontend.InBandUp(id)
-			_, realUp := c.InBand.PathUp(id)
+			realUp := c.InBand.RoutedUp(id)
 			if up && !realUp {
 				ghostFor[id] += ghostProbeS
 				if ghostFor[id] > maxGhost {

@@ -180,7 +180,7 @@ func New(cfg Config) *Controller {
 	}
 	fleet := platform.NewFleet(fms, grounds)
 
-	fabric := radio.NewFabric(eng, wx, radio.DefaultConfig())
+	fabric := radio.NewFabric(eng, wx, fleet.IDs, radio.DefaultConfig())
 	net := &manet.FabricNet{Fabric: fabric, Fleet: fleet}
 	router := manet.NewFast(eng, net, 2.0)
 	fabric.OnUp = nil // set below after controller exists

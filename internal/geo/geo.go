@@ -213,11 +213,13 @@ type ENU struct {
 	originLLA LLA
 }
 
-// NewENU constructs a local tangent frame at the given position.
-func NewENU(ref LLA) *ENU {
+// NewENU constructs a local tangent frame at the given position. It
+// is a value: PointingTo builds one per solution and it never reaches
+// the heap.
+func NewENU(ref LLA) ENU {
 	sinLat, cosLat := math.Sincos(ref.Lat)
 	sinLon, cosLon := math.Sincos(ref.Lon)
-	return &ENU{
+	return ENU{
 		origin:    ref.ToECEF(),
 		east:      Vec3{-sinLon, cosLon, 0},
 		north:     Vec3{-sinLat * cosLon, -sinLat * sinLon, cosLat},

@@ -277,6 +277,20 @@ func TestOffsetLongitudeWrap(t *testing.T) {
 	}
 }
 
+// TestPointingToDoesNotAllocate: the local frame is a value; one
+// pointing solution per candidate pair and per link check must not
+// cost a heap object each.
+func TestPointingToDoesNotAllocate(t *testing.T) {
+	from, to := LLADeg(-1, 37, 18000), LLADeg(-1.2, 37.4, 1600)
+	var sink Pointing
+	if allocs := testing.AllocsPerRun(100, func() { sink = PointingTo(from, to) }); allocs != 0 {
+		t.Errorf("PointingTo allocates %.0f times per call", allocs)
+	}
+	if sink.Range <= 0 {
+		t.Error("no pointing computed")
+	}
+}
+
 func TestENURoundTrip(t *testing.T) {
 	f := NewENU(LLADeg(-1, 37, 18000))
 	p := LLADeg(-1.2, 37.4, 17000).ToECEF()

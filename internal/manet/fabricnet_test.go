@@ -24,24 +24,23 @@ func fabricLine(t *testing.T) (*sim.Engine, *FabricNet) {
 	cfg.FlakeProb, cfg.PersistentFailProb, cfg.SideLobeProb = 0, 0, 0
 	cfg.GlitchProbPerCheck, cfg.TrackingNoiseDB = 0, 0
 	cfg.B2GUnstableBase, cfg.B2GStableHazard = 0, 0
-	fab := radio.NewFabric(eng, weather.NewField(wcfg), cfg)
-	balloon := func(id string, lonDeg float64) *platform.Node {
-		n := platform.NewBalloonNode(&flight.Balloon{ID: id, Pos: geo.LLADeg(-1, lonDeg, 18000)})
+	fms := &flight.FMS{Fleet: []*flight.Balloon{
+		{ID: "hbal-001", Pos: geo.LLADeg(-1, 36.5, 18000)},
+		{ID: "hbal-002", Pos: geo.LLADeg(-1, 39.2, 18000)},
+	}}
+	gs := platform.NewGroundStation("gs-0", geo.LLADeg(-1, 36.3, 1600), nil)
+	fleet := platform.NewFleet(fms, []*platform.Node{gs})
+	for _, n := range fleet.Balloons {
 		n.Power.CommsOn = true
 		n.Power.BatteryWh = platform.BatteryCapacityWh
-		return n
 	}
-	b1, b2 := balloon("hbal-001", 36.5), balloon("hbal-002", 39.2)
-	gs := platform.NewGroundStation("gs-0", geo.LLADeg(-1, 36.3, 1600), nil)
+	fab := radio.NewFabric(eng, weather.NewField(wcfg), fleet.IDs, cfg)
+	b1, b2 := fleet.Balloons["hbal-001"], fleet.Balloons["hbal-002"]
 	fab.Establish(b1.Xcvrs[0], b2.Xcvrs[0], rf.EBandChannels()[0], 1)
 	fab.Establish(b1.Xcvrs[1], gs.Xcvrs[0], rf.EBandChannels()[1], 1)
 	eng.Run(300)
 	if fab.UpCount() != 2 {
 		t.Fatalf("precondition: 2 links up, have %d", fab.UpCount())
-	}
-	fleet := &platform.Fleet{
-		Balloons: map[string]*platform.Node{b1.ID: b1, b2.ID: b2},
-		Grounds:  []*platform.Node{gs},
 	}
 	return eng, &FabricNet{Fabric: fab, Fleet: fleet}
 }
@@ -74,26 +73,6 @@ func TestFabricNetDeafDirection(t *testing.T) {
 				t.Errorf("Adjacent(%s, %s) = %v, Neighbors says %v", a, b, got, want)
 			}
 		}
-	}
-}
-
-func TestFastNextHopDoesNotAllocate(t *testing.T) {
-	eng, net := fabricLine(t)
-	f := NewFast(eng, net, 2.0)
-	if nh, ok := f.NextHop("hbal-002", "gs-0"); !ok || nh != "hbal-001" {
-		t.Fatalf("NextHop(hbal-002, gs-0) = %q, %v", nh, ok)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		f.NextHop("hbal-002", "gs-0")
-		f.NextHop("gs-0", "hbal-002")
-		f.NextHop("hbal-002", "nowhere")
-	})
-	if allocs != 0 {
-		t.Errorf("NextHop on a clean table allocates %.0f times per run", allocs)
-	}
-	// The walk itself allocates only the path it returns.
-	if allocs := testing.AllocsPerRun(100, func() { PathFrom(f, "hbal-002", "gs-0") }); allocs > 1 {
-		t.Errorf("PathFrom allocates %.0f times per call, want the path only", allocs)
 	}
 }
 

@@ -17,15 +17,20 @@ package manet
 import (
 	"slices"
 	"sort"
+	"strings"
 
+	"minkowski/internal/platform"
 	"minkowski/internal/sim"
 )
 
 // Network is the link-layer view a routing protocol runs over. The
 // radio fabric implements it for production use; tests and the
-// Appendix D bench drive it with synthetic topologies.
+// Appendix D bench drive it with synthetic topologies. It answers by
+// node ID, which the message-level protocols speak, and by the node's
+// dense index in IDs(), which Fast and the in-band walk use so that the
+// hot path hashes no strings.
 type Network interface {
-	// Nodes returns all node IDs, sorted.
+	// Nodes returns all node IDs, sorted; read-only like Neighbors.
 	Nodes() []string
 	// Neighbors returns the nodes adjacent to id over installed
 	// links, sorted. The slice is a read-only view: an implementation
@@ -39,6 +44,16 @@ type Network interface {
 	// adjacent nodes (typically sub-millisecond propagation plus
 	// serialization).
 	Latency(a, b string) float64
+
+	// IDs is the table the index forms are keyed by. AppendNodes
+	// appends the index of every node in Nodes to dst; NeighborsAt,
+	// AdjacentAt and LatencyAt are Neighbors (same node-ID order, same
+	// read-only contract), Adjacent and Latency by index.
+	IDs() *platform.IDs
+	AppendNodes(dst []int32) []int32
+	NeighborsAt(i int32) []int32
+	AdjacentAt(a, b int32) bool
+	LatencyAt(a, b int32) float64
 }
 
 // Stats counts a protocol's control-plane cost.
@@ -65,10 +80,9 @@ type Router interface {
 }
 
 // PathFrom walks NextHop from src toward dst and returns the node
-// path if the route completes without loops. This is how the
-// simulation "forwards" control-plane traffic.
-//
-//minkowski:hotpath
+// path if the route completes without loops. It serves any Router by
+// node ID; the simulation itself "forwards" control-plane traffic over
+// Fast.AppendPath, the same walk by index.
 func PathFrom(r Router, src, dst string) ([]string, bool) {
 	if src == dst {
 		return []string{src}, true
@@ -76,12 +90,12 @@ func PathFrom(r Router, src, dst string) ([]string, bool) {
 	path := make([]string, 1, 8)
 	path[0] = src
 	cur := src
-	for i := 0; i < 64; i++ {
+	for i := 0; i < maxHops; i++ {
 		nh, ok := r.NextHop(cur, dst)
 		if !ok {
 			return nil, false
 		}
-		// The walk is at most 64 hops, so the path is its own visited set.
+		// The walk is at most maxHops long, so the path is its own visited set.
 		if slices.Contains(path, nh) {
 			return nil, false // loop
 		}
@@ -124,86 +138,128 @@ func sortedCopy(ids []string) []string {
 // --- Static test topology --------------------------------------------
 
 // StaticNetwork is a mutable in-memory Network for tests and benches.
+// It owns its ID table; every node it has been told of is in Nodes.
 type StaticNetwork struct {
-	nodes map[string]bool
-	adj   map[string]map[string]bool
+	ids *platform.IDs
+	// adj[i] lists the nodes i can transmit to, in node-ID order.
+	adj [][]int32
 	// LatencyS is the uniform one-hop latency.
 	LatencyS float64
 }
 
 // NewStaticNetwork creates an empty topology.
 func NewStaticNetwork() *StaticNetwork {
-	return &StaticNetwork{
-		nodes:    make(map[string]bool),
-		adj:      make(map[string]map[string]bool),
-		LatencyS: 0.003,
-	}
+	return &StaticNetwork{ids: platform.NewIDs(), LatencyS: 0.003}
 }
 
 // AddNode adds a node.
-func (s *StaticNetwork) AddNode(id string) {
-	s.nodes[id] = true
-	if s.adj[id] == nil {
-		s.adj[id] = make(map[string]bool)
+func (s *StaticNetwork) AddNode(id string) { s.node(id) }
+
+func (s *StaticNetwork) node(id string) int32 {
+	i := s.ids.Intern(id)
+	for int(i) >= len(s.adj) {
+		s.adj = append(s.adj, nil)
 	}
+	return i
+}
+
+// search finds b's place in a's node-ID-ordered adjacency.
+func (s *StaticNetwork) search(a, b int32) (int, bool) {
+	return slices.BinarySearchFunc(s.adj[a], b, func(x, b int32) int {
+		return strings.Compare(s.ids.Name(x), s.ids.Name(b))
+	})
 }
 
 // Connect adds a bidirectional link.
 func (s *StaticNetwork) Connect(a, b string) {
-	s.AddNode(a)
-	s.AddNode(b)
-	s.adj[a][b] = true
-	s.adj[b][a] = true
+	s.ConnectOneWay(a, b)
+	s.ConnectOneWay(b, a)
 }
 
 // Disconnect removes a link.
 func (s *StaticNetwork) Disconnect(a, b string) {
-	if s.adj[a] != nil {
-		delete(s.adj[a], b)
-	}
-	if s.adj[b] != nil {
-		delete(s.adj[b], a)
-	}
+	s.DisconnectOneWay(a, b)
+	s.DisconnectOneWay(b, a)
 }
 
 // ConnectOneWay adds only the a → b direction (asymmetric-link
 // topologies for partial-partition tests).
 func (s *StaticNetwork) ConnectOneWay(a, b string) {
-	s.AddNode(a)
-	s.AddNode(b)
-	s.adj[a][b] = true
+	ia, ib := s.node(a), s.node(b)
+	if at, found := s.search(ia, ib); !found {
+		s.adj[ia] = slices.Insert(s.adj[ia], at, ib)
+	}
 }
 
 // DisconnectOneWay removes only the a → b direction, leaving b → a
 // intact: the static-topology equivalent of a partial partition.
 func (s *StaticNetwork) DisconnectOneWay(a, b string) {
-	if s.adj[a] != nil {
-		delete(s.adj[a], b)
+	ia, oka := s.ids.Lookup(a)
+	ib, okb := s.ids.Lookup(b)
+	if !oka || !okb {
+		return
 	}
+	if at, found := s.search(ia, ib); found {
+		s.adj[ia] = slices.Delete(s.adj[ia], at, at+1)
+	}
+}
+
+// names translates indices to a fresh slice of node IDs.
+func (s *StaticNetwork) names(idx []int32) []string {
+	out := make([]string, len(idx))
+	for k, i := range idx {
+		out[k] = s.ids.Name(i)
+	}
+	return out
 }
 
 // Nodes implements Network.
 func (s *StaticNetwork) Nodes() []string {
-	out := make([]string, 0, len(s.nodes))
-	for id := range s.nodes {
-		out = append(out, id)
-	}
+	out := s.names(s.AppendNodes(nil))
 	sort.Strings(out)
 	return out
 }
 
 // Neighbors implements Network.
 func (s *StaticNetwork) Neighbors(id string) []string {
-	out := make([]string, 0, len(s.adj[id]))
-	for n := range s.adj[id] {
-		out = append(out, n)
+	i, ok := s.ids.Lookup(id)
+	if !ok {
+		return nil
 	}
-	sort.Strings(out)
-	return out
+	return s.names(s.NeighborsAt(i))
 }
 
 // Adjacent implements Network.
-func (s *StaticNetwork) Adjacent(a, b string) bool { return s.adj[a][b] }
+func (s *StaticNetwork) Adjacent(a, b string) bool {
+	ia, oka := s.ids.Lookup(a)
+	ib, okb := s.ids.Lookup(b)
+	return oka && okb && s.AdjacentAt(ia, ib)
+}
 
 // Latency implements Network.
 func (s *StaticNetwork) Latency(a, b string) float64 { return s.LatencyS }
+
+// IDs implements Network.
+func (s *StaticNetwork) IDs() *platform.IDs { return s.ids }
+
+// AppendNodes implements Network.
+func (s *StaticNetwork) AppendNodes(dst []int32) []int32 {
+	for i := range s.adj {
+		dst = append(dst, int32(i))
+	}
+	return dst
+}
+
+// NeighborsAt implements Network.
+func (s *StaticNetwork) NeighborsAt(i int32) []int32 {
+	if int(i) < len(s.adj) {
+		return s.adj[i]
+	}
+	return nil
+}
+
+// AdjacentAt implements Network.
+func (s *StaticNetwork) AdjacentAt(a, b int32) bool { return slices.Contains(s.NeighborsAt(a), b) }
+
+// LatencyAt implements Network.
+func (s *StaticNetwork) LatencyAt(a, b int32) float64 { return s.LatencyS }

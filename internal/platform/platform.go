@@ -2,7 +2,9 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"minkowski/internal/antenna"
 	"minkowski/internal/flight"
@@ -45,10 +47,61 @@ type Transceiver struct {
 // String implements fmt.Stringer.
 func (x *Transceiver) String() string { return x.ID }
 
+// IDs is the node-ID table: it gives every node name a dense int32
+// index in order of first registration and never moves or reuses one,
+// so the Tier-1 layers (radio adjacency, MANET next-hop tables, in-band
+// reachability) can key flat slices by it and keep them across fleet
+// churn. A Fleet creates one (ground stations first, balloons as they
+// join); hand-built nodes share one by passing it to the same fabric.
+// Its size is bounded by the ground stations plus every balloon ever
+// launched in the run.
+type IDs struct {
+	names []string
+	index map[string]int32
+}
+
+// NewIDs returns an empty table.
+func NewIDs() *IDs { return &IDs{index: make(map[string]int32)} }
+
+// Intern returns the index of a node name, assigning the next one on
+// first sight.
+func (t *IDs) Intern(name string) int32 {
+	i, ok := t.index[name]
+	if !ok {
+		i = int32(len(t.names))
+		t.names = append(t.names, name)
+		t.index[name] = i
+	}
+	return i
+}
+
+// Register interns the node's name and records the index on the node.
+func (t *IDs) Register(n *Node) { n.Index = t.Intern(n.ID) }
+
+// Lookup returns the index of a name the table has seen.
+//
+//minkowski:hotpath
+func (t *IDs) Lookup(name string) (int32, bool) {
+	i, ok := t.index[name]
+	return i, ok
+}
+
+// Name returns the node name behind an index.
+//
+//minkowski:hotpath
+func (t *IDs) Name(i int32) string { return t.names[i] }
+
+// Len returns how many indices have been assigned; every index is
+// below it.
+func (t *IDs) Len() int { return len(t.names) }
+
 // Node is a network platform: a balloon or a ground station.
 type Node struct {
 	ID   string
 	Kind Kind
+	// Index is the node's place in the IDs table it is registered in
+	// (by its Fleet, or by the fabric it first links on).
+	Index int32
 	// Balloon backs a KindBalloon node's position and motion.
 	Balloon *flight.Balloon
 	// FixedPos backs a KindGround node's position.
@@ -121,9 +174,14 @@ func NewGroundStation(id string, site geo.LLA, terrain []antenna.Occlusion) *Nod
 // FMS's recycling (a recycled balloon is a node leaving the network
 // and a new one joining).
 type Fleet struct {
-	FMS      *flight.FMS
-	Balloons map[string]*Node // by node ID
+	FMS *flight.FMS
+	// IDs indexes every node the fleet has ever held.
+	IDs      *IDs
+	Balloons map[string]*Node // by node ID; the membership of record
 	Grounds  []*Node
+	// nodes is what Nodes hands out, rebuilt from Grounds and Balloons
+	// whenever membership changes.
+	nodes []*Node
 
 	// Joined and Left record fleet membership changes since the last
 	// call to DrainEvents (consumed by the SDN's entity layer).
@@ -136,17 +194,40 @@ type Fleet struct {
 func NewFleet(fms *flight.FMS, grounds []*Node) *Fleet {
 	f := &Fleet{
 		FMS:       fms,
+		IDs:       NewIDs(),
 		Balloons:  make(map[string]*Node),
 		Grounds:   grounds,
 		byVehicle: make(map[*flight.Balloon]*Node),
 	}
-	for _, b := range fms.Fleet {
-		n := NewBalloonNode(b)
-		f.Balloons[n.ID] = n
-		f.byVehicle[b] = n
-		f.joined = append(f.joined, n)
+	for _, g := range grounds {
+		f.IDs.Register(g)
 	}
+	for _, b := range fms.Fleet {
+		f.join(b)
+	}
+	f.rebuildNodes()
 	return f
+}
+
+// join wraps a vehicle new to the fleet in a node.
+func (f *Fleet) join(b *flight.Balloon) {
+	n := NewBalloonNode(b)
+	f.IDs.Register(n)
+	f.Balloons[n.ID] = n
+	f.byVehicle[b] = n
+	f.joined = append(f.joined, n)
+}
+
+// rebuildNodes replaces the Nodes view: ground stations, then balloons
+// in ID order.
+func (f *Fleet) rebuildNodes() {
+	nodes := make([]*Node, 0, len(f.Grounds)+len(f.Balloons))
+	nodes = append(nodes, f.Grounds...)
+	for _, n := range f.Balloons {
+		nodes = append(nodes, n)
+	}
+	slices.SortFunc(nodes[len(f.Grounds):], func(a, b *Node) int { return strings.Compare(a.ID, b.ID) })
+	f.nodes = nodes
 }
 
 // Step advances flight and power by dt at sim time t, then
@@ -156,16 +237,13 @@ func (f *Fleet) Step(t, dt float64) {
 	// Reconcile: any vehicle in the FMS fleet without a node is a
 	// join; any node whose vehicle is gone is a leave.
 	current := make(map[*flight.Balloon]bool, len(f.FMS.Fleet))
+	joinedStart, leftStart := len(f.joined), len(f.left)
 	for _, b := range f.FMS.Fleet {
 		current[b] = true
 		if _, ok := f.byVehicle[b]; !ok {
-			n := NewBalloonNode(b)
-			f.Balloons[n.ID] = n
-			f.byVehicle[b] = n
-			f.joined = append(f.joined, n)
+			f.join(b)
 		}
 	}
-	leftStart := len(f.left)
 	for veh, node := range f.byVehicle {
 		if !current[veh] {
 			delete(f.byVehicle, veh)
@@ -178,6 +256,9 @@ func (f *Fleet) Step(t, dt float64) {
 	sort.Slice(f.left[leftStart:], func(i, j int) bool {
 		return f.left[leftStart+i].ID < f.left[leftStart+j].ID
 	})
+	if len(f.joined) > joinedStart || len(f.left) > leftStart {
+		f.rebuildNodes()
+	}
 	// Power.
 	for _, n := range f.Balloons {
 		n.Power.Step(t, dt)
@@ -192,20 +273,11 @@ func (f *Fleet) DrainEvents() (joined, left []*Node) {
 }
 
 // Nodes returns all nodes, ground stations first, then balloons in
-// deterministic (ID-sorted) order.
-func (f *Fleet) Nodes() []*Node {
-	out := make([]*Node, 0, len(f.Grounds)+len(f.Balloons))
-	out = append(out, f.Grounds...)
-	ids := make([]string, 0, len(f.Balloons))
-	for id := range f.Balloons {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		out = append(out, f.Balloons[id])
-	}
-	return out
-}
+// deterministic (ID-sorted) order. The slice is shared with the fleet:
+// read it, do not modify it. A membership change replaces it rather
+// than editing it, so a caller ranging over an earlier result keeps
+// the fleet as it was then.
+func (f *Fleet) Nodes() []*Node { return f.nodes }
 
 // OperationalNodes returns the nodes whose payloads are powered.
 func (f *Fleet) OperationalNodes() []*Node {

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"slices"
 	"testing"
 
 	"minkowski/internal/antenna"
@@ -181,6 +182,74 @@ func TestFleetRecyclingProducesLeaveJoin(t *testing.T) {
 	}
 	if len(f.Balloons) != 10 {
 		t.Errorf("fleet node count drifted to %d", len(f.Balloons))
+	}
+}
+
+// TestNodeIndicesAreAppendOnly: ground stations take the first indices,
+// balloons the next in join order; a recycled vehicle's index keeps
+// naming it and is never handed to its replacement.
+func TestNodeIndicesAreAppendOnly(t *testing.T) {
+	f, w := newTestFleet(10)
+	if f.Grounds[0].Index != 0 || f.IDs.Len() != 11 {
+		t.Fatalf("ground index = %d, table size = %d; want 0, 11", f.Grounds[0].Index, f.IDs.Len())
+	}
+	if _, ok := f.IDs.Lookup("no-such-node"); ok {
+		t.Error("Lookup invented an index")
+	}
+	f.FMS.RecycleRadiusM = 80e3 // force recycling quickly
+	f.DrainEvents()
+	seen := map[int32]string{}
+	for tick := 0; tick < 24*60; tick++ {
+		w.Step(60)
+		before := f.IDs.Len()
+		f.Step(float64(tick)*60, 60)
+		joined, left := f.DrainEvents()
+		for k, n := range joined {
+			if int(n.Index) != before+k {
+				t.Fatalf("tick %d: %s joined at index %d, want the next free one %d", tick, n.ID, n.Index, before+k)
+			}
+		}
+		for _, n := range append(joined, left...) {
+			if was, ok := seen[n.Index]; ok && was != n.ID {
+				t.Fatalf("index %d reused: %s, then %s", n.Index, was, n.ID)
+			}
+			seen[n.Index] = n.ID
+			if i, ok := f.IDs.Lookup(n.ID); !ok || i != n.Index || f.IDs.Name(i) != n.ID {
+				t.Fatalf("table and node disagree on %s: Lookup = %d, %v; Index = %d", n.ID, i, ok, n.Index)
+			}
+		}
+	}
+	if f.IDs.Len() != 11+f.FMS.Recycled || f.FMS.Recycled == 0 {
+		t.Errorf("table size %d after %d recycled vehicles, want %d", f.IDs.Len(), f.FMS.Recycled, 11+f.FMS.Recycled)
+	}
+}
+
+// TestNodesViewSurvivesMembershipChange: Nodes hands out the fleet's own
+// slice without allocating, and a membership change replaces it — a
+// caller still ranging over the old one sees the fleet as it was.
+func TestNodesViewSurvivesMembershipChange(t *testing.T) {
+	f, w := newTestFleet(10)
+	if allocs := testing.AllocsPerRun(100, func() { f.Nodes() }); allocs != 0 {
+		t.Errorf("Nodes allocates %.0f times per call", allocs)
+	}
+	f.FMS.RecycleRadiusM = 80e3
+	view := f.Nodes()
+	was := slices.Clone(view)
+	for tick := 0; f.FMS.Recycled == 0; tick++ {
+		w.Step(60)
+		f.Step(float64(tick)*60, 60)
+	}
+	if !slices.Equal(view, was) {
+		t.Error("a held Nodes view was edited by a membership change")
+	}
+	now := f.Nodes()
+	if slices.Equal(now, was) || len(now) != 1+len(f.Balloons) || now[0] != f.Grounds[0] {
+		t.Fatalf("fresh view does not reflect the recycled fleet: %v", now)
+	}
+	for i, n := range now[1:] {
+		if f.Balloons[n.ID] != n || (i > 0 && now[i].ID >= n.ID) {
+			t.Errorf("fresh view entry %d (%s) is not the fleet's balloons in ID order", i+1, n.ID)
+		}
 	}
 }
 

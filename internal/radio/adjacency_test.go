@@ -103,6 +103,22 @@ func checkIndex(t *testing.T, f *Fabric, nodes []*platform.Node, when string) {
 			}
 		}
 	}
+	// The same reads by node index.
+	for _, a := range nodes {
+		var got []string
+		for _, i := range f.NeighborsAt(a.Index) {
+			got = append(got, f.ids.Name(i))
+		}
+		if want := s.neighbors(a.ID); !slices.Equal(got, want) {
+			t.Fatalf("%s: NeighborsAt(%s) = %v, sweep says %v", when, a.ID, got, want)
+		}
+		for _, b := range nodes {
+			wantLink := s.linkBetween(a.ID, b.ID)
+			if got, ok := f.LinkAt(a.Index, b.Index); got != wantLink || ok != (wantLink != nil) || f.AdjacentAt(a.Index, b.Index) != ok {
+				t.Fatalf("%s: LinkAt(%s, %s) = %v, %v; sweep says %v", when, a.ID, b.ID, got, ok, wantLink)
+			}
+		}
+	}
 }
 
 // meshWorld builds a cluster of balloons about 110 km apart and two
@@ -111,7 +127,7 @@ func meshWorld(seed int64, cfg Config) (*sim.Engine, *Fabric, []*platform.Node) 
 	eng := sim.New(seed)
 	wcfg := weather.DefaultConfig()
 	wcfg.CellSpawnPerHour = 0
-	fab := NewFabric(eng, weather.NewField(wcfg), cfg)
+	fab := NewFabric(eng, weather.NewField(wcfg), platform.NewIDs(), cfg)
 	var nodes []*platform.Node
 	for i := 0; i < 6; i++ {
 		b := &flight.Balloon{
@@ -126,6 +142,10 @@ func meshWorld(seed int64, cfg Config) (*sim.Engine, *Fabric, []*platform.Node) 
 	nodes = append(nodes,
 		platform.NewGroundStation("gs-0", geo.LLADeg(-0.8, 36.8, 1600), nil),
 		platform.NewGroundStation("gs-1", geo.LLADeg(-0.3, 38.1, 1600), nil))
+	// Balloons first: index order is not node-ID order.
+	for _, n := range nodes {
+		fab.ids.Register(n)
+	}
 	return eng, fab, nodes
 }
 
@@ -259,27 +279,5 @@ func TestNeighborsViewSurvivesChange(t *testing.T) {
 	}
 	if nb := fab.Neighbors("hbal-001"); !slices.Equal(nb, []string{"hbal-002"}) {
 		t.Errorf("fresh view = %v", nb)
-	}
-}
-
-func TestIndexedReadsDoNotAllocate(t *testing.T) {
-	eng, fab, nodes := testWorld(t, reliable())
-	fab.Establish(nodes[0].Xcvrs[0], nodes[1].Xcvrs[0], rf.EBandChannels()[0], 1)
-	fab.Establish(nodes[0].Xcvrs[1], nodes[2].Xcvrs[0], rf.EBandChannels()[1], 1)
-	eng.Run(300)
-	if fab.UpCount() != 2 {
-		t.Fatalf("precondition: 2 links up, have %d", fab.UpCount())
-	}
-	reads := map[string]func(){
-		"Neighbors":   func() { fab.Neighbors("hbal-001") },
-		"Adjacent":    func() { fab.Adjacent("hbal-001", "hbal-002"); fab.Adjacent("hbal-002", "gs-0") },
-		"LinkBetween": func() { fab.LinkBetween("gs-0", "hbal-001") },
-		"NodeUp":      func() { fab.NodeUp("hbal-002"); fab.NodeUp("nope") },
-		"UpCount":     func() { fab.UpCount() },
-	}
-	for name, read := range reads {
-		if n := testing.AllocsPerRun(100, read); n != 0 {
-			t.Errorf("%s allocates %.0f times per call", name, n)
-		}
 	}
 }

@@ -98,7 +98,9 @@ type Fabric struct {
 	// upCount is how many there are. A link is in the index exactly
 	// while its State is StateUp: finishAcquire and end update it
 	// before OnUp/OnDown fire, so callbacks already see the new mesh.
-	adj     map[string]*nodeAdj
+	// The index is a slice keyed by the endpoints' Node.Index in ids.
+	ids     *platform.IDs
+	adj     []nodeAdj
 	upCount int
 	history []*Link // completed links, for telemetry
 	// cursed marks transceiver pairs with persistent un-modelled
@@ -119,14 +121,16 @@ type Fabric struct {
 }
 
 // NewFabric creates the link fabric on an engine and truth weather
-// field.
-func NewFabric(eng *sim.Engine, wx *weather.Field, cfg Config) *Fabric {
+// field. ids is the node-ID table its adjacency is keyed by — the
+// fleet's, so that the MANET and in-band layers above share the
+// indices.
+func NewFabric(eng *sim.Engine, wx *weather.Field, ids *platform.IDs, cfg Config) *Fabric {
 	f := &Fabric{
 		cfg:    cfg,
 		eng:    eng,
 		wx:     wx,
+		ids:    ids,
 		links:  make(map[LinkID]*Link),
-		adj:    make(map[string]*nodeAdj),
 		cursed: make(map[LinkID]bool),
 		tried:  make(map[LinkID]bool),
 	}
@@ -169,6 +173,9 @@ func (f *Fabric) Establish(xa, xb *platform.Transceiver, ch rf.Channel, attempt 
 		f.cursed[id] = f.rng().Float64() < f.cfg.PersistentFailProb
 	}
 	f.tried[id] = true
+	// A fleet's nodes are registered already; this covers hand-built ones.
+	f.ids.Register(xa.Node)
+	f.ids.Register(xb.Node)
 	xa.Busy, xb.Busy = true, true
 	l := &Link{
 		ID: id, XA: xa, XB: xb, Channel: ch,

@@ -164,7 +164,7 @@ func b2gWorld(eng *sim.Engine, cfg Config) (*Fabric, *platform.Node, *platform.N
 	wcfg := weather.DefaultConfig()
 	wcfg.CellSpawnPerHour = 0
 	wx := weather.NewField(wcfg)
-	fab := NewFabric(eng, wx, cfg)
+	fab := NewFabric(eng, wx, platform.NewIDs(), cfg)
 	gs := platform.NewGroundStation("gs-0", geo.LLADeg(-1, 36.3, 1600), nil)
 	b := &flight.Balloon{ID: "hbal-001", Pos: geo.LLADeg(-1, 37.3, 18000)}
 	bn := platform.NewBalloonNode(b)

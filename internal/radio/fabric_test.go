@@ -19,7 +19,7 @@ func testWorld(t *testing.T, cfg Config) (*sim.Engine, *Fabric, []*platform.Node
 	wcfg := weather.DefaultConfig()
 	wcfg.CellSpawnPerHour = 0 // clear skies unless a test wants rain
 	wx := weather.NewField(wcfg)
-	fab := NewFabric(eng, wx, cfg)
+	fab := NewFabric(eng, wx, platform.NewIDs(), cfg)
 
 	mkBalloon := func(id string, lonDeg float64) *platform.Node {
 		b := &flight.Balloon{ID: id, Pos: geo.LLADeg(-1, lonDeg, 18000)}
@@ -170,7 +170,7 @@ func TestRainFadeKillsB2GLink(t *testing.T) {
 	wcfg := weather.DefaultConfig()
 	wcfg.CellSpawnPerHour = 0
 	wx := weather.NewField(wcfg)
-	fab := NewFabric(eng, wx, reliable())
+	fab := NewFabric(eng, wx, platform.NewIDs(), reliable())
 
 	b := &flight.Balloon{ID: "hbal-001", Pos: geo.LLADeg(-1, 37.5, 18000)}
 	bn := platform.NewBalloonNode(b)
@@ -243,7 +243,7 @@ func TestFirstAttemptSuccessRate(t *testing.T) {
 	wcfg := weather.DefaultConfig()
 	wcfg.CellSpawnPerHour = 0
 	wx := weather.NewField(wcfg)
-	fab := NewFabric(eng, wx, cfg)
+	fab := NewFabric(eng, wx, platform.NewIDs(), cfg)
 	success, total := 0, 0
 	for i := 0; i < 60; i++ {
 		b1 := &flight.Balloon{ID: "a", Pos: geo.LLADeg(-1, 36.5, 18000)}

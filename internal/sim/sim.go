@@ -97,6 +97,12 @@ func (e *Engine) RNG(name string) *rand.Rand {
 // the current instant) fires on the next dispatch at the current
 // time. Returns a cancelable Timer.
 func (e *Engine) At(t float64, fn func()) *Timer {
+	return &Timer{ev: e.schedule(t, fn)}
+}
+
+// schedule queues fn at absolute time t (clamped to now) behind every
+// event already queued for that instant.
+func (e *Engine) schedule(t float64, fn func()) *event {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
@@ -109,7 +115,7 @@ func (e *Engine) At(t float64, fn func()) *Timer {
 	e.seq++
 	ev := &event{at: t, seq: e.seq, fn: fn}
 	heap.Push(&e.pq, ev)
-	return &Timer{ev: ev}
+	return ev
 }
 
 // After schedules fn d seconds from now.
@@ -122,20 +128,23 @@ func (e *Engine) After(d float64, fn func()) *Timer {
 
 // Every schedules fn to run now and then every interval seconds for
 // as long as fn returns true. The returned Timer cancels the
-// *pending* occurrence.
+// *pending* occurrence. The series is one event that re-arms itself:
+// after fn returns it takes the next sequence number (so it queues
+// behind anything fn scheduled for the same instant) and goes back on
+// the heap, which also clears a Cancel made from inside fn.
 func (e *Engine) Every(interval float64, fn func() bool) *Timer {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: non-positive interval %v", interval))
 	}
-	t := &Timer{}
-	var tick func()
-	tick = func() {
+	var ev *event
+	ev = e.schedule(e.now, func() {
 		if fn() {
-			t.ev = e.After(interval, tick).ev
+			e.seq++
+			ev.at, ev.seq, ev.canceled = e.now+interval, e.seq, false
+			heap.Push(&e.pq, ev)
 		}
-	}
-	t.ev = e.At(e.now, tick).ev
-	return t
+	})
+	return &Timer{ev: ev}
 }
 
 // Step executes the single next event, advancing the clock to it.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -130,6 +132,82 @@ func TestEveryCancel(t *testing.T) {
 	// canceled.
 	if count != 4 {
 		t.Errorf("periodic fired %d times, want 4", count)
+	}
+}
+
+// TestEveryOrderAmongSimultaneousEvents pins where a re-armed tick
+// queues: behind everything its own fn scheduled for the next tick's
+// instant (the tick takes its sequence number after fn returns), ahead
+// of whatever is scheduled for that instant later.
+func TestEveryOrderAmongSimultaneousEvents(t *testing.T) {
+	e := New(1)
+	var order []string
+	ticks := 0
+	e.Every(10, func() bool {
+		ticks++
+		order = append(order, fmt.Sprintf("tick%d", ticks))
+		if ticks == 1 {
+			e.At(10, func() { order = append(order, "from-fn") })
+		}
+		return ticks < 3
+	})
+	e.At(5, func() { e.At(10, func() { order = append(order, "late") }) })
+	e.Run(100)
+	want := "tick1 from-fn tick2 late tick3"
+	if got := strings.Join(order, " "); got != want {
+		t.Errorf("order = %q, want %q", got, want)
+	}
+}
+
+// TestEveryCancelFromInsideFn: the Timer cancels the *pending*
+// occurrence, and while fn runs there is none — the series goes on,
+// and a later Cancel from outside still stops it.
+func TestEveryCancelFromInsideFn(t *testing.T) {
+	e := New(1)
+	count := 0
+	var tm *Timer
+	tm = e.Every(10, func() bool {
+		count++
+		if count == 2 {
+			tm.Cancel()
+		}
+		return true
+	})
+	e.Run(45)
+	if count != 5 {
+		t.Errorf("fired %d times by t=45, want 5 (a Cancel inside fn is a no-op)", count)
+	}
+	tm.Cancel()
+	e.Run(1000)
+	if count != 5 {
+		t.Errorf("fired %d times after an outside Cancel, want 5", count)
+	}
+}
+
+// TestEveryCountsAndAllocations: a series is one live event between
+// ticks, each tick is one processed event, and re-arming allocates
+// nothing.
+func TestEveryCountsAndAllocations(t *testing.T) {
+	e := New(1)
+	tm := e.Every(10, func() bool { return true })
+	e.At(25, func() {})
+	if e.Pending() != 2 {
+		t.Errorf("Pending = %d, want 2", e.Pending())
+	}
+	e.Run(35)
+	// Ticks at 0, 10, 20, 30 and the one-shot.
+	if e.Processed != 5 || e.Pending() != 1 {
+		t.Errorf("Processed = %d, Pending = %d; want 5, 1", e.Processed, e.Pending())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.Step() }); allocs != 0 {
+		t.Errorf("a tick allocates %.0f times", allocs)
+	}
+	tm.Cancel()
+	if e.Pending() != 0 {
+		t.Errorf("Pending after Cancel = %d, want 0", e.Pending())
+	}
+	if e.Step() {
+		t.Error("a canceled series must not fire")
 	}
 }
 
