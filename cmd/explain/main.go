@@ -10,6 +10,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
+	"sort"
 
 	"minkowski"
 	"minkowski/internal/explain"
@@ -39,15 +42,7 @@ func main() {
 	}
 	// 1. State at the scrub point.
 	if snap, ok := sim.StateAt(scrubAt); ok {
-		fmt.Printf("== state at t=%.0fs (snapshot t=%.0fs, plan value %.0f) ==\n", scrubAt, snap.At, snap.Value)
-		fmt.Printf("installed links (%d):\n", len(snap.Links))
-		for _, l := range snap.Links {
-			fmt.Printf("  %s [%s]\n", l, snap.Intents[l])
-		}
-		fmt.Printf("routes (%d):\n", len(snap.Routes))
-		for id, path := range snap.Routes {
-			fmt.Printf("  %s: %v\n", id, path)
-		}
+		printState(os.Stdout, scrubAt, snap)
 	} else {
 		fmt.Println("no snapshot recorded yet")
 	}
@@ -65,5 +60,25 @@ func main() {
 	// 3. Why-not.
 	if *whyA != "" && *whyB != "" {
 		fmt.Printf("\n== why not %s <-> %s ==\n%s\n", *whyA, *whyB, sim.WhyNot(*whyA, *whyB))
+	}
+}
+
+// printState renders a scrubber snapshot: installed links in recorded
+// order, routes by request ID (Snapshot.Routes is a map; the output is
+// byte-identical for one snapshot).
+func printState(w io.Writer, scrubAt float64, snap explain.Snapshot) {
+	fmt.Fprintf(w, "== state at t=%.0fs (snapshot t=%.0fs, plan value %.0f) ==\n", scrubAt, snap.At, snap.Value)
+	fmt.Fprintf(w, "installed links (%d):\n", len(snap.Links))
+	for _, l := range snap.Links {
+		fmt.Fprintf(w, "  %s [%s]\n", l, snap.Intents[l])
+	}
+	fmt.Fprintf(w, "routes (%d):\n", len(snap.Routes))
+	ids := make([]string, 0, len(snap.Routes))
+	for id := range snap.Routes {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		fmt.Fprintf(w, "  %s: %v\n", id, snap.Routes[id])
 	}
 }

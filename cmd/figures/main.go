@@ -83,7 +83,6 @@ func parseArgs(args []string, errOut io.Writer) (*options, error) {
 	csvDir := fs.String("csv", "", "directory to write CSV series into (optional)")
 	cpuProfile := fs.String("profile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
-	solveWorkers := fs.Int("solve-workers", 0, "solver fan-out width (0 = one worker per core); results are byte-identical at any setting")
 	obsPath := fs.String("obs", "", "run the canonical scenario and write the observability export (metrics snapshot + solve-cycle span trees) to this file instead of regenerating figures")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -95,8 +94,6 @@ func parseArgs(args []string, errOut io.Writer) (*options, error) {
 		err = fmt.Errorf("unexpected argument %q (figures takes flags only)", fs.Arg(0))
 	case *scale < 1:
 		err = fmt.Errorf("-scale must be at least 1, got %d", *scale)
-	case *solveWorkers < 0:
-		err = fmt.Errorf("-solve-workers must be 0 (one per core) or positive, got %d", *solveWorkers)
 	case !known:
 		err = fmt.Errorf("unknown figure %q", *fig)
 	}
@@ -105,7 +102,7 @@ func parseArgs(args []string, errOut io.Writer) (*options, error) {
 		return nil, err
 	}
 	return &options{
-		exp:        experiments.Options{Seed: *seed, Scale: *scale, SolveWorkers: *solveWorkers},
+		exp:        experiments.Options{Seed: *seed, Scale: *scale},
 		figures:    figures,
 		csvDir:     *csvDir,
 		cpuProfile: *cpuProfile,

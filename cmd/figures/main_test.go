@@ -12,15 +12,14 @@ func TestParseArgs(t *testing.T) {
 		wantErr string // substring of the one-line message; "" = accepted
 	}{
 		{"defaults", nil, ""},
-		{"paper scale", []string{"-fig", "8", "-scale", "3", "-seed", "7", "-solve-workers", "4"}, ""},
+		{"paper scale", []string{"-fig", "8", "-scale", "3", "-seed", "7"}, ""},
 		{"figure id is case-insensitive", []string{"-fig", "appA"}, ""},
 		{"scale zero", []string{"-scale", "0"}, "-scale must be at least 1, got 0"},
 		{"scale negative", []string{"-scale", "-3"}, "-scale must be at least 1, got -3"},
-		{"negative workers", []string{"-solve-workers", "-1"}, "-solve-workers must be 0 (one per core) or positive, got -1"},
 		{"stray positional", []string{"-fig", "6", "extra"}, `unexpected argument "extra"`},
 		{"flag after positional is stray too", []string{"6", "-scale", "2"}, `unexpected argument "6"`},
 		{"unknown figure", []string{"-fig", "12"}, `unknown figure "12"`},
-		{"removed flag", []string{"-cold-solve"}, "flag provided but not defined: -cold-solve"},
+		{"removed flag", []string{"-solve-workers", "4"}, "flag provided but not defined: -solve-workers"},
 		{"non-numeric scale", []string{"-scale", "big"}, "invalid value"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,11 +47,11 @@ func TestParseArgs(t *testing.T) {
 
 func TestParseArgsCarriesValues(t *testing.T) {
 	var msg strings.Builder
-	o, err := parseArgs([]string{"-scale", "2", "-seed", "9", "-solve-workers", "3", "-csv", "out", "-profile", "cpu.pprof", "-memprofile", "mem.pprof", "-obs", "obs.json"}, &msg)
+	o, err := parseArgs([]string{"-scale", "2", "-seed", "9", "-csv", "out", "-profile", "cpu.pprof", "-memprofile", "mem.pprof", "-obs", "obs.json"}, &msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.exp.Scale != 2 || o.exp.Seed != 9 || o.exp.SolveWorkers != 3 ||
+	if o.exp.Scale != 2 || o.exp.Seed != 9 ||
 		o.csvDir != "out" || o.cpuProfile != "cpu.pprof" || o.memProfile != "mem.pprof" || o.obsPath != "obs.json" {
 		t.Errorf("parsed options %+v", *o)
 	}

@@ -1,5 +1,5 @@
 // Command minkowski-vet is the repository's multichecker: it runs the
-// nine custom determinism/unit-safety/concurrency analyzers over the
+// eight custom determinism/unit-safety/concurrency analyzers over the
 // tree and exits nonzero on any finding. CI runs it next to go vet:
 //
 //	go run ./cmd/minkowski-vet ./...
@@ -11,17 +11,12 @@
 //	units     — no arithmetic or call arguments mixing unit suffixes
 //	floateq   — no float ==/!= outside annotated memo-key comparisons
 //	hotpath   — no allocation-prone constructs in //minkowski:hotpath funcs
-//	locks     — no lock copies, unlock/lock imbalance, or cross-package
-//	            lock-acquisition-order cycles (via exported facts)
 //	goexec    — no loop-var capture, unsynchronized captured writes, or
 //	            WaitGroup.Add misuse in goroutine-executed closures
 //	dettaint  — no wall-clock / unseeded-rand / GOMAXPROCS / map-order
 //	            reads reachable from Solve or //minkowski:hotpath
 //	            roots (whole-load call graph)
 //	directive — no malformed or unknown //minkowski: directives
-//
-// Packages are analyzed in dependency order so facts exported by an
-// upstream package (lock acquisition sets) are importable downstream.
 //
 // Flags:
 //
@@ -42,7 +37,6 @@ import (
 	"minkowski/internal/analysis/floateq"
 	"minkowski/internal/analysis/goexec"
 	"minkowski/internal/analysis/hotpath"
-	"minkowski/internal/analysis/locks"
 	"minkowski/internal/analysis/mapiter"
 	"minkowski/internal/analysis/units"
 	"minkowski/internal/analysis/vet"
@@ -54,7 +48,6 @@ var analyzers = []*vet.Analyzer{
 	units.Analyzer,
 	floateq.Analyzer,
 	hotpath.Analyzer,
-	locks.Analyzer,
 	goexec.Analyzer,
 	dettaint.Analyzer,
 	vet.DirectivesAnalyzer,
@@ -116,7 +109,7 @@ func main() {
 	}
 
 	// One runner across the whole load: the call graph spans every
-	// package, and facts flow in the dependency order Load returns.
+	// package.
 	runner := vet.NewRunner(pkgs)
 
 	exit := 0

@@ -211,7 +211,8 @@ func indexIsClosureLocal(pass *vet.Pass, lit *ast.FuncLit, index ast.Expr) bool 
 
 // litTakesLock reports whether the literal acquires any sync lock —
 // coarse evidence that its captured-state writes are deliberately
-// synchronized (the locks analyzer owns lock-discipline precision).
+// synchronized (go vet's copylocks and the race detector own
+// lock-discipline precision).
 func litTakesLock(pass *vet.Pass, lit *ast.FuncLit) bool {
 	found := false
 	ast.Inspect(lit.Body, func(n ast.Node) bool {

@@ -4,9 +4,9 @@
 //	//minkowski:hotpath
 //
 // in their doc comment (the candidate-graph fan-out, memo lookups,
-// CellIndex walks) run once per transceiver pair per solve cycle;
-// a single allocation there multiplies into garbage-collector
-// pressure that dominates evaluator profiles. Inside annotated
+// the Tier-1 route walk) run once per transceiver pair per solve cycle
+// or once per hop per command; a single allocation there multiplies
+// into garbage-collector pressure that dominates profiles. Inside annotated
 // functions the analyzer flags allocation-prone constructs:
 //
 //   - any fmt call (Sprintf and friends format through reflection

@@ -117,6 +117,35 @@ type paramKey struct {
 	idx  int
 }
 
+// ObjectPath encodes a package-level object, or a method of a
+// package-level named type, as a string stable across the
+// source-check / export-data boundary (a minimal objectpath). It
+// returns ok=false for objects that have no such name (locals,
+// struct fields, interface methods of unnamed types).
+func ObjectPath(obj types.Object) (string, bool) {
+	if obj == nil || obj.Pkg() == nil {
+		return "", false
+	}
+	// Package-level object.
+	if obj.Parent() == obj.Pkg().Scope() {
+		return obj.Name(), true
+	}
+	// Method on a named type (possibly via pointer receiver).
+	if fn, ok := obj.(*types.Func); ok {
+		sig, _ := fn.Type().(*types.Signature)
+		if sig != nil && sig.Recv() != nil {
+			t := sig.Recv().Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if named, ok := t.(*types.Named); ok {
+				return named.Obj().Name() + "." + fn.Name(), true
+			}
+		}
+	}
+	return "", false
+}
+
 // FuncNode resolves a *types.Func (from any realm) to its node,
 // creating an external node on first sight of an unloaded function.
 func (g *CallGraph) FuncNode(fn *types.Func) *Node {

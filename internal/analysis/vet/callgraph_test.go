@@ -93,3 +93,28 @@ func TestCallGraph(t *testing.T) {
 		t.Error("missing edge closure → helper")
 	}
 }
+
+// TestObjectPath covers the graph's cross-realm addressing scheme:
+// package-level objects by name, methods as Type.Method, locals
+// unaddressable.
+func TestObjectPath(t *testing.T) {
+	pkg := loadTestdata(t, nil, "graphtest")
+	scope := pkg.Types.Scope()
+
+	if p, ok := vet.ObjectPath(scope.Lookup("Total")); !ok || p != "Total" {
+		t.Errorf("ObjectPath(Total) = %q, %v", p, ok)
+	}
+	circle := scope.Lookup("Circle").Type().(*types.Named)
+	var area types.Object
+	for i := 0; i < circle.NumMethods(); i++ {
+		if circle.Method(i).Name() == "Area" {
+			area = circle.Method(i)
+		}
+	}
+	if p, ok := vet.ObjectPath(area); !ok || p != "Circle.Area" {
+		t.Errorf("ObjectPath(Circle.Area) = %q, %v", p, ok)
+	}
+	if _, ok := vet.ObjectPath(nil); ok {
+		t.Error("ObjectPath(nil) should not be addressable")
+	}
+}

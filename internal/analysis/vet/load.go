@@ -28,10 +28,6 @@ type Package struct {
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
-	// Imports lists the package's direct imports (import paths), as
-	// reported by go list. The driver uses it to process packages in
-	// dependency order so facts flow downstream.
-	Imports []string
 	// TypeErrors collects type-checker complaints. Analysis still
 	// runs over partially typed packages, but the driver reports
 	// them (a broken build must not vet clean by accident).
@@ -143,22 +139,18 @@ type listedPackage struct {
 	Dir        string
 	Name       string
 	GoFiles    []string
-	Imports    []string
 }
 
 // Load enumerates the packages matching patterns (e.g. "./...") and
-// returns them parsed and type-checked, in deterministic dependency
-// (topological) order: every package appears after all of its loaded
-// imports, ties broken by import path. Facts exported by a pass over
-// one package are therefore always available to the passes over its
-// importers. Only non-test compilation units are loaded: GoFiles, not
-// _test.go files — the determinism and hot-path contracts bind
-// production code, and testdata trees are not packages at all.
+// returns them parsed and type-checked, in import-path order. Only
+// non-test compilation units are loaded: GoFiles, not _test.go files —
+// the determinism and hot-path contracts bind production code, and
+// testdata trees are not packages at all.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if err := l.primeExports(patterns); err != nil {
 		return nil, err
 	}
-	args := append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles,Imports"}, patterns...)
+	args := append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles"}, patterns...)
 	out, err := l.goList(args...)
 	if err != nil {
 		return nil, err
@@ -174,7 +166,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		}
 		listed = append(listed, lp)
 	}
-	listed = topoOrder(listed)
+	sort.Slice(listed, func(i, j int) bool { return listed[i].ImportPath < listed[j].ImportPath })
 
 	var pkgs []*Package
 	for _, lp := range listed {
@@ -189,60 +181,9 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg.Imports = lp.Imports
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// topoOrder sorts listed packages into deterministic dependency
-// order (Kahn's algorithm, lexicographic tie-break) considering only
-// edges between listed packages. Cycles cannot occur in a valid Go
-// build; if the input is somehow cyclic the residue is appended in
-// lexicographic order rather than dropped.
-func topoOrder(listed []listedPackage) []listedPackage {
-	sort.Slice(listed, func(i, j int) bool { return listed[i].ImportPath < listed[j].ImportPath })
-	index := make(map[string]int, len(listed))
-	for i, lp := range listed {
-		index[lp.ImportPath] = i
-	}
-	indeg := make([]int, len(listed))
-	dependents := make([][]int, len(listed))
-	for i, lp := range listed {
-		for _, imp := range lp.Imports {
-			if j, ok := index[imp]; ok {
-				indeg[i]++
-				dependents[j] = append(dependents[j], i)
-			}
-		}
-	}
-	var ready []int
-	for i := range listed {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	var order []listedPackage
-	emitted := make([]bool, len(listed))
-	for len(ready) > 0 {
-		sort.Ints(ready)
-		i := ready[0]
-		ready = ready[1:]
-		order = append(order, listed[i])
-		emitted[i] = true
-		for _, d := range dependents[i] {
-			indeg[d]--
-			if indeg[d] == 0 {
-				ready = append(ready, d)
-			}
-		}
-	}
-	for i := range listed {
-		if !emitted[i] {
-			order = append(order, listed[i])
-		}
-	}
-	return order
 }
 
 // LoadDir loads the single package formed by the .go files directly
@@ -281,7 +222,7 @@ func (l *Loader) LoadDir(pkgPath, dir string) (*Package, error) {
 		return nil, err
 	}
 	// Register for import by later LoadDir calls (testdata packages
-	// importing each other, e.g. the fact-chain suites).
+	// importing each other, e.g. dettaint's detchain suite).
 	l.memPkgs[pkgPath] = pkg.Types
 	return pkg, nil
 }
@@ -396,4 +337,3 @@ func (l *Loader) check(pkgPath, dir string, filenames []string) (*Package, error
 		Types: tpkg, Info: info, TypeErrors: typeErrs,
 	}, nil
 }
-

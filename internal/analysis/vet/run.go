@@ -1,100 +1,33 @@
 package vet
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
-// Runner applies analyzers to loaded packages with the
-// interprocedural machinery plumbed through: a shared fact store
-// (facts exported by a pass over one package are importable by passes
-// over its dependents), per-package analyzer results for Requires,
-// and the whole-load call graph. The driver and the vettest harness
-// both run analyzers exclusively through a Runner.
+// Runner applies analyzers to loaded packages with the whole-load call
+// graph plumbed through. The driver and the vettest harness both run
+// analyzers exclusively through a Runner.
 type Runner struct {
-	Store *FactStore
 	Graph *CallGraph
-
-	results map[resultKey]*unitResult
-}
-
-type resultKey struct {
-	analyzer string
-	pkgPath  string
-}
-
-type unitResult struct {
-	result any
-	diags  []Diagnostic
-	err    error
 }
 
 // NewRunner creates a runner over the loaded packages, building the
 // call graph once for the whole set.
 func NewRunner(pkgs []*Package) *Runner {
-	return &Runner{
-		Store:   NewFactStore(),
-		Graph:   BuildCallGraph(pkgs),
-		results: map[resultKey]*unitResult{},
-	}
+	return &Runner{Graph: BuildCallGraph(pkgs)}
 }
 
-// Run applies one analyzer (running its Requires closure first) to
-// one loaded package and returns its diagnostics sorted by position.
-// Results are memoized, so an analyzer that is both selected and
-// required runs once per package. After a fact-exporting pass
-// completes, its facts are round-tripped through the serializer —
-// an unencodable fact fails the run at the package that exported it.
+// Run applies one analyzer to one loaded package and returns its
+// diagnostics sorted by position.
 func (r *Runner) Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	u := r.unit(a, pkg, map[*Analyzer]bool{})
-	return u.diags, u.err
-}
-
-func (r *Runner) unit(a *Analyzer, pkg *Package, inFlight map[*Analyzer]bool) *unitResult {
-	key := resultKey{a.Name, pkg.PkgPath}
-	if u, ok := r.results[key]; ok {
-		return u
-	}
-	if inFlight[a] {
-		u := &unitResult{err: fmt.Errorf("analyzer %s: Requires cycle", a.Name)}
-		r.results[key] = u
-		return u
-	}
-	inFlight[a] = true
-	defer delete(inFlight, a)
-
-	resultOf := map[*Analyzer]any{}
-	for _, req := range a.Requires {
-		ru := r.unit(req, pkg, inFlight)
-		if ru.err != nil {
-			u := &unitResult{err: fmt.Errorf("analyzer %s requires %s: %v", a.Name, req.Name, ru.err)}
-			r.results[key] = u
-			return u
-		}
-		resultOf[req] = ru.result
-	}
-
 	pass := &Pass{
 		Analyzer: a, Fset: pkg.Fset, Files: pkg.Files,
-		Pkg: pkg.Types, TypesInfo: pkg.Info,
-		ResultOf: resultOf, Graph: r.Graph,
+		Pkg: pkg.Types, TypesInfo: pkg.Info, Graph: r.Graph,
 	}
-	if len(a.FactTypes) > 0 {
-		pass.facts = &passFacts{store: r.Store, a: a, pkgPath: pkg.PkgPath}
+	if _, err := a.Run(pass); err != nil {
+		return nil, err
 	}
-	result, err := a.Run(pass)
-	u := &unitResult{result: result, err: err}
-	if err == nil && len(a.FactTypes) > 0 {
-		if rtErr := r.Store.RoundTrip(a, pkg.PkgPath); rtErr != nil {
-			u.err = fmt.Errorf("fact serialization round-trip: %v", rtErr)
-		}
-	}
-	if u.err == nil {
-		u.diags = pass.Diagnostics()
-		sort.Slice(u.diags, func(i, j int) bool { return u.diags[i].Pos < u.diags[j].Pos })
-	}
-	r.results[key] = u
-	return u
+	diags := pass.Diagnostics()
+	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
+	return diags, nil
 }
 
 // RunPackage applies one analyzer to one package with a fresh Runner

@@ -6,21 +6,16 @@
 //   - the Analyzer / Pass / Diagnostic vocabulary the minkowski-vet
 //     analyzers are written against (API-compatible with x/tools in
 //     shape, so swapping the import path back to the upstream
-//     framework is mechanical), including the Fact and Requires
-//     machinery for interprocedural, cross-package analyses;
+//     framework is mechanical);
 //   - a package loader (load.go) that enumerates packages with
-//     `go list` in dependency order and type-checks their sources
-//     against compiler export data, giving every pass full
-//     types.Info;
-//   - a serializable fact store (facts.go) so analyzers can export
-//     typed per-object / per-package facts that downstream passes
-//     import across package boundaries;
+//     `go list` and type-checks their sources against compiler export
+//     data, giving every pass full types.Info;
 //   - a CHA-style static call graph (callgraph.go) over the loaded
-//     packages, exposed to analyzers via Pass.Graph;
+//     packages, exposed to analyzers via Pass.Graph — the one
+//     cross-package mechanism the suite has;
 //   - an analysistest-equivalent harness (vettest.go) that runs an
-//     analyzer over `testdata/src/<pkg>` trees (with facts flowing
-//     between them) and checks reported diagnostics against
-//     `// want "regexp"` comments.
+//     analyzer over `testdata/src/<pkg>` trees and checks reported
+//     diagnostics against `// want "regexp"` comments.
 //
 // The `//minkowski:` directive grammar the analyzers honor is
 // documented in DESIGN.md §8.
@@ -41,19 +36,10 @@ type Analyzer struct {
 	Name string
 	// Doc is the analyzer's contract, shown by `minkowski-vet -help`.
 	Doc string
-	// Run executes the check against one package. Its first return
-	// value is the analyzer's result, made available to dependent
-	// analyzers (those listing this one in Requires) through
-	// Pass.ResultOf.
+	// Run executes the check against one package. The first return
+	// value is unused; the signature is x/tools' so analyzers port
+	// mechanically.
 	Run func(*Pass) (any, error)
-	// Requires lists analyzers that must run on the same package
-	// first; their results appear in Pass.ResultOf.
-	Requires []*Analyzer
-	// FactTypes registers the concrete fact types this analyzer
-	// exports/imports. Every type must be a pointer to a
-	// gob-encodable struct. An analyzer with no FactTypes neither
-	// exports nor imports facts.
-	FactTypes []Fact
 	// PackageFilter optionally restricts which import paths the
 	// driver applies this analyzer to (nil = every package). The test
 	// harness ignores it: testdata packages are always analyzed.
@@ -73,15 +59,11 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// ResultOf holds the results of the analyzers named in
-	// Analyzer.Requires, keyed by analyzer.
-	ResultOf map[*Analyzer]any
 	// Graph is the whole-load static call graph (nil when the driver
 	// did not build one; the multichecker and the vettest harness
 	// always do).
 	Graph *CallGraph
 
-	facts *passFacts // nil when Analyzer has no FactTypes
 	diags []Diagnostic
 }
 
@@ -112,7 +94,6 @@ var KnownDirectives = map[string]bool{
 	"units-ok":     true,
 	"floateq-ok":   true,
 	"hotpath-ok":   true,
-	"locks-ok":     true,
 	"goexec-ok":    true,
 	"dettaint-ok":  true,
 }

@@ -115,11 +115,10 @@ func ModuleRoot() (string, error) {
 // its diagnostics against the `// want` expectations.
 //
 // All named packages are loaded up front and analyzed in the given
-// order through one shared Runner: the call graph spans the whole
-// set, and facts exported while analyzing an earlier package are
-// importable while analyzing a later one. A testdata package may
-// import an earlier one by its bare name (the fact-chain and
-// lock-order suites do), so list dependencies before dependents.
+// order through one shared Runner, so the call graph spans the whole
+// set. A testdata package may import an earlier one by its bare name
+// (dettaint's detchain suite does), so list dependencies before
+// dependents.
 func RunWant(t TB, a *Analyzer, pkgs ...string) {
 	t.Helper()
 	root, err := ModuleRoot()

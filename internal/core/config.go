@@ -71,16 +71,6 @@ type Config struct {
 	// tests that don't want the diurnal cycle).
 	DisablePower bool
 
-	// --- Solve-pipeline performance knobs ---------------------------
-
-	// SolveWorkers caps the solver's per-request shortest-path fan-out
-	// (forwarding to solver.Config.Workers) and, when > 0, also pins
-	// the Link Evaluator's sweep parallelism to the same width.
-	// 0 = GOMAXPROCS. Plans are byte-identical at every value; an
-	// explicit (> 0) value additionally makes per-shard obs spans
-	// well-defined, so the tracer emits them only then.
-	SolveWorkers int
-
 	// --- Observability knobs (internal/obs, DESIGN §11) -------------
 
 	// ObsEnabled turns on the solve-cycle span tracer and the flight

@@ -235,7 +235,6 @@ func New(cfg Config) *Controller {
 	if cfg.SolverHysteresisBonus >= 0 {
 		solverCfg.HysteresisBonus = cfg.SolverHysteresisBonus
 	}
-	solverCfg.Workers = cfg.SolveWorkers
 
 	c := &Controller{
 		Cfg: cfg, Eng: eng, Obs: ob, obsm: obsm,
@@ -275,13 +274,6 @@ func New(cfg Config) *Controller {
 	}
 	evalCfg := linkeval.DefaultConfig()
 	evalCfg.DropMarginal = cfg.DropMarginalLinks
-	if cfg.SolveWorkers > 0 {
-		// Pin the evaluator's sweep width alongside the solver's, so
-		// per-shard obs spans are well-defined. Output is byte-identical
-		// at every width (worker-invariance tests), so this only fixes
-		// the shard layout, never the result.
-		evalCfg.Parallelism = cfg.SolveWorkers
-	}
 	c.Evaluator = linkeval.New(evalCfg, fused, c.predictPosition)
 	c.Evaluator.PredictBatch = c.predictPositionsBatch
 
@@ -621,7 +613,6 @@ func (c *Controller) solveCycle() {
 	ev.SetAttrInt("pairs", int(evalDelta.PairsEnumerated))
 	ev.SetAttrInt("reevals", int(evalDelta.ReEvals))
 	ev.SetAttrInt("edge_churn", edgeDelta.Churn())
-	c.shardSpans(ev, "eval-shard", c.Evaluator.LastShardItems())
 	ev.EndSpan()
 	existing := map[radio.LinkID]bool{}
 	for _, l := range c.Fabric.UpLinks() {
@@ -641,15 +632,13 @@ func (c *Controller) solveCycle() {
 	so.SetAttrInt("routes", len(plan.Routes))
 	so.SetAttrInt("unsatisfied", len(plan.Unsatisfied))
 	so.SetAttrFloat("utility", plan.Utility)
-	c.shardSpans(so, "solve-shard", c.Solver.LastShardLoads())
 	so.EndSpan()
 	c.lastPlan = plan
 	c.realignRoutes()
 	c.Log.Appendf(now, explain.EvSolve, fmt.Sprintf("cycle-%d", c.SolveRuns),
-		"candidates=%d links=%d redundant=%d routes=%d unsatisfied=%d utility=%.0f evalpairs=%d pruned=%d reevals=%d edgechurn=%d",
+		"candidates=%d links=%d redundant=%d routes=%d unsatisfied=%d utility=%.0f evalpairs=%d reevals=%d edgechurn=%d",
 		len(graph), len(plan.Links), plan.RedundantCount(), len(plan.Routes), len(plan.Unsatisfied), plan.Utility,
-		evalDelta.PairsEnumerated, evalDelta.PairsPruned, evalDelta.ReEvals,
-		edgeDelta.Churn())
+		evalDelta.PairsEnumerated, evalDelta.ReEvals, edgeDelta.Churn())
 	di := sp.Child("dispatch")
 	acts := c.Intents.Reconcile(plan, now)
 	c.actuate(acts)

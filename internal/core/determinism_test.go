@@ -3,11 +3,27 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"minkowski/internal/chaos"
 	"minkowski/internal/explain"
 )
+
+// atWidths runs fn as a subtest at fan-out widths 1, 2 and 8. The
+// evaluator's and the solver's width is GOMAXPROCS and nothing else,
+// so the subtest sets it and restores it on cleanup; no test in this
+// package calls t.Parallel, so the process-wide setting cannot leak
+// into another.
+func atWidths(t *testing.T, fn func(t *testing.T)) {
+	for _, n := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(n)
+			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+			fn(t)
+		})
+	}
+}
 
 // TestEndToEndDeterminism is the regression test the vet suite exists
 // to keep honest: a scale-1 scenario (the experiment harness's base
@@ -15,17 +31,18 @@ import (
 // dispatch journal and a byte-identical final candidate graph. Any
 // wall-clock read, unseeded RNG, or unsorted map sweep anywhere in
 // the control loop shows up here as a diff.
-// Beyond run-to-run stability, the same scenario is replayed across
-// SolveWorkers settings, and every variant must be byte-identical to
-// the baseline: worker count is a throughput knob, never a semantic
-// one. (TestGoldenJournalDigests pins the same scenario's journal and
-// plans to constants, so a change to the pipeline itself shows there.)
+// Beyond run-to-run stability, the same scenario is replayed at each
+// fan-out width, and every run must be byte-identical to the baseline:
+// the number of cores changes throughput, never a byte.
+// (TestGoldenJournalDigests pins the same scenario's journal, plans
+// and obs snapshot to constants, so a change to the pipeline itself
+// shows there.)
 func TestEndToEndDeterminism(t *testing.T) {
 	run := func(mut func(*Config)) []byte {
 		b, _ := runWithObs(mut)
 		return b
 	}
-	diff := func(label string, a, b []byte) {
+	diff := func(t *testing.T, label string, a, b []byte) {
 		t.Helper()
 		if bytes.Equal(a, b) {
 			return
@@ -47,41 +64,30 @@ func TestEndToEndDeterminism(t *testing.T) {
 	if len(base) == 0 {
 		t.Fatal("empty journal + graph — scenario produced no activity")
 	}
-	diff("repeat run", base, run(nil))
-	diff("SolveWorkers=2", base, run(func(cfg *Config) { cfg.SolveWorkers = 2 }))
-	diff("SolveWorkers=8", base, run(func(cfg *Config) { cfg.SolveWorkers = 8 }))
+	diff(t, "repeat run", base, run(nil))
+	atWidths(t, func(t *testing.T) { diff(t, "fan-out width", base, run(nil)) })
 	// Observability must be a pure observer: turning the tracer and
 	// flight recorder off entirely must not move a byte of the journal.
-	diff("ObsEnabled=false", base, run(func(cfg *Config) { cfg.ObsEnabled = false }))
+	diff(t, "ObsEnabled=false", base, run(func(cfg *Config) { cfg.ObsEnabled = false }))
 }
 
 // TestObsSnapshotDeterminism extends the matrix to the observability
 // output itself: with the recorder fully enabled, two same-seed runs
 // must produce byte-identical encoded metric snapshots, and the
-// snapshot must not change with solve-pipeline configuration — worker
-// count is invisible to the registry (shard layout appears only in
-// span trees, and only at an explicitly pinned width).
+// snapshot must not change with the fan-out width — the number of
+// workers is invisible to the registry.
 func TestObsSnapshotDeterminism(t *testing.T) {
-	snap := func(mut func(*Config)) []byte {
-		_, s := runWithObs(mut)
-		return s
-	}
-	base := snap(nil)
+	_, base := runWithObs(nil)
 	if len(base) == 0 {
 		t.Fatal("empty obs snapshot")
 	}
-	for _, tc := range []struct {
-		label string
-		mut   func(*Config)
-	}{
-		{"repeat run", nil},
-		{"SolveWorkers=2", func(cfg *Config) { cfg.SolveWorkers = 2 }},
-		{"SolveWorkers=8", func(cfg *Config) { cfg.SolveWorkers = 8 }},
-	} {
-		if got := snap(tc.mut); !bytes.Equal(base, got) {
-			t.Errorf("%s: obs snapshot diverges from baseline\nbase:\n%s\ngot:\n%s", tc.label, base, got)
+	check := func(t *testing.T) {
+		if _, got := runWithObs(nil); !bytes.Equal(base, got) {
+			t.Errorf("obs snapshot diverges from baseline\nbase:\n%s\ngot:\n%s", base, got)
 		}
 	}
+	t.Run("repeat run", check)
+	atWidths(t, check)
 }
 
 // detConfig is the determinism scenario at the given fleet size (11,

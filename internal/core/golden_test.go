@@ -10,12 +10,14 @@ import (
 )
 
 // goldenRun drives cfg (under script, if it has faults) for the given
-// number of sim-hours and returns the final Journal.Digest plus an FNV
-// chain over the Plan.Fingerprint of every solve cycle. The engine is
+// number of sim-hours and returns the final Journal.Digest, an FNV
+// chain over the Plan.Fingerprint of every solve cycle, and the FNV-64a
+// of the encoded end-of-run obs snapshot (the work counters: pairs,
+// re-evals, dispatches, enactments, link checks). The engine is
 // advanced one sim-second at a time — far below any solve interval —
 // so each cycle's plan is seen exactly once; a held cycle re-hashes the
 // plan it kept in force, a crashed process hashes as "nil".
-func goldenRun(cfg Config, script chaos.Scenario, hours int) (journal, plans uint64) {
+func goldenRun(cfg Config, script chaos.Scenario, hours int) (journal, plans, obsSnap uint64) {
 	c := New(cfg)
 	if len(script.Faults) > 0 {
 		c.InstallChaos(script)
@@ -34,14 +36,23 @@ func goldenRun(cfg Config, script chaos.Scenario, hours int) (journal, plans uin
 		}
 		fmt.Fprintf(chain, "cycle %d\n%s", seen, fp)
 	}
-	return c.Journal.Digest(), chain.Sum64()
+	enc, err := c.ObsSnapshot().Encode()
+	if err != nil {
+		panic(err)
+	}
+	snap := fnv.New64a()
+	snap.Write(enc)
+	return c.Journal.Digest(), chain.Sum64(), snap.Sum64()
 }
 
 // TestGoldenJournalDigests is the cheap byte-identity oracle for
-// refactors (ROADMAP 4a): the dispatch journal's end state and every
-// cycle's plan, folded to two constants per scenario. A change that is
-// meant to leave behaviour alone must leave these alone; a change that
-// is meant to move them updates the constants and says why.
+// refactors (ROADMAP 4a, 6a): the dispatch journal's end state, every
+// cycle's plan, and the obs snapshot, folded to three constants per
+// scenario. The third catches what the first two cannot: a refactor
+// that reaches the same decisions by doing a different amount of work.
+// A change that is meant to leave behaviour alone must leave these
+// alone; a change that is meant to move them updates the constants and
+// says why.
 func TestGoldenJournalDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden constants were captured on amd64; %s may fuse or round float ops differently", runtime.GOARCH)
@@ -63,22 +74,23 @@ func TestGoldenJournalDigests(t *testing.T) {
 		},
 	}
 	for _, tc := range []struct {
-		name           string
-		cfg            Config
-		script         chaos.Scenario
-		hours          int
-		journal, plans uint64
+		name                    string
+		cfg                     Config
+		script                  chaos.Scenario
+		hours                   int
+		journal, plans, obsSnap uint64
 	}{
-		{"scale1", detConfig(11), chaos.Scenario{}, 2, 0x641d88f930cb1334, 0xc5054dd55f354738},
-		{"scale2", detConfig(16), chaos.Scenario{}, 2, 0xdc39a2d22e9db4bc, 0xc32af1f813906006},
-		{"scale3", detConfig(21), chaos.Scenario{}, 2, 0x317a493c9c608542, 0xc696d3a6984518ec},
-		{"failover-promotion", replConfig(7), failover, 3, 0x338bc875054e32ab, 0x77c9e2098a6aae0d},
-		{"partition-crash", fastConfig(5), partitionCrash, 3, 0x7e9cd9fcf2a84c8d, 0x29d8e0e7fc02f7d5},
+		{"scale1", detConfig(11), chaos.Scenario{}, 2, 0x641d88f930cb1334, 0xc5054dd55f354738, 0x01ae6e49dc335758},
+		{"scale2", detConfig(16), chaos.Scenario{}, 2, 0xdc39a2d22e9db4bc, 0xc32af1f813906006, 0x63dbdd77b200422e},
+		{"scale3", detConfig(21), chaos.Scenario{}, 2, 0x317a493c9c608542, 0xc696d3a6984518ec, 0x39592d15a2220ec9},
+		{"failover-promotion", replConfig(7), failover, 3, 0x338bc875054e32ab, 0x77c9e2098a6aae0d, 0x956a95117310687c},
+		{"partition-crash", fastConfig(5), partitionCrash, 3, 0x7e9cd9fcf2a84c8d, 0x29d8e0e7fc02f7d5, 0xdc72a18d41ad4809},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			j, p := goldenRun(tc.cfg, tc.script, tc.hours)
-			if j != tc.journal || p != tc.plans {
-				t.Errorf("journal digest %#x, plan chain %#x; golden %#x, %#x", j, p, tc.journal, tc.plans)
+			j, p, o := goldenRun(tc.cfg, tc.script, tc.hours)
+			if j != tc.journal || p != tc.plans || o != tc.obsSnap {
+				t.Errorf("journal digest %#x, plan chain %#x, obs snapshot %#x; golden %#x, %#x, %#x",
+					j, p, o, tc.journal, tc.plans, tc.obsSnap)
 			}
 		})
 	}

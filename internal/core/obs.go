@@ -65,7 +65,6 @@ func (c *Controller) installObs() {
 	reg.GaugeFunc("fabric.link_checks", func() float64 { return float64(c.Fabric.LinkChecks) })
 	reg.GaugeFunc("fabric.path_integrations", func() float64 { return float64(c.Fabric.PathIntegrations) })
 	reg.GaugeFunc("eval.pairs_enumerated", func() float64 { return float64(c.Evaluator.Stats().PairsEnumerated) })
-	reg.GaugeFunc("eval.pairs_pruned", func() float64 { return float64(c.Evaluator.Stats().PairsPruned) })
 	reg.GaugeFunc("eval.reevals", func() float64 { return float64(c.Evaluator.Stats().ReEvals) })
 	if c.Lease != nil {
 		reg.GaugeFunc("lease.flap_denials", func() float64 { return float64(c.Lease.FlapDenials()) })
@@ -131,23 +130,6 @@ func (c *Controller) onEnactment(e cdpi.Enactment) {
 		sp.SetAttrBool("inferred", true)
 	}
 	sp.EndSpan()
-}
-
-// shardSpans emits per-shard child spans under parent from a slice of
-// per-worker task counts. Emitted ONLY when the fan-out width was
-// explicitly pinned (Cfg.SolveWorkers > 0): at the GOMAXPROCS default
-// the shard layout is machine-dependent, and obs output must stay
-// byte-identical across -workers and GOMAXPROCS.
-func (c *Controller) shardSpans(parent *obs.Span, name string, loads []int) {
-	if parent == nil || c.Cfg.SolveWorkers <= 0 {
-		return
-	}
-	for i, n := range loads {
-		s := parent.Child(name)
-		s.SetAttrInt("shard", i)
-		s.SetAttrInt("items", n)
-		s.EndSpan()
-	}
 }
 
 // cycleMetricDetail formats the per-cycle flight-recorder metric

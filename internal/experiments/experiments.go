@@ -57,10 +57,6 @@ type Options struct {
 	Seed int64
 	// Scale multiplies fleet size and duration (1 = quick).
 	Scale int
-	// SolveWorkers caps the solver's per-request fan-out (0 = one
-	// worker per core). Output is byte-identical at any setting — this
-	// is a wall-clock knob for the larger scales only.
-	SolveWorkers int
 }
 
 // DefaultOptions is the quick configuration used by benches.
@@ -80,7 +76,6 @@ func baseScenario(o Options) core.Config {
 	cfg.FleetSize = 6 + 5*o.scale() // 11 at scale 1, 21 at scale 3
 	cfg.SolveIntervalS = 120
 	cfg.AgentConnCheckS = 10
-	cfg.SolveWorkers = o.SolveWorkers
 	return cfg
 }
 

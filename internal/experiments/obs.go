@@ -10,10 +10,9 @@ import (
 // ObsExport runs the canonical base scenario with observability on
 // and returns the export artifact as indented JSON: the end-of-run
 // metrics snapshot (name-sorted, canonical) plus the retained
-// solve-cycle span trees. Deterministic in (Seed, Scale):
-// the bytes are identical across -solve-workers and GOMAXPROCS as
-// long as SolveWorkers is not explicitly pinned (shard spans are only
-// emitted at a pinned width — see internal/obs package docs).
+// solve-cycle span trees. Deterministic in (Seed, Scale): the bytes
+// are identical at every GOMAXPROCS (no span records how the fan-outs
+// sharded their work — see internal/obs package docs).
 func ObsExport(o Options) ([]byte, error) {
 	cfg := baseScenario(o)
 	c := core.New(cfg)

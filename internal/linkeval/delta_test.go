@@ -120,44 +120,26 @@ func TestCandidateGraphDeltaChurnIsPartial(t *testing.T) {
 	}
 }
 
-// TestShardedSweepWorkerInvariance pins the tentpole claim for the
-// evaluator: the sharded candidate sweep emits byte-identical graphs
-// at any Parallelism, for both the incremental pipeline and the
-// brute-force reference, including across repeat calls on reused
-// scratch.
+// TestShardedSweepWorkerInvariance pins the fan-out's contract: the
+// sharded candidate sweep emits the oracle's graph byte for byte at any
+// width, including across repeat calls on one evaluator whose scratch
+// is reused while the width changes under it.
 func TestShardedSweepWorkerInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	nodes, xs := randomFleet(rng, 22)
 	src := &gradientRain{}
-
-	mk := func(par int, incremental bool) *Evaluator {
-		cfg := DefaultConfig()
-		cfg.Parallelism = par
-		cfg.Incremental = incremental
-		return New(cfg, src, nil)
-	}
-	evs := map[string]*Evaluator{
-		"inc-w1":   mk(1, true),
-		"inc-w2":   mk(2, true),
-		"inc-w8":   mk(8, true),
-		"brute-w1": mk(1, false),
-		"brute-w8": mk(8, false),
-	}
-	order := []string{"inc-w1", "inc-w2", "inc-w8", "brute-w1", "brute-w8"}
-
-	for step := 0; step < 4; step++ {
-		base := evs["brute-w1"].CandidateGraph(xs, 0)
-		for _, name := range order {
-			g := evs[name].CandidateGraph(xs, 0)
-			compareGraphs(t, fmt.Sprintf("step%d/%s", step, name), g, base)
+	ev := New(DefaultConfig(), src, nil)
+	atWidths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(23))
+		nodes, xs := randomFleet(rng, 22)
+		for step := 0; step < 4; step++ {
+			compareGraphs(t, fmt.Sprintf("step%d", step), ev.CandidateGraph(xs, 0), bruteForceGraph(ev, xs, 0))
+			for _, n := range nodes {
+				alt := n.Balloon.Pos.Alt
+				n.Balloon.Pos = geo.Offset(n.Balloon.Pos, geo.Deg(rng.Float64()*360), 1000+4000*rng.Float64())
+				n.Balloon.Pos.Alt = alt
+			}
+			src.phase += 0.5
 		}
-		for _, n := range nodes {
-			alt := n.Balloon.Pos.Alt
-			n.Balloon.Pos = geo.Offset(n.Balloon.Pos, geo.Deg(rng.Float64()*360), 1000+4000*rng.Float64())
-			n.Balloon.Pos.Alt = alt
-		}
-		src.phase += 0.5
-	}
+	})
 }
 
 // TestEmptyGraphIsAValidBaseline: a first emission with zero

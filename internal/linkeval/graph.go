@@ -1,6 +1,7 @@
 package linkeval
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 
@@ -8,15 +9,15 @@ import (
 	"minkowski/internal/platform"
 )
 
-// This file implements the incremental spatially-indexed candidate
-// graph pipeline (DESIGN.md §7). Two layers of work-sharing sit on
-// top of the same staged pipeline EvaluatePair runs:
+// This file is the candidate-graph pipeline (DESIGN.md §7): every
+// cross-platform pair enumerated directly — the fleets this controller
+// runs fit inside one MaxRangeM neighbourhood, so there is nothing for
+// a spatial index to prune — with two layers of work-sharing on top of
+// the same staged pipeline EvaluatePair runs:
 //
-//  1. Platforms are predicted once per graph and bucketed into a
-//     geo.CellIndex with cell edge MaxRangeM, so pair enumeration
-//     walks only the 27-cell neighborhood of each platform instead of
-//     all N² pairs. The exact slant-range gate is kept downstream, so
-//     the index can only remove work, never change the output.
+//  1. Platforms are predicted once per graph; the exact slant-range
+//     gate runs once per platform pair, before any transceiver pair is
+//     touched.
 //  2. Per platform pair, geometry (range, both pointing solutions,
 //     line of sight, path attenuation, budgets per gain pair) is
 //     memoized in a pairGeom shared by the transceiver fan-out.
@@ -24,14 +25,15 @@ import (
 // Nothing is carried from one graph to the next: every call evaluates
 // every in-range pair and returns freshly allocated reports.
 //
-// Bit-identity with the brute-force sweep rests on two invariants:
+// Bit-identity with the brute-force oracle (graph_test.go) rests on
+// two invariants:
 //
-//   - Argument orientation: the brute sweep evaluates (xcvrs[i],
-//     xcvrs[j]) with i<j, and pointing / line-of-sight / attenuation
-//     are direction-dependent in their floating-point evaluation.
-//     pairGeom therefore memoizes both orientations separately and
-//     every pair is evaluated with the lower-slice-index transceiver
-//     first, reproducing the reference argument order exactly.
+//   - Argument orientation: the oracle evaluates (xcvrs[i], xcvrs[j])
+//     with i<j, and pointing / line-of-sight / attenuation are
+//     direction-dependent in their floating-point evaluation. pairGeom
+//     therefore memoizes both orientations separately and every pair
+//     is evaluated with the lower-slice-index transceiver first,
+//     reproducing the oracle's argument order exactly.
 //   - Emission order: node IDs order their transceiver IDs (the '/'
 //     separating node from transceiver suffix sorts below every
 //     alphanumeric), so walking anchor platforms in ID order, anchor
@@ -49,10 +51,9 @@ type nodeEnt struct {
 	xc   []int32 // indices into the xcvrs slice, sorted by transceiver ID
 }
 
-// npTask is one platform pair emitted by the index walk, with the
-// precomputed result-slot layout: the pair (anchor transceiver a,
-// partner transceiver b) lands at base + aIdx·partnerTotal + prefix +
-// bIdx.
+// npTask is one platform pair, with the precomputed result-slot
+// layout: the pair (anchor transceiver a, partner transceiver b) lands
+// at base + aIdx·partnerTotal + prefix + bIdx.
 type npTask struct {
 	u, v         int32 // node indices; nodes[u].ID < nodes[v].ID
 	base         int32 // slot base of anchor u's whole span
@@ -60,27 +61,16 @@ type npTask struct {
 	partnerTotal int32 // total partner transceivers across all of u's tasks
 }
 
-type bfPair struct{ a, b int32 }
-
 // graphScratch holds every reusable buffer of the evaluator, so
 // steady-state graph computation allocates only the reports that
 // escape into the output.
 type graphScratch struct {
-	bfPairs  []bfPair
-	results  []*Report
-	nodes    []nodeEnt
-	nodeIdx  map[*platform.Node]int32
-	order    []int32
-	index    *geo.CellIndex
-	partners []int32
-	tasks    []npTask
-	workers  []evalScratch
-}
-
-func (e *Evaluator) ensureWorkers(n int) {
-	for len(e.scr.workers) < n {
-		e.scr.workers = append(e.scr.workers, evalScratch{})
-	}
+	results []*Report
+	nodes   []nodeEnt
+	nodeIdx map[*platform.Node]int32
+	order   []int32
+	tasks   []npTask
+	workers []evalScratch
 }
 
 func (e *Evaluator) resizeResults(n int) []*Report {
@@ -94,13 +84,26 @@ func (e *Evaluator) resizeResults(n int) []*Report {
 	return e.scr.results
 }
 
-// incrementalGraph is the spatially-indexed incremental pipeline.
-// posOf optionally overrides position prediction (Horizon shares a
-// per-node position table across leads through it); nil predicts via
-// e.Predict.
+// workerCount is the fan-out width for a batch of tasks: one worker
+// per core, never more than there are tasks.
+func workerCount(tasks int) int {
+	//minkowski:dettaint-ok read once per fan-out entry; workers write disjoint slots and results merge in index order, so output is byte-identical for any value
+	workers := runtime.GOMAXPROCS(0)
+	if workers > tasks {
+		workers = tasks
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	return workers
+}
+
+// graph builds one candidate graph. posOf optionally overrides
+// position prediction (Horizon shares a per-node position table across
+// leads through it); nil predicts via e.Predict.
 //
 //minkowski:hotpath
-func (e *Evaluator) incrementalGraph(xcvrs []*platform.Transceiver, lead float64, posOf func(*platform.Node) geo.LLA) []*Report {
+func (e *Evaluator) graph(xcvrs []*platform.Transceiver, lead float64, posOf func(*platform.Node) geo.LLA) []*Report {
 	scr := &e.scr
 	e.stats.Graphs++
 
@@ -127,7 +130,6 @@ func (e *Evaluator) incrementalGraph(xcvrs []*platform.Transceiver, lead float64
 		scr.nodes[idx].xc = append(scr.nodes[idx].xc, int32(i))
 	}
 	nodes := scr.nodes
-	sumSq := 0
 	for i := range nodes {
 		n := &nodes[i]
 		xc := n.xc
@@ -138,19 +140,6 @@ func (e *Evaluator) incrementalGraph(xcvrs []*platform.Transceiver, lead float64
 			n.pos = e.Predict(n.node, lead)
 		}
 		n.ecef = n.pos.ToECEF()
-		sumSq += len(xc) * len(xc)
-	}
-	possible := (len(xcvrs)*len(xcvrs) - sumSq) / 2
-	e.stats.PairsPossible += uint64(possible)
-
-	// --- Spatial index over platforms.
-	if scr.index == nil {
-		scr.index = geo.NewCellIndex(e.cfg.MaxRangeM)
-	} else {
-		scr.index.Reset(e.cfg.MaxRangeM)
-	}
-	for i := range nodes {
-		scr.index.Insert(int32(i), nodes[i].ecef)
 	}
 
 	// Anchor platforms in node-ID order.
@@ -161,47 +150,36 @@ func (e *Evaluator) incrementalGraph(xcvrs []*platform.Transceiver, lead float64
 	sort.Slice(order, func(a, b int) bool { return nodes[order[a]].node.ID < nodes[order[b]].node.ID })
 	scr.order = order
 
-	// --- Enumerate near pairs, laying out result slots in emission
-	// order so the graph comes out sorted with no final sort.
+	// --- Enumerate platform pairs, laying out result slots in emission
+	// order so the graph comes out sorted with no final sort. An
+	// anchor's partners are the platforms after it in ID order.
 	tasks := scr.tasks[:0]
-	enumerated := 0
 	slotBase := int32(0)
-	for _, u := range order {
-		ue := &nodes[u]
-		partners := scr.partners[:0]
-		scr.index.Near(ue.ecef, func(v int32) {
-			if nodes[v].node.ID > ue.node.ID {
-				partners = append(partners, v)
-			}
-		})
-		sort.Slice(partners, func(a, b int) bool { return nodes[partners[a]].node.ID < nodes[partners[b]].node.ID })
-		scr.partners = partners
-		partnerTotal := int32(0)
-		for _, v := range partners {
-			partnerTotal += int32(len(nodes[v].xc))
-		}
+	partnerTotal := int32(len(xcvrs))
+	for i, u := range order {
+		anchorXc := int32(len(nodes[u].xc))
+		partnerTotal -= anchorXc
 		prefix := int32(0)
-		for _, v := range partners {
+		for _, v := range order[i+1:] {
 			tasks = append(tasks, npTask{u: u, v: v, base: slotBase, prefix: prefix, partnerTotal: partnerTotal})
 			prefix += int32(len(nodes[v].xc))
-			enumerated += len(ue.xc) * len(nodes[v].xc)
 		}
-		slotBase += int32(len(ue.xc)) * partnerTotal
+		slotBase += anchorXc * partnerTotal
 	}
 	scr.tasks = tasks
-	e.stats.PairsEnumerated += uint64(enumerated)
-	e.stats.PairsPruned += uint64(possible - enumerated)
+	// One slot per enumerated transceiver pair.
+	e.stats.PairsEnumerated += uint64(slotBase)
 
 	results := e.resizeResults(int(slotBase))
 
 	// --- Parallel fan-out over platform-pair tasks. Workers write
 	// disjoint result slots and count locally; stats are summed
 	// serially after the join.
-	workers := e.workerCount(len(tasks))
-	e.ensureWorkers(workers)
-	e.resetShardItems(workers)
+	workers := workerCount(len(tasks))
+	for len(scr.workers) < workers {
+		scr.workers = append(scr.workers, evalScratch{})
+	}
 	if workers <= 1 {
-		e.lastShardItems[0] = len(tasks)
 		st := &scr.workers[0]
 		for _, t := range tasks {
 			e.runTask(t, lead, st, xcvrs)
@@ -218,7 +196,6 @@ func (e *Evaluator) incrementalGraph(xcvrs []*platform.Transceiver, lead float64
 			if lo >= hi {
 				break
 			}
-			e.lastShardItems[w] = hi - lo
 			wg.Add(1)
 			go func(lo, hi, w int) {
 				defer wg.Done()
@@ -272,7 +249,7 @@ func (e *Evaluator) runTask(t npTask, lead float64, st *evalScratch, xcvrs []*pl
 	for ai, xai := range ue.xc {
 		for bi, xbi := range ve.xc {
 			slot := t.base + int32(ai)*t.partnerTotal + t.prefix + int32(bi)
-			// Reproduce the brute-force argument order: the
+			// Reproduce the oracle's argument order: the
 			// lower-slice-index transceiver leads.
 			a, b, orient := xai, xbi, 0
 			if xbi < xai {

@@ -11,25 +11,17 @@
 // graph — is the solver's main input and the subject of Fig. 4's
 // churn analysis.
 //
-// Two evaluation pipelines produce the graph:
-//
-//   - The reference brute-force sweep evaluates every cross-platform
-//     pair from scratch (the paper's "all pairs of transceivers").
-//   - The default incremental pipeline (DESIGN.md §7) buckets
-//     platforms in a geographic cell index so only pairs within
-//     plausible range are enumerated and shares per-platform-pair
-//     geometry and attenuation across the transceiver fan-out.
-//
-// The two pipelines are bit-identical — the equivalence property
-// tests prove it under randomized wind — so every figure keeps its
-// shape. Neither carries evaluations from one call to the next.
+// One pipeline produces the graph (graph.go, DESIGN.md §7): every
+// cross-platform pair is enumerated (the paper's "all pairs of
+// transceivers"), range-gated once per platform pair, and evaluated
+// with per-platform-pair geometry and attenuation shared across the
+// transceiver fan-out. A brute-force sweep that evaluates every pair
+// from scratch survives in graph_test.go as the oracle the pipeline is
+// held to bit for bit under randomized wind. Nothing is carried from
+// one call to the next.
 package linkeval
 
 import (
-	"runtime"
-	"sort"
-	"sync"
-
 	"minkowski/internal/geo"
 	"minkowski/internal/platform"
 	"minkowski/internal/radio"
@@ -79,16 +71,11 @@ type Config struct {
 	// "marginal".
 	AcceptableMarginDB float64
 	// MaxRangeM hard-prunes pairs beyond plausible budget closure to
-	// save computation. It is also the cell size of the incremental
-	// pipeline's geographic index.
+	// save computation.
 	MaxRangeM float64
 	// Channel is the representative channel used for evaluation (the
 	// solver assigns concrete channels later).
 	Channel rf.Channel
-	// Parallelism caps evaluation workers (0 = GOMAXPROCS). The
-	// paper: "the computation was highly parallelizable and
-	// distributed across many tasks in a data center."
-	Parallelism int
 	// DropMarginal discards marginal candidates instead of retaining
 	// them penalized (the §3.1 marginal-retention ablation).
 	DropMarginal bool
@@ -98,11 +85,6 @@ type Config struct {
 	// confidence in forming the selected links", visible as the
 	// +4.3 dB right-shift of Fig. 10.
 	PessimismDB float64
-	// Incremental enables the spatially-indexed incremental pipeline
-	// (cell index, shared platform-pair geometry). Disabled,
-	// CandidateGraph runs the reference brute-force O(N²) sweep the
-	// equivalence tests compare against.
-	Incremental bool
 }
 
 // DefaultConfig returns the evaluation policy used in production
@@ -112,9 +94,7 @@ func DefaultConfig() Config {
 		AcceptableMarginDB: 3,
 		MaxRangeM:          900e3,
 		Channel:            rf.EBandChannels()[0],
-		Parallelism:        0,
 		PessimismDB:        4.3,
-		Incremental:        true,
 	}
 }
 
@@ -124,17 +104,11 @@ func DefaultConfig() Config {
 type Stats struct {
 	// Graphs is the number of CandidateGraph evaluations.
 	Graphs uint64
-	// PairsPossible is the cross-platform transceiver pairs the
-	// brute-force sweep would have evaluated.
-	PairsPossible uint64
-	// PairsEnumerated is the pairs actually emitted by the spatial
-	// index walk (incremental) or the full sweep (brute force).
+	// PairsEnumerated is every cross-platform transceiver pair of the
+	// graphs built.
 	PairsEnumerated uint64
-	// PairsPruned is PairsPossible − PairsEnumerated: pairs the cell
-	// index proved out of range without touching them.
-	PairsPruned uint64
 	// RangePruned counts enumerated pairs gated by the exact slant
-	// range check (the index neighborhood is a superset).
+	// range check, one platform pair at a time.
 	RangePruned uint64
 	// ReEvals counts pair evaluations run through the staged pipeline
 	// (enumerated pairs that passed the exact range gate).
@@ -145,9 +119,7 @@ type Stats struct {
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
 		Graphs:          s.Graphs - o.Graphs,
-		PairsPossible:   s.PairsPossible - o.PairsPossible,
 		PairsEnumerated: s.PairsEnumerated - o.PairsEnumerated,
-		PairsPruned:     s.PairsPruned - o.PairsPruned,
 		RangePruned:     s.RangePruned - o.RangePruned,
 		ReEvals:         s.ReEvals - o.ReEvals,
 	}
@@ -174,15 +146,6 @@ type Evaluator struct {
 
 	stats Stats
 	scr   graphScratch
-
-	// lastShardItems records, per worker slot, how many evaluation
-	// tasks the most recent graph build's fan-out assigned to it.
-	// Written caller-side in the scheduling loop (never inside worker
-	// goroutines), so reading it is race-free on the sim loop. Only
-	// meaningful for obs shard spans when Config.Parallelism is
-	// explicitly pinned — at the GOMAXPROCS default the layout is
-	// machine-dependent and the tracer must not export it.
-	lastShardItems []int
 
 	// last is the previous CandidateGraphDelta emission (value
 	// snapshots, ID-sorted), for edge-delta computation. haveLast
@@ -218,7 +181,7 @@ func (e *Evaluator) Stats() Stats { return e.stats }
 
 // Stage identifies the first check a candidate pair failed; StageOK
 // means a report was produced. EvaluatePair, Reject, and the
-// incremental pipeline all run this one pipeline so accept and
+// candidate-graph pipeline all run this one pipeline so accept and
 // explain paths can never drift apart.
 type Stage int
 
@@ -433,16 +396,11 @@ func (e *Evaluator) freshGeom(xa, xb *platform.Transceiver, lead float64) pairGe
 // EvaluatePair produces a report for one transceiver pair at a lead,
 // or nil if the pair is geometrically infeasible or out of range.
 func (e *Evaluator) EvaluatePair(xa, xb *platform.Transceiver, lead float64) *Report {
-	return e.evaluatePairScratch(xa, xb, lead, nil)
-}
-
-//minkowski:hotpath
-func (e *Evaluator) evaluatePairScratch(xa, xb *platform.Transceiver, lead float64, s *evalScratch) *Report {
 	if xa.Node == xb.Node {
 		return nil
 	}
 	g := e.freshGeom(xa, xb, lead)
-	rep, _, _ := e.evalStaged(xa, xb, lead, &g, 0, s)
+	rep, _, _ := e.evalStaged(xa, xb, lead, &g, 0, nil)
 	return rep
 }
 
@@ -473,122 +431,10 @@ func (e *Evaluator) Reject(xa, xb *platform.Transceiver, lead float64) (reason s
 }
 
 // CandidateGraph evaluates all cross-platform transceiver pairs at a
-// lead time and returns the feasible candidates sorted by ID. With
-// Config.Incremental (the default) the spatially-indexed incremental
-// pipeline runs; otherwise the reference brute-force sweep. The work
-// fans out across Parallelism goroutines either way.
+// lead time and returns the feasible candidates sorted by ID. The work
+// fans out across one goroutine per core.
 func (e *Evaluator) CandidateGraph(xcvrs []*platform.Transceiver, lead float64) []*Report {
-	if e.cfg.Incremental {
-		return e.incrementalGraph(xcvrs, lead, nil)
-	}
-	return e.bruteForceGraph(xcvrs, lead)
-}
-
-// bruteForceGraph is the reference O(N²) sweep: every cross-platform
-// pair evaluated from scratch, results sorted by ID. It reuses the
-// evaluator's pair/result scratch buffers but shares no geometry —
-// the equivalence tests hold the incremental pipeline to this output
-// bit for bit.
-func (e *Evaluator) bruteForceGraph(xcvrs []*platform.Transceiver, lead float64) []*Report {
-	pairs := e.scr.bfPairs[:0]
-	for i := 0; i < len(xcvrs); i++ {
-		for j := i + 1; j < len(xcvrs); j++ {
-			if xcvrs[i].Node != xcvrs[j].Node {
-				pairs = append(pairs, bfPair{int32(i), int32(j)})
-			}
-		}
-	}
-	e.scr.bfPairs = pairs
-	e.stats.Graphs++
-	e.stats.PairsPossible += uint64(len(pairs))
-	e.stats.PairsEnumerated += uint64(len(pairs))
-	e.stats.ReEvals += uint64(len(pairs))
-	results := e.resizeResults(len(pairs))
-	workers := e.workerCount(len(pairs))
-	e.ensureWorkers(workers)
-	e.resetShardItems(workers)
-	if workers <= 1 {
-		e.lastShardItems[0] = len(pairs)
-		s := &e.scr.workers[0]
-		for k, p := range pairs {
-			results[k] = e.evaluatePairScratch(xcvrs[p.a], xcvrs[p.b], lead, s)
-		}
-	} else {
-		var wg sync.WaitGroup
-		chunk := (len(pairs) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(pairs) {
-				hi = len(pairs)
-			}
-			if lo >= hi {
-				break
-			}
-			e.lastShardItems[w] = hi - lo
-			wg.Add(1)
-			go func(lo, hi, w int) {
-				defer wg.Done()
-				s := &e.scr.workers[w]
-				for k := lo; k < hi; k++ {
-					p := pairs[k]
-					results[k] = e.evaluatePairScratch(xcvrs[p.a], xcvrs[p.b], lead, s)
-				}
-			}(lo, hi, w)
-		}
-		wg.Wait()
-	}
-	n := 0
-	for _, r := range results {
-		if r != nil {
-			n++
-		}
-	}
-	out := make([]*Report, 0, n)
-	for _, r := range results {
-		if r != nil {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID.A != out[j].ID.A {
-			return out[i].ID.A < out[j].ID.A
-		}
-		return out[i].ID.B < out[j].ID.B
-	})
-	return out
-}
-
-// resetShardItems re-zeroes the per-worker task counts for a new
-// graph build's fan-out.
-func (e *Evaluator) resetShardItems(workers int) {
-	if cap(e.lastShardItems) < workers {
-		e.lastShardItems = make([]int, workers)
-	}
-	e.lastShardItems = e.lastShardItems[:workers]
-	for i := range e.lastShardItems {
-		e.lastShardItems[i] = 0
-	}
-}
-
-// LastShardItems returns the per-worker task counts of the most
-// recent candidate-graph build (slot i = worker i). The slice is
-// reused across builds; callers must not retain it.
-func (e *Evaluator) LastShardItems() []int { return e.lastShardItems }
-
-func (e *Evaluator) workerCount(items int) int {
-	workers := e.cfg.Parallelism
-	if workers <= 0 {
-		//minkowski:dettaint-ok read once per fan-out entry; workers write disjoint slots and results merge in index order, so output is byte-identical for any value
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > items {
-		workers = items
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return e.graph(xcvrs, lead, nil)
 }
 
 // Horizon evaluates the candidate graph at each lead in leads,
@@ -600,12 +446,6 @@ func (e *Evaluator) workerCount(items int) int {
 // re-predicting per pair.
 func (e *Evaluator) Horizon(xcvrs []*platform.Transceiver, leads []float64) [][]*Report {
 	out := make([][]*Report, len(leads))
-	if !e.cfg.Incremental {
-		for i, lead := range leads {
-			out[i] = e.bruteForceGraph(xcvrs, lead)
-		}
-		return out
-	}
 	// Per-node position table across the whole horizon.
 	posTab := make(map[*platform.Node][]geo.LLA, len(xcvrs))
 	for _, x := range xcvrs {
@@ -626,7 +466,7 @@ func (e *Evaluator) Horizon(xcvrs []*platform.Transceiver, leads []float64) [][]
 	}
 	for i, lead := range leads {
 		idx := i
-		out[i] = e.incrementalGraph(xcvrs, lead, func(n *platform.Node) geo.LLA {
+		out[i] = e.graph(xcvrs, lead, func(n *platform.Node) geo.LLA {
 			return posTab[n][idx]
 		})
 	}

@@ -65,21 +65,16 @@ func TestCandidateGraphBasic(t *testing.T) {
 }
 
 func TestParallelMatchesSerial(t *testing.T) {
-	cfgSerial := DefaultConfig()
-	cfgSerial.Parallelism = 1
-	cfgPar := DefaultConfig()
-	cfgPar.Parallelism = 8
 	xs := testFleetXcvrs()
-	gs := New(cfgSerial, clearSky{}, nil).CandidateGraph(xs, 0)
-	gp := New(cfgPar, clearSky{}, nil).CandidateGraph(xs, 0)
-	if len(gs) != len(gp) {
-		t.Fatalf("serial %d vs parallel %d candidates", len(gs), len(gp))
-	}
-	for i := range gs {
-		if gs[i].ID != gp[i].ID || gs[i].Budget != gp[i].Budget {
-			t.Fatal("parallel evaluation must be deterministic")
+	var serial []*Report
+	atWidths(t, func(t *testing.T) {
+		g := New(DefaultConfig(), clearSky{}, nil).CandidateGraph(xs, 0)
+		if serial == nil {
+			serial = g // atWidths starts at one worker
+			return
 		}
-	}
+		compareGraphs(t, "parallel", g, serial)
+	})
 }
 
 func TestOutOfRangePruned(t *testing.T) {

@@ -21,10 +21,9 @@
 //     plan fingerprints, journals, and telemetry digests are
 //     byte-identical with obs fully enabled, disabled, or absent.
 //   - Snapshots, span trees, and flight dumps never include
-//     GOMAXPROCS- or worker-count-derived quantities unless the
-//     fan-out width was explicitly pinned by configuration, so
-//     chaosearch reports embedding them stay byte-identical across
-//     -workers and GOMAXPROCS.
+//     GOMAXPROCS- or worker-count-derived quantities, so chaosearch
+//     reports embedding them stay byte-identical across -workers and
+//     GOMAXPROCS.
 package obs
 
 // Config sizes one Obs instance.

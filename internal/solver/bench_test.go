@@ -43,8 +43,7 @@ func benchInputs(scale int) []Input {
 }
 
 // BenchmarkSolve is the single-shot solve at each fidelity scale:
-// the retained seed implementation (reference) against the rewritten
-// engine at one worker and at eight.
+// the retained seed implementation (reference) against the engine.
 func BenchmarkSolve(b *testing.B) {
 	for scale := 1; scale <= 3; scale++ {
 		in := benchInputs(scale)[0]
@@ -57,15 +56,6 @@ func BenchmarkSolve(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("engine/scale%d", scale), func(b *testing.B) {
 			s := New(DefaultConfig())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = s.Solve(in)
-			}
-		})
-		b.Run(fmt.Sprintf("engine-parallel/scale%d", scale), func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Workers = 8
-			s := New(cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = s.Solve(in)
@@ -94,25 +84,14 @@ func BenchmarkSolveCycle(b *testing.B) {
 				_ = s.Solve(ins[i%len(ins)])
 			}
 		})
-		b.Run(fmt.Sprintf("cold-parallel/scale%d", scale), func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Workers = 8
-			s := New(cfg)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = s.Solve(ins[i%len(ins)])
-			}
-		})
 	}
 }
 
 // solverBenchRecord is one scale's row in BENCH_solver.json.
 type solverBenchRecord struct {
-	ReferenceNsOp       float64 `json:"reference_ns_op"`
-	ColdNsOp            float64 `json:"cold_ns_op"`
-	ColdParallelNsOp    float64 `json:"cold_parallel_ns_op"`
-	ColdSpeedup         float64 `json:"cold_speedup_vs_reference"`
-	ColdParallelSpeedup float64 `json:"cold_parallel_speedup_vs_reference"`
+	ReferenceNsOp float64 `json:"reference_ns_op"`
+	ColdNsOp      float64 `json:"cold_ns_op"`
+	ColdSpeedup   float64 `json:"cold_speedup_vs_reference"`
 }
 
 // TestWriteBenchJSON measures the solve-cycle suite and writes the
@@ -143,30 +122,16 @@ func TestWriteBenchJSON(t *testing.T) {
 				_ = s.Solve(ins[i%len(ins)])
 			}
 		})
-		coldPar := testing.Benchmark(func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Workers = 8
-			s := New(cfg)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = s.Solve(ins[i%len(ins)])
-			}
-		})
 		rec := solverBenchRecord{
-			ReferenceNsOp:    float64(ref.NsPerOp()),
-			ColdNsOp:         float64(cold.NsPerOp()),
-			ColdParallelNsOp: float64(coldPar.NsPerOp()),
+			ReferenceNsOp: float64(ref.NsPerOp()),
+			ColdNsOp:      float64(cold.NsPerOp()),
 		}
 		if rec.ColdNsOp > 0 {
 			rec.ColdSpeedup = rec.ReferenceNsOp / rec.ColdNsOp
 		}
-		if rec.ColdParallelNsOp > 0 {
-			rec.ColdParallelSpeedup = rec.ReferenceNsOp / rec.ColdParallelNsOp
-		}
 		summary[fmt.Sprintf("scale%d", scale)] = rec
-		t.Logf("scale%d: reference %.3fms cold %.3fms cold-par %.3fms cold-speedup %.1fx cold-par-speedup %.1fx",
-			scale, rec.ReferenceNsOp/1e6, rec.ColdNsOp/1e6, rec.ColdParallelNsOp/1e6,
-			rec.ColdSpeedup, rec.ColdParallelSpeedup)
+		t.Logf("scale%d: reference %.3fms cold %.3fms cold-speedup %.1fx",
+			scale, rec.ReferenceNsOp/1e6, rec.ColdNsOp/1e6, rec.ColdSpeedup)
 	}
 	data, err := json.MarshalIndent(summary, "", "  ")
 	if err != nil {

@@ -10,9 +10,9 @@ import (
 	"minkowski/internal/rf"
 )
 
-// This file is the optimized solve engine behind Solve. It executes
-// the same Appendix B iterative greedy as SolveReference — the
-// retained seed implementation in reference.go — but over index
+// This file is the solve engine behind Solve. It executes the same
+// Appendix B iterative greedy as SolveReference — the seed
+// implementation retained in reference_test.go — but over index
 // arrays instead of string-keyed maps, with scratch reuse across
 // cycles and per-request Dijkstra batches fanned out over a worker
 // pool with a deterministic index-slot merge. Nothing but the scratch
@@ -285,15 +285,14 @@ func (s *Solver) workerCount(items int) int {
 // forEach runs fn(0..n-1) across the worker pool in contiguous index
 // chunks. Every task writes only its own index slot, so the merge is
 // the slot layout itself: results are position-determined and
-// identical at any worker count. Falls back to a serial sweep for
-// single-worker configs and trivial batches.
+// identical at any worker count. Falls back to a serial sweep on one
+// core and for trivial batches.
 func (s *Solver) forEach(n int, fn func(i int, ws *spScratch)) {
 	if n == 0 {
 		return
 	}
 	w := s.workerCount(n)
 	if w <= 1 || n <= 2 {
-		s.lastShardLoads[0] += n
 		ws := &s.c.workers[0]
 		for i := 0; i < n; i++ {
 			fn(i, ws)
@@ -308,7 +307,6 @@ func (s *Solver) forEach(n int, fn func(i int, ws *spScratch)) {
 			break
 		}
 		hi := min(lo+chunk, n)
-		s.lastShardLoads[wk] += hi - lo
 		wg.Add(1)
 		go func(lo, hi int, ws *spScratch) {
 			defer wg.Done()
@@ -326,19 +324,8 @@ func (s *Solver) forEach(n int, fn func(i int, ws *spScratch)) {
 // redundancy secondary objective.
 func (s *Solver) run(in *Input) *Plan {
 	c := &s.c
-	maxW := s.cfg.Workers
-	if maxW <= 0 {
-		//minkowski:dettaint-ok read once at solve entry and frozen in c.reset; worker count only shards work and the merge is order-fixed, so plans are byte-identical for any value
-		maxW = runtime.GOMAXPROCS(0)
-	}
-	c.reset(s.cfg, in, maxW)
-	if cap(s.lastShardLoads) < maxW {
-		s.lastShardLoads = make([]int, maxW)
-	}
-	s.lastShardLoads = s.lastShardLoads[:maxW]
-	for i := range s.lastShardLoads {
-		s.lastShardLoads[i] = 0
-	}
+	//minkowski:dettaint-ok read once at solve entry and frozen in c.reset; worker count only shards work and the merge is order-fixed, so plans are byte-identical for any value
+	c.reset(s.cfg, in, runtime.GOMAXPROCS(0))
 	nR := len(in.Requests)
 	plan := &Plan{Routes: make(map[string][]string, nR)}
 

@@ -1,13 +1,14 @@
 package solver
 
-// Equivalence property tests: the optimized engine (Solve, at any
-// worker count) must produce byte-identical plans to SolveReference — the retained seed implementation — on
-// evolving multi-cycle scenarios with drifting positions, churning
-// existing-link sets, penalties, and drains. Run in CI at
-// GOMAXPROCS=1,2,8 under -race.
+// Equivalence property tests: the engine (Solve, at any fan-out
+// width) must produce byte-identical plans to SolveReference — the
+// retained seed implementation — on evolving multi-cycle scenarios
+// with drifting positions, churning existing-link sets, penalties, and
+// drains. CI runs them under -race as well.
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"minkowski/internal/flight"
@@ -17,6 +18,20 @@ import (
 	"minkowski/internal/radio"
 	"minkowski/internal/rf"
 )
+
+// atWidths runs fn as a subtest at fan-out widths 1, 2 and 8. The
+// width is GOMAXPROCS and nothing else, so the subtest sets it and
+// restores it on cleanup; no test in this package calls t.Parallel, so
+// the process-wide setting cannot leak into another.
+func atWidths(t *testing.T, fn func(t *testing.T)) {
+	for _, n := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(n)
+			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+			fn(t)
+		})
+	}
+}
 
 // eqWorld is a drifting fleet scenario: a grid of balloons over a few
 // gateways, with a deterministic LCG nudging positions each cycle so
@@ -118,28 +133,24 @@ func existingFrom(p *Plan) map[radio.LinkID]bool {
 }
 
 // TestEngineMatchesReferenceCold: Solve == SolveReference on
-// every cycle of a drifting scenario, at several worker counts.
+// every cycle of a drifting scenario, at several fan-out widths.
 func TestEngineMatchesReferenceCold(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			w := newEqWorld(9, 0xC0FFEE)
-			cfg := DefaultConfig()
-			cfg.Workers = workers
-			s := New(cfg)
-			ref := New(DefaultConfig())
-			existing := map[radio.LinkID]bool{}
-			for cyc := 0; cyc < 6; cyc++ {
-				in := w.input(existing)
-				want := ref.SolveReference(in).Fingerprint()
-				got := s.Solve(in).Fingerprint()
-				if got != want {
-					t.Fatalf("cycle %d: engine diverged from reference\nengine:\n%s\nreference:\n%s", cyc, got, want)
-				}
-				existing = existingFrom(ref.SolveReference(in))
-				w.drift()
+	atWidths(t, func(t *testing.T) {
+		w := newEqWorld(9, 0xC0FFEE)
+		s := New(DefaultConfig())
+		ref := New(DefaultConfig())
+		existing := map[radio.LinkID]bool{}
+		for cyc := 0; cyc < 6; cyc++ {
+			in := w.input(existing)
+			want := ref.SolveReference(in).Fingerprint()
+			got := s.Solve(in).Fingerprint()
+			if got != want {
+				t.Fatalf("cycle %d: engine diverged from reference\nengine:\n%s\nreference:\n%s", cyc, got, want)
 			}
-		})
-	}
+			existing = existingFrom(ref.SolveReference(in))
+			w.drift()
+		}
+	})
 }
 
 // TestEngineMatchesReferenceTightHopCap pins the hop-cap
@@ -150,15 +161,14 @@ func TestEngineMatchesReferenceCold(t *testing.T) {
 // re-runs every nil request each iteration and final-routes everyone;
 // the engine must match byte for byte — it may only memoize nils
 // whose search never hit the cap. Runs across tight caps, seeds, and
-// worker counts.
+// fan-out widths.
 func TestEngineMatchesReferenceTightHopCap(t *testing.T) {
 	for _, maxLen := range []int{1, 2, 3, 4} {
 		for _, seed := range []uint64{0x7C4A, 0xA11CE} {
-			for _, workers := range []int{1, 8} {
-				t.Run(fmt.Sprintf("cap=%d/seed=%x/workers=%d", maxLen, seed, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("cap=%d/seed=%x", maxLen, seed), func(t *testing.T) {
+				atWidths(t, func(t *testing.T) {
 					cfg := DefaultConfig()
 					cfg.MaxPathLen = maxLen
-					cfg.Workers = workers
 					s := New(cfg)
 					ref := New(cfg)
 					w := newEqWorld(12, seed)
@@ -179,7 +189,7 @@ func TestEngineMatchesReferenceTightHopCap(t *testing.T) {
 						t.Fatalf("vacuous scenario: cap %d never left a request unsatisfied", maxLen)
 					}
 				})
-			}
+			})
 		}
 	}
 }
@@ -244,18 +254,16 @@ func TestHopCapUnreachableBecomesRoutable(t *testing.T) {
 		t.Fatalf("scenario must flip r1 from unreachable to routed s-m-d; reference gave %v (unsat %v)", route, ref.Unsatisfied)
 	}
 	want := ref.Fingerprint()
-	for _, workers := range []int{1, 4} {
-		cfgW := cfg
-		cfgW.Workers = workers
+	atWidths(t, func(t *testing.T) {
 		// One Solver re-solving the same input: the nilKnown memo is
 		// per-solve scratch and must not leak into the next cycle.
-		sw := New(cfgW)
+		sw := New(cfg)
 		for cyc := 0; cyc < 3; cyc++ {
 			if got := sw.Solve(in).Fingerprint(); got != want {
-				t.Errorf("cycle %d (workers=%d): engine stranded the un-capped request:\nengine:\n%s\nreference:\n%s", cyc, workers, got, want)
+				t.Errorf("cycle %d: engine stranded the un-capped request:\nengine:\n%s\nreference:\n%s", cyc, got, want)
 			}
 		}
-	}
+	})
 }
 
 // TestSolveAndReferenceMatchLegacyScenarios reruns the seed test

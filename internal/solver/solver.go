@@ -23,14 +23,14 @@
 // incompatible links inviable until no viable link carries positive
 // utility.
 //
-// Two implementations coexist: SolveReference (reference.go) is the
-// seed's literal map-based single-threaded algorithm, kept as ground
-// truth; Solve runs the optimized engine (engine.go, dijkstra.go) —
-// index arrays, reusable scratch, a concrete frontier heap and
-// parallel per-request Dijkstra batches — whose output is
-// byte-identical to the reference at any worker count (DESIGN.md §10).
-// A solve is a pure function of its Input: the only thing carried from
-// one cycle to the next is Input.Existing.
+// Solve runs the one production implementation (engine.go,
+// dijkstra.go): index arrays, reusable scratch, a concrete frontier
+// heap and per-request Dijkstra batches fanned out one goroutine per
+// core. The seed's literal map-based single-threaded algorithm
+// survives as SolveReference in reference_test.go, the ground truth
+// the equivalence tests hold Solve to byte for byte at every fan-out
+// width (DESIGN.md §10). A solve is a pure function of its Input: the
+// only thing carried from one cycle to the next is Input.Existing.
 package solver
 
 import (
@@ -195,10 +195,6 @@ type Config struct {
 	RedundancyTargetFrac float64
 	// MaxPathLen bounds route length in hops.
 	MaxPathLen int
-	// Workers caps the engine's per-request Dijkstra fan-out
-	// (0 = GOMAXPROCS). Plans are byte-identical at every value —
-	// Workers is a throughput knob, never a semantic one.
-	Workers int
 }
 
 // DefaultConfig returns the production policy.
@@ -218,30 +214,16 @@ func DefaultConfig() Config {
 // Solver runs solve cycles. It owns the engine's scratch arenas, so a
 // Solver is NOT safe for concurrent use — one Solver per control
 // loop. (The parallelism inside a solve is the engine's own worker
-// fan-out, governed by Config.Workers.)
+// fan-out, one goroutine per core.)
 type Solver struct {
 	cfg Config
 	c   ctx
-	// lastShardLoads accumulates, per worker slot, how many routing
-	// tasks the previous run's forEach calls assigned to it. Recorded
-	// caller-side in the scheduling loop (never inside the worker
-	// goroutines), so reading it is race-free on the sim loop. Only
-	// meaningful for obs shard spans when cfg.Workers is explicitly
-	// pinned — at the GOMAXPROCS default the layout is
-	// machine-dependent and the tracer must not export it.
-	lastShardLoads []int
 }
-
-// LastShardLoads returns the per-worker task counts of the most
-// recent solve (slot i = worker i). The slice is reused across
-// solves; callers must not retain it.
-func (s *Solver) LastShardLoads() []int { return s.lastShardLoads }
 
 // New creates a solver.
 func New(cfg Config) *Solver { return &Solver{cfg: cfg} }
 
-// Solve runs one cycle with the optimized engine. The plan is
-// byte-identical to SolveReference(in).
+// Solve runs one cycle.
 //
 //minkowski:hotpath
 func (s *Solver) Solve(in Input) *Plan { return s.run(&in) }
