@@ -8,6 +8,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"minkowski/internal/manet"
 	"minkowski/internal/sim"
@@ -47,8 +49,10 @@ func topology() *manet.StaticNetwork {
 	return net
 }
 
-func main() {
-	fmt.Printf("%-8s %-14s %-14s %-12s %s\n", "proto", "availability", "mean repair", "ctrl bytes", "ctrl msgs")
+func main() { run(os.Stdout) }
+
+func run(w io.Writer) {
+	fmt.Fprintf(w, "%-8s %-14s %-14s %-12s %s\n", "proto", "availability", "mean repair", "ctrl bytes", "ctrl msgs")
 	last := fmt.Sprintf("b%02d", nodes)
 	for _, name := range []string{"batman", "aodv", "dsdv", "olsr"} {
 		eng := sim.New(42)
@@ -94,11 +98,11 @@ func main() {
 			mean /= float64(len(repairs))
 		}
 		st := r.Stats()
-		fmt.Printf("%-8s %-14.3f %-14s %-12d %d\n",
+		fmt.Fprintf(w, "%-8s %-14.3f %-14s %-12d %d\n",
 			r.Name(), float64(avail)/float64(samples),
 			fmt.Sprintf("%.1fs (n=%d)", mean, len(repairs)),
 			st.BytesSent, st.MessagesSent)
 	}
-	fmt.Println("\npaper's Appendix D finding: AODV & DSDV converge well; AODV has lower")
-	fmt.Println("overhead because Loon only needs routes to a handful of SDN endpoints.")
+	fmt.Fprintln(w, "\npaper's Appendix D finding: AODV & DSDV converge well; AODV has lower")
+	fmt.Fprintln(w, "overhead because Loon only needs routes to a handful of SDN endpoints.")
 }

@@ -13,7 +13,7 @@
 //     idiom),
 //   - sends on a channel, or
 //   - calls into an order-sensitive sink package (CDPI/actuation,
-//     telemetry, the radio fabric, the change-log).
+//     telemetry, the radio fabric, the change-log, the event engine).
 //
 // Counters, max/min folds, deletes from the ranged map, and other
 // commutative bodies are not flagged. A site that is genuinely
@@ -44,12 +44,15 @@ var Analyzer = &vet.Analyzer{
 // order into the system's behavior. The radio fabric is one because
 // ending a link fires OnDown callbacks that read the mesh as the
 // earlier iterations left it; the change-log because its entries keep
-// the order they were appended in. Tests may append to this list.
+// the order they were appended in; the event engine because events due
+// at the same instant run — and draw from their RNG streams — in the
+// order they were scheduled. Tests may append to this list.
 var SinkPackages = []string{
 	"minkowski/internal/cdpi",
 	"minkowski/internal/telemetry",
 	"minkowski/internal/radio",
 	"minkowski/internal/explain",
+	"minkowski/internal/sim",
 }
 
 func run(pass *vet.Pass) (any, error) {

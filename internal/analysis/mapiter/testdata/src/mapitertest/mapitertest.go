@@ -7,6 +7,7 @@ import (
 	"minkowski/internal/explain"
 	"minkowski/internal/platform"
 	"minkowski/internal/radio"
+	"minkowski/internal/sim"
 	"minkowski/internal/telemetry"
 )
 
@@ -58,6 +59,18 @@ func powerTransitions(balloons map[string]*platform.Node, wasOn map[string]bool,
 			log.Append(0, explain.EvNodeLeave, id, "payload powered down")
 		}
 		wasOn[id] = on
+	}
+}
+
+// rediscover is the shape of manet.AODV's interest sweep before its
+// interests became a slice: events scheduled for one instant run in
+// scheduling order, so map order chose who drew from the RNG first.
+func rediscover(eng *sim.Engine, interests map[string][]string, discover func(src, dst string)) {
+	for src, dsts := range interests { // want `calls into order-sensitive package minkowski/internal/sim`
+		for _, dst := range dsts {
+			src, dst := src, dst
+			eng.After(1, func() { discover(src, dst) })
+		}
 	}
 }
 

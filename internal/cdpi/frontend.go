@@ -162,6 +162,7 @@ func (fe *Frontend) RebootAgent(node string) *Agent {
 // (the paper's §6 restart-safety hazard).
 func (fe *Frontend) Crash() {
 	fe.down = true
+	//minkowski:unordered-ok Timer.Cancel only marks each timer's own event; nothing is scheduled, so no tie-break order is set here
 	for _, p := range fe.pending {
 		if p.timer != nil {
 			p.timer.Cancel()

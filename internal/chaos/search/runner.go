@@ -14,69 +14,42 @@ import (
 
 // Options tune one script execution.
 type Options struct {
-	// PreFix runs with the pre-fix compatibility knobs (symmetric
-	// in-band model, telemetry guard disabled) — the configuration the
-	// chaos search originally found its violations under. Repro tests
-	// use it to prove a committed reproducer still reproduces.
+	// PreFix runs on core.NewPreFix (symmetric in-band model, telemetry
+	// guard and epoch fencing off) — the configuration the chaos search
+	// originally found its violations under. Repro tests use it to
+	// prove a committed reproducer still reproduces.
 	PreFix bool
 	// CheckDeterminism runs the script twice and compares telemetry
 	// digests (doubles the cost; the search enables it, shrinking of
 	// non-determinism violations keeps it, other shrinking drops it).
 	CheckDeterminism bool
-	// RecoveryBoundS is the time after a controller restart within
-	// which the solve loop must demonstrably resume. 0 = default
-	// (150 s: reconciliation is immediate, the next solve cycle is at
-	// most one 60 s interval away, the rest is slack).
-	RecoveryBoundS float64
-	// PositionBoundM is the maximum believed-vs-truth position error
-	// for an operational balloon. 0 = default (200 km: a quarantined
-	// node's frozen fix drifts at most MaxSpeed × window, the
-	// byzantine spoof is 250 km).
-	PositionBoundM float64
-	// GhostGraceS is how long a node may look in-band (fresh
-	// heartbeats) with no real up-path before it counts as a ghost.
-	// 0 = default (30 s: heartbeat timeout + probe cadence + mesh
-	// convergence).
-	GhostGraceS float64
-	// PromotionBoundS is the time after the leadership lease can
-	// first lapse within which a standby must have promoted and
-	// resumed solving. 0 = default (90 s). The probe's deadline is
-	// fault start + lease TTL (30 s) + one leaseCheckS (5 s) for the
-	// standby to see the lapse and take over + this bound;
-	// reconciliation is immediate and the promoted replica's next
-	// solve is at most one 60 s solve interval away, which leaves
-	// 30 s of slack. A solve takes zero sim-seconds, so the bound
-	// does not depend on how the solver starts.
-	PromotionBoundS float64
 }
 
-func (o Options) recoveryBound() float64 {
-	if o.RecoveryBoundS > 0 {
-		return o.RecoveryBoundS
-	}
-	return 150
-}
-
-func (o Options) positionBound() float64 {
-	if o.PositionBoundM > 0 {
-		return o.PositionBoundM
-	}
-	return 200e3
-}
-
-func (o Options) ghostGrace() float64 {
-	if o.GhostGraceS > 0 {
-		return o.GhostGraceS
-	}
-	return 30
-}
-
-func (o Options) promotionBound() float64 {
-	if o.PromotionBoundS > 0 {
-		return o.PromotionBoundS
-	}
-	return 90
-}
+const (
+	// recoveryBoundS is the time after a controller restart within
+	// which the solve loop must demonstrably resume: reconciliation is
+	// immediate, the next solve cycle is at most one 60 s interval
+	// away, the rest is slack.
+	recoveryBoundS = 150.0
+	// positionBoundM is the maximum believed-vs-truth position error
+	// for an operational balloon: a quarantined node's frozen fix
+	// drifts at most MaxSpeed × window, the byzantine spoof is 250 km.
+	positionBoundM = 200e3
+	// ghostGraceS is how long a node may look in-band (fresh
+	// heartbeats) with no real up-path before it counts as a ghost:
+	// heartbeat timeout + probe cadence + mesh convergence.
+	ghostGraceS = 30.0
+	// promotionBoundS is the time after the leadership lease can first
+	// lapse within which a standby must have promoted and resumed
+	// solving. The probe's deadline is fault start + lease TTL (30 s)
+	// + one leaseCheckS (5 s) for the standby to see the lapse and
+	// take over + this bound; reconciliation is immediate and the
+	// promoted replica's next solve is at most one 60 s solve interval
+	// away, which leaves 30 s of slack. A solve takes zero
+	// sim-seconds, so the bound does not depend on how the solver
+	// starts.
+	promotionBoundS = 90.0
+)
 
 // Result is one script execution's verdict.
 type Result struct {
@@ -139,7 +112,7 @@ func (r Result) ViolatedNames() []string {
 // config maps a script + options onto a controller scenario. The
 // sizing matches internal/experiments' scale mapping; the cadence
 // knobs match the fast chaos-test profile so trials stay cheap.
-func config(s Script, opts Options) core.Config {
+func config(s Script) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Seed = s.Seed
 	cfg.FleetSize = s.FleetSize()
@@ -156,11 +129,6 @@ func config(s Script, opts Options) core.Config {
 	// read-only; runs without it are byte-identical to the pre-probe
 	// profile only in configs that leave DeliveryProbeS at 0.
 	cfg.DeliveryProbeS = 60
-	if opts.PreFix {
-		cfg.SymmetricInBand = true
-		cfg.DisableTelemetryGuard = true
-		cfg.DisableEpochFencing = true
-	}
 	return cfg
 }
 
@@ -208,7 +176,11 @@ func runOnce(s Script, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	c := core.New(config(s, opts))
+	build := core.New
+	if opts.PreFix {
+		build = core.NewPreFix
+	}
+	c := build(config(s))
 	c.InstallChaos(scn)
 
 	var violations []Violation
@@ -239,7 +211,6 @@ func runOnce(s Script, opts Options) (Result, error) {
 	// each other's recovery/promotion observations, so both probe
 	// families skip any window whose observation span overlaps another
 	// controller window.
-	bound := opts.recoveryBound()
 	var ctlWindows []crashWindow
 	var crashes, failovers []int // indices into ctlWindows
 	for _, f := range scn.Faults {
@@ -280,7 +251,7 @@ func runOnce(s Script, opts Options) (Result, error) {
 		// Skip windows whose recovery span collides with another
 		// controller fault: "recovered" is unobservable while a second
 		// fault holds the controller down.
-		restart, deadline := cw.end, cw.end+bound
+		restart, deadline := cw.end, cw.end+recoveryBoundS
 		if deadline >= horizon || overlapsOther(ci, restart, deadline) {
 			continue
 		}
@@ -305,15 +276,15 @@ func runOnce(s Script, opts Options) (Result, error) {
 			observe()
 			if c.Down() {
 				record(InvBoundedRecovery,
-					fmt.Sprintf("controller still down %.0fs after restart at t=%.0fs", bound, restart))
+					fmt.Sprintf("controller still down %.0fs after restart at t=%.0fs", recoveryBoundS, restart))
 				return
 			}
 			if c.SolveRuns <= solvesAtRestart {
 				record(InvBoundedRecovery,
-					fmt.Sprintf("no solve cycle completed within %.0fs of restart at t=%.0fs", bound, restart))
+					fmt.Sprintf("no solve cycle completed within %.0fs of restart at t=%.0fs", recoveryBoundS, restart))
 				return
 			}
-			noteMargin(InvBoundedRecovery, (deadline-resumedAt)/bound)
+			noteMargin(InvBoundedRecovery, (deadline-resumedAt)/recoveryBoundS)
 		})
 	}
 
@@ -324,11 +295,10 @@ func runOnce(s Script, opts Options) (Result, error) {
 	// after that. Windows too short for the lease to lapse are skipped
 	// (healing before deposition is legitimate), as are windows whose
 	// observation span collides with another controller fault.
-	pBound := opts.promotionBound()
 	const leaseLapseS = 35 // search-profile TTL + one check cadence
 	for _, fi := range failovers {
 		fw := ctlWindows[fi]
-		deadline := fw.start + leaseLapseS + pBound
+		deadline := fw.start + leaseLapseS + promotionBoundS
 		if fw.end-fw.start <= leaseLapseS {
 			continue
 		}
@@ -356,25 +326,24 @@ func runOnce(s Script, opts Options) (Result, error) {
 			if c.Promotions <= promosBefore {
 				record(InvBoundedPromotion,
 					fmt.Sprintf("no standby promotion within %.0fs of the fault at t=%.0fs (lease lapse + bound)",
-						leaseLapseS+pBound, fw.start))
+						leaseLapseS+promotionBoundS, fw.start))
 				return
 			}
 			if c.Down() {
 				record(InvBoundedPromotion,
-					fmt.Sprintf("promoted controller still down %.0fs after the fault at t=%.0fs", leaseLapseS+pBound, fw.start))
+					fmt.Sprintf("promoted controller still down %.0fs after the fault at t=%.0fs", leaseLapseS+promotionBoundS, fw.start))
 				return
 			}
 			if c.SolveRuns <= solvesBefore {
 				record(InvBoundedPromotion,
-					fmt.Sprintf("no solve cycle completed within %.0fs of the fault at t=%.0fs", leaseLapseS+pBound, fw.start))
+					fmt.Sprintf("no solve cycle completed within %.0fs of the fault at t=%.0fs", leaseLapseS+promotionBoundS, fw.start))
 				return
 			}
-			noteMargin(InvBoundedPromotion, (deadline-resumedAt)/(leaseLapseS+pBound))
+			noteMargin(InvBoundedPromotion, (deadline-resumedAt)/(leaseLapseS+promotionBoundS))
 		})
 	}
 
 	// --- control-consistency probe (ghost heartbeats) ---------------
-	grace := opts.ghostGrace()
 	const ghostProbeS = 5
 	ghostFor := map[string]float64{}
 	ghosted := map[string]bool{} // one violation per node per episode
@@ -388,7 +357,7 @@ func runOnce(s Script, opts Options) (Result, error) {
 				if ghostFor[id] > maxGhost {
 					maxGhost = ghostFor[id]
 				}
-				if ghostFor[id] > grace && !ghosted[id] {
+				if ghostFor[id] > ghostGraceS && !ghosted[id] {
 					ghosted[id] = true
 					record(InvControlConsistency,
 						fmt.Sprintf("%s looks in-band (fresh heartbeats) but has had no real up-path for %.0fs",
@@ -403,7 +372,6 @@ func runOnce(s Script, opts Options) (Result, error) {
 	})
 
 	// --- position-sanity probe --------------------------------------
-	posBound := opts.positionBound()
 	posViolated := map[string]bool{}
 	maxPosFrac := 0.0 // worst error as a fraction of the bound (margin evidence)
 	c.Eng.Every(60, func() bool {
@@ -416,14 +384,14 @@ func runOnce(s Script, opts Options) (Result, error) {
 				continue
 			}
 			d := geo.SlantRange(est, n.Position())
-			if frac := d / posBound; frac > maxPosFrac {
+			if frac := d / positionBoundM; frac > maxPosFrac {
 				maxPosFrac = frac
 			}
-			if d > posBound {
+			if d > positionBoundM {
 				posViolated[id] = true
 				record(InvPositionSanity,
 					fmt.Sprintf("controller believes %s is %.0f km from its true position (bound %.0f km)",
-						id, d/1e3, posBound/1e3))
+						id, d/1e3, positionBoundM/1e3))
 			}
 		}
 		return true
@@ -499,7 +467,7 @@ func runOnce(s Script, opts Options) (Result, error) {
 	// route whose entries were mid-rewrite — the raw material loops are
 	// made of.
 	noteMargin(InvNoRoutingLoop, 1/(1+float64(deadEnds)))
-	noteMargin(InvControlConsistency, (grace-maxGhost)/grace)
+	noteMargin(InvControlConsistency, (ghostGraceS-maxGhost)/ghostGraceS)
 	noteMargin(InvPositionSanity, 1-maxPosFrac)
 	noteMargin(InvIntentJournalConsistency, 1-maxJournalStreak/journalStreakBoundS)
 	if !c.Down() && journalStreak >= journalStreakBoundS {

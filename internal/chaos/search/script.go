@@ -38,7 +38,7 @@ type Script struct {
 	// Hours is the simulated duration.
 	Hours float64 `json:"hours"`
 	// Violates names the invariant this script violated when it was
-	// found (pre-fix, or under the compat knobs); repro tests assert
+	// found (pre-fix, or on core.NewPreFix); repro tests assert
 	// the violation reappears under Options{PreFix: true} and is gone
 	// under the default (fixed) configuration.
 	Violates string        `json:"violates,omitempty"`

@@ -25,8 +25,8 @@ type SearchConfig struct {
 	// changes results: each trial is seeded independently and results
 	// are indexed by trial.
 	Workers int
-	// Opts are the per-run options (PreFix, bounds). Determinism
-	// checking is always on for trials.
+	// Opts are the per-run options (PreFix). Determinism checking is
+	// always on for trials.
 	Opts Options
 	// ShrinkBudget caps candidate runs per shrink (default
 	// DefaultShrinkBudget).

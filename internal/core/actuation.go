@@ -274,7 +274,7 @@ func (c *Controller) commandWithdraw(p *ctlState, li *intent.LinkIntent) {
 
 // commandRouteProgram declares the route and pushes per-node entries.
 // Reprograms (generation > 1) roll out WITHOUT sequencing: each
-// node's enactment is staggered across RouteStaggerS, reproducing the
+// node's enactment is staggered across routeStaggerS, reproducing the
 // temporary blackholes the paper's actuation layer suffered when a
 // topology change and its route updates raced.
 func (c *Controller) commandRouteProgram(p *ctlState, ri *intent.RouteIntent) {
@@ -284,8 +284,8 @@ func (c *Controller) commandRouteProgram(p *ctlState, ri *intent.RouteIntent) {
 	for i := 0; i < len(ri.Path)-1; i++ {
 		node, next := ri.Path[i], ri.Path[i+1]
 		tte := c.Frontend.PickTTE([]string{node})
-		if ri.Generation > 1 && c.Cfg.RouteStaggerS > 0 {
-			tte += c.Eng.RNG("actuation").Float64() * c.Cfg.RouteStaggerS
+		if ri.Generation > 1 {
+			tte += c.Eng.RNG("actuation").Float64() * routeStaggerS
 		}
 		cmd := &cdpi.Command{
 			Node: node, Kind: cdpi.KindRouteUpdate,
@@ -377,7 +377,7 @@ func (c *Controller) finishAttempt(p *ctlState, id radio.LinkID, ok bool) {
 	if !active {
 		return
 	}
-	if arm.attempt >= c.Cfg.MaxEstablishAttempts {
+	if arm.attempt >= maxEstablishAttempts {
 		p.Intents.MarkFailed(id, "acquire-failed", c.Eng.Now())
 		p.Journal.DropLink(id)
 		c.Log.Append(c.Eng.Now(), explain.EvLinkState, id.String(),
@@ -528,13 +528,9 @@ func (c *Controller) decayFailMemory(m *failMemory) {
 // map cannot grow without bound across a long run's churn of link IDs
 // (pairs that failed once and never recurred).
 func (c *Controller) evictFailMemory() {
-	horizon := c.Cfg.FailMemoryHorizonS
-	if horizon <= 0 {
-		horizon = 3600
-	}
 	now := c.Eng.Now()
 	for id, m := range c.linkFails {
-		if now-m.lastAt > horizon {
+		if now-m.lastAt > failMemoryHorizonS {
 			delete(c.linkFails, id)
 		}
 	}

@@ -36,9 +36,6 @@ func (c *Controller) SetByzantine(node string, active bool) {
 	}
 }
 
-// IsByzantine reports whether a node is currently spoofing telemetry.
-func (c *Controller) IsByzantine(node string) bool { return c.byzantine[node] }
-
 // reportedPosition is what a node's agent claims in heartbeats: truth
 // for honest nodes, a deterministic lie for byzantine ones.
 func (c *Controller) reportedPosition(node string) geo.LLA {
@@ -74,7 +71,7 @@ func (c *Controller) onPositionReport(node string, report interface{}) {
 	if !ok {
 		return
 	}
-	if c.Cfg.DisableTelemetryGuard {
+	if c.preFix {
 		c.reported[node] = pos
 		return
 	}
@@ -96,11 +93,9 @@ func (c *Controller) onPositionReport(node string, report interface{}) {
 // honest, unquarantined node — so fault-free runs are byte-identical
 // to the pre-guard baseline.
 func (c *Controller) estimatedPosition(n *platform.Node) (geo.LLA, bool) {
-	if c.Cfg.DisableTelemetryGuard {
-		if p, ok := c.reported[n.ID]; ok {
-			return p, true
-		}
-		return geo.LLA{}, false
+	if c.preFix {
+		p, ok := c.reported[n.ID]
+		return p, ok
 	}
 	if c.PosGuard.Quarantined(n.ID) {
 		if p, _, ok := c.PosGuard.LastGood(n.ID); ok {

@@ -273,10 +273,7 @@ func (c *Controller) drainedWithChaos() map[string]bool {
 // an explicit pessimism penalty, instead of silently evaluating links
 // on dead data.
 func (c *Controller) checkWeatherStaleness() {
-	if c.Cfg.WeatherStaleAfterS <= 0 {
-		return
-	}
-	stale := c.WxModel.AgeSeconds() > c.Cfg.WeatherStaleAfterS
+	stale := c.WxModel.AgeSeconds() > weatherStaleAfterS
 	if stale == c.WxModel.Degraded {
 		return
 	}

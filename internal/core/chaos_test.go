@@ -186,7 +186,7 @@ func TestWeatherStalenessDegradedMode(t *testing.T) {
 			{Kind: chaos.TelemetryStale, At: 3600, Duration: 2 * 3600},
 		},
 	})
-	c.Run(3600 + cfg.WeatherStaleAfterS + 300)
+	c.Run(3600 + weatherStaleAfterS + 300)
 	if !c.WxModel.Degraded {
 		t.Error("weather model not Degraded after gauge freeze exceeded threshold")
 	}

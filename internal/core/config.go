@@ -46,22 +46,15 @@ type Config struct {
 	// feeding the solver. 0 disables prediction (the reactive
 	// ablation of the paper's headline comparison).
 	PredictiveLeadS float64
-	// TelemetrySampleS is the reachability sampling cadence.
-	TelemetrySampleS float64
 	// AgentConnCheckS is the SDN agents' connectivity probe cadence
 	// (1 s in production; coarser keeps long simulations fast).
 	AgentConnCheckS float64
-	// MaxEstablishAttempts bounds per-intent link retries ("95% of
-	// installed links succeeding within 2 and 3 attempts").
-	MaxEstablishAttempts int
 	// ChurnSampling enables per-minute candidate-graph diffs (Fig. 4;
 	// expensive — only enable for that experiment).
 	ChurnSampling bool
 	// StartTODHours sets the local time of day at sim t=0 (09:00
 	// default: nodes powered, service running).
 	StartTODHours float64
-	// BackhaulBitrateBps is each balloon's requested backhaul.
-	BackhaulBitrateBps float64
 	// RedundancyTargetFrac forwards to the solver's secondary
 	// objective.
 	RedundancyTargetFrac float64
@@ -83,19 +76,6 @@ type Config struct {
 
 	// --- Robustness knobs -------------------------------------------
 
-	// FailMemoryHorizonS evicts adaptive-penalty failure memory whose
-	// last failure is older than this, bounding the linkFails map over
-	// long runs. 0 keeps the default (3600 s).
-	FailMemoryHorizonS float64
-	// WeatherStaleAfterS is the fused-model age beyond which the
-	// controller declares its weather inputs stale and flips the model
-	// into Degraded mode (stale-fallback chain + pessimism penalty).
-	// 0 disables detection.
-	WeatherStaleAfterS float64
-	// WeatherStalePenalty multiplies rain estimates served from stale
-	// sources in Degraded mode (> 1 = conservative). 0 keeps the
-	// default (1.5).
-	WeatherStalePenalty float64
 	// DeliveryProbeS enables end-to-end delivery accounting when > 0:
 	// every DeliveryProbeS seconds the controller offers one synthetic
 	// probe per in-service balloon's declared backhaul route and
@@ -123,22 +103,6 @@ type Config struct {
 	// fresh fencing epoch) when the lease lapses. Off by default so
 	// legacy single-controller scenarios stay byte-identical.
 	ReplicationEnabled bool
-	// DisableEpochFencing makes agents enact stale-epoch commands
-	// instead of rejecting them — the pre-fix split-brain behaviour the
-	// chaos-search repros demonstrate. Tests only.
-	DisableEpochFencing bool
-
-	// --- Byzantine-telemetry / partial-partition knobs --------------
-
-	// DisableTelemetryGuard switches off the position-plausibility
-	// gate, making the controller adopt self-reported positions
-	// blindly — the pre-fix behaviour the chaos search exploits. Tests
-	// only; the guard is on by default.
-	DisableTelemetryGuard bool
-	// SymmetricInBand restores the pre-directional in-band model where
-	// the node → EC direction reuses the EC → node path, resurrecting
-	// the ghost-heartbeat failure under partial partitions. Tests only.
-	SymmetricInBand bool
 
 	// --- Ablation knobs (zero values = production behaviour) ---
 
@@ -164,14 +128,6 @@ type Config struct {
 	// Off by default: the paper's production system "lacked a
 	// feedback loop and relied on modeled data".
 	AdaptiveLinkPenalty bool
-	// RouteStaggerS spreads the per-node enactment times of a route
-	// *re*program across this window. The paper's actuation layer
-	// "lacked the sequencing of updates to avoid temporary routing
-	// blackholes" — withdrawn links therefore broke routes for the
-	// rollout duration before the replacement path took over, which
-	// is what Fig. 8's withdrawn-caused recoveries measure. 0 makes
-	// reprograms near-atomic (a sequenced-actuation ablation).
-	RouteStaggerS float64
 }
 
 const (
@@ -198,6 +154,31 @@ const (
 	// reachabilityPeriodS is the reachability tracker's aggregation
 	// period: one day.
 	reachabilityPeriodS = 86400
+	// telemetrySampleS is the reachability sampling cadence.
+	telemetrySampleS = 30
+	// maxEstablishAttempts bounds per-intent link retries ("95% of
+	// installed links succeeding within 2 and 3 attempts").
+	maxEstablishAttempts = 3
+	// backhaulBitrateBps is each balloon's requested backhaul.
+	backhaulBitrateBps = 50e6
+	// failMemoryHorizonS evicts adaptive-penalty failure memory whose
+	// last failure is older than this, bounding the linkFails map over
+	// long runs.
+	failMemoryHorizonS = 3600
+	// weatherStaleAfterS is the fused-model age beyond which the
+	// controller declares its weather inputs stale and flips the model
+	// into Degraded mode (stale-fallback chain + pessimism penalty).
+	weatherStaleAfterS = 1800
+	// weatherStalePenalty multiplies rain estimates served from stale
+	// sources in Degraded mode (> 1 = conservative).
+	weatherStalePenalty = 1.5
+	// routeStaggerS spreads the per-node enactment times of a route
+	// *re*program across this window. The paper's actuation layer
+	// "lacked the sequencing of updates to avoid temporary routing
+	// blackholes" — withdrawn links therefore broke routes for the
+	// rollout duration before the replacement path took over, which
+	// is what Fig. 8's withdrawn-caused recoveries measure.
+	routeStaggerS = 60
 )
 
 // DefaultConfig is a Kenya-like deployment ready for experiments.
@@ -228,17 +209,10 @@ func DefaultConfig() Config {
 		SolveIntervalS:        120,
 		ObsEnabled:            true,
 		PredictiveLeadS:       180,
-		TelemetrySampleS:      30,
 		AgentConnCheckS:       10,
-		MaxEstablishAttempts:  3,
 		StartTODHours:         9,
 		SolverHysteresisBonus: -1,
-		RouteStaggerS:         60,
-		BackhaulBitrateBps:    50e6,
 		RedundancyTargetFrac:  0.7,
 		WeatherCellsPerHour:   6,
-		FailMemoryHorizonS:    3600,
-		WeatherStaleAfterS:    1800,
-		WeatherStalePenalty:   1.5,
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"minkowski/internal/cdpi"
 	"minkowski/internal/dataplane"
@@ -144,13 +143,24 @@ type Controller struct {
 	// cmdDeaf marks replicas under an active replica-partition fault:
 	// commands that replica dispatches toward the CDPI are lost.
 	cmdDeaf map[string]bool
-	// reported holds the latest blindly-adopted self-reports, used only
-	// when the telemetry guard is disabled (pre-fix behaviour).
+	// preFix marks a NewPreFix controller: self-reported positions skip
+	// the telemetry guard and are adopted blindly into reported.
+	preFix   bool
 	reported map[string]geo.LLA
 }
 
 // New builds and wires a controller; call Run to simulate.
-func New(cfg Config) *Controller {
+func New(cfg Config) *Controller { return build(cfg, false) }
+
+// NewPreFix builds a controller without the three fixes the chaos
+// search forced: agents enact stale-epoch commands (split brain), the
+// position-plausibility guard is off, and the in-band node → EC
+// direction reuses the EC → node path (ghost heartbeats under partial
+// partitions). It exists so the committed chaos repros can show they
+// still violate; nothing an operator would run calls it.
+func NewPreFix(cfg Config) *Controller { return build(cfg, true) }
+
+func build(cfg Config, preFix bool) *Controller {
 	eng := sim.New(cfg.Seed)
 	ob, obsm := newObs(cfg, eng.Now)
 	wcfg := weather.DefaultConfig()
@@ -188,14 +198,14 @@ func New(cfg Config) *Controller {
 	sat := satcom.NewGateway(eng, satcom.DefaultProviders())
 	ib := &cdpi.InBand{
 		Eng: eng, Router: router, Net: net, Gateways: gateways,
-		WiredOneWayS: 0.025, SymmetricCompat: cfg.SymmetricInBand,
+		WiredOneWayS: 0.025, SymmetricCompat: preFix,
 	}
 	agentCfg := cdpi.DefaultAgentConfig()
 	if cfg.AgentConnCheckS > 0 {
 		agentCfg.ConnCheckIntervalS = cfg.AgentConnCheckS
 		agentCfg.HeartbeatIntervalS = cfg.AgentConnCheckS
 	}
-	agentCfg.DisableEpochFencing = cfg.DisableEpochFencing
+	agentCfg.DisableEpochFencing = preFix
 	feCfg := cdpi.DefaultFrontendConfig()
 	if cfg.TTESatcomOverrideS > 0 {
 		feCfg.TTESatcomS = cfg.TTESatcomOverrideS
@@ -219,13 +229,9 @@ func New(cfg Config) *Controller {
 	if useClim {
 		sources = append(sources, &weather.Climatology{Model: itu.DefaultRegionalModel(), Season: cfg.Season})
 	}
-	stalePenalty := cfg.WeatherStalePenalty
-	if stalePenalty == 0 {
-		stalePenalty = 1.5
-	}
 	fused := &weather.Fused{
 		Sources: sources, MaxAge: 1800,
-		StaleAfterS: cfg.WeatherStaleAfterS, StalePenalty: stalePenalty,
+		StaleAfterS: weatherStaleAfterS, StalePenalty: weatherStalePenalty,
 	}
 
 	solverCfg := solver.DefaultConfig()
@@ -267,6 +273,7 @@ func New(cfg Config) *Controller {
 		gwDown:       map[string]bool{},
 		byzantine:    map[string]bool{},
 		cmdDeaf:      map[string]bool{},
+		preFix:       preFix,
 		reported:     map[string]geo.LLA{},
 	}
 	if cfg.DeliveryProbeS > 0 {
@@ -275,7 +282,6 @@ func New(cfg Config) *Controller {
 	evalCfg := linkeval.DefaultConfig()
 	evalCfg.DropMarginal = cfg.DropMarginalLinks
 	c.Evaluator = linkeval.New(evalCfg, fused, c.predictPosition)
-	c.Evaluator.PredictBatch = c.predictPositionsBatch
 
 	fabric.OnUp = c.onLinkUp
 	fabric.OnDown = c.onLinkDown
@@ -322,77 +328,6 @@ func (c *Controller) predictPosition(n *platform.Node, lead float64) (p geo.LLA)
 		return n.Position()
 	}
 	return pts[len(pts)-1].Pos
-}
-
-// predictPositionsBatch serves the Link Evaluator's horizon sweeps:
-// one frozen-field trajectory integration per balloon covering every
-// lead in the horizon, instead of one integration per lead (or,
-// before positions were shared, one per transceiver pair per lead).
-// When the leads are not aligned multiples of the shortest one it
-// falls back to per-lead prediction.
-func (c *Controller) predictPositionsBatch(n *platform.Node, leads []float64) []geo.LLA {
-	out := make([]geo.LLA, len(leads))
-	if est, ok := c.estimatedPosition(n); ok {
-		for i := range out {
-			out[i] = est
-		}
-		return out
-	}
-	fill := func() {
-		for i, l := range leads {
-			out[i] = c.predictPosition(n, l)
-		}
-	}
-	if n.Kind == platform.KindGround {
-		p := n.Position()
-		for i := range out {
-			out[i] = p
-		}
-		return out
-	}
-	step, maxLead := 0.0, 0.0
-	for _, l := range leads {
-		if l <= 0 {
-			continue
-		}
-		if step == 0 || l < step {
-			step = l
-		}
-		if l > maxLead {
-			maxLead = l
-		}
-	}
-	if step <= 0 {
-		fill()
-		return out
-	}
-	for _, l := range leads {
-		if l <= 0 {
-			continue
-		}
-		k := math.Round(l / step)
-		if math.Abs(l-k*step) > 1e-9*step {
-			fill()
-			return out
-		}
-	}
-	pts := c.FMS.PredictTrajectory(n.Balloon, maxLead, step)
-	for i, l := range leads {
-		if l <= 0 {
-			out[i] = n.Position()
-			continue
-		}
-		idx := int(math.Round(l/step)) - 1
-		if idx >= len(pts) {
-			idx = len(pts) - 1
-		}
-		if idx < 0 {
-			out[i] = n.Position()
-		} else {
-			out[i] = pts[idx].Pos
-		}
-	}
-	return out
 }
 
 // install schedules every periodic process.
@@ -443,7 +378,7 @@ func (c *Controller) install() {
 		return true
 	})
 	// Telemetry sampling.
-	eng.Every(c.Cfg.TelemetrySampleS, func() bool {
+	eng.Every(telemetrySampleS, func() bool {
 		c.sampleTelemetry()
 		return true
 	})
@@ -569,7 +504,7 @@ func (c *Controller) manageService() {
 		if inRegion && n.Operational() {
 			c.NBI.RequestBackhaul(n.ID, dataplane.FlowClassifier{
 				SrcPrefix: n.ID + "::/64", DstPrefix: "epc::/64",
-				MinBitrateBps: c.Cfg.BackhaulBitrateBps,
+				MinBitrateBps: backhaulBitrateBps,
 			}, "rg-"+n.ID)
 		} else {
 			c.NBI.ReleaseBackhaul(n.ID)
@@ -606,13 +541,12 @@ func (c *Controller) solveCycle() {
 		return
 	}
 	ev := sp.Child("evaluate")
-	graph, edgeDelta := c.Evaluator.CandidateGraphDelta(xcvrs, c.Cfg.PredictiveLeadS)
+	graph := c.Evaluator.CandidateGraph(xcvrs, c.Cfg.PredictiveLeadS)
 	evalDelta := c.Evaluator.Stats().Sub(c.lastEvalStats)
 	c.lastEvalStats = c.Evaluator.Stats()
 	ev.SetAttrInt("candidates", len(graph))
 	ev.SetAttrInt("pairs", int(evalDelta.PairsEnumerated))
 	ev.SetAttrInt("reevals", int(evalDelta.ReEvals))
-	ev.SetAttrInt("edge_churn", edgeDelta.Churn())
 	ev.EndSpan()
 	existing := map[radio.LinkID]bool{}
 	for _, l := range c.Fabric.UpLinks() {
@@ -636,9 +570,9 @@ func (c *Controller) solveCycle() {
 	c.lastPlan = plan
 	c.realignRoutes()
 	c.Log.Appendf(now, explain.EvSolve, fmt.Sprintf("cycle-%d", c.SolveRuns),
-		"candidates=%d links=%d redundant=%d routes=%d unsatisfied=%d utility=%.0f evalpairs=%d reevals=%d edgechurn=%d",
+		"candidates=%d links=%d redundant=%d routes=%d unsatisfied=%d utility=%.0f evalpairs=%d reevals=%d",
 		len(graph), len(plan.Links), plan.RedundantCount(), len(plan.Routes), len(plan.Unsatisfied), plan.Utility,
-		evalDelta.PairsEnumerated, evalDelta.ReEvals, edgeDelta.Churn())
+		evalDelta.PairsEnumerated, evalDelta.ReEvals)
 	di := sp.Child("dispatch")
 	acts := c.Intents.Reconcile(plan, now)
 	c.actuate(acts)

@@ -249,6 +249,7 @@ func (c *Controller) discardRogue() {
 	if c.rogue == nil {
 		return
 	}
+	//minkowski:unordered-ok Timer.Cancel only marks each timer's own event; nothing is scheduled, so no tie-break order is set here
 	for _, arm := range c.rogue.arms {
 		if arm.timeout != nil {
 			arm.timeout.Cancel()
@@ -261,6 +262,7 @@ func (c *Controller) discardRogue() {
 // timers, intent store, last plan). The journal is durable storage and
 // survives.
 func (c *Controller) dropActingMemory() {
+	//minkowski:unordered-ok Timer.Cancel only marks each timer's own event; nothing is scheduled, so no tie-break order is set here
 	for _, arm := range c.arms {
 		if arm.timeout != nil {
 			arm.timeout.Cancel()

@@ -113,14 +113,13 @@ func TestPartitionFencingStopsSplitBrain(t *testing.T) {
 	}
 }
 
-// TestPartitionWithoutFencingAcceptsStale is the pre-fix contrast: with
-// DisableEpochFencing the same split-brain scenario has agents enacting
-// the rogue primary's stale commands — the defect the fencing exists to
-// close, and the signal the chaosearch pre-fix repro keys on.
+// TestPartitionWithoutFencingAcceptsStale is the pre-fix contrast: on
+// NewPreFix (epoch fencing off) the same split-brain scenario has
+// agents enacting the rogue primary's stale commands — the defect the
+// fencing exists to close, and the signal the chaosearch pre-fix repro
+// keys on.
 func TestPartitionWithoutFencingAcceptsStale(t *testing.T) {
-	cfg := replConfig(7)
-	cfg.DisableEpochFencing = true
-	c := New(cfg)
+	c := NewPreFix(replConfig(7))
 	c.InstallChaos(chaos.Scenario{
 		Name: "split-brain-unfenced",
 		Faults: []chaos.Fault{

@@ -56,9 +56,6 @@ func (s *LeaseService) FlapDenials() int { return s.flapDenials }
 // SetFlapping starts or ends an unreliable-cell window.
 func (s *LeaseService) SetFlapping(active bool) { s.flapping = active }
 
-// Flapping reports whether the cell is currently dropping writes.
-func (s *LeaseService) Flapping() bool { return s.flapping }
-
 // Acquire attempts to take the lease at time now. It succeeds when the
 // lease is free, expired, or already held by id, returning the (fresh,
 // strictly larger) fencing epoch. It fails while another holder's

@@ -80,9 +80,6 @@ func (r *Replicator) InFlight() int { return r.inflight }
 // StandbyJournal exposes the standby's journal copy (tests, digests).
 func (r *Replicator) StandbyJournal() *Journal { return r.standby }
 
-// StandbyEpoch reports the epoch the standby snapshot was taken at.
-func (r *Replicator) StandbyEpoch() uint64 { return r.standbyEpoch }
-
 // send ships one mutation down the stream. The destination journal is
 // captured at send time: if the standby seat changes hands while the
 // event is in flight (a promotion took the journal), the event is

@@ -75,6 +75,18 @@ func TestAppDComparisonFindings(t *testing.T) {
 	}
 }
 
+// TestAppDDeterministic: one seed, one output. AODV once re-armed
+// same-instant re-discoveries in map order, which moved its loss draws
+// and the bytes= column from run to run.
+func TestAppDDeterministic(t *testing.T) {
+	want := AppD(DefaultOptions()).String()
+	for i := 0; i < 2; i++ {
+		if got := AppD(DefaultOptions()).String(); got != want {
+			t.Fatalf("run %d differs from the first:\n%s\nwant:\n%s", i+2, got, want)
+		}
+	}
+}
+
 func TestFig07ShapeQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")

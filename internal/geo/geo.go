@@ -74,15 +74,6 @@ func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 // Dot returns the dot product v · w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
-// Cross returns the cross product v × w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
-
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
@@ -206,11 +197,10 @@ func Offset(p LLA, bearing, dist float64) LLA {
 // The TS-SDN computes antenna pointing angles in the platform's local
 // ENU frame.
 type ENU struct {
-	origin    Vec3
-	east      Vec3
-	north     Vec3
-	up        Vec3
-	originLLA LLA
+	origin Vec3
+	east   Vec3
+	north  Vec3
+	up     Vec3
 }
 
 // NewENU constructs a local tangent frame at the given position. It
@@ -220,16 +210,12 @@ func NewENU(ref LLA) ENU {
 	sinLat, cosLat := math.Sincos(ref.Lat)
 	sinLon, cosLon := math.Sincos(ref.Lon)
 	return ENU{
-		origin:    ref.ToECEF(),
-		east:      Vec3{-sinLon, cosLon, 0},
-		north:     Vec3{-sinLat * cosLon, -sinLat * sinLon, cosLat},
-		up:        Vec3{cosLat * cosLon, cosLat * sinLon, sinLat},
-		originLLA: ref,
+		origin: ref.ToECEF(),
+		east:   Vec3{-sinLon, cosLon, 0},
+		north:  Vec3{-sinLat * cosLon, -sinLat * sinLon, cosLat},
+		up:     Vec3{cosLat * cosLon, cosLat * sinLon, sinLat},
 	}
 }
-
-// Origin returns the geodetic anchor of the frame.
-func (f *ENU) Origin() LLA { return f.originLLA }
 
 // To transforms an ECEF point into local ENU coordinates.
 func (f *ENU) To(p Vec3) Vec3 {

@@ -187,12 +187,6 @@ func (st *Store) ActiveRoutes() []*RouteIntent {
 	return out
 }
 
-// ActiveRoute returns the live route intent for a request.
-func (st *Store) ActiveRoute(id string) (*RouteIntent, bool) {
-	ri, ok := st.routes[id]
-	return ri, ok
-}
-
 // History returns completed link intents in completion order.
 func (st *Store) History() []*LinkIntent { return st.history }
 

@@ -10,7 +10,15 @@ import (
 
 	"minkowski/internal/geo"
 	"minkowski/internal/platform"
+	"minkowski/internal/radio"
 )
+
+func idLess(a, b radio.LinkID) bool {
+	if a.A != b.A {
+		return a.A < b.A
+	}
+	return a.B < b.B
+}
 
 // bruteForceGraph is the oracle the pipeline is held to bit for bit:
 // the paper's "all pairs of transceivers", each cross-platform pair
@@ -204,4 +212,26 @@ func TestTwoClusterFleetRangeGated(t *testing.T) {
 		t.Errorf("stats %+v, want %+v", s, want)
 	}
 	compareGraphs(t, "two-cluster", g, bruteForceGraph(e, xs, 0))
+}
+
+// TestShardedSweepWorkerInvariance pins the fan-out's contract: the
+// sharded candidate sweep emits the oracle's graph byte for byte at any
+// width, including across repeat calls on one evaluator whose scratch
+// is reused while the width changes under it.
+func TestShardedSweepWorkerInvariance(t *testing.T) {
+	src := &gradientRain{}
+	ev := New(DefaultConfig(), src, nil)
+	atWidths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(23))
+		nodes, xs := randomFleet(rng, 22)
+		for step := 0; step < 4; step++ {
+			compareGraphs(t, fmt.Sprintf("step%d", step), ev.CandidateGraph(xs, 0), bruteForceGraph(ev, xs, 0))
+			for _, n := range nodes {
+				alt := n.Balloon.Pos.Alt
+				n.Balloon.Pos = geo.Offset(n.Balloon.Pos, geo.Deg(rng.Float64()*360), 1000+4000*rng.Float64())
+				n.Balloon.Pos.Alt = alt
+			}
+			src.phase += 0.5
+		}
+	})
 }

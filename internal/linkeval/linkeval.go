@@ -127,33 +127,23 @@ func (s Stats) Sub(o Stats) Stats {
 
 // Evaluator computes candidate graphs. It is not safe for concurrent
 // CandidateGraph/Horizon calls (internal scratch is reused); the
-// per-call evaluation fan-out is parallel internally. The only state
-// carried between calls is CandidateGraphDelta's baseline.
+// per-call evaluation fan-out is parallel internally. Nothing a caller
+// can observe is carried between calls: only the work counters and
+// reusable scratch are kept.
 type Evaluator struct {
 	cfg Config
 	// Weather is the TS-SDN's *estimated* moisture model (fused
 	// gauges/forecast/climatology) — NOT the truth.
 	Weather weather.Source
-	// Volume optionally serves precomputed 4-D interpolated
-	// attenuation; when set it replaces per-path Weather integration.
-	Volume *weather.Volume
 	// Predict supplies positions at future leads.
 	Predict PositionPredictor
-	// PredictBatch optionally serves every horizon lead for one node
-	// in a single call (e.g. one frozen-field FMS trajectory sweep);
-	// Horizon uses it when set instead of one Predict call per lead.
+	// PredictBatch, when set, serves every Horizon lead for one node in
+	// one call instead of one Predict call per lead. Nothing sets it:
+	// it stays because bench/e2e/trace.go copies it and bench/ is frozen.
 	PredictBatch func(n *platform.Node, leads []float64) []geo.LLA
 
 	stats Stats
 	scr   graphScratch
-
-	// last is the previous CandidateGraphDelta emission (value
-	// snapshots, ID-sorted), for edge-delta computation. haveLast
-	// tracks baseline validity explicitly so an empty previous graph
-	// still counts as a baseline (nil-ness can't: an empty snapshot
-	// keeps last nil).
-	last     []Report
-	haveLast bool
 }
 
 // New creates an evaluator.
@@ -252,31 +242,6 @@ func (s *evalScratch) newReport() *Report {
 	return r
 }
 
-// pathAttenuation returns the modelled moisture+gas attenuation for a
-// candidate path.
-//
-//minkowski:hotpath
-func (e *Evaluator) pathAttenuation(a, b geo.LLA, lead float64) float64 {
-	if e.Volume != nil {
-		return e.Volume.PathAttenuation(e.cfg.Channel.CenterGHz, a, b, lead)
-	}
-	return weather.EstimatePathAttenuation(e.Weather, e.cfg.Channel.CenterGHz, a, b)
-}
-
-func radioEqual(a, b rf.Radio) bool {
-	//minkowski:floateq-ok budget-memo key: radios match only when bit-identical
-	if a.NoiseFigureDB != b.NoiseFigureDB || len(a.TxPowersDBm) != len(b.TxPowersDBm) {
-		return false
-	}
-	for i := range a.TxPowersDBm {
-		//minkowski:floateq-ok budget-memo key: radios match only when bit-identical
-		if a.TxPowersDBm[i] != b.TxPowersDBm[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // evalStaged runs the staged feasibility pipeline for one oriented
 // transceiver pair. orient selects which geom side xa sits on (0: xa
 // at posA). geom memoizes platform-pair work; a fresh geom per call
@@ -324,7 +289,7 @@ func (e *Evaluator) evalStaged(xa, xb *platform.Transceiver, lead float64, g *pa
 		if orient == 1 {
 			atA, atB = g.posB, g.posA
 		}
-		g.atmos[orient] = e.pathAttenuation(atA, atB, lead)
+		g.atmos[orient] = weather.EstimatePathAttenuation(e.Weather, e.cfg.Channel.CenterGHz, atA, atB)
 		g.atmosOK[orient] = true
 	}
 	atmos := g.atmos[orient] + e.cfg.PessimismDB
@@ -437,13 +402,21 @@ func (e *Evaluator) CandidateGraph(xcvrs []*platform.Transceiver, lead float64) 
 	return e.graph(xcvrs, lead, nil)
 }
 
+// CandidateGraphDelta is CandidateGraph plus an empty placeholder.
+//
+// Deprecated: the edge delta lost its reader with the warm-start solver
+// (DESIGN.md §7). Kept only because bench/e2e/trace.go calls it and
+// bench/ is frozen; delete it together with that call.
+func (e *Evaluator) CandidateGraphDelta(xcvrs []*platform.Transceiver, lead float64) ([]*Report, struct{}) {
+	return e.CandidateGraph(xcvrs, lead), struct{}{}
+}
+
 // Horizon evaluates the candidate graph at each lead in leads,
 // returning one graph per time step (the "multiple time steps in the
 // future, up to a configurable time horizon"). Positions are
-// predicted once per platform per lead — batched through
-// PredictBatch when set, e.g. one FMS trajectory sweep per platform
-// for the whole horizon — and shared across every pair, instead of
-// re-predicting per pair.
+// predicted once per platform per lead — through PredictBatch when
+// set, otherwise one Predict call per lead — and shared across every
+// pair, instead of re-predicting per pair.
 func (e *Evaluator) Horizon(xcvrs []*platform.Transceiver, leads []float64) [][]*Report {
 	out := make([][]*Report, len(leads))
 	// Per-node position table across the whole horizon.

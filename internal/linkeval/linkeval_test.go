@@ -212,18 +212,3 @@ func TestDiff(t *testing.T) {
 		t.Error("empty diff must be 0")
 	}
 }
-
-func TestVolumeBackedEvaluation(t *testing.T) {
-	src := &weather.Climatology{Model: itu.DefaultRegionalModel(), Season: itu.ShortRains}
-	vol := weather.BuildVolume(weather.DefaultVolumeConfig(),
-		weather.MoistureFuncFromSource(src, 72))
-	e := New(DefaultConfig(), src, nil)
-	direct := e.CandidateGraph(testFleetXcvrs(), 0)
-	e.Volume = vol
-	cached := e.CandidateGraph(testFleetXcvrs(), 0)
-	// The cached path should produce a similar candidate set (within
-	// a couple of links of the direct evaluation).
-	if len(cached) < len(direct)-3 || len(cached) > len(direct)+3 {
-		t.Errorf("volume-backed graph size %d vs direct %d", len(cached), len(direct))
-	}
-}

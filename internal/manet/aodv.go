@@ -19,9 +19,11 @@ type AODV struct {
 
 	nodes map[string]*aodvNode
 	stats Stats
-	// interests are (src, dst) pairs the simulation keeps alive:
-	// each src re-discovers dst whenever its route breaks.
-	interests map[string][]string // src -> dsts
+	// interests are (src, dst) pairs the simulation keeps alive, in
+	// registration order: each src re-discovers dst whenever its route
+	// breaks. A slice, not a map: same-instant re-discoveries take
+	// their loss draws in the order the sweep schedules them.
+	interests [][2]string
 }
 
 // AODVConfig tunes the protocol.
@@ -73,8 +75,7 @@ type aodvNode struct {
 func NewAODV(eng *sim.Engine, net Network, cfg AODVConfig) *AODV {
 	return &AODV{
 		eng: eng, net: net, cfg: cfg,
-		nodes:     make(map[string]*aodvNode),
-		interests: make(map[string][]string),
+		nodes: make(map[string]*aodvNode),
 	}
 }
 
@@ -102,7 +103,7 @@ func (a *AODV) node(id string) *aodvNode {
 // a balloon's gRPC connection to an SDN endpoint). AODV maintains it:
 // discovery now, re-discovery on break.
 func (a *AODV) Interest(src, dst string) {
-	a.interests[src] = append(a.interests[src], dst)
+	a.interests = append(a.interests, [2]string{src, dst})
 	a.discover(src, dst)
 }
 
@@ -129,17 +130,15 @@ func (a *AODV) Start() {
 			}
 		}
 		// Keep interests alive.
-		for src, dsts := range a.interests {
+		for _, in := range a.interests {
+			src, dst := in[0], in[1]
 			n := a.node(src)
-			for _, dst := range dsts {
-				if _, ok := n.routes[dst]; !ok && !n.pendingDiscovery[dst] {
-					src, dst := src, dst
-					n.pendingDiscovery[dst] = true
-					a.eng.After(a.cfg.RediscoverBackoffS, func() {
-						a.node(src).pendingDiscovery[dst] = false
-						a.discover(src, dst)
-					})
-				}
+			if _, ok := n.routes[dst]; !ok && !n.pendingDiscovery[dst] {
+				n.pendingDiscovery[dst] = true
+				a.eng.After(a.cfg.RediscoverBackoffS, func() {
+					a.node(src).pendingDiscovery[dst] = false
+					a.discover(src, dst)
+				})
 			}
 		}
 		return true

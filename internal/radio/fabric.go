@@ -454,12 +454,3 @@ func (f *Fabric) Transmit(l *Link, size int, done func(bool)) {
 		}
 	})
 }
-
-// WeatherStepper wires the truth weather field to the engine clock:
-// call once to keep weather advancing every interval.
-func WeatherStepper(eng *sim.Engine, wx *weather.Field, interval float64) {
-	eng.Every(interval, func() bool {
-		wx.Step(interval)
-		return true
-	})
-}

@@ -151,9 +151,6 @@ func (g *Gateway) SetProviderDown(name string, isDown bool) {
 	g.down[name] = isDown
 }
 
-// ProviderDown reports a provider's outage state.
-func (g *Gateway) ProviderDown(name string) bool { return g.down[name] }
-
 // Available reports whether at least one provider can transmit — the
 // CDPI frontend falls back to in-band-only TTE selection when false.
 func (g *Gateway) Available() bool {

@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"sort"
-
-	"minkowski/internal/geo"
-)
+import "minkowski/internal/geo"
 
 // PositionGuard is the controller-side plausibility gate for
 // self-reported node positions. A byzantine (or just broken) GPS can
@@ -116,16 +112,4 @@ func (g *PositionGuard) LastGood(node string) (geo.LLA, float64, bool) {
 		return geo.LLA{}, 0, false
 	}
 	return f.pos, f.at, true
-}
-
-// QuarantinedNodes lists currently quarantined nodes, sorted.
-func (g *PositionGuard) QuarantinedNodes() []string {
-	var out []string
-	for n, f := range g.last {
-		if f.quarantined {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -31,8 +31,8 @@ const SeaLevelVapourDensity = 7.5
 
 // MoistureCeilingM is the altitude (meters) above which the atmosphere
 // is dry in every model here: generated convective cells top out below
-// it, the default Volume grid ends at it, and a path sample at or above
-// it is integrated on its altitude alone.
+// it, and a path sample at or above it is integrated on its altitude
+// alone.
 const MoistureCeilingM = 12000.0
 
 // Region is the geographic box weather is simulated over.

@@ -232,57 +232,6 @@ func TestFusedMaxAge(t *testing.T) {
 	}
 }
 
-func TestVolumeInterpolation(t *testing.T) {
-	cfg := DefaultVolumeConfig()
-	// A deterministic synthetic attenuation function: linear in lat.
-	fn := func(p geo.LLA, lead float64) float64 {
-		return (geo.ToDeg(p.Lat) - cfg.Region.LatMinDeg) * 2
-	}
-	v := BuildVolume(cfg, fn)
-	// At grid points, exact; between them, linear.
-	p := geo.LLADeg(-1.0, 37.0, 3000)
-	want := fn(p, 0)
-	got := v.At(p, 0)
-	if math.Abs(got-want) > 0.02 {
-		t.Errorf("interpolated %v, want %v", got, want)
-	}
-	// Above the grid top: clear air.
-	if v.At(geo.LLADeg(-1, 37, 18000), 0) != 0 {
-		t.Error("stratospheric query should return 0")
-	}
-}
-
-func TestVolumeClampsOutside(t *testing.T) {
-	cfg := DefaultVolumeConfig()
-	v := BuildVolume(cfg, func(p geo.LLA, lead float64) float64 { return 1 })
-	if got := v.At(geo.LLADeg(50, 37, 3000), 0); got != 1 {
-		t.Errorf("out-of-region query should clamp, got %v", got)
-	}
-	if got := v.At(geo.LLADeg(-1, 37, 3000), 1e9); got != 1 {
-		t.Errorf("beyond-horizon query should clamp, got %v", got)
-	}
-}
-
-func TestVolumeMatchesDirectEstimate(t *testing.T) {
-	// A volume built from a source should integrate to roughly the
-	// same path attenuation as the direct per-sample estimate.
-	cfg := DefaultConfig()
-	cfg.CellSpawnPerHour = 15
-	f := NewField(cfg)
-	for i := 0; i < 20; i++ {
-		f.Step(600)
-	}
-	clim := &Climatology{Model: itu.DefaultRegionalModel(), Season: itu.ShortRains}
-	vol := BuildVolume(DefaultVolumeConfig(), MoistureFuncFromSource(clim, 80))
-	gs := geo.LLADeg(-1, 37, 1600)
-	bln := geo.LLADeg(-1.5, 37.8, 18000)
-	direct := EstimatePathAttenuation(clim, 80, gs, bln)
-	cached := vol.PathAttenuation(80, gs, bln, 0)
-	if math.Abs(direct-cached) > direct*0.35+1 {
-		t.Errorf("cached path attenuation %v vs direct %v: cache too inaccurate", cached, direct)
-	}
-}
-
 func TestSeasonScaling(t *testing.T) {
 	mk := func(s itu.Season) int {
 		cfg := DefaultConfig()
@@ -319,15 +268,6 @@ func BenchmarkPathAttenuation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = f.PathAttenuation(80, gs, bln)
-	}
-}
-
-func BenchmarkVolumeAt(b *testing.B) {
-	v := BuildVolume(DefaultVolumeConfig(), func(p geo.LLA, lead float64) float64 { return 1 })
-	p := geo.LLADeg(-1.2, 37.3, 4000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = v.At(p, 1800)
 	}
 }
 

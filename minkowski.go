@@ -36,7 +36,9 @@ import (
 )
 
 // Scenario configures a simulation. The zero value is not useful;
-// start from DefaultScenario and adjust.
+// start from DefaultScenario and adjust. It holds what a caller sets:
+// cadences and thresholds no run ever varied are constants of the
+// controller, and the chaos repros' pre-fix mode is not a field here.
 type Scenario = core.Config
 
 // GroundStation places one gateway site in a Scenario.
