@@ -561,7 +561,12 @@ func (c *Controller) solveCycle() {
 		Penalties:  c.adaptivePenalties(),
 	}
 	so := sp.Child("solve")
+	solveBefore := c.Solver.Stats()
 	plan := c.Solver.Solve(in)
+	work := c.Solver.Stats().Sub(solveBefore)
+	so.SetAttrInt("dijkstra_runs", int(work.DijkstraRuns))
+	so.SetAttrInt("adj_scanned", int(work.AdjScanned))
+	so.SetAttrInt("heap_pushes", int(work.HeapPushes))
 	so.SetAttrInt("links", len(plan.Links))
 	so.SetAttrInt("routes", len(plan.Routes))
 	so.SetAttrInt("unsatisfied", len(plan.Unsatisfied))

@@ -75,7 +75,8 @@ type spScratch struct {
 	prevEdge []int32
 	prevNode []int32
 	stamp    uint32
-	capped   bool // current run hit the MaxPathLen cutoff at least once
+	capped   bool  // current run hit the MaxPathLen cutoff at least once
+	stats    Stats // this worker's share of the solve's work, summed at the end of run
 }
 
 func (s *spScratch) ensure(n int) {
@@ -138,6 +139,8 @@ func (c *ctx) shortestPath(ri int32, chosenOnly bool, ws *spScratch) {
 	ws.dist[rq.src] = 0
 	ws.seen[rq.src] = st
 	ws.heap.push(heapItem{dist: 0, node: rq.src, hops: 0})
+	ws.stats.DijkstraRuns++
+	ws.stats.HeapPushes++
 	maxHops := int32(c.cfg.MaxPathLen)
 	adj := c.adj
 	if chosenOnly {
@@ -145,6 +148,7 @@ func (c *ctx) shortestPath(ri int32, chosenOnly bool, ws *spScratch) {
 	}
 	for len(ws.heap) > 0 {
 		cur := ws.heap.pop()
+		ws.stats.HeapPops++
 		if ws.done[cur.node] == st {
 			continue
 		}
@@ -175,6 +179,7 @@ func (c *ctx) shortestPath(ri int32, chosenOnly bool, ws *spScratch) {
 			ws.capped = true
 			continue
 		}
+		ws.stats.AdjScanned += uint64(len(adj[cur.node]))
 		for _, ei := range adj[cur.node] {
 			e := &c.edges[ei]
 			if chosenOnly {
@@ -215,6 +220,7 @@ func (c *ctx) shortestPath(ri int32, chosenOnly bool, ws *spScratch) {
 				ws.prevEdge[next] = ei
 				ws.prevNode[next] = cur.node
 				ws.heap.push(heapItem{dist: nd, node: next, hops: cur.hops + 1})
+				ws.stats.HeapPushes++
 			}
 		}
 	}
@@ -235,9 +241,12 @@ func (c *ctx) finalRoute(ri int32, ws *spScratch) ([]string, bool) {
 	ws.dist[rq.src] = 0
 	ws.seen[rq.src] = st
 	ws.heap.push(heapItem{dist: 0, node: rq.src, hops: 0})
+	ws.stats.DijkstraRuns++
+	ws.stats.HeapPushes++
 	maxHops := int32(c.cfg.MaxPathLen)
 	for len(ws.heap) > 0 {
 		cur := ws.heap.pop()
+		ws.stats.HeapPops++
 		if ws.done[cur.node] == st {
 			continue
 		}
@@ -261,6 +270,7 @@ func (c *ctx) finalRoute(ri int32, ws *spScratch) ([]string, bool) {
 		if cur.hops >= maxHops {
 			continue
 		}
+		ws.stats.AdjScanned += uint64(len(c.chosenAdj[cur.node]))
 		for _, ei := range c.chosenAdj[cur.node] {
 			e := &c.edges[ei]
 			next := e.a
@@ -295,6 +305,7 @@ func (c *ctx) finalRoute(ri int32, ws *spScratch) ([]string, bool) {
 				ws.prevEdge[next] = ei
 				ws.prevNode[next] = cur.node
 				ws.heap.push(heapItem{dist: nd, node: next, hops: cur.hops + 1})
+				ws.stats.HeapPushes++
 			}
 		}
 	}

@@ -435,6 +435,11 @@ func (s *Solver) run(in *Input) *Plan {
 		plan.Utility += r.MinBitrateBps
 	}
 
+	for i := 0; i < c.workerW; i++ {
+		s.stats.add(c.workers[i].stats)
+		c.workers[i].stats = Stats{}
+	}
+
 	c.addRedundancy(plan)
 	sort.Slice(plan.Links, func(i, j int) bool {
 		a, b := plan.Links[i].Report.ID, plan.Links[j].Report.ID

@@ -216,9 +216,44 @@ func DefaultConfig() Config {
 // loop. (The parallelism inside a solve is the engine's own worker
 // fan-out, one goroutine per core.)
 type Solver struct {
-	cfg Config
-	c   ctx
+	cfg   Config
+	c     ctx
+	stats Stats
 }
+
+// Stats counts the shortest-path work of every solve since construction
+// (cumulative; the controller attaches per-cycle deltas to its solve
+// span). The counts are sums over requests, so they are the same at any
+// fan-out width.
+type Stats struct {
+	// DijkstraRuns is the number of shortest-path searches started.
+	DijkstraRuns uint64
+	// AdjScanned is the number of adjacency entries walked while
+	// expanding popped nodes.
+	AdjScanned uint64
+	// HeapPushes and HeapPops are the frontier operations.
+	HeapPushes, HeapPops uint64
+}
+
+func (s *Stats) add(o Stats) {
+	s.DijkstraRuns += o.DijkstraRuns
+	s.AdjScanned += o.AdjScanned
+	s.HeapPushes += o.HeapPushes
+	s.HeapPops += o.HeapPops
+}
+
+// Sub returns s − o field-wise (for per-cycle deltas).
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{
+		DijkstraRuns: s.DijkstraRuns - o.DijkstraRuns,
+		AdjScanned:   s.AdjScanned - o.AdjScanned,
+		HeapPushes:   s.HeapPushes - o.HeapPushes,
+		HeapPops:     s.HeapPops - o.HeapPops,
+	}
+}
+
+// Stats returns the cumulative work counters.
+func (s *Solver) Stats() Stats { return s.stats }
 
 // New creates a solver.
 func New(cfg Config) *Solver { return &Solver{cfg: cfg} }
