@@ -120,8 +120,15 @@ type Controller struct {
 	wasOn            map[string]bool
 	// linkFails remembers recent establishment failures per pair for
 	// the adaptive-penalty feedback loop (§7 future work).
-	linkFails                   map[radio.LinkID]*failMemory
-	prevHourGraph, prevMinGraph []*linkeval.Report
+	linkFails map[radio.LinkID]*failMemory
+	// churn is the Fig. 4 sampler's memory: the link identities of the
+	// previous minute's and hour's candidate graphs, kept by value
+	// (the graphs themselves are overwritten by the evaluator's next
+	// call) in buffers reused from sample to sample.
+	churn struct {
+		cur, prevMin, prevHour []radio.LinkID
+		haveMin, haveHour      bool
+	}
 	// lastEvalStats snapshots the evaluator's cumulative work counters
 	// at the previous solve cycle, for per-cycle telemetry deltas.
 	lastEvalStats linkeval.Stats

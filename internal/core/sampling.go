@@ -85,18 +85,19 @@ func (c *Controller) sampleRecovery() {
 // sampleChurn diffs the candidate graph minute over minute and hour
 // over hour (Fig. 4). Only runs when Cfg.ChurnSampling is set.
 func (c *Controller) sampleChurn() {
-	xcvrs := c.Fleet.Transceivers()
-	g := c.Evaluator.CandidateGraph(xcvrs, 0)
+	ch := &c.churn
+	g := c.Evaluator.CandidateGraph(c.Fleet.Transceivers(), 0)
 	c.Churn.ObserveSize(g)
-	if c.prevMinGraph != nil {
-		c.Churn.ObserveMinute(linkeval.Diff(c.prevMinGraph, g))
+	ch.cur = linkeval.AppendIDs(ch.cur[:0], g)
+	if ch.haveMin {
+		c.Churn.ObserveMinute(linkeval.Diff(ch.prevMin, ch.cur))
 	}
-	c.prevMinGraph = g
 	// Hourly cadence rides the minute sampler.
 	if int(c.Eng.Now())%3600 < 60 {
-		if c.prevHourGraph != nil {
-			c.Churn.ObserveHour(linkeval.Diff(c.prevHourGraph, g))
+		if ch.haveHour {
+			c.Churn.ObserveHour(linkeval.Diff(ch.prevHour, ch.cur))
 		}
-		c.prevHourGraph = g
+		ch.prevHour, ch.haveHour = append(ch.prevHour[:0], ch.cur...), true
 	}
+	ch.cur, ch.prevMin, ch.haveMin = ch.prevMin, ch.cur, true
 }

@@ -2,7 +2,8 @@ package linkeval
 
 import (
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"minkowski/internal/geo"
@@ -22,8 +23,11 @@ import (
 //     line of sight, path attenuation, budgets per gain pair) is
 //     memoized in a pairGeom shared by the transceiver fan-out.
 //
-// Nothing is carried from one graph to the next: every call evaluates
-// every in-range pair and returns freshly allocated reports.
+// No result is carried from one graph to the next: every call evaluates
+// every in-range pair. Only the storage is kept: reports are written
+// into per-worker slabs and the graph slice into the slot array, both
+// owned by the evaluator and overwritten by its next call, so a
+// steady-state graph allocates nothing but the goroutine fan-out.
 //
 // Bit-identity with the brute-force oracle (graph_test.go) rests on
 // two invariants:
@@ -61,9 +65,9 @@ type npTask struct {
 	partnerTotal int32 // total partner transceivers across all of u's tasks
 }
 
-// graphScratch holds every reusable buffer of the evaluator, so
-// steady-state graph computation allocates only the reports that
-// escape into the output.
+// graphScratch holds every reusable buffer of the evaluator, the
+// returned graph (results, compacted in place) and its reports (the
+// workers' slabs) included.
 type graphScratch struct {
 	results []*Report
 	nodes   []nodeEnt
@@ -78,9 +82,7 @@ func (e *Evaluator) resizeResults(n int) []*Report {
 		e.scr.results = make([]*Report, n)
 	}
 	e.scr.results = e.scr.results[:n]
-	for i := range e.scr.results {
-		e.scr.results[i] = nil
-	}
+	clear(e.scr.results)
 	return e.scr.results
 }
 
@@ -98,12 +100,17 @@ func workerCount(tasks int) int {
 	return workers
 }
 
-// graph builds one candidate graph. posOf optionally overrides
-// position prediction (Horizon shares a per-node position table across
-// leads through it); nil predicts via e.Predict.
+// CandidateGraph evaluates all cross-platform transceiver pairs at a
+// lead time and returns the feasible candidates sorted by ID. The work
+// fans out across one goroutine per core.
+//
+// The graph — the slice and every report it points to — lives in
+// storage the evaluator owns and its next CandidateGraph call
+// overwrites: a graph is valid until the evaluator's next call; keep
+// what you need by value.
 //
 //minkowski:hotpath
-func (e *Evaluator) graph(xcvrs []*platform.Transceiver, lead float64, posOf func(*platform.Node) geo.LLA) []*Report {
+func (e *Evaluator) CandidateGraph(xcvrs []*platform.Transceiver, lead float64) []*Report {
 	scr := &e.scr
 	e.stats.Graphs++
 
@@ -132,13 +139,8 @@ func (e *Evaluator) graph(xcvrs []*platform.Transceiver, lead float64, posOf fun
 	nodes := scr.nodes
 	for i := range nodes {
 		n := &nodes[i]
-		xc := n.xc
-		sort.Slice(xc, func(a, b int) bool { return xcvrs[xc[a]].ID < xcvrs[xc[b]].ID })
-		if posOf != nil {
-			n.pos = posOf(n.node)
-		} else {
-			n.pos = e.Predict(n.node, lead)
-		}
+		slices.SortFunc(n.xc, func(a, b int32) int { return strings.Compare(xcvrs[a].ID, xcvrs[b].ID) })
+		n.pos = e.Predict(n.node, lead)
 		n.ecef = n.pos.ToECEF()
 	}
 
@@ -147,7 +149,7 @@ func (e *Evaluator) graph(xcvrs []*platform.Transceiver, lead float64, posOf fun
 	for i := range nodes {
 		order = append(order, int32(i))
 	}
-	sort.Slice(order, func(a, b int) bool { return nodes[order[a]].node.ID < nodes[order[b]].node.ID })
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(nodes[a].node.ID, nodes[b].node.ID) })
 	scr.order = order
 
 	// --- Enumerate platform pairs, laying out result slots in emission
@@ -166,7 +168,7 @@ func (e *Evaluator) graph(xcvrs []*platform.Transceiver, lead float64, posOf fun
 		}
 		slotBase += anchorXc * partnerTotal
 	}
-	scr.tasks = tasks
+	scr.tasks = tasks // workers read the field: capturing the appended-to local would move it to the heap
 	// One slot per enumerated transceiver pair.
 	e.stats.PairsEnumerated += uint64(slotBase)
 
@@ -178,6 +180,9 @@ func (e *Evaluator) graph(xcvrs []*platform.Transceiver, lead float64, posOf fun
 	workers := workerCount(len(tasks))
 	for len(scr.workers) < workers {
 		scr.workers = append(scr.workers, evalScratch{})
+	}
+	for w := range scr.workers {
+		scr.workers[w].cur, scr.workers[w].off = 0, 0
 	}
 	if workers <= 1 {
 		st := &scr.workers[0]
@@ -200,8 +205,8 @@ func (e *Evaluator) graph(xcvrs []*platform.Transceiver, lead float64, posOf fun
 			go func(lo, hi, w int) {
 				defer wg.Done()
 				st := &e.scr.workers[w]
-				for k := lo; k < hi; k++ {
-					e.runTask(tasks[k], lead, st, xcvrs)
+				for _, t := range e.scr.tasks[lo:hi] {
+					e.runTask(t, lead, st, xcvrs)
 				}
 			}(lo, hi, w)
 		}
@@ -214,20 +219,16 @@ func (e *Evaluator) graph(xcvrs []*platform.Transceiver, lead float64, posOf fun
 		st.stats = Stats{}
 	}
 
-	// --- Emit: slots are already in (ID.A, ID.B) order.
+	// --- Emit: slots are already in (ID.A, ID.B) order; close the gaps
+	// in place.
 	n := 0
 	for _, r := range results {
 		if r != nil {
+			results[n] = r
 			n++
 		}
 	}
-	out := make([]*Report, 0, n)
-	for _, r := range results {
-		if r != nil {
-			out = append(out, r)
-		}
-	}
-	return out
+	return results[:n]
 }
 
 // runTask evaluates every transceiver pair of one platform pair.
@@ -245,7 +246,7 @@ func (e *Evaluator) runTask(t npTask, lead float64, st *evalScratch, xcvrs []*pl
 		st.stats.RangePruned += uint64(len(ue.xc) * len(ve.xc))
 		return
 	}
-	g := pairGeom{posA: ue.pos, posB: ve.pos, dist: dist}
+	g := pairGeom{posA: ue.pos, posB: ve.pos, dist: dist, budgets: st.budgets[:0]}
 	for ai, xai := range ue.xc {
 		for bi, xbi := range ve.xc {
 			slot := t.base + int32(ai)*t.partnerTotal + t.prefix + int32(bi)
@@ -259,4 +260,5 @@ func (e *Evaluator) runTask(t npTask, lead float64, st *evalScratch, xcvrs []*pl
 			st.stats.ReEvals++
 		}
 	}
+	st.budgets = g.budgets // keep what the memo grew to
 }

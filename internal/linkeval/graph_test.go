@@ -147,8 +147,8 @@ func TestIncrementalMatchesBruteForce(t *testing.T) {
 						src.phase += 0.7
 					}
 				}
-				// Horizon with a drifting predictor: per-lead graphs must
-				// also agree.
+				// A drifting predictor: graphs at future leads must also
+				// agree.
 				ev.Predict = func(n *platform.Node, lead float64) geo.LLA {
 					p := n.Position()
 					if n.Kind == platform.KindBalloon {
@@ -158,31 +158,53 @@ func TestIncrementalMatchesBruteForce(t *testing.T) {
 					}
 					return p
 				}
-				leads := []float64{0, 180, 360}
-				for i, g := range ev.Horizon(xs, leads) {
-					compareGraphs(t, fmt.Sprintf("horizon-lead%d", int(leads[i])), g, bruteForceGraph(ev, xs, leads[i]))
+				for _, lead := range []float64{0, 180, 360} {
+					compareGraphs(t, fmt.Sprintf("lead%d", int(lead)), ev.CandidateGraph(xs, lead), bruteForceGraph(ev, xs, lead))
 				}
 			})
 		})
 	}
 }
 
-// TestConsecutiveGraphsShareNoReports: two graphs of the same instant
-// are equal but hand out distinct reports, so a consumer editing one
-// graph cannot change another.
-func TestConsecutiveGraphsShareNoReports(t *testing.T) {
-	e := New(DefaultConfig(), clearSky{}, nil)
+// copyGraph takes a graph by value, as a holder that outlives the
+// evaluator's next call must.
+func copyGraph(g []*Report) []*Report {
+	vals := make([]Report, len(g))
+	out := make([]*Report, len(g))
+	for i, r := range g {
+		vals[i] = *r
+		out[i] = &vals[i]
+	}
+	return out
+}
+
+// TestGraphValidUntilNextCall pins the ownership rule: a graph lives in
+// the evaluator's storage until its next call, so a copy taken before
+// that call still equals the oracle afterwards, and the next graph —
+// written over the first, at another lead — equals the oracle too.
+func TestGraphValidUntilNextCall(t *testing.T) {
+	e := New(DefaultConfig(), clearSky{}, func(n *platform.Node, lead float64) geo.LLA {
+		p := n.Position()
+		if n.Kind == platform.KindBalloon {
+			alt := p.Alt
+			p = geo.Offset(p, geo.Deg(90), lead*10)
+			p.Alt = alt
+		}
+		return p
+	})
 	xs := testFleetXcvrs()
-	g1 := e.CandidateGraph(xs, 0)
-	g2 := e.CandidateGraph(xs, 0)
-	if len(g1) == 0 {
+	want1 := bruteForceGraph(e, xs, 0)
+	if len(want1) == 0 {
 		t.Fatal("no candidates in the baseline graph")
 	}
-	compareGraphs(t, "repeat", g2, g1)
-	for i := range g1 {
-		if g1[i] == g2[i] {
-			t.Fatalf("report %v is the same object in both graphs", g1[i].ID)
-		}
+	g1 := e.CandidateGraph(xs, 0)
+	compareGraphs(t, "first", g1, want1)
+	kept := copyGraph(g1)
+	g2 := e.CandidateGraph(xs, 3600)
+	compareGraphs(t, "second", g2, bruteForceGraph(e, xs, 3600))
+	compareGraphs(t, "copy of first", kept, want1)
+	if g1[0] != g2[0] {
+		t.Errorf("the second graph does not reuse the first's storage (%p, %p)", g1[0], g2[0])
 	}
 }
 

@@ -17,8 +17,9 @@
 // with per-platform-pair geometry and attenuation shared across the
 // transceiver fan-out. A brute-force sweep that evaluates every pair
 // from scratch survives in graph_test.go as the oracle the pipeline is
-// held to bit for bit under randomized wind. Nothing is carried from
-// one call to the next.
+// held to bit for bit under randomized wind. No result is carried from
+// one call to the next; only the storage a graph lives in is (see
+// CandidateGraph).
 package linkeval
 
 import (
@@ -44,7 +45,9 @@ func CurrentPositions(n *platform.Node, lead float64) geo.LLA { return n.Positio
 
 // Report is one Transceiver Link Report: the forecasted performance
 // of one candidate link at one future time step (the artifact
-// appendix's link_reports table).
+// appendix's link_reports table). A *Report taken from a candidate
+// graph points into the evaluator's storage and is valid until that
+// evaluator's next CandidateGraph call; keep what you need by value.
 type Report struct {
 	// ID is the canonical link identity.
 	ID radio.LinkID
@@ -126,10 +129,10 @@ func (s Stats) Sub(o Stats) Stats {
 }
 
 // Evaluator computes candidate graphs. It is not safe for concurrent
-// CandidateGraph/Horizon calls (internal scratch is reused); the
-// per-call evaluation fan-out is parallel internally. Nothing a caller
-// can observe is carried between calls: only the work counters and
-// reusable scratch are kept.
+// CandidateGraph calls (the graph's own storage is reused); the
+// per-call evaluation fan-out is parallel internally. No result is
+// carried between calls: only the work counters and the storage the
+// next graph overwrites are kept.
 type Evaluator struct {
 	cfg Config
 	// Weather is the TS-SDN's *estimated* moisture model (fused
@@ -137,9 +140,10 @@ type Evaluator struct {
 	Weather weather.Source
 	// Predict supplies positions at future leads.
 	Predict PositionPredictor
-	// PredictBatch, when set, serves every Horizon lead for one node in
-	// one call instead of one Predict call per lead. Nothing sets it:
-	// it stays because bench/e2e/trace.go copies it and bench/ is frozen.
+	// PredictBatch is never read.
+	//
+	// Deprecated: its one reader, Horizon, is gone. Kept only because
+	// bench/e2e/trace.go copies the field and bench/ is frozen.
 	PredictBatch func(n *platform.Node, leads []float64) []geo.LLA
 
 	stats Stats
@@ -225,20 +229,36 @@ type budgetMemo struct {
 	class        rf.MarginClass
 }
 
-// evalScratch is per-worker reusable state: a bump-allocated report
-// chunk (reports escape into graphs, so chunks are never recycled —
-// they only amortize allocation count) and the worker's counters.
+// slabReports is the size of one report slab. A worker's slab list
+// grows to its high-water candidate count rounded up to this and stays
+// there, so the figure bounds the memory a worker holds beyond need.
+const slabReports = 64
+
+// evalScratch is one worker's storage: the reports of its share of the
+// current graph, in fixed-size slabs that are refilled from the first on
+// every graph (a full slab is followed by the next, never regrown, so no
+// *Report moves while its graph is valid), the budget memo of the
+// platform pair in hand, and the worker's counters.
 type evalScratch struct {
-	repBuf []Report
-	stats  Stats
+	slabs    [][]Report
+	cur, off int // the next free report is slabs[cur][off]
+	budgets  []budgetMemo
+	stats    Stats
 }
 
+// newReport returns the worker's next report slot. It allocates only
+// while the worker's share is larger than any before it.
+//
+//minkowski:hotpath
 func (s *evalScratch) newReport() *Report {
-	if len(s.repBuf) == 0 {
-		s.repBuf = make([]Report, 64)
+	if s.off == slabReports {
+		s.cur, s.off = s.cur+1, 0
 	}
-	r := &s.repBuf[0]
-	s.repBuf = s.repBuf[1:]
+	if s.cur == len(s.slabs) {
+		s.slabs = append(s.slabs, make([]Report, slabReports))
+	}
+	r := &s.slabs[s.cur][s.off]
+	s.off++
 	return r
 }
 
@@ -395,13 +415,6 @@ func (e *Evaluator) Reject(xa, xb *platform.Transceiver, lead float64) (reason s
 	}
 }
 
-// CandidateGraph evaluates all cross-platform transceiver pairs at a
-// lead time and returns the feasible candidates sorted by ID. The work
-// fans out across one goroutine per core.
-func (e *Evaluator) CandidateGraph(xcvrs []*platform.Transceiver, lead float64) []*Report {
-	return e.graph(xcvrs, lead, nil)
-}
-
 // CandidateGraphDelta is CandidateGraph plus an empty placeholder.
 //
 // Deprecated: the edge delta lost its reader with the warm-start solver
@@ -409,41 +422,6 @@ func (e *Evaluator) CandidateGraph(xcvrs []*platform.Transceiver, lead float64) 
 // bench/ is frozen; delete it together with that call.
 func (e *Evaluator) CandidateGraphDelta(xcvrs []*platform.Transceiver, lead float64) ([]*Report, struct{}) {
 	return e.CandidateGraph(xcvrs, lead), struct{}{}
-}
-
-// Horizon evaluates the candidate graph at each lead in leads,
-// returning one graph per time step (the "multiple time steps in the
-// future, up to a configurable time horizon"). Positions are
-// predicted once per platform per lead — through PredictBatch when
-// set, otherwise one Predict call per lead — and shared across every
-// pair, instead of re-predicting per pair.
-func (e *Evaluator) Horizon(xcvrs []*platform.Transceiver, leads []float64) [][]*Report {
-	out := make([][]*Report, len(leads))
-	// Per-node position table across the whole horizon.
-	posTab := make(map[*platform.Node][]geo.LLA, len(xcvrs))
-	for _, x := range xcvrs {
-		if _, ok := posTab[x.Node]; ok {
-			continue
-		}
-		var ps []geo.LLA
-		if e.PredictBatch != nil {
-			ps = e.PredictBatch(x.Node, leads)
-		}
-		if len(ps) != len(leads) {
-			ps = make([]geo.LLA, len(leads))
-			for i, lead := range leads {
-				ps[i] = e.Predict(x.Node, lead)
-			}
-		}
-		posTab[x.Node] = ps
-	}
-	for i, lead := range leads {
-		idx := i
-		out[i] = e.graph(xcvrs, lead, func(n *platform.Node) geo.LLA {
-			return posTab[n][idx]
-		})
-	}
-	return out
 }
 
 // GraphDelta summarizes the difference between two candidate graphs
@@ -465,27 +443,40 @@ func (d GraphDelta) FracChanged() float64 {
 	return float64(d.Added+d.Removed) / float64(union)
 }
 
-// Diff computes the delta from graph a to graph b by link identity.
-func Diff(a, b []*Report) GraphDelta {
-	inA := make(map[radio.LinkID]bool, len(a))
-	for _, r := range a {
-		inA[r.ID] = true
+// AppendIDs appends the graph's link identities to dst, in the
+// graph's (ID.A, ID.B) order: what a holder keeps of a graph it wants
+// to Diff against a later one.
+func AppendIDs(dst []radio.LinkID, g []*Report) []radio.LinkID {
+	for _, r := range g {
+		dst = append(dst, r.ID)
 	}
+	return dst
+}
+
+// Diff computes the delta from graph a to graph b by link identity,
+// in one merge over the two ID lists; both must be in the (ID.A, ID.B)
+// order graphs are emitted in.
+//
+//minkowski:hotpath
+func Diff(a, b []radio.LinkID) GraphDelta {
 	var d GraphDelta
-	seen := make(map[radio.LinkID]bool, len(b))
-	for _, r := range b {
-		seen[r.ID] = true
-		if inA[r.ID] {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch x, y := a[i], b[j]; {
+		case x == y:
 			d.Common++
-		} else {
-			d.Added++
-		}
-	}
-	for id := range inA {
-		if !seen[id] {
+			i++
+			j++
+		case x.A < y.A || (x.A == y.A && x.B < y.B):
 			d.Removed++
+			i++
+		default:
+			d.Added++
+			j++
 		}
 	}
+	d.Removed += len(a) - i
+	d.Added += len(b) - j
 	return d
 }
 

@@ -1,13 +1,17 @@
 package linkeval
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"minkowski/internal/flight"
 	"minkowski/internal/geo"
 	"minkowski/internal/itu"
 	"minkowski/internal/platform"
+	"minkowski/internal/radio"
 	"minkowski/internal/weather"
 )
 
@@ -166,32 +170,49 @@ func TestPredictorUsedForFutureLeads(t *testing.T) {
 	}
 	e := New(DefaultConfig(), clearSky{}, pred)
 	now := e.CandidateGraph(xs, 0)
-	future := e.CandidateGraph(xs, 3600) // b has moved 36 km east
-	if len(now) == 0 || len(future) == 0 {
-		t.Fatal("both graphs should have candidates")
+	if len(now) == 0 {
+		t.Fatal("the current graph should have candidates")
 	}
-	if now[0].DistM >= future[0].DistM {
+	nowDistM := now[0].DistM             // by value: the next call overwrites now
+	future := e.CandidateGraph(xs, 3600) // b has moved 36 km east
+	if len(future) == 0 {
+		t.Fatal("the future graph should have candidates")
+	}
+	if nowDistM >= future[0].DistM {
 		t.Errorf("future distance (%v) should exceed current (%v) as b drifts away",
-			future[0].DistM, now[0].DistM)
+			future[0].DistM, nowDistM)
 	}
 }
 
+// TestHorizon: the "multiple time steps in the future" are one
+// CandidateGraph call per lead, each taken by value before the next.
 func TestHorizon(t *testing.T) {
 	e := New(DefaultConfig(), clearSky{}, nil)
-	graphs := e.Horizon(testFleetXcvrs(), []float64{0, 300, 600})
-	if len(graphs) != 3 {
-		t.Fatalf("want 3 time steps, got %d", len(graphs))
+	xs := testFleetXcvrs()
+	first := copyGraph(e.CandidateGraph(xs, 0))
+	if len(first) == 0 {
+		t.Fatal("no candidates")
 	}
-	// Static predictor: all steps identical.
-	if len(graphs[0]) != len(graphs[2]) {
-		t.Error("static positions must give identical graphs at all leads")
+	// Static predictor: every step is the first but for its lead.
+	for _, lead := range []float64{300, 600} {
+		g := e.CandidateGraph(xs, lead)
+		if len(g) != len(first) {
+			t.Fatalf("lead %v: %d candidates, want %d", lead, len(g), len(first))
+		}
+		for i, r := range g {
+			want := *first[i]
+			want.Lead = lead
+			if *r != want {
+				t.Fatalf("lead %v: static positions must give identical graphs at all leads:\n got  %+v\n want %+v", lead, *r, want)
+			}
+		}
 	}
 }
 
 func TestDiff(t *testing.T) {
 	e := New(DefaultConfig(), clearSky{}, nil)
 	xs := testFleetXcvrs()
-	g1 := e.CandidateGraph(xs, 0)
+	g1 := AppendIDs(nil, e.CandidateGraph(xs, 0))
 	d := Diff(g1, g1)
 	if d.Changed() || d.FracChanged() != 0 {
 		t.Error("identical graphs must show no delta")
@@ -207,8 +228,69 @@ func TestDiff(t *testing.T) {
 	if math.Abs(d2.FracChanged()-1.0/float64(len(g1))) > 1e-9 {
 		t.Errorf("frac changed = %v", d2.FracChanged())
 	}
+	if d3 := Diff(g1[1:], g1); d3.Added != 1 || d3.Removed != 0 || d3.Common != len(g1)-1 {
+		t.Errorf("delta = %+v, want 1 added", d3)
+	}
 	// Empty graphs.
 	if Diff(nil, nil).FracChanged() != 0 {
 		t.Error("empty diff must be 0")
+	}
+}
+
+// setDiff is the oracle Diff is held to: the two-map set difference it
+// replaced.
+func setDiff(a, b []radio.LinkID) GraphDelta {
+	inA := make(map[radio.LinkID]bool, len(a))
+	for _, id := range a {
+		inA[id] = true
+	}
+	var d GraphDelta
+	seen := make(map[radio.LinkID]bool, len(b))
+	for _, id := range b {
+		seen[id] = true
+		if inA[id] {
+			d.Common++
+		} else {
+			d.Added++
+		}
+	}
+	for id := range inA {
+		if !seen[id] {
+			d.Removed++
+		}
+	}
+	return d
+}
+
+// TestDiffMatchesSetDifference holds the sorted merge to the map-based
+// set difference on random sub-graphs of one sorted ID universe: adds,
+// removes, both, neither, and empty graphs on either side.
+func TestDiffMatchesSetDifference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var universe []radio.LinkID
+	for a := 0; a < 12; a++ {
+		for b := a + 1; b < 12; b++ {
+			for x := 0; x < 2; x++ {
+				universe = append(universe, radio.MakeLinkID(
+					fmt.Sprintf("hbal-%03d/xcvr-%d", a, x), fmt.Sprintf("hbal-%03d/xcvr-%d", b, 1-x)))
+			}
+		}
+	}
+	sort.Slice(universe, func(i, j int) bool { return idLess(universe[i], universe[j]) })
+	pick := func(keep float64) []radio.LinkID {
+		var out []radio.LinkID
+		for _, id := range universe {
+			if rng.Float64() < keep {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+	shares := []float64{0, 0.05, 0.5, 0.95, 1}
+	for trial := 0; trial < 200; trial++ {
+		a, b := pick(shares[rng.Intn(len(shares))]), pick(shares[rng.Intn(len(shares))])
+		if got, want := Diff(a, b), setDiff(a, b); got != want {
+			t.Fatalf("trial %d (|a|=%d, |b|=%d): merge %+v, set difference %+v", trial, len(a), len(b), got, want)
+		}
 	}
 }

@@ -7,10 +7,11 @@ package solver
 // algorithm with the seed's dist-only ordering, relaxation uses the
 // seed's strict-< rule, and adjacency is scanned in candidate-index
 // order. Every comparison and swap the seed implementation performed
-// happens here in the same sequence, so the popped-node order — and
-// therefore the chosen path, including equal-cost ties — is identical
-// to `SolveReference` step by step. The equivalence property tests
-// (solver_equivalence_test.go) pin this.
+// happens here in the same sequence — rows drop only entries the seed
+// walks past without effect (ctx.compact) — so the popped-node order,
+// and therefore the chosen path, including equal-cost ties, is
+// identical to `SolveReference` step by step. The equivalence property
+// tests (equivalence_test.go) pin this.
 
 // heapItem is one Dijkstra frontier entry.
 type heapItem struct {
@@ -112,21 +113,34 @@ func (s *spScratch) begin() uint32 {
 	return s.stamp
 }
 
-// shortestPath routes request ri over viable ∪ chosen edges (or
-// chosen-only when chosenOnly), writing the edge-index path into
-// c.paths[ri] (reused backing) and the found flag into c.has[ri].
-// It also maintains c.nilKnown[ri]: true only when the search failed
-// WITHOUT ever hitting the MaxPathLen cutoff — such a search has
-// exhausted the source's connected component, so the nil outcome is
-// permanent under the greedy's shrinking edge set. A cap-pruned
-// failure proves nothing (hop-capped reachability is not monotone)
-// and leaves nilKnown false so the request is retried like the
-// reference retries every nil request. Semantics — including the order
-// equal-cost ties resolve in — match SolveReference exactly; see the
-// package comment in this file.
+// adjEnt is one adjacency entry: the neighbour and the edge reaching
+// it, so a finalised neighbour is skipped before any edge is loaded.
+type adjEnt struct{ next, edge int32 }
+
+// edgeCost is the request-independent part of an edge's path cost,
+// split where the one request-dependent term sits in the seed's
+// accumulation order: cost = c1 [+ SlowBitratePenalty] + pen, with
+// c1 = link cost [+ MarginalPenalty] and pen the adaptive penalty of an
+// edge neither chosen nor existing, else 0 (x + 0 is x bit for bit for
+// every x but −0, which no cost is). ctx.pathCost fills it; choose
+// refreshes it when an edge turns chosen.
+type edgeCost struct{ c1, bitrate, pen float64 }
+
+// shortestPath routes request ri over rows — c.adj (viable ∪ chosen
+// edges: compact keeps it to exactly those) or c.chosenAdj for the
+// final pass — writing the edge-index path into c.paths[ri] (reused
+// backing) and the found flag into c.has[ri]. It also maintains
+// c.nilKnown[ri]: true only when the search failed WITHOUT ever
+// hitting the MaxPathLen cutoff — such a search has exhausted the
+// source's connected component, so the nil outcome is permanent under
+// the greedy's shrinking edge set. A cap-pruned failure proves nothing
+// (hop-capped reachability is not monotone) and leaves nilKnown false
+// so the request is retried like the reference retries every nil
+// request. Semantics — including the order equal-cost ties resolve in —
+// match SolveReference exactly; see the package comment in this file.
 //
 //minkowski:hotpath
-func (c *ctx) shortestPath(ri int32, chosenOnly bool, ws *spScratch) {
+func (c *ctx) shortestPath(ri int32, rows [][]adjEnt, ws *spScratch) {
 	rq := &c.reqs[ri]
 	out := c.paths[ri][:0]
 	if rq.srcIsDst {
@@ -142,10 +156,7 @@ func (c *ctx) shortestPath(ri int32, chosenOnly bool, ws *spScratch) {
 	ws.stats.DijkstraRuns++
 	ws.stats.HeapPushes++
 	maxHops := int32(c.cfg.MaxPathLen)
-	adj := c.adj
-	if chosenOnly {
-		adj = c.chosenAdj
-	}
+	slow := c.cfg.SlowBitratePenalty
 	for len(ws.heap) > 0 {
 		cur := ws.heap.pop()
 		ws.stats.HeapPops++
@@ -179,47 +190,26 @@ func (c *ctx) shortestPath(ri int32, chosenOnly bool, ws *spScratch) {
 			ws.capped = true
 			continue
 		}
-		ws.stats.AdjScanned += uint64(len(adj[cur.node]))
-		for _, ei := range adj[cur.node] {
-			e := &c.edges[ei]
-			if chosenOnly {
-				// chosenAdj already contains only chosen edges.
-			} else if !e.viable && !e.chosen {
-				continue
-			}
-			next := e.a
-			if next == cur.node {
-				next = e.b
-			}
-			if ws.done[next] == st {
+		row := rows[cur.node]
+		ws.stats.AdjScanned += uint64(len(row))
+		for _, a := range row {
+			if ws.done[a.next] == st {
 				continue
 			}
 			// Edge cost, in the seed's exact accumulation order.
-			var cost float64
-			switch {
-			case e.chosen:
-				cost = c.cfg.ChosenLinkCost
-			case e.exist:
-				cost = c.cfg.ExistingLinkCost
-			default:
-				cost = c.cfg.NewLinkCost
+			ec := &c.cost[a.edge]
+			cost := ec.c1
+			if ec.bitrate < rq.minBr {
+				cost += slow
 			}
-			if e.marginal {
-				cost += c.cfg.MarginalPenalty
-			}
-			if e.bitrate < rq.minBr {
-				cost += c.cfg.SlowBitratePenalty
-			}
-			if !e.chosen && !e.exist {
-				cost += e.penalty
-			}
+			cost += ec.pen
 			nd := cur.dist + cost
-			if ws.seen[next] != st || nd < ws.dist[next] {
-				ws.seen[next] = st
-				ws.dist[next] = nd
-				ws.prevEdge[next] = ei
-				ws.prevNode[next] = cur.node
-				ws.heap.push(heapItem{dist: nd, node: next, hops: cur.hops + 1})
+			if ws.seen[a.next] != st || nd < ws.dist[a.next] {
+				ws.seen[a.next] = st
+				ws.dist[a.next] = nd
+				ws.prevEdge[a.next] = a.edge
+				ws.prevNode[a.next] = cur.node
+				ws.heap.push(heapItem{dist: nd, node: a.next, hops: cur.hops + 1})
 				ws.stats.HeapPushes++
 			}
 		}
@@ -227,87 +217,4 @@ func (c *ctx) shortestPath(ri int32, chosenOnly bool, ws *spScratch) {
 	c.paths[ri] = out
 	c.has[ri] = false
 	c.nilKnown[ri] = !ws.capped
-}
-
-// finalRoute runs the chosen-only Dijkstra for the final routing pass
-// and returns the node path (freshly allocated — it escapes into the
-// plan) or ok=false when unreachable.
-func (c *ctx) finalRoute(ri int32, ws *spScratch) ([]string, bool) {
-	rq := &c.reqs[ri]
-	if rq.srcIsDst {
-		return []string{c.nodes[rq.src]}, true
-	}
-	st := ws.begin()
-	ws.dist[rq.src] = 0
-	ws.seen[rq.src] = st
-	ws.heap.push(heapItem{dist: 0, node: rq.src, hops: 0})
-	ws.stats.DijkstraRuns++
-	ws.stats.HeapPushes++
-	maxHops := int32(c.cfg.MaxPathLen)
-	for len(ws.heap) > 0 {
-		cur := ws.heap.pop()
-		ws.stats.HeapPops++
-		if ws.done[cur.node] == st {
-			continue
-		}
-		ws.done[cur.node] = st
-		if cur.node == rq.dst || (rq.dst < 0 && c.gw[cur.node]) {
-			n := cur.node
-			cnt := 0
-			for n != rq.src {
-				cnt++
-				n = ws.prevNode[n]
-			}
-			np := make([]string, cnt+1)
-			n = cur.node
-			for i := cnt; i >= 1; i-- {
-				np[i] = c.nodes[n]
-				n = ws.prevNode[n]
-			}
-			np[0] = c.nodes[rq.src]
-			return np, true
-		}
-		if cur.hops >= maxHops {
-			continue
-		}
-		ws.stats.AdjScanned += uint64(len(c.chosenAdj[cur.node]))
-		for _, ei := range c.chosenAdj[cur.node] {
-			e := &c.edges[ei]
-			next := e.a
-			if next == cur.node {
-				next = e.b
-			}
-			if ws.done[next] == st {
-				continue
-			}
-			var cost float64
-			switch {
-			case e.chosen:
-				cost = c.cfg.ChosenLinkCost
-			case e.exist:
-				cost = c.cfg.ExistingLinkCost
-			default:
-				cost = c.cfg.NewLinkCost
-			}
-			if e.marginal {
-				cost += c.cfg.MarginalPenalty
-			}
-			if e.bitrate < rq.minBr {
-				cost += c.cfg.SlowBitratePenalty
-			}
-			if !e.chosen && !e.exist {
-				cost += e.penalty
-			}
-			nd := cur.dist + cost
-			if ws.seen[next] != st || nd < ws.dist[next] {
-				ws.seen[next] = st
-				ws.dist[next] = nd
-				ws.prevEdge[next] = ei
-				ws.prevNode[next] = cur.node
-				ws.heap.push(heapItem{dist: nd, node: next, hops: cur.hops + 1})
-				ws.stats.HeapPushes++
-			}
-		}
-	}
-	return nil, false
 }

@@ -20,7 +20,8 @@ import (
 // SolveReference at any worker count; DESIGN.md §10 gives the
 // argument, the equivalence property tests enforce it.
 
-// edge is the engine's mutable view of one candidate.
+// edge is the engine's mutable view of one candidate; what a path
+// search reads of it lives in the parallel edgeCost record.
 type edge struct {
 	rep      *linkeval.Report
 	a, b     int32 // node indices
@@ -28,8 +29,6 @@ type edge struct {
 	chosen   bool
 	exist    bool
 	marginal bool
-	chanID   int // assigned channel when chosen
-	bitrate  float64
 	penalty  float64
 }
 
@@ -51,9 +50,11 @@ type ctx struct {
 	nodeOf    map[string]int32
 	gw        []bool
 	edges     []edge
-	adj       [][]int32 // node -> candidate edge indexes, edge order
-	chosenAdj [][]int32 // final-phase view: chosen edges only
-	chanMask  []uint16  // per node: bit k = channels[k] in use
+	cost      []edgeCost // per edge: see edgeCost
+	adj       [][]adjEnt // node -> usable (viable ∪ chosen) candidate edges, edge order
+	chosenAdj [][]adjEnt // final-phase view: chosen edges only
+	dirty     []bool     // per node: adj row holds an edge retired since its last compaction
+	chanMask  []uint16   // per node: bit k = channels[k] in use
 	channels  []rf.Channel
 
 	reqs     []reqView
@@ -62,8 +63,6 @@ type ctx struct {
 	has      []bool    // per request: path found
 	nilKnown []bool    // per request: proven PERMANENTLY unreachable (failed search, hop cap never fired)
 	broken   []int32
-	routeNds [][]string
-	routeOK  []bool
 	degree   []int32
 	nodeCls  []uint8 // redundancy classification: 1 balloon, 2 ground
 
@@ -92,6 +91,7 @@ func (c *ctx) reset(cfg Config, in *Input, workers int) {
 		clear(c.nodeOf)
 	}
 	c.edges = c.edges[:0]
+	c.cost = c.cost[:0]
 	if c.channels == nil {
 		c.channels = rf.EBandChannels()
 	}
@@ -107,10 +107,11 @@ func (c *ctx) reset(cfg Config, in *Input, workers int) {
 			viable:   true,
 			exist:    in.Existing[rep.ID],
 			marginal: rep.Class == rf.Marginal,
-			bitrate:  rep.Budget.BitrateBps,
 			penalty:  in.Penalties[rep.ID],
 		}
 		c.edges = append(c.edges, e)
+		c1, pen := c.pathCost(&e)
+		c.cost = append(c.cost, edgeCost{c1: c1, bitrate: rep.Budget.BitrateBps, pen: pen})
 	}
 	for _, g := range in.Gateways {
 		c.internNode(g)
@@ -122,7 +123,7 @@ func (c *ctx) reset(cfg Config, in *Input, workers int) {
 		}
 	}
 	nV := len(c.nodes)
-	c.gw = growBool(c.gw, nV)
+	c.gw = grow(c.gw, nV, true)
 	for _, g := range in.Gateways {
 		c.gw[c.nodeOf[g]] = true
 	}
@@ -130,15 +131,16 @@ func (c *ctx) reset(cfg Config, in *Input, workers int) {
 	c.chosenAdj = growRows(c.chosenAdj, nV)
 	for i := range c.edges {
 		e := &c.edges[i]
-		c.adj[e.a] = append(c.adj[e.a], int32(i))
-		c.adj[e.b] = append(c.adj[e.b], int32(i))
+		c.adj[e.a] = append(c.adj[e.a], adjEnt{next: e.b, edge: int32(i)})
+		c.adj[e.b] = append(c.adj[e.b], adjEnt{next: e.a, edge: int32(i)})
 	}
-	c.chanMask = growU16(c.chanMask, nV)
-	c.degree = growI32(c.degree, nV)
-	c.nodeCls = growU8(c.nodeCls, nV)
+	c.dirty = grow(c.dirty, nV, true)
+	c.chanMask = grow(c.chanMask, nV, true)
+	c.degree = grow(c.degree, nV, true)
+	c.nodeCls = grow(c.nodeCls, nV, true)
 
 	nR := len(in.Requests)
-	c.reqs = growReq(c.reqs, nR)
+	c.reqs = grow(c.reqs, nR, false)
 	for i, r := range in.Requests {
 		rq := &c.reqs[i]
 		rq.src = c.nodeOf[r.Src]
@@ -152,12 +154,10 @@ func (c *ctx) reset(cfg Config, in *Input, workers int) {
 		rq.minBr = r.MinBitrateBps
 		rq.util = math.Max(r.MinBitrateBps, 1)
 	}
-	c.paths = growPaths(c.paths, nR)
-	c.has = growBool(c.has, nR)
-	c.nilKnown = growBool(c.nilKnown, nR)
-	c.routeNds = growStrRows(c.routeNds, nR)
-	c.routeOK = growBool(c.routeOK, nR)
-	c.util = growF64(c.util, len(c.edges))
+	c.paths = growRows(c.paths, nR)
+	c.has = grow(c.has, nR, true)
+	c.nilKnown = grow(c.nilKnown, nR, true)
+	c.util = grow(c.util, len(c.edges), false)
 
 	c.workerW = workers
 	if len(c.workers) < workers {
@@ -170,68 +170,27 @@ func (c *ctx) reset(cfg Config, in *Input, workers int) {
 	}
 }
 
-func growBool(s []bool, n int) []bool {
+// grow returns s with length n, reusing its backing when that is large
+// enough (zero then clears what is kept) and otherwise allocating one
+// with a quarter of head-room, so a candidate count that creeps up from
+// cycle to cycle does not reallocate on every step.
+func grow[T any](s []T, n int, zero bool) []T {
 	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n, n+n/4)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = false
+	if zero {
+		clear(s)
 	}
 	return s
 }
 
-func growU8(s []uint8, n int) []uint8 {
+// growRows is grow for a slice of reusable rows: every row is kept,
+// emptied.
+func growRows[T any](s [][]T, n int) [][]T {
 	if cap(s) < n {
-		return make([]uint8, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func growU16(s []uint16, n int) []uint16 {
-	if cap(s) < n {
-		return make([]uint16, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growReq(s []reqView, n int) []reqView {
-	if cap(s) < n {
-		return make([]reqView, n)
-	}
-	return s[:n]
-}
-
-func growRows(s [][]int32, n int) [][]int32 {
-	if cap(s) < n {
-		ns := make([][]int32, n)
-		copy(ns, s[:min(len(s), n)])
+		ns := make([][]T, n, n+n/4)
+		copy(ns, s[:cap(s)])
 		s = ns
 	}
 	s = s[:n]
@@ -241,30 +200,53 @@ func growRows(s [][]int32, n int) [][]int32 {
 	return s
 }
 
-func growPaths(s [][]int32, n int) [][]int32 {
-	if cap(s) < n {
-		ns := make([][]int32, n)
-		copy(ns, s[:min(len(s), n)])
-		s = ns
+// pathCost is the request-independent split of e's path cost, from its
+// current flags (see edgeCost).
+func (c *ctx) pathCost(e *edge) (c1, pen float64) {
+	switch {
+	case e.chosen:
+		c1 = c.cfg.ChosenLinkCost
+	case e.exist:
+		c1 = c.cfg.ExistingLinkCost
+	default:
+		c1, pen = c.cfg.NewLinkCost, e.penalty
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = s[i][:0]
+	if e.marginal {
+		c1 += c.cfg.MarginalPenalty
 	}
-	return s
+	return c1, pen
 }
 
-func growStrRows(s [][]string, n int) [][]string {
-	if cap(s) < n {
-		ns := make([][]string, n)
-		copy(ns, s[:min(len(s), n)])
-		s = ns
+// retire makes an edge unusable for the rest of the solve and marks the
+// rows that list it for compaction.
+func (c *ctx) retire(e *edge) {
+	e.viable = false
+	c.dirty[e.a], c.dirty[e.b] = true, true
+}
+
+// compact drops from every dirty row the entries whose edge is neither
+// viable nor chosen, in place and in order. Such an entry is one the
+// seed's scan walks past without a comparison, a push or a pop, so the
+// searches that follow do exactly what they would have done over the
+// full row. Serial, between re-route batches: workers only read rows.
+//
+//minkowski:hotpath
+func (c *ctx) compact() {
+	for n, d := range c.dirty {
+		if !d {
+			continue
+		}
+		c.dirty[n] = false
+		row := c.adj[n]
+		k := 0
+		for _, a := range row {
+			if e := &c.edges[a.edge]; e.viable || e.chosen {
+				row[k] = a
+				k++
+			}
+		}
+		c.adj[n] = row[:k]
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = nil
-	}
-	return s
 }
 
 // workerCount resolves the fan-out width for a batch of items from
@@ -331,7 +313,7 @@ func (s *Solver) run(in *Input) *Plan {
 
 	// --- Initial routing phase --------------------------------------
 	s.forEach(nR, func(ri int, ws *spScratch) {
-		c.shortestPath(int32(ri), false, ws)
+		c.shortestPath(int32(ri), c.adj, ws)
 	})
 
 	// --- Greedy commit loop (sequential, seed-identical) ------------
@@ -365,9 +347,8 @@ func (s *Solver) run(in *Input) *Plan {
 		if best < 0 {
 			break
 		}
-		if !c.choose(plan, best, false) {
-			c.edges[best].viable = false
-		}
+		c.choose(plan, best, false)
+		c.compact()
 		// Collect requests whose path lost an edge, plus pathless
 		// requests not yet proven permanently unreachable; re-route
 		// them as a batch. The reference recomputes EVERY nil-path
@@ -398,19 +379,15 @@ func (s *Solver) run(in *Input) *Plan {
 		}
 		brk := c.broken
 		s.forEach(len(brk), func(k int, ws *spScratch) {
-			c.shortestPath(brk[k], false, ws)
+			c.shortestPath(brk[k], c.adj, ws)
 		})
 	}
 
 	// --- Final routing strictly over the chosen topology ------------
-	for i := range c.chosenAdj {
-		c.chosenAdj[i] = c.chosenAdj[i][:0]
-	}
 	for i := range c.edges {
-		e := &c.edges[i]
-		if e.chosen {
-			c.chosenAdj[e.a] = append(c.chosenAdj[e.a], int32(i))
-			c.chosenAdj[e.b] = append(c.chosenAdj[e.b], int32(i))
+		if e := &c.edges[i]; e.chosen {
+			c.chosenAdj[e.a] = append(c.chosenAdj[e.a], adjEnt{next: e.b, edge: int32(i)})
+			c.chosenAdj[e.b] = append(c.chosenAdj[e.b], adjEnt{next: e.a, edge: int32(i)})
 		}
 	}
 	// The reference final-routes every request. nilKnown requests are
@@ -420,24 +397,34 @@ func (s *Solver) run(in *Input) *Plan {
 	// cap-pruned failures, whose reachability over the smaller chosen
 	// graph can differ) runs for real.
 	s.forEach(nR, func(ri int, ws *spScratch) {
-		if c.nilKnown[ri] {
-			c.routeOK[ri] = false
-			return
+		if !c.nilKnown[ri] {
+			c.shortestPath(int32(ri), c.chosenAdj, ws)
 		}
-		c.routeNds[ri], c.routeOK[ri] = c.finalRoute(int32(ri), ws)
 	})
-	for ri, r := range in.Requests {
-		if !c.routeOK[ri] {
-			plan.Unsatisfied = append(plan.Unsatisfied, r)
-			continue
-		}
-		plan.Routes[r.ID] = c.routeNds[ri]
-		plan.Utility += r.MinBitrateBps
-	}
-
 	for i := 0; i < c.workerW; i++ {
 		s.stats.add(c.workers[i].stats)
 		c.workers[i].stats = Stats{}
+	}
+	for ri, r := range in.Requests {
+		if !c.has[ri] {
+			plan.Unsatisfied = append(plan.Unsatisfied, r)
+			continue
+		}
+		// The node path, read off the edge path (freshly allocated: it
+		// escapes into the plan).
+		n := c.reqs[ri].src
+		np := make([]string, 1, len(c.paths[ri])+1)
+		np[0] = c.nodes[n]
+		for _, ei := range c.paths[ri] {
+			if e := &c.edges[ei]; e.a == n {
+				n = e.b
+			} else {
+				n = e.a
+			}
+			np = append(np, c.nodes[n])
+		}
+		plan.Routes[r.ID] = np
+		plan.Utility += r.MinBitrateBps
 	}
 
 	c.addRedundancy(plan)
@@ -448,18 +435,30 @@ func (s *Solver) run(in *Input) *Plan {
 		}
 		return a.B < b.B
 	})
+	// The candidates live in storage their evaluator's next graph
+	// overwrites (linkeval.CandidateGraph), and a plan outlives that
+	// call — as lastPlan, in the intent store, under explain.WhyNot —
+	// so it takes the reports it chose by value.
+	own := make([]linkeval.Report, len(plan.Links))
+	for i := range plan.Links {
+		own[i] = *plan.Links[i].Report
+		plan.Links[i].Report = &own[i]
+	}
 	return plan
 }
 
-// choose commits an edge: channel assignment + conflict elimination.
+// choose commits an edge — channel assignment + conflict elimination —
+// or, when no channel is free at both ends, retires it and reports
+// false.
 func (c *ctx) choose(plan *Plan, idx int32, redundant bool) bool {
 	e := &c.edges[idx]
 	ch, chBit, ok := c.pickChannel(e)
 	if !ok {
+		c.retire(e)
 		return false
 	}
 	e.chosen = true
-	e.chanID = ch.ID
+	c.cost[idx].c1, c.cost[idx].pen = c.pathCost(e)
 	c.chanMask[e.a] |= chBit
 	c.chanMask[e.b] |= chBit
 	plan.Links = append(plan.Links, Chosen{
@@ -469,14 +468,14 @@ func (c *ctx) choose(plan *Plan, idx int32, redundant bool) bool {
 	})
 	// One pairing per transceiver.
 	for _, n := range [2]int32{e.a, e.b} {
-		for _, oi := range c.adj[n] {
-			o := &c.edges[oi]
+		for _, oa := range c.adj[n] {
+			o := &c.edges[oa.edge]
 			if o.chosen || !o.viable {
 				continue
 			}
 			if o.rep.XA == e.rep.XA || o.rep.XA == e.rep.XB ||
 				o.rep.XB == e.rep.XA || o.rep.XB == e.rep.XB {
-				o.viable = false
+				c.retire(o)
 			}
 		}
 	}
@@ -548,7 +547,6 @@ func (c *ctx) addRedundancy(plan *Plan) {
 			break
 		}
 		if !c.choose(plan, best, true) {
-			c.edges[best].viable = false
 			added--
 			continue
 		}

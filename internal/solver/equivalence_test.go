@@ -9,6 +9,7 @@ package solver
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 
 	"minkowski/internal/flight"
@@ -285,5 +286,151 @@ func TestSolveAndReferenceMatchLegacyScenarios(t *testing.T) {
 	in.Drained = map[string]bool{nodes[3].ID: true}
 	if got, want := s.Solve(in).Fingerprint(), s.SolveReference(in).Fingerprint(); got != want {
 		t.Fatalf("legacy drained-world diverged")
+	}
+}
+
+// hubWorld is a hand-made input that wants more links at one platform
+// than there are E-band channels: ten spokes each ask for a route to a
+// ten-transceiver gateway hub — over either of two hub transceivers, so
+// every commit eliminates its rivals on both — and a ring of
+// spoke-to-spoke candidates offers the detour. The ninth and tenth hub
+// commits find every channel in use at the hub, so choose fails, retires
+// the edge and the request re-routes over the ring.
+func hubWorld() Input {
+	mkNode := func(id string, nx int) *platform.Node {
+		n := &platform.Node{ID: id, Kind: platform.KindBalloon}
+		for i := 0; i < nx; i++ {
+			n.Xcvrs = append(n.Xcvrs, &platform.Transceiver{ID: fmt.Sprintf("%s/x%d", id, i), Node: n})
+		}
+		return n
+	}
+	const spokes = 10
+	hub := mkNode("gw", spokes)
+	var ring []*platform.Node
+	for i := 0; i < spokes; i++ {
+		ring = append(ring, mkNode(fmt.Sprintf("s%02d", i), 3))
+	}
+	in := Input{Gateways: []string{"gw"}}
+	add := func(xa, xb *platform.Transceiver, bps float64) {
+		in.Candidates = append(in.Candidates, &linkeval.Report{
+			ID: radio.MakeLinkID(xa.ID, xb.ID), XA: xa, XB: xb,
+			Budget: rf.Budget{BitrateBps: bps, MarginDB: 10},
+		})
+	}
+	for i, s := range ring {
+		add(s.Xcvrs[0], hub.Xcvrs[i], 100e6)
+		add(s.Xcvrs[0], hub.Xcvrs[(i+1)%spokes], 100e6)
+		add(s.Xcvrs[1], ring[(i+1)%spokes].Xcvrs[2], 40e6+10e6*float64(i%3))
+		in.Requests = append(in.Requests, Request{ID: "backhaul/" + s.ID, Src: s.ID, MinBitrateBps: 50e6})
+	}
+	// Strictly ID-sorted, as the evaluator emits them.
+	sort.Slice(in.Candidates, func(i, j int) bool {
+		a, b := in.Candidates[i].ID, in.Candidates[j].ID
+		if a.A != b.A {
+			return a.A < b.A
+		}
+		return a.B < b.B
+	})
+	return in
+}
+
+// TestEngineMatchesReferenceChannelExhaustion drives the failed-choose
+// path — an edge retired because no channel is free, its rows marked
+// for compaction — against the reference, over cycles that feed the
+// previous plan back as the existing links.
+func TestEngineMatchesReferenceChannelExhaustion(t *testing.T) {
+	in := hubWorld()
+	atWidths(t, func(t *testing.T) {
+		s, ref := New(DefaultConfig()), New(DefaultConfig())
+		in.Existing = nil
+		for cyc := 0; cyc < 3; cyc++ {
+			refPlan := ref.SolveReference(in)
+			atHub := 0
+			for _, l := range refPlan.Links {
+				if l.Report.XA.Node.ID == "gw" || l.Report.XB.Node.ID == "gw" {
+					atHub++
+				}
+			}
+			if channels := len(rf.EBandChannels()); atHub != channels || len(in.Requests) <= channels {
+				t.Fatalf("vacuous scenario: %d links at the hub for %d requests, want all %d channels used and more wanted",
+					atHub, len(in.Requests), channels)
+			}
+			if got, want := s.Solve(in).Fingerprint(), refPlan.Fingerprint(); got != want {
+				t.Fatalf("cycle %d: engine diverged from reference\nengine:\n%s\nreference:\n%s", cyc, got, want)
+			}
+			in.Existing = existingFrom(refPlan)
+		}
+	})
+}
+
+// TestSolveScansOnlyUsableEdges pins the work counters on hubWorld: the
+// searches, pushes and pops are the reference algorithm's (the plan is
+// held to it above) and the entries scanned are those of rows that hold
+// only viable and chosen edges — 80, where rows that kept every retired
+// edge to the end of the solve scanned 91 for the same 24 searches, 85
+// pushes and 56 pops. The counts are sums over requests, so they are
+// the same at any fan-out width, and cumulative.
+func TestSolveScansOnlyUsableEdges(t *testing.T) {
+	in := hubWorld()
+	want := Stats{DijkstraRuns: 24, AdjScanned: 80, HeapPushes: 85, HeapPops: 56}
+	atWidths(t, func(t *testing.T) {
+		s := New(DefaultConfig())
+		s.Solve(in)
+		if got := s.Stats(); got != want {
+			t.Errorf("one solve: %+v, want %+v", got, want)
+		}
+		s.Solve(in)
+		if got, twice := s.Stats(), (Stats{2 * want.DijkstraRuns, 2 * want.AdjScanned, 2 * want.HeapPushes, 2 * want.HeapPops}); got != twice {
+			t.Errorf("two solves: %+v, want %+v", got, twice)
+		}
+		if d := s.Stats().Sub(want); d != want {
+			t.Errorf("Sub: %+v, want %+v", d, want)
+		}
+	})
+}
+
+// TestPlanOwnsItsReports: a plan takes the reports it chose by value, so
+// it reads the same after the evaluator has overwritten the graph it was
+// solved from, and none of its reports is one of the evaluator's.
+func TestPlanOwnsItsReports(t *testing.T) {
+	w := newEqWorld(12, 0xD1CE)
+	w.eval.Predict = func(n *platform.Node, lead float64) geo.LLA {
+		p := n.Position()
+		p.Lon += geo.Deg(lead / 3600) // everything drifts east with lead
+		return p
+	}
+	in := w.input(nil)
+	evaluators := map[*linkeval.Report]bool{}
+	for _, r := range in.Candidates {
+		evaluators[r] = true
+	}
+	plan := New(DefaultConfig()).Solve(in)
+	if len(plan.Links) == 0 {
+		t.Fatal("empty plan")
+	}
+	fp := plan.Fingerprint()
+	kept := make([]linkeval.Report, len(plan.Links))
+	for i, l := range plan.Links {
+		kept[i] = *l.Report
+	}
+	var xs []*platform.Transceiver
+	for _, n := range w.nodes {
+		xs = append(xs, n.Xcvrs...)
+	}
+	for _, lead := range []float64{900, 1800} {
+		for _, r := range w.eval.CandidateGraph(xs, lead) {
+			evaluators[r] = true
+		}
+	}
+	if got := plan.Fingerprint(); got != fp {
+		t.Errorf("fingerprint changed under the evaluator's next calls:\n%s\nwas:\n%s", got, fp)
+	}
+	for i, l := range plan.Links {
+		if *l.Report != kept[i] {
+			t.Errorf("link %v: report changed:\n now %+v\n was %+v", kept[i].ID, *l.Report, kept[i])
+		}
+		if evaluators[l.Report] {
+			t.Errorf("link %v: the plan points into the evaluator's storage", kept[i].ID)
+		}
 	}
 }

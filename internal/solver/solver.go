@@ -60,7 +60,8 @@ type Request struct {
 
 // Input is everything one solve cycle consumes.
 type Input struct {
-	// Candidates is the Link Evaluator's current candidate graph.
+	// Candidates is the Link Evaluator's current candidate graph. It is
+	// read during the solve only: the plan copies the reports it chose.
 	Candidates []*linkeval.Report
 	// Requests are the open connectivity requests.
 	Requests []Request
@@ -85,6 +86,7 @@ type Input struct {
 
 // Chosen is one link in the output plan.
 type Chosen struct {
+	// Report is the plan's own copy of the chosen candidate.
 	Report *linkeval.Report
 	// Channel is the non-interfering channel assignment.
 	Channel rf.Channel
