@@ -462,12 +462,12 @@ func Diff(a, b []radio.LinkID) GraphDelta {
 	var d GraphDelta
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch x, y := a[i], b[j]; {
-		case x == y:
+		switch c := a[i].Compare(b[j]); {
+		case c == 0:
 			d.Common++
 			i++
 			j++
-		case x.A < y.A || (x.A == y.A && x.B < y.B):
+		case c < 0:
 			d.Removed++
 			i++
 		default:

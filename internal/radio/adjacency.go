@@ -51,7 +51,7 @@ func (f *Fabric) insertAdj(node int32, e upLink) {
 		if c := strings.Compare(f.ids.Name(u.peer), f.ids.Name(e.peer)); c != 0 {
 			return c
 		}
-		return u.link.ID.compare(e.link.ID)
+		return u.link.ID.Compare(e.link.ID)
 	})
 	na.up = slices.Insert(na.up, at, e)
 	f.rebuildPeers(na)

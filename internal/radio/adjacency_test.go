@@ -240,7 +240,7 @@ func TestLinkBetweenParallelLinks(t *testing.T) {
 	if !high.Up() || !low.Up() {
 		t.Fatalf("precondition: both links up (low %v, high %v)", low, high)
 	}
-	if low.ID.compare(high.ID) >= 0 {
+	if low.ID.Compare(high.ID) >= 0 {
 		t.Fatalf("precondition: %v must sort before %v", low.ID, high.ID)
 	}
 	for _, pair := range [][2]string{{n1.ID, n2.ID}, {n2.ID, n1.ID}} {

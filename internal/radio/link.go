@@ -32,8 +32,9 @@ func MakeLinkID(a, b string) LinkID {
 // String implements fmt.Stringer.
 func (id LinkID) String() string { return id.A + "<->" + id.B }
 
-// compare orders LinkIDs by (A, B).
-func (id LinkID) compare(o LinkID) int {
+// Compare orders LinkIDs by (A, B), the order candidate graphs and the
+// fabric's link slices are kept in.
+func (id LinkID) Compare(o LinkID) int {
 	if c := strings.Compare(id.A, o.A); c != 0 {
 		return c
 	}
@@ -41,7 +42,7 @@ func (id LinkID) compare(o LinkID) int {
 }
 
 // compareLinkToID is the order of the fabric's sorted link slices.
-func compareLinkToID(l *Link, id LinkID) int { return l.ID.compare(id) }
+func compareLinkToID(l *Link, id LinkID) int { return l.ID.Compare(id) }
 
 // State is a link's lifecycle position.
 type State int

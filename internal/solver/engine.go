@@ -123,7 +123,7 @@ func (c *ctx) reset(cfg Config, in *Input, workers int) {
 		}
 	}
 	nV := len(c.nodes)
-	c.gw = grow(c.gw, nV, true)
+	c.gw = grow(c.gw, nV)
 	for _, g := range in.Gateways {
 		c.gw[c.nodeOf[g]] = true
 	}
@@ -134,13 +134,13 @@ func (c *ctx) reset(cfg Config, in *Input, workers int) {
 		c.adj[e.a] = append(c.adj[e.a], adjEnt{next: e.b, edge: int32(i)})
 		c.adj[e.b] = append(c.adj[e.b], adjEnt{next: e.a, edge: int32(i)})
 	}
-	c.dirty = grow(c.dirty, nV, true)
-	c.chanMask = grow(c.chanMask, nV, true)
-	c.degree = grow(c.degree, nV, true)
-	c.nodeCls = grow(c.nodeCls, nV, true)
+	c.dirty = grow(c.dirty, nV)
+	c.chanMask = grow(c.chanMask, nV)
+	c.degree = grow(c.degree, nV)
+	c.nodeCls = grow(c.nodeCls, nV)
 
 	nR := len(in.Requests)
-	c.reqs = grow(c.reqs, nR, false)
+	c.reqs = grow(c.reqs, nR)
 	for i, r := range in.Requests {
 		rq := &c.reqs[i]
 		rq.src = c.nodeOf[r.Src]
@@ -155,9 +155,9 @@ func (c *ctx) reset(cfg Config, in *Input, workers int) {
 		rq.util = math.Max(r.MinBitrateBps, 1)
 	}
 	c.paths = growRows(c.paths, nR)
-	c.has = grow(c.has, nR, true)
-	c.nilKnown = grow(c.nilKnown, nR, true)
-	c.util = grow(c.util, len(c.edges), false)
+	c.has = grow(c.has, nR)
+	c.nilKnown = grow(c.nilKnown, nR)
+	c.util = grow(c.util, len(c.edges))
 
 	c.workerW = workers
 	if len(c.workers) < workers {
@@ -170,18 +170,16 @@ func (c *ctx) reset(cfg Config, in *Input, workers int) {
 	}
 }
 
-// grow returns s with length n, reusing its backing when that is large
-// enough (zero then clears what is kept) and otherwise allocating one
-// with a quarter of head-room, so a candidate count that creeps up from
-// cycle to cycle does not reallocate on every step.
-func grow[T any](s []T, n int, zero bool) []T {
+// grow returns a zeroed s of length n, reusing its backing when that is
+// large enough and otherwise allocating one with a quarter of head-room,
+// so a candidate count that creeps up from cycle to cycle does not
+// reallocate on every step.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n, n+n/4)
 	}
 	s = s[:n]
-	if zero {
-		clear(s)
-	}
+	clear(s)
 	return s
 }
 
