@@ -1,6 +1,6 @@
 // Command minkowski-vet is the repository's multichecker: it runs the
-// eight custom determinism/unit-safety/concurrency analyzers over the
-// tree and exits nonzero on any finding. CI runs it next to go vet:
+// seven custom determinism/unit-safety analyzers over the tree and
+// exits nonzero on any finding. CI runs it next to go vet:
 //
 //	go run ./cmd/minkowski-vet ./...
 //
@@ -11,8 +11,6 @@
 //	units     — no arithmetic or call arguments mixing unit suffixes
 //	floateq   — no float ==/!= outside annotated memo-key comparisons
 //	hotpath   — no allocation-prone constructs in //minkowski:hotpath funcs
-//	goexec    — no loop-var capture, unsynchronized captured writes, or
-//	            WaitGroup.Add misuse in goroutine-executed closures
 //	dettaint  — no wall-clock / unseeded-rand / GOMAXPROCS / map-order
 //	            reads reachable from Solve or //minkowski:hotpath
 //	            roots (whole-load call graph)
@@ -35,7 +33,6 @@ import (
 	"minkowski/internal/analysis/detrand"
 	"minkowski/internal/analysis/dettaint"
 	"minkowski/internal/analysis/floateq"
-	"minkowski/internal/analysis/goexec"
 	"minkowski/internal/analysis/hotpath"
 	"minkowski/internal/analysis/mapiter"
 	"minkowski/internal/analysis/units"
@@ -48,7 +45,6 @@ var analyzers = []*vet.Analyzer{
 	units.Analyzer,
 	floateq.Analyzer,
 	hotpath.Analyzer,
-	goexec.Analyzer,
 	dettaint.Analyzer,
 	vet.DirectivesAnalyzer,
 }

@@ -3,7 +3,7 @@
 //
 //	//minkowski:hotpath
 //
-// in their doc comment (the candidate-graph fan-out, memo lookups,
+// in their doc comment (the candidate-graph sweep, memo lookups,
 // the Tier-1 route walk) run once per transceiver pair per solve cycle
 // or once per hop per command; a single allocation there multiplies
 // into garbage-collector pressure that dominates profiles. Inside annotated

@@ -9,10 +9,9 @@ import (
 // This file builds a static call graph over a set of loaded packages,
 // CHA-style: precise edges for direct calls, class-hierarchy edges
 // for interface method calls (every loaded method with a matching
-// name and signature), and function-value tracking for the
-// worker-pool pattern (a closure passed to a function parameter is
-// bound to that parameter, and calls through the parameter resolve to
-// the bound closures). It is deliberately an over-approximation —
+// name and signature), and function-value tracking for arguments (a
+// closure passed to a function parameter is bound to that parameter,
+// and calls through the parameter resolve to the bound closures). It is deliberately an over-approximation —
 // reachability analyses built on it (dettaint) may follow edges no
 // execution takes — and it under-approximates exactly where any
 // AST-level analysis must: reflection, cgo, and bodies outside the
@@ -102,19 +101,7 @@ type CallGraph struct {
 	lits      map[*ast.FuncLit]*Node
 	declIndex map[string]*Node // "pkgpath\x00objpath" -> declared node
 
-	paramIdx map[types.Object]paramRef // declared-function parameter -> (node, index)
-	goParams map[paramKey]bool         // parameters whose arguments execute on goroutines
-	goLits   map[*ast.FuncLit]bool     // literals that execute on goroutines
-}
-
-type paramRef struct {
-	node *Node
-	idx  int
-}
-
-type paramKey struct {
-	node *Node
-	idx  int
+	params map[types.Object]bool // parameters of declared functions
 }
 
 // ObjectPath encodes a package-level object, or a method of a
@@ -171,22 +158,6 @@ func (g *CallGraph) LitNode(lit *ast.FuncLit) *Node { return g.lits[lit] }
 // Nodes returns every node with a body, in deterministic load order.
 func (g *CallGraph) Nodes() []*Node { return g.nodes }
 
-// GoroutineLit reports whether the literal executes on a goroutine:
-// it is launched by a `go` statement, or it is passed into a
-// parameter whose arguments are (transitively) executed on one.
-func (g *CallGraph) GoroutineLit(lit *ast.FuncLit) bool { return g.goLits[lit] }
-
-// GoParam reports whether arguments passed in parameter position idx
-// of fn are executed on a goroutine by fn (directly via `go param(…)`,
-// inside a goroutine-executed literal, or by forwarding the parameter
-// into another goroutine-executing position). This is the
-// worker-pool contract: solver.forEach, linkeval's fan-outs, and
-// chaos/search's parallel all go-execute their func parameters.
-func (g *CallGraph) GoParam(fn *types.Func, idx int) bool {
-	n := g.FuncNode(fn)
-	return g.goParams[paramKey{n, idx}]
-}
-
 // --- Construction ----------------------------------------------------
 
 // rawCall is one call site awaiting resolution.
@@ -197,40 +168,11 @@ type rawCall struct {
 	pkg  *Package
 }
 
-// paramCallSite is a call through a declared function's parameter.
-type paramCallSite struct {
-	owner *Node // function whose parameter is called
-	idx   int
-	ctx   *Node // node whose body contains the call (owner or a nested literal)
-	kind  CallKind
-}
-
-// paramPass is a parameter forwarded as an argument to another call.
-type paramPass struct {
-	owner   *Node // function whose parameter is forwarded
-	idx     int   // its index
-	destKey paramKey
-	ctx     *Node
-	kind    CallKind
-}
-
-// litBind is a literal (or the node of a named function value) passed
-// as an argument in a parameter position.
-type litBind struct {
-	value   *Node
-	destKey paramKey
-	ctx     *Node
-	kind    CallKind
-}
-
 type graphBuilder struct {
-	g          *CallGraph
-	addrTaken  []*Node          // func values used outside call position
-	methods    []*Node          // declared methods, for interface CHA
-	sigKeys    map[*Node]string // signature key per node
-	paramCalls []paramCallSite
-	paramPasss []paramPass
-	litBinds   []litBind
+	g         *CallGraph
+	addrTaken []*Node          // func values used outside call position
+	methods   []*Node          // declared methods, for interface CHA
+	sigKeys   map[*Node]string // signature key per node
 
 	calleeIdents map[*ast.Ident]bool   // idents in callee position
 	directLits   map[*ast.FuncLit]bool // literals invoked where they appear
@@ -258,9 +200,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		funcs:     map[*types.Func]*Node{},
 		lits:      map[*ast.FuncLit]*Node{},
 		declIndex: map[string]*Node{},
-		paramIdx:  map[types.Object]paramRef{},
-		goParams:  map[paramKey]bool{},
-		goLits:    map[*ast.FuncLit]bool{},
+		params:    map[types.Object]bool{},
 	}
 	b := &graphBuilder{
 		g:            g,
@@ -314,18 +254,15 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 					if sig.Recv() != nil {
 						b.methods = append(b.methods, n)
 					}
-					// Index declared parameters for param-call tracking.
+					// Index declared parameters: a call through one
+					// resolves to the values bound at the owner's call
+					// sites, not to every same-signature value.
 					if fd.Type.Params != nil {
-						idx := 0
 						for _, field := range fd.Type.Params.List {
 							for _, name := range field.Names {
 								if obj := pkg.Info.Defs[name]; obj != nil {
-									g.paramIdx[obj] = paramRef{n, idx}
+									g.params[obj] = true
 								}
-								idx++
-							}
-							if len(field.Names) == 0 {
-								idx++
 							}
 						}
 					}
@@ -367,10 +304,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	for _, rc := range calls {
 		b.resolve(rc)
 	}
-
-	// Phase 4: goroutine-execution fixpoint over literals and
-	// parameter positions.
-	b.goFixpoint()
 
 	// Dedup edges per node, preserving first-occurrence order.
 	for _, n := range g.nodes {
@@ -488,9 +421,6 @@ func (b *graphBuilder) resolve(rc rawCall) {
 	// Direct call of a literal: (func(){...})().
 	if lit, ok := fun.(*ast.FuncLit); ok {
 		addEdge(g.lits[lit], rc.kind)
-		if rc.kind == KindGo {
-			g.goLits[lit] = true
-		}
 		b.bindArgs(rc, nil)
 		return
 	}
@@ -535,10 +465,9 @@ func (b *graphBuilder) resolve(rc rawCall) {
 		return
 	case *types.Var:
 		// Dynamic call through a function value.
-		if ref, ok := g.paramIdx[fn]; ok {
+		if g.params[fn] {
 			// Call through a declared function's parameter: resolved
-			// precisely via the bindings recorded at its call sites.
-			b.paramCalls = append(b.paramCalls, paramCallSite{owner: ref.node, idx: ref.idx, ctx: rc.from, kind: rc.kind})
+			// precisely by the bound edges recorded at its call sites.
 			b.bindArgs(rc, nil)
 			return
 		}
@@ -556,9 +485,6 @@ func (b *graphBuilder) resolve(rc rawCall) {
 		for _, v := range b.addrTaken {
 			if b.keyOf(v) == key {
 				addEdge(v, rc.kind)
-				if rc.kind == KindGo && v.Lit != nil {
-					g.goLits[v.Lit] = true
-				}
 			}
 		}
 	}
@@ -566,28 +492,20 @@ func (b *graphBuilder) resolve(rc rawCall) {
 }
 
 // bindArgs records function-valued arguments of a call. When the
-// callee is a loaded function, each such argument is bound to the
-// receiving parameter (and an edge callee → value records that the
-// callee may invoke it). When the callee is unknown or external, the
+// callee is a loaded function, an edge callee → value records that the
+// callee may invoke it. When the callee is unknown or external, the
 // conservative edge is caller → value: the value may run within the
 // call's dynamic extent (sort.Slice and friends).
 func (b *graphBuilder) bindArgs(rc rawCall, callee *Node) {
 	g, pkg := b.g, rc.pkg
-	for i, arg := range rc.call.Args {
+	for _, arg := range rc.call.Args {
 		var val *Node
-		var ownerFwd *paramRef
 		switch a := ast.Unparen(arg).(type) {
 		case *ast.FuncLit:
 			val = g.lits[a]
 		case *ast.Ident:
 			if fn, ok := pkg.Info.Uses[a].(*types.Func); ok {
 				val = g.FuncNode(fn)
-			} else if obj := pkg.Info.Uses[a]; obj != nil {
-				if ref, ok := g.paramIdx[obj]; ok {
-					if _, isSig := obj.Type().Underlying().(*types.Signature); isSig {
-						ownerFwd = &ref
-					}
-				}
 			}
 		case *ast.SelectorExpr:
 			if sel, ok := pkg.Info.Selections[a]; ok && sel.Kind() == types.MethodVal {
@@ -599,61 +517,12 @@ func (b *graphBuilder) bindArgs(rc rawCall, callee *Node) {
 			}
 		}
 		switch {
-		case val != nil && callee != nil && callee.Decl != nil:
+		case val == nil:
+		case callee != nil && callee.Decl != nil:
 			callee.Out = append(callee.Out, Edge{Callee: val, Pos: arg.Pos(), Kind: KindBound})
-			b.litBinds = append(b.litBinds, litBind{value: val, destKey: paramKey{callee, i}, ctx: rc.from, kind: rc.kind})
-		case val != nil:
+		default:
 			// Unknown/external callee: assume it may invoke the value.
 			rc.from.Out = append(rc.from.Out, Edge{Callee: val, Pos: arg.Pos(), Kind: KindBound})
-			if rc.kind == KindGo && val.Lit != nil {
-				g.goLits[val.Lit] = true
-			}
-		case ownerFwd != nil && callee != nil && callee.Decl != nil:
-			b.paramPasss = append(b.paramPasss, paramPass{
-				owner: ownerFwd.node, idx: ownerFwd.idx,
-				destKey: paramKey{callee, i}, ctx: rc.from, kind: rc.kind,
-			})
-		}
-	}
-}
-
-// goFixpoint computes which literals and parameter positions execute
-// on goroutines, iterating the propagation rules to a fixed point.
-func (b *graphBuilder) goFixpoint() {
-	g := b.g
-	// effectiveGo: a call occurring in ctx with kind runs on a
-	// goroutine if it is a go statement or ctx is itself a
-	// goroutine-executed literal.
-	effectiveGo := func(ctx *Node, kind CallKind) bool {
-		if kind == KindGo {
-			return true
-		}
-		return ctx.Lit != nil && g.goLits[ctx.Lit]
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, pc := range b.paramCalls {
-			k := paramKey{pc.owner, pc.idx}
-			if !g.goParams[k] && effectiveGo(pc.ctx, pc.kind) {
-				g.goParams[k] = true
-				changed = true
-			}
-		}
-		for _, pp := range b.paramPasss {
-			k := paramKey{pp.owner, pp.idx}
-			if !g.goParams[k] && (g.goParams[pp.destKey] || effectiveGo(pp.ctx, pp.kind)) {
-				g.goParams[k] = true
-				changed = true
-			}
-		}
-		for _, lb := range b.litBinds {
-			if lb.value.Lit == nil || g.goLits[lb.value.Lit] {
-				continue
-			}
-			if g.goParams[lb.destKey] || effectiveGo(lb.ctx, lb.kind) {
-				g.goLits[lb.value.Lit] = true
-				changed = true
-			}
 		}
 	}
 }

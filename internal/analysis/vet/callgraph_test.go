@@ -55,16 +55,8 @@ func TestCallGraph(t *testing.T) {
 		}
 	}
 
-	// Worker-pool contract: Pool go-executes parameter 1, not 0.
-	if !g.GoParam(fn("Pool"), 1) {
-		t.Error("GoParam(Pool, 1) = false; the func parameter is go-executed")
-	}
-	if g.GoParam(fn("Pool"), 0) {
-		t.Error("GoParam(Pool, 0) = true; n is not a function parameter")
-	}
-
-	// The closure Launch passes into Pool: goroutine-marked, bound at
-	// the call site, and its body's calls attributed to it.
+	// The closure Launch passes into Pool: bound at the call site, and
+	// its body's calls attributed to it.
 	launch := g.FuncNode(fn("Launch"))
 	var lit *ast.FuncLit
 	ast.Inspect(launch.Decl.Body, func(n ast.Node) bool {
@@ -75,9 +67,6 @@ func TestCallGraph(t *testing.T) {
 	})
 	if lit == nil {
 		t.Fatal("no closure in Launch")
-	}
-	if !g.GoroutineLit(lit) {
-		t.Error("closure passed to Pool is not marked goroutine-executed")
 	}
 	litNode := g.LitNode(lit)
 	if litNode == nil {

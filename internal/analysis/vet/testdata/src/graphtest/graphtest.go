@@ -1,6 +1,5 @@
 // Package graphtest is call-graph testdata: direct calls, interface
-// dispatch (CHA), parameter-bound function values, and goroutine
-// execution through a worker-pool parameter.
+// dispatch (CHA), and function values bound to a parameter.
 package graphtest
 
 // Shape is dispatched through CHA: a call to Area resolves to every
@@ -33,15 +32,15 @@ func Direct() float64 { return helper() }
 
 func helper() float64 { return 1 }
 
-// Pool go-executes its func parameter: the worker-pool contract.
+// Pool runs its func parameter on goroutines.
 func Pool(n int, fn func(int)) {
 	for i := 0; i < n; i++ {
 		go fn(i)
 	}
 }
 
-// Launch passes a closure into Pool; the closure must be marked
-// goroutine-executed and its body's calls attributed to it.
+// Launch passes a closure into Pool; the closure's body's calls must be
+// attributed to it.
 func Launch(results []float64) {
 	Pool(len(results), func(k int) {
 		results[k] = helper()

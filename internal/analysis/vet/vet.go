@@ -94,7 +94,6 @@ var KnownDirectives = map[string]bool{
 	"units-ok":     true,
 	"floateq-ok":   true,
 	"hotpath-ok":   true,
-	"goexec-ok":    true,
 	"dettaint-ok":  true,
 }
 

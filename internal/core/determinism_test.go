@@ -10,11 +10,11 @@ import (
 	"minkowski/internal/explain"
 )
 
-// atWidths runs fn as a subtest at fan-out widths 1, 2 and 8. The
-// evaluator's and the solver's width is GOMAXPROCS and nothing else,
-// so the subtest sets it and restores it on cleanup; no test in this
-// package calls t.Parallel, so the process-wide setting cannot leak
-// into another.
+// atWidths runs fn as a subtest at GOMAXPROCS 1, 2 and 8. The control
+// loop reads no runtime setting and starts no goroutine, and these legs
+// hold it to that. The subtest restores the setting on cleanup; no test
+// in this package calls t.Parallel, so the process-wide setting cannot
+// leak into another.
 func atWidths(t *testing.T, fn func(t *testing.T)) {
 	for _, n := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
@@ -32,8 +32,8 @@ func atWidths(t *testing.T, fn func(t *testing.T)) {
 // wall-clock read, unseeded RNG, or unsorted map sweep anywhere in
 // the control loop shows up here as a diff.
 // Beyond run-to-run stability, the same scenario is replayed at each
-// fan-out width, and every run must be byte-identical to the baseline:
-// the number of cores changes throughput, never a byte.
+// GOMAXPROCS, and every run must be byte-identical to the baseline:
+// the number of cores never changes a byte.
 // (TestGoldenJournalDigests pins the same scenario's journal, plans
 // and obs snapshot to constants, so a change to the pipeline itself
 // shows there.)
@@ -65,7 +65,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 		t.Fatal("empty journal + graph — scenario produced no activity")
 	}
 	diff(t, "repeat run", base, run(nil))
-	atWidths(t, func(t *testing.T) { diff(t, "fan-out width", base, run(nil)) })
+	atWidths(t, func(t *testing.T) { diff(t, "GOMAXPROCS", base, run(nil)) })
 	// Observability must be a pure observer: turning the tracer and
 	// flight recorder off entirely must not move a byte of the journal.
 	diff(t, "ObsEnabled=false", base, run(func(cfg *Config) { cfg.ObsEnabled = false }))
@@ -74,8 +74,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 // TestObsSnapshotDeterminism extends the matrix to the observability
 // output itself: with the recorder fully enabled, two same-seed runs
 // must produce byte-identical encoded metric snapshots, and the
-// snapshot must not change with the fan-out width — the number of
-// workers is invisible to the registry.
+// snapshot must not change with GOMAXPROCS.
 func TestObsSnapshotDeterminism(t *testing.T) {
 	_, base := runWithObs(nil)
 	if len(base) == 0 {

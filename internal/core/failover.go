@@ -287,9 +287,8 @@ func (c *Controller) installRogueLoop() {
 
 // rogueSolve is the deposed primary's solve cycle: same evaluator and
 // solver (both are deterministic, and the simulation's event loop
-// serializes their use — any internal worker fan-out is confined to
-// one solve call — so sharing them is safe), its own intent store and
-// stale-epoch dispatches. Modeling simplification: the rogue retains
+// serializes their use, so sharing them is safe), its own intent store
+// and stale-epoch dispatches. Modeling simplification: the rogue retains
 // full dispatch reach over the CDPI — the worst case for split-brain,
 // and exactly what agent-side epoch fencing must neutralize. (The
 // opposite regime — a live replica with REDUCED dispatch reach — is

@@ -11,8 +11,7 @@ import (
 // and returns the export artifact as indented JSON: the end-of-run
 // metrics snapshot (name-sorted, canonical) plus the retained
 // solve-cycle span trees. Deterministic in (Seed, Scale): the bytes
-// are identical at every GOMAXPROCS (no span records how the fan-outs
-// sharded their work — see internal/obs package docs).
+// are identical at every GOMAXPROCS (see internal/obs package docs).
 func ObsExport(o Options) ([]byte, error) {
 	cfg := baseScenario(o)
 	c := core.New(cfg)

@@ -4,15 +4,12 @@ package linkeval
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
 // TestCandidateGraphSteadyStateAllocs: once one graph has sized the
-// evaluator's storage, the serial path allocates nothing per graph (at
-// wider fan-outs only the goroutines do).
+// evaluator's storage, a graph allocates nothing.
 func TestCandidateGraphSteadyStateAllocs(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	_, xs := randomFleet(rand.New(rand.NewSource(9)), 24)
 	e := New(DefaultConfig(), &gradientRain{}, nil)
 	if len(e.CandidateGraph(xs, 0)) == 0 {

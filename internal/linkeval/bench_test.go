@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"runtime"
 	"testing"
 
 	"minkowski/internal/geo"
@@ -52,8 +51,7 @@ var benchRegimes = []struct {
 
 // BenchmarkCandidateGraph compares the oracle's O(N²) from-scratch
 // sweep with the pipeline's shared pair geometry at each fidelity
-// scale. The oracle is serial: run with -cpu 1 to compare algorithms
-// rather than the pipeline's fan-out.
+// scale, both on one goroutine.
 func BenchmarkCandidateGraph(b *testing.B) {
 	for _, scale := range []int{1, 3} {
 		xs := benchFleet(scale)
@@ -124,10 +122,9 @@ type benchRecord struct {
 
 // TestWriteBenchJSON measures the benchmark suite and writes the
 // machine-readable summary the CI regression guard consumes
-// (cmd/benchguard). Both regimes run at GOMAXPROCS(1), so
-// speedup_vs_brute compares algorithms and not the oracle's missing
-// fan-out. Gated behind BENCH_LINKEVAL_JSON so ordinary test runs stay
-// fast:
+// (cmd/benchguard). Both regimes run on one goroutine, so
+// speedup_vs_brute compares algorithms. Gated behind
+// BENCH_LINKEVAL_JSON so ordinary test runs stay fast:
 //
 //	BENCH_LINKEVAL_JSON=BENCH_linkeval.json go test -run TestWriteBenchJSON ./internal/linkeval/
 func TestWriteBenchJSON(t *testing.T) {
@@ -135,7 +132,6 @@ func TestWriteBenchJSON(t *testing.T) {
 	if out == "" {
 		t.Skip("set BENCH_LINKEVAL_JSON=<path> to measure and write the benchmark summary")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	summary := map[string]benchRecord{}
 	for _, scale := range []int{1, 3} {
 		xs := benchFleet(scale)

@@ -1,10 +1,8 @@
 package linkeval
 
 import (
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
 
 	"minkowski/internal/geo"
 	"minkowski/internal/platform"
@@ -21,13 +19,13 @@ import (
 //     touched.
 //  2. Per platform pair, geometry (range, both pointing solutions,
 //     line of sight, path attenuation, budgets per gain pair) is
-//     memoized in a pairGeom shared by the transceiver fan-out.
+//     memoized in a pairGeom shared by its transceiver pairs.
 //
 // No result is carried from one graph to the next: every call evaluates
-// every in-range pair. Only the storage is kept: reports are written
-// into per-worker slabs and the graph slice into the slot array, both
-// owned by the evaluator and overwritten by its next call, so a
-// steady-state graph allocates nothing but the goroutine fan-out.
+// every in-range pair, on the calling goroutine. Only the storage is
+// kept: reports are written into slabs and the graph slice into a
+// reused array, both owned by the evaluator and overwritten by its next
+// call, so a steady-state graph allocates nothing.
 //
 // Bit-identity with the brute-force oracle (graph_test.go) rests on
 // two invariants:
@@ -43,9 +41,9 @@ import (
 //     alphanumeric), so walking anchor platforms in ID order, anchor
 //     transceivers sorted, partner platforms sorted, partner
 //     transceivers sorted, emits reports already globally sorted by
-//     (ID.A, ID.B) — no final sort needed. Each pair's result slot is
-//     precomputed from that layout, which also makes the parallel
-//     fan-out race-free: workers write disjoint slots.
+//     (ID.A, ID.B) — no final sort needed. The walk is anchor-
+//     transceiver-major, so an anchor's platform-pair geometries are
+//     all built before its first transceiver is evaluated.
 
 // nodeEnt is one platform in the graph being built.
 type nodeEnt struct {
@@ -55,54 +53,44 @@ type nodeEnt struct {
 	xc   []int32 // indices into the xcvrs slice, sorted by transceiver ID
 }
 
-// npTask is one platform pair, with the precomputed result-slot
-// layout: the pair (anchor transceiver a, partner transceiver b) lands
-// at base + aIdx·partnerTotal + prefix + bIdx.
-type npTask struct {
-	u, v         int32 // node indices; nodes[u].ID < nodes[v].ID
-	base         int32 // slot base of anchor u's whole span
-	prefix       int32 // partner-transceiver prefix of v within u's span
-	partnerTotal int32 // total partner transceivers across all of u's tasks
-}
+// slabReports is the size of one report slab. The slab list grows to
+// the high-water candidate count rounded up to this and stays there, so
+// the figure bounds the memory held beyond need.
+const slabReports = 64
 
-// graphScratch holds every reusable buffer of the evaluator, the
-// returned graph (results, compacted in place) and its reports (the
-// workers' slabs) included.
+// graphScratch holds every reusable buffer of the evaluator: the
+// returned graph, the reports it points to — in fixed-size slabs that
+// are refilled from the first on every graph (a full slab is followed
+// by the next, never regrown, so no *Report moves while its graph is
+// valid) — and the platform-pair geometries of the anchor in hand.
 type graphScratch struct {
-	results []*Report
-	nodes   []nodeEnt
-	nodeIdx map[*platform.Node]int32
-	order   []int32
-	tasks   []npTask
-	workers []evalScratch
+	out      []*Report
+	slabs    [][]Report
+	cur, off int // the next free report is slabs[cur][off]
+	nodes    []nodeEnt
+	nodeIdx  map[*platform.Node]int32
+	order    []int32
+	geoms    []pairGeom // per partner platform; each keeps its budget memo's backing
 }
 
-func (e *Evaluator) resizeResults(n int) []*Report {
-	if cap(e.scr.results) < n {
-		e.scr.results = make([]*Report, n)
+// newReport returns the next report slot. It allocates only while the
+// graph is larger than any before it.
+//
+//minkowski:hotpath
+func (s *graphScratch) newReport() *Report {
+	if s.off == slabReports {
+		s.cur, s.off = s.cur+1, 0
 	}
-	e.scr.results = e.scr.results[:n]
-	clear(e.scr.results)
-	return e.scr.results
-}
-
-// workerCount is the fan-out width for a batch of tasks: one worker
-// per core, never more than there are tasks.
-func workerCount(tasks int) int {
-	//minkowski:dettaint-ok read once per fan-out entry; workers write disjoint slots and results merge in index order, so output is byte-identical for any value
-	workers := runtime.GOMAXPROCS(0)
-	if workers > tasks {
-		workers = tasks
+	if s.cur == len(s.slabs) {
+		s.slabs = append(s.slabs, make([]Report, slabReports))
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	r := &s.slabs[s.cur][s.off]
+	s.off++
+	return r
 }
 
 // CandidateGraph evaluates all cross-platform transceiver pairs at a
-// lead time and returns the feasible candidates sorted by ID. The work
-// fans out across one goroutine per core.
+// lead time and returns the feasible candidates sorted by ID.
 //
 // The graph — the slice and every report it points to — lives in
 // storage the evaluator owns and its next CandidateGraph call
@@ -152,113 +140,53 @@ func (e *Evaluator) CandidateGraph(xcvrs []*platform.Transceiver, lead float64) 
 	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(nodes[a].node.ID, nodes[b].node.ID) })
 	scr.order = order
 
-	// --- Enumerate platform pairs, laying out result slots in emission
-	// order so the graph comes out sorted with no final sort. An
-	// anchor's partners are the platforms after it in ID order.
-	tasks := scr.tasks[:0]
-	slotBase := int32(0)
-	partnerTotal := int32(len(xcvrs))
+	// --- Per anchor, gate and set up every platform pair it leads (its
+	// partners are the platforms after it in ID order), then evaluate
+	// its transceiver pairs in emission order.
+	scr.cur, scr.off = 0, 0
+	out := scr.out[:0]
 	for i, u := range order {
-		anchorXc := int32(len(nodes[u].xc))
-		partnerTotal -= anchorXc
-		prefix := int32(0)
-		for _, v := range order[i+1:] {
-			tasks = append(tasks, npTask{u: u, v: v, base: slotBase, prefix: prefix, partnerTotal: partnerTotal})
-			prefix += int32(len(nodes[v].xc))
+		ue := &nodes[u]
+		partners := order[i+1:]
+		if len(scr.geoms) < len(partners) {
+			scr.geoms = append(scr.geoms, make([]pairGeom, len(partners)-len(scr.geoms))...)
 		}
-		slotBase += anchorXc * partnerTotal
-	}
-	scr.tasks = tasks // workers read the field: capturing the appended-to local would move it to the heap
-	// One slot per enumerated transceiver pair.
-	e.stats.PairsEnumerated += uint64(slotBase)
-
-	results := e.resizeResults(int(slotBase))
-
-	// --- Parallel fan-out over platform-pair tasks. Workers write
-	// disjoint result slots and count locally; stats are summed
-	// serially after the join.
-	workers := workerCount(len(tasks))
-	for len(scr.workers) < workers {
-		scr.workers = append(scr.workers, evalScratch{})
-	}
-	for w := range scr.workers {
-		scr.workers[w].cur, scr.workers[w].off = 0, 0
-	}
-	if workers <= 1 {
-		st := &scr.workers[0]
-		for _, t := range tasks {
-			e.runTask(t, lead, st, xcvrs)
+		geoms := scr.geoms[:len(partners)]
+		for k, v := range partners {
+			ve := &nodes[v]
+			// Exact range gate; bitwise equal to geo.SlantRange on the
+			// same predicted positions (negating a difference vector does
+			// not change its norm).
+			dist := ve.ecef.Sub(ue.ecef).Norm()
+			geoms[k] = pairGeom{posA: ue.pos, posB: ve.pos, dist: dist, budgets: geoms[k].budgets[:0]}
+			pairs := uint64(len(ue.xc) * len(ve.xc))
+			e.stats.PairsEnumerated += pairs
+			if dist > e.cfg.MaxRangeM {
+				e.stats.RangePruned += pairs
+			} else {
+				e.stats.ReEvals += pairs
+			}
 		}
-	} else {
-		var wg sync.WaitGroup
-		chunk := (len(tasks) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(tasks) {
-				hi = len(tasks)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi, w int) {
-				defer wg.Done()
-				st := &e.scr.workers[w]
-				for _, t := range e.scr.tasks[lo:hi] {
-					e.runTask(t, lead, st, xcvrs)
+		for _, xai := range ue.xc {
+			for k, v := range partners {
+				g := &geoms[k]
+				if g.dist > e.cfg.MaxRangeM {
+					continue
 				}
-			}(lo, hi, w)
-		}
-		wg.Wait()
-	}
-	for w := 0; w < workers; w++ {
-		st := &scr.workers[w]
-		e.stats.RangePruned += st.stats.RangePruned
-		e.stats.ReEvals += st.stats.ReEvals
-		st.stats = Stats{}
-	}
-
-	// --- Emit: slots are already in (ID.A, ID.B) order; close the gaps
-	// in place.
-	n := 0
-	for _, r := range results {
-		if r != nil {
-			results[n] = r
-			n++
-		}
-	}
-	return results[:n]
-}
-
-// runTask evaluates every transceiver pair of one platform pair.
-//
-//minkowski:hotpath
-func (e *Evaluator) runTask(t npTask, lead float64, st *evalScratch, xcvrs []*platform.Transceiver) {
-	ue := &e.scr.nodes[t.u]
-	ve := &e.scr.nodes[t.v]
-	results := e.scr.results
-	// Exact range gate; bitwise equal to geo.SlantRange on the same
-	// predicted positions (negating a difference vector does not
-	// change its norm).
-	dist := ve.ecef.Sub(ue.ecef).Norm()
-	if dist > e.cfg.MaxRangeM {
-		st.stats.RangePruned += uint64(len(ue.xc) * len(ve.xc))
-		return
-	}
-	g := pairGeom{posA: ue.pos, posB: ve.pos, dist: dist, budgets: st.budgets[:0]}
-	for ai, xai := range ue.xc {
-		for bi, xbi := range ve.xc {
-			slot := t.base + int32(ai)*t.partnerTotal + t.prefix + int32(bi)
-			// Reproduce the oracle's argument order: the
-			// lower-slice-index transceiver leads.
-			a, b, orient := xai, xbi, 0
-			if xbi < xai {
-				a, b, orient = xbi, xai, 1
+				for _, xbi := range nodes[v].xc {
+					// Reproduce the oracle's argument order: the
+					// lower-slice-index transceiver leads.
+					a, b, orient := xai, xbi, 0
+					if xbi < xai {
+						a, b, orient = xbi, xai, 1
+					}
+					if r, _, _ := e.evalStaged(xcvrs[a], xcvrs[b], lead, g, orient, scr); r != nil {
+						out = append(out, r)
+					}
+				}
 			}
-			results[slot], _, _ = e.evalStaged(xcvrs[a], xcvrs[b], lead, &g, orient, st)
-			st.stats.ReEvals++
 		}
 	}
-	st.budgets = g.budgets // keep what the memo grew to
+	scr.out = out
+	return out
 }

@@ -36,10 +36,12 @@ func bruteForceGraph(e *Evaluator, xcvrs []*platform.Transceiver, lead float64) 
 	return out
 }
 
-// atWidths runs fn as a subtest at fan-out widths 1, 2 and 8, in that
-// order. The width is GOMAXPROCS and nothing else, so the subtest sets
-// it and restores it on cleanup; no test in this package calls
-// t.Parallel, so the process-wide setting cannot leak into another.
+// atWidths runs fn as a subtest at GOMAXPROCS 1, 2 and 8, in that
+// order. The evaluator reads no runtime setting and starts no
+// goroutine, and these legs hold it to that: its graphs must not depend
+// on how many threads the runtime may use. The subtest restores the
+// setting on cleanup; no test in this package calls t.Parallel, so the
+// process-wide setting cannot leak into another.
 func atWidths(t *testing.T, fn func(t *testing.T)) {
 	for _, n := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
@@ -116,8 +118,7 @@ func compareGraphs(t *testing.T, label string, inc, brute []*Report) {
 // TestIncrementalMatchesBruteForce is the central equivalence
 // property: across randomized fleets, wind-driven drift, weather
 // changes, and same-instant repeat calls, the pipeline's candidate
-// graph is bit-identical to the brute-force oracle at every fan-out
-// width.
+// graph is bit-identical to the brute-force oracle.
 func TestIncrementalMatchesBruteForce(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
@@ -236,10 +237,9 @@ func TestTwoClusterFleetRangeGated(t *testing.T) {
 	compareGraphs(t, "two-cluster", g, bruteForceGraph(e, xs, 0))
 }
 
-// TestShardedSweepWorkerInvariance pins the fan-out's contract: the
-// sharded candidate sweep emits the oracle's graph byte for byte at any
-// width, including across repeat calls on one evaluator whose scratch
-// is reused while the width changes under it.
+// TestShardedSweepWorkerInvariance: repeat calls on one evaluator, whose
+// slabs and scratch are reused while GOMAXPROCS changes under it, emit
+// the oracle's graph byte for byte.
 func TestShardedSweepWorkerInvariance(t *testing.T) {
 	src := &gradientRain{}
 	ev := New(DefaultConfig(), src, nil)

@@ -14,12 +14,12 @@
 // One pipeline produces the graph (graph.go, DESIGN.md §7): every
 // cross-platform pair is enumerated (the paper's "all pairs of
 // transceivers"), range-gated once per platform pair, and evaluated
-// with per-platform-pair geometry and attenuation shared across the
-// transceiver fan-out. A brute-force sweep that evaluates every pair
-// from scratch survives in graph_test.go as the oracle the pipeline is
-// held to bit for bit under randomized wind. No result is carried from
-// one call to the next; only the storage a graph lives in is (see
-// CandidateGraph).
+// with per-platform-pair geometry and attenuation shared across its
+// transceiver pairs, on the calling goroutine. A brute-force sweep
+// that evaluates every pair from scratch survives in graph_test.go as
+// the oracle the pipeline is held to bit for bit under randomized
+// wind. No result is carried from one call to the next; only the
+// storage a graph lives in is (see CandidateGraph).
 package linkeval
 
 import (
@@ -128,11 +128,10 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// Evaluator computes candidate graphs. It is not safe for concurrent
-// CandidateGraph calls (the graph's own storage is reused); the
-// per-call evaluation fan-out is parallel internally. No result is
-// carried between calls: only the work counters and the storage the
-// next graph overwrites are kept.
+// Evaluator computes candidate graphs, each on the calling goroutine.
+// It is not safe for concurrent use (the graph's own storage is
+// reused). No result is carried between calls: only the work counters
+// and the storage the next graph overwrites are kept.
 type Evaluator struct {
 	cfg Config
 	// Weather is the TS-SDN's *estimated* moisture model (fused
@@ -229,47 +228,15 @@ type budgetMemo struct {
 	class        rf.MarginClass
 }
 
-// slabReports is the size of one report slab. A worker's slab list
-// grows to its high-water candidate count rounded up to this and stays
-// there, so the figure bounds the memory a worker holds beyond need.
-const slabReports = 64
-
-// evalScratch is one worker's storage: the reports of its share of the
-// current graph, in fixed-size slabs that are refilled from the first on
-// every graph (a full slab is followed by the next, never regrown, so no
-// *Report moves while its graph is valid), the budget memo of the
-// platform pair in hand, and the worker's counters.
-type evalScratch struct {
-	slabs    [][]Report
-	cur, off int // the next free report is slabs[cur][off]
-	budgets  []budgetMemo
-	stats    Stats
-}
-
-// newReport returns the worker's next report slot. It allocates only
-// while the worker's share is larger than any before it.
-//
-//minkowski:hotpath
-func (s *evalScratch) newReport() *Report {
-	if s.off == slabReports {
-		s.cur, s.off = s.cur+1, 0
-	}
-	if s.cur == len(s.slabs) {
-		s.slabs = append(s.slabs, make([]Report, slabReports))
-	}
-	r := &s.slabs[s.cur][s.off]
-	s.off++
-	return r
-}
-
 // evalStaged runs the staged feasibility pipeline for one oriented
 // transceiver pair. orient selects which geom side xa sits on (0: xa
 // at posA). geom memoizes platform-pair work; a fresh geom per call
-// reproduces the standalone evaluation exactly. The returned detail
-// carries the blocking occlusion label for the pointing stages.
+// reproduces the standalone evaluation exactly. A report is written
+// into s's slabs, or freshly allocated when s is nil. The returned
+// detail carries the blocking occlusion label for the pointing stages.
 //
 //minkowski:hotpath
-func (e *Evaluator) evalStaged(xa, xb *platform.Transceiver, lead float64, g *pairGeom, orient int, s *evalScratch) (*Report, Stage, string) {
+func (e *Evaluator) evalStaged(xa, xb *platform.Transceiver, lead float64, g *pairGeom, orient int, s *graphScratch) (*Report, Stage, string) {
 	if g.dist > e.cfg.MaxRangeM {
 		return nil, StageRange, ""
 	}

@@ -68,13 +68,15 @@ func TestCandidateGraphBasic(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerial: fresh evaluators build the same graph at
+// every GOMAXPROCS.
 func TestParallelMatchesSerial(t *testing.T) {
 	xs := testFleetXcvrs()
 	var serial []*Report
 	atWidths(t, func(t *testing.T) {
 		g := New(DefaultConfig(), clearSky{}, nil).CandidateGraph(xs, 0)
 		if serial == nil {
-			serial = g // atWidths starts at one worker
+			serial = g // atWidths starts at GOMAXPROCS 1
 			return
 		}
 		compareGraphs(t, "parallel", g, serial)

@@ -15,8 +15,8 @@
 //     the wall clock — a time.Now reachable from a snapshot is a
 //     minkowski-vet dettaint finding.
 //   - Recording happens only on the single-threaded simulation event
-//     loop, never inside solver/evaluator worker goroutines, so the
-//     registry needs no locks and record order is deterministic.
+//     loop, so the registry needs no locks and record order is
+//     deterministic.
 //   - Nothing in this package feeds back into control decisions:
 //     plan fingerprints, journals, and telemetry digests are
 //     byte-identical with obs fully enabled, disabled, or absent.

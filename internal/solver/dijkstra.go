@@ -64,10 +64,9 @@ func (h *nodeHeap) pop() heapItem {
 	return it
 }
 
-// spScratch is one worker's Dijkstra state: stamp-validated per-node
-// arrays (no O(V) clearing between runs) plus the frontier heap.
-// Workers of one solve share nothing but the read-only ctx, so the
-// parallel per-request fan-out is race-free by construction.
+// spScratch is the Dijkstra state: stamp-validated per-node arrays (no
+// O(V) clearing between runs), the frontier heap, and the cumulative
+// work counters Solver.Stats reports.
 type spScratch struct {
 	heap     nodeHeap
 	dist     []float64
@@ -76,8 +75,8 @@ type spScratch struct {
 	prevEdge []int32
 	prevNode []int32
 	stamp    uint32
-	capped   bool  // current run hit the MaxPathLen cutoff at least once
-	stats    Stats // this worker's share of the solve's work, summed at the end of run
+	capped   bool // current run hit the MaxPathLen cutoff at least once
+	stats    Stats
 }
 
 func (s *spScratch) ensure(n int) {
@@ -140,7 +139,8 @@ type edgeCost struct{ c1, bitrate, pen float64 }
 // match SolveReference exactly; see the package comment in this file.
 //
 //minkowski:hotpath
-func (c *ctx) shortestPath(ri int32, rows [][]adjEnt, ws *spScratch) {
+func (c *ctx) shortestPath(ri int32, rows [][]adjEnt) {
+	ws := &c.sp
 	rq := &c.reqs[ri]
 	out := c.paths[ri][:0]
 	if rq.srcIsDst {

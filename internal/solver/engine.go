@@ -2,9 +2,7 @@ package solver
 
 import (
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"minkowski/internal/linkeval"
 	"minkowski/internal/rf"
@@ -14,11 +12,10 @@ import (
 // Appendix B iterative greedy as SolveReference — the seed
 // implementation retained in reference_test.go — but over index
 // arrays instead of string-keyed maps, with scratch reuse across
-// cycles and per-request Dijkstra batches fanned out over a worker
-// pool with a deterministic index-slot merge. Nothing but the scratch
-// arenas outlives a solve. Output plans are byte-identical to
-// SolveReference at any worker count; DESIGN.md §10 gives the
-// argument, the equivalence property tests enforce it.
+// cycles, on the calling goroutine. Nothing but the scratch arenas and
+// the work counters outlives a solve. Output plans are byte-identical
+// to SolveReference; DESIGN.md §10 gives the argument, the equivalence
+// property tests enforce it.
 
 // edge is the engine's mutable view of one candidate; what a path
 // search reads of it lives in the parallel edgeCost record.
@@ -62,12 +59,10 @@ type ctx struct {
 	paths    [][]int32 // per request: current path (edge indexes)
 	has      []bool    // per request: path found
 	nilKnown []bool    // per request: proven PERMANENTLY unreachable (failed search, hop cap never fired)
-	broken   []int32
 	degree   []int32
 	nodeCls  []uint8 // redundancy classification: 1 balloon, 2 ground
 
-	workerW int // fan-out width resolved once per solve (see workerCount)
-	workers []spScratch
+	sp spScratch // the shortest-path search's state and work counters
 }
 
 func (c *ctx) internNode(id string) int32 {
@@ -81,7 +76,7 @@ func (c *ctx) internNode(id string) int32 {
 }
 
 // reset rebuilds the ctx for one solve.
-func (c *ctx) reset(cfg Config, in *Input, workers int) {
+func (c *ctx) reset(cfg Config, in *Input) {
 	c.cfg = cfg
 	c.in = in
 	c.nodes = c.nodes[:0]
@@ -158,16 +153,7 @@ func (c *ctx) reset(cfg Config, in *Input, workers int) {
 	c.has = grow(c.has, nR)
 	c.nilKnown = grow(c.nilKnown, nR)
 	c.util = grow(c.util, len(c.edges))
-
-	c.workerW = workers
-	if len(c.workers) < workers {
-		ws := make([]spScratch, workers)
-		copy(ws, c.workers)
-		c.workers = ws
-	}
-	for i := 0; i < workers; i++ {
-		c.workers[i].ensure(nV)
-	}
+	c.sp.ensure(nV)
 }
 
 // grow returns a zeroed s of length n, reusing its backing when that is
@@ -226,7 +212,7 @@ func (c *ctx) retire(e *edge) {
 // viable nor chosen, in place and in order. Such an entry is one the
 // seed's scan walks past without a comparison, a push or a pop, so the
 // searches that follow do exactly what they would have done over the
-// full row. Serial, between re-route batches: workers only read rows.
+// full row.
 //
 //minkowski:hotpath
 func (c *ctx) compact() {
@@ -247,74 +233,21 @@ func (c *ctx) compact() {
 	}
 }
 
-// workerCount resolves the fan-out width for a batch of items from
-// the width cached at reset. GOMAXPROCS is deliberately not re-read
-// here: c.workers was sized once at solve start, and a GOMAXPROCS
-// change between batches must not let forEach index past it.
-func (s *Solver) workerCount(items int) int {
-	w := s.c.workerW
-	if w > items {
-		w = items
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// forEach runs fn(0..n-1) across the worker pool in contiguous index
-// chunks. Every task writes only its own index slot, so the merge is
-// the slot layout itself: results are position-determined and
-// identical at any worker count. Falls back to a serial sweep on one
-// core and for trivial batches.
-func (s *Solver) forEach(n int, fn func(i int, ws *spScratch)) {
-	if n == 0 {
-		return
-	}
-	w := s.workerCount(n)
-	if w <= 1 || n <= 2 {
-		ws := &s.c.workers[0]
-		for i := 0; i < n; i++ {
-			fn(i, ws)
-		}
-		return
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for wk := 0; wk < w; wk++ {
-		lo := wk * chunk
-		if lo >= n {
-			break
-		}
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int, ws *spScratch) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i, ws)
-			}
-		}(lo, hi, &s.c.workers[wk])
-	}
-	wg.Wait()
-}
-
 // run is the optimized solve pipeline: the initial per-request
-// Dijkstra batch, the sequential greedy commit loop with parallel
-// re-route batches, the final chosen-only routing pass, and the
-// redundancy secondary objective.
+// routing, the greedy commit loop with its re-routes, the final
+// chosen-only routing pass, and the redundancy secondary objective.
 func (s *Solver) run(in *Input) *Plan {
 	c := &s.c
-	//minkowski:dettaint-ok read once at solve entry and frozen in c.reset; worker count only shards work and the merge is order-fixed, so plans are byte-identical for any value
-	c.reset(s.cfg, in, runtime.GOMAXPROCS(0))
+	c.reset(s.cfg, in)
 	nR := len(in.Requests)
 	plan := &Plan{Routes: make(map[string][]string, nR)}
 
 	// --- Initial routing phase --------------------------------------
-	s.forEach(nR, func(ri int, ws *spScratch) {
-		c.shortestPath(int32(ri), c.adj, ws)
-	})
+	for ri := range c.reqs {
+		c.shortestPath(int32(ri), c.adj)
+	}
 
-	// --- Greedy commit loop (sequential, seed-identical) ------------
+	// --- Greedy commit loop (seed-identical) -------------------------
 	for {
 		util := c.util
 		for i := range util {
@@ -347,38 +280,23 @@ func (s *Solver) run(in *Input) *Plan {
 		}
 		c.choose(plan, best, false)
 		c.compact()
-		// Collect requests whose path lost an edge, plus pathless
-		// requests not yet proven permanently unreachable; re-route
-		// them as a batch. The reference recomputes EVERY nil-path
-		// request each iteration; the engine may skip only the
-		// nilKnown ones — a failed search that never hit the hop cap
-		// exhausted the source's component, and connectivity is
-		// monotone under the shrinking edge set, so the reference's
-		// re-run returns the same nil. A cap-pruned failure is NOT
-		// permanent (conflict elimination and chosen-edge cost drops
-		// reorder pops, so a node can finalize with fewer hops and
-		// un-cap a path) and is retried like the reference.
-		c.broken = c.broken[:0]
+		// Re-route requests whose path lost an edge, plus pathless
+		// requests not yet proven permanently unreachable. The
+		// reference recomputes EVERY nil-path request each iteration;
+		// the engine may skip only the nilKnown ones — a failed search
+		// that never hit the hop cap exhausted the source's component,
+		// and connectivity is monotone under the shrinking edge set, so
+		// the reference's re-run returns the same nil. A cap-pruned
+		// failure is NOT permanent (conflict elimination and chosen-edge
+		// cost drops reorder pops, so a node can finalize with fewer
+		// hops and un-cap a path) and is retried like the reference. A
+		// search writes only its own request's path, so deciding and
+		// re-routing one request at a time is the reference's batch.
 		for ri := range c.reqs {
-			if c.nilKnown[ri] {
-				continue
-			}
-			if !c.has[ri] {
-				c.broken = append(c.broken, int32(ri))
-				continue
-			}
-			for _, ei := range c.paths[ri] {
-				e := &c.edges[ei]
-				if !e.viable && !e.chosen {
-					c.broken = append(c.broken, int32(ri))
-					break
-				}
+			if !c.nilKnown[ri] && (!c.has[ri] || c.pathBroken(ri)) {
+				c.shortestPath(int32(ri), c.adj)
 			}
 		}
-		brk := c.broken
-		s.forEach(len(brk), func(k int, ws *spScratch) {
-			c.shortestPath(brk[k], c.adj, ws)
-		})
 	}
 
 	// --- Final routing strictly over the chosen topology ------------
@@ -394,14 +312,10 @@ func (s *Solver) run(in *Input) *Plan {
 	// nil and the Dijkstra is skipped; everything else (including
 	// cap-pruned failures, whose reachability over the smaller chosen
 	// graph can differ) runs for real.
-	s.forEach(nR, func(ri int, ws *spScratch) {
+	for ri := range c.reqs {
 		if !c.nilKnown[ri] {
-			c.shortestPath(int32(ri), c.chosenAdj, ws)
+			c.shortestPath(int32(ri), c.chosenAdj)
 		}
-	})
-	for i := 0; i < c.workerW; i++ {
-		s.stats.add(c.workers[i].stats)
-		c.workers[i].stats = Stats{}
 	}
 	for ri, r := range in.Requests {
 		if !c.has[ri] {
@@ -443,6 +357,17 @@ func (s *Solver) run(in *Input) *Plan {
 		plan.Links[i].Report = &own[i]
 	}
 	return plan
+}
+
+// pathBroken reports whether request ri's current path holds an edge
+// that is neither viable nor chosen.
+func (c *ctx) pathBroken(ri int) bool {
+	for _, ei := range c.paths[ri] {
+		if e := &c.edges[ei]; !e.viable && !e.chosen {
+			return true
+		}
+	}
+	return false
 }
 
 // choose commits an edge — channel assignment + conflict elimination —

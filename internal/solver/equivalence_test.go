@@ -1,10 +1,9 @@
 package solver
 
-// Equivalence property tests: the engine (Solve, at any fan-out
-// width) must produce byte-identical plans to SolveReference — the
-// retained seed implementation — on evolving multi-cycle scenarios
-// with drifting positions, churning existing-link sets, penalties, and
-// drains. CI runs them under -race as well.
+// Equivalence property tests: the engine (Solve) must produce
+// byte-identical plans to SolveReference — the retained seed
+// implementation — on evolving multi-cycle scenarios with drifting
+// positions, churning existing-link sets, penalties, and drains.
 
 import (
 	"fmt"
@@ -20,10 +19,12 @@ import (
 	"minkowski/internal/rf"
 )
 
-// atWidths runs fn as a subtest at fan-out widths 1, 2 and 8. The
-// width is GOMAXPROCS and nothing else, so the subtest sets it and
-// restores it on cleanup; no test in this package calls t.Parallel, so
-// the process-wide setting cannot leak into another.
+// atWidths runs fn as a subtest at GOMAXPROCS 1, 2 and 8. A solve reads
+// no runtime setting and starts no goroutine, and these legs hold it to
+// that: its plans and counters must not depend on how many threads the
+// runtime may use. The subtest restores the setting on cleanup; no test
+// in this package calls t.Parallel, so the process-wide setting cannot
+// leak into another.
 func atWidths(t *testing.T, fn func(t *testing.T)) {
 	for _, n := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
@@ -134,7 +135,7 @@ func existingFrom(p *Plan) map[radio.LinkID]bool {
 }
 
 // TestEngineMatchesReferenceCold: Solve == SolveReference on
-// every cycle of a drifting scenario, at several fan-out widths.
+// every cycle of a drifting scenario.
 func TestEngineMatchesReferenceCold(t *testing.T) {
 	atWidths(t, func(t *testing.T) {
 		w := newEqWorld(9, 0xC0FFEE)
@@ -161,8 +162,7 @@ func TestEngineMatchesReferenceCold(t *testing.T) {
 // node can finalize with fewer hops and un-cap a path). The reference
 // re-runs every nil request each iteration and final-routes everyone;
 // the engine must match byte for byte — it may only memoize nils
-// whose search never hit the cap. Runs across tight caps, seeds, and
-// fan-out widths.
+// whose search never hit the cap. Runs across tight caps and seeds.
 func TestEngineMatchesReferenceTightHopCap(t *testing.T) {
 	for _, maxLen := range []int{1, 2, 3, 4} {
 		for _, seed := range []uint64{0x7C4A, 0xA11CE} {
@@ -368,8 +368,7 @@ func TestEngineMatchesReferenceChannelExhaustion(t *testing.T) {
 // held to it above) and the entries scanned are those of rows that hold
 // only viable and chosen edges — 80, where rows that kept every retired
 // edge to the end of the solve scanned 91 for the same 24 searches, 85
-// pushes and 56 pops. The counts are sums over requests, so they are
-// the same at any fan-out width, and cumulative.
+// pushes and 56 pops. The counts are cumulative.
 func TestSolveScansOnlyUsableEdges(t *testing.T) {
 	in := hubWorld()
 	want := Stats{DijkstraRuns: 24, AdjScanned: 80, HeapPushes: 85, HeapPops: 56}

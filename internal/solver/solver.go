@@ -24,13 +24,12 @@
 // utility.
 //
 // Solve runs the one production implementation (engine.go,
-// dijkstra.go): index arrays, reusable scratch, a concrete frontier
-// heap and per-request Dijkstra batches fanned out one goroutine per
-// core. The seed's literal map-based single-threaded algorithm
-// survives as SolveReference in reference_test.go, the ground truth
-// the equivalence tests hold Solve to byte for byte at every fan-out
-// width (DESIGN.md §10). A solve is a pure function of its Input: the
-// only thing carried from one cycle to the next is Input.Existing.
+// dijkstra.go): index arrays, reusable scratch and a concrete frontier
+// heap, on the calling goroutine. The seed's literal map-based
+// algorithm survives as SolveReference in reference_test.go, the
+// ground truth the equivalence tests hold Solve to byte for byte
+// (DESIGN.md §10). A solve is a pure function of its Input: the only
+// thing carried from one cycle to the next is Input.Existing.
 package solver
 
 import (
@@ -215,18 +214,15 @@ func DefaultConfig() Config {
 
 // Solver runs solve cycles. It owns the engine's scratch arenas, so a
 // Solver is NOT safe for concurrent use — one Solver per control
-// loop. (The parallelism inside a solve is the engine's own worker
-// fan-out, one goroutine per core.)
+// loop.
 type Solver struct {
-	cfg   Config
-	c     ctx
-	stats Stats
+	cfg Config
+	c   ctx
 }
 
 // Stats counts the shortest-path work of every solve since construction
 // (cumulative; the controller attaches per-cycle deltas to its solve
-// span). The counts are sums over requests, so they are the same at any
-// fan-out width.
+// span).
 type Stats struct {
 	// DijkstraRuns is the number of shortest-path searches started.
 	DijkstraRuns uint64
@@ -235,13 +231,6 @@ type Stats struct {
 	AdjScanned uint64
 	// HeapPushes and HeapPops are the frontier operations.
 	HeapPushes, HeapPops uint64
-}
-
-func (s *Stats) add(o Stats) {
-	s.DijkstraRuns += o.DijkstraRuns
-	s.AdjScanned += o.AdjScanned
-	s.HeapPushes += o.HeapPushes
-	s.HeapPops += o.HeapPops
 }
 
 // Sub returns s − o field-wise (for per-cycle deltas).
@@ -255,7 +244,7 @@ func (s Stats) Sub(o Stats) Stats {
 }
 
 // Stats returns the cumulative work counters.
-func (s *Solver) Stats() Stats { return s.stats }
+func (s *Solver) Stats() Stats { return s.c.sp.stats }
 
 // New creates a solver.
 func New(cfg Config) *Solver { return &Solver{cfg: cfg} }
