@@ -1,19 +1,18 @@
 // Command minkowski-vet is the repository's multichecker: it runs the
-// seven custom determinism/unit-safety analyzers over the tree and
-// exits nonzero on any finding. CI runs it next to go vet:
+// six custom determinism/unit-safety analyzers over the tree and
+// exits nonzero on any finding. CI runs it next to go vet, and
+// TestTreeVetsClean holds `go test ./...` to the same bar:
 //
 //	go run ./cmd/minkowski-vet ./...
 //
-// Analyzers (contracts in DESIGN.md §8):
+// Analyzers (contracts in DESIGN.md §8), each judged at the site:
 //
-//	detrand   — no wall-clock reads or ambient randomness in internal/
+//	detrand   — no wall-clock, ambient-rand or GOMAXPROCS reference in
+//	            internal/, called or taken as a value
 //	mapiter   — no order-sensitive effects inside map iteration
 //	units     — no arithmetic or call arguments mixing unit suffixes
 //	floateq   — no float ==/!= outside annotated memo-key comparisons
 //	hotpath   — no allocation-prone constructs in //minkowski:hotpath funcs
-//	dettaint  — no wall-clock / unseeded-rand / GOMAXPROCS / map-order
-//	            reads reachable from Solve or //minkowski:hotpath
-//	            roots (whole-load call graph)
 //	directive — no malformed or unknown //minkowski: directives
 //
 // Flags:
@@ -27,11 +26,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"minkowski/internal/analysis/detrand"
-	"minkowski/internal/analysis/dettaint"
 	"minkowski/internal/analysis/floateq"
 	"minkowski/internal/analysis/hotpath"
 	"minkowski/internal/analysis/mapiter"
@@ -45,16 +44,60 @@ var analyzers = []*vet.Analyzer{
 	units.Analyzer,
 	floateq.Analyzer,
 	hotpath.Analyzer,
-	dettaint.Analyzer,
 	vet.DirectivesAnalyzer,
 }
 
-// jsonFinding is one row of the -json findings artifact.
-type jsonFinding struct {
+// finding is one diagnostic, and one row of the -json findings
+// artifact.
+type finding struct {
 	Analyzer string `json:"analyzer"`
 	Package  string `json:"package"`
 	Position string `json:"position"`
 	Message  string `json:"message"`
+}
+
+func (f finding) String() string {
+	return fmt.Sprintf("%s: [%s] %s", f.Position, f.Analyzer, f.Message)
+}
+
+// list prints one line per analyzer: its name and contract.
+func list(w io.Writer) {
+	for _, a := range analyzers {
+		fmt.Fprintf(w, "%-9s %s\n", a.Name, a.Doc)
+	}
+}
+
+// vetTree loads the packages matching patterns in the module rooted at
+// dir and applies the selected analyzers to each. It returns the
+// findings in package then position order and every type error (a
+// package that does not type-check cannot vet clean). err is a load or
+// analyzer failure.
+func vetTree(dir string, patterns []string, selected []*vet.Analyzer) (findings []finding, typeErrs []error, err error) {
+	pkgs, err := vet.NewLoader(dir).Load(patterns...)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, pkg := range pkgs {
+		for _, terr := range pkg.TypeErrors {
+			typeErrs = append(typeErrs, fmt.Errorf("%s: %v", pkg.PkgPath, terr))
+		}
+		for _, a := range selected {
+			if a.PackageFilter != nil && !a.PackageFilter(pkg.PkgPath) {
+				continue
+			}
+			diags, err := vet.Run(a, pkg)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s on %s: %v", a.Name, pkg.PkgPath, err)
+			}
+			for _, d := range diags {
+				findings = append(findings, finding{
+					Analyzer: a.Name, Package: pkg.PkgPath,
+					Position: pkg.Fset.Position(d.Pos).String(), Message: d.Message,
+				})
+			}
+		}
+	}
+	return findings, typeErrs, nil
 }
 
 func main() {
@@ -64,9 +107,7 @@ func main() {
 	flag.Parse()
 
 	if *listFlag {
-		for _, a := range analyzers {
-			fmt.Printf("%-9s %s\n", a.Name, a.Doc)
-		}
+		list(os.Stdout)
 		return
 	}
 
@@ -97,49 +138,26 @@ func main() {
 		fmt.Fprintln(os.Stderr, "minkowski-vet:", err)
 		os.Exit(2)
 	}
-	loader := vet.NewLoader(wd)
-	pkgs, err := loader.Load(patterns...)
+	findings, typeErrs, err := vetTree(wd, patterns, selected)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "minkowski-vet:", err)
 		os.Exit(2)
 	}
 
-	// One runner across the whole load: the call graph spans every
-	// package.
-	runner := vet.NewRunner(pkgs)
-
 	exit := 0
-	findings := []jsonFinding{} // non-nil so the artifact is [] when clean
-	for _, pkg := range pkgs {
-		// The analyzers need sound type information; a package that
-		// does not type-check cannot vet clean.
-		for _, terr := range pkg.TypeErrors {
-			fmt.Fprintf(os.Stderr, "minkowski-vet: %s: %v\n", pkg.PkgPath, terr)
-			exit = 1
-		}
-		for _, a := range selected {
-			if a.PackageFilter != nil && !a.PackageFilter(pkg.PkgPath) {
-				continue
-			}
-			diags, err := runner.Run(a, pkg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "minkowski-vet: %s on %s: %v\n", a.Name, pkg.PkgPath, err)
-				exit = 2
-				continue
-			}
-			for _, d := range diags {
-				pos := pkg.Fset.Position(d.Pos)
-				fmt.Printf("%s: [%s] %s\n", pos, a.Name, d.Message)
-				findings = append(findings, jsonFinding{
-					Analyzer: a.Name, Package: pkg.PkgPath,
-					Position: pos.String(), Message: d.Message,
-				})
-				exit = 1
-			}
-		}
+	for _, terr := range typeErrs {
+		fmt.Fprintln(os.Stderr, "minkowski-vet:", terr)
+		exit = 1
+	}
+	for _, f := range findings {
+		fmt.Println(f)
+		exit = 1
 	}
 
 	if *jsonFlag != "" {
+		if findings == nil {
+			findings = []finding{} // the artifact is [] when clean
+		}
 		data, err := json.MarshalIndent(findings, "", "  ")
 		if err == nil {
 			err = os.WriteFile(*jsonFlag, append(data, '\n'), 0o644)

@@ -4,6 +4,7 @@ package detrandtest
 import (
 	"math/rand"
 	"os"
+	"runtime"
 	"time"
 )
 
@@ -39,4 +40,35 @@ func badSeeds(cfg Config) {
 	_ = rand.NewSource(time.Now().UnixNano())                   // want `wall-clock read time\.Now` `seeded from the wall clock`
 	_ = rand.NewSource(int64(os.Getpid()))                      // want `seeded from the process id`
 	_ = rand.New(rand.NewSource(cfg.Seed + int64(os.Getpid()))) // want `seeded from the process id`
+}
+
+// workers is the shape of the mid-solve re-sharding regression: a
+// worker-count helper consulting the ambient parallelism.
+func workers() int {
+	return runtime.GOMAXPROCS(0) // want `runtime\.GOMAXPROCS reads the ambient parallelism`
+}
+
+// References taken as values are findings at the identifier: the sink
+// reaches whatever later calls the value.
+
+func solve(now func() time.Time) int64 { return now().UnixNano() }
+
+func clockAsArgument() int64 {
+	return solve(time.Now) // want `wall-clock read time\.Now`
+}
+
+type picker struct{ pick func(int) int }
+
+func drawInField() *picker {
+	return &picker{pick: rand.Intn} // want `package-level rand\.Intn`
+}
+
+var procs = runtime.GOMAXPROCS // want `runtime\.GOMAXPROCS reads the ambient parallelism`
+
+func fanOut(n int) {
+	for i := 0; i < n; i++ {
+		go func() {
+			_ = time.Now() // want `wall-clock read time\.Now`
+		}()
+	}
 }

@@ -83,22 +83,20 @@ func checkFunc(pass *vet.Pass, fn *ast.FuncDecl) {
 			}
 			return true
 		}
-		for _, reason := range OrderSensitiveEffects(pass, fn.Body, rng) {
+		for _, reason := range orderSensitiveEffects(pass, fn.Body, rng) {
 			pass.Reportf(rng.Pos(), "map iteration order is random but the loop body %s; sort the keys first or annotate //minkowski:unordered-ok <why>", reason)
 		}
 		return true
 	})
 }
 
-// OrderSensitiveEffects scans a map-range body for effects whose
+// orderSensitiveEffects scans a map-range body for effects whose
 // outcome depends on iteration order: appends to slices declared
 // outside the loop (unless sorted later within enclosing), channel
 // sends, and calls into SinkPackages. enclosing is the body of the
-// function (or literal) containing rng, used to spot the
-// collect-then-sort idiom. Exported for reuse: the dettaint analyzer
-// applies the same judgment to map ranges reached from hotpath roots
-// in other packages.
-func OrderSensitiveEffects(pass *vet.Pass, enclosing ast.Node, rng *ast.RangeStmt) []string {
+// declared function containing rng (function literals included), used
+// to spot the collect-then-sort idiom.
+func orderSensitiveEffects(pass *vet.Pass, enclosing ast.Node, rng *ast.RangeStmt) []string {
 	var reasons []string
 	seen := map[string]bool{}
 	add := func(r string) {

@@ -118,6 +118,29 @@ func justified(m map[string]int, ch chan<- string) {
 	}
 }
 
+// Sweeps inside function literals are judged like any other.
+
+func sweepInLiteral(m map[string]int) func() []string {
+	return func() []string {
+		var keys []string
+		for k := range m { // want `appends to keys \(declared outside the loop, never sorted\)`
+			keys = append(keys, k)
+		}
+		return keys
+	}
+}
+
+func sortedInLiteral(m map[string]int) func() []string {
+	return func() []string {
+		var keys []string
+		for k := range m { // collect-then-sort inside the literal: fine
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		return keys
+	}
+}
+
 func badJustification(m map[string]int, ch chan<- string) {
 	//minkowski:unordered-ok
 	for k := range m { // want `requires a justification`

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -14,9 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -46,7 +43,6 @@ type Loader struct {
 
 	fset      *token.FileSet
 	exportMu  map[string]string // import path -> export data file
-	memPkgs   map[string]*types.Package
 	importer_ types.Importer
 }
 
@@ -56,29 +52,9 @@ func NewLoader(dir string) *Loader {
 		Dir:      dir,
 		fset:     token.NewFileSet(),
 		exportMu: map[string]string{},
-		memPkgs:  map[string]*types.Package{},
 	}
-	l.importer_ = &chainImporter{
-		mem:      l.memPkgs,
-		fallback: importer.ForCompiler(l.fset, "gc", l.lookupExport),
-	}
+	l.importer_ = importer.ForCompiler(l.fset, "gc", l.lookupExport)
 	return l
-}
-
-// chainImporter resolves imports against packages this loader already
-// type-checked from source (LoadDir results — testdata trees are
-// invisible to `go list`, so a testdata package importing another can
-// only resolve in memory), then falls back to compiler export data.
-type chainImporter struct {
-	mem      map[string]*types.Package
-	fallback types.Importer
-}
-
-func (c *chainImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := c.mem[path]; ok {
-		return pkg, nil
-	}
-	return c.fallback.Import(path)
 }
 
 // Fset returns the loader's shared file set.
@@ -186,127 +162,21 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir loads the single package formed by the .go files directly
-// under dir that match the current build configuration (GOOS/GOARCH
-// filename suffixes and //go:build constraints are honored, the way
-// go list filters GoFiles), type-checked as import path pkgPath. This
-// is the testdata entry point: testdata trees are invisible to go
-// list, but their imports (stdlib, module packages, or other LoadDir
-// results registered with this loader) still resolve through the
-// chained importer.
+// LoadDir loads the single package formed by every .go file directly
+// under dir, type-checked as import path pkgPath. This is the testdata
+// entry point: testdata trees are invisible to go list, but their
+// imports (stdlib or module packages) still resolve through export
+// data. No build constraints are evaluated; a testdata package is one
+// platform-independent file set.
 func (l *Loader) LoadDir(pkgPath, dir string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		return nil, err
-	}
-	var files []string
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		match, err := fileMatchesBuild(path)
-		if err != nil {
-			return nil, err
-		}
-		if match {
-			files = append(files, path)
-		}
 	}
 	if len(files) == 0 {
-		return nil, fmt.Errorf("no buildable .go files in %s", dir)
+		return nil, fmt.Errorf("no .go files in %s", dir)
 	}
-	sort.Strings(files)
-	pkg, err := l.check(pkgPath, dir, files)
-	if err != nil {
-		return nil, err
-	}
-	// Register for import by later LoadDir calls (testdata packages
-	// importing each other, e.g. dettaint's detchain suite).
-	l.memPkgs[pkgPath] = pkg.Types
-	return pkg, nil
-}
-
-// fileMatchesBuild reports whether the file participates in a build
-// for the current GOOS/GOARCH: its filename suffix and leading
-// //go:build constraint (if any) must both match. Known tags are the
-// current GOOS, GOARCH, "gc", and every goN.M up to the toolchain
-// version; anything else ("ignore", foreign platforms, custom tags)
-// evaluates false, matching `go list` with no -tags flag.
-func fileMatchesBuild(path string) (bool, error) {
-	name := strings.TrimSuffix(filepath.Base(path), ".go")
-	// _GOOS, _GOARCH, and _GOOS_GOARCH suffix rules.
-	parts := strings.Split(name, "_")
-	if n := len(parts); n >= 2 {
-		last := parts[n-1]
-		if knownArch[last] {
-			if last != runtime.GOARCH {
-				return false, nil
-			}
-			if n >= 3 && knownOS[parts[n-2]] && parts[n-2] != runtime.GOOS {
-				return false, nil
-			}
-		} else if knownOS[last] && last != runtime.GOOS {
-			return false, nil
-		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false, err
-	}
-	// Scan the leading comment block (before the package clause) for
-	// a //go:build line.
-	for _, line := range strings.Split(string(data), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "package ") {
-			break
-		}
-		if !constraint.IsGoBuild(trimmed) {
-			continue
-		}
-		expr, err := constraint.Parse(trimmed)
-		if err != nil {
-			// A malformed constraint excludes the file (go list would
-			// refuse to build it); the loader must not panic on it.
-			return false, nil
-		}
-		return expr.Eval(buildTagMatches), nil
-	}
-	return true, nil
-}
-
-func buildTagMatches(tag string) bool {
-	if tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" {
-		return true
-	}
-	// go1.N release tags: true for every version up to the toolchain.
-	if v, ok := strings.CutPrefix(tag, "go1."); ok {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return false
-		}
-		cur := strings.TrimPrefix(runtime.Version(), "go1.")
-		if i := strings.IndexByte(cur, '.'); i >= 0 {
-			cur = cur[:i]
-		}
-		curN, err := strconv.Atoi(cur)
-		return err == nil && n <= curN
-	}
-	return false
-}
-
-var knownOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true,
-	"linux": true, "netbsd": true, "openbsd": true, "plan9": true,
-	"solaris": true, "wasip1": true, "windows": true,
-}
-
-var knownArch = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mips64": true, "mips64le": true,
-	"mipsle": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
+	return l.check(pkgPath, dir, files)
 }
 
 func (l *Loader) check(pkgPath, dir string, filenames []string) (*Package, error) {

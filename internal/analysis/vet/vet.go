@@ -10,9 +10,8 @@
 //   - a package loader (load.go) that enumerates packages with
 //     `go list` and type-checks their sources against compiler export
 //     data, giving every pass full types.Info;
-//   - a CHA-style static call graph (callgraph.go) over the loaded
-//     packages, exposed to analyzers via Pass.Graph — the one
-//     cross-package mechanism the suite has;
+//   - Run, which applies one analyzer to one package — every check is
+//     judged at the site, one package at a time;
 //   - an analysistest-equivalent harness (vettest.go) that runs an
 //     analyzer over `testdata/src/<pkg>` trees and checks reported
 //     diagnostics against `// want "regexp"` comments.
@@ -26,6 +25,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
@@ -59,10 +59,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Graph is the whole-load static call graph (nil when the driver
-	// did not build one; the multichecker and the vettest harness
-	// always do).
-	Graph *CallGraph
 
 	diags []Diagnostic
 }
@@ -72,8 +68,20 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Diagnostics returns the findings recorded so far.
-func (p *Pass) Diagnostics() []Diagnostic { return p.diags }
+// Run applies one analyzer to one loaded package and returns its
+// diagnostics sorted by position. cmd/minkowski-vet and the vettest
+// harness both run analyzers through it.
+func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
+	pass := &Pass{
+		Analyzer: a, Fset: pkg.Fset, Files: pkg.Files,
+		Pkg: pkg.Types, TypesInfo: pkg.Info,
+	}
+	if _, err := a.Run(pass); err != nil {
+		return nil, err
+	}
+	sort.Slice(pass.diags, func(i, j int) bool { return pass.diags[i].Pos < pass.diags[j].Pos })
+	return pass.diags, nil
+}
 
 // --- Directive comments ---------------------------------------------
 
@@ -94,7 +102,6 @@ var KnownDirectives = map[string]bool{
 	"units-ok":     true,
 	"floateq-ok":   true,
 	"hotpath-ok":   true,
-	"dettaint-ok":  true,
 }
 
 // ParseDirective parses the text of one comment (including the
@@ -153,21 +160,13 @@ func fileDirectives(fset *token.FileSet, f *ast.File) map[int][]Directive {
 // immediately above it. It returns the directive and whether one was
 // found.
 func (p *Pass) DirectiveAt(pos token.Pos, name string) (Directive, bool) {
-	return DirectiveAt(p.Fset, p.Files, pos, name)
-}
-
-// DirectiveAt is the package-level form of Pass.DirectiveAt, for
-// analyzers that inspect files of a package other than the one under
-// analysis (the interprocedural passes walk call chains through
-// every loaded package).
-func DirectiveAt(fset *token.FileSet, files []*ast.File, pos token.Pos, name string) (Directive, bool) {
-	posn := fset.Position(pos)
-	for _, f := range files {
-		ff := fset.File(f.Pos())
+	posn := p.Fset.Position(pos)
+	for _, f := range p.Files {
+		ff := p.Fset.File(f.Pos())
 		if ff == nil || ff.Name() != posn.Filename {
 			continue
 		}
-		dirs := fileDirectives(fset, f)
+		dirs := fileDirectives(p.Fset, f)
 		for _, line := range []int{posn.Line, posn.Line - 1} {
 			for _, d := range dirs[line] {
 				if d.Name == name {

@@ -112,13 +112,8 @@ func ModuleRoot() (string, error) {
 
 // RunWant loads testdata/src/<pkg> for each named package (relative
 // to the current test's directory), applies the analyzer, and checks
-// its diagnostics against the `// want` expectations.
-//
-// All named packages are loaded up front and analyzed in the given
-// order through one shared Runner, so the call graph spans the whole
-// set. A testdata package may import an earlier one by its bare name
-// (dettaint's detchain suite does), so list dependencies before
-// dependents.
+// its diagnostics against the `// want` expectations. Each package is
+// loaded and analyzed on its own.
 func RunWant(t TB, a *Analyzer, pkgs ...string) {
 	t.Helper()
 	root, err := ModuleRoot()
@@ -127,7 +122,6 @@ func RunWant(t TB, a *Analyzer, pkgs ...string) {
 	}
 	cwd, _ := os.Getwd()
 	loader := NewLoader(root)
-	var loaded []*Package
 	for _, name := range pkgs {
 		dir := filepath.Join(cwd, "testdata", "src", name)
 		pkg, err := loader.LoadDir(name, dir)
@@ -137,11 +131,7 @@ func RunWant(t TB, a *Analyzer, pkgs ...string) {
 		for _, terr := range pkg.TypeErrors {
 			t.Errorf("vettest: %s does not type-check: %v", name, terr)
 		}
-		loaded = append(loaded, pkg)
-	}
-	runner := NewRunner(loaded)
-	for _, pkg := range loaded {
-		diags, err := runner.Run(a, pkg)
+		diags, err := Run(a, pkg)
 		if err != nil {
 			t.Fatalf("vettest: %s on %s: %v", a.Name, pkg.PkgPath, err)
 		}

@@ -12,8 +12,9 @@
 // contract.
 //
 //   - All timestamps come from the injected sim clock (`now`), never
-//     the wall clock — a time.Now reachable from a snapshot is a
-//     minkowski-vet dettaint finding.
+//     the wall clock — any reference to time.Now anywhere in
+//     internal/, called or taken as a value, is a minkowski-vet
+//     detrand finding.
 //   - Recording happens only on the single-threaded simulation event
 //     loop, so the registry needs no locks and record order is
 //     deterministic.
