@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"minkowski/internal/stats"
 )
 
 func TestResultFormatting(t *testing.T) {
@@ -97,4 +100,54 @@ func TestFig07ShapeQuick(t *testing.T) {
 			t.Errorf("established redundancy should undershoot intent:\n%s", res)
 		}
 	}
+	checkCDFCSV(t, res.CSV["redundancy_cdf"], "established", "intended")
+}
+
+// checkCDFCSV asserts csv is a long-format CDF export holding exactly
+// the named series, each with x and cum_prob non-decreasing and every
+// cum_prob in [0, 1].
+func checkCDFCSV(t *testing.T, csv [][]string, series ...string) {
+	t.Helper()
+	if len(csv) == 0 || strings.Join(csv[0], ",") != "series,x,cum_prob" {
+		t.Fatalf("header = %v, want series,x,cum_prob", csv)
+	}
+	var seen []string
+	var lastX, lastP float64
+	for _, rec := range csv[1:] {
+		x, errX := strconv.ParseFloat(rec[1], 64)
+		p, errP := strconv.ParseFloat(rec[2], 64)
+		if errX != nil || errP != nil {
+			t.Fatalf("row %v: %v %v", rec, errX, errP)
+		}
+		if len(seen) == 0 || seen[len(seen)-1] != rec[0] {
+			seen = append(seen, rec[0])
+		} else if x < lastX || p < lastP {
+			t.Errorf("series %s decreases at %v (after x=%v cum_prob=%v)", rec[0], rec, lastX, lastP)
+		}
+		if p < 0 || p > 1 {
+			t.Errorf("row %v: cum_prob outside [0, 1]", rec)
+		}
+		lastX, lastP = x, p
+	}
+	if strings.Join(seen, ",") != strings.Join(series, ",") {
+		t.Errorf("series = %v, want %v, each once", seen, series)
+	}
+}
+
+// TestCDFCSVOneGridPerSeries: each series is rendered on its own
+// quantile grid, so the second series' x values are its own.
+func TestCDFCSVOneGridPerSeries(t *testing.T) {
+	var a, b stats.Sample
+	a.AddAll([]float64{3, 1, 2})
+	b.AddAll([]float64{30, 10, 20, 40, 50})
+	csv := cdfCSV(3, "%.1f", cdfSeries{"a", &a}, cdfSeries{"b", &b})
+	want := [][]string{
+		{"series", "x", "cum_prob"},
+		{"a", "1.0", "0.000"}, {"a", "2.0", "0.500"}, {"a", "3.0", "1.000"},
+		{"b", "10.0", "0.000"}, {"b", "30.0", "0.500"}, {"b", "50.0", "1.000"},
+	}
+	if f, w := fmt.Sprint(csv), fmt.Sprint(want); f != w {
+		t.Errorf("cdfCSV = %s, want %s", f, w)
+	}
+	checkCDFCSV(t, csv, "a", "b")
 }

@@ -31,12 +31,7 @@ func Fig04(o Options) *Result {
 		{"B2B candidates (min–max)", "0–6595", f("%.0f–%.0f", ch.B2B.Min(), ch.B2B.Max())},
 		{"B2G candidates (min–max)", "0–750", f("%.0f–%.0f", ch.B2G.Min(), ch.B2G.Max())},
 	}
-	var cdf [][]string
-	cdf = append(cdf, []string{"frac_changed", "cum_prob"})
-	for _, p := range ch.HourlyFrac.CDF(50) {
-		cdf = append(cdf, []string{f("%.4f", p.X), f("%.3f", p.P)})
-	}
-	res.CSV["hourly_delta_cdf"] = cdf
+	res.CSV["hourly_delta_cdf"] = cdfCSV(50, "%.4f", cdfSeries{"frac_changed", &ch.HourlyFrac})
 	return res
 }
 
@@ -85,13 +80,8 @@ func Fig07(o Options) *Result {
 		{"median intended fraction", "70%", pct(rd.Intended.Median())},
 		{"established < intended", "yes", f("%v", rd.Established.Median() < rd.Intended.Median())},
 	}
-	var cdf [][]string
-	cdf = append(cdf, []string{"fraction", "cum_prob_established", "cum_prob_intended"})
-	est, intd := rd.Established.CDF(25), rd.Intended.CDF(25)
-	for i := 0; i < len(est) && i < len(intd); i++ {
-		cdf = append(cdf, []string{f("%.3f", est[i].X), f("%.3f", est[i].P), f("%.3f", intd[i].X)})
-	}
-	res.CSV["redundancy_cdf"] = cdf
+	res.CSV["redundancy_cdf"] = cdfCSV(25, "%.3f",
+		cdfSeries{"established", &rd.Established}, cdfSeries{"intended", &rd.Intended})
 	return res
 }
 
@@ -127,13 +117,8 @@ func Fig08(o Options) *Result {
 		{"control breakages < 20 s", "75%", pct(under20)},
 		{"recovered w/o new link", "92.4%", pct(withoutNew)},
 	}
-	var cdf [][]string
-	cdf = append(cdf, []string{"seconds", "cum_prob_withdrawn", "cum_prob_failed"})
-	w, fl := rc.Withdrawn.CDF(25), rc.Failed.CDF(25)
-	for i := 0; i < len(w) && i < len(fl); i++ {
-		cdf = append(cdf, []string{f("%.1f", w[i].X), f("%.3f", w[i].P), f("%.1f", fl[i].X)})
-	}
-	res.CSV["recovery_cdf"] = cdf
+	res.CSV["recovery_cdf"] = cdfCSV(25, "%.1f",
+		cdfSeries{"withdrawn", &rc.Withdrawn}, cdfSeries{"failed", &rc.Failed})
 	return res
 }
 
@@ -235,14 +220,26 @@ func Fig11(o Options) *Result {
 		{"unexpected ends B2G", "69.2%", pct(ug)},
 		{"unexpected ends B2B", "39.2%", pct(ub)},
 	}
-	var cdf [][]string
-	cdf = append(cdf, []string{"seconds", "cum_prob_b2g", "cum_prob_b2b"})
-	gg, bb := ll.B2G.CDF(30), ll.B2B.CDF(30)
-	for i := 0; i < len(gg) && i < len(bb); i++ {
-		cdf = append(cdf, []string{f("%.0f", gg[i].X), f("%.3f", gg[i].P), f("%.0f", bb[i].X)})
-	}
-	res.CSV["lifetime_cdf"] = cdf
+	res.CSV["lifetime_cdf"] = cdfCSV(30, "%.0f", cdfSeries{"b2g", &ll.B2G}, cdfSeries{"b2b", &ll.B2B})
 	return res
+}
+
+// cdfSeries is one named sample of a CDF export.
+type cdfSeries struct {
+	name string
+	s    *stats.Sample
+}
+
+// cdfCSV renders CDFs in long format: a series,x,cum_prob header, then
+// each series on its own n-point grid, x formatted with xfmt.
+func cdfCSV(n int, xfmt string, series ...cdfSeries) [][]string {
+	out := [][]string{{"series", "x", "cum_prob"}}
+	for _, sr := range series {
+		for _, p := range sr.s.CDF(n) {
+			out = append(out, []string{sr.name, f(xfmt, p.X), f("%.3f", p.P)})
+		}
+	}
+	return out
 }
 
 func ratio(a, b int) float64 {

@@ -8,9 +8,10 @@ package solver
 // seed's strict-< rule, and adjacency is scanned in candidate-index
 // order. Every comparison and swap the seed implementation performed
 // happens here in the same sequence — rows drop only entries the seed
-// walks past without effect (ctx.compact) — so the popped-node order,
-// and therefore the chosen path, including equal-cost ties, is
-// identical to `SolveReference` step by step. The equivalence property
+// walks past without effect or whose comparison can never push
+// (ctx.compact) — so the popped-node order, and therefore the chosen
+// path, including equal-cost ties, is identical to `SolveReference`
+// step by step. The equivalence property
 // tests (equivalence_test.go) pin this.
 
 // heapItem is one Dijkstra frontier entry.
@@ -125,18 +126,19 @@ type adjEnt struct{ next, edge int32 }
 // refreshes it when an edge turns chosen.
 type edgeCost struct{ c1, bitrate, pen float64 }
 
-// shortestPath routes request ri over rows — c.adj (viable ∪ chosen
-// edges: compact keeps it to exactly those) or c.chosenAdj for the
-// final pass — writing the edge-index path into c.paths[ri] (reused
-// backing) and the found flag into c.has[ri]. It also maintains
-// c.nilKnown[ri]: true only when the search failed WITHOUT ever
-// hitting the MaxPathLen cutoff — such a search has exhausted the
-// source's connected component, so the nil outcome is permanent under
-// the greedy's shrinking edge set. A cap-pruned failure proves nothing
-// (hop-capped reachability is not monotone) and leaves nilKnown false
-// so the request is retried like the reference retries every nil
-// request. Semantics — including the order equal-cost ties resolve in —
-// match SolveReference exactly; see the package comment in this file.
+// shortestPath routes request ri over rows — c.scan (the undominated
+// viable ∪ chosen edges: compact keeps it to exactly those) or
+// c.chosenAdj for the final pass — writing the edge-index path into
+// c.paths[ri] (reused backing) and the found flag into c.has[ri]. It
+// also maintains c.nilKnown[ri]: true only when the search failed
+// WITHOUT ever hitting the MaxPathLen cutoff — such a search has
+// exhausted the source's connected component, so the nil outcome is
+// permanent under the greedy's shrinking edge set. A cap-pruned
+// failure proves nothing (hop-capped reachability is not monotone) and
+// leaves nilKnown false so the request is retried like the reference
+// retries every nil request. Semantics — including the order
+// equal-cost ties resolve in — match SolveReference exactly; see the
+// package comment in this file.
 //
 //minkowski:hotpath
 func (c *ctx) shortestPath(ri int32, rows [][]adjEnt) {

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"minkowski/internal/linkeval"
@@ -22,6 +23,8 @@ import (
 type edge struct {
 	rep      *linkeval.Report
 	a, b     int32 // node indices
+	group    int32 // node-pair group: the edges joining the same two platforms
+	class    int32 // bitrate class: how many distinct request bitrates it carries
 	viable   bool
 	chosen   bool
 	exist    bool
@@ -48,14 +51,29 @@ type ctx struct {
 	gw        []bool
 	edges     []edge
 	cost      []edgeCost // per edge: see edgeCost
-	adj       [][]adjEnt // node -> usable (viable ∪ chosen) candidate edges, edge order
+	adj       [][]adjEnt // node -> every candidate edge, edge order
+	scan      [][]adjEnt // node -> the adj entries whose edge is inScan: what a greedy search walks
 	chosenAdj [][]adjEnt // final-phase view: chosen edges only
-	dirty     []bool     // per node: adj row holds an edge retired since its last compaction
+	dirty     []bool     // per node: scan row holds an edge that has left the scan
 	chanMask  []uint16   // per node: bit k = channels[k] in use
 	channels  []rf.Channel
 
+	// Node-pair groups, flat: group g's edges, in edge order, are
+	// grpEdges[grpOff[g]:grpOff[g+1]]. grpMarked lists the groups whose
+	// dominance compact must recompute (grpMark dedupes it).
+	grpOff    []int32
+	grpEdges  []int32
+	grpMark   []bool
+	grpMarked []int32
+	inScan    []bool    // per edge: usable (viable ∪ chosen) and undominated (see regroup)
+	shown     []int32   // edges regroup put back in the scan since the last compaction
+	pairSeen  []int32   // group's scratch: per neighbour m, 1 + the last node n whose row reached it
+	pairGrp   []int32   // group's scratch: per neighbour m, the group of pair (n, m)
+	bitrates  []float64 // distinct request bitrates, ascending (bitrate classes)
+
 	reqs     []reqView
 	util     []float64
+	swept    []int32   // the edges of current paths in the last sweep, ascending
 	paths    [][]int32 // per request: current path (edge indexes)
 	has      []bool    // per request: path found
 	nilKnown []bool    // per request: proven PERMANENTLY unreachable (failed search, hop cap never fired)
@@ -153,7 +171,86 @@ func (c *ctx) reset(cfg Config, in *Input) {
 	c.has = grow(c.has, nR)
 	c.nilKnown = grow(c.nilKnown, nR)
 	c.util = grow(c.util, len(c.edges))
+	c.swept = c.swept[:0]
 	c.sp.ensure(nV)
+	c.classify()
+	c.group()
+}
+
+// classify sets every edge's bitrate class: the number of distinct
+// request bitrates b for which !(bitrate < b), i.e. the requests the
+// edge carries without SlowBitratePenalty. Every request a lower class
+// carries at full rate, a higher one does too.
+func (c *ctx) classify() {
+	br := c.bitrates[:0]
+	for i := range c.reqs {
+		br = append(br, c.reqs[i].minBr)
+	}
+	slices.Sort(br) // NaNs first: they penalise no edge, so every class counts them
+	br = slices.Compact(br)
+	c.bitrates = br
+	for i := range c.edges {
+		bps := c.cost[i].bitrate
+		c.edges[i].class = int32(sort.Search(len(br), func(k int) bool { return bps < br[k] }))
+	}
+}
+
+// group sorts the edges into node-pair groups, flat, each in edge
+// order, computes every group's dominance and builds the scan rows.
+func (c *ctx) group() {
+	nV := len(c.nodes)
+	c.pairSeen = grow(c.pairSeen, nV)
+	c.pairGrp = grow(c.pairGrp, nV)
+	ng := int32(0)
+	for n := range c.adj {
+		for _, a := range c.adj[n] {
+			if int(a.next) < n { // the pair's lower node numbers its group
+				continue
+			}
+			if c.pairSeen[a.next] != int32(n)+1 {
+				c.pairSeen[a.next] = int32(n) + 1
+				c.pairGrp[a.next] = ng
+				ng++
+			}
+			c.edges[a.edge].group = c.pairGrp[a.next]
+		}
+	}
+	off := grow(c.grpOff, int(ng)+1)
+	for i := range c.edges {
+		off[c.edges[i].group+1]++
+	}
+	for g := 1; g <= int(ng); g++ {
+		off[g] += off[g-1]
+	}
+	ge := grow(c.grpEdges, len(c.edges))
+	for i := range c.edges { // off[g] runs from group g's start to its end
+		g := c.edges[i].group
+		ge[off[g]] = int32(i)
+		off[g]++
+	}
+	copy(off[1:], off[:ng])
+	off[0] = 0
+	c.grpOff, c.grpEdges = off, ge
+	c.grpMark = grow(c.grpMark, int(ng))
+	c.grpMarked = c.grpMarked[:0]
+	c.inScan = grow(c.inScan, len(c.edges))
+	for g := int32(0); g < ng; g++ {
+		c.regroup(g)
+	}
+	c.shown = c.shown[:0]
+	c.scan = growRows(c.scan, nV)
+	for n, row := range c.adj {
+		sc := c.scan[n]
+		if cap(sc) < len(row) { // room for every entry: compact inserts in place
+			sc = make([]adjEnt, 0, len(row)+len(row)/4)
+		}
+		for _, a := range row {
+			if c.inScan[a.edge] {
+				sc = append(sc, a)
+			}
+		}
+		c.scan[n] = sc
+	}
 }
 
 // grow returns a zeroed s of length n, reusing its backing when that is
@@ -201,36 +298,106 @@ func (c *ctx) pathCost(e *edge) (c1, pen float64) {
 	return c1, pen
 }
 
-// retire makes an edge unusable for the rest of the solve and marks the
-// rows that list it for compaction.
+// retire makes an edge unusable for the rest of the solve and marks its
+// group for compaction.
 func (c *ctx) retire(e *edge) {
 	e.viable = false
-	c.dirty[e.a], c.dirty[e.b] = true, true
+	c.touch(e)
 }
 
-// compact drops from every dirty row the entries whose edge is neither
-// viable nor chosen, in place and in order. Such an entry is one the
-// seed's scan walks past without a comparison, a push or a pop, so the
-// searches that follow do exactly what they would have done over the
-// full row.
+// touch marks e's group for a dominance recompute: e's usability or
+// cost has changed.
+func (c *ctx) touch(e *edge) {
+	if !c.grpMark[e.group] {
+		c.grpMark[e.group] = true
+		c.grpMarked = append(c.grpMarked, e.group)
+	}
+}
+
+// regroup recomputes the dominance of group g. A usable edge is
+// dominated when an earlier usable, undominated edge of its group —
+// the same neighbour, earlier in both endpoint rows — has a c1 and a
+// pen that are not higher and a bitrate class that is not lower (equal,
+// when SlowBitratePenalty is negative). For every request the earlier
+// edge's cost is then not higher (float addition rounds monotonically),
+// so once it has relaxed, dist[next] ≤ its nd ≤ the later edge's nd:
+// the later edge can never push, and its done test reads the same
+// node. Dominance is transitive, so testing only undominated edges
+// finds one whenever any earlier edge dominates. An edge that leaves
+// the scan marks its rows dirty; one that re-enters it is listed in
+// shown.
+//
+//minkowski:hotpath
+func (c *ctx) regroup(g int32) {
+	es := c.grpEdges[c.grpOff[g]:c.grpOff[g+1]]
+	eqClass := c.cfg.SlowBitratePenalty < 0
+	for k, j := range es {
+		ej := &c.edges[j]
+		in := ej.viable || ej.chosen
+		if in {
+			cj := &c.cost[j]
+			for _, i := range es[:k] {
+				ei, ci := &c.edges[i], &c.cost[i]
+				if c.inScan[i] && ci.c1 <= cj.c1 && ci.pen <= cj.pen &&
+					(ei.class == ej.class || !eqClass && ei.class > ej.class) {
+					in = false
+					break
+				}
+			}
+		}
+		switch {
+		case c.inScan[j] && !in:
+			c.dirty[ej.a], c.dirty[ej.b] = true, true
+		case !c.inScan[j] && in:
+			c.shown = append(c.shown, j)
+		}
+		c.inScan[j] = in
+	}
+}
+
+// compact brings the scan rows up to date: it recomputes the marked
+// groups' dominance, drops from every dirty row, in place and in order,
+// the entries that left the scan, and inserts the ones that re-entered
+// it at their place in edge order. A missing entry is one the seed's
+// scan walks past without a comparison, a push or a pop (unusable), or
+// one whose comparison can never push (dominated), so the searches that
+// follow do exactly what they would have done over the full row.
 //
 //minkowski:hotpath
 func (c *ctx) compact() {
+	for _, g := range c.grpMarked {
+		c.grpMark[g] = false
+		c.regroup(g)
+	}
+	c.grpMarked = c.grpMarked[:0]
 	for n, d := range c.dirty {
 		if !d {
 			continue
 		}
 		c.dirty[n] = false
-		row := c.adj[n]
+		row := c.scan[n]
 		k := 0
 		for _, a := range row {
-			if e := &c.edges[a.edge]; e.viable || e.chosen {
+			if c.inScan[a.edge] {
 				row[k] = a
 				k++
 			}
 		}
-		c.adj[n] = row[:k]
+		c.scan[n] = row[:k]
 	}
+	for _, j := range c.shown {
+		e := &c.edges[j]
+		c.scan[e.a] = insertEnt(c.scan[e.a], adjEnt{next: e.b, edge: j})
+		c.scan[e.b] = insertEnt(c.scan[e.b], adjEnt{next: e.a, edge: j})
+	}
+	c.shown = c.shown[:0]
+}
+
+// insertEnt inserts a into row at its place in edge order. The row has
+// room: group sized it for every entry of its adj row.
+func insertEnt(row []adjEnt, a adjEnt) []adjEnt {
+	i := sort.Search(len(row), func(k int) bool { return row[k].edge > a.edge })
+	return slices.Insert(row, i, a)
 }
 
 // run is the optimized solve pipeline: the initial per-request
@@ -244,25 +411,39 @@ func (s *Solver) run(in *Input) *Plan {
 
 	// --- Initial routing phase --------------------------------------
 	for ri := range c.reqs {
-		c.shortestPath(int32(ri), c.adj)
+		c.shortestPath(int32(ri), c.scan)
 	}
 
 	// --- Greedy commit loop (seed-identical) -------------------------
 	for {
+		// Utility, accumulated in the seed's request order. Only edges
+		// of current paths get any, so only they are cleared, collected
+		// and swept: an entry is 0 until its first visit and never
+		// after, as every request adds at least 1.
 		util := c.util
-		for i := range util {
-			util[i] = 0
+		for _, ei := range c.swept {
+			util[ei] = 0
 		}
+		sw := c.swept[:0]
 		for ri := range c.reqs {
 			uw := c.reqs[ri].util
 			for _, ei := range c.paths[ri] {
 				if !c.edges[ei].chosen {
+					if util[ei] == 0 {
+						sw = append(sw, ei)
+					}
 					util[ei] += uw
 				}
 			}
 		}
+		// The seed sweeps every edge in index order; the others have
+		// no utility and are skipped, so the same strict > over the
+		// path edges in index order picks the same one.
+		slices.Sort(sw)
+		c.swept = sw
+		c.sp.stats.Swept += uint64(len(sw))
 		best, bestU := int32(-1), 0.0
-		for i := range c.edges {
+		for _, i := range sw {
 			e := &c.edges[i]
 			if !e.viable || e.chosen || util[i] <= 0 {
 				continue
@@ -272,7 +453,7 @@ func (s *Solver) run(in *Input) *Plan {
 				u *= 1 + c.cfg.HysteresisBonus
 			}
 			if u > bestU {
-				best, bestU = int32(i), u
+				best, bestU = i, u
 			}
 		}
 		if best < 0 {
@@ -294,7 +475,7 @@ func (s *Solver) run(in *Input) *Plan {
 		// re-routing one request at a time is the reference's batch.
 		for ri := range c.reqs {
 			if !c.nilKnown[ri] && (!c.has[ri] || c.pathBroken(ri)) {
-				c.shortestPath(int32(ri), c.adj)
+				c.shortestPath(int32(ri), c.scan)
 			}
 		}
 	}
@@ -382,6 +563,7 @@ func (c *ctx) choose(plan *Plan, idx int32, redundant bool) bool {
 	}
 	e.chosen = true
 	c.cost[idx].c1, c.cost[idx].pen = c.pathCost(e)
+	c.touch(e)
 	c.chanMask[e.a] |= chBit
 	c.chanMask[e.b] |= chBit
 	plan.Links = append(plan.Links, Chosen{

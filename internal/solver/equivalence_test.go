@@ -134,24 +134,29 @@ func existingFrom(p *Plan) map[radio.LinkID]bool {
 	return out
 }
 
+// matchReference solves the given number of drifting cycles of w with
+// the engine and with the reference, feeding the reference's plan back
+// as the existing links, and fails at the first plan that differs.
+func matchReference(t *testing.T, cfg Config, w *eqWorld, cycles int, input func(*eqWorld, map[radio.LinkID]bool) Input) {
+	t.Helper()
+	s, ref := New(cfg), New(cfg)
+	existing := map[radio.LinkID]bool{}
+	for cyc := 0; cyc < cycles; cyc++ {
+		in := input(w, existing)
+		refPlan := ref.SolveReference(in)
+		if got, want := s.Solve(in).Fingerprint(), refPlan.Fingerprint(); got != want {
+			t.Fatalf("cycle %d: engine diverged from reference\nengine:\n%s\nreference:\n%s", cyc, got, want)
+		}
+		existing = existingFrom(refPlan)
+		w.drift()
+	}
+}
+
 // TestEngineMatchesReferenceCold: Solve == SolveReference on
 // every cycle of a drifting scenario.
 func TestEngineMatchesReferenceCold(t *testing.T) {
 	atWidths(t, func(t *testing.T) {
-		w := newEqWorld(9, 0xC0FFEE)
-		s := New(DefaultConfig())
-		ref := New(DefaultConfig())
-		existing := map[radio.LinkID]bool{}
-		for cyc := 0; cyc < 6; cyc++ {
-			in := w.input(existing)
-			want := ref.SolveReference(in).Fingerprint()
-			got := s.Solve(in).Fingerprint()
-			if got != want {
-				t.Fatalf("cycle %d: engine diverged from reference\nengine:\n%s\nreference:\n%s", cyc, got, want)
-			}
-			existing = existingFrom(ref.SolveReference(in))
-			w.drift()
-		}
+		matchReference(t, DefaultConfig(), newEqWorld(9, 0xC0FFEE), 6, (*eqWorld).input)
 	})
 }
 
@@ -267,6 +272,63 @@ func TestHopCapUnreachableBecomesRoutable(t *testing.T) {
 	})
 }
 
+// mixedInput is w's next input with every dimension of the dominance
+// rule in play inside each node-pair group. The evaluator gives the
+// 3×3 transceiver pairs between two platforms one bitrate and one
+// class, so each candidate is copied and, by a hash of its index and
+// the cycle, given a bitrate on either side of and exactly on the
+// request thresholds, a marginal class (c1 + MarginalPenalty) and an
+// adaptive penalty. The requests cycle through three classes.
+func mixedInput(w *eqWorld, existing map[radio.LinkID]bool) Input {
+	in := w.input(existing)
+	bitrates := [...]float64{5e6, 10e6, 50e6, 120e6, 400e6, 988e6}
+	pens := [...]float64{0, 0, 0.5, 1.7, 3}
+	reps := make([]linkeval.Report, len(in.Candidates))
+	in.Penalties = map[radio.LinkID]float64{}
+	for i, r := range in.Candidates {
+		h := uint64(i+w.cycle*7919) * 0x9E3779B97F4A7C15
+		reps[i] = *r
+		reps[i].Budget.BitrateBps = bitrates[h>>61%uint64(len(bitrates))]
+		if h>>40&3 == 0 {
+			reps[i].Class = rf.Marginal
+		}
+		if p := pens[h>>20%uint64(len(pens))]; p > 0 {
+			in.Penalties[r.ID] = p
+		}
+		in.Candidates[i] = &reps[i]
+	}
+	classes := [...]float64{10e6, 50e6, 400e6}
+	for i := range in.Requests {
+		in.Requests[i].MinBitrateBps = classes[i%len(classes)]
+	}
+	return in
+}
+
+// TestDominancePruningMatchesReference holds the engine's dominance-
+// pruned search rows to SolveReference where the rule's three
+// conditions decide: mixed request classes, bitrates and penalties
+// that differ between parallel edges, and a SlowBitratePenalty that is
+// positive, zero (classes never matter) and negative (a slower edge is
+// cheaper, so only equal classes may dominate).
+func TestDominancePruningMatchesReference(t *testing.T) {
+	for _, slow := range []float64{5, 0, -1} {
+		for _, seed := range []uint64{0xD0, 0x5EED} {
+			t.Run(fmt.Sprintf("slow=%g/seed=%x", slow, seed), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.SlowBitratePenalty = slow
+				matchReference(t, cfg, newEqWorld(12, seed), 6, mixedInput)
+			})
+		}
+	}
+}
+
+// TestEngineMatchesReferenceFleet56 runs the 56-balloon regime the
+// solver's work counters are measured at (DESIGN.md §10) against the
+// reference for a few drifting cycles.
+func TestEngineMatchesReferenceFleet56(t *testing.T) {
+	matchReference(t, DefaultConfig(), newEqWorld(56, 0xF1EE7), 4, (*eqWorld).input)
+}
+
 // TestSolveAndReferenceMatchLegacyScenarios reruns the seed test
 // worlds through both implementations (belt and braces next to the
 // drifting-scenario property tests).
@@ -366,12 +428,14 @@ func TestEngineMatchesReferenceChannelExhaustion(t *testing.T) {
 // TestSolveScansOnlyUsableEdges pins the work counters on hubWorld: the
 // searches, pushes and pops are the reference algorithm's (the plan is
 // held to it above) and the entries scanned are those of rows that hold
-// only viable and chosen edges — 80, where rows that kept every retired
-// edge to the end of the solve scanned 91 for the same 24 searches, 85
-// pushes and 56 pops. The counts are cumulative.
+// only viable, chosen and undominated edges — 70, where rows that kept
+// the dominated ones scanned 80 and rows that kept every retired edge
+// to the end of the solve 91, for the same 24 searches, 85 pushes and
+// 56 pops. The greedy's sweeps compare the 61 edges of current paths.
+// The counts are cumulative.
 func TestSolveScansOnlyUsableEdges(t *testing.T) {
 	in := hubWorld()
-	want := Stats{DijkstraRuns: 24, AdjScanned: 80, HeapPushes: 85, HeapPops: 56}
+	want := Stats{DijkstraRuns: 24, AdjScanned: 70, HeapPushes: 85, HeapPops: 56, Swept: 61}
 	atWidths(t, func(t *testing.T) {
 		s := New(DefaultConfig())
 		s.Solve(in)
@@ -379,7 +443,7 @@ func TestSolveScansOnlyUsableEdges(t *testing.T) {
 			t.Errorf("one solve: %+v, want %+v", got, want)
 		}
 		s.Solve(in)
-		if got, twice := s.Stats(), (Stats{2 * want.DijkstraRuns, 2 * want.AdjScanned, 2 * want.HeapPushes, 2 * want.HeapPops}); got != twice {
+		if got, twice := s.Stats(), (Stats{2 * want.DijkstraRuns, 2 * want.AdjScanned, 2 * want.HeapPushes, 2 * want.HeapPops, 2 * want.Swept}); got != twice {
 			t.Errorf("two solves: %+v, want %+v", got, twice)
 		}
 		if d := s.Stats().Sub(want); d != want {

@@ -231,6 +231,9 @@ type Stats struct {
 	AdjScanned uint64
 	// HeapPushes and HeapPops are the frontier operations.
 	HeapPushes, HeapPops uint64
+	// Swept is the number of edges the greedy's best-edge sweeps
+	// compared: those on current paths, once per greedy iteration.
+	Swept uint64
 }
 
 // Sub returns s − o field-wise (for per-cycle deltas).
@@ -240,6 +243,7 @@ func (s Stats) Sub(o Stats) Stats {
 		AdjScanned:   s.AdjScanned - o.AdjScanned,
 		HeapPushes:   s.HeapPushes - o.HeapPushes,
 		HeapPops:     s.HeapPops - o.HeapPops,
+		Swept:        s.Swept - o.Swept,
 	}
 }
 
