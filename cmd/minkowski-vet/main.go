@@ -1,19 +1,16 @@
 // Command minkowski-vet is the repository's multichecker: it runs the
-// six custom determinism/unit-safety analyzers over the tree and
-// exits nonzero on any finding. CI runs it next to go vet, and
-// TestTreeVetsClean holds `go test ./...` to the same bar:
+// three custom determinism analyzers over the tree and exits nonzero
+// on any finding. CI runs it next to go vet, and TestTreeVetsClean
+// holds `go test ./...` to the same bar:
 //
 //	go run ./cmd/minkowski-vet ./...
 //
 // Analyzers (contracts in DESIGN.md §8), each judged at the site:
 //
-//	detrand   — no wall-clock, ambient-rand or GOMAXPROCS reference in
-//	            internal/, called or taken as a value
-//	mapiter   — no order-sensitive effects inside map iteration
-//	units     — no arithmetic or call arguments mixing unit suffixes
-//	floateq   — no float ==/!= outside annotated memo-key comparisons
-//	hotpath   — no allocation-prone constructs in //minkowski:hotpath funcs
-//	directive — no malformed or unknown //minkowski: directives
+//	detrand — no wall-clock, ambient-rand or GOMAXPROCS reference in
+//	          internal/, called or taken as a value
+//	mapiter — no order-sensitive effects inside map iteration
+//	floateq — no float ==/!= outside annotated memo-key comparisons
 //
 // Flags:
 //
@@ -32,19 +29,14 @@ import (
 
 	"minkowski/internal/analysis/detrand"
 	"minkowski/internal/analysis/floateq"
-	"minkowski/internal/analysis/hotpath"
 	"minkowski/internal/analysis/mapiter"
-	"minkowski/internal/analysis/units"
 	"minkowski/internal/analysis/vet"
 )
 
 var analyzers = []*vet.Analyzer{
 	detrand.Analyzer,
 	mapiter.Analyzer,
-	units.Analyzer,
 	floateq.Analyzer,
-	hotpath.Analyzer,
-	vet.DirectivesAnalyzer,
 }
 
 // finding is one diagnostic, and one row of the -json findings
@@ -63,7 +55,7 @@ func (f finding) String() string {
 // list prints one line per analyzer: its name and contract.
 func list(w io.Writer) {
 	for _, a := range analyzers {
-		fmt.Fprintf(w, "%-9s %s\n", a.Name, a.Doc)
+		fmt.Fprintf(w, "%-7s %s\n", a.Name, a.Doc)
 	}
 }
 

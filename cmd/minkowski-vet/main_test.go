@@ -18,7 +18,7 @@ func TestTreeVetsClean(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	if got, want := strings.Join(names, " "), "detrand mapiter units floateq hotpath directive"; got != want {
+	if got, want := strings.Join(names, " "), "detrand mapiter floateq"; got != want {
 		t.Errorf("-list names %q, want %q", got, want)
 	}
 

@@ -22,8 +22,6 @@ func step2(x int) int { return int(time.Now().UnixNano()) + x } // want `wall-cl
 
 // Hot reaches a GOMAXPROCS read mid-chain in a worker-count helper:
 // the shape of the mid-solve re-sharding regression.
-//
-//minkowski:hotpath
 func Hot(x int) int {
 	return shard(x)
 }
@@ -33,8 +31,6 @@ func shard(x int) int { return x % workers() }
 func workers() int { return runtime.GOMAXPROCS(0) } // want `runtime\.GOMAXPROCS reads the ambient parallelism`
 
 // HotJitter reaches the global rand source one call down.
-//
-//minkowski:hotpath
 func HotJitter(x int) int {
 	return jitter(x)
 }
@@ -42,8 +38,6 @@ func HotJitter(x int) int {
 func jitter(x int) int { return x + rand.Intn(3) } // want `package-level rand\.Intn`
 
 // HotFanOut launches goroutine literals that read the clock.
-//
-//minkowski:hotpath
 func HotFanOut(n int) {
 	for i := 0; i < n; i++ {
 		go func() {
@@ -54,8 +48,6 @@ func HotFanOut(n int) {
 
 // HotSeeded draws only from an explicitly seeded source: the
 // sanctioned idiom.
-//
-//minkowski:hotpath
 func HotSeeded(seed int64, x int) int {
 	r := rand.New(rand.NewSource(seed))
 	return x + r.Intn(3)

@@ -73,12 +73,12 @@ func run(pass *vet.Pass) (any, error) {
 			if !ok {
 				return true
 			}
-			if d, hasDir := directiveFor(pass, stack, b); hasDir {
+			if just, hasDir := directiveFor(pass, stack, b); hasDir {
 				if !inAllowPkg {
 					pass.Reportf(b.OpPos, "//minkowski:floateq-ok only applies inside the memo-key packages (%s); refactor this comparison", strings.Join(AllowPackages, ", "))
 					return true
 				}
-				if d.Justification == "" {
+				if just == "" {
 					pass.Reportf(b.OpPos, "//minkowski:floateq-ok requires a justification naming the memo-key contract it implements")
 				}
 				return true
@@ -98,17 +98,17 @@ func run(pass *vet.Pass) (any, error) {
 // comparison: attached to the comparison's own line (or the line
 // above), or to the first line of its innermost enclosing statement —
 // so one directive above a multi-line `if` covers every comparison in
-// the condition.
-func directiveFor(pass *vet.Pass, stack []ast.Node, b *ast.BinaryExpr) (vet.Directive, bool) {
-	if d, ok := pass.DirectiveAt(b.Pos(), "floateq-ok"); ok {
-		return d, true
+// the condition. It returns the directive's justification.
+func directiveFor(pass *vet.Pass, stack []ast.Node, b *ast.BinaryExpr) (string, bool) {
+	if just, ok := pass.DirectiveAt(b.Pos(), "floateq-ok"); ok {
+		return just, true
 	}
 	for i := len(stack) - 1; i >= 0; i-- {
 		if stmt, ok := stack[i].(ast.Stmt); ok {
 			return pass.DirectiveAt(stmt.Pos(), "floateq-ok")
 		}
 	}
-	return vet.Directive{}, false
+	return "", false
 }
 
 // floatComparison reports whether the comparison touches floating

@@ -1,6 +1,7 @@
 // Package memokeys exercises floateq inside an allowlisted memo-key
 // package: annotated comparisons pass, unannotated ones are still
-// findings, and an empty justification is rejected.
+// findings, an empty justification is rejected, and a misspelt
+// suppression suppresses nothing.
 package memokeys
 
 type lla struct{ Lat, Lon, Alt float64 }
@@ -26,4 +27,11 @@ func unannotated(a, b float64) bool {
 func emptyJustification(a, b float64) bool {
 	//minkowski:floateq-ok
 	return a == b // want `requires a justification`
+}
+
+// A misspelt suppression is not the directive: the comparison still
+// reports.
+func misspeltSuppression(a, b float64) bool {
+	//minkowski:floateqok memo entries are valid only at bit-identical inputs
+	return a == b // want `if this is a memo-key comparison, annotate`
 }

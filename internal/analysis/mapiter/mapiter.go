@@ -77,8 +77,8 @@ func checkFunc(pass *vet.Pass, fn *ast.FuncDecl) {
 		if _, isMap := pass.TypesInfo.TypeOf(rng.X).Underlying().(*types.Map); !isMap {
 			return true
 		}
-		if d, ok := pass.DirectiveAt(rng.Pos(), "unordered-ok"); ok {
-			if d.Justification == "" {
+		if just, ok := pass.DirectiveAt(rng.Pos(), "unordered-ok"); ok {
+			if just == "" {
 				pass.Reportf(rng.Pos(), "//minkowski:unordered-ok requires a justification explaining why iteration order cannot matter here")
 			}
 			return true

@@ -120,8 +120,8 @@ type listedPackage struct {
 // Load enumerates the packages matching patterns (e.g. "./...") and
 // returns them parsed and type-checked, in import-path order. Only
 // non-test compilation units are loaded: GoFiles, not _test.go files —
-// the determinism and hot-path contracts bind production code, and
-// testdata trees are not packages at all.
+// the determinism contracts bind production code, and testdata trees
+// are not packages at all.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if err := l.primeExports(patterns); err != nil {
 		return nil, err

@@ -16,7 +16,7 @@
 //     analyzer over `testdata/src/<pkg>` trees and checks reported
 //     diagnostics against `// want "regexp"` comments.
 //
-// The `//minkowski:` directive grammar the analyzers honor is
+// The `//minkowski:` suppression directives the analyzers honor are
 // documented in DESIGN.md §8.
 package vet
 
@@ -83,133 +83,34 @@ func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	return pass.diags, nil
 }
 
-// --- Directive comments ---------------------------------------------
+// --- Suppression directives ----------------------------------------
 
-// Directive is one `//minkowski:<name> <justification>` comment.
-type Directive struct {
-	Name          string // e.g. "unordered-ok"
-	Justification string // trailing free text (may be empty)
-	Line          int
-}
-
-// KnownDirectives is the closed set of directive names the suite
-// understands. A //minkowski: comment with any other name is a
-// finding (DirectivesAnalyzer) — silent typos like
-// //minkowski:unorderd-ok must not silently disable a check.
-var KnownDirectives = map[string]bool{
-	"hotpath":      true,
-	"unordered-ok": true,
-	"units-ok":     true,
-	"floateq-ok":   true,
-	"hotpath-ok":   true,
-}
-
-// ParseDirective parses the text of one comment (including the
-// leading "//") as a //minkowski: directive. It returns ok=false if
-// the comment is not a minkowski directive at all, and a non-nil
-// error if it is one but is malformed: an empty name, a name with
-// characters outside [a-z0-9-], a name not starting with a letter, or
-// a name outside KnownDirectives. Malformed directives never panic;
-// they surface as diagnostics through DirectivesAnalyzer.
-func ParseDirective(comment string) (d Directive, ok bool, err error) {
-	text, isDir := strings.CutPrefix(comment, "//minkowski:")
-	if !isDir {
-		return Directive{}, false, nil
-	}
-	name, just, _ := strings.Cut(text, " ")
-	d = Directive{Name: name, Justification: strings.TrimSpace(just)}
-	if name == "" {
-		return d, true, fmt.Errorf("//minkowski: directive with empty name")
-	}
-	if name[0] < 'a' || name[0] > 'z' {
-		return d, true, fmt.Errorf("//minkowski:%s: directive name must start with a lowercase letter", name)
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if (c < 'a' || c > 'z') && (c < '0' || c > '9') && c != '-' {
-			return d, true, fmt.Errorf("//minkowski:%s: invalid character %q in directive name", name, c)
-		}
-	}
-	if !KnownDirectives[name] {
-		return d, true, fmt.Errorf("//minkowski:%s: unknown directive (known: hotpath, *-ok suppressions)", name)
-	}
-	return d, true, nil
-}
-
-// fileDirectives extracts every well-formed //minkowski: directive of
-// a file, keyed by the line it sits on. Malformed directives are
-// skipped here (DirectivesAnalyzer reports them): a suppression that
-// does not parse must not suppress.
-func fileDirectives(fset *token.FileSet, f *ast.File) map[int][]Directive {
-	out := map[int][]Directive{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			d, ok, err := ParseDirective(c.Text)
-			if !ok || err != nil {
-				continue
-			}
-			d.Line = fset.Position(c.Pos()).Line
-			out[d.Line] = append(out[d.Line], d)
-		}
-	}
-	return out
-}
-
-// DirectiveAt looks for a `//minkowski:<name>` directive attached to
-// the site at pos: on the same line (trailing comment) or on the line
-// immediately above it. It returns the directive and whether one was
-// found.
-func (p *Pass) DirectiveAt(pos token.Pos, name string) (Directive, bool) {
+// DirectiveAt looks for a `//minkowski:<name> <justification>` comment
+// attached to the site at pos: on the same line (trailing comment) or
+// on the line immediately above it. The name must match exactly, so a
+// misspelt suppression never suppresses: the finding it was meant to
+// silence still reports. It returns the trimmed justification and
+// whether the directive was found.
+func (p *Pass) DirectiveAt(pos token.Pos, name string) (justification string, ok bool) {
 	posn := p.Fset.Position(pos)
 	for _, f := range p.Files {
 		ff := p.Fset.File(f.Pos())
 		if ff == nil || ff.Name() != posn.Filename {
 			continue
 		}
-		dirs := fileDirectives(p.Fset, f)
 		for _, line := range []int{posn.Line, posn.Line - 1} {
-			for _, d := range dirs[line] {
-				if d.Name == name {
-					return d, true
-				}
-			}
-		}
-	}
-	return Directive{}, false
-}
-
-// FuncDirective reports whether the function declaration carries the
-// directive in its doc comment (the annotation grammar for
-// function-scoped contracts like //minkowski:hotpath).
-func FuncDirective(fn *ast.FuncDecl, name string) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if d, ok, err := ParseDirective(c.Text); ok && err == nil && d.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// DirectivesAnalyzer reports malformed //minkowski: directives: a
-// comment that names the suite but fails to parse would otherwise be
-// a silent no-op exactly where the author believed a contract was
-// annotated or suppressed.
-var DirectivesAnalyzer = &Analyzer{
-	Name: "directive",
-	Doc:  "flag malformed or unknown //minkowski: directives",
-	Run: func(pass *Pass) (any, error) {
-		for _, f := range pass.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					if _, ok, err := ParseDirective(c.Text); ok && err != nil {
-						pass.Reportf(c.Pos(), "%v", err)
+					text, isDir := strings.CutPrefix(c.Text, "//minkowski:")
+					if !isDir || p.Fset.Position(c.Pos()).Line != line {
+						continue
+					}
+					if dname, just, _ := strings.Cut(text, " "); dname == name {
+						return strings.TrimSpace(just), true
 					}
 				}
 			}
 		}
-		return nil, nil
-	},
+	}
+	return "", false
 }

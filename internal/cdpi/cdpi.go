@@ -186,14 +186,11 @@ func (ib *InBand) Partitioned(node string) bool {
 	return ok && ib.isolated(i)
 }
 
-//minkowski:hotpath
 func (ib *InBand) isolated(i int32) bool {
 	return int(i) < len(ib.partitioned) && ib.partitioned[i]
 }
 
 // pathUsable rejects paths touching any partitioned node.
-//
-//minkowski:hotpath
 func (ib *InBand) pathUsable(p []int32) bool {
 	for _, n := range p {
 		if ib.isolated(n) {
@@ -209,8 +206,6 @@ func (ib *InBand) pathUsable(p []int32) bool {
 // adjacency (partial partitions) the two are NOT each other's reverse:
 // each direction routes over its own live edges. On success the path
 // (in travel order) is in ib.best until the next call.
-//
-//minkowski:hotpath
 func (ib *InBand) route(node int32, up bool) bool {
 	if len(ib.gw) != len(ib.Gateways) {
 		ib.gw = ib.gw[:0]

@@ -133,7 +133,8 @@ func (c *Controller) onEnactment(e cdpi.Enactment) {
 }
 
 // cycleMetricDetail formats the per-cycle flight-recorder metric
-// record (strconv only — the recorder path is hotpath-clean).
+// record (strconv only; pushing the record allocates nothing, as
+// obs.TestRecorderEventDoesNotAllocate pins).
 func cycleMetricDetail(links, routes, unsatisfied int, utility float64) string {
 	return "links=" + strconv.Itoa(links) +
 		" routes=" + strconv.Itoa(routes) +

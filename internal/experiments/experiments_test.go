@@ -103,6 +103,28 @@ func TestFig07ShapeQuick(t *testing.T) {
 	checkCDFCSV(t, res.CSV["redundancy_cdf"], "established", "intended")
 }
 
+// TestCDFExportsQuick: the CDF exports of Figs. 4, 8 and 11 at the
+// quick scale are long-format, one non-decreasing curve per series,
+// every cum_prob in [0, 1] (Fig. 7's is checked by TestFig07ShapeQuick).
+func TestCDFExportsQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	for _, tc := range []struct {
+		name, csv string
+		fig       func(Options) *Result
+		series    []string
+	}{
+		{"fig04", "hourly_delta_cdf", Fig04, []string{"frac_changed"}},
+		{"fig08", "recovery_cdf", Fig08, []string{"withdrawn", "failed"}},
+		{"fig11", "lifetime_cdf", Fig11, []string{"b2g", "b2b"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkCDFCSV(t, tc.fig(DefaultOptions()).CSV[tc.csv], tc.series...)
+		})
+	}
+}
+
 // checkCDFCSV asserts csv is a long-format CDF export holding exactly
 // the named series, each with x and cum_prob non-decreasing and every
 // cum_prob in [0, 1].

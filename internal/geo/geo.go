@@ -88,8 +88,6 @@ func (v Vec3) Unit() Vec3 {
 }
 
 // ToECEF converts a geodetic position to ECEF Cartesian coordinates.
-//
-//minkowski:hotpath
 func (p LLA) ToECEF() Vec3 {
 	sinLat, cosLat := math.Sincos(p.Lat)
 	sinLon, cosLon := math.Sincos(p.Lon)
@@ -126,8 +124,6 @@ func (v Vec3) bowring() (sinLat, cosLat, alt float64) {
 // Altitude returns the height of an ECEF point above the WGS84
 // ellipsoid without any trigonometry: all a path sample above the
 // weather needs.
-//
-//minkowski:hotpath
 func (v Vec3) Altitude() float64 {
 	_, _, alt := v.bowring()
 	return alt
@@ -142,8 +138,6 @@ func (v Vec3) ToLLA() LLA {
 
 // SlantRange returns the straight-line (line-of-sight) distance in
 // meters between two geodetic positions.
-//
-//minkowski:hotpath
 func SlantRange(a, b LLA) float64 {
 	return b.ToECEF().Sub(a.ToECEF()).Norm()
 }
@@ -248,8 +242,6 @@ func (pt Pointing) String() string {
 
 // PointingTo computes the azimuth/elevation required to aim from
 // position `from` at position `to`, in from's local ENU frame.
-//
-//minkowski:hotpath
 func PointingTo(from, to LLA) Pointing {
 	f := NewENU(from)
 	l := f.To(to.ToECEF())
@@ -270,8 +262,6 @@ func PointingTo(from, to LLA) Pointing {
 // meters added to the Earth radius, modelling terrain and atmospheric
 // grazing losses). A clearance of 0 tests against the bare ellipsoid
 // approximated as a sphere of the mean radius.
-//
-//minkowski:hotpath
 func LineOfSight(a, b LLA, clearance float64) bool {
 	return GrazingAltitude(a, b) >= clearance
 }
@@ -319,8 +309,6 @@ func (s Segment) Length() float64 { return s.dir.Norm() }
 
 // Point returns the point a fraction t of the way along the chord
 // (0 is a, 1 is b).
-//
-//minkowski:hotpath
 func (s Segment) Point(t float64) Vec3 { return s.from.Add(s.dir.Scale(t)) }
 
 // WrapAngle normalizes an angle to [0, 2π).

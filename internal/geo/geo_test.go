@@ -278,8 +278,8 @@ func TestOffsetLongitudeWrap(t *testing.T) {
 }
 
 // TestPointingToDoesNotAllocate: the local frame is a value; one
-// pointing solution per candidate pair and per link check must not
-// cost a heap object each.
+// pointing solution or slant range per candidate pair and per link
+// check must not cost a heap object each.
 func TestPointingToDoesNotAllocate(t *testing.T) {
 	from, to := LLADeg(-1, 37, 18000), LLADeg(-1.2, 37.4, 1600)
 	var sink Pointing
@@ -288,6 +288,13 @@ func TestPointingToDoesNotAllocate(t *testing.T) {
 	}
 	if sink.Range <= 0 {
 		t.Error("no pointing computed")
+	}
+	var slant float64
+	if allocs := testing.AllocsPerRun(100, func() { slant = SlantRange(from, to) }); allocs != 0 {
+		t.Errorf("SlantRange allocates %.0f times per call", allocs)
+	}
+	if slant <= 0 {
+		t.Error("no slant range computed")
 	}
 }
 

@@ -69,8 +69,6 @@ func NewAttenLUT(fGHz, rho0 float64, pol Polarization) *AttenLUT {
 
 // interp linearly interpolates a table indexed by altitude, falling
 // back to the exact evaluator beyond the table.
-//
-//minkowski:hotpath
 func (l *AttenLUT) interp(tab []float64, altM float64, exact func() float64) float64 {
 	if altM <= 0 {
 		return tab[0]
@@ -86,8 +84,6 @@ func (l *AttenLUT) interp(tab []float64, altM float64, exact func() float64) flo
 
 // GaseousAt returns the P.676 gaseous specific attenuation (dB/km) at
 // an altitude on the standard-atmosphere profile.
-//
-//minkowski:hotpath
 func (l *AttenLUT) GaseousAt(altM float64) float64 {
 	return l.interp(l.gaseous, altM, func() float64 {
 		pr, tk, rho := AtmosphereAt(altM, l.Rho0)
@@ -98,8 +94,6 @@ func (l *AttenLUT) GaseousAt(altM float64) float64 {
 // CloudSpecificAt returns the P.840 cloud specific attenuation
 // (dB/km) for liquid water content lwc (g/m³) at an altitude on the
 // standard-atmosphere temperature profile.
-//
-//minkowski:hotpath
 func (l *AttenLUT) CloudSpecificAt(altM, lwc float64) float64 {
 	if lwc <= 0 {
 		return 0
@@ -114,8 +108,6 @@ func (l *AttenLUT) CloudSpecificAt(altM, lwc float64) float64 {
 // RainSpecificAt returns the P.838 rain specific attenuation (dB/km)
 // for the given rain rate, bit-identical to RainSpecific at the LUT's
 // frequency and polarization (only the coefficient walk is memoized).
-//
-//minkowski:hotpath
 func (l *AttenLUT) RainSpecificAt(rainRate float64) float64 {
 	if rainRate <= 0 {
 		return 0

@@ -75,8 +75,6 @@ type graphScratch struct {
 
 // newReport returns the next report slot. It allocates only while the
 // graph is larger than any before it.
-//
-//minkowski:hotpath
 func (s *graphScratch) newReport() *Report {
 	if s.off == slabReports {
 		s.cur, s.off = s.cur+1, 0
@@ -96,15 +94,12 @@ func (s *graphScratch) newReport() *Report {
 // storage the evaluator owns and its next CandidateGraph call
 // overwrites: a graph is valid until the evaluator's next call; keep
 // what you need by value.
-//
-//minkowski:hotpath
 func (e *Evaluator) CandidateGraph(xcvrs []*platform.Transceiver, lead float64) []*Report {
 	scr := &e.scr
 	e.stats.Graphs++
 
 	// --- Group transceivers by platform, predict once per platform.
 	if scr.nodeIdx == nil {
-		//minkowski:hotpath-ok built on the first call only, then cleared and reused
 		scr.nodeIdx = make(map[*platform.Node]int32, 64)
 	}
 	clear(scr.nodeIdx)

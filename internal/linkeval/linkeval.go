@@ -234,8 +234,6 @@ type budgetMemo struct {
 // reproduces the standalone evaluation exactly. A report is written
 // into s's slabs, or freshly allocated when s is nil. The returned
 // detail carries the blocking occlusion label for the pointing stages.
-//
-//minkowski:hotpath
 func (e *Evaluator) evalStaged(xa, xb *platform.Transceiver, lead float64, g *pairGeom, orient int, s *graphScratch) (*Report, Stage, string) {
 	if g.dist > e.cfg.MaxRangeM {
 		return nil, StageRange, ""
@@ -423,8 +421,6 @@ func AppendIDs(dst []radio.LinkID, g []*Report) []radio.LinkID {
 // Diff computes the delta from graph a to graph b by link identity,
 // in one merge over the two ID lists; both must be in the (ID.A, ID.B)
 // order graphs are emitted in.
-//
-//minkowski:hotpath
 func Diff(a, b []radio.LinkID) GraphDelta {
 	var d GraphDelta
 	i, j := 0, 0

@@ -43,7 +43,6 @@ func (fn *FabricNet) Deaf(from, to string) bool {
 	return okf && okt && fn.deafAt(f, t)
 }
 
-//minkowski:hotpath
 func (fn *FabricNet) deafAt(from, to int32) bool {
 	return slices.Contains(fn.deaf, [2]int32{from, to})
 }
@@ -59,8 +58,6 @@ func (fn *FabricNet) Nodes() []string {
 }
 
 // AppendNodes implements Network.
-//
-//minkowski:hotpath
 func (fn *FabricNet) AppendNodes(dst []int32) []int32 {
 	for _, n := range fn.Fleet.Nodes() {
 		if n.Operational() {
@@ -76,8 +73,6 @@ func (fn *FabricNet) IDs() *platform.IDs { return fn.Fleet.IDs }
 // NeighborsAt implements Network from installed links, minus the
 // directions a partial partition has silenced. With none silenced out
 // of i it is the fabric's own slice.
-//
-//minkowski:hotpath
 func (fn *FabricNet) NeighborsAt(i int32) []int32 {
 	nbs := fn.Fabric.NeighborsAt(i)
 	if !slices.ContainsFunc(fn.deaf, func(e [2]int32) bool { return e[0] == i }) {
@@ -98,8 +93,6 @@ func (fn *FabricNet) Neighbors(id string) []string {
 
 // AdjacentAt implements Network: an installed link joins a and b, and
 // the a → b direction is not silenced.
-//
-//minkowski:hotpath
 func (fn *FabricNet) AdjacentAt(a, b int32) bool {
 	return fn.Fabric.AdjacentAt(a, b) && !fn.deafAt(a, b)
 }
@@ -110,8 +103,6 @@ func (fn *FabricNet) Adjacent(a, b string) bool {
 }
 
 // LatencyAt implements Network: propagation plus a processing floor.
-//
-//minkowski:hotpath
 func (fn *FabricNet) LatencyAt(a, b int32) float64 { return hopLatency(fn.Fabric.LinkAt(a, b)) }
 
 // Latency implements Network.

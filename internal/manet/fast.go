@@ -76,8 +76,6 @@ func (f *Fast) maybeRecompute() {
 
 // recompute rebuilds all-pairs next hops by BFS from every node,
 // reallocating only when the ID table has grown since the last time.
-//
-//minkowski:hotpath
 func (f *Fast) recompute() {
 	f.Recomputes++
 	if dim := int32(f.net.IDs().Len()); dim != f.dim {
@@ -97,8 +95,6 @@ func (f *Fast) recompute() {
 // from src. Neighbours come in node-ID order and the frontier is FIFO,
 // which decides among equally short routes. A filled entry doubles as
 // the visited mark.
-//
-//minkowski:hotpath
 func (f *Fast) bfs(src int32) {
 	row := f.next[int(src)*int(f.dim):][:f.dim]
 	row[src] = src // visited; cleared below, a node has no hop to itself
@@ -125,8 +121,6 @@ func (f *Fast) bfs(src int32) {
 // NextHopAt returns the next hop from src toward dst by index. Stale
 // entries whose next hop is no longer adjacent fail (the transient
 // blackhole before convergence).
-//
-//minkowski:hotpath
 func (f *Fast) NextHopAt(src, dst int32) (int32, bool) {
 	f.maybeRecompute()
 	if uint32(src) >= uint32(f.dim) || uint32(dst) >= uint32(f.dim) {
@@ -140,8 +134,6 @@ func (f *Fast) NextHopAt(src, dst int32) (int32, bool) {
 }
 
 // NextHop implements Router: NextHopAt by node ID.
-//
-//minkowski:hotpath
 func (f *Fast) NextHop(src, dst string) (string, bool) {
 	f.maybeRecompute() // due even when the lookups below fail
 	ids := f.net.IDs()
@@ -164,8 +156,6 @@ const maxHops = 64
 // the node path (src first, dst last) to buf if the route completes
 // within maxHops without revisiting a node. On failure the result holds
 // a partial walk: reuse its storage, ignore its contents.
-//
-//minkowski:hotpath
 func (f *Fast) AppendPath(buf []int32, src, dst int32) ([]int32, bool) {
 	start := len(buf)
 	buf = append(buf, src)

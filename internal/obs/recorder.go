@@ -46,7 +46,6 @@ func (r *Recorder) SetReplica(id string) {
 	r.replica = id
 }
 
-//minkowski:hotpath
 func (r *Recorder) push(rec Record) {
 	if r == nil || !r.enabled {
 		return

@@ -118,8 +118,6 @@ func (r *Registry) Histogram(name string, bounds []float64) Histogram {
 type Counter struct{ m *metric }
 
 // Inc adds one.
-//
-//minkowski:hotpath
 func (c Counter) Inc() {
 	if c.m != nil {
 		c.m.count++
@@ -127,8 +125,6 @@ func (c Counter) Inc() {
 }
 
 // Add adds n.
-//
-//minkowski:hotpath
 func (c Counter) Add(n uint64) {
 	if c.m != nil {
 		c.m.count += n
@@ -147,8 +143,6 @@ func (c Counter) Count() uint64 {
 type Gauge struct{ m *metric }
 
 // Set records the latest value.
-//
-//minkowski:hotpath
 func (g Gauge) Set(v float64) {
 	if g.m != nil {
 		g.m.value = v
@@ -169,8 +163,6 @@ type Histogram struct{ m *metric }
 
 // Observe records v into its bucket. The bucket scan is linear over a
 // handful of fixed edges — no allocation, no boxing.
-//
-//minkowski:hotpath
 func (h Histogram) Observe(v float64) {
 	if h.m == nil {
 		return

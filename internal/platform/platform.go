@@ -79,16 +79,12 @@ func (t *IDs) Intern(name string) int32 {
 func (t *IDs) Register(n *Node) { n.Index = t.Intern(n.ID) }
 
 // Lookup returns the index of a name the table has seen.
-//
-//minkowski:hotpath
 func (t *IDs) Lookup(name string) (int32, bool) {
 	i, ok := t.index[name]
 	return i, ok
 }
 
 // Name returns the node name behind an index.
-//
-//minkowski:hotpath
 func (t *IDs) Name(i int32) string { return t.names[i] }
 
 // Len returns how many indices have been assigned; every index is

@@ -82,8 +82,6 @@ func (f *Fabric) rebuildPeers(na *nodeAdj) {
 
 // at returns a node's adjacency by index; the zero value for a node
 // that never had a link.
-//
-//minkowski:hotpath
 func (f *Fabric) at(node int32) nodeAdj {
 	if int(node) < len(f.adj) {
 		return f.adj[node]
@@ -92,8 +90,6 @@ func (f *Fabric) at(node int32) nodeAdj {
 }
 
 // named is at for a node name.
-//
-//minkowski:hotpath
 func (f *Fabric) named(nodeID string) nodeAdj {
 	if i, ok := f.ids.Lookup(nodeID); ok {
 		return f.at(i)
@@ -112,23 +108,15 @@ func (f *Fabric) NodeUp(nodeID string) bool { return len(f.named(nodeID).up) > 0
 // fabric: read it, do not modify it. A later link change replaces it
 // rather than editing it, so a slice already handed out keeps the mesh
 // as it was then.
-//
-//minkowski:hotpath
 func (f *Fabric) NeighborsAt(node int32) []int32 { return f.at(node).peers }
 
 // Neighbors is NeighborsAt by node ID, under the same contract.
-//
-//minkowski:hotpath
 func (f *Fabric) Neighbors(nodeID string) []string { return f.named(nodeID).names }
 
 // AdjacentAt reports whether an installed link joins the two nodes.
-//
-//minkowski:hotpath
 func (f *Fabric) AdjacentAt(a, b int32) bool { return slices.Contains(f.at(a).peers, b) }
 
 // Adjacent is AdjacentAt by node ID.
-//
-//minkowski:hotpath
 func (f *Fabric) Adjacent(nodeA, nodeB string) bool {
 	_, ok := f.LinkBetween(nodeA, nodeB)
 	return ok
@@ -137,8 +125,6 @@ func (f *Fabric) Adjacent(nodeA, nodeB string) bool {
 // LinkAt returns the installed link between two nodes, if any. When
 // several transceiver pairs join the same two nodes, the link with the
 // lowest LinkID wins.
-//
-//minkowski:hotpath
 func (f *Fabric) LinkAt(a, b int32) (*Link, bool) {
 	for _, u := range f.at(a).up {
 		if u.peer == b {
@@ -149,8 +135,6 @@ func (f *Fabric) LinkAt(a, b int32) (*Link, bool) {
 }
 
 // LinkBetween is LinkAt by node ID.
-//
-//minkowski:hotpath
 func (f *Fabric) LinkBetween(nodeA, nodeB string) (*Link, bool) {
 	a, oka := f.ids.Lookup(nodeA)
 	b, okb := f.ids.Lookup(nodeB)

@@ -139,8 +139,6 @@ type edgeCost struct{ c1, bitrate, pen float64 }
 // retries every nil request. Semantics — including the order
 // equal-cost ties resolve in — match SolveReference exactly; see the
 // package comment in this file.
-//
-//minkowski:hotpath
 func (c *ctx) shortestPath(ri int32, rows [][]adjEnt) {
 	ws := &c.sp
 	rq := &c.reqs[ri]

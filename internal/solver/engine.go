@@ -326,8 +326,6 @@ func (c *ctx) touch(e *edge) {
 // finds one whenever any earlier edge dominates. An edge that leaves
 // the scan marks its rows dirty; one that re-enters it is listed in
 // shown.
-//
-//minkowski:hotpath
 func (c *ctx) regroup(g int32) {
 	es := c.grpEdges[c.grpOff[g]:c.grpOff[g+1]]
 	eqClass := c.cfg.SlowBitratePenalty < 0
@@ -362,8 +360,6 @@ func (c *ctx) regroup(g int32) {
 // scan walks past without a comparison, a push or a pop (unusable), or
 // one whose comparison can never push (dominated), so the searches that
 // follow do exactly what they would have done over the full row.
-//
-//minkowski:hotpath
 func (c *ctx) compact() {
 	for _, g := range c.grpMarked {
 		c.grpMark[g] = false

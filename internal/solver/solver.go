@@ -254,8 +254,6 @@ func (s *Solver) Stats() Stats { return s.c.sp.stats }
 func New(cfg Config) *Solver { return &Solver{cfg: cfg} }
 
 // Solve runs one cycle.
-//
-//minkowski:hotpath
 func (s *Solver) Solve(in Input) *Plan { return s.run(&in) }
 
 // Warm is the empty remnant of the deleted warm-start state.

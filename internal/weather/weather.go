@@ -297,8 +297,6 @@ const pathSamples = 16
 // only a sample below ceilingM — one that can hold moisture — is moist
 // and carries latitude and longitude too, so a chord that stays in the
 // stratosphere is integrated without any trigonometry.
-//
-//minkowski:hotpath
 func integratePath(a, b geo.LLA, ceilingM float64, specific func(p geo.LLA, moist bool) float64) float64 {
 	seg := geo.NewSegment(a, b)
 	stepKm := seg.Length() / pathSamples / 1000
