@@ -121,20 +121,35 @@ func (v Vec3) bowring() (sinLat, cosLat, alt float64) {
 	return sinLat, cosLat, alt
 }
 
+// Geodetic is an ECEF point half-way through its inversion to
+// geodetic coordinates: the altitude is known, and LLA finishes with
+// the two arctangents. A path sample reads Alt and pays for LLA only
+// when it needs latitude and longitude too, from the same inversion.
+type Geodetic struct {
+	Alt            float64
+	sinLat, cosLat float64
+	x, y           float64
+}
+
+// Geodetic inverts the ECEF point as far as its altitude.
+func (v Vec3) Geodetic() Geodetic {
+	sinLat, cosLat, alt := v.bowring()
+	return Geodetic{Alt: alt, sinLat: sinLat, cosLat: cosLat, x: v.X, y: v.Y}
+}
+
+// LLA completes the inversion. Its altitude is g.Alt, bit for bit.
+func (g Geodetic) LLA() LLA {
+	return LLA{Lat: math.Atan2(g.sinLat, g.cosLat), Lon: math.Atan2(g.y, g.x), Alt: g.Alt}
+}
+
 // Altitude returns the height of an ECEF point above the WGS84
 // ellipsoid without any trigonometry: all a path sample above the
 // weather needs.
-func (v Vec3) Altitude() float64 {
-	_, _, alt := v.bowring()
-	return alt
-}
+func (v Vec3) Altitude() float64 { return v.Geodetic().Alt }
 
 // ToLLA converts an ECEF vector back to geodetic coordinates. Its
 // altitude is Altitude's, bit for bit.
-func (v Vec3) ToLLA() LLA {
-	sinLat, cosLat, alt := v.bowring()
-	return LLA{Lat: math.Atan2(sinLat, cosLat), Lon: math.Atan2(v.Y, v.X), Alt: alt}
-}
+func (v Vec3) ToLLA() LLA { return v.Geodetic().LLA() }
 
 // SlantRange returns the straight-line (line-of-sight) distance in
 // meters between two geodetic positions.
@@ -151,6 +166,21 @@ func GreatCircle(a, b LLA) float64 {
 	s := math.Sin(dLat/2)*math.Sin(dLat/2) +
 		math.Cos(a.Lat)*math.Cos(b.Lat)*math.Sin(dLon/2)*math.Sin(dLon/2)
 	return 2 * EarthMeanRadius * math.Asin(math.Min(1, math.Sqrt(s)))
+}
+
+// latitudeBoundMargin is the relative slack LatitudeBeyond leaves
+// between its bound and the radius: far above the few ulps by which
+// GreatCircle's rounded haversine can fall short of the latitude arc,
+// far below any radius a caller would notice.
+const latitudeBoundMargin = 1e-9
+
+// LatitudeBeyond reports whether the latitude difference alone proves
+// GreatCircle(a, b) > dist: on the sphere the haversine distance is at
+// least |Δlat|·EarthMeanRadius. It is a reject-only test that costs no
+// trigonometry. False proves nothing; the caller then runs the exact
+// GreatCircle test.
+func LatitudeBeyond(a, b LLA, dist float64) bool {
+	return math.Abs(b.Lat-a.Lat)*EarthMeanRadius > dist*(1+latitudeBoundMargin)
 }
 
 // InitialBearing returns the initial great-circle bearing from a to b
@@ -244,7 +274,14 @@ func (pt Pointing) String() string {
 // position `from` at position `to`, in from's local ENU frame.
 func PointingTo(from, to LLA) Pointing {
 	f := NewENU(from)
-	l := f.To(to.ToECEF())
+	return PointingFrom(&f, to.ToECEF())
+}
+
+// PointingFrom is PointingTo from the origin of a built ENU frame to
+// an ECEF point: a platform's frame is built once and aims at every
+// partner.
+func PointingFrom(f *ENU, to Vec3) Pointing {
+	l := f.To(to)
 	r := l.Norm()
 	az := math.Atan2(l.X, l.Y) // atan2(east, north): clockwise from north
 	if az < 0 {
@@ -272,8 +309,11 @@ func LineOfSight(a, b LLA, clearance float64) bool {
 // segments whose closest approach to the Earth's center lies outside
 // the segment, the lower endpoint altitude is returned.
 func GrazingAltitude(a, b LLA) float64 {
-	pa := a.ToECEF()
-	pb := b.ToECEF()
+	return GrazingAltitudeECEF(a.ToECEF(), b.ToECEF())
+}
+
+// GrazingAltitudeECEF is GrazingAltitude between two ECEF points.
+func GrazingAltitudeECEF(pa, pb Vec3) float64 {
 	d := pb.Sub(pa)
 	dd := d.Dot(d)
 	if dd == 0 {
@@ -298,10 +338,10 @@ type Segment struct {
 }
 
 // NewSegment returns the chord from a to b.
-func NewSegment(a, b LLA) Segment {
-	pa := a.ToECEF()
-	return Segment{from: pa, dir: b.ToECEF().Sub(pa)}
-}
+func NewSegment(a, b LLA) Segment { return Chord(a.ToECEF(), b.ToECEF()) }
+
+// Chord returns the chord between two ECEF points.
+func Chord(a, b Vec3) Segment { return Segment{from: a, dir: b.Sub(a)} }
 
 // Length returns the chord length in meters: SlantRange(a, b), bit for
 // bit.

@@ -5,17 +5,52 @@ package linkeval
 import (
 	"math/rand"
 	"testing"
+
+	"minkowski/internal/itu"
+	"minkowski/internal/platform"
+	"minkowski/internal/weather"
 )
 
 // TestCandidateGraphSteadyStateAllocs: once one graph has sized the
-// evaluator's storage, a graph allocates nothing.
+// evaluator's storage, a graph allocates nothing. The fleet has ground
+// stations, so the pointing memo sees blocked mounts, and the weather
+// is the controller's fusion of gauges, forecast and climatology over
+// drizzle at the stations, stepped before every graph, so the
+// forecast's advection memo is recomputed on each one.
 func TestCandidateGraphSteadyStateAllocs(t *testing.T) {
 	_, xs := randomFleet(rand.New(rand.NewSource(9)), 24)
-	e := New(DefaultConfig(), &gradientRain{}, nil)
-	if len(e.CandidateGraph(xs, 0)) == 0 {
-		t.Fatal("no candidates")
+	wcfg := weather.DefaultConfig()
+	wcfg.CellSpawnPerHour = 0
+	wx := weather.NewField(wcfg)
+	fused := &weather.Fused{MaxAge: 1800}
+	for i, x := range xs {
+		if x.Node.Kind == platform.KindGround && x == x.Node.Xcvrs[0] {
+			wx.InjectCell(x.Node.FixedPos, 8e3, 0.3, 8000, 1e6)
+			g := weather.NewGauge(x.Node.FixedPos, wx, int64(i))
+			g.Sample()
+			fused.Sources = append(fused.Sources, g)
+		}
 	}
-	if allocs := testing.AllocsPerRun(10, func() { e.CandidateGraph(xs, 0) }); allocs != 0 {
+	fused.Sources = append(fused.Sources,
+		weather.Issue(wx, weather.DefaultForecastConfig(), 9),
+		&weather.Climatology{Model: itu.DefaultRegionalModel(), Season: wcfg.Season})
+	if len(fused.Sources) != 5 {
+		t.Fatalf("precondition: 3 gauges, a forecast and climatology, have %d sources", len(fused.Sources))
+	}
+	e := New(DefaultConfig(), fused, nil)
+	b2g := 0
+	for _, r := range e.CandidateGraph(xs, 0) {
+		if r.B2G {
+			b2g++
+		}
+	}
+	if b2g == 0 {
+		t.Fatal("no ground candidates")
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		wx.Step(60)
+		e.CandidateGraph(xs, 0)
+	}); allocs != 0 {
 		t.Errorf("a steady-state graph allocates %.0f times, want 0", allocs)
 	}
 }

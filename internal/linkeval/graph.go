@@ -4,22 +4,26 @@ import (
 	"slices"
 	"strings"
 
-	"minkowski/internal/geo"
 	"minkowski/internal/platform"
 )
 
 // This file is the candidate-graph pipeline (DESIGN.md §7): every
 // cross-platform pair enumerated directly — the fleets this controller
 // runs fit inside one MaxRangeM neighbourhood, so there is nothing for
-// a spatial index to prune — with two layers of work-sharing on top of
-// the same staged pipeline EvaluatePair runs:
+// a spatial index to prune — with three layers of work-sharing on top
+// of the same staged pipeline EvaluatePair runs:
 //
-//  1. Platforms are predicted once per graph; the exact slant-range
-//     gate runs once per platform pair, before any transceiver pair is
-//     touched.
-//  2. Per platform pair, geometry (range, both pointing solutions,
-//     line of sight, path attenuation, budgets per gain pair) is
-//     memoized in a pairGeom shared by its transceiver pairs.
+//  1. Per platform: each is predicted once per graph, and its ECEF
+//     point and local ENU frame (a site) are built once, so the
+//     trigonometry of a position is paid once per platform, not once
+//     per pair it takes part in.
+//  2. Per platform pair: the exact slant-range gate runs once, before
+//     any transceiver pair is touched, and both pointings are aimed
+//     from the sites' frames.
+//  3. Per platform pair, the rest of the geometry (the model's pointing
+//     verdict per mount, line of sight, path attenuation along the
+//     chord between the sites, budgets per gain pair) is memoized in a
+//     pairGeom shared by its transceiver pairs.
 //
 // No result is carried from one graph to the next: every call evaluates
 // every in-range pair, on the calling goroutine. Only the storage is
@@ -48,8 +52,7 @@ import (
 // nodeEnt is one platform in the graph being built.
 type nodeEnt struct {
 	node *platform.Node
-	pos  geo.LLA
-	ecef geo.Vec3
+	site site
 	xc   []int32 // indices into the xcvrs slice, sorted by transceiver ID
 }
 
@@ -123,8 +126,7 @@ func (e *Evaluator) CandidateGraph(xcvrs []*platform.Transceiver, lead float64) 
 	for i := range nodes {
 		n := &nodes[i]
 		slices.SortFunc(n.xc, func(a, b int32) int { return strings.Compare(xcvrs[a].ID, xcvrs[b].ID) })
-		n.pos = e.Predict(n.node, lead)
-		n.ecef = n.pos.ToECEF()
+		n.site = siteAt(e.Predict(n.node, lead))
 	}
 
 	// Anchor platforms in node-ID order.
@@ -149,14 +151,11 @@ func (e *Evaluator) CandidateGraph(xcvrs []*platform.Transceiver, lead float64) 
 		geoms := scr.geoms[:len(partners)]
 		for k, v := range partners {
 			ve := &nodes[v]
-			// Exact range gate; bitwise equal to geo.SlantRange on the
-			// same predicted positions (negating a difference vector does
-			// not change its norm).
-			dist := ve.ecef.Sub(ue.ecef).Norm()
-			geoms[k] = pairGeom{posA: ue.pos, posB: ve.pos, dist: dist, budgets: geoms[k].budgets[:0]}
+			// Exact range gate, on geo.SlantRange's bits.
+			geoms[k] = e.newPairGeom(&ue.site, &ve.site, geoms[k].points[:0], geoms[k].budgets[:0])
 			pairs := uint64(len(ue.xc) * len(ve.xc))
 			e.stats.PairsEnumerated += pairs
-			if dist > e.cfg.MaxRangeM {
+			if geoms[k].dist > e.cfg.MaxRangeM {
 				e.stats.RangePruned += pairs
 			} else {
 				e.stats.ReEvals += pairs

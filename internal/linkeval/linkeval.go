@@ -23,6 +23,7 @@
 package linkeval
 
 import (
+	"minkowski/internal/antenna"
 	"minkowski/internal/geo"
 	"minkowski/internal/platform"
 	"minkowski/internal/radio"
@@ -199,20 +200,72 @@ const (
 
 // pairGeom memoizes the platform-pair-level geometry shared by every
 // transceiver pair between two nodes: slant range, both pointing
-// solutions, line-of-sight, path attenuation, and link budgets per
-// distinct gain pair. Orientation slot 0 evaluates A→B argument
-// order, slot 1 B→A, so memoized values are bit-identical to the
-// standalone per-pair computation regardless of which transceiver
-// leads.
+// solutions, the pointing verdicts per mount, line-of-sight, path
+// attenuation, and link budgets per distinct gain pair. Orientation
+// slot 0 evaluates A→B argument order, slot 1 B→A, so memoized values
+// are bit-identical to the standalone per-pair computation regardless
+// of which transceiver leads.
 type pairGeom struct {
-	posA, posB geo.LLA
-	dist       float64
-	ptDone     bool
-	ptAB, ptBA geo.Pointing // pointing from A at B, and from B at A
-	los        [2]int8      // 0 unknown, +1 clear, −1 blocked
-	atmosOK    [2]bool
-	atmos      [2]float64
-	budgets    []budgetMemo
+	ecefA, ecefB geo.Vec3
+	dist         float64
+	ptAB, ptBA   geo.Pointing // pointing from A at B, and from B at A
+	points       []pointMemo
+	los          [2]int8 // 0 unknown, +1 clear, −1 blocked
+	atmosOK      [2]bool
+	atmos        [2]float64
+	budgets      []budgetMemo
+}
+
+// site is one platform's predicted position in the two forms the pair
+// geometry works in: its ECEF point, and the local ENU frame its
+// antennas aim from.
+type site struct {
+	ecef  geo.Vec3
+	frame geo.ENU
+}
+
+func siteAt(p geo.LLA) site { return site{ecef: p.ToECEF(), frame: geo.NewENU(p)} }
+
+// newPairGeom sets up the geometry between two sites, reusing the
+// memos' backing arrays. Every pair inside the range gate needs both
+// pointings, so they are solved here, and only for such a pair.
+func (e *Evaluator) newPairGeom(a, b *site, points []pointMemo, budgets []budgetMemo) pairGeom {
+	// Bitwise equal to geo.SlantRange on the same positions (negating
+	// a difference vector does not change its norm).
+	g := pairGeom{ecefA: a.ecef, ecefB: b.ecef, dist: b.ecef.Sub(a.ecef).Norm(), points: points, budgets: budgets}
+	if g.dist > e.cfg.MaxRangeM {
+		return g
+	}
+	g.ptAB = geo.PointingFrom(&a.frame, b.ecef)
+	g.ptBA = geo.PointingFrom(&b.frame, a.ecef)
+	return g
+}
+
+// pointMemo caches one CanPointModel verdict per (mount, side): a
+// mount on A aims along ptAB, one on B along ptBA, and the verdict
+// depends on nothing else, so each mount is judged once per platform
+// pair instead of once per partner transceiver.
+type pointMemo struct {
+	mount *antenna.Mount
+	side  int // 0: the mount is on A; 1: on B
+	ok    bool
+	why   string
+}
+
+// canPoint returns the model's verdict for a mount on the given side.
+func (g *pairGeom) canPoint(m *antenna.Mount, side int) (bool, string) {
+	for i := range g.points {
+		if p := &g.points[i]; p.mount == m && p.side == side {
+			return p.ok, p.why
+		}
+	}
+	pt := g.ptAB
+	if side == 1 {
+		pt = g.ptBA
+	}
+	ok, why := m.CanPointModel(pt)
+	g.points = append(g.points, pointMemo{mount: m, side: side, ok: ok, why: why})
+	return ok, why
 }
 
 // budgetMemo caches one BestBudget result per (orientation, gain
@@ -238,29 +291,21 @@ func (e *Evaluator) evalStaged(xa, xb *platform.Transceiver, lead float64, g *pa
 	if g.dist > e.cfg.MaxRangeM {
 		return nil, StageRange, ""
 	}
-	if !g.ptDone {
-		g.ptAB = geo.PointingTo(g.posA, g.posB)
-		g.ptBA = geo.PointingTo(g.posB, g.posA)
-		g.ptDone = true
-	}
-	pa, pb := g.ptAB, g.ptBA
-	if orient == 1 {
-		pa, pb = g.ptBA, g.ptAB
-	}
 	// The evaluator plans with the TS-SDN's obstruction *model*, not
-	// the physical truth — stale masks produce surprise failures.
-	if ok, why := xa.Mount.CanPointModel(pa); !ok {
+	// the physical truth — stale masks produce surprise failures. xa
+	// sits on side orient, xb on the other.
+	if ok, why := g.canPoint(xa.Mount, orient); !ok {
 		return nil, StagePointA, why
 	}
-	if ok, why := xb.Mount.CanPointModel(pb); !ok {
+	if ok, why := g.canPoint(xb.Mount, 1-orient); !ok {
 		return nil, StagePointB, why
 	}
+	from, to := g.ecefA, g.ecefB
+	if orient == 1 {
+		from, to = to, from
+	}
 	if g.los[orient] == 0 {
-		losA, losB := g.posA, g.posB
-		if orient == 1 {
-			losA, losB = g.posB, g.posA
-		}
-		if geo.LineOfSight(losA, losB, 0) {
+		if geo.GrazingAltitudeECEF(from, to) >= 0 {
 			g.los[orient] = 1
 		} else {
 			g.los[orient] = -1
@@ -270,11 +315,7 @@ func (e *Evaluator) evalStaged(xa, xb *platform.Transceiver, lead float64, g *pa
 		return nil, StageLOS, ""
 	}
 	if !g.atmosOK[orient] {
-		atA, atB := g.posA, g.posB
-		if orient == 1 {
-			atA, atB = g.posB, g.posA
-		}
-		g.atmos[orient] = weather.EstimatePathAttenuation(e.Weather, e.cfg.Channel.CenterGHz, atA, atB)
+		g.atmos[orient] = weather.EstimateChordAttenuation(e.Weather, e.cfg.Channel.CenterGHz, geo.Chord(from, to))
 		g.atmosOK[orient] = true
 	}
 	atmos := g.atmos[orient] + e.cfg.PessimismDB
@@ -338,9 +379,9 @@ func floatsEqual(a, b []float64) bool {
 // freshGeom builds a single-pair geometry for a standalone staged
 // evaluation.
 func (e *Evaluator) freshGeom(xa, xb *platform.Transceiver, lead float64) pairGeom {
-	posA := e.Predict(xa.Node, lead)
-	posB := e.Predict(xb.Node, lead)
-	return pairGeom{posA: posA, posB: posB, dist: geo.SlantRange(posA, posB)}
+	a := siteAt(e.Predict(xa.Node, lead))
+	b := siteAt(e.Predict(xb.Node, lead))
+	return e.newPairGeom(&a, &b, nil, nil)
 }
 
 // EvaluatePair produces a report for one transceiver pair at a lead,

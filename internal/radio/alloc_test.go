@@ -33,3 +33,41 @@ func TestIndexedReadsDoNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckAcrossWorldStepDoesNotAllocatePerLink: a world step moves
+// every balloon and the weather, and the next check solves each link's
+// geometry and attenuation again into the memo the link already holds.
+// The one allocation a check makes is its snapshot of the link list.
+func TestCheckAcrossWorldStepDoesNotAllocatePerLink(t *testing.T) {
+	eng, fab, nodes := meshWorld(3, reliable())
+	for i, a := range nodes {
+		for _, b := range nodes[i+1:] {
+			for _, xa := range a.Xcvrs {
+				for _, xb := range b.Xcvrs {
+					fab.Establish(xa, xb, rf.EBandChannels()[0], 1)
+				}
+			}
+		}
+	}
+	eng.Run(300)
+	up := fab.UpCount()
+	if up < 4 {
+		t.Fatalf("precondition: at least 4 links up, have %d", up)
+	}
+	wx := fabWx(fab)
+	integrations := fab.PathIntegrations
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, n := range nodes[:6] {
+			n.Balloon.Pos.Alt += 1
+		}
+		wx.Step(60)
+		fab.checkAll()
+	})
+	if allocs > 1 {
+		t.Errorf("a check after a world step allocates %.0f times over %d links, want 1 (the snapshot)", allocs, up)
+	}
+	if fab.UpCount() != up || fab.PathIntegrations != integrations+11*up {
+		t.Errorf("%d links up of %d, %d integrations: every link must stay up and integrate once per step",
+			fab.UpCount(), up, fab.PathIntegrations-integrations)
+	}
+}

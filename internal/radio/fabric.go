@@ -233,7 +233,12 @@ func (f *Fabric) finishAcquire(l *Link) {
 		if gnd.Node.Kind != platform.KindGround {
 			gnd, bln = bln, gnd
 		}
-		elDeg := geo.ToDeg(geo.PointingTo(gnd.Node.Position(), bln.Node.Position()).Elevation)
+		m := f.geometry(l)
+		pt := m.ptA
+		if gnd != l.XA {
+			pt = m.ptB
+		}
+		elDeg := geo.ToDeg(pt.Elevation)
 		if elDeg < 1 {
 			elDeg = 1
 		}
@@ -262,39 +267,56 @@ func (f *Fabric) feasible(l *Link) (Reason, bool) {
 	if !l.XA.Node.Operational() || !l.XB.Node.Operational() {
 		return ReasonPowerLoss, false
 	}
-	posA, posB := l.XA.Node.Position(), l.XB.Node.Position()
-	pa := geo.PointingTo(posA, posB)
-	pb := geo.PointingTo(posB, posA)
-	if ok, _ := l.XA.Mount.CanPoint(pa); !ok {
+	m := f.geometry(l)
+	if ok, _ := l.XA.Mount.CanPoint(m.ptA); !ok {
 		return ReasonGeometry, false
 	}
-	if ok, _ := l.XB.Mount.CanPoint(pb); !ok {
+	if ok, _ := l.XB.Mount.CanPoint(m.ptB); !ok {
 		return ReasonGeometry, false
 	}
-	if !geo.LineOfSight(posA, posB, 0) {
+	if !m.los {
 		return ReasonGeometry, false
 	}
 	return ReasonNone, true
 }
 
-// measure computes the true link budget as the radios would measure
-// it right now: true weather, boresight gains (or a side-lobe on one
-// end), plus tracking noise. The world moves less often than links are
-// checked, so range and attenuation are integrated once per distinct
-// (positions, weather) and every check in between reuses the bits.
-func (f *Fabric) measure(l *Link) rf.Budget {
-	f.LinkChecks++
+// geometry returns the link's memo with its geometry brought up to the
+// endpoints' current positions. The world moves less often than links
+// are checked, so it is solved once per distinct pair of positions,
+// into the link's one memo.
+func (f *Fabric) geometry(l *Link) *pathMemo {
 	posA, posB := l.XA.Node.Position(), l.XB.Node.Position()
 	m := l.path
 	//minkowski:floateq-ok memo key: the memo serves only bit-identical endpoint positions
-	if m == nil || m.posA != posA || m.posB != posB || m.wxVersion != f.wx.Version() {
-		f.PathIntegrations++
-		m = &pathMemo{
-			posA: posA, posB: posB, wxVersion: f.wx.Version(),
-			dist:  geo.SlantRange(posA, posB),
-			atmos: f.wx.PathAttenuation(l.Channel.CenterGHz, posA, posB),
-		}
+	if m != nil && m.posA == posA && m.posB == posB {
+		return m
+	}
+	if m == nil {
+		m = &pathMemo{}
 		l.path = m
+	}
+	m.posA, m.posB = posA, posB
+	m.dist = geo.SlantRange(posA, posB)
+	m.ptA = geo.PointingTo(posA, posB)
+	m.ptB = geo.PointingTo(posB, posA)
+	m.los = geo.LineOfSight(posA, posB, 0)
+	m.atmosOK = false
+	return m
+}
+
+// measure computes the true link budget as the radios would measure
+// it right now: true weather, boresight gains (or a side-lobe on one
+// end), plus tracking noise. Attenuation is integrated once per
+// distinct (positions, weather) and every check in between reuses the
+// bits.
+func (f *Fabric) measure(l *Link) rf.Budget {
+	f.LinkChecks++
+	m := f.geometry(l)
+	if !m.atmosOK || m.wxVersion != f.wx.Version() {
+		f.PathIntegrations++
+		m.wxVersion = f.wx.Version()
+		m.atmos = f.wx.PathAttenuation(l.Channel.CenterGHz, m.posA, m.posB)
+		m.atmosOK = true
 	}
 	gainA := l.XA.Mount.Pattern.PeakDBi
 	gainB := l.XB.Mount.Pattern.PeakDBi
@@ -427,10 +449,16 @@ func (f *Fabric) UpLinks() []*Link {
 func (f *Fabric) History() []*Link { return f.history }
 
 // PropagationDelay returns the one-way propagation delay over a link
-// in seconds (speed of light over the slant range).
+// in seconds (speed of light over the slant range). A live link's memo
+// already holds the range for unmoved endpoints.
 func PropagationDelay(l *Link) float64 {
 	const c = 299792458.0
-	return geo.SlantRange(l.XA.Node.Position(), l.XB.Node.Position()) / c
+	posA, posB := l.XA.Node.Position(), l.XB.Node.Position()
+	//minkowski:floateq-ok memo key: the memo serves only bit-identical endpoint positions
+	if m := l.path; m != nil && m.posA == posA && m.posB == posB {
+		return m.dist / c
+	}
+	return geo.SlantRange(posA, posB) / c
 }
 
 // Transmit models sending size bytes over an installed link, invoking

@@ -152,21 +152,27 @@ type Link struct {
 
 	// belowMarginChecks counts consecutive fade checks for hysteresis.
 	belowMarginChecks int
-	// path memoises the slow half of the last measurement while the
-	// link is live; nil before the first one and again once it ends.
+	// path memoises the slow half of the last check while the link is
+	// live; nil before the first one and again once it ends. It is
+	// updated in place as the world moves.
 	path *pathMemo
 }
 
-// pathMemo is the part of a link measurement that only moves when the
-// world does — slant range and true path attenuation — keyed on the
-// complete identity of its inputs: both endpoint positions, bit for
-// bit, and the weather field's version. (The channel, the only other
-// input, is fixed for the life of a Link.)
+// pathMemo is the part of a link check that only moves when the world
+// does, keyed on the complete identity of its inputs. The geometry —
+// slant range, both pointings, line of sight — is keyed on both
+// endpoint positions, bit for bit; the true path attenuation on the
+// same positions and the weather field's version. (The channel, the
+// only other input, is fixed for the life of a Link.)
 type pathMemo struct {
 	posA, posB geo.LLA
-	wxVersion  uint64
-	dist       float64 // meters
-	atmos      float64 // dB
+	dist       float64      // meters
+	ptA, ptB   geo.Pointing // from A at B, and from B at A
+	los        bool
+	// atmos is valid while atmosOK, for posA/posB at wxVersion.
+	atmosOK   bool
+	wxVersion uint64
+	atmos     float64 // dB
 }
 
 // IsB2G reports whether the link has a ground endpoint.

@@ -1,6 +1,8 @@
 package radio
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -123,5 +125,64 @@ func TestMidTickStormFadesWithinHysteresis(t *testing.T) {
 	if l.Up() || l.EndReason != ReasonRFFade {
 		t.Fatalf("link state %v (reason %v) %d checks after a 120 mm/h storm; want down by rf-fade",
 			l.State, l.EndReason, cfg.FadeHysteresis)
+	}
+}
+
+// TestGeometryMemoFollowsMovedNode moves a balloon between checks:
+// each link's memoised range, pointings and line of sight must then be
+// fresh SlantRange / PointingTo / LineOfSight on the new positions, bit
+// for bit, its verdict the one the fresh geometry gives, and
+// PropagationDelay SlantRange/c whether or not the memo has caught up.
+// The last move puts the ground station behind the balloon's bus.
+func TestGeometryMemoFollowsMovedNode(t *testing.T) {
+	eng, fab, nodes := testWorld(t, reliable())
+	bal, gs := nodes[0], nodes[2]
+	fab.Establish(bal.Xcvrs[0], gs.Xcvrs[0], rf.EBandChannels()[0], 1)
+	fab.Establish(bal.Xcvrs[1], nodes[1].Xcvrs[0], rf.EBandChannels()[1], 1)
+	eng.Run(300)
+	if fab.UpCount() != 2 {
+		t.Fatalf("precondition: 2 links up, have %d", fab.UpCount())
+	}
+	const c = 299792458.0
+	checkDelay := func(when string, l *Link) {
+		posA, posB := l.XA.Node.Position(), l.XB.Node.Position()
+		if got, want := PropagationDelay(l), geo.SlantRange(posA, posB)/c; got != want {
+			t.Fatalf("%s, %s: PropagationDelay %v, SlantRange/c %v", when, l.ID, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	moves := []geo.LLA{}
+	for i := 0; i < 8; i++ {
+		p := geo.Offset(bal.Balloon.Pos, 2*math.Pi*rng.Float64(), 5e3*rng.Float64())
+		p.Alt += 200 * (rng.Float64() - 0.5)
+		moves = append(moves, p)
+	}
+	moves = append(moves, geo.LLADeg(-0.8, 36.3, 18000)) // due north of the station
+	for i, p := range moves {
+		when := fmt.Sprintf("move %d", i)
+		links := fab.Links()
+		bal.Balloon.Pos = p
+		for _, l := range links {
+			checkDelay(when+", memo behind", l)
+		}
+		for _, l := range links {
+			posA, posB := l.XA.Node.Position(), l.XB.Node.Position()
+			pa, pb := geo.PointingTo(posA, posB), geo.PointingTo(posB, posA)
+			okA, _ := l.XA.Mount.CanPoint(pa)
+			okB, _ := l.XB.Mount.CanPoint(pb)
+			wantOK := okA && okB && geo.LineOfSight(posA, posB, 0)
+			if _, ok := fab.feasible(l); ok != wantOK {
+				t.Fatalf("%s, %s: feasible %v, fresh geometry says %v", when, l.ID, ok, wantOK)
+			}
+			m := l.path
+			if m.dist != geo.SlantRange(posA, posB) || m.ptA != pa || m.ptB != pb || m.los != geo.LineOfSight(posA, posB, 0) {
+				t.Fatalf("%s, %s: memo %+v is not the fresh geometry (%v, %v)", when, l.ID, *m, pa, pb)
+			}
+			checkDelay(when+", memo current", l)
+		}
+		eng.Run(eng.Now() + 10)
+	}
+	if _, up := fab.LinkBetween("gs-0", "hbal-001"); up {
+		t.Fatal("the station behind the bus still has its link")
 	}
 }

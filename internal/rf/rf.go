@@ -165,9 +165,14 @@ type Params struct {
 
 // Compute evaluates the full budget chain.
 func Compute(p Params) Budget {
-	fspl := FreeSpaceLossDB(p.Channel.CenterGHz, p.DistM)
+	return compute(p, FreeSpaceLossDB(p.Channel.CenterGHz, p.DistM), NoiseFloorDBm(p.Channel.WidthMHz, p.NoiseFigureDB))
+}
+
+// compute is Compute given the two logarithmic terms, which depend on
+// neither transmit power nor gains: BestBudget takes them once per
+// link, not once per power.
+func compute(p Params, fspl, noise float64) Budget {
 	rx := p.TxPowerDBm + p.TxGainDBi + p.RxGainDBi - fspl - p.AtmosLossDB - p.PointingLossDB
-	noise := NoiseFloorDBm(p.Channel.WidthMHz, p.NoiseFigureDB)
 	snr := rx - noise
 	b := Budget{RxPowerDBm: rx, SNRdB: snr}
 	mcs, ok := BestMCS(snr)
@@ -189,14 +194,16 @@ func Compute(p Params) Budget {
 func BestBudget(radio Radio, ch Channel, txGainDBi, rxGainDBi, distM, atmosLossDB, pointingLossDB float64) Budget {
 	var best Budget
 	first := true
+	fspl := FreeSpaceLossDB(ch.CenterGHz, distM)
+	noise := NoiseFloorDBm(ch.WidthMHz, radio.NoiseFigureDB)
 	for _, pw := range radio.TxPowersDBm {
-		b := Compute(Params{
+		b := compute(Params{
 			Channel: ch, TxPowerDBm: pw,
 			TxGainDBi: txGainDBi, RxGainDBi: rxGainDBi,
 			DistM: distM, AtmosLossDB: atmosLossDB,
 			PointingLossDB: pointingLossDB,
 			NoiseFigureDB:  radio.NoiseFigureDB,
-		})
+		}, fspl, noise)
 		// b.BitrateBps >= best.BitrateBps here means equality (the >
 		// case already accepted), phrased with ordered comparisons so
 		// the tie-break involves no float equality.

@@ -60,7 +60,7 @@ func (g *Gauge) Sample() {
 // EstimateRain implements Source. Within the gauge radius the reading
 // applies directly; beyond it the gauge has nothing to say.
 func (g *Gauge) EstimateRain(p geo.LLA) (float64, bool) {
-	if geo.GreatCircle(g.Site, p) > g.RadiusM {
+	if geo.LatitudeBeyond(g.Site, p, g.RadiusM) || geo.GreatCircle(g.Site, p) > g.RadiusM {
 		return 0, false
 	}
 	return g.lastRate, true
@@ -81,8 +81,14 @@ func (g *Gauge) Name() string { return "gauge" }
 // sufficient accuracy and fidelity to be relied upon".
 type Forecast struct {
 	issuedAt float64
-	field    *Field // for Now() only
+	field    *Field // for Now() and Version() only
 	cells    []*RainCell
+	// adv holds cells advected to the field's time at version advAt,
+	// valid once advOK: the advection depends on nothing else, so one
+	// per field version serves every sample.
+	adv   []RainCell
+	advAt uint64
+	advOK bool
 }
 
 // ForecastConfig tunes forecast skill.
@@ -137,16 +143,32 @@ func Issue(field *Field, cfg ForecastConfig, seed int64) *Forecast {
 func (f *Forecast) EstimateRain(p geo.LLA) (float64, bool) {
 	now := f.field.Now()
 	total := 0.0
-	for _, c := range f.cells {
+	adv := f.advected()
+	for i := range adv {
+		c := &adv[i]
 		if p.Alt > c.TopAltM {
 			continue
 		}
-		// Advect the forecast cell from issue time to now.
-		adv := *c
-		adv.Center = geo.Offset(c.Center, c.HeadRad, c.SpeedMS*(now-f.issuedAt))
-		total += adv.RateAt(p, now)
+		total += c.RateAt(p, now)
 	}
 	return total, true // a forecast covers the whole region
+}
+
+// advected returns the forecast cells advected from issue time to the
+// field's current time, recomputed in place when the field's version
+// has moved (the time only moves with it).
+func (f *Forecast) advected() []RainCell {
+	if v := f.field.Version(); !f.advOK || f.advAt != v {
+		now := f.field.Now()
+		f.adv = f.adv[:0]
+		for _, c := range f.cells {
+			adv := *c
+			adv.Center = geo.Offset(c.Center, c.HeadRad, c.SpeedMS*(now-f.issuedAt))
+			f.adv = append(f.adv, adv)
+		}
+		f.advAt, f.advOK = v, true
+	}
+	return f.adv
 }
 
 // AgeSeconds implements Source.
@@ -268,8 +290,14 @@ func (fu *Fused) Name() string { return "fused" }
 // (exact rain; gaseous/cloud interpolated on 50 m altitude knots with
 // relative error < 10⁻⁴ — see DESIGN.md §7 for the bound).
 func EstimatePathAttenuation(src Source, fGHz float64, a, b geo.LLA) float64 {
+	return EstimateChordAttenuation(src, fGHz, geo.NewSegment(a, b))
+}
+
+// EstimateChordAttenuation is EstimatePathAttenuation along a chord
+// whose ECEF endpoints the caller already holds.
+func EstimateChordAttenuation(src Source, fGHz float64, seg geo.Segment) float64 {
 	lut := itu.LUTFor(fGHz, SeaLevelVapourDensity, itu.Horizontal)
-	return integratePath(a, b, MoistureCeilingM, func(p geo.LLA, moist bool) float64 {
+	return integratePath(seg, MoistureCeilingM, func(p geo.LLA, moist bool) float64 {
 		spec := lut.GaseousAt(p.Alt)
 		if !moist {
 			return spec

@@ -93,8 +93,12 @@ func (c *RainCell) RateAt(p geo.LLA, now float64) float64 {
 	if in <= 0 {
 		return 0
 	}
+	reach := 4 * c.RadiusM
+	if geo.LatitudeBeyond(c.Center, p, reach) {
+		return 0
+	}
 	d := geo.GreatCircle(c.Center, p)
-	if d > 4*c.RadiusM {
+	if d > reach {
 		return 0
 	}
 	return c.PeakRate * in * math.Exp(-d*d/(2*c.RadiusM*c.RadiusM))
@@ -293,20 +297,20 @@ const pathSamples = 16
 
 // integratePath is the one path integrator: it sums specific(sample)
 // in dB/km over the pathSamples+1 evenly spaced points of the straight
-// chord a→b, times the step length. Every sample carries its altitude;
+// chord, times the step length. Every sample carries its altitude;
 // only a sample below ceilingM — one that can hold moisture — is moist
-// and carries latitude and longitude too, so a chord that stays in the
-// stratosphere is integrated without any trigonometry.
-func integratePath(a, b geo.LLA, ceilingM float64, specific func(p geo.LLA, moist bool) float64) float64 {
-	seg := geo.NewSegment(a, b)
+// and carries latitude and longitude too, finished from the same
+// inversion, so a chord that stays in the stratosphere is integrated
+// without any trigonometry.
+func integratePath(seg geo.Segment, ceilingM float64, specific func(p geo.LLA, moist bool) float64) float64 {
 	stepKm := seg.Length() / pathSamples / 1000
 	total := 0.0
 	for i := 0; i <= pathSamples; i++ {
-		v := seg.Point(float64(i) / pathSamples)
-		p := geo.LLA{Alt: v.Altitude()}
+		g := seg.Point(float64(i) / pathSamples).Geodetic()
+		p := geo.LLA{Alt: g.Alt}
 		moist := p.Alt < ceilingM
 		if moist {
-			p = v.ToLLA()
+			p = g.LLA()
 		}
 		total += specific(p, moist) * stepKm
 	}
@@ -319,7 +323,7 @@ func integratePath(a, b geo.LLA, ceilingM float64, specific func(p geo.LLA, mois
 // it stays on the exact closed forms (no LUT quantization) so the
 // physical truth is independent of the evaluator's memoization.
 func (f *Field) PathAttenuation(fGHz float64, a, b geo.LLA) float64 {
-	return integratePath(a, b, f.ceilingM(), func(p geo.LLA, moist bool) float64 {
+	return integratePath(geo.NewSegment(a, b), f.ceilingM(), func(p geo.LLA, moist bool) float64 {
 		pr, tk, rho := itu.AtmosphereAt(p.Alt, SeaLevelVapourDensity)
 		spec := itu.GaseousSpecific(fGHz, pr, tk, rho)
 		if !moist {
