@@ -128,12 +128,6 @@ func BenchmarkAblationWeather(b *testing.B) {
 	runExperiment(b, experiments.AblationWeather)
 }
 
-// BenchmarkAblationAdaptive measures the §7 future-work extension:
-// adaptive link penalties vs the paper's no-feedback behaviour.
-func BenchmarkAblationAdaptive(b *testing.B) {
-	runExperiment(b, experiments.AblationAdaptive)
-}
-
 // BenchmarkChaosAvail replays the standard fault script (controller
 // crash, satcom outage, stale telemetry, solver brown-out, gateway
 // loss) and reports per-fault availability and restart-safety

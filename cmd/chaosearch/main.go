@@ -14,9 +14,9 @@
 // trial violated an invariant the shrinker could not minimize (an
 // "unshrunk violation" — either a shrink error or budget exhaustion).
 // A bad command line (-trials < 1, -scale outside 1..3, -hours not
-// positive, -workers < 1, a negative budget, an unknown fault kind or
-// a stray argument) is rejected with one line on stderr and exit
-// status 2 before any trial runs.
+// positive, -workers < 1, a negative -shrink-budget, an unknown fault
+// kind or a stray argument) is rejected with one line on stderr and
+// exit status 2 before any trial runs.
 package main
 
 import (
@@ -56,8 +56,6 @@ func parseArgs(args []string, errOut io.Writer) (*options, error) {
 	prefix := fs.Bool("prefix", false, "run with the pre-fix compat knobs (symmetric in-band, no telemetry guard, no epoch fencing)")
 	budget := fs.Int("shrink-budget", search.DefaultShrinkBudget, "max candidate runs per shrink")
 	kindsCS := fs.String("kinds", "", "comma-separated fault kinds to restrict the grammar to (default all)")
-	guided := fs.Bool("guided", false, "mutate low-margin elite scripts toward invariant boundaries instead of sampling blind")
-	mutateB := fs.Int("mutate-budget", 0, "max trials spent on mutants in guided mode (default trials/2)")
 	obsDir := fs.String("obs", "", "also write each violating trial's flight-recorder dump and obs snapshot as flight-<trial>.json under this directory")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -76,8 +74,6 @@ func parseArgs(args []string, errOut io.Writer) (*options, error) {
 		err = fmt.Errorf("-workers must be at least 1, got %d", *workers)
 	case *budget < 0:
 		err = fmt.Errorf("-shrink-budget must not be negative, got %d", *budget)
-	case *mutateB < 0:
-		err = fmt.Errorf("-mutate-budget must not be negative, got %d", *mutateB)
 	}
 	var kinds []chaos.Kind
 	if err == nil && *kindsCS != "" {
@@ -99,7 +95,6 @@ func parseArgs(args []string, errOut io.Writer) (*options, error) {
 			Seed: *seed, Trials: *trials, Scale: *scale, Hours: *hours,
 			Workers: *workers, Opts: search.Options{PreFix: *prefix},
 			ShrinkBudget: *budget, Kinds: kinds,
-			Guided: *guided, MutateBudget: *mutateB,
 		},
 		out:    *out,
 		obsDir: *obsDir,
@@ -169,9 +164,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "chaosearch: trial %d (seed %d) violated %v but did not shrink: %s\n",
 				r.Trial, r.Seed, r.Violations[0].Invariant, r.Error)
 		}
-	}
-	if rep.Guided {
-		fmt.Fprintf(os.Stderr, "chaosearch: guided mode ran %d mutants (budget %d)\n", rep.Mutants, rep.MutateBudget)
 	}
 	fmt.Fprintf(os.Stderr, "chaosearch: %d/%d trials violating (%d signature groups, %d skipped as duplicates), %d shrunk reproducers\n",
 		rep.Violating, rep.Trials, rep.DedupGroups, rep.DedupSkipped, rep.Shrunk)

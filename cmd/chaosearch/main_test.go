@@ -15,7 +15,7 @@ func TestParseArgs(t *testing.T) {
 		wantErr string // substring of the one-line message; "" = accepted
 	}{
 		{"defaults", nil, ""},
-		{"guided night", []string{"-seed", "7", "-trials", "25", "-scale", "2", "-hours", "0.5", "-workers", "1", "-guided", "-mutate-budget", "5", "-shrink-budget", "0", "-kinds", "lease-flap, replica-partition", "-prefix"}, ""},
+		{"nightly profile", []string{"-seed", "7", "-trials", "25", "-scale", "2", "-hours", "0.5", "-workers", "1", "-shrink-budget", "0", "-kinds", "lease-flap, replica-partition", "-prefix"}, ""},
 		{"no trials", []string{"-trials", "0"}, "-trials must be at least 1, got 0"},
 		{"negative trials", []string{"-trials", "-1"}, "-trials must be at least 1, got -1"},
 		{"scale zero", []string{"-scale", "0"}, "-scale must be 1..3, got 0"},
@@ -26,7 +26,8 @@ func TestParseArgs(t *testing.T) {
 		{"no workers", []string{"-workers", "0"}, "-workers must be at least 1, got 0"},
 		{"negative workers", []string{"-workers", "-2"}, "-workers must be at least 1, got -2"},
 		{"negative shrink budget", []string{"-shrink-budget", "-1"}, "-shrink-budget must not be negative, got -1"},
-		{"negative mutate budget", []string{"-guided", "-mutate-budget", "-1"}, "-mutate-budget must not be negative, got -1"},
+		{"removed guided flag", []string{"-guided"}, "flag provided but not defined: -guided"},
+		{"removed mutate budget flag", []string{"-mutate-budget", "5"}, "flag provided but not defined: -mutate-budget"},
 		{"unknown kind", []string{"-kinds", "meteor"}, `unknown fault kind "meteor"`},
 		{"stray positional", []string{"-trials", "4", "extra"}, `unexpected argument "extra"`},
 		{"unknown flag", []string{"-balloons", "2"}, "flag provided but not defined: -balloons"},
@@ -58,14 +59,14 @@ func TestParseArgs(t *testing.T) {
 func TestParseArgsCarriesValues(t *testing.T) {
 	var msg strings.Builder
 	o, err := parseArgs([]string{"-seed", "9", "-trials", "25", "-scale", "2", "-hours", "1.5", "-workers", "3",
-		"-prefix", "-shrink-budget", "40", "-kinds", "satcom-outage", "-guided", "-mutate-budget", "6",
+		"-prefix", "-shrink-budget", "40", "-kinds", "satcom-outage",
 		"-out", "r.json", "-obs", "dumps"}, &msg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := o.cfg
 	if c.Seed != 9 || c.Trials != 25 || c.Scale != 2 || c.Hours != 1.5 || c.Workers != 3 ||
-		c.Opts != (search.Options{PreFix: true}) || c.ShrinkBudget != 40 || !c.Guided || c.MutateBudget != 6 ||
+		c.Opts != (search.Options{PreFix: true}) || c.ShrinkBudget != 40 ||
 		len(c.Kinds) != 1 || c.Kinds[0] != chaos.SatcomOutage || o.out != "r.json" || o.obsDir != "dumps" {
 		t.Errorf("parsed options %+v", *o)
 	}

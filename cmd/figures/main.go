@@ -55,8 +55,6 @@ var runners = map[string]func(experiments.Options) []*experiments.Result{
 	"appa":       one(experiments.AppA),
 	"appd":       one(experiments.AppD),
 	"ablations":  experiments.Ablations,
-	"retry":      one(experiments.AblationRetryPolicy),
-	"abl-retry":  one(experiments.AblationRetryPolicy),
 	"chaosavail": one(experiments.ChaosAvail),
 }
 

@@ -1,13 +1,12 @@
 // Package backoff is the unified retry policy shared by every layer
 // that re-dispatches work over an unreliable channel: the CDPI
-// frontend's channel-cycling command retries, the satcom gateway's
-// provider-outage queue, and the controller's link-establishment
-// re-dispatch. The paper's operational sections (§4.1–4.2, §6) make
-// retries a first-class mechanism — "set a new TTE, and retried the
-// command" — and a single capped-exponential policy with seeded
-// jitter keeps those retries deterministic (reproducible runs) while
-// preventing synchronized retry storms after a shared fault such as a
-// satcom provider outage.
+// frontend's channel-cycling command retries and the satcom gateway's
+// provider-outage queue. The paper's operational sections (§4.1–4.2,
+// §6) make retries a first-class mechanism — "set a new TTE, and
+// retried the command" — and a single capped-exponential policy with
+// seeded jitter keeps those retries deterministic (reproducible runs)
+// while preventing synchronized retry storms after a shared fault such
+// as a satcom provider outage.
 package backoff
 
 import "math/rand"

@@ -66,11 +66,10 @@ func GenerateKinds(rng *rand.Rand, seed int64, scale int, hours float64, kinds [
 	return s
 }
 
-// genFault draws one complete fault of kind k from the grammar — the
-// single-fault primitive shared by the generator loop and the mutation
-// engine's add-fault operator. span is the start-time window above
-// genMinAtS. The rng draw order (At, base duration, then per-kind
-// redraws) is part of the grammar's determinism contract.
+// genFault draws one complete fault of kind k from the grammar. span
+// is the start-time window above genMinAtS. The rng draw order (At,
+// base duration, then per-kind redraws) is part of the grammar's
+// determinism contract.
 func genFault(rng *rand.Rand, k chaos.Kind, fleet int, span float64) ScriptFault {
 	at := genMinAtS + rng.Float64()*span
 	dur := genMinDurS + rng.Float64()*(genMaxDurS-genMinDurS)
@@ -129,18 +128,4 @@ func genFault(rng *rand.Rand, k chaos.Kind, fleet int, span float64) ScriptFault
 		}
 	}
 	return f
-}
-
-// maxDurFor is the grammar's duration ceiling for kind k (retime
-// mutations clamp against it).
-func maxDurFor(k chaos.Kind) float64 {
-	switch k {
-	case chaos.ControllerCrash, chaos.ControllerFailover, chaos.ControllerPartition,
-		chaos.LeaseFlap, chaos.ReplicaPartition:
-		return 900
-	case chaos.AgentReboot:
-		return 0
-	default:
-		return genMaxDurS
-	}
 }

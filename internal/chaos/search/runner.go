@@ -55,12 +55,11 @@ const (
 type Result struct {
 	Script     Script      `json:"script"`
 	Violations []Violation `json:"violations,omitempty"`
-	// Margins is the continuous distance-to-violation per invariant —
-	// the guided search's fitness signal. 1 means comfortable, 0 means
-	// on the boundary, ≤ -1 means violated (violations are clamped
-	// below every near-miss). Invariants with nothing to measure in
-	// this run (no crash to recover from, no sync command accepted) are
-	// omitted.
+	// Margins is the continuous distance-to-violation per invariant:
+	// 1 means comfortable, 0 means on the boundary, ≤ -1 means violated
+	// (violations are clamped below every near-miss). Invariants with
+	// nothing to measure in this run (no crash to recover from, no sync
+	// command accepted) are omitted.
 	Margins map[string]float64 `json:"margins,omitempty"`
 	// Digest is the run's telemetry digest (determinism evidence).
 	Digest uint64 `json:"digest"`
@@ -159,7 +158,7 @@ func Run(s Script, opts Options) (Result, error) {
 		} else {
 			// Determinism is binary — there is no near-miss to measure —
 			// but a checked, passing run still records full margin so
-			// the guided search's fitness map covers the invariant.
+			// the margin map covers the invariant.
 			res.Margins[InvDeterminism] = 1
 		}
 	}

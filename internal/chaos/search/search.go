@@ -1,9 +1,7 @@
 package search
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 
@@ -33,29 +31,7 @@ type SearchConfig struct {
 	ShrinkBudget int
 	// Kinds restricts the grammar to these fault kinds (empty = all).
 	Kinds []chaos.Kind
-	// Guided turns on the elite-pool mutation loop: trials run in
-	// fixed-size batches, and within a batch every other trial is a
-	// mutation of a low-margin elite instead of a fresh grammar sample
-	// (subject to MutateBudget and the pool being non-empty). Still
-	// fully deterministic in the config, regardless of Workers.
-	Guided bool
-	// MutateBudget caps how many trials may be mutants (default
-	// Trials/2 when guided; ignored otherwise).
-	MutateBudget int
 }
-
-// Guided-mode shape constants: trials run in batches of guidedBatch
-// (the pool only learns between batches, so this bounds how stale a
-// mutant's parent can be), and the elite pool keeps the eliteSize
-// lowest-margin violation-free scripts seen so far.
-const (
-	guidedBatch = 8
-	eliteSize   = 8
-)
-
-// mutSeedSalt decorrelates the mutation-decision RNG from the
-// generation RNG that shares mixSeed(Seed, trial).
-const mutSeedSalt = 0x6d757461 // "muta"
 
 // TrialResult is one trial's outcome.
 type TrialResult struct {
@@ -64,17 +40,10 @@ type TrialResult struct {
 	Error string `json:"error,omitempty"`
 	// Script is the generated script.
 	Script Script `json:"script"`
-	// Op records how the script came to be in a guided campaign:
-	// "fresh" for grammar samples, a mutation operator name for
-	// mutants. Empty in blind campaigns.
-	Op string `json:"op,omitempty"`
-	// Parents are the elite trial indices a mutant derived from (the
-	// parent, plus the donor for splice).
-	Parents []int `json:"parents,omitempty"`
 	// Violations found on the generated script.
 	Violations []Violation `json:"violations,omitempty"`
 	// Margins is the run's per-invariant distance to violation (see
-	// Result.Margins) — the fitness evidence guided mode selects on.
+	// Result.Margins).
 	Margins map[string]float64 `json:"margins,omitempty"`
 	// Flight is the flight-recorder black box captured at the first
 	// violation (see Result.Flight); Obs is the violating run's final
@@ -115,29 +84,9 @@ type Report struct {
 	DedupGroups  int      `json:"dedupGroups"`
 	DedupSkipped int      `json:"dedupSkipped"`
 	Invariants   []string `json:"invariants"`
-	// Guided campaign evidence.
-	Guided       bool `json:"guided,omitempty"`
-	MutateBudget int  `json:"mutateBudget,omitempty"`
-	// Mutants counts trials that actually ran a mutated script.
-	Mutants int `json:"mutants,omitempty"`
-	// MinMargins is the campaign-wide minimum margin seen per invariant
-	// (blind campaigns report it too — it is the baseline a guided
-	// campaign is judged against).
+	// MinMargins is the campaign-wide minimum margin seen per
+	// invariant: each campaign's closest approach to every invariant.
 	MinMargins map[string]float64 `json:"minMargins,omitempty"`
-	// MarginHist buckets every per-trial margin observation into the
-	// fixed bins described by MarginBins (bin edges; observations
-	// outside [-1, 1] clamp into the end bins).
-	MarginBins []float64        `json:"marginBins,omitempty"`
-	MarginHist map[string][]int `json:"marginHist,omitempty"`
-	// EliteHistory snapshots the elite pool after each guided batch
-	// (trial index + score), the campaign's convergence trace.
-	EliteHistory [][]EliteEntry `json:"eliteHistory,omitempty"`
-}
-
-// EliteEntry is one elite-pool member in a report snapshot.
-type EliteEntry struct {
-	Trial int     `json:"trial"`
-	Score float64 `json:"score"`
 }
 
 // mixSeed derives trial i's seed from the master seed (splitmix64
@@ -188,21 +137,12 @@ func Search(cfg SearchConfig) Report {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.Guided && cfg.MutateBudget <= 0 {
-		cfg.MutateBudget = cfg.Trials / 2
-	}
 	results := make([]TrialResult, cfg.Trials)
 
-	// Phase 1: run every script — all fresh samples when blind, the
-	// elite-pool alternation when guided.
-	var eliteHistory [][]EliteEntry
-	if cfg.Guided {
-		eliteHistory = runGuided(cfg, results)
-	} else {
-		parallel(cfg.Workers, cfg.Trials, func(i int) {
-			results[i] = runTrial(cfg, i)
-		})
-	}
+	// Phase 1: run every script.
+	parallel(cfg.Workers, cfg.Trials, func(i int) {
+		results[i] = runTrial(cfg, i)
+	})
 
 	// Phase 2: triage — group violating trials by signature, lowest
 	// trial index representing each group (sequential, trivially
@@ -234,19 +174,11 @@ func Search(cfg SearchConfig) Report {
 		Hours: cfg.Hours, PreFix: cfg.Opts.PreFix,
 		Results: results, Invariants: Invariants(),
 		DedupGroups: len(reps),
-		Guided:      cfg.Guided, EliteHistory: eliteHistory,
-	}
-	if cfg.Guided {
-		rep.MutateBudget = cfg.MutateBudget
 	}
 	for _, k := range cfg.Kinds {
 		rep.Kinds = append(rep.Kinds, k.String())
 	}
 	rep.MinMargins = map[string]float64{}
-	rep.MarginHist = map[string][]int{}
-	for _, e := range marginBinEdges() {
-		rep.MarginBins = append(rep.MarginBins, e)
-	}
 	for _, r := range results {
 		if len(r.Violations) > 0 {
 			rep.Violating++
@@ -257,157 +189,15 @@ func Search(cfg SearchConfig) Report {
 		if r.Shrunk != nil {
 			rep.Shrunk++
 		}
-		if r.Op != "" && r.Op != opFresh {
-			rep.Mutants++
-		}
-		// Margin aggregation is min/count per invariant — commutative,
+		// Margin aggregation is a min per invariant — commutative,
 		// so map iteration order cannot affect the outcome.
 		for inv, m := range r.Margins {
 			if cur, ok := rep.MinMargins[inv]; !ok || m < cur {
 				rep.MinMargins[inv] = m
 			}
-			h := rep.MarginHist[inv]
-			if h == nil {
-				h = make([]int, marginBinCount)
-				rep.MarginHist[inv] = h
-			}
-			h[marginBin(m)]++
 		}
 	}
 	return rep
-}
-
-// Margin histogram shape: fixed bins over [-1, 1] so reports from
-// different campaigns are directly comparable; out-of-range
-// observations clamp into the end bins.
-const marginBinCount = 10
-
-func marginBinEdges() []float64 {
-	edges := make([]float64, marginBinCount+1)
-	for i := range edges {
-		edges[i] = -1 + float64(i)*2/marginBinCount
-	}
-	return edges
-}
-
-func marginBin(m float64) int {
-	b := int((m + 1) / (2.0 / marginBinCount))
-	if b < 0 {
-		b = 0
-	}
-	if b >= marginBinCount {
-		b = marginBinCount - 1
-	}
-	return b
-}
-
-// runGuided is guided mode's phase 1: trials run in guidedBatch-sized
-// batches; within a batch, odd trial offsets become mutants of elites
-// when the pool is warm and budget remains, everything else stays a
-// fresh grammar sample. Mutation decisions are derived sequentially
-// (pool state + per-trial seeded RNG) before the batch runs in
-// parallel, and the pool updates sequentially in trial order after the
-// batch — so results are worker-invariant and deterministic in the
-// config. Returns the per-batch elite-pool snapshots.
-func runGuided(cfg SearchConfig, results []TrialResult) [][]EliteEntry {
-	kinds := cfg.Kinds
-	if len(kinds) == 0 {
-		kinds = chaos.Kinds()
-	}
-	type elite struct {
-		trial  int
-		script Script
-		score  float64
-	}
-	type plan struct {
-		fresh   bool
-		script  Script
-		op      string
-		parents []int
-	}
-	var pool []elite
-	var history [][]EliteEntry
-	budget := cfg.MutateBudget
-	for start := 0; start < cfg.Trials; start += guidedBatch {
-		end := start + guidedBatch
-		if end > cfg.Trials {
-			end = cfg.Trials
-		}
-		plans := make([]plan, end-start)
-		for i := start; i < end; i++ {
-			p := plan{fresh: true}
-			if i%2 == 1 && len(pool) > 0 && budget > 0 {
-				mrng := rand.New(rand.NewSource(mixSeed(cfg.Seed, i) ^ mutSeedSalt))
-				parent := pool[mrng.Intn(len(pool))]
-				var donor *Script
-				donorTrial := -1
-				if len(pool) > 1 {
-					d := pool[mrng.Intn(len(pool))]
-					if d.trial != parent.trial {
-						donor, donorTrial = &d.script, d.trial
-					}
-				}
-				if child, op, ok := mutate(mrng, parent.script, donor, kinds); ok {
-					budget--
-					child.Name = fmt.Sprintf("mut-%d-%s", i, op)
-					p = plan{script: child, op: op, parents: []int{parent.trial}}
-					if op == opSplice && donorTrial >= 0 {
-						p.parents = append(p.parents, donorTrial)
-					}
-				}
-			}
-			plans[i-start] = p
-		}
-		base := start
-		parallel(cfg.Workers, end-start, func(j int) {
-			i := base + j
-			if plans[j].fresh {
-				results[i] = runTrial(cfg, i)
-				results[i].Op = opFresh
-				return
-			}
-			results[i] = runScript(cfg, i, plans[j].script)
-			results[i].Op = plans[j].op
-			results[i].Parents = plans[j].parents
-		})
-		// Pool update: violation-free, error-free trials with margin
-		// evidence compete on their worst (minimum) margin.
-		for i := start; i < end; i++ {
-			r := &results[i]
-			if r.Error != "" || len(r.Violations) > 0 || len(r.Margins) == 0 {
-				continue
-			}
-			score := 0.0
-			first := true
-			for _, m := range r.Margins { // min: order-independent
-				if first || m < score {
-					score, first = m, false
-				}
-			}
-			pool = append(pool, elite{trial: i, script: r.Script, score: score})
-		}
-		// Strict-weak order on (score, trial): only < comparisons, so
-		// bit-equal scores deterministically fall through to the trial
-		// index tie-break.
-		sort.Slice(pool, func(a, b int) bool {
-			if pool[a].score < pool[b].score {
-				return true
-			}
-			if pool[b].score < pool[a].score {
-				return false
-			}
-			return pool[a].trial < pool[b].trial
-		})
-		if len(pool) > eliteSize {
-			pool = pool[:eliteSize]
-		}
-		snap := make([]EliteEntry, len(pool))
-		for i, e := range pool {
-			snap[i] = EliteEntry{Trial: e.trial, Score: e.score}
-		}
-		history = append(history, snap)
-	}
-	return history
 }
 
 // parallel runs fn(0..n-1) across at most workers goroutines.
@@ -437,13 +227,6 @@ func runTrial(cfg SearchConfig, trial int) TrialResult {
 		kinds = chaos.Kinds()
 	}
 	script := GenerateKinds(rng, seed, cfg.Scale, cfg.Hours, kinds)
-	return runScript(cfg, trial, script)
-}
-
-// runScript runs one already-built script as trial (shared by fresh
-// trials and guided mutants — a mutant keeps its parent's Script.Seed,
-// so it replays the parent's world with a perturbed fault schedule).
-func runScript(cfg SearchConfig, trial int, script Script) TrialResult {
 	tr := TrialResult{Trial: trial, Seed: script.Seed, Script: script}
 
 	opts := cfg.Opts

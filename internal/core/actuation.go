@@ -372,7 +372,6 @@ func (c *Controller) finishAttempt(p *ctlState, id radio.LinkID, ok bool) {
 	if ok {
 		return
 	}
-	c.noteEstablishFailure(id)
 	li, active := p.Intents.ActiveLink(id)
 	if !active {
 		return
@@ -384,31 +383,10 @@ func (c *Controller) finishAttempt(p *ctlState, id radio.LinkID, ok bool) {
 			fmt.Sprintf("abandoned after %d attempts", arm.attempt))
 		return
 	}
-	// Retry — "since Loon's TS-SDN lacked a feedback loop and relied
-	// on modeled data for network planning, links were retried
-	// repeatedly." The re-dispatch rides the unified backoff policy;
-	// the zero-value policy retries immediately (the paper's
-	// behaviour).
-	next := arm.attempt + 1
-	delay := c.Cfg.EstablishRetry.Delay(arm.attempt, c.Eng.RNG("establish-retry"))
-	if delay <= 0 {
-		c.commandEstablish(p, li, next)
-		return
-	}
-	c.Eng.After(delay, func() {
-		// The world moved while backing off: the intent may have been
-		// withdrawn or superseded, and the issuing process may have
-		// crashed, been deposed, or stood down — re-resolve the owner
-		// at fire time rather than trusting a stale capture.
-		q := c.procForIntent(id, li)
-		if q == nil {
-			return
-		}
-		if _, racing := q.arms[id]; racing {
-			return
-		}
-		c.commandEstablish(q, li, next)
-	})
+	// Retry at once — "since Loon's TS-SDN lacked a feedback loop and
+	// relied on modeled data for network planning, links were retried
+	// repeatedly."
+	c.commandEstablish(p, li, arm.attempt+1)
 }
 
 // onLinkUp handles the fabric's link-up callback. It fans out to
@@ -488,72 +466,4 @@ func (c *Controller) findXcvr(id string) *platform.Transceiver {
 		}
 	}
 	return nil
-}
-
-// failMemory tracks recent establishment failures of one pair.
-type failMemory struct {
-	count  float64
-	lastAt float64
-}
-
-// noteEstablishFailure feeds the adaptive feedback loop.
-func (c *Controller) noteEstablishFailure(id radio.LinkID) {
-	if !c.Cfg.AdaptiveLinkPenalty {
-		return
-	}
-	m := c.linkFails[id]
-	if m == nil {
-		m = &failMemory{}
-		c.linkFails[id] = m
-	}
-	c.decayFailMemory(m)
-	m.count++
-	m.lastAt = c.Eng.Now()
-}
-
-// decayFailMemory halves a pair's failure weight every 10 minutes.
-func (c *Controller) decayFailMemory(m *failMemory) {
-	dt := c.Eng.Now() - m.lastAt
-	for dt >= 600 && m.count > 0 {
-		m.count /= 2
-		dt -= 600
-	}
-	if m.count < 0.1 {
-		m.count = 0
-	}
-}
-
-// evictFailMemory bounds the linkFails map: entries whose last
-// failure predates the eviction horizon are dropped outright, so the
-// map cannot grow without bound across a long run's churn of link IDs
-// (pairs that failed once and never recurred).
-func (c *Controller) evictFailMemory() {
-	now := c.Eng.Now()
-	for id, m := range c.linkFails {
-		if now-m.lastAt > failMemoryHorizonS {
-			delete(c.linkFails, id)
-		}
-	}
-}
-
-// adaptivePenalties builds the solver's penalty map from failure
-// memory (empty when the feature is off — the paper's behaviour).
-func (c *Controller) adaptivePenalties() map[radio.LinkID]float64 {
-	if !c.Cfg.AdaptiveLinkPenalty {
-		return nil
-	}
-	out := map[radio.LinkID]float64{}
-	for id, m := range c.linkFails {
-		c.decayFailMemory(m)
-		if m.count <= 0 {
-			delete(c.linkFails, id)
-			continue
-		}
-		w := m.count
-		if w > 4 {
-			w = 4
-		}
-		out[id] = 1.5 * w
-	}
-	return out
 }

@@ -12,7 +12,6 @@ package core
 
 import (
 	"minkowski/internal/antenna"
-	"minkowski/internal/backoff"
 	"minkowski/internal/geo"
 	"minkowski/internal/itu"
 	"minkowski/internal/weather"
@@ -83,17 +82,6 @@ type Config struct {
 	// excused / lost-beyond-grace). 0 (the default) keeps the meter off
 	// so legacy scenarios are byte-identical.
 	DeliveryProbeS float64
-	// EstablishRetry paces link-establishment re-dispatch between
-	// attempts. The zero value preserves the paper's production
-	// behaviour — "links were retried repeatedly", immediately; set a
-	// policy to adopt the unified capped-exponential backoff.
-	// EXPERIMENTS.md §retry-policy compares both and settles the
-	// default: backoff saves no re-dispatches here but costs real
-	// availability (even second-scale waits burn short-lived
-	// candidate windows), so the default stays immediate. Backoff
-	// remains the right tool where the channel itself is expensive
-	// (satcom command retries already use it).
-	EstablishRetry backoff.Policy
 
 	// --- Controller replication (primary/standby failover) ----------
 
@@ -121,13 +109,6 @@ type Config struct {
 	// "all" (gauges+forecast+climatology), "gauges", "forecast",
 	// "itu" (the §5 weather-fusion ablation).
 	WeatherSources string
-	// AdaptiveLinkPenalty enables the §7 future-work feedback loop:
-	// candidate pairs whose recent establishment attempts failed are
-	// penalized in solving (decaying over ~20 min), so the solver
-	// tries alternates instead of retrying a cursed pair forever.
-	// Off by default: the paper's production system "lacked a
-	// feedback loop and relied on modeled data".
-	AdaptiveLinkPenalty bool
 }
 
 const (
@@ -161,10 +142,6 @@ const (
 	maxEstablishAttempts = 3
 	// backhaulBitrateBps is each balloon's requested backhaul.
 	backhaulBitrateBps = 50e6
-	// failMemoryHorizonS evicts adaptive-penalty failure memory whose
-	// last failure is older than this, bounding the linkFails map over
-	// long runs.
-	failMemoryHorizonS = 3600
 	// weatherStaleAfterS is the fused-model age beyond which the
 	// controller declares its weather inputs stale and flips the model
 	// into Degraded mode (stale-fallback chain + pessimism penalty).

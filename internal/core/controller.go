@@ -118,9 +118,6 @@ type Controller struct {
 	// lease service and the replication stream (controller-partition).
 	leasePartitioned bool
 	wasOn            map[string]bool
-	// linkFails remembers recent establishment failures per pair for
-	// the adaptive-penalty feedback loop (§7 future work).
-	linkFails map[radio.LinkID]*failMemory
 	// churn is the Fig. 4 sampler's memory: the link identities of the
 	// previous minute's and hour's candidate graphs, kept by value
 	// (the graphs themselves are overwritten by the evaluator's next
@@ -276,7 +273,6 @@ func build(cfg Config, preFix bool) *Controller {
 		gateways:     gateways,
 		todOff:       cfg.StartTODHours * 3600,
 		wasOn:        map[string]bool{},
-		linkFails:    map[radio.LinkID]*failMemory{},
 		gwDown:       map[string]bool{},
 		byzantine:    map[string]bool{},
 		cmdDeaf:      map[string]bool{},
@@ -530,7 +526,6 @@ func (c *Controller) solveCycle() {
 	sp.SetAttrInt("cycle", c.SolveRuns)
 	defer sp.EndSpan()
 	c.checkWeatherStaleness()
-	c.evictFailMemory()
 	if c.solverDown {
 		// Degraded mode: the solver is failing or timing out. Keep the
 		// last-known-good plan in force — realign route state toward it
@@ -565,7 +560,6 @@ func (c *Controller) solveCycle() {
 		Existing:   existing,
 		Gateways:   c.liveGateways(),
 		Drained:    c.drainedWithChaos(),
-		Penalties:  c.adaptivePenalties(),
 	}
 	so := sp.Child("solve")
 	solveBefore := c.Solver.Stats()

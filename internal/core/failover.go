@@ -63,21 +63,6 @@ func (c *Controller) armOwner(li *intent.LinkIntent) (*ctlState, *armState) {
 	return nil, nil
 }
 
-// procForIntent resolves which live process still considers li its
-// active intent for this link (retry closures resolve their owner
-// through this at fire time).
-func (c *Controller) procForIntent(id radio.LinkID, li *intent.LinkIntent) *ctlState {
-	for _, p := range c.procs() {
-		if p == &c.ctlState && c.down {
-			continue
-		}
-		if cur, ok := p.Intents.ActiveLink(id); ok && cur == li {
-			return p
-		}
-	}
-	return nil
-}
-
 // leaseTick is both replicas' renew/watch loop (every leaseCheckS).
 // The acting primary renews its lease; the standby watches for a lapse
 // and promotes itself. A partitioned primary cannot reach the lease
@@ -317,8 +302,6 @@ func (c *Controller) rogueSolve() {
 		Existing:   existing,
 		Gateways:   c.liveGateways(),
 		Drained:    c.drainedWithChaos(),
-		// No adaptive penalties: that feedback memory belongs to the
-		// acting process, and double-decaying it here would perturb it.
 	}
 	plan := c.Solver.Solve(in)
 	r.lastPlan = plan

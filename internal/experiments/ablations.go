@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"minkowski/internal/backoff"
 	"minkowski/internal/core"
 	"minkowski/internal/stats"
 	"minkowski/internal/telemetry"
@@ -162,112 +161,6 @@ func AblationWeather(o Options) *Result {
 func Ablations(o Options) []*Result {
 	return []*Result{
 		AblationHysteresis(o), AblationRedundancy(o), AblationMarginal(o),
-		AblationTTE(o), AblationWeather(o), AblationAdaptive(o),
-		AblationRetryPolicy(o),
+		AblationTTE(o), AblationWeather(o),
 	}
-}
-
-// AblationRetryPolicy compares Config.EstablishRetry policies: the
-// paper's immediate re-dispatch ("links were retried repeatedly", the
-// zero-value policy) against the unified capped-exponential backoff
-// (backoff.Default(): 2 s base doubling to 120 s, ±20% jitter; its
-// 4-attempt budget never binds, as core's three-attempt cap ends the
-// ladder first). The comparison metrics are the Fig. 8 recovery shape
-// (withdrawn vs failed repair means), the Fig. 11 establishment shape
-// (first-attempt success, B2G lifetime, attempts per installed link),
-// and the availability bottom line — the evidence EXPERIMENTS.md
-// §retry-policy records to settle the default.
-func AblationRetryPolicy(o Options) *Result {
-	hours := 8 * float64(o.scale())
-	run := func(p backoff.Policy) (ablMetrics, *core.Controller) {
-		cfg := ablBase(o)
-		cfg.EstablishRetry = p
-		c := core.New(cfg)
-		c.RunHours(hours)
-		m := ablMetrics{
-			dataAvail: c.Reach.Ratio(telemetry.LayerData),
-			ctrlAvail: c.Reach.Ratio(telemetry.LayerControl),
-			b2gMedian: c.LinkLife.B2G.Median(),
-		}
-		return m, c
-	}
-	imm, cImm := run(backoff.Policy{}) // zero value: immediate, unbounded
-	bo, cBo := run(backoff.Default())
-
-	attemptsPerLink := func(c *core.Controller) float64 {
-		attempts, established := 0, 0
-		for _, l := range c.Fabric.History() {
-			attempts++
-			if l.EstablishedAt > 0 {
-				established++
-			}
-		}
-		if established == 0 {
-			return 0
-		}
-		return float64(attempts) / float64(established)
-	}
-	firstAttempt := func(c *core.Controller) float64 {
-		g, b := c.LinkLife.FirstAttemptRate()
-		return (g + b) / 2
-	}
-
-	res := &Result{ID: "abl-retry", Title: "EstablishRetry: immediate vs capped-exponential backoff"}
-	res.Rows = []Row{
-		{"attempts per installed link imm/bo", "≈ equal (no real saving)", f("%.2f / %.2f", attemptsPerLink(cImm), attemptsPerLink(cBo))},
-		{"mean repair withdrawn (imm/bo)", "Fig. 8 shape", f("%s / %s", stats.FmtDuration(cImm.Recovery.Withdrawn.Mean()), stats.FmtDuration(cBo.Recovery.Withdrawn.Mean()))},
-		{"mean repair failed (imm/bo)", "shape preserved", f("%s / %s", stats.FmtDuration(cImm.Recovery.Failed.Mean()), stats.FmtDuration(cBo.Recovery.Failed.Mean()))},
-		{"first-attempt success (imm/bo)", "Fig. 11 shape (unchanged)", f("%.0f%% / %.0f%%", 100*firstAttempt(cImm), 100*firstAttempt(cBo))},
-		{"B2G median lifetime (imm/bo)", "Fig. 11 shape", f("%s / %s", stats.FmtDuration(imm.b2gMedian), stats.FmtDuration(bo.b2gMedian))},
-		{"data availability (imm/bo)", "immediate highest", f("%.3f / %.3f", imm.dataAvail, bo.dataAvail)},
-		{"control availability (imm/bo)", "immediate highest", f("%.3f / %.3f", imm.ctrlAvail, bo.ctrlAvail)},
-	}
-	return res
-}
-
-// AblationAdaptive evaluates the §7 future-work extension this
-// repository implements beyond the paper: conditioning link selection
-// on recent enactment success ("a better policy would have adapted to
-// failures and tried an alternate link if one existed"). Measured
-// outcome: near-neutral under this simulation's failure model —
-// establishment curses are campaign-scoped (a pair that failed may
-// succeed on the next campaign), so avoiding recently-failed pairs
-// buys little. The mechanism would pay off against *persistent*
-// un-modelled defects (stale masks, broken hardware), which is
-// exactly the regime the paper describes.
-func AblationAdaptive(o Options) *Result {
-	hours := 6 * float64(o.scale())
-	run := func(on bool) (ablMetrics, float64) {
-		cfg := ablBase(o)
-		cfg.AdaptiveLinkPenalty = on
-		c := core.New(cfg)
-		c.RunHours(hours)
-		// Attempt waste: establishment attempts per installed link.
-		attempts, established := 0, 0
-		for _, l := range c.Fabric.History() {
-			attempts++
-			if l.EstablishedAt > 0 {
-				established++
-			}
-		}
-		waste := 0.0
-		if established > 0 {
-			waste = float64(attempts) / float64(established)
-		}
-		m := ablMetrics{
-			dataAvail: c.Reach.Ratio(telemetry.LayerData),
-			ctrlAvail: c.Reach.Ratio(telemetry.LayerControl),
-		}
-		return m, waste
-	}
-	onM, onWaste := run(true)
-	offM, offWaste := run(false)
-	res := &Result{ID: "abl-adaptive", Title: "§7 extension: adaptive link penalties on vs off"}
-	res.Rows = []Row{
-		{"attempts per installed link (adaptive)", "≤ paper behaviour", f("%.2f", onWaste)},
-		{"attempts per installed link (paper behaviour)", "-", f("%.2f", offWaste)},
-		{"data availability adaptive/paper", "-", f("%.3f / %.3f", onM.dataAvail, offM.dataAvail)},
-		{"control availability adaptive/paper", "-", f("%.3f / %.3f", onM.ctrlAvail, offM.ctrlAvail)},
-	}
-	return res
 }

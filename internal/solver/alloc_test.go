@@ -12,7 +12,7 @@ import "testing"
 func TestSolveSteadyStateAllocs(t *testing.T) {
 	w := newEqWorld(12, 0xA110C)
 	w.drift()
-	w.drift() // cycle 2: an adaptive penalty is on
+	w.drift() // cycle 2: a second request bitrate class is on
 	in := w.input(nil)
 	s := New(DefaultConfig())
 	in.Existing = existingFrom(s.Solve(in))

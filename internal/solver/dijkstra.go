@@ -117,14 +117,11 @@ func (s *spScratch) begin() uint32 {
 // it, so a finalised neighbour is skipped before any edge is loaded.
 type adjEnt struct{ next, edge int32 }
 
-// edgeCost is the request-independent part of an edge's path cost,
-// split where the one request-dependent term sits in the seed's
-// accumulation order: cost = c1 [+ SlowBitratePenalty] + pen, with
-// c1 = link cost [+ MarginalPenalty] and pen the adaptive penalty of an
-// edge neither chosen nor existing, else 0 (x + 0 is x bit for bit for
-// every x but −0, which no cost is). ctx.pathCost fills it; choose
-// refreshes it when an edge turns chosen.
-type edgeCost struct{ c1, bitrate, pen float64 }
+// edgeCost is what an edge's path cost needs besides the request:
+// cost = c1 [+ SlowBitratePenalty when bitrate is below the request's
+// minimum]. ctx.pathCost fills c1 = link cost [+ MarginalPenalty];
+// choose refreshes it when an edge turns chosen.
+type edgeCost struct{ c1, bitrate float64 }
 
 // shortestPath routes request ri over rows — c.scan (the undominated
 // viable ∪ chosen edges: compact keeps it to exactly those) or
@@ -202,7 +199,6 @@ func (c *ctx) shortestPath(ri int32, rows [][]adjEnt) {
 			if ec.bitrate < rq.minBr {
 				cost += slow
 			}
-			cost += ec.pen
 			nd := cur.dist + cost
 			if ws.seen[a.next] != st || nd < ws.dist[a.next] {
 				ws.seen[a.next] = st

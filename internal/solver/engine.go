@@ -29,7 +29,6 @@ type edge struct {
 	chosen   bool
 	exist    bool
 	marginal bool
-	penalty  float64
 }
 
 // reqView is a request resolved against the node table.
@@ -120,11 +119,9 @@ func (c *ctx) reset(cfg Config, in *Input) {
 			viable:   true,
 			exist:    in.Existing[rep.ID],
 			marginal: rep.Class == rf.Marginal,
-			penalty:  in.Penalties[rep.ID],
 		}
 		c.edges = append(c.edges, e)
-		c1, pen := c.pathCost(&e)
-		c.cost = append(c.cost, edgeCost{c1: c1, bitrate: rep.Budget.BitrateBps, pen: pen})
+		c.cost = append(c.cost, edgeCost{c1: c.pathCost(&e), bitrate: rep.Budget.BitrateBps})
 	}
 	for _, g := range in.Gateways {
 		c.internNode(g)
@@ -283,19 +280,18 @@ func growRows[T any](s [][]T, n int) [][]T {
 
 // pathCost is the request-independent split of e's path cost, from its
 // current flags (see edgeCost).
-func (c *ctx) pathCost(e *edge) (c1, pen float64) {
+func (c *ctx) pathCost(e *edge) float64 {
+	c1 := c.cfg.NewLinkCost
 	switch {
 	case e.chosen:
 		c1 = c.cfg.ChosenLinkCost
 	case e.exist:
 		c1 = c.cfg.ExistingLinkCost
-	default:
-		c1, pen = c.cfg.NewLinkCost, e.penalty
 	}
 	if e.marginal {
 		c1 += c.cfg.MarginalPenalty
 	}
-	return c1, pen
+	return c1
 }
 
 // retire makes an edge unusable for the rest of the solve and marks its
@@ -316,9 +312,9 @@ func (c *ctx) touch(e *edge) {
 
 // regroup recomputes the dominance of group g. A usable edge is
 // dominated when an earlier usable, undominated edge of its group —
-// the same neighbour, earlier in both endpoint rows — has a c1 and a
-// pen that are not higher and a bitrate class that is not lower (equal,
-// when SlowBitratePenalty is negative). For every request the earlier
+// the same neighbour, earlier in both endpoint rows — has a c1 that is
+// not higher and a bitrate class that is not lower (equal, when
+// SlowBitratePenalty is negative). For every request the earlier
 // edge's cost is then not higher (float addition rounds monotonically),
 // so once it has relaxed, dist[next] ≤ its nd ≤ the later edge's nd:
 // the later edge can never push, and its done test reads the same
@@ -336,7 +332,7 @@ func (c *ctx) regroup(g int32) {
 			cj := &c.cost[j]
 			for _, i := range es[:k] {
 				ei, ci := &c.edges[i], &c.cost[i]
-				if c.inScan[i] && ci.c1 <= cj.c1 && ci.pen <= cj.pen &&
+				if c.inScan[i] && ci.c1 <= cj.c1 &&
 					(ei.class == ej.class || !eqClass && ei.class > ej.class) {
 					in = false
 					break
@@ -558,7 +554,7 @@ func (c *ctx) choose(plan *Plan, idx int32, redundant bool) bool {
 		return false
 	}
 	e.chosen = true
-	c.cost[idx].c1, c.cost[idx].pen = c.pathCost(e)
+	c.cost[idx].c1 = c.pathCost(e)
 	c.touch(e)
 	c.chanMask[e.a] |= chBit
 	c.chanMask[e.b] |= chBit
@@ -633,7 +629,6 @@ func (c *ctx) addRedundancy(plan *Plan) {
 				continue
 			}
 			score := -float64(c.degree[e.a]+c.degree[e.b]) + e.rep.Budget.MarginDB/100
-			score -= e.penalty
 			if e.exist {
 				score += 3 * (1 + c.cfg.HysteresisBonus)
 			}

@@ -3,7 +3,8 @@ package solver
 // Equivalence property tests: the engine (Solve) must produce
 // byte-identical plans to SolveReference — the retained seed
 // implementation — on evolving multi-cycle scenarios with drifting
-// positions, churning existing-link sets, penalties, and drains.
+// positions, churning and flipped existing-link sets, mixed request
+// bitrate classes, and drains.
 
 import (
 	"fmt"
@@ -96,8 +97,9 @@ func (w *eqWorld) drift() {
 }
 
 // input builds one solve cycle's Input. existing carries the previous
-// plan's links (hysteresis); every few cycles a drain or a penalty
-// appears.
+// plan's links (hysteresis); every few cycles a drain appears, or one
+// candidate's installed flag flips and a request asks for a second
+// bitrate class.
 func (w *eqWorld) input(existing map[radio.LinkID]bool) Input {
 	var xs []*platform.Transceiver
 	for _, n := range w.nodes {
@@ -119,11 +121,23 @@ func (w *eqWorld) input(existing map[radio.LinkID]bool) Input {
 		in.Drained = map[string]bool{w.balloons[1].ID: true}
 	}
 	if w.cycle%3 == 2 && len(in.Candidates) > 0 {
-		in.Penalties = map[radio.LinkID]float64{
-			in.Candidates[len(in.Candidates)/2].ID: 1.7,
-		}
+		in.Existing = flipExisting(existing, in.Candidates[len(in.Candidates)/2].ID)
+		in.Requests[0].MinBitrateBps = 400e6
 	}
 	return in
+}
+
+// flipExisting returns a copy of existing with the installed flag of
+// each of ids inverted, leaving the caller's map as it was.
+func flipExisting(existing map[radio.LinkID]bool, ids ...radio.LinkID) map[radio.LinkID]bool {
+	out := make(map[radio.LinkID]bool, len(existing)+len(ids))
+	for id, on := range existing {
+		out[id] = on
+	}
+	for _, id := range ids {
+		out[id] = !existing[id]
+	}
+	return out
 }
 
 func existingFrom(p *Plan) map[radio.LinkID]bool {
@@ -206,11 +220,11 @@ func TestEngineMatchesReferenceTightHopCap(t *testing.T) {
 //	s ──eSX── x          x has ONE transceiver, shared by eSX and eXM
 //	│          │
 //	eSM       eXM
-//	(penalty)  │
+//	(marginal) │
 //	└─────── m ──eMD── d
 //
 // Request r1 (s→d) initially fails: Dijkstra finalizes m via the
-// cheap 2-hop s-x-m route (4.4) before the penalized direct s-m edge
+// cheap 2-hop s-x-m route (4.4) before the marginal direct s-m edge
 // (5.2), and at 2 hops the cap stops expansion — d is never reached,
 // but ONLY because of the cap. Request r2 (s→x) then makes the greedy
 // commit eSX, whose conflict elimination kills eXM (shared x
@@ -241,6 +255,7 @@ func TestHopCapUnreachableBecomesRoutable(t *testing.T) {
 	eMD := mkRep(m.Xcvrs[2], d.Xcvrs[0])
 	eXM := mkRep(x.Xcvrs[0], m.Xcvrs[0])
 	eSM := mkRep(s.Xcvrs[1], m.Xcvrs[1])
+	eSM.Class = rf.Marginal
 	eSX := mkRep(s.Xcvrs[0], x.Xcvrs[0])
 	in := Input{
 		// Strictly ID-sorted, as the evaluator emits them.
@@ -249,7 +264,6 @@ func TestHopCapUnreachableBecomesRoutable(t *testing.T) {
 			{ID: "r1", Src: "s", Dst: "d", MinBitrateBps: 10e6},
 			{ID: "r2", Src: "s", Dst: "x", MinBitrateBps: 10e6},
 		},
-		Penalties: map[radio.LinkID]float64{eSM.ID: 3.0},
 	}
 	cfg := DefaultConfig()
 	cfg.MaxPathLen = 2
@@ -278,13 +292,13 @@ func TestHopCapUnreachableBecomesRoutable(t *testing.T) {
 // class, so each candidate is copied and, by a hash of its index and
 // the cycle, given a bitrate on either side of and exactly on the
 // request thresholds, a marginal class (c1 + MarginalPenalty) and an
-// adaptive penalty. The requests cycle through three classes.
+// inverted installed flag (c1 = ExistingLinkCost or NewLinkCost). The
+// requests cycle through three classes.
 func mixedInput(w *eqWorld, existing map[radio.LinkID]bool) Input {
 	in := w.input(existing)
 	bitrates := [...]float64{5e6, 10e6, 50e6, 120e6, 400e6, 988e6}
-	pens := [...]float64{0, 0, 0.5, 1.7, 3}
 	reps := make([]linkeval.Report, len(in.Candidates))
-	in.Penalties = map[radio.LinkID]float64{}
+	var flips []radio.LinkID
 	for i, r := range in.Candidates {
 		h := uint64(i+w.cycle*7919) * 0x9E3779B97F4A7C15
 		reps[i] = *r
@@ -292,11 +306,12 @@ func mixedInput(w *eqWorld, existing map[radio.LinkID]bool) Input {
 		if h>>40&3 == 0 {
 			reps[i].Class = rf.Marginal
 		}
-		if p := pens[h>>20%uint64(len(pens))]; p > 0 {
-			in.Penalties[r.ID] = p
+		if h>>20%3 == 0 {
+			flips = append(flips, r.ID)
 		}
 		in.Candidates[i] = &reps[i]
 	}
+	in.Existing = flipExisting(in.Existing, flips...)
 	classes := [...]float64{10e6, 50e6, 400e6}
 	for i := range in.Requests {
 		in.Requests[i].MinBitrateBps = classes[i%len(classes)]
@@ -306,8 +321,8 @@ func mixedInput(w *eqWorld, existing map[radio.LinkID]bool) Input {
 
 // TestDominancePruningMatchesReference holds the engine's dominance-
 // pruned search rows to SolveReference where the rule's three
-// conditions decide: mixed request classes, bitrates and penalties
-// that differ between parallel edges, and a SlowBitratePenalty that is
+// conditions decide: mixed request classes, bitrates, marginal classes
+// and installed flags that differ between parallel edges, and a SlowBitratePenalty that is
 // positive, zero (classes never matter) and negative (a slower edge is
 // cheaper, so only equal classes may dominate).
 func TestDominancePruningMatchesReference(t *testing.T) {

@@ -205,9 +205,6 @@ func (c *refCtx) edgeCost(e *refEdge, r Request) float64 {
 	if e.rep.Budget.BitrateBps < r.MinBitrateBps {
 		cost += c.cfg.SlowBitratePenalty
 	}
-	if !e.chosen && !e.exist {
-		cost += c.in.Penalties[e.rep.ID]
-	}
 	return cost
 }
 
@@ -379,7 +376,6 @@ func (c *refCtx) addRedundancy(plan *Plan) {
 			// strong retention bonus (redundant links churned badly
 			// before this hysteresis existed).
 			score := -float64(degree[e.a]+degree[e.b]) + e.rep.Budget.MarginDB/100
-			score -= c.in.Penalties[e.rep.ID]
 			if e.exist {
 				score += 3 * (1 + c.cfg.HysteresisBonus)
 			}

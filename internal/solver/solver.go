@@ -74,13 +74,6 @@ type Input struct {
 	// Drained nodes are excluded from carrying or terminating new
 	// links (Appendix C's administrative drains).
 	Drained map[string]bool
-	// Penalties adds per-candidate path cost from the adaptive
-	// feedback loop (§7 future work: "conditioning link selection on
-	// physical models augmented with enactment success rate ... would
-	// improve performance"). Pairs that recently failed to establish
-	// are deprioritized so the solver tries alternates instead of
-	// hammering a cursed pair.
-	Penalties map[radio.LinkID]float64
 }
 
 // Chosen is one link in the output plan.

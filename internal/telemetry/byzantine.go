@@ -24,8 +24,9 @@ type PositionGuard struct {
 	// byzantine node wins by waiting: quarantine deliberately freezes
 	// the reference timestamp, so the MaxSpeedMS·Δt envelope grows
 	// until any fixed spoof offset becomes "plausible" and is adopted
-	// wholesale (found by guided chaos search — a single ~23-minute
-	// byzantine-telemetry window walks believed position 250 km off).
+	// wholesale (found by chaos search, blind and guided alike — a
+	// single ~23-minute byzantine-telemetry window walks believed
+	// position 250 km off).
 	// The cap must sit well above any honest displacement across a
 	// report gap (winds move a balloon tens of km per hour) and well
 	// below the spoof offsets worth guarding against. Zero disables

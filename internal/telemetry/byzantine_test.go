@@ -77,7 +77,7 @@ func TestPositionGuardSeedDoesNotInheritSpoof(t *testing.T) {
 }
 
 // TestPositionGuardPatientAttacker is the regression test for the
-// envelope-growth hole guided chaos search found: quarantine freezes
+// envelope-growth hole chaos search found (blind and guided alike): quarantine freezes
 // the reference timestamp, so without an absolute cap the
 // MaxSpeedMS·Δt radius eventually swallows any fixed spoof offset —
 // a ~250 km lie becomes "plausible" after ~52 minutes of patient
