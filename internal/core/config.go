@@ -135,8 +135,6 @@ const (
 	// reachabilityPeriodS is the reachability tracker's aggregation
 	// period: one day.
 	reachabilityPeriodS = 86400
-	// telemetrySampleS is the reachability sampling cadence.
-	telemetrySampleS = 30
 	// maxEstablishAttempts bounds per-intent link retries ("95% of
 	// installed links succeeding within 2 and 3 attempts").
 	maxEstablishAttempts = 3
@@ -156,6 +154,17 @@ const (
 	// rollout duration before the replacement path took over, which
 	// is what Fig. 8's withdrawn-caused recoveries measure.
 	routeStaggerS = 60
+)
+
+// The measurement probes' cadences are variables, not constants, only
+// so that TestMeasurementDoesNotSteer can rerun the goldens with both
+// at 1 s: no read on the sampling path may change what the controller
+// does or how much work it does.
+var (
+	// telemetrySampleS is the reachability sampling cadence.
+	telemetrySampleS = 30.0
+	// recoverySampleS is the route-recovery sampling cadence (Fig. 8).
+	recoverySampleS = 5.0
 )
 
 // DefaultConfig is a Kenya-like deployment ready for experiments.

@@ -386,7 +386,7 @@ func (c *Controller) install() {
 		return true
 	})
 	// Fine-grained recovery sampling (short breaks must be seen).
-	eng.Every(5, func() bool {
+	eng.Every(recoverySampleS, func() bool {
 		c.sampleRecovery()
 		return true
 	})

@@ -36,6 +36,7 @@ type Fast struct {
 	dim         int32
 	srcs, queue []int32 // recompute's scratch
 	dirtyAt     float64 // earliest unapplied change; <0 when clean
+	converge    func()  // the scheduled rebuild, bound once
 	// Recomputes counts table rebuilds (telemetry).
 	Recomputes int
 }
@@ -44,6 +45,10 @@ type Fast struct {
 // link fabric's OnUp/OnDown callbacks.
 func NewFast(eng *sim.Engine, net Network, convergenceS float64) *Fast {
 	f := &Fast{eng: eng, net: net, ConvergenceS: convergenceS, dirtyAt: -1}
+	f.converge = func() {
+		f.recompute()
+		f.dirtyAt = -1
+	}
 	f.recompute()
 	return f
 }
@@ -58,19 +63,14 @@ func (f *Fast) Stats() Stats { return Stats{} }
 // Start implements Router (no periodic work).
 func (f *Fast) Start() {}
 
-// TopologyChanged notes that the link set changed now.
+// TopologyChanged notes that the link set changed now. The first
+// unapplied change schedules the rebuild as an engine event
+// ConvergenceS later, so the table a query sees depends only on
+// simulated time, never on when anyone last asked.
 func (f *Fast) TopologyChanged() {
 	if f.dirtyAt < 0 {
 		f.dirtyAt = f.eng.Now()
-	}
-}
-
-// maybeRecompute rebuilds tables once the convergence delay has
-// passed since the first unapplied change.
-func (f *Fast) maybeRecompute() {
-	if f.dirtyAt >= 0 && f.eng.Now() >= f.dirtyAt+f.ConvergenceS {
-		f.recompute()
-		f.dirtyAt = -1
+		f.eng.At(f.dirtyAt+f.ConvergenceS, f.converge)
 	}
 }
 
@@ -122,7 +122,6 @@ func (f *Fast) bfs(src int32) {
 // entries whose next hop is no longer adjacent fail (the transient
 // blackhole before convergence).
 func (f *Fast) NextHopAt(src, dst int32) (int32, bool) {
-	f.maybeRecompute()
 	if uint32(src) >= uint32(f.dim) || uint32(dst) >= uint32(f.dim) {
 		return -1, false
 	}
@@ -135,7 +134,6 @@ func (f *Fast) NextHopAt(src, dst int32) (int32, bool) {
 
 // NextHop implements Router: NextHopAt by node ID.
 func (f *Fast) NextHop(src, dst string) (string, bool) {
-	f.maybeRecompute() // due even when the lookups below fail
 	ids := f.net.IDs()
 	s, oks := ids.Lookup(src)
 	d, okd := ids.Lookup(dst)

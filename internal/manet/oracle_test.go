@@ -48,6 +48,10 @@ func (f *refFast) Stats() manet.Stats { return manet.Stats{} }
 func (f *refFast) TopologyChanged() {
 	if f.dirtyAt < 0 {
 		f.dirtyAt = f.eng.Now()
+		f.eng.At(f.dirtyAt+f.convergenceS, func() {
+			f.recompute()
+			f.dirtyAt = -1
+		})
 	}
 }
 
@@ -85,10 +89,6 @@ func bfsNextHops(net manet.Network, src string) map[string]string {
 }
 
 func (f *refFast) NextHop(src, dst string) (string, bool) {
-	if f.dirtyAt >= 0 && f.eng.Now() >= f.dirtyAt+f.convergenceS {
-		f.recompute()
-		f.dirtyAt = -1
-	}
 	nh, ok := f.tables[src][dst]
 	if !ok || !f.net.Adjacent(src, nh) {
 		return "", false
