@@ -8,7 +8,8 @@
 //	figures -fig 8 -scale 3 -seed 7
 //	figures -fig 11 -csv out/
 //
-// Figure IDs: 4, 6, 7, 8, 9, 10, 11, 13, headline, appA, appD, all.
+// Figure IDs: 4, 6, 7, 8, 9, 10, 11, 13, headline, appA, appD,
+// chaosavail, each ablation (abl-hysteresis, …), ablations, all.
 package main
 
 import (
@@ -25,38 +26,20 @@ import (
 	"minkowski/internal/experiments"
 )
 
-// one adapts a single-figure generator to the runners table.
-func one(fn func(experiments.Options) *experiments.Result) func(experiments.Options) []*experiments.Result {
-	return func(o experiments.Options) []*experiments.Result {
-		return []*experiments.Result{fn(o)}
+// runners maps a lower-cased -fig value to its generator: every
+// experiments table ID (a figure's also by number, "4" for "fig04")
+// and the "all" and "ablations" suites.
+var runners = func() map[string]func(experiments.Options) []*experiments.Result {
+	m := map[string]func(experiments.Options) []*experiments.Result{}
+	for _, name := range append(experiments.IDs(), "all", "ablations") {
+		run := func(o experiments.Options) []*experiments.Result { return experiments.Run(o, name) }
+		m[strings.ToLower(name)] = run
+		if n, ok := strings.CutPrefix(name, "fig"); ok {
+			m[strings.TrimLeft(n, "0")] = run
+		}
 	}
-}
-
-// runners maps a lower-cased -fig value to its generator.
-var runners = map[string]func(experiments.Options) []*experiments.Result{
-	"all":        experiments.All,
-	"4":          one(experiments.Fig04),
-	"fig04":      one(experiments.Fig04),
-	"6":          one(experiments.Fig06),
-	"fig06":      one(experiments.Fig06),
-	"7":          one(experiments.Fig07),
-	"fig07":      one(experiments.Fig07),
-	"8":          one(experiments.Fig08),
-	"fig08":      one(experiments.Fig08),
-	"9":          one(experiments.Fig09),
-	"fig09":      one(experiments.Fig09),
-	"10":         one(experiments.Fig10),
-	"fig10":      one(experiments.Fig10),
-	"11":         one(experiments.Fig11),
-	"fig11":      one(experiments.Fig11),
-	"13":         one(experiments.Fig13),
-	"fig13":      one(experiments.Fig13),
-	"headline":   one(experiments.Headline),
-	"appa":       one(experiments.AppA),
-	"appd":       one(experiments.AppD),
-	"ablations":  experiments.Ablations,
-	"chaosavail": one(experiments.ChaosAvail),
-}
+	return m
+}()
 
 // options is a validated command line.
 type options struct {
@@ -75,7 +58,7 @@ type options struct {
 func parseArgs(args []string, errOut io.Writer) (*options, error) {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	fig := fs.String("fig", "all", "figure to regenerate (4,6,7,8,9,10,11,13,headline,appA,appD,ablations,chaosavail,all)")
+	fig := fs.String("fig", "all", "figure to regenerate (4,6,7,8,9,10,11,13,headline,appA,appD,abl-*,ablations,chaosavail,all)")
 	scale := fs.Int("scale", 1, "fidelity scale: 1 quick, 3 paper-like fleet/duration")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	csvDir := fs.String("csv", "", "directory to write CSV series into (optional)")

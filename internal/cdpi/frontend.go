@@ -386,10 +386,12 @@ func (fe *Frontend) complete(p *pendingCmd, ok bool, via Channel, inferred bool)
 	}
 }
 
-// satProviderForResponse picks a provider for agent → controller
-// responses (round-robin by command count).
+// satProviderForResponse picks one of the gateway's providers for
+// agent → controller responses (round-robin by command count). Only
+// its latency model is used: responses ignore provider outages and
+// rate limits (DESIGN.md §6).
 func (fe *Frontend) satProviderForResponse() *satcom.Provider {
-	ps := satcom.DefaultProviders()
+	ps := fe.sat.Providers()
 	return ps[int(fe.nextCmd)%len(ps)]
 }
 

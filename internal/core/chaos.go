@@ -287,45 +287,31 @@ func (c *Controller) checkWeatherStaleness() {
 	}
 }
 
-// DataPlaneFrac returns the instantaneous fraction of in-service
-// balloons whose programmed backhaul route is operable right now —
-// the fine-grained availability signal the chaosavail figure samples
-// through fault windows. NaN when nothing is in service.
-func (c *Controller) DataPlaneFrac() float64 {
+// PlaneFracs returns the instantaneous fractions of in-service
+// balloons whose programmed backhaul route is operable and that have
+// in-band control connectivity right now — the fine-grained
+// availability signals the chaosavail figure samples through fault
+// windows. Both are NaN when nothing is in service.
+func (c *Controller) PlaneFracs() (data, ctrl float64) {
 	links := dataplane.LinkCheckerFunc(c.Fabric.Adjacent)
-	total, up := 0, 0
+	total, dataUp, ctrlUp := 0, 0, 0
 	for _, n := range c.Fleet.Nodes() {
-		if !c.inService(n) {
+		_, ctrl, data, ok := c.layers(n, links)
+		if !ok {
 			continue
 		}
 		total++
-		if c.Data.Operable("backhaul/"+n.ID, links) {
-			up++
+		if data {
+			dataUp++
+		}
+		if ctrl {
+			ctrlUp++
 		}
 	}
 	if total == 0 {
-		return math.NaN()
+		return math.NaN(), math.NaN()
 	}
-	return float64(up) / float64(total)
-}
-
-// ControlPlaneFrac returns the instantaneous fraction of in-service
-// balloons with in-band control connectivity.
-func (c *Controller) ControlPlaneFrac() float64 {
-	total, up := 0, 0
-	for _, n := range c.Fleet.Nodes() {
-		if !c.inService(n) {
-			continue
-		}
-		total++
-		if c.InBand.Connected(n.ID) {
-			up++
-		}
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	return float64(up) / float64(total)
+	return float64(dataUp) / float64(total), float64(ctrlUp) / float64(total)
 }
 
 // probeDelivery offers one synthetic end-to-end probe per in-service

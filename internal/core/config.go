@@ -156,10 +156,8 @@ const (
 	routeStaggerS = 60
 )
 
-// The measurement probes' cadences are variables, not constants, only
-// so that TestMeasurementDoesNotSteer can rerun the goldens with both
-// at 1 s: no read on the sampling path may change what the controller
-// does or how much work it does.
+// The probe cadences are variables only so TestMeasurementDoesNotSteer
+// can rerun the goldens with both at 1 s.
 var (
 	// telemetrySampleS is the reachability sampling cadence.
 	telemetrySampleS = 30.0

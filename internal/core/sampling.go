@@ -17,26 +17,31 @@ func (c *Controller) inService(n *platform.Node) bool {
 	return n.Kind == platform.KindBalloon && n.Operational() && c.NBI.HasActiveBackhaul(n.ID)
 }
 
+// layers reads n's availability now, layer by layer: the link layer
+// (any installed fabric link), the in-band control plane (a MANET path
+// to an SDN endpoint) and the data plane (its programmed backhaul route
+// operable). ok is false when n is not in service. Every availability
+// probe reads the layers through here.
+func (c *Controller) layers(n *platform.Node, links dataplane.LinkChecker) (link, ctrl, data, ok bool) {
+	if !c.inService(n) {
+		return false, false, false, false
+	}
+	return c.Fabric.NodeUp(n.ID), c.InBand.Connected(n.ID), c.Data.Operable("backhaul/"+n.ID, links), true
+}
+
 // sampleTelemetry observes the Fig. 6/7 signals for every balloon
 // currently in its potential service window.
 func (c *Controller) sampleTelemetry() {
 	now := c.Eng.Now()
 	links := dataplane.LinkCheckerFunc(c.Fabric.Adjacent)
 	for _, n := range c.Fleet.Nodes() {
-		if !c.inService(n) {
+		link, ctrl, data, ok := c.layers(n, links)
+		if !ok {
 			continue
 		}
-		id := n.ID
-		// Layer 1: link layer.
-		linkUp := c.Fabric.NodeUp(id)
-		c.Reach.Observe(now, id, telemetry.LayerLink, linkUp)
-		// Layer 2: in-band control plane (MANET path to an SDN
-		// endpoint).
-		ctrlUp := c.InBand.Connected(id)
-		c.Reach.Observe(now, id, telemetry.LayerControl, ctrlUp)
-		// Layer 3: data plane (programmed backhaul route operable).
-		dataUp := c.Data.Operable("backhaul/"+id, links)
-		c.Reach.Observe(now, id, telemetry.LayerData, dataUp)
+		c.Reach.Observe(now, n.ID, telemetry.LayerLink, link)
+		c.Reach.Observe(now, n.ID, telemetry.LayerControl, ctrl)
+		c.Reach.Observe(now, n.ID, telemetry.LayerData, data)
 	}
 	// Fig. 7: redundancy utilization (established vs intended).
 	installed := c.Fabric.UpCount()
@@ -72,13 +77,12 @@ func (c *Controller) sampleRecovery() {
 	links := dataplane.LinkCheckerFunc(c.Fabric.Adjacent)
 	installed := c.Fabric.UpCount()
 	for _, n := range c.Fleet.Nodes() {
-		if !c.inService(n) {
+		_, ctrl, data, ok := c.layers(n, links)
+		if !ok {
 			continue
 		}
-		dataUp := c.Data.Operable("backhaul/"+n.ID, links)
-		c.Recovery.ObserveNode(now, n.ID, dataUp, installed)
-		ctrlUp := c.InBand.Connected(n.ID)
-		c.RecoveryCtrl.ObserveNode(now, n.ID, ctrlUp, installed)
+		c.Recovery.ObserveNode(now, n.ID, data, installed)
+		c.RecoveryCtrl.ObserveNode(now, n.ID, ctrl, installed)
 	}
 }
 

@@ -25,7 +25,8 @@ func ChaosAvail(o Options) *Result {
 	type point struct{ t, data, ctrl float64 }
 	var timeline []point
 	c.Eng.Every(30, func() bool {
-		timeline = append(timeline, point{c.Eng.Now(), c.DataPlaneFrac(), c.ControlPlaneFrac()})
+		data, ctrl := c.PlaneFracs()
+		timeline = append(timeline, point{c.Eng.Now(), data, ctrl})
 		return true
 	})
 	c.RunHours(10) // the standard script ends at T+8.5h; leave settle time
@@ -66,8 +67,7 @@ func ChaosAvail(o Options) *Result {
 				f("%s / %s / %s", pct(before), pct(during), pct(after))})
 	}
 
-	var series [][]string
-	series = append(series, []string{"t_s", "data_frac", "control_frac"})
+	series := [][]string{{"t_s", "data_frac", "control_frac"}}
 	for _, p := range timeline {
 		series = append(series, []string{f("%.0f", p.t), f("%.3f", p.data), f("%.3f", p.ctrl)})
 	}

@@ -1,8 +1,7 @@
 // Package experiments regenerates every quantitative figure in the
-// paper's evaluation (see DESIGN.md §3 for the experiment index).
-// Each Fig* function runs a self-contained, seeded simulation and
-// returns a Result: named rows mirroring the series the paper
-// reports, plus optional CSV data for plotting.
+// paper's evaluation from one table of seeded worlds (runner.go;
+// DESIGN.md §3). Each figure is a Result: named rows mirroring the
+// series the paper reports, plus optional CSV data for plotting.
 //
 // The Scale parameter trades fidelity for wall-clock time: Scale 1 is
 // the quick (bench/CI) variant; Scale 3+ approaches the paper's fleet

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -172,4 +173,45 @@ func TestCDFCSVOneGridPerSeries(t *testing.T) {
 		t.Errorf("cdfCSV = %s, want %s", f, w)
 	}
 	checkCDFCSV(t, csv, "a", "b")
+}
+
+// TestSharedWorldMatchesFreshWorlds: two reads on one world, listed
+// latest horizon first, render exactly what each renders on a world of
+// its own. Fig. 8's extract sorts samples in place and Fig. 7's reads
+// others, so an extract that disturbed a later one would show here;
+// a runner that skipped the horizon sort would extract Fig. 7 at 2 h.
+func TestSharedWorldMatchesFreshWorlds(t *testing.T) {
+	o := DefaultOptions()
+	shared := []entry{figure("fig08", "", "nopower", 2, fig08), figure("fig07", "", "nopower", 1, fig07)}
+	got := run(o, shared)
+	for i, e := range shared {
+		if want := run(o, []entry{e})[0]; !reflect.DeepEqual(got[i], want) {
+			t.Errorf("%s on the shared world (rows or CSV differ):\n%son its own world:\n%s", e.id, got[i], want)
+		}
+	}
+}
+
+// TestSuitesRunEachWorldOnce: every scenario a read names exists, and
+// the suites simulate one world per distinct scenario.
+func TestSuitesRunEachWorldOnce(t *testing.T) {
+	for _, tc := range []struct {
+		suite  string
+		worlds int
+	}{{"all", 5}, {"ablations", 9}} {
+		worlds := map[string]bool{}
+		for _, e := range table {
+			if e.suite != tc.suite {
+				continue
+			}
+			for _, s := range e.worlds {
+				if scenarios[s] == nil {
+					t.Errorf("%s reads unknown scenario %q", e.id, s)
+				}
+				worlds[s] = true
+			}
+		}
+		if len(worlds) != tc.worlds {
+			t.Errorf("suite %s simulates %d worlds, want %d", tc.suite, len(worlds), tc.worlds)
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"minkowski/internal/core"
 	"minkowski/internal/explain"
 	"minkowski/internal/flight"
 	"minkowski/internal/geo"
@@ -12,7 +11,6 @@ import (
 	"minkowski/internal/sim"
 	"minkowski/internal/solver"
 	"minkowski/internal/stats"
-	"minkowski/internal/telemetry"
 )
 
 // Headline reproduces the paper's §8 claim as an ablation:
@@ -21,37 +19,18 @@ import (
 // relative to a strictly reactive approach." We compare a predictive
 // controller (solver fed with future-lead candidates, planned
 // withdrawals) against a reactive one (lead 0).
-func Headline(o Options) *Result {
-	run := func(lead float64) (*telemetry.Recovery, float64, float64) {
-		cfg := baseScenario(o)
-		cfg.Seed = o.Seed
-		cfg.DisablePower = true
-		cfg.WeatherCellsPerHour = 10
-		cfg.PredictiveLeadS = lead
-		c := core.New(cfg)
-		c.RunHours(8 * float64(o.scale()))
-		_, _, data := c.Reach.Ratio(telemetry.LayerLink), c.Reach.Ratio(telemetry.LayerControl), c.Reach.Ratio(telemetry.LayerData)
-		withdrawnFrac := 0.0
-		total := c.LinkLife.EndsB2G.Total() + c.LinkLife.EndsB2B.Total()
-		if total > 0 {
-			w := c.LinkLife.EndsB2G.Get("withdrawn") + c.LinkLife.EndsB2B.Get("withdrawn")
-			withdrawnFrac = float64(w) / float64(total)
-		}
-		return c.Recovery, data, withdrawnFrac
+func Headline(o Options) *Result { return Run(o, "headline")[0] }
+func headline(m []armMetrics) []Row {
+	pred, react := m[0], m[1]
+	return []Row{
+		{"planned-teardown repair mean", "37.8% faster than unplanned", stats.FmtDuration(pred.repairWithdrawn)},
+		{"unplanned repair mean", "-", stats.FmtDuration(pred.repairFailed)},
+		{"improvement (withdrawn vs failed)", "37.8%", pct(pred.repairGain)},
+		{"data availability (predictive)", "-", f("%.3f", pred.dataAvail)},
+		{"data availability (reactive)", "-", f("%.3f", react.dataAvail)},
+		{"planned-end share (predictive)", "52.6%", pct(pred.withdrawnFrac)},
+		{"planned-end share (reactive)", "lower", pct(react.withdrawnFrac)},
 	}
-	predRec, predData, predW := run(180)
-	_, reactData, reactW := run(0)
-	res := &Result{ID: "headline", Title: "Predictive vs reactive recovery (§8)", CSV: map[string][][]string{}}
-	res.Rows = []Row{
-		{"planned-teardown repair mean", "37.8% faster than unplanned", stats.FmtDuration(predRec.Withdrawn.Mean())},
-		{"unplanned repair mean", "-", stats.FmtDuration(predRec.Failed.Mean())},
-		{"improvement (withdrawn vs failed)", "37.8%", pct(predRec.MeanImprovement())},
-		{"data availability (predictive)", "-", f("%.3f", predData)},
-		{"data availability (reactive)", "-", f("%.3f", reactData)},
-		{"planned-end share (predictive)", "52.6%", pct(predW)},
-		{"planned-end share (reactive)", "lower", pct(reactW)},
-	}
-	return res
 }
 
 // AppA reproduces the mesh-redundancy study: 3 transceivers per
@@ -69,10 +48,7 @@ func AppA(o Options) *Result {
 		frac := 0.0
 		lmin, lmax := solver.RedundancyBoundsN(nBalloons, 3, k)
 		if lmax > lmin {
-			frac = float64(links-lmin) / float64(lmax-lmin)
-			if frac < 0 {
-				frac = 0
-			}
+			frac = max(0, float64(links-lmin)/float64(lmax-lmin))
 		}
 		gain := ""
 		if prevLinks > 0 {
@@ -140,13 +116,7 @@ func AppD(o Options) *Result {
 	res := &Result{ID: "appD", Title: "MANET comparison: AODV vs DSDV vs OLSR vs BATMAN", CSV: map[string][][]string{}}
 	csv := [][]string{{"protocol", "availability", "bytes", "msgs"}}
 	n := 8 + 2*o.scale()
-	type outcome struct {
-		name  string
-		avail float64
-		bytes int64
-		msgs  int64
-	}
-	var outs []outcome
+	bytes := map[string]int64{}
 	for _, name := range []string{"batman", "aodv", "dsdv", "olsr"} {
 		eng := sim.New(o.Seed)
 		net := manet.NewStaticNetwork()
@@ -195,30 +165,16 @@ func AppD(o Options) *Result {
 			}
 		}
 		st := r.Stats()
-		outs = append(outs, outcome{name, float64(avail) / float64(samples), st.BytesSent, st.MessagesSent})
-		csv = append(csv, []string{name, f("%.3f", float64(avail)/float64(samples)), f("%d", st.BytesSent), f("%d", st.MessagesSent)})
+		frac := float64(avail) / float64(samples)
+		bytes[name] = st.BytesSent
+		res.Rows = append(res.Rows, Row{name, map[string]string{
+			"aodv": "good convergence, lowest overhead",
+			"dsdv": "good convergence, higher overhead",
+			"olsr": "laggier convergence",
+		}[name], f("avail=%.2f bytes=%d", frac, st.BytesSent)})
+		csv = append(csv, []string{name, f("%.3f", frac), f("%d", st.BytesSent), f("%d", st.MessagesSent)})
 	}
-	for _, oc := range outs {
-		res.Rows = append(res.Rows, Row{
-			oc.name,
-			map[string]string{
-				"aodv": "good convergence, lowest overhead",
-				"dsdv": "good convergence, higher overhead",
-				"olsr": "laggier convergence",
-			}[oc.name],
-			f("avail=%.2f bytes=%d", oc.avail, oc.bytes),
-		})
-	}
-	var aodvBytes, dsdvBytes int64
-	for _, oc := range outs {
-		switch oc.name {
-		case "aodv":
-			aodvBytes = oc.bytes
-		case "dsdv":
-			dsdvBytes = oc.bytes
-		}
-	}
-	res.Rows = append(res.Rows, Row{"AODV overhead < DSDV", "yes", f("%v", aodvBytes < dsdvBytes)})
+	res.Rows = append(res.Rows, Row{"AODV overhead < DSDV", "yes", f("%v", bytes["aodv"] < bytes["dsdv"])})
 	res.CSV["manet_compare"] = csv
 	return res
 }
@@ -273,9 +229,4 @@ func Fig13(o Options) *Result {
 }
 
 // All runs every experiment at the given options, in paper order.
-func All(o Options) []*Result {
-	return []*Result{
-		Fig04(o), Fig06(o), Fig07(o), Fig08(o), Fig09(o),
-		Fig10(o), Fig11(o), Headline(o), AppA(o), AppD(o), Fig13(o),
-	}
-}
+func All(o Options) []*Result { return Run(o, "all") }

@@ -10,40 +10,26 @@ import (
 // graph changed in 99.9% of hours with 13% median change. Only 3.5%
 // of minutes saw a stable candidate graph, and at median 10 links
 // changed minute to minute." Mean graph size was 3275 links.
-func Fig04(o Options) *Result {
-	cfg := baseScenario(o)
-	cfg.ChurnSampling = true
-	cfg.DisablePower = true // churn is about motion, not power
-	// Churn statistics need a fleet large enough that the candidate
-	// graph has a meaningful population near range/margin boundaries.
-	cfg.FleetSize = 15 + 10*o.scale()
-	c := core.New(cfg)
-	hours := 12 * float64(o.scale())
-	c.RunHours(hours)
+func Fig04(o Options) *Result { return Run(o, "fig04")[0] }
+func fig04(c *core.Controller, res *Result) {
 	ch := c.Churn
-	res := &Result{ID: "fig04", Title: "Hour-to-hour deltas in the candidate link set", CSV: map[string][][]string{}}
 	res.Rows = []Row{
 		{"hours with any change", "99.9%", pct(ch.ChangedHourFrac())},
 		{"median hourly change", "13%", pct(ch.HourlyFrac.Median())},
 		{"stable minutes", "3.5%", pct(ch.StableMinuteFrac())},
 		{"median links changed/min", "10", f("%.0f", ch.MinuteChanged.Median())},
-		{"mean candidate links", "3275 (100+ xcvrs)", f("%.0f (%d xcvrs)", ch.Size.Mean(), (15+10*o.scale())*3+6)},
+		{"mean candidate links", "3275 (100+ xcvrs)", f("%.0f (%d xcvrs)", ch.Size.Mean(), c.Cfg.FleetSize*3+6)},
 		{"B2B candidates (min–max)", "0–6595", f("%.0f–%.0f", ch.B2B.Min(), ch.B2B.Max())},
 		{"B2G candidates (min–max)", "0–750", f("%.0f–%.0f", ch.B2G.Min(), ch.B2G.Max())},
 	}
 	res.CSV["hourly_delta_cdf"] = cdfCSV(50, "%.4f", cdfSeries{"frac_changed", &ch.HourlyFrac})
-	return res
 }
 
 // Fig06 reproduces the layered availability metrics: link layer
 // highest, data plane lowest, with redundancy + MANET pushing control
 // above link late in the deployment.
-func Fig06(o Options) *Result {
-	cfg := baseScenario(o)
-	days := 2 * o.scale()
-	c := core.New(cfg)
-	c.RunHours(24 * float64(days))
-	res := &Result{ID: "fig06", Title: "Aggregated node-level reachability", CSV: map[string][][]string{}}
+func Fig06(o Options) *Result { return Run(o, "fig06")[0] }
+func fig06(c *core.Controller, res *Result) {
 	link := c.Reach.Ratio(telemetry.LayerLink)
 	ctrl := c.Reach.Ratio(telemetry.LayerControl)
 	data := c.Reach.Ratio(telemetry.LayerData)
@@ -53,27 +39,21 @@ func Fig06(o Options) *Result {
 		{"data-plane availability", "lowest of the three", f("%.3f", data)},
 		{"ordering link ≥ data", "yes", f("%v", link >= data-0.02)},
 	}
-	var series [][]string
-	series = append(series, []string{"day", "link", "control", "data"})
+	series := [][]string{{"day", "link", "control", "data"}}
 	ls, cs, ds := c.Reach.Series(telemetry.LayerLink), c.Reach.Series(telemetry.LayerControl), c.Reach.Series(telemetry.LayerData)
 	for i := 0; i < len(ls) && i < len(cs) && i < len(ds); i++ {
 		series = append(series, []string{f("%d", i), f("%.3f", ls[i]), f("%.3f", cs[i]), f("%.3f", ds[i])})
 	}
 	res.CSV["daily_series"] = series
-	return res
 }
 
 // Fig07 reproduces redundancy utilization: "14% of the time the
 // established mesh had no redundancy ... at median, meshes utilize
 // 53% of available transceivers ... lower than the intended level
 // (70% at median)."
-func Fig07(o Options) *Result {
-	cfg := baseScenario(o)
-	cfg.DisablePower = true
-	c := core.New(cfg)
-	c.RunHours(8 * float64(o.scale()))
+func Fig07(o Options) *Result { return Run(o, "fig07")[0] }
+func fig07(c *core.Controller, res *Result) {
 	rd := c.Redund
-	res := &Result{ID: "fig07", Title: "Redundant links intended vs established", CSV: map[string][][]string{}}
 	res.Rows = []Row{
 		{"time with no redundancy", "14%", pct(rd.ZeroFrac())},
 		{"median established fraction", "53%", pct(rd.Established.Median())},
@@ -82,32 +62,26 @@ func Fig07(o Options) *Result {
 	}
 	res.CSV["redundancy_cdf"] = cdfCSV(25, "%.3f",
 		cdfSeries{"established", &rd.Established}, cdfSeries{"intended", &rd.Intended})
-	return res
 }
 
 // Fig08 reproduces route-recovery timing: recoveries co-occurring
 // with planned withdrawals are ~2.9× more common and repair 37.8%
 // faster on average than unexpected failures; 75% of recoveries take
 // <20 s; 92.4% recover without a new link.
-func Fig08(o Options) *Result {
-	cfg := baseScenario(o)
-	cfg.DisablePower = true
-	c := core.New(cfg)
-	c.RunHours(10 * float64(o.scale()))
+func Fig08(o Options) *Result { return Run(o, "fig08")[0] }
+func fig08(c *core.Controller, res *Result) {
 	rc := c.Recovery
 	ctrl := c.RecoveryCtrl
-	res := &Result{ID: "fig08", Title: "Time to repair broken routes (<5 min recoveries)", CSV: map[string][][]string{}}
 	// The paper's "75% < 20 s" and "92.4% without a new link" describe
 	// the CONTROL-plane breakages underlying broken routes ("due to
 	// the level of redundancy in the mesh and our use of AODV").
 	withoutNew := float64(ctrl.RecoveredWithoutNewLink) /
 		float64(max(1, ctrl.RecoveredWithNewLink+ctrl.RecoveredWithoutNewLink))
 	under20 := 0.0
-	all := append(append(append([]float64{}, ctrl.Withdrawn.Values()...), ctrl.Failed.Values()...), ctrl.Unknown.Values()...)
-	var allS stats.Sample
-	allS.AddAll(all)
-	if allS.N() > 0 {
-		under20 = allS.FracBelow(20)
+	var all stats.Sample
+	all.AddAll(append(append(ctrl.Withdrawn.Values(), ctrl.Failed.Values()...), ctrl.Unknown.Values()...))
+	if all.N() > 0 {
+		under20 = all.FracBelow(20)
 	}
 	res.Rows = []Row{
 		{"withdrawn-caused recoveries", "2.9× failed-caused", f("%d vs %d (%.1fx)", rc.Withdrawn.N(), rc.Failed.N(), ratio(rc.Withdrawn.N(), rc.Failed.N()))},
@@ -119,18 +93,14 @@ func Fig08(o Options) *Result {
 	}
 	res.CSV["recovery_cdf"] = cdfCSV(25, "%.1f",
 		cdfSeries{"withdrawn", &rc.Withdrawn}, cdfSeries{"failed", &rc.Failed})
-	return res
 }
 
 // Fig09 reproduces enactment-time distributions vs control-channel
 // RTT: satcom RTT median 1m27s / p90 5m47s / p99 14m50s; in-band
 // sub-second median RTT; link intents gated by radio search (+TTE on
 // satcom); route intents fast but with a reconvergence tail.
-func Fig09(o Options) *Result {
-	cfg := baseScenario(o)
-	c := core.New(cfg)
-	c.RunHours(8 * float64(o.scale()))
-	res := &Result{ID: "fig09", Title: "Intent enactment time vs control channel RTT", CSV: map[string][][]string{}}
+func Fig09(o Options) *Result { return Run(o, "fig09")[0] }
+func fig09(c *core.Controller, res *Result) {
 	var link, route stats.Sample
 	satCount, ibCount := 0, 0
 	for _, e := range c.Frontend.Enactments {
@@ -158,24 +128,18 @@ func Fig09(o Options) *Result {
 		{"completions via in-band", "most, once mesh is up", f("%d vs %d satcom", ibCount, satCount)},
 		{"satcom retries", "-", f("%d timeouts, %d retries", c.Frontend.Timeouts, c.Frontend.Retries)},
 	}
-	var csv [][]string
-	csv = append(csv, []string{"kind", "p50", "p90", "p99"})
+	csv := [][]string{{"kind", "p50", "p90", "p99"}}
 	csv = append(csv, []string{"link-establish", f("%.1f", link.Quantile(0.5)), f("%.1f", link.Quantile(0.9)), f("%.1f", link.Quantile(0.99))})
 	csv = append(csv, []string{"route-update", f("%.1f", route.Quantile(0.5)), f("%.1f", route.Quantile(0.9)), f("%.1f", route.Quantile(0.99))})
 	res.CSV["enactment_quantiles"] = csv
-	return res
 }
 
 // Fig10 reproduces the modelled-vs-measured B2B attenuation error:
 // a +4.3 dB pessimistic shift, a side-lobe bump near −14 dB, and
 // weather-driven tails.
-func Fig10(o Options) *Result {
-	cfg := baseScenario(o)
-	cfg.DisablePower = true
-	c := core.New(cfg)
-	c.RunHours(8 * float64(o.scale()))
+func Fig10(o Options) *Result { return Run(o, "fig10")[0] }
+func fig10(c *core.Controller, res *Result) {
 	me := c.ModelErr.Errors
-	res := &Result{ID: "fig10", Title: "Measured minus modelled B2B channel error", CSV: map[string][][]string{}}
 	res.Rows = []Row{
 		{"median shift (pessimism)", "+4.3 dB", f("%+.1f dB", me.Median())},
 		{"shift is positive", "yes", f("%v", me.Median() > 0)},
@@ -183,13 +147,11 @@ func Fig10(o Options) *Result {
 		{"samples", "-", f("%d", me.N())},
 	}
 	centers, counts := me.Histogram(-25, 15, 40)
-	var hist [][]string
-	hist = append(hist, []string{"error_db", "count"})
+	hist := [][]string{{"error_db", "count"}}
 	for i := range centers {
 		hist = append(hist, []string{f("%.1f", centers[i]), f("%d", counts[i])})
 	}
 	res.CSV["error_histogram"] = hist
-	return res
 }
 
 // Fig11 reproduces link-lifetime statistics: B2G median 1m45s (44.8%
@@ -197,14 +159,9 @@ func Fig10(o Options) *Result {
 // first-attempt success 51% B2G / 40% B2B; 35% of pairs never
 // succeed; unexpected end states 47.4% overall (69.2% B2G / 39.2%
 // B2B).
-func Fig11(o Options) *Result {
-	cfg := baseScenario(o)
-	cfg.DisablePower = true
-	cfg.WeatherCellsPerHour = 10
-	c := core.New(cfg)
-	c.RunHours(12 * float64(o.scale()))
+func Fig11(o Options) *Result { return Run(o, "fig11")[0] }
+func fig11(c *core.Controller, res *Result) {
 	ll := c.LinkLife
-	res := &Result{ID: "fig11", Title: "Distribution of link lifetimes", CSV: map[string][][]string{}}
 	g, b := ll.FirstAttemptRate()
 	overall, ug, ub := ll.UnexpectedEndFrac()
 	res.Rows = []Row{
@@ -221,7 +178,6 @@ func Fig11(o Options) *Result {
 		{"unexpected ends B2B", "39.2%", pct(ub)},
 	}
 	res.CSV["lifetime_cdf"] = cdfCSV(30, "%.0f", cdfSeries{"b2g", &ll.B2G}, cdfSeries{"b2b", &ll.B2B})
-	return res
 }
 
 // cdfSeries is one named sample of a CDF export.
@@ -247,11 +203,4 @@ func ratio(a, b int) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -13,12 +13,12 @@ import (
 // solve-cycle span trees. Deterministic in (Seed, Scale): the bytes
 // are identical at every GOMAXPROCS (see internal/obs package docs).
 func ObsExport(o Options) ([]byte, error) {
-	cfg := baseScenario(o)
-	c := core.New(cfg)
-	c.RunHours(2 * float64(o.scale()))
-	exp := struct {
+	type export struct {
 		Snapshot obs.Snapshot `json:"snapshot"`
 		Trees    []*obs.Span  `json:"trees"`
-	}{c.ObsSnapshot(), c.ObsTrees()}
-	return json.MarshalIndent(exp, "", "  ")
+	}
+	got := simulate(o, []entry{{hours: 2, worlds: []string{"base"}, extract: func(c *core.Controller) any {
+		return export{c.ObsSnapshot(), c.ObsTrees()}
+	}}})
+	return json.MarshalIndent(got[0][0], "", "  ")
 }

@@ -139,6 +139,10 @@ func NewGateway(eng *sim.Engine, providers []*Provider) *Gateway {
 	}
 }
 
+// Providers returns the gateway's providers, in the order given to
+// NewGateway.
+func (g *Gateway) Providers() []*Provider { return g.providers }
+
 // SetProviderDown starts or ends a provider outage ("all" targets
 // every provider — the both-services-dark scenario of §4.1).
 func (g *Gateway) SetProviderDown(name string, isDown bool) {
