@@ -95,7 +95,7 @@ type pendingCmd struct {
 	cmd         *Command
 	submittedAt float64
 	attempts    int
-	timer       *sim.Timer
+	timer       sim.Timer
 	done        func(ok bool)
 }
 
@@ -162,11 +162,9 @@ func (fe *Frontend) RebootAgent(node string) *Agent {
 // (the paper's §6 restart-safety hazard).
 func (fe *Frontend) Crash() {
 	fe.down = true
-	//minkowski:unordered-ok Timer.Cancel only marks each timer's own event; nothing is scheduled, so no tie-break order is set here
+	//minkowski:unordered-ok Timer.Cancel removes each timer's own event and schedules nothing; removal order shapes only the heap and its free list, and pops follow (at, seq), a total order
 	for _, p := range fe.pending {
-		if p.timer != nil {
-			p.timer.Cancel()
-		}
+		p.timer.Cancel()
 	}
 	fe.pending = map[uint64]*pendingCmd{}
 	fe.lastHeard = map[string]float64{}
@@ -309,9 +307,7 @@ func (fe *Frontend) dispatch(p *pendingCmd) {
 }
 
 func (fe *Frontend) armTimeout(p *pendingCmd, wait float64) {
-	if p.timer != nil {
-		p.timer.Cancel()
-	}
+	p.timer.Cancel()
 	p.timer = fe.eng.After(wait, func() { fe.timeout(p) })
 }
 
@@ -364,9 +360,7 @@ func (fe *Frontend) response(cmd *Command, ok bool, via Channel) {
 
 // complete finalizes a pending command.
 func (fe *Frontend) complete(p *pendingCmd, ok bool, via Channel, inferred bool) {
-	if p.timer != nil {
-		p.timer.Cancel()
-	}
+	p.timer.Cancel()
 	delete(fe.pending, p.cmd.ID)
 	e := Enactment{
 		Kind:        p.cmd.Kind,

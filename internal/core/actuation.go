@@ -36,7 +36,7 @@ type armState struct {
 	li      *intent.LinkIntent
 	armed   map[string]bool
 	done    map[string]func(bool)
-	timeout *sim.Timer
+	timeout sim.Timer
 	// attempt number currently in flight.
 	attempt int
 }
@@ -248,9 +248,7 @@ func (c *Controller) commandWithdraw(p *ctlState, li *intent.LinkIntent) {
 	c.Log.Append(now, explain.EvCommand, li.Link.String(), "link-withdraw")
 	// Cancel any in-flight establishment.
 	if arm, ok := p.arms[li.Link]; ok {
-		if arm.timeout != nil {
-			arm.timeout.Cancel()
-		}
+		arm.timeout.Cancel()
 		delete(p.arms, li.Link)
 	}
 	iid := c.Frontend.NewIntentID()
@@ -365,9 +363,7 @@ func (c *Controller) finishAttempt(p *ctlState, id radio.LinkID, ok bool) {
 		return
 	}
 	arm.complete(ok)
-	if arm.timeout != nil {
-		arm.timeout.Cancel()
-	}
+	arm.timeout.Cancel()
 	delete(p.arms, id)
 	if ok {
 		return
@@ -404,9 +400,7 @@ func (c *Controller) onLinkUp(l *radio.Link) {
 		// Complete the arm state successfully.
 		if arm, ok := p.arms[l.ID]; ok {
 			arm.complete(true)
-			if arm.timeout != nil {
-				arm.timeout.Cancel()
-			}
+			arm.timeout.Cancel()
 			delete(p.arms, l.ID)
 		}
 	}

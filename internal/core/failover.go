@@ -234,11 +234,9 @@ func (c *Controller) discardRogue() {
 	if c.rogue == nil {
 		return
 	}
-	//minkowski:unordered-ok Timer.Cancel only marks each timer's own event; nothing is scheduled, so no tie-break order is set here
+	//minkowski:unordered-ok Timer.Cancel removes each timer's own event and schedules nothing; removal order shapes only the heap and its free list, and pops follow (at, seq), a total order
 	for _, arm := range c.rogue.arms {
-		if arm.timeout != nil {
-			arm.timeout.Cancel()
-		}
+		arm.timeout.Cancel()
 	}
 	c.rogue = nil
 }
@@ -247,11 +245,9 @@ func (c *Controller) discardRogue() {
 // timers, intent store, last plan). The journal is durable storage and
 // survives.
 func (c *Controller) dropActingMemory() {
-	//minkowski:unordered-ok Timer.Cancel only marks each timer's own event; nothing is scheduled, so no tie-break order is set here
+	//minkowski:unordered-ok Timer.Cancel removes each timer's own event and schedules nothing; removal order shapes only the heap and its free list, and pops follow (at, seq), a total order
 	for _, arm := range c.arms {
-		if arm.timeout != nil {
-			arm.timeout.Cancel()
-		}
+		arm.timeout.Cancel()
 	}
 	c.arms = map[radio.LinkID]*armState{}
 	c.Intents = intent.NewStore()

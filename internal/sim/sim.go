@@ -9,63 +9,72 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 )
 
-// Event is one scheduled callback.
-type event struct {
-	at  float64
-	seq uint64 // FIFO tiebreak for simultaneous events
+// slot holds one scheduled callback. A slot lives from At/Every until
+// its event fires (a one-shot, or a series whose fn returns false) or
+// is canceled; then gen is bumped and the slot joins the free list, so
+// a Timer still naming it cancels nothing.
+type slot struct {
 	fn  func()
-	// canceled events stay in the heap but are skipped.
-	canceled bool
+	pos int32 // index in pq; -1 while fn runs or while free
+	gen uint32
 }
 
-type eventHeap []*event
+// entry is one queued event. (at, seq) is a strict total order: seq
+// is unique, so every correct heap pops the same sequence.
+type entry struct {
+	at   float64
+	seq  uint64 // FIFO tiebreak for simultaneous events
+	slot int32
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at < h[j].at {
+func (a *entry) less(b *entry) bool {
+	if a.at < b.at {
 		return true
 	}
-	if h[j].at < h[i].at {
+	if b.at < a.at {
 		return false
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
-// Timer is a handle for a scheduled event that can be canceled.
-type Timer struct{ ev *event }
+// Timer is a handle for a scheduled event that can be canceled. The
+// zero Timer cancels nothing.
+type Timer struct {
+	e    *Engine
+	slot int32
+	gen  uint32
+}
 
-// Cancel prevents the event from firing. Canceling an already-fired
-// or already-canceled timer is a no-op.
-func (t *Timer) Cancel() {
-	if t != nil && t.ev != nil {
-		t.ev.canceled = true
+// Cancel removes the event from the queue. Canceling an already-fired
+// or already-canceled timer is a no-op, and so is canceling a series
+// from inside its own fn (it has no pending occurrence then).
+func (t Timer) Cancel() {
+	if t.e == nil {
+		return
 	}
+	s := &t.e.slots[t.slot]
+	if s.gen != t.gen || s.pos < 0 {
+		return
+	}
+	t.e.remove(int(s.pos))
+	t.e.release(t.slot)
 }
 
 // Engine is the event loop.
 type Engine struct {
-	now  float64
-	pq   eventHeap
-	seq  uint64
-	seed int64
-	rngs map[string]*rand.Rand
+	now   float64
+	pq    []entry
+	slots []slot
+	free  []int32 // released slot indices
+	seq   uint64
+	seed  int64
+	rngs  map[string]*rand.Rand
 	// Processed counts executed events (telemetry/tests).
 	Processed uint64
 }
@@ -96,30 +105,99 @@ func (e *Engine) RNG(name string) *rand.Rand {
 // At schedules fn at absolute time t. Scheduling in the past (or at
 // the current instant) fires on the next dispatch at the current
 // time. Returns a cancelable Timer.
-func (e *Engine) At(t float64, fn func()) *Timer {
-	return &Timer{ev: e.schedule(t, fn)}
-}
-
-// schedule queues fn at absolute time t (clamped to now) behind every
-// event already queued for that instant.
-func (e *Engine) schedule(t float64, fn func()) *event {
+func (e *Engine) At(t float64, fn func()) Timer {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
 	if math.IsNaN(t) {
 		panic("sim: NaN event time")
 	}
+	var i int32
+	if n := len(e.free); n > 0 {
+		i = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		i = int32(len(e.slots))
+		e.slots = append(e.slots, slot{})
+	}
+	e.slots[i].fn = fn
+	e.push(t, i)
+	return Timer{e: e, slot: i, gen: e.slots[i].gen}
+}
+
+// push queues slot i at absolute time t (clamped to now) behind every
+// event already queued for that instant.
+func (e *Engine) push(t float64, i int32) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	ev := &event{at: t, seq: e.seq, fn: fn}
-	heap.Push(&e.pq, ev)
-	return ev
+	e.pq = append(e.pq, entry{at: t, seq: e.seq, slot: i})
+	e.up(len(e.pq) - 1)
+}
+
+// release frees slot i for reuse and invalidates every Timer naming it.
+func (e *Engine) release(i int32) {
+	e.slots[i].fn = nil
+	e.slots[i].gen++
+	e.free = append(e.free, i)
+}
+
+// up and down sift pq[i] toward the root or the leaves, keeping each
+// moved entry's slot.pos in step with its index.
+func (e *Engine) up(i int) {
+	x := e.pq[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.less(&e.pq[p]) {
+			break
+		}
+		e.pq[i] = e.pq[p]
+		e.slots[e.pq[i].slot].pos = int32(i)
+		i = p
+	}
+	e.pq[i] = x
+	e.slots[x.slot].pos = int32(i)
+}
+
+func (e *Engine) down(i int) {
+	x := e.pq[i]
+	n := len(e.pq)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && e.pq[r].less(&e.pq[c]) {
+			c = r
+		}
+		if !e.pq[c].less(&x) {
+			break
+		}
+		e.pq[i] = e.pq[c]
+		e.slots[e.pq[i].slot].pos = int32(i)
+		i = c
+	}
+	e.pq[i] = x
+	e.slots[x.slot].pos = int32(i)
+}
+
+// remove takes pq[i] off the heap and marks its slot unqueued.
+func (e *Engine) remove(i int) {
+	e.slots[e.pq[i].slot].pos = -1
+	last := len(e.pq) - 1
+	e.pq[i] = e.pq[last]
+	e.pq = e.pq[:last]
+	if i < last {
+		// At most one of the two moves it: whatever down leaves at i
+		// was a child of the removed entry, so no less than i's parent.
+		e.down(i)
+		e.up(i)
+	}
 }
 
 // After schedules fn d seconds from now.
-func (e *Engine) After(d float64, fn func()) *Timer {
+func (e *Engine) After(d float64, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
@@ -128,72 +206,59 @@ func (e *Engine) After(d float64, fn func()) *Timer {
 
 // Every schedules fn to run now and then every interval seconds for
 // as long as fn returns true. The returned Timer cancels the
-// *pending* occurrence. The series is one event that re-arms itself:
+// *pending* occurrence. The series is one slot that re-arms itself:
 // after fn returns it takes the next sequence number (so it queues
 // behind anything fn scheduled for the same instant) and goes back on
-// the heap, which also clears a Cancel made from inside fn.
-func (e *Engine) Every(interval float64, fn func() bool) *Timer {
-	if interval <= 0 {
-		panic(fmt.Sprintf("sim: non-positive interval %v", interval))
+// the heap.
+func (e *Engine) Every(interval float64, fn func() bool) Timer {
+	if !(interval > 0) || math.IsInf(interval, 1) {
+		panic(fmt.Sprintf("sim: interval %v is not positive and finite", interval))
 	}
-	var ev *event
-	ev = e.schedule(e.now, func() {
+	var i int32
+	t := e.At(e.now, func() {
 		if fn() {
-			e.seq++
-			ev.at, ev.seq, ev.canceled = e.now+interval, e.seq, false
-			heap.Push(&e.pq, ev)
+			e.push(e.now+interval, i)
 		}
 	})
-	return &Timer{ev: ev}
+	i = t.slot
+	return t
 }
 
 // Step executes the single next event, advancing the clock to it.
 // Returns false when no events remain.
 func (e *Engine) Step() bool {
-	for e.pq.Len() > 0 {
-		ev := heap.Pop(&e.pq).(*event)
-		if ev.canceled {
-			continue
-		}
-		e.now = ev.at
-		e.Processed++
-		ev.fn()
-		return true
+	if len(e.pq) == 0 {
+		return false
 	}
-	return false
+	e.fire()
+	return true
 }
 
 // Run executes events until the clock would pass `until` (inclusive)
 // or the queue drains. The clock finishes at exactly `until` if it
 // was reached.
 func (e *Engine) Run(until float64) {
-	for e.pq.Len() > 0 {
-		// Peek.
-		next := e.pq[0]
-		if next.canceled {
-			heap.Pop(&e.pq)
-			continue
-		}
-		if next.at > until {
-			break
-		}
-		heap.Pop(&e.pq)
-		e.now = next.at
-		e.Processed++
-		next.fn()
+	for len(e.pq) > 0 && !(e.pq[0].at > until) {
+		e.fire()
 	}
 	if e.now < until {
 		e.now = until
 	}
 }
 
-// Pending returns the number of live events in the queue.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.pq {
-		if !ev.canceled {
-			n++
-		}
+// fire pops the earliest event and runs it. The slot stays allocated
+// while fn runs (pos -1, so a Cancel from inside fn is a no-op) and is
+// released afterwards unless fn re-armed it (an Every series).
+func (e *Engine) fire() {
+	top := e.pq[0]
+	e.remove(0)
+	e.now = top.at
+	e.Processed++
+	e.slots[top.slot].fn()
+	if e.slots[top.slot].pos < 0 {
+		e.release(top.slot)
 	}
-	return n
 }
+
+// Pending returns the number of live events in the queue.
+func (e *Engine) Pending() int { return len(e.pq) }

