@@ -152,7 +152,7 @@ func run(o *options) int {
 	for _, r := range o.figures(o.exp) {
 		fmt.Println(r)
 		if o.csvDir != "" {
-			if err := writeCSVs(o.csvDir, r); err != nil {
+			if err := writeCSV(o.csvDir, r); err != nil {
 				fmt.Fprintf(os.Stderr, "csv: %v\n", err)
 				return 1
 			}
@@ -161,21 +161,22 @@ func run(o *options) int {
 	return 0
 }
 
-func writeCSVs(dir string, r *experiments.Result) error {
+func writeCSV(dir string, r *experiments.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for name, rows := range r.CSV {
-		var b strings.Builder
-		for _, rec := range rows {
-			b.WriteString(strings.Join(rec, ","))
-			b.WriteByte('\n')
-		}
-		path := filepath.Join(dir, fmt.Sprintf("%s_%s.csv", r.ID, name))
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", path)
+	if r.CSVName == "" {
+		return nil
 	}
+	var b strings.Builder
+	for _, rec := range r.CSV {
+		b.WriteString(strings.Join(rec, ","))
+		b.WriteByte('\n')
+	}
+	path := filepath.Join(dir, fmt.Sprintf("%s_%s.csv", r.ID, r.CSVName))
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("  wrote %s\n", path)
 	return nil
 }

@@ -9,8 +9,9 @@
 //     above horizontal for balloons),
 //   - per-mount occlusion masks (bus hardware, terrain, buildings,
 //     foliage) that differ between antennas on the same platform,
-//   - a main-lobe/side-lobe gain pattern (the paper's Fig. 10 shows a
-//     bump near −14 dB attributed to locking onto side lobes),
+//   - the boresight gain and the first side lobe's level (the paper's
+//     Fig. 10 shows a bump near −14 dB attributed to locking onto side
+//     lobes),
 //   - slew and acquisition timing (the paper: "this process could
 //     take dozens of seconds").
 package antenna
@@ -83,14 +84,12 @@ func (o Occlusion) Blocks(p geo.Pointing) bool {
 	return inAz && p.Elevation <= o.ElMax
 }
 
-// GainPattern is a rotationally symmetric directional antenna pattern:
-// a parabolic main lobe, a flat first side lobe, and an ITU-style
-// 32 − 25·log10(θ) far side-lobe envelope.
+// GainPattern is the two levels of a directional antenna pattern the
+// link model reads: the boresight gain, and the first side lobe a
+// mispointed tracker can lock on to.
 type GainPattern struct {
 	// PeakDBi is the boresight gain.
 	PeakDBi float64
-	// Beamwidth is the half-power (3 dB) full beamwidth in radians.
-	Beamwidth float64
 	// FirstSideLobeDB is the level of the first side lobe relative to
 	// the peak (a negative number, typically −14 dB for a uniformly
 	// illuminated aperture — matching the paper's Fig. 10 bump).
@@ -98,57 +97,17 @@ type GainPattern struct {
 }
 
 // EBandPattern returns the pattern of the Loon E band transceiver
-// antennas: ~45 dBi peak gain (a ~30 cm dish at 73 GHz) with a ~0.8°
-// beam, first side lobe 14 dB down.
+// antennas: ~45 dBi peak gain (a ~30 cm dish at 73 GHz), first side
+// lobe 14 dB down.
 func EBandPattern() GainPattern {
-	return GainPattern{PeakDBi: 45, Beamwidth: geo.Deg(0.8), FirstSideLobeDB: -14}
+	return GainPattern{PeakDBi: 45, FirstSideLobeDB: -14}
 }
 
 // GroundEBandPattern returns the higher-performance ground-station
 // antenna pattern (§2.2: ground transceivers "were provisioned with
 // higher performance radio systems").
 func GroundEBandPattern() GainPattern {
-	return GainPattern{PeakDBi: 50, Beamwidth: geo.Deg(0.45), FirstSideLobeDB: -14}
-}
-
-// Gain returns the gain in dBi at the given off-axis angle (radians).
-func (g GainPattern) Gain(offAxis float64) float64 {
-	theta := math.Abs(offAxis)
-	half := g.Beamwidth / 2
-	if half <= 0 {
-		return g.PeakDBi
-	}
-	// Parabolic main lobe: −3 dB at the half-power point, −12 dB at
-	// twice it. Main lobe extends until it would dip below the first
-	// side-lobe level.
-	mainLobe := g.PeakDBi - 3*(theta/half)*(theta/half)
-	firstNull := half * math.Sqrt(-g.FirstSideLobeDB/3)
-	if theta <= firstNull {
-		return mainLobe
-	}
-	// First side lobe: flat shelf out to 3 null widths.
-	sideLobe := g.PeakDBi + g.FirstSideLobeDB
-	if theta <= 3*firstNull {
-		return sideLobe
-	}
-	// Far side lobes: ITU reference envelope, floored at −10 dBi.
-	far := 32 - 25*math.Log10(geo.ToDeg(theta))
-	if far < -10 {
-		far = -10
-	}
-	if far > sideLobe {
-		return sideLobe
-	}
-	return far
-}
-
-// FirstSideLobeOffset returns the off-axis angle (radians) of the
-// center of the first side-lobe shelf — where a mispointed tracker can
-// lock on and report a signal ~|FirstSideLobeDB| below the expected
-// level.
-func (g GainPattern) FirstSideLobeOffset() float64 {
-	firstNull := (g.Beamwidth / 2) * math.Sqrt(-g.FirstSideLobeDB/3)
-	return 2 * firstNull
+	return GainPattern{PeakDBi: 50, FirstSideLobeDB: -14}
 }
 
 // Gimbal tracks the mechanical state of one pointable antenna.
@@ -196,9 +155,6 @@ type Mount struct {
 	Gimbal Gimbal
 }
 
-// String implements fmt.Stringer.
-func (m *Mount) String() string { return fmt.Sprintf("mount(%s)", m.Name) }
-
 // CanPoint reports whether the mount can aim at the target pointing:
 // inside the mechanical envelope and not blocked by any occlusion —
 // including unmodeled ones. This is the physical truth. When blocked,
@@ -230,16 +186,12 @@ func (m *Mount) canPoint(p geo.Pointing, includeUnmodeled bool) (bool, string) {
 	return true, ""
 }
 
-// BalloonMounts builds the standard three-corner balloon installation.
-// Each mount is occluded by the bus structure in a 60°-wide sector
-// opposite its corner (pointing "through" the balloon bus), offset by
-// 120° per mount.
-func BalloonMounts() []*Mount { return BalloonMountsN(3) }
-
-// BalloonMountsN builds a hypothetical installation with n corner
-// mounts (the Appendix A / §3.2 transceiver-count study: "simulations
-// of 4 or more E band transceivers per node showed diminishing
-// returns"). Bus occlusions stay 60° wide regardless of n.
+// BalloonMountsN builds a balloon installation with n corner mounts:
+// three is the standard one; others serve the Appendix A / §3.2
+// transceiver-count study ("simulations of 4 or more E band
+// transceivers per node showed diminishing returns"). Each mount is
+// occluded by the bus structure in a 60°-wide sector opposite its
+// corner (pointing "through" the balloon bus), whatever n is.
 func BalloonMountsN(n int) []*Mount {
 	if n < 1 {
 		n = 1

@@ -1,6 +1,7 @@
 package cdpi
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -273,8 +274,10 @@ func TestEnactmentDistributionsInBandVsSatcom(t *testing.T) {
 	}
 	med := func(fe *Frontend, k Kind) float64 {
 		var ls []float64
-		for _, e := range fe.SuccessfulEnactments(k) {
-			ls = append(ls, e.Latency())
+		for _, e := range fe.Enactments {
+			if e.Kind == k && e.OK {
+				ls = append(ls, e.Latency())
+			}
 		}
 		sort.Float64s(ls)
 		return quantile(ls, 0.5)
@@ -301,4 +304,16 @@ func BenchmarkInBandCommand(b *testing.B) {
 		w.fe.Send(cmd, nil)
 		w.eng.Run(w.eng.Now() + 10)
 	}
+}
+
+// quantile is the nearest-rank q-quantile of a sorted sample.
+func quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return math.NaN()
+	}
+	i := int(q * float64(len(sorted)))
+	if i >= len(sorted) {
+		i = len(sorted) - 1
+	}
+	return sorted[i]
 }

@@ -1,7 +1,6 @@
 package cdpi
 
 import (
-	"math"
 	"sort"
 
 	"minkowski/internal/backoff"
@@ -173,9 +172,6 @@ func (fe *Frontend) Crash() {
 // Restart brings the frontend back; the heartbeat world model
 // rebuilds from incoming telemetry within one heartbeat interval.
 func (fe *Frontend) Restart() { fe.down = false }
-
-// Down reports whether the frontend is crashed.
-func (fe *Frontend) Down() bool { return fe.down }
 
 // InBandUp reports the frontend's view of a node's in-band
 // reachability (heartbeat freshness). The comparison is strict: a
@@ -389,9 +385,6 @@ func (fe *Frontend) satProviderForResponse() *satcom.Provider {
 	return ps[int(fe.nextCmd)%len(ps)]
 }
 
-// PendingCount returns in-flight commands (tests/telemetry).
-func (fe *Frontend) PendingCount() int { return len(fe.pending) }
-
 // LateSyncEnactments sums the fleet's late-sync violation counters:
 // sync-required commands any agent executed after their TTE. Always 0
 // in a correct run (the chaos search's no-intent-after-expiry
@@ -454,27 +447,4 @@ func (fe *Frontend) MinSyncSlack() (float64, bool) {
 		}
 	}
 	return min, seen
-}
-
-// SuccessfulEnactments filters the log by kind and success.
-func (fe *Frontend) SuccessfulEnactments(k Kind) []Enactment {
-	var out []Enactment
-	for _, e := range fe.Enactments {
-		if e.Kind == k && e.OK {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// quantile utility for tests.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	i := int(q * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

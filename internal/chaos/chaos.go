@@ -171,18 +171,6 @@ type Fault struct {
 	Duration float64
 }
 
-// String implements fmt.Stringer.
-func (f Fault) String() string {
-	t := f.Kind.String()
-	if f.Target != "" {
-		t += "(" + f.Target + ")"
-	}
-	if f.Duration > 0 {
-		return fmt.Sprintf("%s @%.0fs +%.0fs", t, f.At, f.Duration)
-	}
-	return fmt.Sprintf("%s @%.0fs", t, f.At)
-}
-
 // Scenario is a named, ordered fault script.
 type Scenario struct {
 	Name   string

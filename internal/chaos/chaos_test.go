@@ -110,14 +110,6 @@ func TestPartitionTargetsSplit(t *testing.T) {
 }
 
 func TestFaultStrings(t *testing.T) {
-	f := Fault{Kind: SatcomOutage, Target: "leo", At: 3600, Duration: 600}
-	if got := f.String(); got != "satcom-outage(leo) @3600s +600s" {
-		t.Errorf("String() = %q", got)
-	}
-	imp := Fault{Kind: AgentReboot, Target: "hbal-001", At: 60}
-	if got := imp.String(); got != "agent-reboot(hbal-001) @60s" {
-		t.Errorf("String() = %q", got)
-	}
 	for k := ControllerCrash; k <= SolverOutage; k++ {
 		if k.String() == "" {
 			t.Errorf("kind %d has empty name", int(k))

@@ -26,17 +26,12 @@ func gatewayIDs() []string { return []string{"gs-nairobi", "gs-kisumu", "gs-naku
 // replicaIDs are the replicated control plane's process names.
 func replicaIDs() []string { return []string{"ctl-a", "ctl-b"} }
 
-// Generate draws a random fault script from the seeded grammar: 2 to
-// 4+scale faults over the run, every chaos.Kind reachable, targets
+// GenerateKinds draws a random fault script from the seeded grammar:
+// 2 to 4+scale faults over the run of the given kinds (chaos.Kinds()
+// for every kind; chaosearch -kinds narrows it, which lets a nightly
+// campaign hammer just the controller-replication faults), targets
 // drawn from the deterministic initial fleet. The rng fully
 // determines the output.
-func Generate(rng *rand.Rand, seed int64, scale int, hours float64) Script {
-	return GenerateKinds(rng, seed, scale, hours, chaos.Kinds())
-}
-
-// GenerateKinds is Generate restricted to the given fault kinds — the
-// chaosearch -kinds profile, which lets a nightly campaign hammer just
-// the controller-replication faults.
 func GenerateKinds(rng *rand.Rand, seed int64, scale int, hours float64, kinds []chaos.Kind) Script {
 	s := Script{
 		Name:  fmt.Sprintf("gen-%d-s%d", seed, scale),

@@ -1,6 +1,9 @@
 package search
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -49,7 +52,7 @@ func TestChaosRepros(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(fixed.Violations) != 0 {
-				t.Errorf("post-fix run violated %v:\n%+v", fixed.ViolatedNames(), fixed.Violations)
+				t.Errorf("post-fix run violated %v:\n%+v", violatedNames(fixed), fixed.Violations)
 			}
 
 			pre, err := Run(s, Options{PreFix: true})
@@ -58,7 +61,7 @@ func TestChaosRepros(t *testing.T) {
 			}
 			if !pre.Violated(s.Violates) {
 				t.Errorf("pre-fix run no longer violates %q (got %v) — the repro has gone stale",
-					s.Violates, pre.ViolatedNames())
+					s.Violates, violatedNames(pre))
 			}
 			// Every violating replay must come with its black box: the
 			// flight recorder captured at the first violation, and the
@@ -73,4 +76,34 @@ func TestChaosRepros(t *testing.T) {
 			}
 		})
 	}
+}
+
+// LoadScript reads and validates a repro file.
+func LoadScript(path string) (Script, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return Script{}, err
+	}
+	var s Script
+	if err := json.Unmarshal(b, &s); err != nil {
+		return Script{}, fmt.Errorf("%s: %w", path, err)
+	}
+	if err := s.Validate(); err != nil {
+		return Script{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
+}
+
+// violatedNames returns r's distinct violated invariant names in
+// first-seen order.
+func violatedNames(r Result) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, v := range r.Violations {
+		if !seen[v.Invariant] {
+			seen[v.Invariant] = true
+			out = append(out, v.Invariant)
+		}
+	}
+	return out
 }

@@ -94,20 +94,6 @@ func (r Result) Violated(name string) bool {
 	return false
 }
 
-// ViolatedNames returns the distinct violated invariant names in
-// first-seen order.
-func (r Result) ViolatedNames() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, v := range r.Violations {
-		if !seen[v.Invariant] {
-			seen[v.Invariant] = true
-			out = append(out, v.Invariant)
-		}
-	}
-	return out
-}
-
 // config maps a script + options onto a controller scenario. The
 // sizing matches internal/experiments' scale mapping; the cadence
 // knobs match the fast chaos-test profile so trials stay cheap.

@@ -12,9 +12,7 @@
 package search
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"minkowski/internal/chaos"
 )
@@ -85,29 +83,4 @@ func (s Script) Clone() Script {
 	c := s
 	c.Faults = append([]ScriptFault(nil), s.Faults...)
 	return c
-}
-
-// Save writes the script as indented JSON.
-func (s Script) Save(path string) error {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// LoadScript reads a script written by Save.
-func LoadScript(path string) (Script, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return Script{}, err
-	}
-	var s Script
-	if err := json.Unmarshal(b, &s); err != nil {
-		return Script{}, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := s.Validate(); err != nil {
-		return Script{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"minkowski/internal/chaos"
 )
 
 // FuzzScriptRoundTrip feeds arbitrary bytes through the script
@@ -23,7 +25,7 @@ func FuzzScriptRoundTrip(f *testing.F) {
 		}
 	}
 	for seed := int64(1); seed <= 4; seed++ {
-		s := Generate(rand.New(rand.NewSource(seed)), seed, 1, 2)
+		s := GenerateKinds(rand.New(rand.NewSource(seed)), seed, 1, 2, chaos.Kinds())
 		if b, err := json.MarshalIndent(s, "", "  "); err == nil {
 			f.Add(append(b, '\n'))
 		}
@@ -82,11 +84,15 @@ func TestLoadScriptMalformed(t *testing.T) {
 		}
 	}
 
-	// And a good one survives a Save/Load round trip.
+	// And a good one survives a JSON round trip.
 	good := Script{Name: "rt", Seed: 9, Scale: 2, Hours: 1.5,
 		Faults: []ScriptFault{{Kind: "controller-crash", At: 1200, Duration: 600}}}
+	b, err := json.MarshalIndent(good, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := filepath.Join(dir, "good.json")
-	if err := good.Save(p); err != nil {
+	if err := os.WriteFile(p, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadScript(p)

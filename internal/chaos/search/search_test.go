@@ -5,14 +5,16 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"minkowski/internal/chaos"
 )
 
 // TestGenerateDeterministic: the grammar is a pure function of the
 // rng stream — same seed, same script.
 func TestGenerateDeterministic(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		a := Generate(rand.New(rand.NewSource(seed)), seed, 2, 3)
-		b := Generate(rand.New(rand.NewSource(seed)), seed, 2, 3)
+		a := GenerateKinds(rand.New(rand.NewSource(seed)), seed, 2, 3, chaos.Kinds())
+		b := GenerateKinds(rand.New(rand.NewSource(seed)), seed, 2, 3, chaos.Kinds())
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: generated scripts differ:\n%+v\n%+v", seed, a, b)
 		}
@@ -26,7 +28,7 @@ func TestGenerateWellFormed(t *testing.T) {
 	kindsSeen := map[string]bool{}
 	for seed := int64(1); seed <= 200; seed++ {
 		scale := 1 + int(seed%3)
-		s := Generate(rand.New(rand.NewSource(seed)), seed, scale, 3)
+		s := GenerateKinds(rand.New(rand.NewSource(seed)), seed, scale, 3, chaos.Kinds())
 		if err := s.Validate(); err != nil {
 			t.Fatalf("seed %d: generated script invalid: %v", seed, err)
 		}
@@ -106,7 +108,7 @@ func TestShrinkMinimizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Violated(InvPositionSanity) {
-		t.Fatalf("shrunk script no longer violates %s: %v", InvPositionSanity, res.ViolatedNames())
+		t.Fatalf("shrunk script no longer violates %s: %v", InvPositionSanity, violatedNames(res))
 	}
 }
 

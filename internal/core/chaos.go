@@ -257,16 +257,6 @@ func (c *Controller) liveGateways() []string {
 	return out
 }
 
-// drainedWithChaos merges chaos-lost gateways into the solver's
-// drain exclusions.
-func (c *Controller) drainedWithChaos() map[string]bool {
-	d := c.NBI.SolverExclusions()
-	for g := range c.gwDown {
-		d[g] = true
-	}
-	return d
-}
-
 // checkWeatherStaleness flips the fused weather model's Degraded mode
 // when the controller's freshest input exceeds the staleness
 // threshold — the gauge → forecast → climatology fallback chain with

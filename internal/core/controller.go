@@ -133,7 +133,8 @@ type Controller struct {
 	// skip work until restart. The physical world and node agents run
 	// on regardless.
 	down bool
-	// gwDown marks ground-station sites lost to chaos.
+	// gwDown marks ground-station sites lost to chaos; the solver
+	// reads it as its Drained input.
 	gwDown map[string]bool
 	// gaugesFrozen stops gauge telemetry ingestion (chaos:
 	// telemetry-staleness fault).
@@ -363,13 +364,12 @@ func (c *Controller) install() {
 		c.Log.Append(eng.Now(), explain.EvWeather, "forecast", "new ECMWF-style forecast ingested")
 		return true
 	})
-	// LTE service management + drains.
+	// LTE service management.
 	eng.Every(60, func() bool {
 		if c.down {
 			return true
 		}
 		c.manageService()
-		c.NBI.Tick(eng.Now(), c.Data.TraversedBy)
 		return true
 	})
 	// The solve cycle.
@@ -559,7 +559,7 @@ func (c *Controller) solveCycle() {
 		Requests:   c.NBI.SolverRequests(),
 		Existing:   existing,
 		Gateways:   c.liveGateways(),
-		Drained:    c.drainedWithChaos(),
+		Drained:    c.gwDown,
 	}
 	so := sp.Child("solve")
 	solveBefore := c.Solver.Stats()

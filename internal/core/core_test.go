@@ -123,7 +123,7 @@ func TestDailyPowerCycle(t *testing.T) {
 func TestEventLogAndScrubber(t *testing.T) {
 	c := New(fastConfig(4))
 	c.RunHours(2)
-	if c.Log.Len() == 0 {
+	if len(c.Log.Query(explain.Filter{})) == 0 {
 		t.Fatal("empty event log")
 	}
 	solves := c.Log.Query(explain.Filter{Kind: explain.EvSolve})
@@ -140,10 +140,6 @@ func TestEventLogAndScrubber(t *testing.T) {
 	}
 	if len(snap.Positions) == 0 {
 		t.Error("snapshot has no positions")
-	}
-	// Replay around the snapshot works.
-	if _, _, ok := explain.Replay(c.Scrubber, c.Log, 3700); !ok {
-		t.Error("replay failed")
 	}
 }
 

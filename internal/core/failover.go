@@ -297,7 +297,7 @@ func (c *Controller) rogueSolve() {
 		Requests:   c.NBI.SolverRequests(),
 		Existing:   existing,
 		Gateways:   c.liveGateways(),
-		Drained:    c.drainedWithChaos(),
+		Drained:    c.gwDown,
 	}
 	plan := c.Solver.Solve(in)
 	r.lastPlan = plan
@@ -309,12 +309,3 @@ func (c *Controller) rogueSolve() {
 	}
 	c.actuateFor(r, acts)
 }
-
-// ActingReplica names the replica currently acting as primary.
-func (c *Controller) ActingReplica() string { return c.actingID }
-
-// Epoch returns the acting process's fencing epoch.
-func (c *Controller) Epoch() uint64 { return c.epoch }
-
-// StandbyDown reports whether the standby seat is currently empty.
-func (c *Controller) StandbyDown() bool { return c.standbyDown }

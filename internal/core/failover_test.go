@@ -38,11 +38,11 @@ func TestFailoverPromotesStandby(t *testing.T) {
 	if c.Down() {
 		t.Fatal("controller down after failover — promotion did not take over")
 	}
-	if got := c.ActingReplica(); got != "ctl-b" {
-		t.Errorf("ActingReplica = %q, want ctl-b (the promoted standby)", got)
+	if got := c.actingID; got != "ctl-b" {
+		t.Errorf("acting replica = %q, want ctl-b (the promoted standby)", got)
 	}
-	if c.Epoch() < 2 {
-		t.Errorf("Epoch = %d, want >= 2 after promotion", c.Epoch())
+	if c.epoch < 2 {
+		t.Errorf("Epoch = %d, want >= 2 after promotion", c.epoch)
 	}
 	if c.DuplicateEstablishes != 0 {
 		t.Errorf("DuplicateEstablishes = %d, want 0 — promotion re-actuated replicated work",
@@ -62,7 +62,7 @@ func TestFailoverPromotesStandby(t *testing.T) {
 	if !c.Repl.Connected() {
 		t.Error("replicator not reconnected after the failed replica rejoined as standby")
 	}
-	if c.StandbyDown() {
+	if c.standbyDown {
 		t.Error("standby still marked down after rejoin")
 	}
 	// And the new acting replica must actually be operating.
@@ -108,8 +108,8 @@ func TestPartitionFencingStopsSplitBrain(t *testing.T) {
 	if probs := c.Lease.Audit(); len(probs) != 0 {
 		t.Errorf("lease audit found %d problems: %v", len(probs), probs)
 	}
-	if c.ActingReplica() != "ctl-b" {
-		t.Errorf("ActingReplica = %q, want ctl-b", c.ActingReplica())
+	if c.actingID != "ctl-b" {
+		t.Errorf("acting replica = %q, want ctl-b", c.actingID)
 	}
 }
 
@@ -197,8 +197,8 @@ func TestCrashRestartWithReplication(t *testing.T) {
 	if c.Promotions != 0 {
 		t.Errorf("Promotions = %d, want 0 — a total outage has no surviving standby to promote", c.Promotions)
 	}
-	if c.Epoch() < 2 {
-		t.Errorf("Epoch = %d, want >= 2 — restart must re-acquire the lease at a bumped epoch", c.Epoch())
+	if c.epoch < 2 {
+		t.Errorf("Epoch = %d, want >= 2 — restart must re-acquire the lease at a bumped epoch", c.epoch)
 	}
 	if c.DuplicateEstablishes != 0 {
 		t.Errorf("DuplicateEstablishes = %d, want 0", c.DuplicateEstablishes)
@@ -249,7 +249,7 @@ func TestEndToEndDeterminismReplicationChaos(t *testing.T) {
 				r.ID, r.Lead, r.Budget, r.Class, r.DistM, r.AtmosDB, r.B2G)
 		}
 		fmt.Fprintf(&buf, "digest %x acting %s epoch %d promotions %d standdowns %d rogue %d rej %d\n",
-			c.TelemetryDigest(), c.ActingReplica(), c.Epoch(),
+			c.TelemetryDigest(), c.actingID, c.epoch,
 			c.Promotions, c.Standdowns, c.RogueSolves, c.Frontend.StaleEpochRejections())
 		return buf.Bytes()
 	}

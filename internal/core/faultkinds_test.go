@@ -63,9 +63,9 @@ func TestLeaseFlapIntegration(t *testing.T) {
 	if c.Lease.FlapDenials() == 0 {
 		t.Error("FlapDenials = 0 — the flap window never denied a write")
 	}
-	if c.Lease.Epoch() < 2 {
+	if c.Lease.epoch < 2 {
 		t.Errorf("Epoch = %d, want >= 2 — the lapsed lease was never re-acquired at a bumped epoch",
-			c.Lease.Epoch())
+			c.Lease.epoch)
 	}
 	if c.Down() {
 		t.Error("controller down after the cell healed")
@@ -107,8 +107,8 @@ func TestReplicaPartitionIntegration(t *testing.T) {
 	if c.Down() {
 		t.Error("controller down at end of run")
 	}
-	if got := c.ActingReplica(); got != "ctl-a" {
-		t.Errorf("ActingReplica = %q, want ctl-a (deafness is not a crash)", got)
+	if got := c.actingID; got != "ctl-a" {
+		t.Errorf("acting replica = %q, want ctl-a (deafness is not a crash)", got)
 	}
 	// After the heal the controller must actually re-program the mesh:
 	// links exist and no agent is stuck on a stale epoch.

@@ -101,9 +101,6 @@ func (s *LeaseService) Holder(now float64) (string, uint64, bool) {
 	return s.holder, s.epoch, true
 }
 
-// Epoch returns the most recently granted fencing epoch.
-func (s *LeaseService) Epoch() uint64 { return s.epoch }
-
 // Audit replays the tenure history and returns a description of every
 // violation of the lease safety properties: at most one holder at any
 // instant (consecutive grants to different holders must not overlap)

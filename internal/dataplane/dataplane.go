@@ -1,7 +1,6 @@
 // Package dataplane models the SDN-programmed data plane of §4.1
 // (Tier 2) and Appendix C: full source-destination IPv6 routes pinned
-// to assigned paths, IPsec tunnels between ground stations and edge
-// compute, flow classifiers, and redundancy groups.
+// to assigned paths, flow classifiers, and redundancy groups.
 //
 // Forwarding state lives per node. A programmed route is *operable*
 // only when every node on its path holds the forwarding entry and
@@ -9,10 +8,7 @@
 // availability definition behind Fig. 6's lowest line.
 package dataplane
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // LinkChecker reports whether an installed link currently exists
 // between two adjacent nodes (implemented by the radio fabric).
@@ -50,14 +46,6 @@ type Route struct {
 	ProgrammedAt float64
 }
 
-// Tunnel is an IPsec association between a ground station and an EC
-// pod (or a balloon eNodeB and an NFVI node).
-type Tunnel struct {
-	ID   string
-	A, B string
-	Up   bool
-}
-
 // entry is one forwarding-table row.
 type entry struct {
 	nextHop string
@@ -70,7 +58,6 @@ type State struct {
 	// entries[node][routeID] = next hop + generation.
 	entries map[string]map[string]entry
 	routes  map[string]*Route
-	tunnels map[string]*Tunnel
 }
 
 // NewState creates empty data-plane state.
@@ -78,7 +65,6 @@ func NewState() *State {
 	return &State{
 		entries: map[string]map[string]entry{},
 		routes:  map[string]*Route{},
-		tunnels: map[string]*Tunnel{},
 	}
 }
 
@@ -196,82 +182,6 @@ func (s *State) Operable(routeID string, links LinkChecker) bool {
 	return true
 }
 
-// BrokenAt returns the first path hop whose link is down (for repair
-// telemetry), or -1 if the path is intact.
-func (s *State) BrokenAt(routeID string, links LinkChecker) int {
-	r, ok := s.routes[routeID]
-	if !ok {
-		return 0
-	}
-	for i := 1; i < len(r.Path); i++ {
-		if !links.LinkUp(r.Path[i-1], r.Path[i]) {
-			return i
-		}
-	}
-	return -1
-}
-
-// TraversedBy returns the IDs of routes whose paths include the node
-// as a transit or endpoint (drain planning input).
-func (s *State) TraversedBy(node string) []string {
-	var out []string
-	for id, r := range s.routes {
-		for _, n := range r.Path {
-			if n == node {
-				out = append(out, id)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SetTunnel creates or updates a tunnel.
-func (s *State) SetTunnel(id, a, b string, up bool) {
-	s.tunnels[id] = &Tunnel{ID: id, A: a, B: b, Up: up}
-}
-
-// TunnelUp reports tunnel liveness.
-func (s *State) TunnelUp(id string) bool {
-	t, ok := s.tunnels[id]
-	return ok && t.Up
-}
-
-// DisjointPaths reports whether two node paths share any
-// intermediate node or link (redundancy-group verification). Shared
-// endpoints are allowed.
-func DisjointPaths(a, b []string) bool {
-	if len(a) < 2 || len(b) < 2 {
-		return true
-	}
-	interior := map[string]bool{}
-	for i := 1; i < len(a)-1; i++ {
-		interior[a[i]] = true
-	}
-	for i := 1; i < len(b)-1; i++ {
-		if interior[b[i]] {
-			return false
-		}
-	}
-	linkKey := func(x, y string) string {
-		if y < x {
-			x, y = y, x
-		}
-		return x + "|" + y
-	}
-	linksA := map[string]bool{}
-	for i := 1; i < len(a); i++ {
-		linksA[linkKey(a[i-1], a[i])] = true
-	}
-	for i := 1; i < len(b); i++ {
-		if linksA[linkKey(b[i-1], b[i])] {
-			return false
-		}
-	}
-	return true
-}
-
 // FlowClassifier is an Appendix C "flow classifier" matching rule for
 // a backhaul service request.
 type FlowClassifier struct {
@@ -281,9 +191,4 @@ type FlowClassifier struct {
 	MinBitrateBps float64
 	// RedundancyGroup requests path-disjoint redundancy.
 	RedundancyGroup string
-}
-
-// String implements fmt.Stringer.
-func (f FlowClassifier) String() string {
-	return fmt.Sprintf("%s->%s @%gMbps", f.SrcPrefix, f.DstPrefix, f.MinBitrateBps/1e6)
 }

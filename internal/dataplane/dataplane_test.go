@@ -54,24 +54,11 @@ func TestOperableRequiresLinksAndEntries(t *testing.T) {
 	if s.Operable("r1", links) {
 		t.Error("route with a down link must not be operable")
 	}
-	if got := s.BrokenAt("r1", links); got != 2 {
-		t.Errorf("BrokenAt = %d, want 2", got)
-	}
 	// Restore link but flush a node's tables (power cycle).
 	links[key("b1", "gs")] = true
 	s.FlushNode("b1")
 	if s.Operable("r1", links) {
 		t.Error("flushed node must break the route")
-	}
-}
-
-func TestBrokenAtIntact(t *testing.T) {
-	s := NewState()
-	r := &Route{ID: "r1", Path: []string{"b1", "gs"}}
-	prog(s, r)
-	links := meshUp{key("b1", "gs"): true}
-	if got := s.BrokenAt("r1", links); got != -1 {
-		t.Errorf("intact route BrokenAt = %d, want -1", got)
 	}
 }
 
@@ -88,35 +75,6 @@ func TestDropRoute(t *testing.T) {
 	}
 	// Dropping twice is a no-op.
 	s.DropRoute("r1")
-}
-
-func TestTraversedBy(t *testing.T) {
-	s := NewState()
-	prog(s, &Route{ID: "r1", Path: []string{"b3", "b2", "gs"}})
-	prog(s, &Route{ID: "r2", Path: []string{"b4", "b2", "gs"}})
-	prog(s, &Route{ID: "r3", Path: []string{"b5", "gs"}})
-	got := s.TraversedBy("b2")
-	if len(got) != 2 || got[0] != "r1" || got[1] != "r2" {
-		t.Errorf("TraversedBy(b2) = %v", got)
-	}
-	if n := len(s.TraversedBy("b9")); n != 0 {
-		t.Errorf("unknown node traversed by %d routes", n)
-	}
-}
-
-func TestTunnels(t *testing.T) {
-	s := NewState()
-	s.SetTunnel("gs0-ec0", "gs-0", "ec-0", true)
-	if !s.TunnelUp("gs0-ec0") {
-		t.Error("tunnel should be up")
-	}
-	s.SetTunnel("gs0-ec0", "gs-0", "ec-0", false)
-	if s.TunnelUp("gs0-ec0") {
-		t.Error("tunnel should be down")
-	}
-	if s.TunnelUp("missing") {
-		t.Error("unknown tunnel must be down")
-	}
 }
 
 func TestDisjointPaths(t *testing.T) {
@@ -155,4 +113,38 @@ func TestOperableUnknownRoute(t *testing.T) {
 	if s.Operable("ghost", meshUp{}) {
 		t.Error("unknown route must not be operable")
 	}
+}
+
+// DisjointPaths reports whether two node paths share any
+// intermediate node or link (the redundancy-group property). Shared
+// endpoints are allowed.
+func DisjointPaths(a, b []string) bool {
+	if len(a) < 2 || len(b) < 2 {
+		return true
+	}
+	interior := map[string]bool{}
+	for i := 1; i < len(a)-1; i++ {
+		interior[a[i]] = true
+	}
+	for i := 1; i < len(b)-1; i++ {
+		if interior[b[i]] {
+			return false
+		}
+	}
+	linkKey := func(x, y string) string {
+		if y < x {
+			x, y = y, x
+		}
+		return x + "|" + y
+	}
+	linksA := map[string]bool{}
+	for i := 1; i < len(a); i++ {
+		linksA[linkKey(a[i-1], a[i])] = true
+	}
+	for i := 1; i < len(b); i++ {
+		if linksA[linkKey(b[i-1], b[i])] {
+			return false
+		}
+	}
+	return true
 }

@@ -109,10 +109,3 @@ func (m *DeliveryMeter) Record(routeID string, dt float64, delivered, reachable,
 // Clear forgets routeID's outage clock (the route was released; a
 // later route reusing the ID starts fresh).
 func (m *DeliveryMeter) Clear(routeID string) { delete(m.outageS, routeID) }
-
-// Conserved reports whether the counters add up — injected probes are
-// exactly partitioned into delivered plus the four drop classes.
-func (m *DeliveryMeter) Conserved() bool {
-	return m.Injected == m.Delivered+m.Dropped &&
-		m.Dropped == m.DroppedUnreachable+m.DroppedUncontrollable+m.DroppedInGrace+m.LostBeyondGrace
-}

@@ -60,3 +60,10 @@ func TestDeliveryMeterClear(t *testing.T) {
 		t.Errorf("MaxOutageS = %v, want 60 after Clear", m.MaxOutageS)
 	}
 }
+
+// Conserved reports whether the counters add up — injected probes are
+// exactly partitioned into delivered plus the four drop classes.
+func (m *DeliveryMeter) Conserved() bool {
+	return m.Injected == m.Delivered+m.Dropped &&
+		m.Dropped == m.DroppedUnreachable+m.DroppedUncontrollable+m.DroppedInGrace+m.LostBeyondGrace
+}

@@ -46,12 +46,11 @@ func arm(c *core.Controller) armMetrics {
 	return m
 }
 
-// AblationHysteresis compares the production hysteresis against a
+// ablHysteresis compares the production hysteresis against a
 // memoryless solver (§3.2: "we ... dampened the rate of change by
 // biasing toward topologies that kept established links"). Without
 // hysteresis the topology churns: more link ends per hour and more
 // teardown/re-establish cycles for the same fleet.
-func AblationHysteresis(o Options) *Result { return Run(o, "abl-hysteresis")[0] }
 func ablHysteresis(m []armMetrics) []Row {
 	return []Row{
 		{"link ends (hysteresis on)", "fewer", f("%d", m[0].linkEnds)},
@@ -60,10 +59,9 @@ func ablHysteresis(m []armMetrics) []Row {
 	}
 }
 
-// AblationRedundancy compares the secondary redundancy objective
+// ablRedundancy compares the secondary redundancy objective
 // against a lean tree topology (§3.2: "tasking idle transceivers to
 // provide redundancy was a good trade off").
-func AblationRedundancy(o Options) *Result { return Run(o, "abl-redundancy")[0] }
 func ablRedundancy(m []armMetrics) []Row {
 	return []Row{
 		{"control availability (redundancy on)", "higher", f("%.3f", m[0].ctrlAvail)},
@@ -72,10 +70,9 @@ func ablRedundancy(m []armMetrics) []Row {
 	}
 }
 
-// AblationMarginal compares retaining penalized marginal links
+// ablMarginal compares retaining penalized marginal links
 // against dropping them (§3.1: marginal links were "attempted when no
 // acceptable links were available").
-func AblationMarginal(o Options) *Result { return Run(o, "abl-marginal")[0] }
 func ablMarginal(m []armMetrics) []Row {
 	return []Row{
 		{"data availability (retain)", "higher at the fringe", f("%.3f", m[0].dataAvail)},
@@ -84,12 +81,11 @@ func ablMarginal(m []armMetrics) []Row {
 	}
 }
 
-// AblationTTE compares the production satcom TTE (p95 one-way, 186 s)
+// ablTTE compares the production satcom TTE (p95 one-way, 186 s)
 // against an optimistic median-based TTE (§4.2's challenge: "choosing
 // a TTE that allowed command delivery to all nodes, but did not cause
 // unneeded delay, was challenging"). An optimistic TTE causes commands
 // to arrive after their enactment time and be discarded.
-func AblationTTE(o Options) *Result { return Run(o, "abl-tte")[0] }
 func ablTTE(m []armMetrics) []Row {
 	return []Row{
 		{"command failure rate (p95 TTE)", "lower", pct(m[0].enactFailRate)},
@@ -98,11 +94,10 @@ func ablTTE(m []armMetrics) []Row {
 	}
 }
 
-// AblationWeather compares weather-input sets (§5: gauges proved more
+// ablWeather compares weather-input sets (§5: gauges proved more
 // useful than forecasts, which were "not a large improvement over
 // probabilistic models"). We compare planning accuracy via B2G
 // outcomes under each input set in a wet season.
-func AblationWeather(o Options) *Result { return Run(o, "abl-weather")[0] }
 func ablWeather(m []armMetrics) []Row {
 	row := func(name string, m armMetrics, paper string) Row {
 		return Row{name, paper, f("data=%.3f b2gMedian=%s", m.dataAvail, stats.FmtDuration(m.b2gMedian))}
@@ -114,6 +109,3 @@ func ablWeather(m []armMetrics) []Row {
 		row("itu seasonal only", m[3], "workable backstop"),
 	}
 }
-
-// Ablations runs the full ablation suite.
-func Ablations(o Options) []*Result { return Run(o, "ablations") }

@@ -47,7 +47,7 @@ func ChaosAvail(o Options) *Result {
 	}
 
 	const settleS = 1800
-	res := &Result{ID: "chaosavail", Title: "Availability through the standard fault script", CSV: map[string][][]string{}}
+	res := &Result{ID: "chaosavail", Title: "Availability through the standard fault script"}
 	res.Rows = append(res.Rows,
 		Row{"controller crashes injected", "1", f("%d", c.Crashes)},
 		Row{"duplicate establishes after restart", "0 (acceptance)", f("%d", c.DuplicateEstablishes)},
@@ -71,6 +71,6 @@ func ChaosAvail(o Options) *Result {
 	for _, p := range timeline {
 		series = append(series, []string{f("%.0f", p.t), f("%.3f", p.data), f("%.3f", p.ctrl)})
 	}
-	res.CSV["availability_timeline"] = series
+	res.CSVName, res.CSV = "availability_timeline", series
 	return res
 }

@@ -29,9 +29,10 @@ type Result struct {
 	ID    string
 	Title string
 	Rows  []Row
-	// CSV holds plottable series (header + records), keyed by series
-	// name.
-	CSV map[string][][]string
+	// CSV is the plottable table (header + records), if any; CSVName
+	// names it.
+	CSVName string
+	CSV     [][]string
 }
 
 // String renders the result as an aligned table.
@@ -57,9 +58,6 @@ type Options struct {
 	// Scale multiplies fleet size and duration (1 = quick).
 	Scale int
 }
-
-// DefaultOptions is the quick configuration used by benches.
-func DefaultOptions() Options { return Options{Seed: 1, Scale: 1} }
 
 func (o Options) scale() int {
 	if o.Scale < 1 {

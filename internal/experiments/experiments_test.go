@@ -10,6 +10,18 @@ import (
 	"minkowski/internal/stats"
 )
 
+// quick is the scale-1 configuration the tests run.
+var quick = Options{Seed: 1, Scale: 1}
+
+// csvOf returns res's CSV table, failing unless it is named name.
+func csvOf(t *testing.T, res *Result, name string) [][]string {
+	t.Helper()
+	if res.CSVName != name {
+		t.Fatalf("%s writes CSV %q, want %q", res.ID, res.CSVName, name)
+	}
+	return res.CSV
+}
+
 func TestResultFormatting(t *testing.T) {
 	r := &Result{ID: "x", Title: "t", Rows: []Row{{"m", "p", "v"}}}
 	s := r.String()
@@ -21,7 +33,7 @@ func TestResultFormatting(t *testing.T) {
 }
 
 func TestFig13DetectsObstruction(t *testing.T) {
-	res := Fig13(DefaultOptions())
+	res := Fig13(quick)
 	found := false
 	for _, row := range res.Rows {
 		if row.Metric == "flags within true sector (60–85°)" && row.Measured == "true" {
@@ -34,8 +46,8 @@ func TestFig13DetectsObstruction(t *testing.T) {
 }
 
 func TestAppARedundancyGrowsWithTransceivers(t *testing.T) {
-	res := AppA(DefaultOptions())
-	csv := res.CSV["xcvr_sweep"]
+	res := AppA(quick)
+	csv := csvOf(t, res, "xcvr_sweep")
 	if len(csv) != 6 { // header + k=1..5
 		t.Fatalf("sweep rows = %d", len(csv))
 	}
@@ -67,7 +79,7 @@ func TestAppDComparisonFindings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	res := AppD(DefaultOptions())
+	res := AppD(quick)
 	verdict := ""
 	for _, row := range res.Rows {
 		if row.Metric == "AODV overhead < DSDV" {
@@ -83,9 +95,9 @@ func TestAppDComparisonFindings(t *testing.T) {
 // same-instant re-discoveries in map order, which moved its loss draws
 // and the bytes= column from run to run.
 func TestAppDDeterministic(t *testing.T) {
-	want := AppD(DefaultOptions()).String()
+	want := AppD(quick).String()
 	for i := 0; i < 2; i++ {
-		if got := AppD(DefaultOptions()).String(); got != want {
+		if got := AppD(quick).String(); got != want {
 			t.Fatalf("run %d differs from the first:\n%s\nwant:\n%s", i+2, got, want)
 		}
 	}
@@ -95,13 +107,13 @@ func TestFig07ShapeQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	res := Fig07(DefaultOptions())
+	res := Run(quick, "fig07")[0]
 	for _, row := range res.Rows {
 		if row.Metric == "established < intended" && row.Measured != "true" {
 			t.Errorf("established redundancy should undershoot intent:\n%s", res)
 		}
 	}
-	checkCDFCSV(t, res.CSV["redundancy_cdf"], "established", "intended")
+	checkCDFCSV(t, csvOf(t, res, "redundancy_cdf"), "established", "intended")
 }
 
 // TestCDFExportsQuick: the CDF exports of Figs. 4, 8 and 11 at the
@@ -113,15 +125,14 @@ func TestCDFExportsQuick(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name, csv string
-		fig       func(Options) *Result
 		series    []string
 	}{
-		{"fig04", "hourly_delta_cdf", Fig04, []string{"frac_changed"}},
-		{"fig08", "recovery_cdf", Fig08, []string{"withdrawn", "failed"}},
-		{"fig11", "lifetime_cdf", Fig11, []string{"b2g", "b2b"}},
+		{"fig04", "hourly_delta_cdf", []string{"frac_changed"}},
+		{"fig08", "recovery_cdf", []string{"withdrawn", "failed"}},
+		{"fig11", "lifetime_cdf", []string{"b2g", "b2b"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			checkCDFCSV(t, tc.fig(DefaultOptions()).CSV[tc.csv], tc.series...)
+			checkCDFCSV(t, csvOf(t, Run(quick, tc.name)[0], tc.csv), tc.series...)
 		})
 	}
 }
@@ -181,7 +192,7 @@ func TestCDFCSVOneGridPerSeries(t *testing.T) {
 // others, so an extract that disturbed a later one would show here;
 // a runner that skipped the horizon sort would extract Fig. 7 at 2 h.
 func TestSharedWorldMatchesFreshWorlds(t *testing.T) {
-	o := DefaultOptions()
+	o := quick
 	shared := []entry{figure("fig08", "", "nopower", 2, fig08), figure("fig07", "", "nopower", 1, fig07)}
 	got := run(o, shared)
 	for i, e := range shared {

@@ -11,15 +11,15 @@ import (
 	"minkowski/internal/sim"
 	"minkowski/internal/solver"
 	"minkowski/internal/stats"
+	"minkowski/internal/weather"
 )
 
-// Headline reproduces the paper's §8 claim as an ablation:
+// headline reproduces the paper's §8 claim as an ablation:
 // "incorporating a model of the physical world ... decreased average
 // recovery time for routes recovering within 5 minutes by 37.8%
 // relative to a strictly reactive approach." We compare a predictive
 // controller (solver fed with future-lead candidates, planned
 // withdrawals) against a reactive one (lead 0).
-func Headline(o Options) *Result { return Run(o, "headline")[0] }
 func headline(m []armMetrics) []Row {
 	pred, react := m[0], m[1]
 	return []Row{
@@ -38,7 +38,7 @@ func headline(m []armMetrics) []Row {
 // diminishing returns. We sweep transceiver count on a frozen fleet
 // snapshot and report what the solver achieves.
 func AppA(o Options) *Result {
-	res := &Result{ID: "appA", Title: "Mesh redundancy vs transceivers per balloon", CSV: map[string][][]string{}}
+	res := &Result{ID: "appA", Title: "Mesh redundancy vs transceivers per balloon"}
 	csv := [][]string{{"xcvrs_per_balloon", "links", "redundant_links", "satisfied", "redundancy_frac"}}
 	nBalloons := 8 + 2*o.scale()
 	prevLinks := 0
@@ -63,7 +63,7 @@ func AppA(o Options) *Result {
 		prevLinks = links
 	}
 	res.Rows = rows
-	res.CSV["xcvr_sweep"] = csv
+	res.CSVName, res.CSV = "xcvr_sweep", csv
 	return res
 }
 
@@ -92,7 +92,7 @@ func solveWithXcvrs(seed int64, nBalloons, k int) (links, redundant, satisfied i
 			reqs = append(reqs, solver.Request{ID: "backhaul/" + n.ID, Src: n.ID, MinBitrateBps: 50e6})
 		}
 	}
-	ev := linkeval.New(linkeval.DefaultConfig(), clearSource{}, nil)
+	ev := linkeval.New(linkeval.DefaultConfig(), &weather.Fused{}, nil) // no sources: clear sky
 	cands := ev.CandidateGraph(xs, 0)
 	plan := solver.New(solver.DefaultConfig()).Solve(solver.Input{
 		Candidates: cands, Requests: reqs,
@@ -102,18 +102,11 @@ func solveWithXcvrs(seed int64, nBalloons, k int) (links, redundant, satisfied i
 	return len(plan.Links), plan.RedundantCount(), len(plan.Routes)
 }
 
-// clearSource is a no-rain weather source for snapshot solving.
-type clearSource struct{}
-
-func (clearSource) EstimateRain(geo.LLA) (float64, bool) { return 0, true }
-func (clearSource) AgeSeconds() float64                  { return 0 }
-func (clearSource) Name() string                         { return "clear" }
-
 // AppD reproduces the MANET protocol comparison (ns-3 in the paper):
 // AODV and DSDV converge well; AODV has lower overhead because Loon
 // only needs routes to a handful of SDN endpoints.
 func AppD(o Options) *Result {
-	res := &Result{ID: "appD", Title: "MANET comparison: AODV vs DSDV vs OLSR vs BATMAN", CSV: map[string][][]string{}}
+	res := &Result{ID: "appD", Title: "MANET comparison: AODV vs DSDV vs OLSR vs BATMAN"}
 	csv := [][]string{{"protocol", "availability", "bytes", "msgs"}}
 	n := 8 + 2*o.scale()
 	bytes := map[string]int64{}
@@ -175,7 +168,7 @@ func AppD(o Options) *Result {
 		csv = append(csv, []string{name, f("%.3f", frac), f("%d", st.BytesSent), f("%d", st.MessagesSent)})
 	}
 	res.Rows = append(res.Rows, Row{"AODV overhead < DSDV", "yes", f("%v", bytes["aodv"] < bytes["dsdv"])})
-	res.CSV["manet_compare"] = csv
+	res.CSVName, res.CSV = "manet_compare", csv
 	return res
 }
 
@@ -201,7 +194,7 @@ func Fig13(o Options) *Result {
 		})
 	}
 	sectors := explain.DetectObstructionSkew(samples, 10, -5, 10)
-	res := &Result{ID: "fig13", Title: "Stale obstruction mask detection (Fig. 13)", CSV: map[string][][]string{}}
+	res := &Result{ID: "fig13", Title: "Stale obstruction mask detection (Fig. 13)"}
 	detected := "none"
 	if len(sectors) > 0 {
 		detected = ""
@@ -224,9 +217,6 @@ func Fig13(o Options) *Result {
 	for _, s := range sectors {
 		csv = append(csv, []string{f("%.0f", s.AzMinDeg), f("%.0f", s.AzMaxDeg), f("%.1f", s.MeanErrorDB), f("%d", s.Samples)})
 	}
-	res.CSV["skew_sectors"] = csv
+	res.CSVName, res.CSV = "skew_sectors", csv
 	return res
 }
-
-// All runs every experiment at the given options, in paper order.
-func All(o Options) []*Result { return Run(o, "all") }

@@ -6,11 +6,10 @@ import (
 	"minkowski/internal/telemetry"
 )
 
-// Fig04 reproduces the candidate-graph churn analysis: "the candidate
+// fig04 reproduces the candidate-graph churn analysis: "the candidate
 // graph changed in 99.9% of hours with 13% median change. Only 3.5%
 // of minutes saw a stable candidate graph, and at median 10 links
 // changed minute to minute." Mean graph size was 3275 links.
-func Fig04(o Options) *Result { return Run(o, "fig04")[0] }
 func fig04(c *core.Controller, res *Result) {
 	ch := c.Churn
 	res.Rows = []Row{
@@ -22,13 +21,12 @@ func fig04(c *core.Controller, res *Result) {
 		{"B2B candidates (min–max)", "0–6595", f("%.0f–%.0f", ch.B2B.Min(), ch.B2B.Max())},
 		{"B2G candidates (min–max)", "0–750", f("%.0f–%.0f", ch.B2G.Min(), ch.B2G.Max())},
 	}
-	res.CSV["hourly_delta_cdf"] = cdfCSV(50, "%.4f", cdfSeries{"frac_changed", &ch.HourlyFrac})
+	res.CSVName, res.CSV = "hourly_delta_cdf", cdfCSV(50, "%.4f", cdfSeries{"frac_changed", &ch.HourlyFrac})
 }
 
-// Fig06 reproduces the layered availability metrics: link layer
+// fig06 reproduces the layered availability metrics: link layer
 // highest, data plane lowest, with redundancy + MANET pushing control
 // above link late in the deployment.
-func Fig06(o Options) *Result { return Run(o, "fig06")[0] }
 func fig06(c *core.Controller, res *Result) {
 	link := c.Reach.Ratio(telemetry.LayerLink)
 	ctrl := c.Reach.Ratio(telemetry.LayerControl)
@@ -44,14 +42,13 @@ func fig06(c *core.Controller, res *Result) {
 	for i := 0; i < len(ls) && i < len(cs) && i < len(ds); i++ {
 		series = append(series, []string{f("%d", i), f("%.3f", ls[i]), f("%.3f", cs[i]), f("%.3f", ds[i])})
 	}
-	res.CSV["daily_series"] = series
+	res.CSVName, res.CSV = "daily_series", series
 }
 
-// Fig07 reproduces redundancy utilization: "14% of the time the
+// fig07 reproduces redundancy utilization: "14% of the time the
 // established mesh had no redundancy ... at median, meshes utilize
 // 53% of available transceivers ... lower than the intended level
 // (70% at median)."
-func Fig07(o Options) *Result { return Run(o, "fig07")[0] }
 func fig07(c *core.Controller, res *Result) {
 	rd := c.Redund
 	res.Rows = []Row{
@@ -60,15 +57,14 @@ func fig07(c *core.Controller, res *Result) {
 		{"median intended fraction", "70%", pct(rd.Intended.Median())},
 		{"established < intended", "yes", f("%v", rd.Established.Median() < rd.Intended.Median())},
 	}
-	res.CSV["redundancy_cdf"] = cdfCSV(25, "%.3f",
+	res.CSVName, res.CSV = "redundancy_cdf", cdfCSV(25, "%.3f",
 		cdfSeries{"established", &rd.Established}, cdfSeries{"intended", &rd.Intended})
 }
 
-// Fig08 reproduces route-recovery timing: recoveries co-occurring
+// fig08 reproduces route-recovery timing: recoveries co-occurring
 // with planned withdrawals are ~2.9× more common and repair 37.8%
 // faster on average than unexpected failures; 75% of recoveries take
 // <20 s; 92.4% recover without a new link.
-func Fig08(o Options) *Result { return Run(o, "fig08")[0] }
 func fig08(c *core.Controller, res *Result) {
 	rc := c.Recovery
 	ctrl := c.RecoveryCtrl
@@ -91,15 +87,14 @@ func fig08(c *core.Controller, res *Result) {
 		{"control breakages < 20 s", "75%", pct(under20)},
 		{"recovered w/o new link", "92.4%", pct(withoutNew)},
 	}
-	res.CSV["recovery_cdf"] = cdfCSV(25, "%.1f",
+	res.CSVName, res.CSV = "recovery_cdf", cdfCSV(25, "%.1f",
 		cdfSeries{"withdrawn", &rc.Withdrawn}, cdfSeries{"failed", &rc.Failed})
 }
 
-// Fig09 reproduces enactment-time distributions vs control-channel
+// fig09 reproduces enactment-time distributions vs control-channel
 // RTT: satcom RTT median 1m27s / p90 5m47s / p99 14m50s; in-band
 // sub-second median RTT; link intents gated by radio search (+TTE on
 // satcom); route intents fast but with a reconvergence tail.
-func Fig09(o Options) *Result { return Run(o, "fig09")[0] }
 func fig09(c *core.Controller, res *Result) {
 	var link, route stats.Sample
 	satCount, ibCount := 0, 0
@@ -131,13 +126,12 @@ func fig09(c *core.Controller, res *Result) {
 	csv := [][]string{{"kind", "p50", "p90", "p99"}}
 	csv = append(csv, []string{"link-establish", f("%.1f", link.Quantile(0.5)), f("%.1f", link.Quantile(0.9)), f("%.1f", link.Quantile(0.99))})
 	csv = append(csv, []string{"route-update", f("%.1f", route.Quantile(0.5)), f("%.1f", route.Quantile(0.9)), f("%.1f", route.Quantile(0.99))})
-	res.CSV["enactment_quantiles"] = csv
+	res.CSVName, res.CSV = "enactment_quantiles", csv
 }
 
-// Fig10 reproduces the modelled-vs-measured B2B attenuation error:
+// fig10 reproduces the modelled-vs-measured B2B attenuation error:
 // a +4.3 dB pessimistic shift, a side-lobe bump near −14 dB, and
 // weather-driven tails.
-func Fig10(o Options) *Result { return Run(o, "fig10")[0] }
 func fig10(c *core.Controller, res *Result) {
 	me := c.ModelErr.Errors
 	res.Rows = []Row{
@@ -151,15 +145,14 @@ func fig10(c *core.Controller, res *Result) {
 	for i := range centers {
 		hist = append(hist, []string{f("%.1f", centers[i]), f("%d", counts[i])})
 	}
-	res.CSV["error_histogram"] = hist
+	res.CSVName, res.CSV = "error_histogram", hist
 }
 
-// Fig11 reproduces link-lifetime statistics: B2G median 1m45s (44.8%
+// fig11 reproduces link-lifetime statistics: B2G median 1m45s (44.8%
 // under a minute), B2B median 25m55s (15% early mortality);
 // first-attempt success 51% B2G / 40% B2B; 35% of pairs never
 // succeed; unexpected end states 47.4% overall (69.2% B2G / 39.2%
 // B2B).
-func Fig11(o Options) *Result { return Run(o, "fig11")[0] }
 func fig11(c *core.Controller, res *Result) {
 	ll := c.LinkLife
 	g, b := ll.FirstAttemptRate()
@@ -177,7 +170,7 @@ func fig11(c *core.Controller, res *Result) {
 		{"unexpected ends B2G", "69.2%", pct(ug)},
 		{"unexpected ends B2B", "39.2%", pct(ub)},
 	}
-	res.CSV["lifetime_cdf"] = cdfCSV(30, "%.0f", cdfSeries{"b2g", &ll.B2G}, cdfSeries{"b2b", &ll.B2B})
+	res.CSVName, res.CSV = "lifetime_cdf", cdfCSV(30, "%.0f", cdfSeries{"b2g", &ll.B2G}, cdfSeries{"b2b", &ll.B2B})
 }
 
 // cdfSeries is one named sample of a CDF export.

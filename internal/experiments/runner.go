@@ -69,11 +69,11 @@ var table = []entry{
 }
 
 // figure is the entry of a Result read off one world: body fills its
-// rows and CSV series.
+// rows and CSV table.
 func figure(id, title, world string, hours float64, body func(*core.Controller, *Result)) entry {
 	return entry{id, "all", hours, []string{world},
 		func(c *core.Controller) any {
-			res := &Result{ID: id, Title: title, CSV: map[string][][]string{}}
+			res := &Result{ID: id, Title: title}
 			body(c, res)
 			return res
 		},

@@ -25,7 +25,6 @@ import (
 	"minkowski/internal/linkeval"
 	"minkowski/internal/platform"
 	"minkowski/internal/solver"
-	"minkowski/internal/stats"
 )
 
 // EventKind classifies change-log entries.
@@ -40,7 +39,6 @@ const (
 	EvCommand      EventKind = "command"
 	EvNodeJoin     EventKind = "node-join"
 	EvNodeLeave    EventKind = "node-leave"
-	EvDrain        EventKind = "drain"
 	EvWeather      EventKind = "weather"
 	EvAnomaly      EventKind = "anomaly"
 	EvConnectivity EventKind = "connectivity"
@@ -80,9 +78,6 @@ func (l *Log) Append(at float64, kind EventKind, subject, detail string) {
 func (l *Log) Appendf(at float64, kind EventKind, subject, format string, args ...interface{}) {
 	l.Append(at, kind, subject, fmt.Sprintf(format, args...))
 }
-
-// Len returns the event count.
-func (l *Log) Len() int { return len(l.events) }
 
 // Filter returns events matching the predicate in time order.
 type Filter struct {
@@ -155,28 +150,6 @@ func (s *Scrubber) StateAt(t float64) (Snapshot, bool) {
 		return Snapshot{}, false
 	}
 	return s.snaps[i-1], true
-}
-
-// Range returns snapshots within [from, to].
-func (s *Scrubber) Range(from, to float64) []Snapshot {
-	var out []Snapshot
-	for _, snap := range s.snaps {
-		if snap.At >= from && snap.At <= to {
-			out = append(out, snap)
-		}
-	}
-	return out
-}
-
-// Replay renders the change-log between two instants — "roll time
-// backwards and forward" — combining the nearest snapshot with the
-// events since it.
-func Replay(s *Scrubber, l *Log, t float64) (Snapshot, []Event, bool) {
-	snap, ok := s.StateAt(t)
-	if !ok {
-		return Snapshot{}, nil, false
-	}
-	return snap, l.Query(Filter{From: snap.At, To: t}), true
 }
 
 // --- Why-not queries ---------------------------------------------------
@@ -274,27 +247,4 @@ func DetectObstructionSkew(samples []PointingSample, sectorDeg float64, threshol
 		}
 	}
 	return out
-}
-
-// AnomalyDetector flags significant modelled-vs-measured deviations
-// for operator attention (§5 insight 2: "flagging significant
-// deviations to network operations engineers is an important aspect
-// of detecting and responding to field anomalies").
-type AnomalyDetector struct {
-	// ThresholdDB triggers on |error| above this.
-	ThresholdDB float64
-	// Window is the recent-sample window for the running statistics.
-	recent stats.Sample
-	// Anomalies counts triggers.
-	Anomalies int
-}
-
-// Observe feeds one error sample; returns true when it is anomalous.
-func (a *AnomalyDetector) Observe(errorDB float64) bool {
-	a.recent.Add(errorDB)
-	if errorDB > a.ThresholdDB || errorDB < -a.ThresholdDB {
-		a.Anomalies++
-		return true
-	}
-	return false
 }

@@ -40,9 +40,6 @@ type Balloon struct {
 	Launched float64
 }
 
-// String implements fmt.Stringer.
-func (b *Balloon) String() string { return fmt.Sprintf("%s@%v", b.ID, b.Pos) }
-
 // Step advances the balloon dt seconds through the wind field:
 // vertical motion toward the commanded altitude at the pump rate,
 // horizontal drift with the local wind.
@@ -225,20 +222,6 @@ func (f *FMS) decideAltitude(b *Balloon) {
 	}
 	b.TargetAltM = f.wind.LayerCenterAlt(bi)
 }
-
-// InStation counts balloons currently within the station radius.
-func (f *FMS) InStation() int {
-	n := 0
-	for _, b := range f.Fleet {
-		if geo.GreatCircle(b.Pos, f.Target) <= f.StationRadiusM {
-			n++
-		}
-	}
-	return n
-}
-
-// Now returns the controller's current sim time.
-func (f *FMS) Now() float64 { return f.now }
 
 // PredictedPoint is one sample of a predicted trajectory.
 type PredictedPoint struct {

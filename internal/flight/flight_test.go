@@ -185,22 +185,6 @@ func TestPredictionErrorGrowsWithLead(t *testing.T) {
 	}
 }
 
-func TestInStation(t *testing.T) {
-	f, _ := testSetup(20)
-	n := f.InStation()
-	if n < 0 || n > 20 {
-		t.Fatalf("InStation = %d", n)
-	}
-	// Move every balloon onto the target: all should be in station.
-	for _, b := range f.Fleet {
-		b.Pos = f.Target
-		b.Pos.Alt = 16000
-	}
-	if got := f.InStation(); got != 20 {
-		t.Errorf("InStation after centering = %d, want 20", got)
-	}
-}
-
 func BenchmarkFleetStep(b *testing.B) {
 	f, w := testSetup(30)
 	b.ResetTimer()

@@ -7,8 +7,9 @@ import (
 
 // FuzzECEFRoundTrip fuzzes the closed-form geodetic inversion: over
 // every latitude and −1…60 km, LLA → ECEF → LLA must come back within
-// 1e-11 rad and 1e-7 m, and Altitude must be ToLLA's altitude bit for
-// bit (the path integrator mixes the two along one chord).
+// 1e-11 rad and 1e-7 m, and Geodetic().Alt must be the full
+// inversion's altitude bit for bit (the path integrator mixes the two
+// along one chord).
 func FuzzECEFRoundTrip(f *testing.F) {
 	f.Add(-1.0, 37.0, 18.0)
 	f.Add(90.0, 0.0, 0.0)

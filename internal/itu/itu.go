@@ -10,8 +10,8 @@
 //
 // The package also provides the "regional-seasonal" statistical
 // backstop the paper describes: when no fresher weather data is
-// available, the solver falls back to climatological attenuation
-// estimates derived from these models.
+// available, the solver falls back to climatological rain-rate
+// estimates.
 //
 // Frequencies are in GHz, attenuation in dB (or dB/km for specific
 // attenuation), rain rates in mm/h, temperatures in kelvin, pressure in
@@ -19,7 +19,6 @@
 package itu
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -37,20 +36,6 @@ const (
 	// Circular polarization (average of H and V coefficients).
 	Circular
 )
-
-// String implements fmt.Stringer.
-func (p Polarization) String() string {
-	switch p {
-	case Horizontal:
-		return "H"
-	case Vertical:
-		return "V"
-	case Circular:
-		return "C"
-	default:
-		return fmt.Sprintf("Polarization(%d)", int(p))
-	}
-}
 
 // --- ITU-R P.676: gaseous attenuation ------------------------------
 
@@ -126,24 +111,9 @@ func WaterVapourSpecific(fGHz, pressureHPa, tempK, rho float64) float64 {
 	return g
 }
 
-// Equivalent heights for integrated zenith attenuation (P.676 §2.2
-// style; used by the cheap zenith-path helper below).
-const (
-	oxygenScaleHeightKm = 6.0
-	vapourScaleHeightKm = 2.0
-)
-
-// ZenithGaseous returns the approximate total zenith attenuation (dB)
-// through the whole atmosphere from a start altitude (km) at sea-level
-// conditions, using exponential equivalent heights. The Link Evaluator
-// uses per-sample integration for slant paths; this helper provides a
-// quick climatological bound.
-func ZenithGaseous(fGHz, startAltKm, rhoSeaLevel float64) float64 {
-	gOx := OxygenSpecific(fGHz, refPressureHPa, refTempK)
-	gWv := WaterVapourSpecific(fGHz, refPressureHPa, refTempK, rhoSeaLevel)
-	return gOx*oxygenScaleHeightKm*math.Exp(-startAltKm/oxygenScaleHeightKm) +
-		gWv*vapourScaleHeightKm*math.Exp(-startAltKm/vapourScaleHeightKm)
-}
+// vapourScaleHeightKm is the water-vapour equivalent height (P.676
+// §2.2 style) of the standard atmosphere below.
+const vapourScaleHeightKm = 2.0
 
 // AtmosphereAt returns a standard-atmosphere (pressure hPa,
 // temperature K, water-vapour density g/m³) triple at the given
@@ -295,36 +265,15 @@ const (
 	LongRains
 )
 
-// SeasonForMonth maps a 1-based month to the east-African season used
-// by the backstop model.
-func SeasonForMonth(month int) Season {
-	switch {
-	case month >= 3 && month <= 5:
-		return LongRains
-	case month >= 10 && month <= 12:
-		return ShortRains
-	default:
-		return DrySeason
-	}
-}
-
 // RegionalModel is the climatological backstop of §3.1/§5: when no
 // gauge or forecast data is available, it supplies pessimistic
-// (exceedance-based) rain-rate estimates by season.
+// rain-rate estimates by season.
 type RegionalModel struct {
 	// MeanRainRate is the season's climatological mean rain rate over
 	// raining periods, mm/h.
 	MeanRainRate [3]float64
 	// RainProbability is the fraction of time it rains at all.
 	RainProbability [3]float64
-	// ExceededRate001 is the rain rate exceeded 0.01% of the time
-	// (the classic ITU link-budget design point), mm/h.
-	ExceededRate001 [3]float64
-	// Pessimism is the deliberate margin (dB) the paper describes
-	// adding: Loon "intentionally selected a pessimistic level from
-	// the ITU-R regional seasonal average model", visible as the
-	// +4.3 dB shift in Fig. 10.
-	Pessimism float64
 }
 
 // DefaultRegionalModel returns climatology tuned for the paper's
@@ -333,8 +282,6 @@ func DefaultRegionalModel() *RegionalModel {
 	return &RegionalModel{
 		MeanRainRate:    [3]float64{1.5, 5, 8},
 		RainProbability: [3]float64{0.02, 0.08, 0.12},
-		ExceededRate001: [3]float64{35, 63, 80},
-		Pessimism:       4.3,
 	}
 }
 
@@ -347,18 +294,4 @@ func (m *RegionalModel) DesignRainRate(s Season) float64 {
 	// Expected rate is mean·P(rain); pessimism pulls the estimate up
 	// toward the conditional mean.
 	return mean*p + mean*(1-p)*0.25
-}
-
-// BackstopAttenuation returns the climatological planning attenuation
-// (dB) over a path of pathKm kilometers below the freezing level, at
-// frequency fGHz in the given season, including the model's deliberate
-// pessimism margin. This is what the Link Evaluator uses when neither
-// gauges nor forecasts cover a path.
-func (m *RegionalModel) BackstopAttenuation(fGHz, pathKm float64, s Season, pol Polarization) float64 {
-	if pathKm <= 0 {
-		return 0
-	}
-	rate := m.DesignRainRate(s)
-	att := RainSpecific(fGHz, rate, pol) * pathKm
-	return att + m.Pessimism
 }

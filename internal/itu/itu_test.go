@@ -195,51 +195,19 @@ func TestCloudSpecificLinearInLWC(t *testing.T) {
 	}
 }
 
-func TestSeasonForMonth(t *testing.T) {
-	cases := []struct {
-		month int
-		want  Season
-	}{
-		{1, DrySeason}, {2, DrySeason}, {3, LongRains}, {4, LongRains},
-		{5, LongRains}, {6, DrySeason}, {7, DrySeason}, {8, DrySeason},
-		{9, DrySeason}, {10, ShortRains}, {11, ShortRains}, {12, ShortRains},
-	}
-	for _, c := range cases {
-		if got := SeasonForMonth(c.month); got != c.want {
-			t.Errorf("SeasonForMonth(%d) = %v, want %v", c.month, got, c.want)
-		}
-	}
-}
-
 func TestRegionalModelPessimism(t *testing.T) {
 	m := DefaultRegionalModel()
-	// The backstop must include the deliberate pessimism margin even
-	// over a minimal path.
-	att := m.BackstopAttenuation(80, 0.1, DrySeason, Horizontal)
-	if att < m.Pessimism {
-		t.Errorf("backstop attenuation (%v) must include pessimism margin (%v)", att, m.Pessimism)
+	for _, season := range []Season{DrySeason, ShortRains, LongRains} {
+		// The design rate sits above the plain expectation mean·P(rain):
+		// the backstop is deliberately pessimistic.
+		expected := m.MeanRainRate[season] * m.RainProbability[season]
+		if got := m.DesignRainRate(season); got <= expected {
+			t.Errorf("season %d: design rate %v not above the expected rate %v", season, got, expected)
+		}
 	}
-	// Wet seasons must plan for more attenuation than the dry season.
-	dry := m.BackstopAttenuation(80, 10, DrySeason, Horizontal)
-	long := m.BackstopAttenuation(80, 10, LongRains, Horizontal)
-	if long <= dry {
-		t.Errorf("long-rains backstop (%v) must exceed dry season (%v)", long, dry)
-	}
-	if m.BackstopAttenuation(80, 0, DrySeason, Horizontal) != 0 {
-		t.Error("zero path must mean zero backstop")
-	}
-}
-
-func TestZenithGaseous(t *testing.T) {
-	// From the stratosphere the remaining zenith gas attenuation is
-	// negligible compared to sea level.
-	g0 := ZenithGaseous(80, 0, 7.5)
-	g18 := ZenithGaseous(80, 18, 7.5)
-	if g18 > g0/10 {
-		t.Errorf("zenith attenuation from 18 km (%v) should be <10%% of sea level (%v)", g18, g0)
-	}
-	if g0 < 0.5 || g0 > 10 {
-		t.Errorf("sea-level zenith attenuation at 80 GHz = %v dB, want 0.5–10", g0)
+	// Wet seasons must plan for more rain than the dry season.
+	if dry, long := m.DesignRainRate(DrySeason), m.DesignRainRate(LongRains); long <= dry {
+		t.Errorf("long-rains design rate (%v) must exceed dry season (%v)", long, dry)
 	}
 }
 

@@ -98,7 +98,7 @@ func exactPathAttenuation(src weather.Source, fGHz float64, a, b geo.LLA) float6
 	stepKm := seg.Length() / float64(samples) / 1000
 	total := 0.0
 	for i := 0; i <= samples; i++ {
-		p := seg.Point(float64(i) / float64(samples)).ToLLA()
+		p := seg.Point(float64(i) / float64(samples)).Geodetic().LLA()
 		pr, tk, rho := itu.AtmosphereAt(p.Alt, weather.SeaLevelVapourDensity)
 		spec := itu.GaseousSpecific(fGHz, pr, tk, rho)
 		if p.Alt < weather.MoistureCeilingM {

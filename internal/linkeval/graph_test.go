@@ -68,7 +68,6 @@ func (g *gradientRain) EstimateRain(p geo.LLA) (float64, bool) {
 	return r, true
 }
 func (g *gradientRain) AgeSeconds() float64 { return 0 }
-func (g *gradientRain) Name() string        { return "gradient" }
 
 // randomFleet builds a reproducible fleet: ground stations plus
 // balloons scattered over an area wider than MaxRangeM, so the range

@@ -20,7 +20,6 @@ type clearSky struct{}
 
 func (clearSky) EstimateRain(geo.LLA) (float64, bool) { return 0, true }
 func (clearSky) AgeSeconds() float64                  { return 0 }
-func (clearSky) Name() string                         { return "clear" }
 
 func mkBalloon(id string, latDeg, lonDeg, alt float64) *platform.Node {
 	b := &flight.Balloon{ID: id, Pos: geo.LLADeg(latDeg, lonDeg, alt)}

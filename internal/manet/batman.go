@@ -166,31 +166,3 @@ func (b *BATMAN) NextHop(src, dst string) (string, bool) {
 	}
 	return r.nextHop, true
 }
-
-// GatewayTQ returns src's route quality toward dst (0 if none) — the
-// batman-adv TQ metric the appendix-D host stack uses to sort
-// gateways.
-func (b *BATMAN) GatewayTQ(src, dst string) float64 {
-	n, ok := b.nodes[src]
-	if !ok {
-		return 0
-	}
-	r, ok := n.routes[dst]
-	if !ok {
-		return 0
-	}
-	return r.tq
-}
-
-// BestGateway returns the gateway (from the given set) with the best
-// TQ from src, implementing the "sort GS-based connectivity according
-// to batman-adv metrics" host behaviour of Appendix D.
-func (b *BATMAN) BestGateway(src string, gateways []string) (string, bool) {
-	best, bestTQ := "", 0.0
-	for _, gw := range sortedCopy(gateways) {
-		if tq := b.GatewayTQ(src, gw); tq > bestTQ {
-			best, bestTQ = gw, tq
-		}
-	}
-	return best, best != ""
-}

@@ -53,16 +53,6 @@ func NewFast(eng *sim.Engine, net Network, convergenceS float64) *Fast {
 	return f
 }
 
-// Name implements Router.
-func (f *Fast) Name() string { return "fast-converged" }
-
-// Stats implements Router. The oracle sends no messages; overhead
-// modelling belongs to the message-level protocols.
-func (f *Fast) Stats() Stats { return Stats{} }
-
-// Start implements Router (no periodic work).
-func (f *Fast) Start() {}
-
 // TopologyChanged notes that the link set changed now. The first
 // unapplied change schedules the rebuild as an engine event
 // ConvergenceS later, so the table a query sees depends only on
@@ -132,7 +122,7 @@ func (f *Fast) NextHopAt(src, dst int32) (int32, bool) {
 	return nh, true
 }
 
-// NextHop implements Router: NextHopAt by node ID.
+// NextHop is NextHopAt by node ID.
 func (f *Fast) NextHop(src, dst string) (string, bool) {
 	ids := f.net.IDs()
 	s, oks := ids.Lookup(src)

@@ -15,7 +15,7 @@ type Loop struct {
 // distinguishes a dead-end (fine: the route is simply absent) from a
 // cycle (an invariant violation: packets would orbit forever). The
 // scan order is deterministic given a sorted node list.
-func FindLoop(r Router, nodes []string) (Loop, bool) {
+func FindLoop(r NextHop, nodes []string) (Loop, bool) {
 	for _, src := range nodes {
 		for _, dst := range nodes {
 			if src == dst {
@@ -32,7 +32,7 @@ func FindLoop(r Router, nodes []string) (Loop, bool) {
 // walkForLoop follows NextHop from src toward dst, reporting a cycle
 // if the walk revisits a node. A missing next hop ends the walk
 // without a loop.
-func walkForLoop(r Router, src, dst string) (Loop, bool) {
+func walkForLoop(r NextHop, src, dst string) (Loop, bool) {
 	seen := map[string]bool{src: true}
 	path := []string{src}
 	cur := src

@@ -65,25 +65,30 @@ type Stats struct {
 	BytesSent int64
 }
 
-// Router is a routing protocol instance managing per-node state for
-// every node in the network.
+// NextHop is what a route walk reads: every Router, and Fast.
+type NextHop interface {
+	// NextHop returns the next hop from src toward dst, if src
+	// currently has a route.
+	NextHop(src, dst string) (string, bool)
+}
+
+// Router is a message-level routing protocol instance managing
+// per-node state for every node in the network.
 type Router interface {
+	NextHop
 	// Name identifies the protocol.
 	Name() string
 	// Start begins protocol operation (periodic beacons etc.).
 	Start()
-	// NextHop returns the next hop from src toward dst, if src
-	// currently has a route.
-	NextHop(src, dst string) (string, bool)
 	// Stats returns cumulative control-plane cost.
 	Stats() Stats
 }
 
 // PathFrom walks NextHop from src toward dst and returns the node
-// path if the route completes without loops. It serves any Router by
+// path if the route completes without loops. It serves any router by
 // node ID; the simulation itself "forwards" control-plane traffic over
 // Fast.AppendPath, the same walk by index.
-func PathFrom(r Router, src, dst string) ([]string, bool) {
+func PathFrom(r NextHop, src, dst string) ([]string, bool) {
 	if src == dst {
 		return []string{src}, true
 	}
@@ -109,7 +114,7 @@ func PathFrom(r Router, src, dst string) ([]string, bool) {
 }
 
 // HasRoute reports whether src can currently reach dst hop by hop.
-func HasRoute(r Router, src, dst string) bool {
+func HasRoute(r NextHop, src, dst string) bool {
 	_, ok := PathFrom(r, src, dst)
 	return ok
 }

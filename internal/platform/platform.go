@@ -44,9 +44,6 @@ type Transceiver struct {
 	Busy bool
 }
 
-// String implements fmt.Stringer.
-func (x *Transceiver) String() string { return x.ID }
-
 // IDs is the node-ID table: it gives every node name a dense int32
 // index in order of first registration and never moves or reuses one,
 // so the Tier-1 layers (radio adjacency, MANET next-hop tables, in-band
@@ -126,9 +123,6 @@ func (n *Node) Operational() bool {
 	}
 	return n.Power.CommsOn
 }
-
-// String implements fmt.Stringer.
-func (n *Node) String() string { return n.ID }
 
 // NewBalloonNode wraps a flight vehicle in a network node with the
 // standard three-corner transceiver installation.

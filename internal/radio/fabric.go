@@ -460,25 +460,3 @@ func PropagationDelay(l *Link) float64 {
 	}
 	return geo.SlantRange(posA, posB) / c
 }
-
-// Transmit models sending size bytes over an installed link, invoking
-// done(true) after propagation + serialization delay, or done(false)
-// immediately if the link is not up. Jitter of ±20% models queueing.
-func (f *Fabric) Transmit(l *Link, size int, done func(bool)) {
-	if l == nil || !l.Up() {
-		if done != nil {
-			f.eng.After(0, func() { done(false) })
-		}
-		return
-	}
-	ser := float64(size*8) / l.Measured.BitrateBps
-	delay := PropagationDelay(l) + ser
-	delay *= 0.9 + 0.2*f.rng().Float64()
-	// Tiny floor models switching/processing latency.
-	delay += 0.002
-	f.eng.After(delay, func() {
-		if done != nil {
-			done(l.Up())
-		}
-	})
-}

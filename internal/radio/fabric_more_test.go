@@ -73,19 +73,19 @@ func TestGetAndLinkState(t *testing.T) {
 	if _, ok := fab.Get(l.ID); !ok {
 		t.Error("live link must be gettable")
 	}
-	if got := l.State.String(); got != "slewing" {
-		t.Errorf("state = %q", got)
+	if got := l.State; got != StateSlewing {
+		t.Errorf("state = %d", got)
 	}
 	eng.Run(300)
-	if got := l.State.String(); got != "up" {
-		t.Errorf("state = %q", got)
+	if got := l.State; got != StateUp {
+		t.Errorf("state = %d", got)
 	}
 	fab.Withdraw(l.ID)
 	if _, ok := fab.Get(l.ID); ok {
 		t.Error("retired link must not be gettable")
 	}
-	if got := l.State.String(); got != "down" {
-		t.Errorf("state = %q", got)
+	if got := l.State; got != StateDown {
+		t.Errorf("state = %d", got)
 	}
 }
 

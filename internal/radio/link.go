@@ -7,7 +7,6 @@
 package radio
 
 import (
-	"fmt"
 	"strings"
 
 	"minkowski/internal/geo"
@@ -58,20 +57,6 @@ const (
 	StateDown
 )
 
-// String implements fmt.Stringer.
-func (s State) String() string {
-	switch s {
-	case StateSlewing:
-		return "slewing"
-	case StateAcquiring:
-		return "acquiring"
-	case StateUp:
-		return "up"
-	default:
-		return "down"
-	}
-}
-
 // Reason explains a link termination. The distinction between
 // ReasonWithdrawn (the controller asked) and everything else (the
 // physics decided) is the paper's planned-vs-unexpected split that
@@ -111,12 +96,6 @@ func (r Reason) String() string {
 	default:
 		return "none"
 	}
-}
-
-// Unexpected reports whether the termination was unplanned (anything
-// except a controller withdrawal).
-func (r Reason) Unexpected() bool {
-	return r != ReasonWithdrawn && r != ReasonNone
 }
 
 // Link is one point-to-point radio link instance (one attempt; a
@@ -195,9 +174,4 @@ func (l *Link) Lifetime() float64 {
 // Nodes returns the two endpoint node IDs.
 func (l *Link) Nodes() (string, string) {
 	return l.XA.Node.ID, l.XB.Node.ID
-}
-
-// String implements fmt.Stringer.
-func (l *Link) String() string {
-	return fmt.Sprintf("link %s [%s]", l.ID, l.State)
 }

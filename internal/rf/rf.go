@@ -12,7 +12,6 @@
 package rf
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -25,9 +24,6 @@ type Channel struct {
 	// WidthMHz is the occupied bandwidth.
 	WidthMHz float64
 }
-
-// String implements fmt.Stringer.
-func (c Channel) String() string { return fmt.Sprintf("ch%d@%.2fGHz", c.ID, c.CenterGHz) }
 
 // EBandChannels returns the channel plan: four channels in the lower
 // E band segment (71–76 GHz) and four in the upper (81–86 GHz), each
@@ -120,17 +116,6 @@ func EBandRadio() Radio {
 	}
 }
 
-// MaxTxPowerDBm returns the radio's highest transmit power.
-func (r Radio) MaxTxPowerDBm() float64 {
-	best := math.Inf(-1)
-	for _, p := range r.TxPowersDBm {
-		if p > best {
-			best = p
-		}
-	}
-	return best
-}
-
 // Budget is the result of a link-budget evaluation for one candidate
 // link at one transmit power on one channel.
 type Budget struct {
@@ -163,14 +148,10 @@ type Params struct {
 	NoiseFigureDB  float64
 }
 
-// Compute evaluates the full budget chain.
-func Compute(p Params) Budget {
-	return compute(p, FreeSpaceLossDB(p.Channel.CenterGHz, p.DistM), NoiseFloorDBm(p.Channel.WidthMHz, p.NoiseFigureDB))
-}
-
-// compute is Compute given the two logarithmic terms, which depend on
-// neither transmit power nor gains: BestBudget takes them once per
-// link, not once per power.
+// compute evaluates the budget chain given its two logarithmic terms,
+// free-space loss and noise floor, which depend on neither transmit
+// power nor gains: BestBudget takes them once per link, not once per
+// power.
 func compute(p Params, fspl, noise float64) Budget {
 	rx := p.TxPowerDBm + p.TxGainDBi + p.RxGainDBi - fspl - p.AtmosLossDB - p.PointingLossDB
 	snr := rx - noise
@@ -232,18 +213,6 @@ const (
 	// Acceptable links meet the configured margin.
 	Acceptable
 )
-
-// String implements fmt.Stringer.
-func (m MarginClass) String() string {
-	switch m {
-	case Acceptable:
-		return "acceptable"
-	case Marginal:
-		return "marginal"
-	default:
-		return "unusable"
-	}
-}
 
 // MarginalWindowDB is the paper's 5 dB deprioritization window: "Loon
 // deprioritized links within 5 dB of the minimum signal strength".

@@ -15,7 +15,6 @@ type clearSky struct{}
 
 func (clearSky) EstimateRain(geo.LLA) (float64, bool) { return 0, true }
 func (clearSky) AgeSeconds() float64                  { return 0 }
-func (clearSky) Name() string                         { return "clear" }
 
 // b2bAtmos returns clear-air path attenuation between two balloons at
 // 18 km separated by distM (the chord dips toward the troposphere at
@@ -194,11 +193,9 @@ func TestBestBudgetPrefersHigherPower(t *testing.T) {
 	radio := EBandRadio()
 	best := BestBudget(radio, radio.Channels[0], 45, 45, 600e3, 1, 1)
 	// Best budget at long range must be achieved at max power.
-	atMax := Compute(Params{
-		Channel: radio.Channels[0], TxPowerDBm: radio.MaxTxPowerDBm(),
-		TxGainDBi: 45, RxGainDBi: 45, DistM: 600e3,
-		AtmosLossDB: 1, PointingLossDB: 1, NoiseFigureDB: radio.NoiseFigureDB,
-	})
+	top := radio.TxPowersDBm[len(radio.TxPowersDBm)-1] // levels ascend
+	maxOnly := Radio{TxPowersDBm: []float64{top}, NoiseFigureDB: radio.NoiseFigureDB}
+	atMax := BestBudget(maxOnly, radio.Channels[0], 45, 45, 600e3, 1, 1)
 	if best.SNRdB != atMax.SNRdB {
 		t.Errorf("best budget SNR %v != max-power SNR %v", best.SNRdB, atMax.SNRdB)
 	}
@@ -231,24 +228,6 @@ func TestClassify(t *testing.T) {
 				t.Errorf("Classify(margin=%v) = %v, want %v", c.b.MarginDB, got, c.want)
 			}
 		})
-	}
-}
-
-func TestMaxTxPower(t *testing.T) {
-	if got := EBandRadio().MaxTxPowerDBm(); got != 36 {
-		t.Errorf("max tx power = %v, want 36", got)
-	}
-}
-
-func BenchmarkCompute(b *testing.B) {
-	radio := EBandRadio()
-	p := Params{
-		Channel: radio.Channels[0], TxPowerDBm: 30,
-		TxGainDBi: 43, RxGainDBi: 43, DistM: 500e3,
-		AtmosLossDB: 1, PointingLossDB: 1, NoiseFigureDB: 6,
-	}
-	for i := 0; i < b.N; i++ {
-		_ = Compute(p)
 	}
 }
 

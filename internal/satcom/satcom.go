@@ -14,7 +14,6 @@
 package satcom
 
 import (
-	"fmt"
 	"math"
 
 	"minkowski/internal/backoff"
@@ -244,9 +243,4 @@ func (g *Gateway) drop(m *Message, why string) {
 	if g.OnDrop != nil {
 		g.OnDrop(m, why)
 	}
-}
-
-// String implements fmt.Stringer.
-func (g *Gateway) String() string {
-	return fmt.Sprintf("satcom-gateway(sent=%d dropped=%d delivered=%d)", g.Sent, g.Dropped, g.Delivered)
 }

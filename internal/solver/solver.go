@@ -72,7 +72,7 @@ type Input struct {
 	// Gateways are ground-station node IDs (targets for Dst == "").
 	Gateways []string
 	// Drained nodes are excluded from carrying or terminating new
-	// links (Appendix C's administrative drains).
+	// links (the controller drains the gateway sites chaos took down).
 	Drained map[string]bool
 }
 
@@ -99,15 +99,6 @@ type Plan struct {
 	Unsatisfied []Request
 	// Utility is the total satisfied bitrate (the objective value).
 	Utility float64
-}
-
-// ChosenIDs returns the set of planned link IDs.
-func (p *Plan) ChosenIDs() map[radio.LinkID]bool {
-	out := make(map[radio.LinkID]bool, len(p.Links))
-	for _, c := range p.Links {
-		out[c.Report.ID] = true
-	}
-	return out
 }
 
 // RedundantCount returns how many planned links are redundancy adds.

@@ -17,7 +17,6 @@ type clearSky struct{}
 
 func (clearSky) EstimateRain(geo.LLA) (float64, bool) { return 0, true }
 func (clearSky) AgeSeconds() float64                  { return 0 }
-func (clearSky) Name() string                         { return "clear" }
 
 func mkBalloon(id string, latDeg, lonDeg float64) *platform.Node {
 	b := &flight.Balloon{ID: id, Pos: geo.LLADeg(latDeg, lonDeg, 18000)}
@@ -138,9 +137,9 @@ func TestHysteresisKeepsExistingLinks(t *testing.T) {
 	plan1 := s.Solve(in)
 	// Feed plan1's links back as "existing": the second solve must
 	// keep them all (nothing changed).
-	in.Existing = plan1.ChosenIDs()
+	in.Existing = chosenIDs(plan1)
 	plan2 := s.Solve(in)
-	ids1, ids2 := plan1.ChosenIDs(), plan2.ChosenIDs()
+	ids1, ids2 := chosenIDs(plan1), chosenIDs(plan2)
 	kept := 0
 	for id := range ids2 {
 		if ids1[id] {
@@ -315,4 +314,13 @@ func TestMarginalLinksOnlyWhenNecessary(t *testing.T) {
 	if _, ok := plan.Routes["r"]; !ok {
 		t.Error("marginal-only path should still satisfy the request")
 	}
+}
+
+// chosenIDs returns the set of p's planned link IDs.
+func chosenIDs(p *Plan) map[radio.LinkID]bool {
+	out := make(map[radio.LinkID]bool, len(p.Links))
+	for _, c := range p.Links {
+		out[c.Report.ID] = true
+	}
+	return out
 }

@@ -92,20 +92,6 @@ func (s *Sample) Max() float64 {
 	return s.xs[len(s.xs)-1]
 }
 
-// Stddev returns the sample standard deviation.
-func (s *Sample) Stddev() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	acc := 0.0
-	for _, x := range s.xs {
-		acc += (x - m) * (x - m)
-	}
-	return math.Sqrt(acc / float64(n-1))
-}
-
 // FracBelow returns the fraction of observations ≤ x.
 func (s *Sample) FracBelow(x float64) float64 {
 	if len(s.xs) == 0 {
@@ -210,14 +196,6 @@ func (c *Counter) Get(label string) int { return c.counts[label] }
 // Total returns the sum of all labels.
 func (c *Counter) Total() int { return c.total }
 
-// Frac returns the fraction of the total carried by a label.
-func (c *Counter) Frac(label string) float64 {
-	if c.total == 0 {
-		return math.NaN()
-	}
-	return float64(c.counts[label]) / float64(c.total)
-}
-
 // Labels returns all labels, sorted.
 func (c *Counter) Labels() []string {
 	out := make([]string, 0, len(c.counts))
@@ -226,34 +204,4 @@ func (c *Counter) Labels() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// TimeWeighted accumulates a time-weighted average of a piecewise-
-// constant signal (e.g. "fraction of transceivers used" over time).
-type TimeWeighted struct {
-	lastT   float64
-	lastV   float64
-	area    float64
-	elapsed float64
-	started bool
-}
-
-// Observe records that the signal has value v from time t onward.
-func (tw *TimeWeighted) Observe(t, v float64) {
-	if tw.started {
-		dt := t - tw.lastT
-		if dt > 0 {
-			tw.area += tw.lastV * dt
-			tw.elapsed += dt
-		}
-	}
-	tw.lastT, tw.lastV, tw.started = t, v, true
-}
-
-// Mean returns the time-weighted mean so far.
-func (tw *TimeWeighted) Mean() float64 {
-	if tw.elapsed == 0 {
-		return math.NaN()
-	}
-	return tw.area / tw.elapsed
 }

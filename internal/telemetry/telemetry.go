@@ -280,18 +280,6 @@ const (
 	CauseUnknown
 )
 
-// String implements fmt.Stringer.
-func (c RecoveryCause) String() string {
-	switch c {
-	case CauseFailed:
-		return "failed"
-	case CauseWithdrawn:
-		return "withdrawn"
-	default:
-		return "unknown"
-	}
-}
-
 // Recovery tracks per-node data-plane breakage and repair (Fig. 8):
 // time-to-repair distributions split by cause, restricted to
 // recoveries within the window (the paper analyzes <5 min).

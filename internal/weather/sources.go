@@ -19,8 +19,6 @@ type Source interface {
 	EstimateRain(p geo.LLA) (rate float64, ok bool)
 	// AgeSeconds is how stale the source's data is.
 	AgeSeconds() float64
-	// Name identifies the source in telemetry.
-	Name() string
 }
 
 // --- Rain gauges -----------------------------------------------------
@@ -68,9 +66,6 @@ func (g *Gauge) EstimateRain(p geo.LLA) (float64, bool) {
 
 // AgeSeconds implements Source.
 func (g *Gauge) AgeSeconds() float64 { return g.field.Now() - g.lastAt }
-
-// Name implements Source.
-func (g *Gauge) Name() string { return "gauge" }
 
 // --- Forecasts -------------------------------------------------------
 
@@ -174,9 +169,6 @@ func (f *Forecast) advected() []RainCell {
 // AgeSeconds implements Source.
 func (f *Forecast) AgeSeconds() float64 { return f.field.Now() - f.issuedAt }
 
-// Name implements Source.
-func (f *Forecast) Name() string { return "forecast" }
-
 // --- Climatology backstop --------------------------------------------
 
 // Climatology adapts the ITU-R regional/seasonal model to the Source
@@ -193,9 +185,6 @@ func (c *Climatology) EstimateRain(geo.LLA) (float64, bool) {
 
 // AgeSeconds implements Source: climatology is maximally stale.
 func (c *Climatology) AgeSeconds() float64 { return math.Inf(1) }
-
-// Name implements Source.
-func (c *Climatology) Name() string { return "itu-seasonal" }
 
 // --- Fusion ----------------------------------------------------------
 
@@ -277,9 +266,6 @@ func (fu *Fused) AgeSeconds() float64 {
 	}
 	return best
 }
-
-// Name implements Source.
-func (fu *Fused) Name() string { return "fused" }
 
 // EstimatePathAttenuation integrates the *estimated* attenuation along
 // a path using a Source for moisture, mirroring Field.PathAttenuation

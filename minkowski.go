@@ -32,7 +32,6 @@ import (
 	"minkowski/internal/platform"
 	"minkowski/internal/stats"
 	"minkowski/internal/telemetry"
-	"minkowski/internal/weather"
 )
 
 // Scenario configures a simulation. The zero value is not useful;
@@ -54,19 +53,10 @@ const (
 	LongRains  = itu.LongRains
 )
 
-// LLADeg builds a geodetic position from degrees and meters — the
-// coordinate constructor scenario authors need.
-func LLADeg(latDeg, lonDeg, altM float64) geo.LLA {
-	return geo.LLADeg(latDeg, lonDeg, altM)
-}
-
 // DefaultScenario returns the paper-inspired Kenya deployment: 20
 // balloons station-seeking a service region, three ground stations,
 // short-rains weather.
 func DefaultScenario() Scenario { return core.DefaultConfig() }
-
-// KenyaRegion returns the default service region box.
-func KenyaRegion() weather.Region { return weather.KenyaRegion() }
 
 // ChaosScenario scripts a set of faults against a simulation: each
 // Fault names a kind, an optional target, a start time, and a
@@ -105,12 +95,6 @@ const (
 	// split-brain setup that agent-side epoch fencing neutralizes.
 	ControllerPartition = chaos.ControllerPartition
 )
-
-// StandardChaos returns the standard fault script: a controller crash
-// at T+2h, a satcom provider outage at T+4h, stale telemetry at
-// T+5.5h, a solver brown-out at T+7h, and a gateway-site loss at
-// T+8h. It drives the chaosavail figure.
-func StandardChaos() ChaosScenario { return chaos.Standard() }
 
 // InjectFaults schedules a chaos scenario against this simulation.
 // Call it before running; faults fire at their scripted times as the
@@ -236,29 +220,6 @@ func (s *Simulation) LinkLifetimes() (b2g, b2b *stats.Sample) {
 // improvement fraction of planned over unplanned.
 func (s *Simulation) RecoveryStats() (withdrawn, failed *stats.Sample, improvement float64) {
 	return &s.c.Recovery.Withdrawn, &s.c.Recovery.Failed, s.c.Recovery.MeanImprovement()
-}
-
-// ModelErrorSamples returns the measured-minus-modelled B2B signal
-// errors (Fig. 10).
-func (s *Simulation) ModelErrorSamples() *stats.Sample { return &s.c.ModelErr.Errors }
-
-// EnactmentLatencies returns the successful command latencies by
-// kind name (Fig. 9).
-func (s *Simulation) EnactmentLatencies() map[string]*stats.Sample {
-	out := map[string]*stats.Sample{}
-	for _, e := range s.c.Frontend.Enactments {
-		if !e.OK {
-			continue
-		}
-		key := e.Kind.String()
-		sm, ok := out[key]
-		if !ok {
-			sm = &stats.Sample{}
-			out[key] = sm
-		}
-		sm.Add(e.Latency())
-	}
-	return out
 }
 
 // --- Explainability ---------------------------------------------------

@@ -104,20 +104,6 @@ func TestWhyNotPublicAPI(t *testing.T) {
 	}
 }
 
-func TestEnactmentLatencies(t *testing.T) {
-	sim := NewSimulation(quickScenario(5))
-	sim.RunHours(2)
-	lats := sim.EnactmentLatencies()
-	if len(lats) == 0 {
-		t.Fatal("no enactment latencies")
-	}
-	if s, ok := lats["route-update"]; ok && s.N() > 0 {
-		if s.Median() > 60 {
-			t.Errorf("route-update median = %v s — in-band routes should be fast", s.Median())
-		}
-	}
-}
-
 func TestDeterministicPublicRuns(t *testing.T) {
 	run := func() string {
 		sim := NewSimulation(quickScenario(6))
