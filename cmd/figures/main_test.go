@@ -1,6 +1,10 @@
 package main
 
 import (
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -54,5 +58,47 @@ func TestParseArgsCarriesValues(t *testing.T) {
 	if o.exp.Scale != 2 || o.exp.Seed != 9 ||
 		o.csvDir != "out" || o.cpuProfile != "cpu.pprof" || o.memProfile != "mem.pprof" || o.obsPath != "obs.json" {
 		t.Errorf("parsed options %+v", *o)
+	}
+}
+
+// TestAppDGolden pins Appendix D's protocol comparison, stdout and CSV,
+// at scales 1–3 under seed 1 to the bytes committed in testdata: the
+// message-level protocols' loss draws, tie-breaks and byte counts may
+// not move under a refactor. Regenerate a file only for a change that
+// means to move them:
+//
+//	go run ./cmd/figures -fig appD -seed 1 -scale N > testdata/appD-scaleN.txt
+//
+// and the CSV it writes under -csv DIR, renamed appD-scaleN_manet_compare.csv.
+func TestAppDGolden(t *testing.T) {
+	for _, scale := range []string{"1", "2", "3"} {
+		o, err := parseArgs([]string{"-fig", "appD", "-seed", "1", "-scale", scale}, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout strings.Builder
+		dir := t.TempDir()
+		for _, r := range o.figures(o.exp) {
+			fmt.Fprintln(&stdout, r)
+			if err := writeCSV(dir, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		csv, err := os.ReadFile(filepath.Join(dir, "appD_manet_compare.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for golden, got := range map[string]string{
+			"appD-scale" + scale + ".txt":               stdout.String(),
+			"appD-scale" + scale + "_manet_compare.csv": string(csv),
+		} {
+			want, err := os.ReadFile(filepath.Join("testdata", golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("scale %s: output differs from testdata/%s:\n%s\nwant:\n%s", scale, golden, got, want)
+			}
+		}
 	}
 }

@@ -23,8 +23,9 @@ func build(eng *sim.Engine, name string, net *manet.StaticNetwork) manet.Router 
 		return manet.NewBATMAN(eng, net, manet.DefaultBATMANConfig())
 	case "aodv":
 		a := manet.NewAODV(eng, net, manet.DefaultAODVConfig())
+		gs := net.AddNode("gs")
 		for i := 1; i <= nodes; i++ {
-			a.Interest(fmt.Sprintf("b%02d", i), "gs")
+			a.Interest(net.AddNode(fmt.Sprintf("b%02d", i)), gs)
 		}
 		return a
 	case "dsdv":

@@ -168,9 +168,13 @@ type InBand struct {
 
 // SetPartitioned isolates a node from (or rejoins it to) the in-band
 // mesh. A partitioned gateway stops serving as an EC entry point; a
-// partitioned balloon is unreachable and cannot relay.
+// partitioned balloon is unreachable and cannot relay. A name the mesh
+// has never seen isolates nothing.
 func (ib *InBand) SetPartitioned(node string, isolated bool) {
-	i := ib.Net.IDs().Intern(node)
+	i, ok := ib.Net.IDs().Lookup(node)
+	if !ok {
+		return
+	}
 	if int(i) >= len(ib.partitioned) {
 		if !isolated {
 			return

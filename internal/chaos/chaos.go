@@ -14,6 +14,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -192,6 +193,40 @@ func Standard() Scenario {
 			{Kind: GatewayLoss, Target: "gs-kisumu", At: 8 * 3600, Duration: 1800},
 		},
 	}
+}
+
+// ErrNoNode marks a fault whose target names a node the fleet does not
+// hold.
+var ErrNoNode = errors.New("no node named")
+
+// CheckNodes returns an error, one line naming the fault's index, kind
+// and target, for the first fault whose target names a node known
+// rejects (wrapping ErrNoNode). Node-naming faults are manet-partition (a comma-separated
+// list), partial-partition ("a>b"), agent-reboot,
+// byzantine-telemetry and gateway-loss; a partial-partition target
+// that is not "a>b" is rejected too.
+func (s Scenario) CheckNodes(known func(node string) bool) error {
+	for i, f := range s.Faults {
+		var nodes []string
+		switch f.Kind {
+		case ManetPartition:
+			nodes = splitTargets(f.Target)
+		case PartialPartition:
+			from, to, ok := SplitDirection(f.Target)
+			if !ok {
+				return fmt.Errorf("fault %d (%s %q): target is not from>to", i, f.Kind, f.Target)
+			}
+			nodes = []string{from, to}
+		case AgentReboot, ByzantineTelemetry, GatewayLoss:
+			nodes = []string{f.Target}
+		}
+		for _, n := range nodes {
+			if !known(n) {
+				return fmt.Errorf("fault %d (%s %q): %w %q", i, f.Kind, f.Target, ErrNoNode, n)
+			}
+		}
+	}
+	return nil
 }
 
 // Hooks are the embedding system's fault actuators. A nil hook makes

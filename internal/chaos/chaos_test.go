@@ -116,3 +116,39 @@ func TestFaultStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckNodes: every node-naming fault kind is checked against the
+// fleet, and the error names the fault's index, kind and target.
+func TestCheckNodes(t *testing.T) {
+	fleet := map[string]bool{"gs-a": true, "hbal-001": true, "hbal-002": true}
+	known := func(n string) bool { return fleet[n] }
+	valid := Scenario{Faults: []Fault{
+		{Kind: ManetPartition, Target: "hbal-001, hbal-002"},
+		{Kind: PartialPartition, Target: "hbal-001>gs-a"},
+		{Kind: AgentReboot, Target: "hbal-002"},
+		{Kind: ByzantineTelemetry, Target: "hbal-001"},
+		{Kind: GatewayLoss, Target: "gs-a"},
+		{Kind: SatcomOutage, Target: "leo"},
+		{Kind: ReplicaPartition, Target: "ctl-a"},
+	}}
+	if err := valid.CheckNodes(known); err != nil {
+		t.Fatalf("valid scenario rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		f    Fault
+		want string
+	}{
+		{Fault{Kind: ManetPartition, Target: "hbal-001,hbal-099"}, `fault 1 (manet-partition "hbal-001,hbal-099"): no node named "hbal-099"`},
+		{Fault{Kind: PartialPartition, Target: "hbal-001>gs-z"}, `fault 1 (partial-partition "hbal-001>gs-z"): no node named "gs-z"`},
+		{Fault{Kind: PartialPartition, Target: "hbal-001"}, `fault 1 (partial-partition "hbal-001"): target is not from>to`},
+		{Fault{Kind: AgentReboot, Target: "hbal-003"}, `fault 1 (agent-reboot "hbal-003"): no node named "hbal-003"`},
+		{Fault{Kind: ByzantineTelemetry, Target: ""}, `fault 1 (byzantine-telemetry ""): no node named ""`},
+		{Fault{Kind: GatewayLoss, Target: "gs-b"}, `fault 1 (gateway-loss "gs-b"): no node named "gs-b"`},
+	} {
+		s := Scenario{Faults: []Fault{{Kind: SolverOutage}, tc.f}}
+		err := s.CheckNodes(known)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("CheckNodes(%v %q) = %v, want %s", tc.f.Kind, tc.f.Target, err, tc.want)
+		}
+	}
+}

@@ -166,7 +166,9 @@ func runOnce(s Script, opts Options) (Result, error) {
 		build = core.NewPreFix
 	}
 	c := build(config(s))
-	c.InstallChaos(scn)
+	if _, err := c.InstallChaos(scn); err != nil {
+		return Result{}, err
+	}
 
 	var violations []Violation
 	var flight *obs.FlightDump
@@ -330,27 +332,31 @@ func runOnce(s Script, opts Options) (Result, error) {
 
 	// --- control-consistency probe (ghost heartbeats) ---------------
 	const ghostProbeS = 5
-	ghostFor := map[string]float64{}
-	ghosted := map[string]bool{} // one violation per node per episode
-	maxGhost := 0.0              // worst sustained ghost episode (margin evidence)
+	var nodes []int32
+	var ghostFor []float64 // by node index
+	var ghosted []bool     // one violation per node per episode
+	maxGhost := 0.0        // worst sustained ghost episode (margin evidence)
 	c.Eng.Every(ghostProbeS, func() bool {
-		for _, id := range c.Net.Nodes() {
-			up := c.Frontend.InBandUp(id)
-			realUp := c.InBand.RoutedUp(id)
-			if up && !realUp {
-				ghostFor[id] += ghostProbeS
-				if ghostFor[id] > maxGhost {
-					maxGhost = ghostFor[id]
+		nodes = c.Net.AppendNodes(nodes[:0])
+		for len(ghostFor) < c.Fleet.IDs.Len() {
+			ghostFor, ghosted = append(ghostFor, 0), append(ghosted, false)
+		}
+		for _, i := range nodes {
+			id := c.Fleet.IDs.Name(i)
+			if c.Frontend.InBandUp(id) && !c.InBand.RoutedUp(id) {
+				ghostFor[i] += ghostProbeS
+				if ghostFor[i] > maxGhost {
+					maxGhost = ghostFor[i]
 				}
-				if ghostFor[id] > ghostGraceS && !ghosted[id] {
-					ghosted[id] = true
+				if ghostFor[i] > ghostGraceS && !ghosted[i] {
+					ghosted[i] = true
 					record(InvControlConsistency,
 						fmt.Sprintf("%s looks in-band (fresh heartbeats) but has had no real up-path for %.0fs",
-							id, ghostFor[id]))
+							id, ghostFor[i]))
 				}
 			} else {
-				ghostFor[id] = 0
-				ghosted[id] = false
+				ghostFor[i] = 0
+				ghosted[i] = false
 			}
 		}
 		return true
@@ -430,7 +436,7 @@ func runOnce(s Script, opts Options) (Result, error) {
 		}
 		noteMargin(InvNoLateSyncEnactment, m)
 	}
-	if loop, found := manet.FindLoop(c.Router, c.Net.Nodes()); found {
+	if loop, found := manet.FindLoop(c.Router, c.Net.AppendNodes(nil)); found {
 		record(InvNoRoutingLoop,
 			fmt.Sprintf("router snapshot loops %v forwarding %s→%s", loop.Cycle, loop.Src, loop.Dst))
 	}

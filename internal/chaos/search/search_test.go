@@ -140,3 +140,38 @@ func TestSearchDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestPhantomTargetFailsBeforeRun: a script naming a node the fleet
+// does not hold (hbal-099 at scale 1) is an error before anything
+// runs, not a partition that silently isolates nothing.
+func TestPhantomTargetFailsBeforeRun(t *testing.T) {
+	s := Script{
+		Name: "phantom", Seed: 1, Scale: 1, Hours: 1,
+		Faults: []ScriptFault{
+			{Kind: "solver-outage", At: 600, Duration: 300},
+			{Kind: "manet-partition", Target: "hbal-099", At: 900, Duration: 600},
+		},
+	}
+	_, err := Run(s, Options{})
+	if want := `fault 1 (manet-partition "hbal-099"): no node named "hbal-099"`; err == nil || err.Error() != want {
+		t.Fatalf("Run = %v, want %s", err, want)
+	}
+}
+
+// TestShrinkKeepsScaleItsTargetNeeds: lowering the scale would drop the
+// balloon the script's one fault names (hbal-015 exists at scale 2,
+// not at 1), so that candidate does not reproduce and the shrink ends
+// at scale 2 rather than failing.
+func TestShrinkKeepsScaleItsTargetNeeds(t *testing.T) {
+	s := Script{
+		Name: "scale-bound", Seed: 4028864712777624925, Scale: 2, Hours: 1,
+		Faults: []ScriptFault{{Kind: "byzantine-telemetry", Target: "hbal-015", At: 1800, Duration: 120}},
+	}
+	shrunk, _, err := Shrink(s, InvPositionSanity, Options{PreFix: true}, DefaultShrinkBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shrunk.Scale != 2 {
+		t.Errorf("shrunk to scale %d, where the fleet has no hbal-015", shrunk.Scale)
+	}
+}

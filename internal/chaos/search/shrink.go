@@ -1,6 +1,11 @@
 package search
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+
+	"minkowski/internal/chaos"
+)
 
 // ShrinkBudget caps the number of candidate executions one shrink may
 // spend (each candidate is a full simulation).
@@ -130,7 +135,9 @@ func Shrink(s Script, invariant string, opts Options, budget int) (Script, int, 
 		for spent < budget && cur.Scale > 1 {
 			cand := cur.Clone()
 			cand.Scale--
-			if ok, err := violates(cand); err != nil {
+			if ok, err := violates(cand); errors.Is(err, chaos.ErrNoNode) {
+				break // the smaller fleet lacks a node the script names
+			} else if err != nil {
 				return cur, spent, err
 			} else if !ok {
 				break

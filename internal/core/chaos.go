@@ -11,7 +11,6 @@ import (
 	"minkowski/internal/dataplane"
 	"minkowski/internal/explain"
 	"minkowski/internal/intent"
-	"minkowski/internal/manet"
 	"minkowski/internal/platform"
 	"minkowski/internal/radio"
 	"minkowski/internal/telemetry"
@@ -20,8 +19,15 @@ import (
 // InstallChaos wires a fault scenario into this controller's world and
 // schedules it on the shared engine. The injector's hooks map each
 // fault class onto the subsystem it hits; the returned injector
-// exposes the injection log for assertions.
-func (c *Controller) InstallChaos(s chaos.Scenario) *chaos.Injector {
+// exposes the injection log for assertions. A fault naming a node the
+// fleet does not hold is an error, and nothing is scheduled.
+func (c *Controller) InstallChaos(s chaos.Scenario) (*chaos.Injector, error) {
+	if err := s.CheckNodes(func(node string) bool {
+		_, ok := c.Fleet.IDs.Lookup(node)
+		return ok
+	}); err != nil {
+		return nil, err
+	}
 	inj := chaos.NewInjector(c.Eng, chaos.Hooks{
 		ControllerCrash:    c.Crash,
 		ControllerRestart:  c.Restart,
@@ -88,7 +94,7 @@ func (c *Controller) InstallChaos(s chaos.Scenario) *chaos.Injector {
 		},
 	})
 	inj.Schedule(s)
-	return inj
+	return inj, nil
 }
 
 // Crash models the TS-SDN process dying: everything held in process
@@ -335,9 +341,11 @@ func (c *Controller) probeDelivery() {
 		return
 	}
 	ctlUp := !c.down && !c.solverDown && !c.cmdDeaf[c.actingID]
-	live := make(map[string]bool, len(c.gateways))
+	c.liveGw = c.liveGw[:0]
 	for _, g := range c.liveGateways() {
-		live[g] = true
+		if i, ok := c.Fleet.IDs.Lookup(g); ok {
+			c.liveGw = append(c.liveGw, i)
+		}
 	}
 	for _, n := range c.Fleet.Nodes() {
 		if n.Kind != platform.KindBalloon || !c.inService(n) {
@@ -351,7 +359,7 @@ func (c *Controller) probeDelivery() {
 			continue
 		}
 		delivered, deafHop := c.deliveryWalk(r)
-		reachable := !deafHop && manet.ReachableAny(c.Net, n.ID, live)
+		reachable := !deafHop && c.reach.Any(c.Net, n.Index, c.liveGw)
 		m.Record(rid, c.Cfg.DeliveryProbeS, delivered, reachable,
 			ctlUp && c.routeBelievedHealthy(r))
 	}
@@ -388,11 +396,13 @@ func (c *Controller) deliveryWalk(r *dataplane.Route) (delivered, deafHop bool) 
 		if !ok {
 			return false, false
 		}
-		if !c.Fabric.Adjacent(cur, nh) {
+		a, oka := c.Fleet.IDs.Lookup(cur)
+		b, okb := c.Fleet.IDs.Lookup(nh)
+		if !oka || !okb || !c.Fabric.AdjacentAt(a, b) {
 			return false, false
 		}
-		if c.Net.Deaf(cur, nh) {
-			return false, true
+		if !c.Net.AdjacentAt(a, b) {
+			return false, true // an up link, deafened in this direction
 		}
 		cur = nh
 	}

@@ -16,7 +16,7 @@ import (
 func TestCrashRestartReconciliation(t *testing.T) {
 	cfg := fastConfig(7)
 	c := New(cfg)
-	inj := c.InstallChaos(chaos.Scenario{
+	inj := mustInstallChaos(c, chaos.Scenario{
 		Name: "acceptance",
 		Faults: []chaos.Fault{
 			{Kind: chaos.ControllerCrash, At: 2 * 3600, Duration: 600},
@@ -72,7 +72,7 @@ func TestCrashRestartReconciliation(t *testing.T) {
 func TestRestartExpiresStaleIntents(t *testing.T) {
 	cfg := fastConfig(11)
 	c := New(cfg)
-	c.InstallChaos(chaos.Scenario{
+	mustInstallChaos(c, chaos.Scenario{
 		Faults: []chaos.Fault{
 			// Crash mid-operation; 2 minutes is long enough for any
 			// in-flight establishment to fail or succeed physically.
@@ -102,7 +102,7 @@ func TestRestartExpiresStaleIntents(t *testing.T) {
 func TestDeterminismUnderFaults(t *testing.T) {
 	run := func() uint64 {
 		c := New(fastConfig(99))
-		c.InstallChaos(chaos.Scenario{
+		mustInstallChaos(c, chaos.Scenario{
 			Name: "determinism",
 			Faults: []chaos.Fault{
 				{Kind: chaos.ControllerCrash, At: 45 * 60, Duration: 300},
@@ -129,7 +129,7 @@ func TestDeterminismUnderFaults(t *testing.T) {
 func TestSatcomOutageDegradesToInBand(t *testing.T) {
 	cfg := fastConfig(5)
 	c := New(cfg)
-	c.InstallChaos(chaos.Scenario{
+	mustInstallChaos(c, chaos.Scenario{
 		Faults: []chaos.Fault{
 			{Kind: chaos.SatcomOutage, Target: "all", At: 3600, Duration: 3600},
 		},
@@ -154,7 +154,7 @@ func TestSatcomOutageDegradesToInBand(t *testing.T) {
 func TestSolverOutageKeepsLastPlan(t *testing.T) {
 	cfg := fastConfig(13)
 	c := New(cfg)
-	c.InstallChaos(chaos.Scenario{
+	mustInstallChaos(c, chaos.Scenario{
 		Faults: []chaos.Fault{
 			{Kind: chaos.SolverOutage, At: 3600, Duration: 1800},
 		},
@@ -181,7 +181,7 @@ func TestWeatherStalenessDegradedMode(t *testing.T) {
 	cfg := fastConfig(17)
 	cfg.WeatherSources = "gauges" // no climatology: staleness is total
 	c := New(cfg)
-	c.InstallChaos(chaos.Scenario{
+	mustInstallChaos(c, chaos.Scenario{
 		Faults: []chaos.Fault{
 			{Kind: chaos.TelemetryStale, At: 3600, Duration: 2 * 3600},
 		},
@@ -201,7 +201,7 @@ func TestWeatherStalenessDegradedMode(t *testing.T) {
 func TestGatewayLossExcludedFromSolving(t *testing.T) {
 	cfg := fastConfig(19)
 	c := New(cfg)
-	c.InstallChaos(chaos.Scenario{
+	mustInstallChaos(c, chaos.Scenario{
 		Faults: []chaos.Fault{
 			{Kind: chaos.GatewayLoss, Target: "gs-kisumu", At: 1800, Duration: 3600},
 		},
@@ -234,7 +234,7 @@ func TestChaosRunStaysObservable(t *testing.T) {
 	}
 	cfg := fastConfig(3)
 	c := New(cfg)
-	c.InstallChaos(chaos.Standard())
+	mustInstallChaos(c, chaos.Standard())
 	c.RunHours(10)
 	for _, layer := range []telemetry.Layer{telemetry.LayerLink, telemetry.LayerControl, telemetry.LayerData} {
 		r := c.Reach.Ratio(layer)
@@ -248,4 +248,14 @@ func TestChaosRunStaysObservable(t *testing.T) {
 	if c.DuplicateEstablishes != 0 {
 		t.Errorf("DuplicateEstablishes = %d across standard scenario, want 0", c.DuplicateEstablishes)
 	}
+}
+
+// mustInstallChaos is InstallChaos for a script the test means to be
+// valid: a target naming no node is the test's own bug.
+func mustInstallChaos(c *Controller, s chaos.Scenario) *chaos.Injector {
+	inj, err := c.InstallChaos(s)
+	if err != nil {
+		panic(err)
+	}
+	return inj
 }

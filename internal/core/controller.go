@@ -148,6 +148,10 @@ type Controller struct {
 	// cmdDeaf marks replicas under an active replica-partition fault:
 	// commands that replica dispatches toward the CDPI are lost.
 	cmdDeaf map[string]bool
+	// liveGw and reach are the delivery probe's scratch: the live
+	// gateways by node index, and the search over the mesh.
+	liveGw []int32
+	reach  manet.Reach
 	// preFix marks a NewPreFix controller: self-reported positions skip
 	// the telemetry guard and are adopted blindly into reported.
 	preFix   bool

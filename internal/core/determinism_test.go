@@ -155,7 +155,7 @@ func TestEndToEndDeterminismScale3Chaos(t *testing.T) {
 		cfg.SolveIntervalS = 120
 		cfg.AgentConnCheckS = 10
 		c := New(cfg)
-		c.InstallChaos(script)
+		mustInstallChaos(c, script)
 		c.RunHours(2)
 
 		var buf bytes.Buffer

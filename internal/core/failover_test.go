@@ -24,7 +24,7 @@ func replConfig(seed int64) Config {
 func TestFailoverPromotesStandby(t *testing.T) {
 	cfg := replConfig(7)
 	c := New(cfg)
-	c.InstallChaos(chaos.Scenario{
+	mustInstallChaos(c, chaos.Scenario{
 		Name: "failover",
 		Faults: []chaos.Fault{
 			{Kind: chaos.ControllerFailover, At: 3600, Duration: 600},
@@ -79,7 +79,7 @@ func TestFailoverPromotesStandby(t *testing.T) {
 func TestPartitionFencingStopsSplitBrain(t *testing.T) {
 	cfg := replConfig(7)
 	c := New(cfg)
-	c.InstallChaos(chaos.Scenario{
+	mustInstallChaos(c, chaos.Scenario{
 		Name: "split-brain",
 		Faults: []chaos.Fault{
 			{Kind: chaos.ControllerPartition, At: 3600, Duration: 1200},
@@ -120,7 +120,7 @@ func TestPartitionFencingStopsSplitBrain(t *testing.T) {
 // keys on.
 func TestPartitionWithoutFencingAcceptsStale(t *testing.T) {
 	c := NewPreFix(replConfig(7))
-	c.InstallChaos(chaos.Scenario{
+	mustInstallChaos(c, chaos.Scenario{
 		Name: "split-brain-unfenced",
 		Faults: []chaos.Fault{
 			{Kind: chaos.ControllerPartition, At: 3600, Duration: 1200},
@@ -146,7 +146,7 @@ func TestPartitionWithoutFencingAcceptsStale(t *testing.T) {
 func TestJournalConvergenceAfterFailover(t *testing.T) {
 	cfg := replConfig(11)
 	c := New(cfg)
-	c.InstallChaos(chaos.Scenario{
+	mustInstallChaos(c, chaos.Scenario{
 		Name: "convergence",
 		Faults: []chaos.Fault{
 			{Kind: chaos.ControllerFailover, At: 3600, Duration: 600},
@@ -180,7 +180,7 @@ func TestJournalConvergenceAfterFailover(t *testing.T) {
 func TestCrashRestartWithReplication(t *testing.T) {
 	cfg := replConfig(7)
 	c := New(cfg)
-	c.InstallChaos(chaos.Scenario{
+	mustInstallChaos(c, chaos.Scenario{
 		Name: "crash-replicated",
 		Faults: []chaos.Fault{
 			{Kind: chaos.ControllerCrash, At: 2 * 3600, Duration: 600},
@@ -233,7 +233,7 @@ func TestEndToEndDeterminismReplicationChaos(t *testing.T) {
 		cfg.AgentConnCheckS = 10
 		cfg.ReplicationEnabled = true
 		c := New(cfg)
-		c.InstallChaos(script)
+		mustInstallChaos(c, script)
 		c.RunHours(2)
 
 		var buf bytes.Buffer
@@ -283,7 +283,7 @@ func TestRebootReseedsPositionGuard(t *testing.T) {
 	const node = "hbal-003"
 	cfg := fastConfig(7)
 	c := New(cfg)
-	c.InstallChaos(chaos.Scenario{
+	mustInstallChaos(c, chaos.Scenario{
 		Name: "reboot-reseed",
 		Faults: []chaos.Fault{
 			{Kind: chaos.ByzantineTelemetry, Target: node, At: 3000, Duration: 1800},

@@ -52,7 +52,7 @@ func TestLeaseServiceFlap(t *testing.T) {
 func TestLeaseFlapIntegration(t *testing.T) {
 	cfg := replConfig(13)
 	c := New(cfg)
-	c.InstallChaos(chaos.Scenario{
+	mustInstallChaos(c, chaos.Scenario{
 		Name: "lease-flap",
 		Faults: []chaos.Fault{
 			{Kind: chaos.LeaseFlap, At: 3600, Duration: 600},
@@ -89,7 +89,7 @@ func TestLeaseFlapIntegration(t *testing.T) {
 func TestReplicaPartitionIntegration(t *testing.T) {
 	cfg := replConfig(17)
 	c := New(cfg)
-	c.InstallChaos(chaos.Scenario{
+	mustInstallChaos(c, chaos.Scenario{
 		Name: "replica-partition",
 		Faults: []chaos.Fault{
 			{Kind: chaos.ReplicaPartition, Target: "ctl-a", At: 3600, Duration: 600},

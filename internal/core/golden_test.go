@@ -20,7 +20,7 @@ import (
 func goldenRun(cfg Config, script chaos.Scenario, hours int) (journal, plans, obsSnap uint64) {
 	c := New(cfg)
 	if len(script.Faults) > 0 {
-		c.InstallChaos(script)
+		mustInstallChaos(c, script)
 	}
 	chain := fnv.New64a()
 	seen := 0

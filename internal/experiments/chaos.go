@@ -19,7 +19,9 @@ func ChaosAvail(o Options) *Result {
 	cfg.DisablePower = true
 	c := core.New(cfg)
 	scen := chaos.Standard()
-	c.InstallChaos(scen)
+	if _, err := c.InstallChaos(scen); err != nil {
+		panic(err) // the standard script names the baseline fleet's own sites
+	}
 
 	// Fine-grained availability timeline through the fault windows.
 	type point struct{ t, data, ctrl float64 }

@@ -130,8 +130,9 @@ func AppD(o Options) *Result {
 			r = manet.NewBATMAN(eng, net, manet.DefaultBATMANConfig())
 		case "aodv":
 			a := manet.NewAODV(eng, net, manet.DefaultAODVConfig())
+			gs := net.AddNode("gs")
 			for i := 1; i <= n; i++ {
-				a.Interest(f("b%02d", i), "gs")
+				a.Interest(net.AddNode(f("b%02d", i)), gs)
 			}
 			r = a
 		case "dsdv":

@@ -13,17 +13,20 @@ import (
 // nodes only need routes to a handful of SDN endpoints, not to every
 // other balloon.
 type AODV struct {
-	eng *sim.Engine
-	net Network
-	cfg AODVConfig
-
-	nodes map[string]*aodvNode
-	stats Stats
-	// interests are (src, dst) pairs the simulation keeps alive, in
+	proto
+	cfg   AODVConfig
+	nodes []aodvNode // by node index
+	// interests are the (src, dst) pairs the simulation keeps alive, in
 	// registration order: each src re-discovers dst whenever its route
-	// breaks. A slice, not a map: same-instant re-discoveries take
-	// their loss draws in the order the sweep schedules them.
-	interests [][2]string
+	// breaks. Same-instant re-discoveries take their loss draws in the
+	// order the sweep schedules them.
+	interests []aodvInterest
+}
+
+type aodvInterest struct {
+	src, dst int32
+	// pending marks a re-discovery scheduled and not yet sent.
+	pending bool
 }
 
 // AODVConfig tunes the protocol.
@@ -53,75 +56,62 @@ func DefaultAODVConfig() AODVConfig {
 }
 
 type aodvRoute struct {
-	nextHop string
-	seqno   uint64
+	nextHop int32 // -1: no route
 	hops    int
 	expires float64
 }
 
 type aodvNode struct {
-	id     string
-	seqno  uint64
 	rreqID uint64
-	routes map[string]*aodvRoute
-	// seenRREQ suppresses duplicate flood processing: key origin,
-	// value highest rreqID seen.
-	seenRREQ map[string]uint64
-	// pendingDiscovery marks destinations with an RREQ in flight.
-	pendingDiscovery map[string]bool
+	routes []aodvRoute // by destination
+	// seenRREQ suppresses duplicate flood processing: by origin, the
+	// highest rreqID seen.
+	seenRREQ []uint64
 }
 
 // NewAODV creates the protocol.
 func NewAODV(eng *sim.Engine, net Network, cfg AODVConfig) *AODV {
-	return &AODV{
-		eng: eng, net: net, cfg: cfg,
-		nodes: make(map[string]*aodvNode),
-	}
+	a := &AODV{cfg: cfg}
+	a.proto = proto{eng: eng, net: net, loss: cfg.LossProb, resize: a.resize}
+	return a
 }
 
 // Name implements Router.
 func (a *AODV) Name() string { return "aodv" }
 
-// Stats implements Router.
-func (a *AODV) Stats() Stats { return a.stats }
-
-func (a *AODV) node(id string) *aodvNode {
-	n, ok := a.nodes[id]
-	if !ok {
-		n = &aodvNode{
-			id:               id,
-			routes:           make(map[string]*aodvRoute),
-			seenRREQ:         make(map[string]uint64),
-			pendingDiscovery: make(map[string]bool),
-		}
-		a.nodes[id] = n
+func (a *AODV) resize(dim int) {
+	a.nodes = extend(a.nodes, dim, aodvNode{})
+	for i := range a.nodes {
+		n := &a.nodes[i]
+		n.routes = extend(n.routes, dim, aodvRoute{nextHop: -1})
+		n.seenRREQ = extend(n.seenRREQ, dim, 0)
 	}
-	return n
 }
 
 // Interest registers that src needs a persistent route to dst (e.g.
 // a balloon's gRPC connection to an SDN endpoint). AODV maintains it:
-// discovery now, re-discovery on break.
-func (a *AODV) Interest(src, dst string) {
-	a.interests = append(a.interests, [2]string{src, dst})
+// discovery now, re-discovery on break. Register each pair once.
+func (a *AODV) Interest(src, dst int32) {
+	a.fit()
+	a.interests = append(a.interests, aodvInterest{src: src, dst: dst})
 	a.discover(src, dst)
 }
 
 // Start implements Router: periodic hello beacons maintain neighbor
 // liveness and expire broken routes; broken interests re-discover.
 func (a *AODV) Start() {
-	a.eng.Every(a.cfg.HelloIntervalS, func() bool {
+	a.every(a.cfg.HelloIntervalS, func(nodes []int32) {
 		now := a.eng.Now()
-		for _, id := range a.net.Nodes() {
-			n := a.node(id)
+		for _, id := range nodes {
 			// Hello cost: one broadcast per node per interval.
-			nbrs := a.net.Neighbors(id)
+			nbrs := a.net.NeighborsAt(id)
 			a.stats.MessagesSent += int64(len(nbrs))
 			a.stats.BytesSent += int64(len(nbrs) * a.cfg.HelloBytes)
 			// Expire routes whose next hop is gone or lifetime passed.
-			for dst, r := range n.routes {
-				if now > r.expires || !a.net.Adjacent(id, r.nextHop) {
-					delete(n.routes, dst)
+			routes := a.nodes[id].routes
+			for dst, r := range routes {
+				if r.nextHop >= 0 && (now > r.expires || !a.net.AdjacentAt(id, r.nextHop)) {
+					routes[dst].nextHop = -1
 					// RERR to interested upstreams (simplified: cost
 					// accounting only; re-discovery is driven below).
 					a.stats.MessagesSent++
@@ -130,65 +120,51 @@ func (a *AODV) Start() {
 			}
 		}
 		// Keep interests alive.
-		for _, in := range a.interests {
-			src, dst := in[0], in[1]
-			n := a.node(src)
-			if _, ok := n.routes[dst]; !ok && !n.pendingDiscovery[dst] {
-				n.pendingDiscovery[dst] = true
+		for k, in := range a.interests {
+			if a.nodes[in.src].routes[in.dst].nextHop < 0 && !in.pending {
+				a.interests[k].pending = true
 				a.eng.After(a.cfg.RediscoverBackoffS, func() {
-					a.node(src).pendingDiscovery[dst] = false
-					a.discover(src, dst)
+					a.fit()
+					a.interests[k].pending = false
+					a.discover(in.src, in.dst)
 				})
 			}
 		}
-		return true
 	})
 }
 
 // discover floods an RREQ from src for dst.
-func (a *AODV) discover(src, dst string) {
-	n := a.node(src)
+func (a *AODV) discover(src, dst int32) {
+	n := &a.nodes[src]
 	n.rreqID++
-	n.seqno++
 	a.forwardRREQ(src, src, dst, n.rreqID, 0, src)
 }
 
 // forwardRREQ continues an RREQ flood. at is the current node, origin
 // the requester, hops the distance from origin to at.
-func (a *AODV) forwardRREQ(at, origin, dst string, rreqID uint64, hops int, skip string) {
-	for _, nb := range a.net.Neighbors(at) {
-		if nb == skip {
-			continue
+func (a *AODV) forwardRREQ(at, origin, dst int32, rreqID uint64, hops int, skip int32) {
+	for _, nb := range a.net.NeighborsAt(at) {
+		if nb != skip {
+			a.send(a.cfg.RREQBytes, at, nb, func() { a.receiveRREQ(nb, at, origin, dst, rreqID, hops+1) })
 		}
-		nb := nb
-		a.stats.MessagesSent++
-		a.stats.BytesSent += int64(a.cfg.RREQBytes)
-		deliver(a.eng, a.net, a.cfg.LossProb, at, nb, func() {
-			if !a.net.Adjacent(nb, at) {
-				return
-			}
-			a.receiveRREQ(nb, at, origin, dst, rreqID, hops+1)
-		})
 	}
 }
 
 // receiveRREQ handles an RREQ at node `at` arriving from `via`.
-func (a *AODV) receiveRREQ(at, via, origin, dst string, rreqID uint64, hops int) {
+func (a *AODV) receiveRREQ(at, via, origin, dst int32, rreqID uint64, hops int) {
 	if at == origin {
 		return
 	}
-	n := a.node(at)
+	n := &a.nodes[at]
 	// Install/refresh the reverse route to origin.
-	now := a.eng.Now()
-	rev := n.routes[origin]
-	if rev == nil || hops < rev.hops {
-		n.routes[origin] = &aodvRoute{nextHop: via, hops: hops, expires: now + a.cfg.RouteLifetimeS}
+	expires := a.eng.Now() + a.cfg.RouteLifetimeS
+	if rev := &n.routes[origin]; rev.nextHop < 0 || hops < rev.hops {
+		*rev = aodvRoute{nextHop: via, hops: hops, expires: expires}
 	} else {
-		rev.expires = now + a.cfg.RouteLifetimeS
+		rev.expires = expires
 	}
 	if at == dst {
 		// Destination replies.
-		a.node(dst).seqno++
 		a.sendRREP(dst, origin, dst, 0)
 		return
 	}
@@ -202,46 +178,34 @@ func (a *AODV) receiveRREQ(at, via, origin, dst string, rreqID uint64, hops int)
 
 // sendRREP unicasts a route reply from `at` back toward origin,
 // installing forward routes to dst along the way.
-func (a *AODV) sendRREP(at, origin, dst string, hopsFromDst int) {
+func (a *AODV) sendRREP(at, origin, dst int32, hopsFromDst int) {
 	if at == origin {
 		return
 	}
-	n := a.node(at)
-	r, ok := n.routes[origin]
-	if !ok || !a.net.Adjacent(at, r.nextHop) {
+	nh := a.nodes[at].routes[origin].nextHop
+	if nh < 0 || !a.net.AdjacentAt(at, nh) {
 		return // reverse path gone; discovery will retry
 	}
-	nh := r.nextHop
-	a.stats.MessagesSent++
-	a.stats.BytesSent += int64(a.cfg.RREPBytes)
-	deliver(a.eng, a.net, a.cfg.LossProb, at, nh, func() {
-		if !a.net.Adjacent(nh, at) {
-			return
-		}
-		m := a.node(nh)
-		now := a.eng.Now()
-		fwd := m.routes[dst]
-		if fwd == nil || hopsFromDst+1 < fwd.hops {
-			m.routes[dst] = &aodvRoute{nextHop: at, hops: hopsFromDst + 1, expires: now + a.cfg.RouteLifetimeS}
+	a.send(a.cfg.RREPBytes, at, nh, func() {
+		expires := a.eng.Now() + a.cfg.RouteLifetimeS
+		if fwd := &a.nodes[nh].routes[dst]; fwd.nextHop < 0 || hopsFromDst+1 < fwd.hops {
+			*fwd = aodvRoute{nextHop: at, hops: hopsFromDst + 1, expires: expires}
 		} else {
-			fwd.expires = now + a.cfg.RouteLifetimeS
+			fwd.expires = expires
 		}
 		a.sendRREP(nh, origin, dst, hopsFromDst+1)
 	})
 }
 
-// NextHop implements Router.
-func (a *AODV) NextHop(src, dst string) (string, bool) {
-	n, ok := a.nodes[src]
-	if !ok {
-		return "", false
+// NextHopAt implements Router: a live, unexpired route whose next hop
+// is still adjacent.
+func (a *AODV) NextHopAt(src, dst int32) (int32, bool) {
+	if !a.known(src, dst) {
+		return -1, false
 	}
-	r, ok := n.routes[dst]
-	if !ok || a.eng.Now() > r.expires {
-		return "", false
-	}
-	if !a.net.Adjacent(src, r.nextHop) {
-		return "", false
+	r := a.nodes[src].routes[dst]
+	if r.nextHop < 0 || a.eng.Now() > r.expires || !a.net.AdjacentAt(src, r.nextHop) {
+		return -1, false
 	}
 	return r.nextHop, true
 }

@@ -13,12 +13,9 @@ import (
 // the next beacon arrives over a surviving path — the property that
 // let Loon's in-band control plane out-repair the datacenter TS-SDN.
 type BATMAN struct {
-	eng *sim.Engine
-	net Network
-	cfg BATMANConfig
-
-	nodes map[string]*batmanNode
-	stats Stats
+	proto
+	cfg   BATMANConfig
+	nodes []batmanNode // by node index
 }
 
 // BATMANConfig tunes the protocol.
@@ -48,87 +45,74 @@ func DefaultBATMANConfig() BATMANConfig {
 }
 
 type batmanRoute struct {
-	nextHop string
+	nextHop int32 // -1: no route
 	tq      float64
 	seqno   uint64
 	heardAt float64
 }
 
 type batmanNode struct {
-	id    string
 	seqno uint64
 	// routes[originator] is the best-known route.
-	routes map[string]*batmanRoute
+	routes []batmanRoute
 	// seen[originator] is the highest seqno rebroadcast (flood
 	// suppression).
-	seen map[string]uint64
+	seen []uint64
 }
 
 // NewBATMAN creates the protocol over a network.
 func NewBATMAN(eng *sim.Engine, net Network, cfg BATMANConfig) *BATMAN {
-	b := &BATMAN{eng: eng, net: net, cfg: cfg, nodes: make(map[string]*batmanNode)}
+	b := &BATMAN{cfg: cfg}
+	b.proto = proto{eng: eng, net: net, loss: cfg.LossProb, resize: b.resize}
 	return b
 }
 
 // Name implements Router.
 func (b *BATMAN) Name() string { return "batman" }
 
-// Stats implements Router.
-func (b *BATMAN) Stats() Stats { return b.stats }
-
-func (b *BATMAN) node(id string) *batmanNode {
-	n, ok := b.nodes[id]
-	if !ok {
-		n = &batmanNode{id: id, routes: make(map[string]*batmanRoute), seen: make(map[string]uint64)}
-		b.nodes[id] = n
+func (b *BATMAN) resize(dim int) {
+	b.nodes = extend(b.nodes, dim, batmanNode{})
+	for i := range b.nodes {
+		n := &b.nodes[i]
+		n.routes = extend(n.routes, dim, batmanRoute{nextHop: -1})
+		n.seen = extend(n.seen, dim, 0)
 	}
-	return n
 }
 
 // Start implements Router: every node begins beaconing.
 func (b *BATMAN) Start() {
-	b.eng.Every(b.cfg.OGMIntervalS, func() bool {
-		for _, id := range b.net.Nodes() {
-			n := b.node(id)
+	b.every(b.cfg.OGMIntervalS, func(nodes []int32) {
+		for _, id := range nodes {
+			n := &b.nodes[id]
 			n.seqno++
 			b.flood(id, id, n.seqno, 1.0, id)
 		}
 		b.purge()
-		return true
 	})
 }
 
 // flood sends an OGM from `from` (current rebroadcaster) describing
 // originator `orig` with the given TQ to all of from's neighbors.
 // skip is the neighbor the OGM arrived from.
-func (b *BATMAN) flood(from, orig string, seqno uint64, tq float64, skip string) {
-	for _, nb := range b.net.Neighbors(from) {
-		if nb == skip {
-			continue
+func (b *BATMAN) flood(from, orig int32, seqno uint64, tq float64, skip int32) {
+	for _, nb := range b.net.NeighborsAt(from) {
+		if nb != skip {
+			b.send(b.cfg.OGMBytes, from, nb, func() { b.receive(nb, from, orig, seqno, tq) })
 		}
-		nb := nb
-		b.stats.MessagesSent++
-		b.stats.BytesSent += int64(b.cfg.OGMBytes)
-		deliver(b.eng, b.net, b.cfg.LossProb, from, nb, func() {
-			if !b.net.Adjacent(nb, from) {
-				return
-			}
-			b.receive(nb, from, orig, seqno, tq)
-		})
 	}
 }
 
 // receive processes an OGM at node `at` arriving from neighbor `via`.
-func (b *BATMAN) receive(at, via, orig string, seqno uint64, tq float64) {
+func (b *BATMAN) receive(at, via, orig int32, seqno uint64, tq float64) {
 	if at == orig {
 		return
 	}
-	n := b.node(at)
+	n := &b.nodes[at]
 	newTQ := tq * b.cfg.HopPenalty
-	r := n.routes[orig]
+	r := &n.routes[orig]
 	// Accept if strictly newer, or same-seqno with better TQ.
-	if r == nil || seqno > r.seqno || (seqno == r.seqno && newTQ > r.tq) {
-		n.routes[orig] = &batmanRoute{nextHop: via, tq: newTQ, seqno: seqno, heardAt: b.eng.Now()}
+	if r.nextHop < 0 || seqno > r.seqno || (seqno == r.seqno && newTQ > r.tq) {
+		*r = batmanRoute{nextHop: via, tq: newTQ, seqno: seqno, heardAt: b.eng.Now()}
 	}
 	// Rebroadcast each (orig, seqno) once — from the first (usually
 	// best-path) arrival, like batman-adv's best-link rebroadcast.
@@ -141,28 +125,23 @@ func (b *BATMAN) receive(at, via, orig string, seqno uint64, tq float64) {
 // purge expires stale routes.
 func (b *BATMAN) purge() {
 	cutoff := b.eng.Now() - b.cfg.PurgeAfterS
-	for _, n := range b.nodes {
-		for orig, r := range n.routes {
-			if r.heardAt < cutoff {
-				delete(n.routes, orig)
+	for i := range b.nodes {
+		for o, r := range b.nodes[i].routes {
+			if r.nextHop >= 0 && r.heardAt < cutoff {
+				b.nodes[i].routes[o].nextHop = -1
 			}
 		}
 	}
 }
 
-// NextHop implements Router.
-func (b *BATMAN) NextHop(src, dst string) (string, bool) {
-	n, ok := b.nodes[src]
-	if !ok {
-		return "", false
+// NextHopAt implements Router: the next hop must still be adjacent.
+func (b *BATMAN) NextHopAt(src, dst int32) (int32, bool) {
+	if !b.known(src, dst) {
+		return -1, false
 	}
-	r, ok := n.routes[dst]
-	if !ok {
-		return "", false
+	nh := b.nodes[src].routes[dst].nextHop
+	if nh < 0 || !b.net.AdjacentAt(src, nh) {
+		return -1, false
 	}
-	// The next hop must still be adjacent.
-	if !b.net.Adjacent(src, r.nextHop) {
-		return "", false
-	}
-	return r.nextHop, true
+	return nh, true
 }

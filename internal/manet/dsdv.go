@@ -1,8 +1,6 @@
 package manet
 
 import (
-	"sort"
-
 	"minkowski/internal/sim"
 )
 
@@ -14,12 +12,9 @@ import (
 // AODV because it builds routes between *all* pairs, which Loon did
 // not need.
 type DSDV struct {
-	eng *sim.Engine
-	net Network
-	cfg DSDVConfig
-
-	nodes map[string]*dsdvNode
-	stats Stats
+	proto
+	cfg   DSDVConfig
+	nodes []dsdvNode // by node index
 }
 
 // DSDVConfig tunes the protocol.
@@ -46,120 +41,95 @@ func DefaultDSDVConfig() DSDVConfig {
 }
 
 type dsdvRoute struct {
-	nextHop string
+	nextHop int32 // -1: no route
 	hops    int
 	seqno   uint64
 	heardAt float64
 }
 
 type dsdvNode struct {
-	id     string
 	seqno  uint64
-	routes map[string]*dsdvRoute
+	routes []dsdvRoute // by destination
 }
 
 // NewDSDV creates the protocol.
 func NewDSDV(eng *sim.Engine, net Network, cfg DSDVConfig) *DSDV {
-	return &DSDV{eng: eng, net: net, cfg: cfg, nodes: make(map[string]*dsdvNode)}
+	d := &DSDV{cfg: cfg}
+	d.proto = proto{eng: eng, net: net, loss: cfg.LossProb, resize: d.resize}
+	return d
 }
 
 // Name implements Router.
 func (d *DSDV) Name() string { return "dsdv" }
 
-// Stats implements Router.
-func (d *DSDV) Stats() Stats { return d.stats }
-
-func (d *DSDV) node(id string) *dsdvNode {
-	n, ok := d.nodes[id]
-	if !ok {
-		n = &dsdvNode{id: id, routes: make(map[string]*dsdvRoute)}
-		d.nodes[id] = n
+func (d *DSDV) resize(dim int) {
+	d.nodes = extend(d.nodes, dim, dsdvNode{})
+	for i := range d.nodes {
+		d.nodes[i].routes = extend(d.nodes[i].routes, dim, dsdvRoute{nextHop: -1})
 	}
-	return n
 }
 
 // advEntry is one row of a table advertisement.
 type advEntry struct {
-	dst   string
+	dst   int32
 	hops  int
 	seqno uint64
 }
 
 // Start implements Router: periodic full-table broadcasts.
 func (d *DSDV) Start() {
-	d.eng.Every(d.cfg.UpdateIntervalS, func() bool {
+	d.every(d.cfg.UpdateIntervalS, func(nodes []int32) {
 		now := d.eng.Now()
-		for _, id := range d.net.Nodes() {
-			n := d.node(id)
+		for _, id := range nodes {
+			n := &d.nodes[id]
 			n.seqno += 2 // even seqnos: destination-generated
-			// Expire dead routes first.
-			for dst, r := range n.routes {
-				if now-r.heardAt > d.cfg.RouteLifetimeS || !d.net.Adjacent(id, r.nextHop) {
-					delete(n.routes, dst)
-				}
-			}
-			// Build the advertisement: self + all known routes, in
-			// sorted destination order so the wire layout (and any
-			// receiver tie-break) is independent of map iteration.
-			dsts := make([]string, 0, len(n.routes))
-			for dst := range n.routes {
-				dsts = append(dsts, dst)
-			}
-			sort.Strings(dsts)
+			// The advertisement: self + every known route, dead routes
+			// expired first. A receiver merges each row on its own, so
+			// their order does not matter.
 			adv := []advEntry{{dst: id, hops: 0, seqno: n.seqno}}
-			for _, dst := range dsts {
-				r := n.routes[dst]
-				adv = append(adv, advEntry{dst: dst, hops: r.hops, seqno: r.seqno})
+			for dst, r := range n.routes {
+				if r.nextHop < 0 {
+					continue
+				}
+				if now-r.heardAt > d.cfg.RouteLifetimeS || !d.net.AdjacentAt(id, r.nextHop) {
+					n.routes[dst].nextHop = -1
+					continue
+				}
+				adv = append(adv, advEntry{dst: int32(dst), hops: r.hops, seqno: r.seqno})
 			}
 			size := d.cfg.HeaderBytes + d.cfg.EntryBytes*len(adv)
-			for _, nb := range d.net.Neighbors(id) {
-				nb := nb
-				advCopy := make([]advEntry, len(adv))
-				copy(advCopy, adv)
-				d.stats.MessagesSent++
-				d.stats.BytesSent += int64(size)
-				deliver(d.eng, d.net, d.cfg.LossProb, id, nb, func() {
-					if !d.net.Adjacent(nb, id) {
-						return
-					}
-					d.receive(nb, id, advCopy)
-				})
+			for _, nb := range d.net.NeighborsAt(id) {
+				d.send(size, id, nb, func() { d.receive(nb, id, adv) })
 			}
 		}
-		return true
 	})
 }
 
 // receive merges a neighbor's advertisement.
-func (d *DSDV) receive(at, via string, adv []advEntry) {
-	n := d.node(at)
+func (d *DSDV) receive(at, via int32, adv []advEntry) {
+	routes := d.nodes[at].routes
 	now := d.eng.Now()
 	for _, e := range adv {
 		if e.dst == at {
 			continue
 		}
-		cand := &dsdvRoute{nextHop: via, hops: e.hops + 1, seqno: e.seqno, heardAt: now}
-		cur := n.routes[e.dst]
-		if cur == nil || e.seqno > cur.seqno || (e.seqno == cur.seqno && cand.hops < cur.hops) {
-			n.routes[e.dst] = cand
+		cur := &routes[e.dst]
+		if cur.nextHop < 0 || e.seqno > cur.seqno || (e.seqno == cur.seqno && e.hops+1 < cur.hops) {
+			*cur = dsdvRoute{nextHop: via, hops: e.hops + 1, seqno: e.seqno, heardAt: now}
 		} else if cur.nextHop == via && e.seqno >= cur.seqno {
 			cur.heardAt = now
 		}
 	}
 }
 
-// NextHop implements Router.
-func (d *DSDV) NextHop(src, dst string) (string, bool) {
-	n, ok := d.nodes[src]
-	if !ok {
-		return "", false
+// NextHopAt implements Router: the next hop must still be adjacent.
+func (d *DSDV) NextHopAt(src, dst int32) (int32, bool) {
+	if !d.known(src, dst) {
+		return -1, false
 	}
-	r, ok := n.routes[dst]
-	if !ok {
-		return "", false
+	nh := d.nodes[src].routes[dst].nextHop
+	if nh < 0 || !d.net.AdjacentAt(src, nh) {
+		return -1, false
 	}
-	if !d.net.Adjacent(src, r.nextHop) {
-		return "", false
-	}
-	return r.nextHop, true
+	return nh, true
 }

@@ -11,7 +11,7 @@ import (
 // interface: the MANET runs over installed links between operational
 // nodes. Adjacency is DIRECTED: a partial partition (chaos) can
 // silence one direction of a physical link while the reverse keeps
-// delivering, so Neighbors(a) lists the nodes a can currently
+// delivering, so NeighborsAt(a) lists the nodes a can currently
 // *transmit to*. The fabric must be keyed by the fleet's ID table.
 type FabricNet struct {
 	Fabric *radio.Fabric
@@ -25,9 +25,14 @@ type FabricNet struct {
 // SetDeaf blocks (or restores) one direction of the mesh: while
 // blocked, messages from → to are lost. The reverse direction is
 // unaffected (set both to model a full symmetric partition of the
-// pair).
+// pair). A name the fleet has never held silences nothing.
 func (fn *FabricNet) SetDeaf(from, to string, blocked bool) {
-	e := [2]int32{fn.Fleet.IDs.Intern(from), fn.Fleet.IDs.Intern(to)}
+	f, okf := fn.Fleet.IDs.Lookup(from)
+	t, okt := fn.Fleet.IDs.Lookup(to)
+	if !okf || !okt {
+		return
+	}
+	e := [2]int32{f, t}
 	at := slices.Index(fn.deaf, e)
 	if blocked && at < 0 {
 		fn.deaf = append(fn.deaf, e)
@@ -36,28 +41,12 @@ func (fn *FabricNet) SetDeaf(from, to string, blocked bool) {
 	}
 }
 
-// Deaf reports whether the from → to direction is currently blocked.
-func (fn *FabricNet) Deaf(from, to string) bool {
-	f, okf := fn.Fleet.IDs.Lookup(from)
-	t, okt := fn.Fleet.IDs.Lookup(to)
-	return okf && okt && fn.deafAt(f, t)
-}
-
 func (fn *FabricNet) deafAt(from, to int32) bool {
 	return slices.Contains(fn.deaf, [2]int32{from, to})
 }
 
-// Nodes implements Network with the operational node set.
-func (fn *FabricNet) Nodes() []string {
-	ops := fn.Fleet.OperationalNodes()
-	out := make([]string, 0, len(ops))
-	for _, n := range ops {
-		out = append(out, n.ID)
-	}
-	return out // already deterministic order from Fleet.Nodes
-}
-
-// AppendNodes implements Network.
+// AppendNodes implements Network with the operational nodes, in
+// Fleet.Nodes order.
 func (fn *FabricNet) AppendNodes(dst []int32) []int32 {
 	for _, n := range fn.Fleet.Nodes() {
 		if n.Operational() {
@@ -81,37 +70,15 @@ func (fn *FabricNet) NeighborsAt(i int32) []int32 {
 	return slices.DeleteFunc(slices.Clone(nbs), func(n int32) bool { return fn.deafAt(i, n) })
 }
 
-// Neighbors implements Network; the fabric's own slice while nothing
-// is silenced.
-func (fn *FabricNet) Neighbors(id string) []string {
-	nbs := fn.Fabric.Neighbors(id)
-	if len(fn.deaf) == 0 {
-		return nbs
-	}
-	return slices.DeleteFunc(slices.Clone(nbs), func(n string) bool { return fn.Deaf(id, n) })
-}
-
 // AdjacentAt implements Network: an installed link joins a and b, and
 // the a → b direction is not silenced.
 func (fn *FabricNet) AdjacentAt(a, b int32) bool {
 	return fn.Fabric.AdjacentAt(a, b) && !fn.deafAt(a, b)
 }
 
-// Adjacent implements Network.
-func (fn *FabricNet) Adjacent(a, b string) bool {
-	return fn.Fabric.Adjacent(a, b) && !fn.Deaf(a, b)
-}
-
 // LatencyAt implements Network: propagation plus a processing floor.
-func (fn *FabricNet) LatencyAt(a, b int32) float64 { return hopLatency(fn.Fabric.LinkAt(a, b)) }
-
-// Latency implements Network.
-func (fn *FabricNet) Latency(a, b string) float64 {
-	return hopLatency(fn.Fabric.LinkBetween(a, b))
-}
-
-func hopLatency(l *radio.Link, ok bool) float64 {
-	if ok {
+func (fn *FabricNet) LatencyAt(a, b int32) float64 {
+	if l, ok := fn.Fabric.LinkAt(a, b); ok {
 		return radio.PropagationDelay(l) + 0.002
 	}
 	return 0.003

@@ -1,8 +1,7 @@
 package manet
 
 import (
-	"slices"
-
+	"minkowski/internal/platform"
 	"minkowski/internal/sim"
 )
 
@@ -137,31 +136,13 @@ func (f *Fast) NextHop(src, dst string) (string, bool) {
 	return ids.Name(nh), true
 }
 
-// maxHops bounds a next-hop walk.
-const maxHops = 64
+// IDs implements NextHop with the network's table.
+func (f *Fast) IDs() *platform.IDs { return f.net.IDs() }
 
 // AppendPath is PathFrom by index into the caller's buffer: it appends
 // the node path (src first, dst last) to buf if the route completes
 // within maxHops without revisiting a node. On failure the result holds
 // a partial walk: reuse its storage, ignore its contents.
 func (f *Fast) AppendPath(buf []int32, src, dst int32) ([]int32, bool) {
-	start := len(buf)
-	buf = append(buf, src)
-	if src == dst {
-		return buf, true
-	}
-	for cur := src; len(buf)-start <= maxHops; {
-		nh, ok := f.NextHopAt(cur, dst)
-		// The walk is at most maxHops long, so the path is its own
-		// visited set.
-		if !ok || slices.Contains(buf[start:], nh) {
-			return buf, false
-		}
-		buf = append(buf, nh)
-		if nh == dst {
-			return buf, true
-		}
-		cur = nh
-	}
-	return buf, false
+	return appendRoute(f, buf, src, dst)
 }

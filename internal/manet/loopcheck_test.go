@@ -1,6 +1,7 @@
 package manet
 
 import (
+	"slices"
 	"testing"
 
 	"minkowski/internal/sim"
@@ -9,10 +10,11 @@ import (
 func TestStaticNetworkOneWayEdges(t *testing.T) {
 	net := NewStaticNetwork()
 	net.ConnectOneWay("a", "b")
-	if !contains(net.Neighbors("a"), "b") {
-		t.Error("a should hear b after ConnectOneWay(a, b)")
+	a, b := at(net, "a"), at(net, "b")
+	if !net.AdjacentAt(a, b) {
+		t.Error("a should reach b after ConnectOneWay(a, b)")
 	}
-	if contains(net.Neighbors("b"), "a") {
+	if net.AdjacentAt(b, a) {
 		t.Error("one-way edge must not create the reverse direction")
 	}
 
@@ -20,10 +22,11 @@ func TestStaticNetworkOneWayEdges(t *testing.T) {
 	// disappears.
 	net.Connect("c", "d")
 	net.DisconnectOneWay("c", "d")
-	if contains(net.Neighbors("c"), "d") {
+	c, d := at(net, "c"), at(net, "d")
+	if net.AdjacentAt(c, d) {
 		t.Error("c→d should be gone after DisconnectOneWay")
 	}
-	if !contains(net.Neighbors("d"), "c") {
+	if !net.AdjacentAt(d, c) {
 		t.Error("d→c must survive DisconnectOneWay(c, d)")
 	}
 }
@@ -58,12 +61,12 @@ func TestFastRouterHonorsAsymmetry(t *testing.T) {
 }
 
 func TestFindLoopDetectsCycle(t *testing.T) {
-	loop, found := FindLoop(loopRouter{}, []string{"a", "b", "z"})
+	loop, found := FindLoop(newLoopRouter(), []int32{0, 1, 2})
 	if !found {
 		t.Fatal("the ping-pong router must report a loop")
 	}
-	if len(loop.Cycle) < 2 {
-		t.Errorf("cycle %v too short to be a loop", loop.Cycle)
+	if want := []string{"a", "b", "a"}; loop.Src != "a" || loop.Dst != "z" || !slices.Equal(loop.Cycle, want) {
+		t.Errorf("loop %+v, want a→z cycling %v", loop, want)
 	}
 }
 
@@ -76,7 +79,7 @@ func TestFindLoopIgnoresDeadEnds(t *testing.T) {
 	net.Disconnect("b01", "gs")
 	f := NewFast(eng, net, 0.5)
 	eng.Run(2)
-	if loop, found := FindLoop(f, net.Nodes()); found {
+	if loop, found := FindLoop(f, net.AppendNodes(nil)); found {
 		t.Errorf("dead-end topology reported as loop: %+v", loop)
 	}
 }
@@ -100,18 +103,9 @@ func TestDSDVSnapshotLoopFree(t *testing.T) {
 			net.Connect("b04", "b03")
 		}
 		eng.Run(eng.Now() + 20)
-		if loop, found := FindLoop(d, net.Nodes()); found {
+		if loop, found := FindLoop(d, net.AppendNodes(nil)); found {
 			t.Fatalf("round %d: DSDV snapshot loops %v forwarding %s→%s",
 				round, loop.Cycle, loop.Src, loop.Dst)
 		}
 	}
-}
-
-func contains(xs []string, want string) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
-	}
-	return false
 }

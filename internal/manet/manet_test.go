@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"minkowski/internal/platform"
 	"minkowski/internal/sim"
 )
 
@@ -51,7 +52,7 @@ func TestAllProtocolsConvergeOnLine(t *testing.T) {
 		func(e *sim.Engine, n Network) Router { return NewBATMAN(e, n, DefaultBATMANConfig()) },
 		func(e *sim.Engine, n Network) Router {
 			a := NewAODV(e, n, DefaultAODVConfig())
-			a.Interest("b05", "gs")
+			a.Interest(at(n, "b05"), at(n, "gs"))
 			return a
 		},
 		func(e *sim.Engine, n Network) Router { return NewDSDV(e, n, DefaultDSDVConfig()) },
@@ -121,10 +122,9 @@ func TestBATMANBestGateway(t *testing.T) {
 	b := NewBATMAN(eng, net, DefaultBATMANConfig())
 	b.Start()
 	eng.Run(15)
-	routes := b.nodes["b1"].routes
-	near, okA := routes["gsA"]
-	far, okB := routes["gsB"]
-	if !okA || !okB {
+	routes := b.nodes[at(net, "b1")].routes
+	near, far := routes[at(net, "gsA")], routes[at(net, "gsB")]
+	if okA, okB := near.nextHop >= 0, far.nextHop >= 0; !okA || !okB {
 		t.Fatalf("b1 lacks a route to a gateway (gsA %v, gsB %v)", okA, okB)
 	}
 	if near.tq <= far.tq {
@@ -142,7 +142,7 @@ func TestAODVOnDemandOnly(t *testing.T) {
 	if HasRoute(a, "b05", "gs") {
 		t.Error("AODV must not build routes without demand")
 	}
-	a.Interest("b05", "gs")
+	a.Interest(at(net, "b05"), at(net, "gs"))
 	eng.Run(20)
 	if !HasRoute(a, "b05", "gs") {
 		t.Error("AODV must discover the route after Interest")
@@ -153,7 +153,7 @@ func TestAODVRediscoversAfterBreak(t *testing.T) {
 	eng := sim.New(1)
 	net := meshTopology(6)
 	a := NewAODV(eng, net, DefaultAODVConfig())
-	a.Interest("b06", "gs")
+	a.Interest(at(net, "b06"), at(net, "gs"))
 	a.Start()
 	eng.Run(15)
 	if !HasRoute(a, "b06", "gs") {
@@ -208,7 +208,7 @@ func TestAODVLowerOverheadThanDSDV(t *testing.T) {
 	net := meshTopology(12)
 	a := NewAODV(eng, net, DefaultAODVConfig())
 	for i := 1; i <= 12; i++ {
-		a.Interest(fmt.Sprintf("b%02d", i), "gs")
+		a.Interest(at(net, fmt.Sprintf("b%02d", i)), at(net, "gs"))
 	}
 	a.Start()
 	d := NewDSDV(eng, net, DefaultDSDVConfig())
@@ -270,26 +270,43 @@ func TestFastRouterPartition(t *testing.T) {
 
 func TestPathFromDetectsLoops(t *testing.T) {
 	// A malicious router that always points back and forth.
-	r := loopRouter{}
+	r := newLoopRouter()
 	if _, ok := PathFrom(r, "a", "z"); ok {
 		t.Error("loop must be detected")
 	}
 }
 
-type loopRouter struct{}
+// loopRouter knows nodes a, b and z: a forwards everything to b, every
+// other node back to a.
+type loopRouter struct{ ids *platform.IDs }
 
-func (loopRouter) Name() string { return "loop" }
-func (loopRouter) Start()       {}
-func (loopRouter) Stats() Stats { return Stats{} }
-func (loopRouter) NextHop(src, dst string) (string, bool) {
-	if src == "a" {
-		return "b", true
+func newLoopRouter() loopRouter {
+	ids := platform.NewIDs()
+	for _, n := range []string{"a", "b", "z"} {
+		ids.Intern(n)
 	}
-	return "a", true
+	return loopRouter{ids}
+}
+
+func (r loopRouter) IDs() *platform.IDs { return r.ids }
+func (r loopRouter) NextHopAt(src, dst int32) (int32, bool) {
+	if src == 0 {
+		return 1, true
+	}
+	return 0, true
+}
+
+// at is a node's index in the network's table.
+func at(net Network, name string) int32 {
+	i, ok := net.IDs().Lookup(name)
+	if !ok {
+		panic("no node " + name)
+	}
+	return i
 }
 
 func TestPathFromTrivial(t *testing.T) {
-	r := loopRouter{}
+	r := newLoopRouter()
 	p, ok := PathFrom(r, "x", "x")
 	if !ok || len(p) != 1 {
 		t.Error("src == dst must be a length-1 path")
@@ -319,7 +336,7 @@ func TestProtocolComparison(t *testing.T) {
 		case "aodv":
 			a := NewAODV(eng, net, DefaultAODVConfig())
 			for i := 1; i <= 10; i++ {
-				a.Interest(fmt.Sprintf("b%02d", i), "gs")
+				a.Interest(at(net, fmt.Sprintf("b%02d", i)), at(net, "gs"))
 			}
 			r = a
 		case "dsdv":

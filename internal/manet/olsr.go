@@ -1,7 +1,7 @@
 package manet
 
 import (
-	"sort"
+	"slices"
 
 	"minkowski/internal/sim"
 )
@@ -14,12 +14,12 @@ import (
 // shortest-path routes. Appendix D found OLSR's convergence lagged
 // AODV/DSDV in Loon's environment.
 type OLSR struct {
-	eng *sim.Engine
-	net Network
-	cfg OLSRConfig
-
-	nodes map[string]*olsrNode
-	stats Stats
+	proto
+	cfg   OLSRConfig
+	nodes []olsrNode // by node index
+	// link is route computation's adjacency matrix, row-major by index.
+	link  []bool
+	queue []int32 // route computation's scratch
 }
 
 // OLSRConfig tunes the protocol.
@@ -48,266 +48,217 @@ func DefaultOLSRConfig() OLSRConfig {
 }
 
 type olsrNode struct {
-	id string
-	// mprSelectors: neighbors that chose this node as MPR.
-	mprSelectors map[string]bool
-	// topo[origin][neighbor] = when heard: the link-state database.
-	topo map[string]map[string]float64
-	// seenTC[origin] = highest TC seqno forwarded.
-	seenTC map[string]uint64
+	// selectors: neighbors that chose this node as MPR.
+	selectors []int32
+	// topo is the link-state database: the links TC messages
+	// advertised, each with when it was last heard.
+	topo []olsrLink
+	// seenTC[origin] is the highest TC seqno forwarded.
+	seenTC []uint64
 	tcSeq  uint64
-	// routes computed by dijkstra on topo.
-	routes map[string]string // dst -> next hop
+	// routes[dst] is the next hop toward dst, -1 where none: a BFS over
+	// topo and the live one-hop neighborhood.
+	routes []int32
+}
+
+// olsrLink is one link-state entry: origin advertised a link to to.
+type olsrLink struct {
+	origin, to int32
+	heard      float64
 }
 
 // NewOLSR creates the protocol.
 func NewOLSR(eng *sim.Engine, net Network, cfg OLSRConfig) *OLSR {
-	return &OLSR{eng: eng, net: net, cfg: cfg, nodes: make(map[string]*olsrNode)}
+	o := &OLSR{cfg: cfg}
+	o.proto = proto{eng: eng, net: net, loss: cfg.LossProb, resize: o.resize}
+	return o
 }
 
 // Name implements Router.
 func (o *OLSR) Name() string { return "olsr" }
 
-// Stats implements Router.
-func (o *OLSR) Stats() Stats { return o.stats }
-
-func (o *OLSR) node(id string) *olsrNode {
-	n, ok := o.nodes[id]
-	if !ok {
-		n = &olsrNode{
-			id:           id,
-			mprSelectors: make(map[string]bool),
-			topo:         make(map[string]map[string]float64),
-			seenTC:       make(map[string]uint64),
-			routes:       make(map[string]string),
-		}
-		o.nodes[id] = n
+func (o *OLSR) resize(dim int) {
+	o.nodes = extend(o.nodes, dim, olsrNode{})
+	for i := range o.nodes {
+		n := &o.nodes[i]
+		n.seenTC = extend(n.seenTC, dim, 0)
+		n.routes = extend(n.routes, dim, -1)
 	}
-	return n
+	o.link = make([]bool, dim*dim)
 }
 
 // Start implements Router.
 func (o *OLSR) Start() {
 	// HELLO + MPR selection.
-	o.eng.Every(o.cfg.HelloIntervalS, func() bool {
-		for _, id := range o.net.Nodes() {
-			nbrs := o.net.Neighbors(id)
+	o.every(o.cfg.HelloIntervalS, func(nodes []int32) {
+		for _, id := range nodes {
+			nbrs := o.net.NeighborsAt(id)
 			o.stats.MessagesSent += int64(len(nbrs))
 			o.stats.BytesSent += int64(len(nbrs) * (o.cfg.HelloBytes + 2*len(nbrs)))
 			o.selectMPRs(id)
 		}
-		return true
 	})
 	// TC floods from nodes with MPR selectors.
-	o.eng.Every(o.cfg.TCIntervalS, func() bool {
-		for _, id := range o.net.Nodes() {
-			n := o.node(id)
-			if len(n.mprSelectors) == 0 {
+	o.every(o.cfg.TCIntervalS, func(nodes []int32) {
+		for _, id := range nodes {
+			n := &o.nodes[id]
+			if len(n.selectors) == 0 {
 				continue
 			}
 			n.tcSeq++
-			sel := make([]string, 0, len(n.mprSelectors))
-			for s := range n.mprSelectors {
-				sel = append(sel, s)
-			}
-			sort.Strings(sel)
-			o.floodTC(id, id, n.tcSeq, sel, "")
+			o.floodTC(id, id, n.tcSeq, slices.Clone(n.selectors), -1)
 		}
-		o.expireAndRecompute()
-		return true
+		o.expireAndRecompute(nodes)
 	})
 }
 
 // selectMPRs picks a greedy MPR set at a node covering its two-hop
 // neighborhood, and marks selector state at the chosen MPRs.
-func (o *OLSR) selectMPRs(id string) {
-	one := o.net.Neighbors(id)
-	oneSet := map[string]bool{}
-	for _, n := range one {
-		oneSet[n] = true
-	}
+func (o *OLSR) selectMPRs(id int32) {
+	one := o.net.NeighborsAt(id)
 	// Two-hop neighborhood (excluding self and one-hop).
-	twoVia := map[string][]string{} // two-hop node -> one-hop relays
+	var two []int32
 	for _, n := range one {
-		for _, m := range o.net.Neighbors(n) {
-			if m == id || oneSet[m] {
-				continue
+		for _, m := range o.net.NeighborsAt(n) {
+			if m != id && !slices.Contains(one, m) && !slices.Contains(two, m) {
+				two = append(two, m)
 			}
-			twoVia[m] = append(twoVia[m], n)
 		}
 	}
-	// Greedy cover.
-	uncovered := map[string]bool{}
-	for m := range twoVia {
-		uncovered[m] = true
-	}
-	mprs := map[string]bool{}
-	for len(uncovered) > 0 {
-		// Pick the neighbor covering the most uncovered two-hops
-		// (ties by name for determinism).
-		counts := map[string]int{}
-		for m := range uncovered {
-			for _, relay := range twoVia[m] {
-				counts[relay]++
-			}
-		}
-		bestRelay, bestCount := "", 0
-		relays := make([]string, 0, len(counts))
-		for r := range counts {
-			relays = append(relays, r)
-		}
-		sort.Strings(relays)
-		for _, r := range relays {
-			if counts[r] > bestCount {
-				bestRelay, bestCount = r, counts[r]
-			}
-		}
-		if bestRelay == "" {
-			break
-		}
-		mprs[bestRelay] = true
-		for m := range uncovered {
-			for _, relay := range twoVia[m] {
-				if relay == bestRelay {
-					delete(uncovered, m)
-					break
+	// Greedy cover: a neighbor covers the two-hop nodes it can reach.
+	var mprs []int32
+	for len(two) > 0 {
+		// Pick the neighbor covering the most uncovered two-hops; one
+		// is in node-ID order, so ties go to the first name.
+		best, bestCount := int32(-1), 0
+		for _, r := range one {
+			count := 0
+			for _, m := range two {
+				if o.net.AdjacentAt(r, m) {
+					count++
 				}
 			}
+			if count > bestCount {
+				best, bestCount = r, count
+			}
 		}
+		if best < 0 {
+			break
+		}
+		mprs = append(mprs, best)
+		two = slices.DeleteFunc(two, func(m int32) bool { return o.net.AdjacentAt(best, m) })
 	}
 	// Update selector state at the MPRs (conveyed in HELLOs).
 	for _, n := range one {
-		o.node(n).mprSelectors[id] = mprs[n]
-		if !mprs[n] {
-			delete(o.node(n).mprSelectors, id)
+		sel := &o.nodes[n].selectors
+		at := slices.Index(*sel, id)
+		if chosen := slices.Contains(mprs, n); chosen && at < 0 {
+			*sel = append(*sel, id)
+		} else if !chosen && at >= 0 {
+			*sel = slices.Delete(*sel, at, at+1)
 		}
 	}
 }
 
 // floodTC distributes a TC message (origin advertises links to its
 // selectors) through the MPR backbone.
-func (o *OLSR) floodTC(from, origin string, seq uint64, selectors []string, skip string) {
-	for _, nb := range o.net.Neighbors(from) {
-		if nb == skip {
-			continue
+func (o *OLSR) floodTC(from, origin int32, seq uint64, selectors []int32, skip int32) {
+	size := o.cfg.TCHeaderBytes + o.cfg.TCEntryBytes*len(selectors)
+	for _, nb := range o.net.NeighborsAt(from) {
+		if nb != skip {
+			o.send(size, from, nb, func() { o.receiveTC(nb, from, origin, seq, selectors) })
 		}
-		nb := nb
-		o.stats.MessagesSent++
-		o.stats.BytesSent += int64(o.cfg.TCHeaderBytes + o.cfg.TCEntryBytes*len(selectors))
-		deliver(o.eng, o.net, o.cfg.LossProb, from, nb, func() {
-			if !o.net.Adjacent(nb, from) {
-				return
-			}
-			o.receiveTC(nb, from, origin, seq, selectors)
-		})
 	}
 }
 
 // receiveTC merges link state and forwards through MPRs.
-func (o *OLSR) receiveTC(at, via, origin string, seq uint64, selectors []string) {
+func (o *OLSR) receiveTC(at, via, origin int32, seq uint64, selectors []int32) {
 	if at == origin {
 		return
 	}
-	n := o.node(at)
+	n := &o.nodes[at]
 	now := o.eng.Now()
-	if n.topo[origin] == nil {
-		n.topo[origin] = make(map[string]float64)
-	}
 	for _, s := range selectors {
-		n.topo[origin][s] = now
+		if k := slices.IndexFunc(n.topo, func(l olsrLink) bool { return l.origin == origin && l.to == s }); k >= 0 {
+			n.topo[k].heard = now
+		} else {
+			n.topo = append(n.topo, olsrLink{origin: origin, to: s, heard: now})
+		}
 	}
 	if n.seenTC[origin] >= seq {
 		return
 	}
 	n.seenTC[origin] = seq
 	// Only MPRs of the sender forward (via is the sender).
-	if o.node(at).mprSelectors[via] {
+	if slices.Contains(n.selectors, via) {
 		o.floodTC(at, origin, seq, selectors, via)
 	}
 }
 
 // expireAndRecompute ages out stale topology and recomputes routes at
-// every node.
-func (o *OLSR) expireAndRecompute() {
+// each node.
+func (o *OLSR) expireAndRecompute(nodes []int32) {
 	cutoff := o.eng.Now() - o.cfg.TopologyHoldS
-	for _, id := range o.net.Nodes() {
-		n := o.node(id)
-		for origin, links := range n.topo {
-			for dst, heard := range links {
-				if heard < cutoff {
-					delete(links, dst)
-				}
-			}
-			if len(links) == 0 {
-				delete(n.topo, origin)
-			}
-		}
-		o.dijkstra(id)
+	for _, id := range nodes {
+		n := &o.nodes[id]
+		n.topo = slices.DeleteFunc(n.topo, func(l olsrLink) bool { return l.heard < cutoff })
+		o.route(id)
 	}
 }
 
-// dijkstra computes next hops at a node over its link-state view plus
-// its live one-hop neighborhood (BFS: unit link costs).
-func (o *OLSR) dijkstra(id string) {
-	n := o.node(id)
-	// Build adjacency: one-hop truth + advertised topology
-	// (symmetrized).
-	adj := map[string][]string{}
-	addEdge := func(a, b string) {
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
+// route computes next hops at a node over its link-state view plus its
+// live one-hop neighborhood: a BFS (unit link costs) over the links
+// symmetrized. Among equally short routes the first hop decides, taken
+// in NeighborsAt's node-ID order; every node a first hop's subtree
+// reaches inherits that hop, so the order in which a node's further
+// links are visited changes no route.
+func (o *OLSR) route(id int32) {
+	n := &o.nodes[id]
+	dim := len(o.nodes)
+	clear(o.link)
+	edge := func(a, b int32) {
+		o.link[int(a)*dim+int(b)] = true
+		o.link[int(b)*dim+int(a)] = true
 	}
-	for _, nb := range o.net.Neighbors(id) {
-		addEdge(id, nb)
+	for _, nb := range o.net.NeighborsAt(id) {
+		edge(id, nb)
 	}
-	for origin, links := range n.topo {
-		for dst := range links {
-			addEdge(origin, dst)
+	for _, l := range n.topo {
+		edge(l.origin, l.to)
+	}
+	routes := n.routes
+	for i := range routes {
+		routes[i] = -1
+	}
+	routes[id] = id // visited; cleared below, a node has no hop to itself
+	q := o.queue[:0]
+	for _, nb := range o.net.NeighborsAt(id) {
+		if routes[nb] < 0 {
+			routes[nb] = nb
+			q = append(q, nb)
 		}
 	}
-	// BFS from id.
-	type qe struct {
-		node string
-		via  string // first hop used
-	}
-	n.routes = make(map[string]string)
-	visited := map[string]bool{id: true}
-	queue := []qe{}
-	firstHops := sortedCopy(o.net.Neighbors(id))
-	for _, nb := range firstHops {
-		if !visited[nb] {
-			visited[nb] = true
-			n.routes[nb] = nb
-			queue = append(queue, qe{node: nb, via: nb})
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		next := sortedCopy(adj[cur.node])
-		for _, m := range next {
-			if visited[m] {
-				continue
+	for head := 0; head < len(q); head++ {
+		row := o.link[int(q[head])*dim:][:dim]
+		for m, linked := range row {
+			if linked && routes[m] < 0 {
+				routes[m] = routes[q[head]]
+				q = append(q, int32(m))
 			}
-			visited[m] = true
-			n.routes[m] = cur.via
-			queue = append(queue, qe{node: m, via: cur.via})
 		}
 	}
+	routes[id] = -1
+	o.queue = q
 }
 
-// NextHop implements Router.
-func (o *OLSR) NextHop(src, dst string) (string, bool) {
-	n, ok := o.nodes[src]
-	if !ok {
-		return "", false
+// NextHopAt implements Router: the next hop must still be adjacent.
+func (o *OLSR) NextHopAt(src, dst int32) (int32, bool) {
+	if !o.known(src, dst) {
+		return -1, false
 	}
-	nh, ok := n.routes[dst]
-	if !ok {
-		return "", false
-	}
-	if !o.net.Adjacent(src, nh) {
-		return "", false
+	nh := o.nodes[src].routes[dst]
+	if nh < 0 || !o.net.AdjacentAt(src, nh) {
+		return -1, false
 	}
 	return nh, true
 }

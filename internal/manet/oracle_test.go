@@ -24,26 +24,62 @@ import (
 // and in-band plane that manet.Fast, Fast.AppendPath and cdpi.InBand
 // replaced, kept here verbatim (nested next-hop maps, a visited map per
 // BFS, a fresh []string per path) as the oracle of TestDenseTier1MatchesReference.
-// They use only the node-ID methods of manet.Network.
+// They read the network through nameView, the node-ID half
+// manet.Network had while they were the production code.
+
+// nameView answers Nodes, Neighbors, Adjacent and Latency by node ID,
+// translating the index methods of the network under it.
+type nameView struct{ manet.Network }
+
+func (v nameView) names(idx []int32) []string {
+	out := make([]string, len(idx))
+	for k, i := range idx {
+		out[k] = v.IDs().Name(i)
+	}
+	return out
+}
+
+func (v nameView) Nodes() []string { return v.names(v.AppendNodes(nil)) }
+
+func (v nameView) Neighbors(id string) []string {
+	i, ok := v.IDs().Lookup(id)
+	if !ok {
+		return nil
+	}
+	return v.names(v.NeighborsAt(i))
+}
+
+func (v nameView) Adjacent(a, b string) bool {
+	ia, oka := v.IDs().Lookup(a)
+	ib, okb := v.IDs().Lookup(b)
+	return oka && okb && v.AdjacentAt(ia, ib)
+}
+
+func (v nameView) Latency(a, b string) float64 {
+	ia, _ := v.IDs().Lookup(a)
+	ib, _ := v.IDs().Lookup(b)
+	return v.LatencyAt(ia, ib)
+}
+
+// refRouter is a router by node ID, as the reference walks one.
+type refRouter interface {
+	NextHop(src, dst string) (string, bool)
+}
 
 type refFast struct {
 	eng          *sim.Engine
-	net          manet.Network
+	net          nameView
 	convergenceS float64
 	tables       map[string]map[string]string // src -> dst -> next hop
 	dirtyAt      float64
 	recomputes   int
 }
 
-func newRefFast(eng *sim.Engine, net manet.Network, convergenceS float64) *refFast {
+func newRefFast(eng *sim.Engine, net nameView, convergenceS float64) *refFast {
 	f := &refFast{eng: eng, net: net, convergenceS: convergenceS, dirtyAt: -1}
 	f.recompute()
 	return f
 }
-
-func (f *refFast) Name() string       { return "reference" }
-func (f *refFast) Start()             {}
-func (f *refFast) Stats() manet.Stats { return manet.Stats{} }
 
 func (f *refFast) TopologyChanged() {
 	if f.dirtyAt < 0 {
@@ -63,7 +99,7 @@ func (f *refFast) recompute() {
 	}
 }
 
-func bfsNextHops(net manet.Network, src string) map[string]string {
+func bfsNextHops(net nameView, src string) map[string]string {
 	out := map[string]string{}
 	visited := map[string]bool{src: true}
 	type qe struct{ node, via string }
@@ -96,7 +132,7 @@ func (f *refFast) NextHop(src, dst string) (string, bool) {
 	return nh, true
 }
 
-func refPathFrom(r manet.Router, src, dst string) ([]string, bool) {
+func refPathFrom(r refRouter, src, dst string) ([]string, bool) {
 	if src == dst {
 		return []string{src}, true
 	}
@@ -117,8 +153,8 @@ func refPathFrom(r manet.Router, src, dst string) ([]string, bool) {
 }
 
 type refInBand struct {
-	router       manet.Router
-	net          manet.Network
+	router       refRouter
+	net          nameView
 	gateways     []string
 	wiredOneWayS float64
 	partitioned  map[string]bool
@@ -272,6 +308,7 @@ func fabricWorld(seed int64) *world {
 	fab := radio.NewFabric(eng, weather.NewField(wcfg), fleet.IDs, cfg)
 	fnet := &manet.FabricNet{Fabric: fab, Fleet: fleet}
 	w.net = fnet
+	deaf := map[[2]string]bool{} // the directions SetDeaf has blocked
 	fab.OnUp = func(*radio.Link) { w.onLinkChange() }
 	fab.OnDown = func(*radio.Link, radio.Reason) { w.onLinkChange() }
 	w.names = func() []string {
@@ -306,7 +343,8 @@ func fabricWorld(seed int64) *world {
 				if rng.Intn(2) == 0 {
 					a, b = b, a
 				}
-				blocked := !fnet.Deaf(a, b)
+				blocked := !deaf[[2]string{a, b}]
+				deaf[[2]string{a, b}] = blocked
 				fnet.SetDeaf(a, b, blocked)
 				return fmt.Sprintf("deaf %s>%s %v", a, b, blocked), true
 			}
@@ -361,10 +399,10 @@ func TestDenseTier1MatchesReference(t *testing.T) {
 func runOracle(t *testing.T, w *world, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	dense := manet.NewFast(w.eng, w.net, 2.0)
-	ref := newRefFast(w.eng, w.net, 2.0)
+	ref := newRefFast(w.eng, nameView{w.net}, 2.0)
 	w.onLinkChange = func() { dense.TopologyChanged(); ref.TopologyChanged() }
 	ib := &cdpi.InBand{Eng: w.eng, Router: dense, Net: w.net, Gateways: w.gateways, WiredOneWayS: 0.025}
-	rib := &refInBand{router: ref, net: w.net, gateways: w.gateways, wiredOneWayS: 0.025, partitioned: map[string]bool{}}
+	rib := &refInBand{router: ref, net: nameView{w.net}, gateways: w.gateways, wiredOneWayS: 0.025, partitioned: map[string]bool{}}
 	ids := w.net.IDs()
 
 	var buf []int32
@@ -397,38 +435,7 @@ func runOracle(t *testing.T, w *world, seed int64) {
 				}
 			}
 		}
-		// The two forms of the Network agree, and neighbours come in
-		// node-ID order whatever order the nodes were registered in.
-		var nodeIDs []string
-		for _, i := range w.net.AppendNodes(nil) {
-			nodeIDs = append(nodeIDs, ids.Name(i))
-		}
-		if w.name == "static" {
-			slices.Sort(nodeIDs) // it lists by name, the fleet grounds-first
-		}
-		if !slices.Equal(nodeIDs, w.net.Nodes()) {
-			t.Fatalf("%s: AppendNodes = %v, Nodes = %v", when, nodeIDs, w.net.Nodes())
-		}
-		for _, a := range names[1:] {
-			ai, _ := ids.Lookup(a)
-			var nbs []string
-			for _, i := range w.net.NeighborsAt(ai) {
-				nbs = append(nbs, ids.Name(i))
-			}
-			if !slices.IsSorted(nbs) || !slices.Equal(nbs, w.net.Neighbors(a)) {
-				t.Fatalf("%s: NeighborsAt(%s) = %v, Neighbors = %v", when, a, nbs, w.net.Neighbors(a))
-			}
-			for _, b := range names[1:] {
-				bi, _ := ids.Lookup(b)
-				adj := slices.Contains(nbs, b)
-				if w.net.AdjacentAt(ai, bi) != adj || w.net.Adjacent(a, b) != adj {
-					t.Fatalf("%s: AdjacentAt/Adjacent(%s, %s) disagree with neighbours %v", when, a, b, nbs)
-				}
-				if adj && w.net.LatencyAt(ai, bi) != w.net.Latency(a, b) {
-					t.Fatalf("%s: LatencyAt(%s, %s) differs from Latency", when, a, b)
-				}
-			}
-		}
+		checkNetwork(t, w, when)
 		for _, node := range names {
 			for _, up := range []bool{false, true} {
 				want, wantOK := rib.path(node, up)
@@ -472,7 +479,7 @@ func runOracle(t *testing.T, w *world, seed int64) {
 		case k < 11:
 			// Isolate a live node or gateway, or heal one: at most three
 			// at a time, so that something is left to route.
-			nodes := w.net.Nodes()
+			nodes := nameView{w.net}.Nodes()
 			node := nodes[rng.Intn(len(nodes))]
 			if len(isolated) == 3 {
 				node = isolated[0]

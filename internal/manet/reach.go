@@ -1,33 +1,39 @@
 package manet
 
-// ReachableAny reports whether any node in dst is reachable from src
-// over the network's current adjacency (BFS over Neighbors, which on a
-// FabricNet already filters dead nodes and deaf directions). It is the
-// ground-truth connectivity oracle for the data-plane delivery
-// invariant: a balloon whose BFS to every live gateway fails sits in a
-// genuine partition, and undelivered traffic for it is excused.
-//
-// The traversal is deterministic: Neighbors returns sorted slices and
-// the frontier is a FIFO queue, so no map-iteration order leaks out.
-func ReachableAny(n Network, src string, dst map[string]bool) bool {
-	if dst[src] {
+import "slices"
+
+// Reach is the ground-truth connectivity oracle for the data-plane
+// delivery invariant: a balloon from which no live gateway is
+// reachable sits in a genuine partition, and undelivered traffic for
+// it is excused. It keeps its search storage between calls.
+type Reach struct {
+	seen  []bool
+	queue []int32
+}
+
+// Any reports whether any node in dst is reachable from src over the
+// network's current adjacency (BFS over NeighborsAt, which on a
+// FabricNet already leaves out dead nodes and deaf directions).
+func (r *Reach) Any(n Network, src int32, dst []int32) bool {
+	if slices.Contains(dst, src) {
 		return true
 	}
-	visited := map[string]bool{src: true}
-	queue := []string{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range n.Neighbors(cur) {
-			if visited[nb] {
+	r.seen = extend(r.seen[:0], n.IDs().Len(), false)
+	r.seen[src] = true
+	q := append(r.queue[:0], src)
+	found := false
+	for head := 0; head < len(q) && !found; head++ {
+		for _, nb := range n.NeighborsAt(q[head]) {
+			if r.seen[nb] {
 				continue
 			}
-			if dst[nb] {
-				return true
+			if found = slices.Contains(dst, nb); found {
+				break
 			}
-			visited[nb] = true
-			queue = append(queue, nb)
+			r.seen[nb] = true
+			q = append(q, nb)
 		}
 	}
-	return false
+	r.queue = q
+	return found
 }

@@ -6,34 +6,37 @@ import "testing"
 // oracle: multi-hop reachability to ANY destination in the set,
 // partition detection, and the trivial src-in-dst case.
 func TestReachableAny(t *testing.T) {
-	// a—b—c   d—e   (two components)
+	// a—b—c   d—e   (two components), z alone
 	n := NewStaticNetwork()
 	n.Connect("a", "b")
 	n.Connect("b", "c")
 	n.Connect("d", "e")
+	n.AddNode("z")
+	a, c, d, e, z := at(n, "a"), at(n, "c"), at(n, "d"), at(n, "e"), at(n, "z")
 
-	gw := map[string]bool{"c": true, "e": true}
+	gw := []int32{c, e}
 	cases := []struct {
-		src  string
-		dst  map[string]bool
+		src  int32
+		dst  []int32
 		want bool
 	}{
-		{"a", gw, true},                          // multi-hop a→b→c
-		{"d", gw, true},                          // direct d→e
-		{"a", map[string]bool{"e": true}, false}, // across the partition
-		{"c", gw, true},                          // src already a destination
-		{"a", map[string]bool{}, false},          // empty destination set
-		{"a", map[string]bool{"z": true}, false}, // destination not in graph
+		{a, gw, true},          // multi-hop a→b→c
+		{d, gw, true},          // direct d→e
+		{a, []int32{e}, false}, // across the partition
+		{c, gw, true},          // src already a destination
+		{a, nil, false},        // empty destination set
+		{a, []int32{z}, false}, // destination not connected
 	}
+	var r Reach
 	for _, tc := range cases {
-		if got := ReachableAny(n, tc.src, tc.dst); got != tc.want {
-			t.Errorf("ReachableAny(%s, %v) = %v, want %v", tc.src, tc.dst, got, tc.want)
+		if got := r.Any(n, tc.src, tc.dst); got != tc.want {
+			t.Errorf("Any(%d, %v) = %v, want %v", tc.src, tc.dst, got, tc.want)
 		}
 	}
 
 	// Severing the bridge flips the verdict.
 	n.Disconnect("b", "c")
-	if ReachableAny(n, "a", gw) {
+	if r.Any(n, a, gw) {
 		t.Error("a still reaches a gateway after the bridge was cut")
 	}
 }

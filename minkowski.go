@@ -98,8 +98,12 @@ const (
 
 // InjectFaults schedules a chaos scenario against this simulation.
 // Call it before running; faults fire at their scripted times as the
-// clock advances.
-func (s *Simulation) InjectFaults(sc ChaosScenario) { s.c.InstallChaos(sc) }
+// clock advances. A fault naming a node the fleet does not hold is an
+// error, and nothing is scheduled.
+func (s *Simulation) InjectFaults(sc ChaosScenario) error {
+	_, err := s.c.InstallChaos(sc)
+	return err
+}
 
 // Simulation is a running TS-SDN world.
 type Simulation struct {

@@ -114,3 +114,25 @@ func TestDeterministicPublicRuns(t *testing.T) {
 		t.Error("identical scenarios must give identical summaries")
 	}
 }
+
+// TestInjectFaultsRejectsUnknownNode: a fault naming a node the fleet
+// does not hold is an error, and nothing is scheduled.
+func TestInjectFaultsRejectsUnknownNode(t *testing.T) {
+	sim := NewSimulation(quickScenario(7))
+	err := sim.InjectFaults(ChaosScenario{Faults: []ChaosFault{
+		{Kind: ControllerCrash, At: 600, Duration: 600},
+		{Kind: ManetPartition, Target: "hbal-099", At: 900, Duration: 600},
+	}})
+	if want := `fault 1 (manet-partition "hbal-099"): no node named "hbal-099"`; err == nil || err.Error() != want {
+		t.Fatalf("InjectFaults = %v, want %s", err, want)
+	}
+	sim.RunHours(1)
+	if crashes := sim.Controller().Crashes; crashes != 0 {
+		t.Errorf("a rejected scenario still crashed the controller %d times", crashes)
+	}
+	if err := sim.InjectFaults(ChaosScenario{Faults: []ChaosFault{
+		{Kind: ManetPartition, Target: "hbal-001", At: 4000, Duration: 600},
+	}}); err != nil {
+		t.Errorf("InjectFaults on a fleet node: %v", err)
+	}
+}
