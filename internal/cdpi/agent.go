@@ -1,6 +1,7 @@
 package cdpi
 
 import (
+	"minkowski/internal/geo"
 	"minkowski/internal/sim"
 )
 
@@ -68,7 +69,7 @@ type Agent struct {
 	// StateReport, when set, is sampled at each heartbeat and carried
 	// to the frontend as the node's self-reported state (position
 	// telemetry). A byzantine node's report lies.
-	StateReport func() interface{}
+	StateReport func() geo.LLA
 	// minSyncSlackS is the smallest arrival headroom (TTE − arrival
 	// time, seconds) observed on any ACCEPTED sync-required command —
 	// the continuous near-miss signal behind the late-sync-enactment
@@ -119,19 +120,20 @@ func newAgent(eng *sim.Engine, fe *Frontend, node string, enactor Enactor, cfg A
 		if a.connected {
 			// Sample the report at transmit time: it is the node's
 			// claim when the heartbeat left, not when it arrived.
-			var report interface{}
+			m := fe.newMsg(msgHeartbeat, a, nil, false)
 			if a.StateReport != nil {
-				report = a.StateReport()
+				m.pos, m.hasPos = a.StateReport(), true
 			}
-			a.frontend.ib.SendUp(a.Node, 48, func(ok bool) {
-				if ok && !a.stopped {
-					a.frontend.heartbeatReport(a.Node, report)
-				}
-			})
+			a.sendUp(m, 48)
 		}
 		return true
 	})
 	return a
+}
+
+// sendUp transmits m from the agent toward the EC.
+func (a *Agent) sendUp(m *msg, size int) {
+	a.frontend.transmit(m, a.Node, !a.frontend.ib.SymmetricCompat, size)
 }
 
 // stop ends the maintenance loops; the agent object stays valid for
@@ -149,11 +151,7 @@ func (a *Agent) checkConnectivity() {
 	now := a.frontend.ib.ConnectedUp(a.Node)
 	if now && !a.connected {
 		a.connected = true
-		a.frontend.ib.SendUp(a.Node, 96, func(ok bool) {
-			if ok {
-				a.frontend.agentConnected(a.Node)
-			}
-		})
+		a.sendUp(a.frontend.newMsg(msgConnect, a, nil, false), 96)
 	} else if !now && a.connected {
 		a.connected = false
 	}
@@ -240,13 +238,7 @@ func (a *Agent) receive(cmd *Command, via Channel) {
 // channel.
 func (a *Agent) respond(cmd *Command, ok bool) {
 	if a.connected {
-		a.frontend.ib.SendUp(a.Node, 64, func(delivered bool) {
-			if delivered {
-				a.frontend.response(cmd, ok, ChannelInBand)
-			} else {
-				a.respondSatcom(cmd, ok)
-			}
-		})
+		a.sendUp(a.frontend.newMsg(msgResponse, a, cmd, ok), 64)
 		return
 	}
 	a.respondSatcom(cmd, ok)
@@ -258,7 +250,5 @@ func (a *Agent) respondSatcom(cmd *Command, ok bool) {
 	// The uplink shares the provider latency model; draw one.
 	p := a.frontend.satProviderForResponse()
 	lat := p.DrawOneWay(a.eng.RNG("satcom-up"))
-	a.eng.After(lat, func() {
-		a.frontend.response(cmd, ok, ChannelSatcom)
-	})
+	a.eng.After(lat, a.frontend.newMsg(msgResponseSat, a, cmd, ok).arrive)
 }

@@ -2,7 +2,11 @@
 
 package cdpi
 
-import "testing"
+import (
+	"testing"
+
+	"minkowski/internal/geo"
+)
 
 // TestInBandVerdictsDoNotAllocate: the questions the agents, the
 // samplers and every in-flight re-validation ask walk into InBand's own
@@ -26,5 +30,90 @@ func TestInBandVerdictsDoNotAllocate(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { ask() }); allocs != 0 {
 			t.Errorf("%s allocates %.0f times per run", name, allocs)
 		}
+	}
+}
+
+// TestHeartbeatRoundTripDoesNotAllocate: a warm agent's heartbeat —
+// the sampled report, its message row, the trip up and the frontend's
+// report callback — allocates nothing; nor does one agent dropping and
+// re-making its in-band connection each round (the side channel).
+func TestHeartbeatRoundTripDoesNotAllocate(t *testing.T) {
+	w := newWorld(t, 3, true)
+	reports := 0
+	w.fe.OnPositionReport = func(string, geo.LLA) { reports++ }
+	for i := 1; i <= 3; i++ {
+		w.fe.agents[nodeID(i)].StateReport = func() geo.LLA { return geo.LLA{Alt: 20e3} }
+	}
+	w.eng.Run(30)
+	before := reports
+	if allocs := testing.AllocsPerRun(20, func() {
+		w.fe.agents[nodeID(1)].connected = false
+		w.eng.Run(w.eng.Now() + 5)
+	}); allocs != 0 {
+		t.Errorf("a heartbeat round allocates %.0f times", allocs)
+	}
+	if reports-before != 3*21 {
+		t.Errorf("%d reports over 21 rounds of 3 agents", reports-before)
+	}
+}
+
+// TestInBandCommandAndResponseDoNotAllocate: a command's trip down, its
+// response's trip up, in-band or over satcom, and the command row from
+// Send to completion allocate nothing once warm. The far end is a bare,
+// unregistered agent the test answers for: an agent's receive side
+// (dedupe map, hold to TTE, enactor callback) is not a table row.
+func TestInBandCommandAndResponseDoNotAllocate(t *testing.T) {
+	w := newWorld(t, 3, true)
+	node := nodeID(3)
+	w.fe.Unregister(node)
+	far := &Agent{Node: node, eng: w.eng, frontend: w.fe, connected: true}
+	cmd := &Command{Node: node, Kind: KindDrain}
+	w.eng.Run(10)
+	w.fe.cfg.TimeoutFastS = 3600                // outlasts any satcom response
+	w.fe.Enactments = make([]Enactment, 0, 200) // the log's growth is not a row
+	leg := func(inBand bool) {
+		w.fe.lastHeard[node] = w.eng.Now() // heard in-band
+		w.fe.Send(cmd, nil)
+		w.eng.Run(w.eng.Now() + 1)
+		far.connected = inBand
+		far.respond(cmd, true)
+		for n := len(w.fe.Enactments); len(w.fe.Enactments) == n; {
+			w.eng.Step()
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { leg(true); leg(false) }); allocs != 0 {
+		t.Errorf("a command and its response allocate %.0f times", allocs)
+	}
+	channels := map[Channel]int{}
+	for _, e := range w.fe.Enactments {
+		if !e.OK || e.Attempts != 1 || e.Inferred {
+			t.Fatalf("enactment %+v, want a response to the first attempt", e)
+		}
+		channels[e.Channel]++
+	}
+	if channels[ChannelInBand] != 51 || channels[ChannelSatcom] != 51 {
+		t.Errorf("responses by channel %v, want 51 in-band and 51 over satcom", channels)
+	}
+}
+
+// TestRetryCycleAllocatesOnlyTheCommandCopy: a timeout, its back-off
+// and the re-dispatch run on the command row and its bound closures.
+// The one object a cycle makes is the Command copy that carries the
+// retry's fresh ID, since an agent may still hold the old one.
+func TestRetryCycleAllocatesOnlyTheCommandCopy(t *testing.T) {
+	w := newWorld(t, 2, false) // no mesh: nobody is in-band
+	w.fe.cfg.Retry.MaxAttempts = 0
+	w.fe.Send(&Command{Node: nodeID(2), Kind: KindRouteUpdate, TTE: 1}, nil)
+	cycle := func() {
+		for r := w.fe.Retries; w.fe.Retries == r; {
+			w.eng.Step()
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 1 {
+		t.Errorf("a retry cycle allocates %.0f times, want 1 (the Command copy)", allocs)
+	}
+	if livePending(w.fe) != 1 || len(w.fe.freeCmds) != 0 || w.fe.Timeouts != 102 {
+		t.Errorf("live rows %d, free %d, timeouts %d; want 1, 0, 102", livePending(w.fe), len(w.fe.freeCmds), w.fe.Timeouts)
 	}
 }

@@ -283,34 +283,17 @@ func (ib *InBand) ConnectedUp(node string) bool {
 	return ib.routeTo(node, !ib.SymmetricCompat)
 }
 
-// send delivers size bytes along the node's current path in the given
-// direction, invoking done(ok). Delivery fails (after the latency it
-// would have taken) if no route exists or the path breaks mid-flight.
-func (ib *InBand) send(node string, up bool, size int, done func(bool)) {
-	lat := ib.WiredOneWayS
-	routed := ib.routeTo(node, up)
+// Transit routes size bytes from the EC to the node (up: back) now and
+// returns the one-way latency: the wired leg plus each hop of the path,
+// or the wired leg alone if none is routed. Routed bytes count in Bytes.
+func (ib *InBand) Transit(node string, up bool, size int) (lat float64, routed bool) {
+	lat = ib.WiredOneWayS
+	routed = ib.routeTo(node, up)
 	if routed {
 		ib.Bytes += int64(size)
 		for k := 1; k < len(ib.best); k++ {
 			lat += ib.Net.LatencyAt(ib.best[k-1], ib.best[k])
 		}
 	}
-	ib.Eng.After(lat, func() {
-		// Re-validate: the path may have broken while in flight.
-		if done != nil {
-			done(routed && ib.routeTo(node, up))
-		}
-	})
-}
-
-// Send delivers size bytes from the EC to the node over the mesh; the
-// CDPI's retry machinery handles a failed delivery.
-func (ib *InBand) Send(node string, size int, done func(bool)) { ib.send(node, false, size, done) }
-
-// SendUp delivers from the node to the EC (responses, heartbeats)
-// along the node → gateway direction of the mesh. A node whose uplink
-// direction is dead cannot heartbeat, even if commands still reach it
-// downstream.
-func (ib *InBand) SendUp(node string, size int, done func(bool)) {
-	ib.send(node, !ib.SymmetricCompat, size, done)
+	return lat, routed
 }

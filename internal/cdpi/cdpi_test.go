@@ -211,6 +211,30 @@ func TestSideChannelInference(t *testing.T) {
 	}
 }
 
+// TestSideChannelCompletesInIDOrder: a connect completes the node's
+// pending sync commands in ascending ID and leaves alone the one a
+// completion's done callback sends meanwhile.
+func TestSideChannelCompletesInIDOrder(t *testing.T) {
+	w := newWorld(t, 1, false) // hbal-001 is not in-band: commands go by satcom
+	node := nodeID(1)
+	var order []int
+	var follow uint64
+	sync := func() *Command { return &Command{Node: node, Kind: KindLinkEstablish, TTE: 1e6} }
+	w.fe.Send(sync(), func(bool) {
+		order = append(order, 1)
+		follow = w.fe.Send(sync(), func(bool) { order = append(order, 3) })
+	})
+	w.fe.Send(&Command{Node: node, Kind: KindDrain, TTE: 1e6}, nil)
+	w.fe.Send(sync(), func(bool) { order = append(order, 2) })
+	w.fe.agentConnected(node)
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Errorf("completed %v, want [1 2]", order)
+	}
+	if livePending(w.fe) != 2 || follow == 0 {
+		t.Errorf("%d live rows, want 2: the drain and the command sent during the walk", livePending(w.fe))
+	}
+}
+
 func TestLateSyncCommandDropped(t *testing.T) {
 	// Deliver a link-establish whose TTE has already passed: the
 	// agent must ignore it.

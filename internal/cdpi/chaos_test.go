@@ -43,7 +43,7 @@ func TestRetryEscalationThroughOutages(t *testing.T) {
 
 	if !completed {
 		t.Fatalf("command never completed (retries=%d timeouts=%d pending=%d)",
-			w.fe.Retries, w.fe.Timeouts, len(w.fe.pending))
+			w.fe.Retries, w.fe.Timeouts, livePending(w.fe))
 	}
 	if !ok {
 		t.Fatalf("command failed; want eventual success over recovered satcom (retries=%d)", w.fe.Retries)
@@ -108,11 +108,11 @@ func TestFrontendCrashDropsPendingState(t *testing.T) {
 	var completed bool
 	cmd := &Command{Node: "hbal-002", Kind: KindDrain, TTE: w.fe.PickTTE([]string{"hbal-002"})}
 	w.fe.Send(cmd, func(bool) { completed = true })
-	if len(w.fe.pending) != 1 {
-		t.Fatalf("pending = %d, want 1", len(w.fe.pending))
+	if livePending(w.fe) != 1 {
+		t.Fatalf("pending = %d, want 1", livePending(w.fe))
 	}
 	w.fe.Crash()
-	if len(w.fe.pending) != 0 {
+	if livePending(w.fe) != 0 {
 		t.Error("crash must wipe pending commands")
 	}
 	if id := w.fe.Send(&Command{Node: "hbal-002", Kind: KindDrain}, nil); id != 0 {

@@ -1,9 +1,10 @@
 package cdpi
 
 import (
-	"sort"
+	"slices"
 
 	"minkowski/internal/backoff"
+	"minkowski/internal/geo"
 	"minkowski/internal/satcom"
 	"minkowski/internal/sim"
 )
@@ -69,7 +70,10 @@ type Frontend struct {
 
 	nextCmd    uint64
 	nextIntent uint64
-	pending    map[uint64]*pendingCmd
+	// pending lists each node's live command rows by ascending ID.
+	pending  map[string][]*pendingCmd
+	freeCmds []*pendingCmd
+	freeMsgs []*msg
 
 	// down marks the frontend process crashed: incoming telemetry is
 	// not recorded and sends are refused until Restart.
@@ -82,7 +86,7 @@ type Frontend struct {
 	// OnPositionReport, when set, receives each heartbeat's sampled
 	// state report (the node's self-claimed position). The controller
 	// wires this to the byzantine-telemetry guard.
-	OnPositionReport func(node string, report interface{})
+	OnPositionReport func(node string, pos geo.LLA)
 	// OnEnactment, when set, receives every completed command right
 	// after it is appended to Enactments (and before the command's own
 	// done callback runs, so observers see the completion first). The
@@ -90,12 +94,31 @@ type Frontend struct {
 	OnEnactment func(Enactment)
 }
 
+// pendingCmd is a command-table row, from Send until its command
+// completes or the frontend crashes; its closures are bound once.
+// Completion and Crash cancel its timeout, but a queued re-dispatch
+// (retrying) holds the row until it fires, a no-op if not live.
 type pendingCmd struct {
-	cmd         *Command
-	submittedAt float64
-	attempts    int
-	timer       sim.Timer
-	done        func(ok bool)
+	cmd                *Command
+	submittedAt        float64
+	attempts           int
+	timer              sim.Timer
+	done               func(ok bool)
+	live, retrying     bool
+	onTimeout, onRetry func()
+}
+
+// freeCmd returns a row no queued event can reach to the free list.
+func (fe *Frontend) freeCmd(p *pendingCmd) {
+	*p = pendingCmd{onTimeout: p.onTimeout, onRetry: p.onRetry}
+	fe.freeCmds = append(fe.freeCmds, p)
+}
+
+// unlist takes a row off its node's pending list.
+func (fe *Frontend) unlist(p *pendingCmd) {
+	l := fe.pending[p.cmd.Node]
+	i := slices.Index(l, p)
+	fe.pending[p.cmd.Node] = slices.Delete(l, i, i+1)
 }
 
 // NewFrontend creates the frontend over a satcom gateway and an
@@ -106,7 +129,7 @@ func NewFrontend(eng *sim.Engine, sat *satcom.Gateway, ib *InBand, cfg FrontendC
 		agents:    make(map[string]*Agent),
 		agentCfg:  agentCfg,
 		lastHeard: make(map[string]float64),
-		pending:   make(map[uint64]*pendingCmd),
+		pending:   make(map[string][]*pendingCmd),
 	}
 	// Satcom deliveries are dispatched to agents by node ID.
 	sat.Deliver = func(m *satcom.Message) {
@@ -147,11 +170,8 @@ func (fe *Frontend) RebootAgent(node string) *Agent {
 	if !ok {
 		return nil
 	}
-	enactor := a.enactor
-	a.stop()
-	delete(fe.agents, node)
-	delete(fe.lastHeard, node)
-	return fe.Register(node, enactor)
+	fe.Unregister(node)
+	return fe.Register(node, a.enactor)
 }
 
 // Crash models the controller process dying: every in-flight
@@ -161,12 +181,18 @@ func (fe *Frontend) RebootAgent(node string) *Agent {
 // (the paper's §6 restart-safety hazard).
 func (fe *Frontend) Crash() {
 	fe.down = true
-	//minkowski:unordered-ok Timer.Cancel removes each timer's own event and schedules nothing; removal order shapes only the heap and its free list, and pops follow (at, seq), a total order
-	for _, p := range fe.pending {
-		p.timer.Cancel()
+	//minkowski:unordered-ok Timer.Cancel removes each timer's own event and schedules nothing; removal order shapes only the heap and the free lists, never which events fire, and pops follow (at, seq), a total order
+	for _, l := range fe.pending {
+		for _, p := range l {
+			p.timer.Cancel()
+			p.live = false
+			if !p.retrying {
+				fe.freeCmd(p)
+			}
+		}
 	}
-	fe.pending = map[uint64]*pendingCmd{}
-	fe.lastHeard = map[string]float64{}
+	clear(fe.pending)
+	clear(fe.lastHeard)
 }
 
 // Restart brings the frontend back; the heartbeat world model
@@ -182,18 +208,6 @@ func (fe *Frontend) InBandUp(node string) bool {
 	return ok && fe.eng.Now()-last < fe.cfg.HeartbeatTimeoutS
 }
 
-// heartbeatReport is called by agents' delivered heartbeats, carrying
-// the node's sampled state report (nil when the agent reports none).
-func (fe *Frontend) heartbeatReport(node string, report interface{}) {
-	if fe.down {
-		return
-	}
-	fe.lastHeard[node] = fe.eng.Now()
-	if report != nil && fe.OnPositionReport != nil {
-		fe.OnPositionReport(node, report)
-	}
-}
-
 // agentConnected fires when a node's agent establishes its in-band
 // connection — the side channel. Any pending sync-required command
 // for that node is inferred successful ("this connection request
@@ -204,17 +218,15 @@ func (fe *Frontend) agentConnected(node string) {
 		return
 	}
 	fe.lastHeard[node] = fe.eng.Now()
-	ids := make([]uint64, 0, len(fe.pending))
-	for id := range fe.pending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		p := fe.pending[id]
-		if p == nil || p.cmd.Node != node || !p.cmd.Kind.RequiresSync() {
-			continue
+	// In ascending ID, up to the last sent so far: a completion's done
+	// callback may send the node more.
+	last := fe.nextCmd
+	for i, l := 0, fe.pending[node]; i < len(l) && l[i].cmd.ID <= last; l = fe.pending[node] {
+		if p := l[i]; p.cmd.Kind.RequiresSync() {
+			fe.complete(p, true, ChannelInBand, true) // takes p off the list
+		} else {
+			i++
 		}
-		fe.complete(p, true, ChannelInBand, true)
 	}
 }
 
@@ -256,8 +268,16 @@ func (fe *Frontend) Send(cmd *Command, done func(ok bool)) uint64 {
 	fe.nextCmd++
 	cmd.ID = fe.nextCmd
 	cmd.Attempt = 1
-	p := &pendingCmd{cmd: cmd, submittedAt: fe.eng.Now(), attempts: 1, done: done}
-	fe.pending[cmd.ID] = p
+	var p *pendingCmd // a free row, or a new one with its closures bound
+	if n := len(fe.freeCmds); n > 0 {
+		p, fe.freeCmds = fe.freeCmds[n-1], fe.freeCmds[:n-1]
+	} else {
+		p = &pendingCmd{}
+		p.onTimeout = func() { fe.timeout(p) }
+		p.onRetry = func() { fe.retry(p) }
+	}
+	p.cmd, p.submittedAt, p.attempts, p.done, p.live = cmd, fe.eng.Now(), 1, done, true
+	fe.pending[cmd.Node] = append(fe.pending[cmd.Node], p)
 	fe.dispatch(p)
 	return cmd.ID
 }
@@ -273,14 +293,7 @@ func (fe *Frontend) dispatch(p *pendingCmd) {
 		return
 	}
 	if useInBand {
-		fe.ib.Send(cmd.Node, cmd.Kind.WireBytes(), func(ok bool) {
-			if ok {
-				if a, exists := fe.agents[cmd.Node]; exists {
-					a.receive(cmd, ChannelInBand)
-				}
-			}
-			// Failure surfaces via the response timeout.
-		})
+		fe.transmit(fe.newMsg(msgCommand, nil, cmd, false), cmd.Node, false, cmd.Kind.WireBytes())
 	} else {
 		fe.sat.Send(&satcom.Message{
 			Dest: cmd.Node, Size: cmd.Kind.WireBytes(),
@@ -304,15 +317,12 @@ func (fe *Frontend) dispatch(p *pendingCmd) {
 
 func (fe *Frontend) armTimeout(p *pendingCmd, wait float64) {
 	p.timer.Cancel()
-	p.timer = fe.eng.After(wait, func() { fe.timeout(p) })
+	p.timer = fe.eng.After(wait, p.onTimeout)
 }
 
 // timeout handles a missing response: back off, cycle channels,
 // re-TTE, resend.
 func (fe *Frontend) timeout(p *pendingCmd) {
-	if _, live := fe.pending[p.cmd.ID]; !live {
-		return
-	}
 	fe.Timeouts++
 	if fe.cfg.Retry.Exhausted(p.attempts) {
 		fe.complete(p, false, ChannelSatcom, false)
@@ -321,43 +331,51 @@ func (fe *Frontend) timeout(p *pendingCmd) {
 	p.attempts++
 	fe.Retries++
 	// Retry is a NEW command ID so the agent doesn't dedupe it ("set
-	// a new TTE, and retried the command").
+	// a new TTE, and retried the command"); the new, highest ID moves
+	// the row to the end of its node's list.
 	fe.nextCmd++
-	old := p.cmd
-	fresh := *old
+	fresh := *p.cmd
 	fresh.ID = fe.nextCmd
 	fresh.Attempt = p.attempts
-	delete(fe.pending, old.ID)
+	fe.unlist(p)
 	p.cmd = &fresh
-	fe.pending[fresh.ID] = p
+	fe.pending[fresh.Node] = append(fe.pending[fresh.Node], p)
 	// Back off before the re-dispatch (unified capped-exponential
 	// policy with seeded jitter), picking the fresh TTE at dispatch
 	// time so it reflects channel state after the wait.
 	delay := fe.cfg.Retry.Delay(p.attempts-1, fe.eng.RNG("cdpi-retry"))
-	fe.eng.After(delay, func() {
-		if _, live := fe.pending[fresh.ID]; !live {
-			return // completed (e.g. side-channel inference) or crashed
-		}
-		if fresh.TTE > 0 {
-			fresh.TTE = fe.PickTTE([]string{fresh.Node})
-		}
-		fe.dispatch(p)
-	})
+	p.retrying = true
+	fe.eng.After(delay, p.onRetry)
+}
+
+// retry re-dispatches a retried command after its back-off.
+func (fe *Frontend) retry(p *pendingCmd) {
+	p.retrying = false
+	if !p.live {
+		fe.freeCmd(p) // completed (e.g. side-channel inference) or crashed
+		return
+	}
+	if p.cmd.TTE > 0 {
+		p.cmd.TTE = fe.PickTTE([]string{p.cmd.Node})
+	}
+	fe.dispatch(p)
 }
 
 // response handles an agent's explicit command response.
 func (fe *Frontend) response(cmd *Command, ok bool, via Channel) {
-	p, live := fe.pending[cmd.ID]
-	if !live {
-		return // late response after inference or timeout
-	}
-	fe.complete(p, ok, via, false)
+	for _, p := range fe.pending[cmd.Node] {
+		if p.cmd.ID == cmd.ID {
+			fe.complete(p, ok, via, false)
+			return
+		}
+	} // none: a late response after inference or timeout
 }
 
 // complete finalizes a pending command.
 func (fe *Frontend) complete(p *pendingCmd, ok bool, via Channel, inferred bool) {
 	p.timer.Cancel()
-	delete(fe.pending, p.cmd.ID)
+	fe.unlist(p)
+	p.live = false
 	e := Enactment{
 		Kind:        p.cmd.Kind,
 		SubmittedAt: p.submittedAt,
@@ -373,6 +391,9 @@ func (fe *Frontend) complete(p *pendingCmd, ok bool, via Channel, inferred bool)
 	}
 	if p.done != nil {
 		p.done(ok)
+	}
+	if !p.retrying {
+		fe.freeCmd(p)
 	}
 }
 

@@ -22,7 +22,7 @@ const byzantineMarginSpoofDB = 45
 // node's (possibly byzantine) self-claimed position.
 func (c *Controller) attachReporter(a *cdpi.Agent) {
 	node := a.Node
-	a.StateReport = func() interface{} { return c.reportedPosition(node) }
+	a.StateReport = func() geo.LLA { return c.reportedPosition(node) }
 }
 
 // SetByzantine marks (or clears) a node as byzantine: while set, its
@@ -66,11 +66,7 @@ func spoofPosition(node string, truth geo.LLA) geo.LLA {
 // freezes at the last accepted fix); with the guard disabled the
 // report is adopted blindly — the pre-fix behaviour that lets a
 // byzantine node drag the controller's world model anywhere.
-func (c *Controller) onPositionReport(node string, report interface{}) {
-	pos, ok := report.(geo.LLA)
-	if !ok {
-		return
-	}
+func (c *Controller) onPositionReport(node string, pos geo.LLA) {
 	if c.preFix {
 		c.reported[node] = pos
 		return

@@ -509,10 +509,14 @@ func (c *Controller) manageService() {
 		}
 		inRegion := c.Cfg.Region.Contains(n.Position())
 		if inRegion && n.Operational() {
-			c.NBI.RequestBackhaul(n.ID, dataplane.FlowClassifier{
-				SrcPrefix: n.ID + "::/64", DstPrefix: "epc::/64",
-				MinBitrateBps: backhaulBitrateBps,
-			}, "rg-"+n.ID)
+			// The classifier and group strings are built once, with the
+			// node's first request.
+			if !c.NBI.Reactivate(n.ID) {
+				c.NBI.RequestBackhaul(n.ID, dataplane.FlowClassifier{
+					SrcPrefix: n.ID + "::/64", DstPrefix: "epc::/64",
+					MinBitrateBps: backhaulBitrateBps,
+				}, "rg-"+n.ID)
+			}
 		} else {
 			c.NBI.ReleaseBackhaul(n.ID)
 		}

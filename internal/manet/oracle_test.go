@@ -493,8 +493,9 @@ func runOracle(t *testing.T, w *world, seed int64) {
 			rib.partitioned[node] = slices.Contains(isolated, node)
 			op = fmt.Sprintf("partition %s %v", node, rib.partitioned[node])
 		case k < 13:
-			// Deliver one message each way and time it: the only window
-			// on the latency InBand sums from its walk.
+			// Route one message and time it: Transit is the only window
+			// on the latency InBand sums from its walk. The clock then
+			// advances by that latency, as the message would.
 			names := w.names()
 			node := names[rng.Intn(len(names))]
 			up := rng.Intn(2) == 0
@@ -504,16 +505,11 @@ func runOracle(t *testing.T, w *world, seed int64) {
 				want = rib.latency(p)
 				sends++
 			}
-			t0, arrived := w.eng.Now(), -1.0
-			send := ib.Send
-			if up {
-				send = ib.SendUp
+			lat, _ := ib.Transit(node, up, 100)
+			if lat != want { // exact: the same additions in the same order
+				t.Fatalf("step %d %s: latency %v, reference %v", step, op, lat, want)
 			}
-			send(node, 100, func(bool) { arrived = w.eng.Now() })
-			w.eng.Run(t0 + want)
-			if arrived != t0+want { // exact: the same additions in the same order
-				t.Fatalf("step %d %s: arrived at %v, reference latency %v from %v", step, op, arrived, want, t0)
-			}
+			w.eng.Run(w.eng.Now() + want)
 		default:
 			// Mostly shorter than the 2 s convergence delay.
 			dt := []float64{0, 0.4, 0.9, 1.5, 2.5, 12, 45}[rng.Intn(7)]

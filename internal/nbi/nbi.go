@@ -34,7 +34,7 @@ type BackhaulRequest struct {
 	Active bool
 }
 
-// Service is the NBI registry.
+// Service is the NBI registry, one backhaul request per node.
 type Service struct {
 	requests map[string]*BackhaulRequest
 }
@@ -47,24 +47,29 @@ func NewService() *Service {
 // RequestBackhaul registers (or reactivates) a backhaul request for a
 // node. Returns the request ID.
 func (s *Service) RequestBackhaul(node string, classifier dataplane.FlowClassifier, redundancyGroup string) string {
-	id := "backhaul/" + node
-	if r, ok := s.requests[id]; ok {
+	r, ok := s.requests[node]
+	if !ok {
+		r = &BackhaulRequest{ID: "backhaul/" + node, Node: node}
+		s.requests[node] = r
+	}
+	r.Classifier, r.RedundancyGroup, r.Active = classifier, redundancyGroup, true
+	return r.ID
+}
+
+// Reactivate re-activates a node's existing backhaul request as it
+// stands, reporting false when the node has none.
+func (s *Service) Reactivate(node string) bool {
+	r, ok := s.requests[node]
+	if ok {
 		r.Active = true
-		r.Classifier = classifier
-		r.RedundancyGroup = redundancyGroup
-		return id
 	}
-	s.requests[id] = &BackhaulRequest{
-		ID: id, Node: node, Classifier: classifier,
-		RedundancyGroup: redundancyGroup, Active: true,
-	}
-	return id
+	return ok
 }
 
 // ReleaseBackhaul deactivates a node's backhaul (e.g. the LTE stack
 // detected the balloon left the serving region).
 func (s *Service) ReleaseBackhaul(node string) {
-	if r, ok := s.requests["backhaul/"+node]; ok {
+	if r, ok := s.requests[node]; ok {
 		r.Active = false
 	}
 }
@@ -72,7 +77,7 @@ func (s *Service) ReleaseBackhaul(node string) {
 // HasActiveBackhaul reports whether a node's backhaul request is
 // active.
 func (s *Service) HasActiveBackhaul(node string) bool {
-	r, ok := s.requests["backhaul/"+node]
+	r, ok := s.requests[node]
 	return ok && r.Active
 }
 

@@ -8,7 +8,6 @@ package telemetry
 
 import (
 	"math"
-	"sort"
 
 	"minkowski/internal/linkeval"
 	"minkowski/internal/radio"
@@ -29,42 +28,29 @@ const (
 	LayerData
 )
 
-// String implements fmt.Stringer.
-func (l Layer) String() string {
-	switch l {
-	case LayerLink:
-		return "link"
-	case LayerControl:
-		return "control"
-	default:
-		return "data"
-	}
-}
-
 // Reachability accumulates the Fig. 6 ratios: per layer, the time a
 // node was operable over its potential operable time, bucketed into
 // periods (the paper plots months; simulations use days).
 type Reachability struct {
 	// PeriodS buckets observations (e.g. 86400 for daily series).
 	PeriodS float64
-	// perLayerPeriod[layer][period] accumulates (operable, potential)
-	// seconds.
-	operable  [3]map[int]float64
-	potential [3]map[int]float64
-	// last sample time per node+layer for integration.
-	lastT map[string]float64
-	lastV map[string]bool
+	// operable[layer][period] and potential[layer][period] accumulate
+	// seconds; a period no sample reached holds zero potential.
+	operable  [3][]float64
+	potential [3][]float64
+	// last holds each node's previous sample per layer, for integration.
+	last map[string]*[3]reachSample
+}
+
+// reachSample is one node's last observation of one layer.
+type reachSample struct {
+	t        float64
+	up, seen bool
 }
 
 // NewReachability creates a tracker with the given bucketing period.
 func NewReachability(periodS float64) *Reachability {
-	r := &Reachability{PeriodS: periodS,
-		lastT: map[string]float64{}, lastV: map[string]bool{}}
-	for i := range r.operable {
-		r.operable[i] = map[int]float64{}
-		r.potential[i] = map[int]float64{}
-	}
-	return r
+	return &Reachability{PeriodS: periodS, last: map[string]*[3]reachSample{}}
 }
 
 // Observe records that a node's layer has been `up` since the last
@@ -72,23 +58,30 @@ func NewReachability(periodS float64) *Reachability {
 // operable* (powered service window); omit calls when the node is
 // legitimately dark (night) so that potential time excludes it.
 func (r *Reachability) Observe(now float64, node string, layer Layer, up bool) {
-	key := node + "|" + layer.String()
-	if last, ok := r.lastT[key]; ok {
-		dt := now - last
-		// Ignore gaps (node was dark between observations).
-		if dt > 0 && dt < r.PeriodS {
-			p := int(last / r.PeriodS)
-			r.potential[layer][p] += dt
-			if r.lastV[key] {
-				r.operable[layer][p] += dt
-			}
+	n := r.last[node]
+	if n == nil {
+		n = new([3]reachSample)
+		r.last[node] = n
+	}
+	s := &n[layer]
+	// Ignore gaps (node was dark between observations).
+	if dt := now - s.t; s.seen && dt > 0 && dt < r.PeriodS {
+		p := int(s.t / r.PeriodS)
+		for len(r.potential[layer]) <= p {
+			r.potential[layer] = append(r.potential[layer], 0)
+			r.operable[layer] = append(r.operable[layer], 0)
+		}
+		r.potential[layer][p] += dt
+		if s.up {
+			r.operable[layer][p] += dt
 		}
 	}
-	r.lastT[key] = now
-	r.lastV[key] = up
+	*s = reachSample{t: now, up: up, seen: true}
 }
 
-// Ratio returns a layer's availability over all periods.
+// Ratio returns a layer's availability over all periods, summed in
+// period order so the result does not depend on anything but the
+// samples.
 func (r *Reachability) Ratio(layer Layer) float64 {
 	var op, pot float64
 	for p, v := range r.potential[layer] {
@@ -101,22 +94,15 @@ func (r *Reachability) Ratio(layer Layer) float64 {
 	return op / pot
 }
 
-// Series returns the per-period availability ratios for a layer,
-// ordered by period index (the Fig. 6 time series).
+// Series returns the per-period availability ratios for a layer, in
+// period order, skipping periods no sample reached (the Fig. 6 time
+// series).
 func (r *Reachability) Series(layer Layer) []float64 {
-	var periods []int
-	for p := range r.potential[layer] {
-		periods = append(periods, p)
-	}
-	sort.Ints(periods)
-	out := make([]float64, 0, len(periods))
-	for _, p := range periods {
-		pot := r.potential[layer][p]
-		if pot == 0 {
-			out = append(out, math.NaN())
-			continue
+	var out []float64
+	for p, pot := range r.potential[layer] {
+		if pot > 0 {
+			out = append(out, r.operable[layer][p]/pot)
 		}
-		out = append(out, r.operable[layer][p]/pot)
 	}
 	return out
 }

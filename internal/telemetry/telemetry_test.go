@@ -51,6 +51,28 @@ func TestReachabilitySeries(t *testing.T) {
 	}
 }
 
+// TestRatioSumsInPeriodOrder: the ratio of a tracker whose five
+// periods hold non-integer seconds, which floating-point addition sums
+// to different bits in different orders, is one bit pattern over 200
+// identical builds. The node is dark through every other period.
+func TestRatioSumsInPeriodOrder(t *testing.T) {
+	patterns := map[uint64]bool{}
+	for trial := 0; trial < 200; trial++ {
+		r := NewReachability(1e5)
+		for p := 0; p < 5; p++ {
+			now := float64(2*p) * 1e5
+			for k := 0; k < 4; k++ {
+				r.Observe(now, "n1", LayerControl, (p+k)%3 != 0)
+				now += math.Pow(10, float64(p))/3 + float64(k)/10
+			}
+		}
+		patterns[math.Float64bits(r.Ratio(LayerControl))] = true
+	}
+	if len(patterns) != 1 {
+		t.Errorf("%d bit patterns of the same ratio over 200 builds, want 1", len(patterns))
+	}
+}
+
 func mkLink(t *testing.T, b2g bool, established, ended float64, reason radio.Reason, attempt int) *radio.Link {
 	t.Helper()
 	b1 := &flight.Balloon{ID: "hbal-001", Pos: geo.LLADeg(-1, 37, 18000)}
