@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,15 +20,32 @@ import (
 )
 
 func main() {
-	hours := flag.Float64("hours", 3, "simulated hours to run")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	at := flag.Float64("at", 0, "scrub to this sim time (seconds; 0 = end)")
-	kind := flag.String("kind", "", "filter events by kind (solve, link-state, command, ...)")
-	subject := flag.String("subject", "", "filter events by subject substring")
-	limit := flag.Int("limit", 30, "max events to print")
-	whyA := flag.String("whynot-a", "", "transceiver A for a why-not query (node/xcvr-i)")
-	whyB := flag.String("whynot-b", "", "transceiver B for a why-not query")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+}
+
+// run parses args, runs the scenario and prints the scrubbed state,
+// the change-log and the optional why-not answer on stdout. The only
+// errors are command-line errors, which the flag package has already
+// reported on stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
+	hours := fs.Float64("hours", 3, "simulated hours to run")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	at := fs.Float64("at", 0, "scrub to this sim time (seconds; 0 = end)")
+	kind := fs.String("kind", "", "filter events by kind (solve, link-state, command, ...)")
+	subject := fs.String("subject", "", "filter events by subject substring")
+	limit := fs.Int("limit", 30, "max events to print")
+	whyA := fs.String("whynot-a", "", "transceiver A for a why-not query (node/xcvr-i)")
+	whyB := fs.String("whynot-b", "", "transceiver B for a why-not query")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	s := minkowski.DefaultScenario()
 	s.Seed = *seed
@@ -42,25 +60,26 @@ func main() {
 	}
 	// 1. State at the scrub point.
 	if snap, ok := sim.StateAt(scrubAt); ok {
-		printState(os.Stdout, scrubAt, snap)
+		printState(stdout, scrubAt, snap)
 	} else {
-		fmt.Println("no snapshot recorded yet")
+		fmt.Fprintln(stdout, "no snapshot recorded yet")
 	}
 	// 2. Change-log.
 	f := explain.Filter{Kind: explain.EventKind(*kind), Subject: *subject, To: scrubAt}
 	events := sim.Events(f)
-	fmt.Printf("\n== change log (%d matching events, last %d) ==\n", len(events), *limit)
+	fmt.Fprintf(stdout, "\n== change log (%d matching events, last %d) ==\n", len(events), *limit)
 	start := 0
 	if len(events) > *limit {
 		start = len(events) - *limit
 	}
 	for _, e := range events[start:] {
-		fmt.Println(e)
+		fmt.Fprintln(stdout, e)
 	}
 	// 3. Why-not.
 	if *whyA != "" && *whyB != "" {
-		fmt.Printf("\n== why not %s <-> %s ==\n%s\n", *whyA, *whyB, sim.WhyNot(*whyA, *whyB))
+		fmt.Fprintf(stdout, "\n== why not %s <-> %s ==\n%s\n", *whyA, *whyB, sim.WhyNot(*whyA, *whyB))
 	}
+	return nil
 }
 
 // printState renders a scrubber snapshot: installed links in recorded

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -43,5 +45,39 @@ func TestPrintStateIsByteStable(t *testing.T) {
 			t.Fatalf("route %d missing or out of request-ID order in:\n%s", i, first)
 		}
 		at = next
+	}
+}
+
+// TestExplainGoldens pins the command's stdout, state, change-log and
+// why-not, at several scrub points of one 3-hour run to the bytes
+// committed in testdata. Regenerate a file only for a change that
+// means to move it:
+//
+//	go run ./cmd/explain <args> > testdata/NAME.txt
+func TestExplainGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"at1800", []string{"-hours", "3", "-at", "1800"}},
+		{"at5400", []string{"-hours", "3", "-at", "5400"}},
+		{"end", []string{"-hours", "3"}},
+		{"link-state-hbal-001", []string{"-hours", "3", "-kind", "link-state", "-subject", "hbal-001"}},
+		{"whynot", []string{"-hours", "3", "-whynot-a", "hbal-001/xcvr-0", "-whynot-b", "hbal-005/xcvr-0"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			var stdout strings.Builder
+			if err := run(tc.args, &stdout); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stdout.String() != string(want) {
+				t.Errorf("explain %s differs from testdata/%s.txt:\n%s\nwant:\n%s", strings.Join(tc.args, " "), tc.name, stdout.String(), want)
+			}
+		})
 	}
 }

@@ -100,13 +100,14 @@ func main() {
 	if err != nil {
 		os.Exit(2)
 	}
-	os.Exit(run(o))
+	os.Exit(run(o, os.Stdout))
 }
 
-// run executes a validated command line and returns the exit status.
-// It returns rather than exits so the deferred profile writers always
-// run and a failed run still leaves a complete profile.
-func run(o *options) int {
+// run executes a validated command line, printing results on stdout,
+// and returns the exit status. It returns rather than exits so the
+// deferred profile writers always run and a failed run still leaves a
+// complete profile.
+func run(o *options, stdout io.Writer) int {
 	if o.cpuProfile != "" {
 		f, err := os.Create(o.cpuProfile)
 		if err != nil {
@@ -146,13 +147,13 @@ func run(o *options) int {
 			fmt.Fprintf(os.Stderr, "obs: %v\n", err)
 			return 1
 		}
-		fmt.Printf("wrote observability export to %s\n", o.obsPath)
+		fmt.Fprintf(stdout, "wrote observability export to %s\n", o.obsPath)
 		return 0
 	}
 	for _, r := range o.figures(o.exp) {
-		fmt.Println(r)
+		fmt.Fprintln(stdout, r)
 		if o.csvDir != "" {
-			if err := writeCSV(o.csvDir, r); err != nil {
+			if err := writeCSV(o.csvDir, r, stdout); err != nil {
 				fmt.Fprintf(os.Stderr, "csv: %v\n", err)
 				return 1
 			}
@@ -161,7 +162,7 @@ func run(o *options) int {
 	return 0
 }
 
-func writeCSV(dir string, r *experiments.Result) error {
+func writeCSV(dir string, r *experiments.Result, stdout io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -177,6 +178,6 @@ func writeCSV(dir string, r *experiments.Result) error {
 	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("  wrote %s\n", path)
+	fmt.Fprintf(stdout, "  wrote %s\n", path)
 	return nil
 }

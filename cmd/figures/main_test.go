@@ -1,10 +1,11 @@
 package main
 
 import (
-	"fmt"
+	"encoding/csv"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -61,44 +62,99 @@ func TestParseArgsCarriesValues(t *testing.T) {
 	}
 }
 
-// TestAppDGolden pins Appendix D's protocol comparison, stdout and CSV,
-// at scales 1–3 under seed 1 to the bytes committed in testdata: the
-// message-level protocols' loss draws, tie-breaks and byte counts may
-// not move under a refactor. Regenerate a file only for a change that
-// means to move them:
+// TestFigureGoldens pins the printed results of the figure suites at
+// seed 1, stdout and every CSV, to the bytes committed in testdata: a
+// change that moves any published number, draw or tie-break fails
+// here. Each case runs as
 //
-//	go run ./cmd/figures -fig appD -seed 1 -scale N > testdata/appD-scaleN.txt
+//	figures <args> -seed 1 -csv NAME > NAME.txt
 //
-// and the CSV it writes under -csv DIR, renamed appD-scaleN_manet_compare.csv.
-func TestAppDGolden(t *testing.T) {
-	for _, scale := range []string{"1", "2", "3"} {
-		o, err := parseArgs([]string{"-fig", "appD", "-seed", "1", "-scale", scale}, io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stdout strings.Builder
-		dir := t.TempDir()
-		for _, r := range o.figures(o.exp) {
-			fmt.Fprintln(&stdout, r)
-			if err := writeCSV(dir, r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		csv, err := os.ReadFile(filepath.Join(dir, "appD_manet_compare.csv"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for golden, got := range map[string]string{
-			"appD-scale" + scale + ".txt":               stdout.String(),
-			"appD-scale" + scale + "_manet_compare.csv": string(csv),
-		} {
-			want, err := os.ReadFile(filepath.Join("testdata", golden))
+// from testdata, so the stdout's "wrote" lines name NAME/. Regenerate
+// a case only for a change that means to move its numbers, and review
+// the diff.
+func TestFigureGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"all-scale1", []string{"-fig", "all", "-scale", "1"}},
+		{"ablations-scale1", []string{"-fig", "ablations", "-scale", "1"}},
+		{"appD-scale2", []string{"-fig", "appD", "-scale", "2"}},
+		{"appD-scale3", []string{"-fig", "appD", "-scale", "3"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			dir := filepath.Join(t.TempDir(), tc.name)
+			o, err := parseArgs(append(tc.args, "-seed", "1", "-csv", dir), io.Discard)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != string(want) {
-				t.Errorf("scale %s: output differs from testdata/%s:\n%s\nwant:\n%s", scale, golden, got, want)
+			var stdout strings.Builder
+			if code := run(o, &stdout); code != 0 {
+				t.Fatalf("exit status %d", code)
 			}
+			got := map[string]string{tc.name + ".txt": strings.ReplaceAll(stdout.String(), dir, tc.name)}
+			csvs, _ := filepath.Glob(filepath.Join(dir, "*.csv"))
+			for _, path := range csvs {
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[filepath.Join(tc.name, filepath.Base(path))] = string(b)
+			}
+			want, _ := filepath.Glob(filepath.Join("testdata", tc.name, "*.csv"))
+			want = append(want, filepath.Join("testdata", tc.name+".txt"))
+			if len(got) != len(want) {
+				t.Errorf("run wrote %d files, testdata has %d", len(got), len(want))
+			}
+			for _, path := range want {
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name, _ := filepath.Rel("testdata", path)
+				if got[name] != string(b) {
+					t.Errorf("output differs from %s:\n%s\nwant:\n%s", path, got[name], b)
+				}
+			}
+			if tc.name == "all-scale1" {
+				checkCDFCSV(t, got, "all-scale1/fig04_hourly_delta_cdf.csv", "frac_changed")
+				checkCDFCSV(t, got, "all-scale1/fig07_redundancy_cdf.csv", "established", "intended")
+				checkCDFCSV(t, got, "all-scale1/fig08_recovery_cdf.csv", "withdrawn", "failed")
+				checkCDFCSV(t, got, "all-scale1/fig11_lifetime_cdf.csv", "b2g", "b2b")
+			}
+		})
+	}
+}
+
+// checkCDFCSV asserts that files[name] is a long-format CDF export
+// holding exactly the named series, each with x and cum_prob
+// non-decreasing and every cum_prob in [0, 1].
+func checkCDFCSV(t *testing.T, files map[string]string, name string, series ...string) {
+	t.Helper()
+	rows, err := csv.NewReader(strings.NewReader(files[name])).ReadAll()
+	if err != nil || len(rows) == 0 || strings.Join(rows[0], ",") != "series,x,cum_prob" {
+		t.Fatalf("%s: header = %v (%v), want series,x,cum_prob", name, rows, err)
+	}
+	var seen []string
+	var lastX, lastP float64
+	for _, rec := range rows[1:] {
+		x, errX := strconv.ParseFloat(rec[1], 64)
+		p, errP := strconv.ParseFloat(rec[2], 64)
+		if errX != nil || errP != nil {
+			t.Fatalf("%s: row %v: %v %v", name, rec, errX, errP)
 		}
+		if len(seen) == 0 || seen[len(seen)-1] != rec[0] {
+			seen = append(seen, rec[0])
+		} else if x < lastX || p < lastP {
+			t.Errorf("%s: series %s decreases at %v (after x=%v cum_prob=%v)", name, rec[0], rec, lastX, lastP)
+		}
+		if p < 0 || p > 1 {
+			t.Errorf("%s: row %v: cum_prob outside [0, 1]", name, rec)
+		}
+		lastX, lastP = x, p
+	}
+	if strings.Join(seen, ",") != strings.Join(series, ",") {
+		t.Errorf("%s: series = %v, want %v, each once", name, seen, series)
 	}
 }

@@ -103,71 +103,6 @@ func TestAppDDeterministic(t *testing.T) {
 	}
 }
 
-func TestFig07ShapeQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	res := Run(quick, "fig07")[0]
-	for _, row := range res.Rows {
-		if row.Metric == "established < intended" && row.Measured != "true" {
-			t.Errorf("established redundancy should undershoot intent:\n%s", res)
-		}
-	}
-	checkCDFCSV(t, csvOf(t, res, "redundancy_cdf"), "established", "intended")
-}
-
-// TestCDFExportsQuick: the CDF exports of Figs. 4, 8 and 11 at the
-// quick scale are long-format, one non-decreasing curve per series,
-// every cum_prob in [0, 1] (Fig. 7's is checked by TestFig07ShapeQuick).
-func TestCDFExportsQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	for _, tc := range []struct {
-		name, csv string
-		series    []string
-	}{
-		{"fig04", "hourly_delta_cdf", []string{"frac_changed"}},
-		{"fig08", "recovery_cdf", []string{"withdrawn", "failed"}},
-		{"fig11", "lifetime_cdf", []string{"b2g", "b2b"}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			checkCDFCSV(t, csvOf(t, Run(quick, tc.name)[0], tc.csv), tc.series...)
-		})
-	}
-}
-
-// checkCDFCSV asserts csv is a long-format CDF export holding exactly
-// the named series, each with x and cum_prob non-decreasing and every
-// cum_prob in [0, 1].
-func checkCDFCSV(t *testing.T, csv [][]string, series ...string) {
-	t.Helper()
-	if len(csv) == 0 || strings.Join(csv[0], ",") != "series,x,cum_prob" {
-		t.Fatalf("header = %v, want series,x,cum_prob", csv)
-	}
-	var seen []string
-	var lastX, lastP float64
-	for _, rec := range csv[1:] {
-		x, errX := strconv.ParseFloat(rec[1], 64)
-		p, errP := strconv.ParseFloat(rec[2], 64)
-		if errX != nil || errP != nil {
-			t.Fatalf("row %v: %v %v", rec, errX, errP)
-		}
-		if len(seen) == 0 || seen[len(seen)-1] != rec[0] {
-			seen = append(seen, rec[0])
-		} else if x < lastX || p < lastP {
-			t.Errorf("series %s decreases at %v (after x=%v cum_prob=%v)", rec[0], rec, lastX, lastP)
-		}
-		if p < 0 || p > 1 {
-			t.Errorf("row %v: cum_prob outside [0, 1]", rec)
-		}
-		lastX, lastP = x, p
-	}
-	if strings.Join(seen, ",") != strings.Join(series, ",") {
-		t.Errorf("series = %v, want %v, each once", seen, series)
-	}
-}
-
 // TestCDFCSVOneGridPerSeries: each series is rendered on its own
 // quantile grid, so the second series' x values are its own.
 func TestCDFCSVOneGridPerSeries(t *testing.T) {
@@ -183,7 +118,6 @@ func TestCDFCSVOneGridPerSeries(t *testing.T) {
 	if f, w := fmt.Sprint(csv), fmt.Sprint(want); f != w {
 		t.Errorf("cdfCSV = %s, want %s", f, w)
 	}
-	checkCDFCSV(t, csv, "a", "b")
 }
 
 // TestSharedWorldMatchesFreshWorlds: two reads on one world, listed
