@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"minkowski/internal/chaos"
@@ -100,7 +101,7 @@ func TestRestartExpiresStaleIntents(t *testing.T) {
 // and requires bit-identical telemetry digests — fault injection must
 // not break the simulator's §6 determinism property.
 func TestDeterminismUnderFaults(t *testing.T) {
-	run := func() uint64 {
+	run := func() []byte {
 		c := New(fastConfig(99))
 		mustInstallChaos(c, chaos.Scenario{
 			Name: "determinism",
@@ -113,13 +114,9 @@ func TestDeterminismUnderFaults(t *testing.T) {
 			},
 		})
 		c.RunHours(3)
-		return c.TelemetryDigest()
+		return fmt.Appendf(runExports(c), "digest %x\n", c.TelemetryDigest())
 	}
-	d1 := run()
-	d2 := run()
-	if d1 != d2 {
-		t.Errorf("same seeded chaos scenario diverged: digest %x vs %x", d1, d2)
-	}
+	diffRuns(t, "second run", run(), run())
 }
 
 // TestSatcomOutageDegradesToInBand verifies the degraded control

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -59,17 +60,12 @@ func TestControllerBootstrapsNetwork(t *testing.T) {
 }
 
 func TestControllerDeterminism(t *testing.T) {
-	run := func() (int, int, uint64) {
+	run := func() []byte {
 		c := New(fastConfig(42))
 		c.RunHours(1)
-		return len(c.Fabric.UpLinks()), len(c.Intents.History()), c.Sat.Sent
+		return fmt.Appendf(runExports(c), "links %d history %d\n", len(c.Fabric.UpLinks()), len(c.Intents.History()))
 	}
-	l1, h1, s1 := run()
-	l2, h2, s2 := run()
-	if l1 != l2 || h1 != h2 || s1 != s2 {
-		t.Errorf("same seed diverged: links %d/%d history %d/%d satcom %d/%d",
-			l1, l2, h1, h2, s1, s2)
-	}
+	diffRuns(t, "second run", run(), run())
 }
 
 func TestTelemetryPopulated(t *testing.T) {

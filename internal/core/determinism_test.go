@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
@@ -25,10 +26,9 @@ func atWidths(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
-// TestEndToEndDeterminism is the regression test the vet suite exists
-// to keep honest: a scale-1 scenario (the experiment harness's base
-// shape) run twice with the same seed must produce a byte-identical
-// dispatch journal and a byte-identical final candidate graph. Any
+// TestEndToEndDeterminism: a scale-1 scenario (the experiment
+// harness's base shape) run twice with the same seed must produce
+// byte-identical exports (runExports). Any
 // wall-clock read, unseeded RNG, or unsorted map sweep anywhere in
 // the control loop shows up here as a diff.
 // Beyond run-to-run stability, the same scenario is replayed at each
@@ -42,39 +42,36 @@ func TestEndToEndDeterminism(t *testing.T) {
 		b, _ := runWithObs(mut)
 		return b
 	}
-	diff := func(t *testing.T, label string, a, b []byte) {
-		t.Helper()
-		if bytes.Equal(a, b) {
-			return
-		}
-		la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
-		n := len(la)
-		if len(lb) < n {
-			n = len(lb)
-		}
-		for i := 0; i < n; i++ {
-			if !bytes.Equal(la[i], lb[i]) {
-				t.Fatalf("%s diverges at line %d:\n  base:    %s\n  variant: %s", label, i+1, la[i], lb[i])
-			}
-		}
-		t.Fatalf("%s diverges in length: %d vs %d lines", label, len(la), len(lb))
-	}
-
 	base := run(nil)
 	if len(base) == 0 {
 		t.Fatal("empty journal + graph — scenario produced no activity")
 	}
-	diff(t, "repeat run", base, run(nil))
-	atWidths(t, func(t *testing.T) { diff(t, "GOMAXPROCS", base, run(nil)) })
+	diffRuns(t, "repeat run", base, run(nil))
+	atWidths(t, func(t *testing.T) { diffRuns(t, "GOMAXPROCS", base, run(nil)) })
 	// Observability must be a pure observer: turning the tracer and
 	// flight recorder off entirely must not move a byte of the journal.
-	diff(t, "ObsEnabled=false", base, run(func(cfg *Config) { cfg.ObsEnabled = false }))
+	diffRuns(t, "ObsEnabled=false", base, run(func(cfg *Config) { cfg.ObsEnabled = false }))
+}
+
+// diffRuns fails t at the first line where two runs' exports differ.
+func diffRuns(t *testing.T, label string, a, b []byte) {
+	t.Helper()
+	if bytes.Equal(a, b) {
+		return
+	}
+	la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if !bytes.Equal(la[i], lb[i]) {
+			t.Fatalf("%s diverges at line %d:\n  base:    %s\n  variant: %s", label, i+1, la[i], lb[i])
+		}
+	}
+	t.Fatalf("%s diverges in length: %d vs %d lines", label, len(la), len(lb))
 }
 
 // TestObsSnapshotDeterminism extends the matrix to the observability
 // output itself: with the recorder fully enabled, two same-seed runs
-// must produce byte-identical encoded metric snapshots, and the
-// snapshot must not change with GOMAXPROCS.
+// must produce byte-identical encoded metric snapshots, span trees and
+// flight dumps, and none may change with GOMAXPROCS.
 func TestObsSnapshotDeterminism(t *testing.T) {
 	_, base := runWithObs(nil)
 	if len(base) == 0 {
@@ -82,7 +79,7 @@ func TestObsSnapshotDeterminism(t *testing.T) {
 	}
 	check := func(t *testing.T) {
 		if _, got := runWithObs(nil); !bytes.Equal(base, got) {
-			t.Errorf("obs snapshot diverges from baseline\nbase:\n%s\ngot:\n%s", base, got)
+			diffRuns(t, "obs export", base, got)
 		}
 	}
 	t.Run("repeat run", check)
@@ -100,16 +97,48 @@ func detConfig(fleet int) Config {
 	return cfg
 }
 
-// runWithObs runs the scale-1 determinism scenario and returns the
-// journal+graph bytes and the encoded obs snapshot.
-func runWithObs(mut func(*Config)) (journal, obsSnap []byte) {
+// runWithObs runs the scale-1 determinism scenario and returns its
+// exports (runExports) and its obs export: the encoded metric snapshot,
+// then the span trees and the flight dump as JSON lines.
+func runWithObs(mut func(*Config)) (journal, obsExport []byte) {
 	cfg := detConfig(11) // experiments.baseScenario at scale 1
 	if mut != nil {
 		mut(&cfg)
 	}
 	c := New(cfg)
 	c.RunHours(2)
+	enc, err := c.ObsSnapshot().Encode()
+	if err != nil {
+		panic(err)
+	}
+	// One JSON line per tree and per flight record, so a diff names
+	// the first differing one.
+	var lines []any
+	for _, tr := range c.ObsTrees() {
+		lines = append(lines, tr)
+	}
+	if dump := c.ObsFlightDump(); dump != nil { // nil with tracing off
+		for _, r := range dump.Records {
+			lines = append(lines, r)
+		}
+		dump.Records = nil
+		lines = append(lines, dump)
+	}
+	for _, v := range lines {
+		b, err := json.Marshal(v)
+		if err != nil {
+			panic(err)
+		}
+		enc = append(append(enc, '\n'), b...)
+	}
+	return runExports(c), enc
+}
 
+// runExports renders what a finished run exports, for the run-twice
+// tests to compare: the journal, the final candidate graph (field-wise:
+// Reports hold transceiver pointers whose addresses differ across
+// runs), the engine's event count and the satcom counters.
+func runExports(c *Controller) []byte {
 	var buf bytes.Buffer
 	for _, li := range c.Journal.Links() {
 		fmt.Fprintf(&buf, "link %+v\n", *li)
@@ -117,18 +146,14 @@ func runWithObs(mut func(*Config)) (journal, obsSnap []byte) {
 	for _, ri := range c.Journal.Routes() {
 		fmt.Fprintf(&buf, "route %+v\n", *ri)
 	}
-	// The final candidate graph, field-wise (Reports hold
-	// transceiver pointers whose addresses differ across runs).
 	graph := c.Evaluator.CandidateGraph(c.Fleet.Transceivers(), c.Cfg.PredictiveLeadS)
 	for _, r := range graph {
 		fmt.Fprintf(&buf, "cand %v lead=%v budget=%+v class=%v dist=%v atmos=%v b2g=%v\n",
 			r.ID, r.Lead, r.Budget, r.Class, r.DistM, r.AtmosDB, r.B2G)
 	}
-	enc, err := c.ObsSnapshot().Encode()
-	if err != nil {
-		panic(err)
-	}
-	return buf.Bytes(), enc
+	fmt.Fprintf(&buf, "events %d satcom sent %d requeued %d dropped %d\n",
+		c.Eng.Processed, c.Sat.Sent, c.Sat.Requeued, c.Sat.Dropped)
+	return buf.Bytes()
 }
 
 // TestEndToEndDeterminismScale3Chaos extends the determinism
@@ -157,38 +182,11 @@ func TestEndToEndDeterminismScale3Chaos(t *testing.T) {
 		c := New(cfg)
 		mustInstallChaos(c, script)
 		c.RunHours(2)
-
-		var buf bytes.Buffer
-		for _, li := range c.Journal.Links() {
-			fmt.Fprintf(&buf, "link %+v\n", *li)
-		}
-		for _, ri := range c.Journal.Routes() {
-			fmt.Fprintf(&buf, "route %+v\n", *ri)
-		}
-		graph := c.Evaluator.CandidateGraph(c.Fleet.Transceivers(), c.Cfg.PredictiveLeadS)
-		for _, r := range graph {
-			fmt.Fprintf(&buf, "cand %v lead=%v budget=%+v class=%v dist=%v atmos=%v b2g=%v\n",
-				r.ID, r.Lead, r.Budget, r.Class, r.DistM, r.AtmosDB, r.B2G)
-		}
-		fmt.Fprintf(&buf, "digest %x crashes %d rejected %d\n",
+		return fmt.Appendf(runExports(c), "digest %x crashes %d rejected %d\n",
 			c.TelemetryDigest(), c.Crashes, c.PosGuard.Rejected)
-		return buf.Bytes()
 	}
 	a := run()
-	b := run()
-	if !bytes.Equal(a, b) {
-		la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
-		n := len(la)
-		if len(lb) < n {
-			n = len(lb)
-		}
-		for i := 0; i < n; i++ {
-			if !bytes.Equal(la[i], lb[i]) {
-				t.Fatalf("runs diverge at line %d:\n  run1: %s\n  run2: %s", i+1, la[i], lb[i])
-			}
-		}
-		t.Fatalf("runs diverge in length: %d vs %d lines", len(la), len(lb))
-	}
+	diffRuns(t, "second run", a, run())
 	if len(a) == 0 {
 		t.Fatal("empty journal + graph — scenario produced no activity")
 	}
@@ -226,6 +224,7 @@ func TestNightfallPowerDownDeterminism(t *testing.T) {
 				lastAt = e.At
 			}
 		}
+		log.Write(runExports(c))
 		return c.TelemetryDigest(), log.String(), sameStep
 	}
 	digest, log, sameStep := run()
@@ -238,7 +237,7 @@ func TestNightfallPowerDownDeterminism(t *testing.T) {
 			t.Errorf("run %d: TelemetryDigest %x, run 1 had %x", i, d, digest)
 		}
 		if l != log {
-			t.Errorf("run %d: change-log differs from run 1", i)
+			t.Errorf("run %d: change-log or exports differ from run 1", i)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -235,39 +234,12 @@ func TestEndToEndDeterminismReplicationChaos(t *testing.T) {
 		c := New(cfg)
 		mustInstallChaos(c, script)
 		c.RunHours(2)
-
-		var buf bytes.Buffer
-		for _, li := range c.Journal.Links() {
-			fmt.Fprintf(&buf, "link %+v\n", *li)
-		}
-		for _, ri := range c.Journal.Routes() {
-			fmt.Fprintf(&buf, "route %+v\n", *ri)
-		}
-		graph := c.Evaluator.CandidateGraph(c.Fleet.Transceivers(), c.Cfg.PredictiveLeadS)
-		for _, r := range graph {
-			fmt.Fprintf(&buf, "cand %v lead=%v budget=%+v class=%v dist=%v atmos=%v b2g=%v\n",
-				r.ID, r.Lead, r.Budget, r.Class, r.DistM, r.AtmosDB, r.B2G)
-		}
-		fmt.Fprintf(&buf, "digest %x acting %s epoch %d promotions %d standdowns %d rogue %d rej %d\n",
+		return fmt.Appendf(runExports(c), "digest %x acting %s epoch %d promotions %d standdowns %d rogue %d rej %d\n",
 			c.TelemetryDigest(), c.actingID, c.epoch,
 			c.Promotions, c.Standdowns, c.RogueSolves, c.Frontend.StaleEpochRejections())
-		return buf.Bytes()
 	}
 	a := run()
-	b := run()
-	if !bytes.Equal(a, b) {
-		la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
-		n := len(la)
-		if len(lb) < n {
-			n = len(lb)
-		}
-		for i := 0; i < n; i++ {
-			if !bytes.Equal(la[i], lb[i]) {
-				t.Fatalf("runs diverge at line %d:\n  run1: %s\n  run2: %s", i+1, la[i], lb[i])
-			}
-		}
-		t.Fatalf("runs diverge in length: %d vs %d lines", len(la), len(lb))
-	}
+	diffRuns(t, "second run", a, run())
 	if len(a) == 0 {
 		t.Fatal("empty journal + graph — scenario produced no activity")
 	}

@@ -154,6 +154,11 @@ func TestProviderSpreading(t *testing.T) {
 	}
 }
 
+// TestDeterminism: one seed, one set of delivery times. The second
+// half of the messages is sent during a full outage, so it reaches the
+// wire through the requeue backoff and its seeded jitter; no
+// controller scenario requeues (their TTEs expire before the first
+// retry), so this is the only run that draws from that stream.
 func TestDeterminism(t *testing.T) {
 	run := func() []float64 {
 		eng := sim.New(9)
@@ -163,7 +168,15 @@ func TestDeterminism(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			g.Send(&Message{Dest: "hbal-001", Size: 100})
 		}
+		g.SetProviderDown("all", true)
+		for i := 0; i < 10; i++ {
+			g.Send(&Message{Dest: "hbal-002", Size: 100})
+		}
+		eng.At(600, func() { g.SetProviderDown("all", false) })
 		eng.Run(7200)
+		if g.Requeued < 10 || g.Delivered != 20 {
+			t.Fatalf("requeued %d, delivered %d; want every outage message requeued and all 20 delivered", g.Requeued, g.Delivered)
+		}
 		return times
 	}
 	a, b := run(), run()
