@@ -100,9 +100,6 @@ type Command struct {
 	// Payload is opaque to the CDPI (the intent layer puts link/route
 	// descriptors here).
 	Payload interface{}
-	// IntentID groups commands belonging to one intent enactment (the
-	// frontend must pick one TTE for all of them).
-	IntentID uint64
 	// Attempt counts retries.
 	Attempt int
 	// Epoch is the issuing control process's fencing epoch. Agents

@@ -68,8 +68,7 @@ type Frontend struct {
 	agentCfg  AgentConfig
 	lastHeard map[string]float64 // last in-band heartbeat per node
 
-	nextCmd    uint64
-	nextIntent uint64
+	nextCmd uint64
 	// pending lists each node's live command rows by ascending ID.
 	pending  map[string][]*pendingCmd
 	freeCmds []*pendingCmd
@@ -250,12 +249,6 @@ func (fe *Frontend) PickTTE(nodes []string) float64 {
 		return fe.eng.Now() + fe.cfg.TTEInBandS
 	}
 	return fe.eng.Now() + fe.cfg.TTESatcomS
-}
-
-// NewIntentID allocates an intent-enactment grouping ID.
-func (fe *Frontend) NewIntentID() uint64 {
-	fe.nextIntent++
-	return fe.nextIntent
 }
 
 // Send dispatches a command to its node, choosing the lowest-latency

@@ -113,7 +113,6 @@ func (c *Controller) commandEstablish(p *ctlState, li *intent.LinkIntent, attemp
 	}
 	nodes := []string{li.NodeA, li.NodeB}
 	tte := c.Frontend.PickTTE(nodes)
-	iid := c.Frontend.NewIntentID()
 	arm := &armState{
 		li:      li,
 		armed:   map[string]bool{},
@@ -132,7 +131,7 @@ func (c *Controller) commandEstablish(p *ctlState, li *intent.LinkIntent, attemp
 	for _, node := range nodes {
 		cmd := &cdpi.Command{
 			Node: node, Kind: cdpi.KindLinkEstablish,
-			TTE: tte, Payload: &linkPayload{intent: li}, IntentID: iid,
+			TTE: tte, Payload: &linkPayload{intent: li},
 			Epoch: p.epoch,
 		}
 		c.sendFor(p, cmd, nil)
@@ -251,12 +250,11 @@ func (c *Controller) commandWithdraw(p *ctlState, li *intent.LinkIntent) {
 		arm.timeout.Cancel()
 		delete(p.arms, li.Link)
 	}
-	iid := c.Frontend.NewIntentID()
 	tte := c.Frontend.PickTTE([]string{li.NodeA, li.NodeB})
 	for _, node := range []string{li.NodeA, li.NodeB} {
 		cmd := &cdpi.Command{
 			Node: node, Kind: cdpi.KindLinkWithdraw,
-			TTE: tte, Payload: &linkPayload{intent: li}, IntentID: iid,
+			TTE: tte, Payload: &linkPayload{intent: li},
 			Epoch: p.epoch,
 		}
 		c.sendFor(p, cmd, nil)

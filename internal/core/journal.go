@@ -34,8 +34,6 @@ type JournalSink interface {
 type Journal struct {
 	links  map[radio.LinkID]*intent.LinkIntent
 	routes map[string]*intent.RouteIntent
-	// Writes counts journal updates (telemetry/testing).
-	Writes int
 	// Sink, when set, observes every mutation — the tap the standby
 	// replication stream rides. The standby's own journal has no sink.
 	Sink JournalSink
@@ -56,7 +54,6 @@ func (j *Journal) RecordLink(li *intent.LinkIntent) {
 	}
 	cp := li.Clone()
 	j.links[li.Link] = cp
-	j.Writes++
 	if j.Sink != nil {
 		j.Sink.LinkWritten(cp)
 	}
@@ -84,7 +81,6 @@ func (j *Journal) RecordRoute(ri *intent.RouteIntent) {
 	}
 	cp := ri.Clone()
 	j.routes[ri.ID] = cp
-	j.Writes++
 	if j.Sink != nil {
 		j.Sink.RouteWritten(cp)
 	}

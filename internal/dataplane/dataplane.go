@@ -41,9 +41,6 @@ type Route struct {
 	// (Appendix C: "routes with the same redundancy group tag would
 	// seek disjoint paths").
 	RedundancyGroup string
-	// ProgrammedAt is when all nodes had installed the entries (0 =
-	// not yet fully programmed).
-	ProgrammedAt float64
 }
 
 // entry is one forwarding-table row.

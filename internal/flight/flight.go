@@ -33,11 +33,6 @@ type Balloon struct {
 	Pos geo.LLA
 	// TargetAltM is the altitude the FMS has commanded.
 	TargetAltM float64
-	// VelU, VelV is the current drift velocity (east, north m/s),
-	// updated each step from the wind field.
-	VelU, VelV float64
-	// Launched is the sim time the balloon entered service.
-	Launched float64
 }
 
 // Step advances the balloon dt seconds through the wind field:
@@ -53,7 +48,6 @@ func (b *Balloon) Step(w *wind.Field, dt float64) {
 	b.Pos.Alt += dAlt
 	// Horizontal.
 	u, v := w.VelocityAt(b.Pos)
-	b.VelU, b.VelV = u, v
 	dist := math.Hypot(u, v) * dt
 	if dist > 0 {
 		heading := math.Atan2(u, v)
@@ -158,7 +152,6 @@ func (f *FMS) launch(scatterM float64) *Balloon {
 		ID:         fmt.Sprintf("hbal-%03d", f.nextID),
 		Pos:        pos,
 		TargetAltM: pos.Alt,
-		Launched:   f.now,
 	}
 }
 

@@ -108,9 +108,9 @@ type RouteIntent struct {
 	ID   string
 	Path []string
 	// Generation increments when the path is reprogrammed.
-	Generation                         int
-	State                              RouteState
-	CreatedAt, ProgrammedAt, RemovedAt float64
+	Generation int
+	State      RouteState
+	CreatedAt  float64
 }
 
 // Clone returns an independent deep copy (including the path slice).
@@ -238,7 +238,6 @@ func (st *Store) finish(id radio.LinkID, s LinkState, reason string, now float64
 func (st *Store) MarkRouteProgrammed(id string, now float64) {
 	if ri, ok := st.routes[id]; ok && ri.State == RoutePending {
 		ri.State = RouteProgrammed
-		ri.ProgrammedAt = now
 	}
 }
 
@@ -338,7 +337,6 @@ func (st *Store) Reconcile(plan *solver.Plan, now float64) Actions {
 		if ok {
 			gen = cur.Generation + 1
 			cur.State = RouteRemoved
-			cur.RemovedAt = now
 			st.RouteHistory = append(st.RouteHistory, cur)
 			acts.RemoveRoutes = append(acts.RemoveRoutes, cur)
 		}
@@ -353,7 +351,6 @@ func (st *Store) Reconcile(plan *solver.Plan, now float64) Actions {
 	for _, ri := range st.ActiveRoutes() {
 		if _, ok := plan.Routes[ri.ID]; !ok {
 			ri.State = RouteRemoved
-			ri.RemovedAt = now
 			delete(st.routes, ri.ID)
 			st.RouteHistory = append(st.RouteHistory, ri)
 			acts.RemoveRoutes = append(acts.RemoveRoutes, ri)

@@ -56,8 +56,6 @@ type Power struct {
 	BatteryWh float64
 	// CommsOn reports whether the communications payload is powered.
 	CommsOn bool
-	// Transitions counts comms power transitions (telemetry).
-	Transitions int
 }
 
 // NewPower returns a power system starting at night with a
@@ -93,9 +91,7 @@ func (p *Power) Step(t, dt float64) {
 	// Policy transitions.
 	if !p.CommsOn && solar >= CommsOnSolarW && p.BatteryWh > ReserveWh*0.5 {
 		p.CommsOn = true
-		p.Transitions++
 	} else if p.CommsOn && solar < CommsOnSolarW && p.BatteryWh <= ReserveWh {
 		p.CommsOn = false
-		p.Transitions++
 	}
 }

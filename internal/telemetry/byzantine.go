@@ -33,8 +33,8 @@ type PositionGuard struct {
 	// the cap.
 	MaxEnvelopeM float64
 
-	// Accepted / Rejected count gate decisions.
-	Accepted, Rejected int
+	// Rejected counts the reports the gate refused.
+	Rejected int
 
 	last map[string]fix
 }
@@ -75,7 +75,6 @@ func (g *PositionGuard) Observe(node string, pos geo.LLA, now float64) bool {
 		// Unseeded node: adopt the first report (nothing to test
 		// against). Callers that can Seed should.
 		g.last[node] = fix{pos: pos, at: now}
-		g.Accepted++
 		return true
 	}
 	dt := now - prev.at
@@ -88,7 +87,6 @@ func (g *PositionGuard) Observe(node string, pos geo.LLA, now float64) bool {
 	}
 	if geo.SlantRange(prev.pos, pos) <= limit {
 		g.last[node] = fix{pos: pos, at: now}
-		g.Accepted++
 		return true
 	}
 	// Implausible: keep the old reference (advancing its timestamp
