@@ -180,7 +180,9 @@ func (fe *Frontend) RebootAgent(node string) *Agent {
 // (the paper's §6 restart-safety hazard).
 func (fe *Frontend) Crash() {
 	fe.down = true
-	//minkowski:unordered-ok Timer.Cancel removes each timer's own event and schedules nothing; removal order shapes only the heap and the free lists, never which events fire, and pops follow (at, seq), a total order
+	// Map order is safe here: Timer.Cancel removes only its own event and
+	// schedules nothing, so removal order shapes only the heap and the free
+	// lists, never which events fire; pops follow (at, seq), a total order.
 	for _, l := range fe.pending {
 		for _, p := range l {
 			p.timer.Cancel()

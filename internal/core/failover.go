@@ -234,7 +234,8 @@ func (c *Controller) discardRogue() {
 	if c.rogue == nil {
 		return
 	}
-	//minkowski:unordered-ok Timer.Cancel removes each timer's own event and schedules nothing; removal order shapes only the heap and its free list, and pops follow (at, seq), a total order
+	// Map order is safe here: Timer.Cancel removes only its own event and
+	// schedules nothing; pops follow (at, seq), a total order.
 	for _, arm := range c.rogue.arms {
 		arm.timeout.Cancel()
 	}
@@ -245,7 +246,8 @@ func (c *Controller) discardRogue() {
 // timers, intent store, last plan). The journal is durable storage and
 // survives.
 func (c *Controller) dropActingMemory() {
-	//minkowski:unordered-ok Timer.Cancel removes each timer's own event and schedules nothing; removal order shapes only the heap and its free list, and pops follow (at, seq), a total order
+	// Map order is safe here: Timer.Cancel removes only its own event and
+	// schedules nothing; pops follow (at, seq), a total order.
 	for _, arm := range c.arms {
 		arm.timeout.Cancel()
 	}

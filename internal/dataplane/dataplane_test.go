@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -98,13 +99,20 @@ func TestDisjointPaths(t *testing.T) {
 	}
 }
 
+// TestRoutesSorted declares three routes in descending order: a map
+// walk over so few entries never yields them ascending, so an unsorted
+// Routes fails here on every run.
 func TestRoutesSorted(t *testing.T) {
 	s := NewState()
-	prog(s, &Route{ID: "zz", Path: []string{"a", "b"}})
-	prog(s, &Route{ID: "aa", Path: []string{"a", "b"}})
-	rs := s.Routes()
-	if len(rs) != 2 || rs[0].ID != "aa" {
-		t.Errorf("routes not sorted: %v, %v", rs[0].ID, rs[1].ID)
+	for _, id := range []string{"zz", "mm", "aa"} {
+		prog(s, &Route{ID: id, Path: []string{"a", "b"}})
+	}
+	var ids []string
+	for _, r := range s.Routes() {
+		ids = append(ids, r.ID)
+	}
+	if fmt.Sprint(ids) != "[aa mm zz]" {
+		t.Errorf("routes not sorted: %v", ids)
 	}
 }
 

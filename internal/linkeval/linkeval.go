@@ -325,7 +325,8 @@ func (e *Evaluator) evalStaged(xa, xb *platform.Transceiver, lead float64, g *pa
 	memoHit := false
 	for i := range g.budgets {
 		m := &g.budgets[i]
-		//minkowski:floateq-ok budget-memo key: a memo entry serves only bit-identical gain/noise/power inputs
+		// Budget-memo key: an entry serves only bit-identical gain, noise and
+		// power inputs.
 		if m.orient == orient && m.peakA == peakA && m.peakB == peakB &&
 			m.noiseFigure == xa.Radio.NoiseFigureDB && floatsEqual(m.txPowers, xa.Radio.TxPowersDBm) {
 			budget, class = m.budget, m.class
@@ -368,7 +369,7 @@ func floatsEqual(a, b []float64) bool {
 		return false
 	}
 	for i := range a {
-		//minkowski:floateq-ok budget-memo key: power vectors match only when bit-identical
+		// Budget-memo key: power vectors match only when bit-identical.
 		if a[i] != b[i] {
 			return false
 		}

@@ -41,12 +41,16 @@ func TestBackhaulLifecycle(t *testing.T) {
 	}
 }
 
+// TestSolverRequestsSorted files three requests in descending order: a
+// map walk over so few entries never yields them ascending, so an
+// unsorted SolverRequests fails here on every run.
 func TestSolverRequestsSorted(t *testing.T) {
 	s := NewService()
-	s.RequestBackhaul("hbal-009", classifier(10), "")
-	s.RequestBackhaul("hbal-001", classifier(10), "")
+	for _, src := range []string{"hbal-009", "hbal-005", "hbal-001"} {
+		s.RequestBackhaul(src, classifier(10), "")
+	}
 	reqs := s.SolverRequests()
-	if len(reqs) != 2 || reqs[0].Src != "hbal-001" {
+	if len(reqs) != 3 || reqs[0].Src != "hbal-001" || reqs[1].Src != "hbal-005" {
 		t.Errorf("requests not sorted: %+v", reqs)
 	}
 }

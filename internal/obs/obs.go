@@ -13,8 +13,8 @@
 //
 //   - All timestamps come from the injected sim clock (`now`), never
 //     the wall clock — any reference to time.Now anywhere in
-//     internal/, called or taken as a value, is a minkowski-vet
-//     detrand finding.
+//     internal/, called or taken as a value, fails
+//     TestNoAmbientNondeterminism.
 //   - Recording happens only on the single-threaded simulation event
 //     loop, so the registry needs no locks and record order is
 //     deterministic.

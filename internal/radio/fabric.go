@@ -287,7 +287,7 @@ func (f *Fabric) feasible(l *Link) (Reason, bool) {
 func (f *Fabric) geometry(l *Link) *pathMemo {
 	posA, posB := l.XA.Node.Position(), l.XB.Node.Position()
 	m := l.path
-	//minkowski:floateq-ok memo key: the memo serves only bit-identical endpoint positions
+	// Memo key: the memo serves only bit-identical endpoint positions.
 	if m != nil && m.posA == posA && m.posB == posB {
 		return m
 	}
@@ -454,7 +454,7 @@ func (f *Fabric) History() []*Link { return f.history }
 func PropagationDelay(l *Link) float64 {
 	const c = 299792458.0
 	posA, posB := l.XA.Node.Position(), l.XB.Node.Position()
-	//minkowski:floateq-ok memo key: the memo serves only bit-identical endpoint positions
+	// Memo key: the memo serves only bit-identical endpoint positions.
 	if m := l.path; m != nil && m.posA == posA && m.posB == posB {
 		return m.dist / c
 	}

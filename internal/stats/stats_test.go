@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -240,16 +241,19 @@ func TestFmtDuration(t *testing.T) {
 	}
 }
 
+// TestCounter counts three labels first seen in descending order: a map
+// walk over so few entries never yields them ascending, so Labels
+// without its sort fails here on every run.
 func TestCounter(t *testing.T) {
 	c := NewCounter()
 	c.Inc("withdrawn")
 	c.Inc("withdrawn")
 	c.Inc("rf-fade")
-	if c.Get("withdrawn") != 2 || c.Total() != 3 {
+	c.Inc("crash")
+	if c.Get("withdrawn") != 2 || c.Total() != 4 {
 		t.Error("counts wrong")
 	}
-	labels := c.Labels()
-	if len(labels) != 2 || labels[0] != "rf-fade" {
+	if labels := fmt.Sprint(c.Labels()); labels != "[crash rf-fade withdrawn]" {
 		t.Errorf("labels = %v", labels)
 	}
 }

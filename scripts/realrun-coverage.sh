@@ -8,8 +8,8 @@
 # no run executes and the allowlist does not name is new unexecuted
 # code; an allowlisted function that now runs, or no longer exists, is
 # a stale row. Rows are keyed by package and function, not by line.
-# The analyzers, benchguard and the harness itself are not the
-# simulator and are left out.
+# benchguard and the harness itself are not the simulator and are left
+# out.
 #
 #   bash scripts/realrun-coverage.sh [WORKDIR]
 #
@@ -57,7 +57,7 @@ export GOCOVERDIR="$cov/data"
 ) > "$cov/out/stdout.txt" 2>&1
 
 go tool covdata func -i="$cov/data" | awk '$NF == "0.0%"' |
-  grep -vE '^minkowski/(internal/analysis|cmd/minkowski-vet|cmd/benchguard|bench)/' > "$root/real-run-uncovered.txt" || true
+  grep -vE '^minkowski/(cmd/benchguard|bench)/' > "$root/real-run-uncovered.txt" || true
 wc -l < "$root/real-run-uncovered.txt" | xargs echo "functions no real run executes:"
 
 # "minkowski/internal/manet/fabricnet.go:101: *FabricNet.Adjacent 0.0%"
