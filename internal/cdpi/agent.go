@@ -5,19 +5,26 @@ import (
 	"minkowski/internal/sim"
 )
 
-// Enactor executes commands on a node (the core controller wires this
-// to the radio fabric and data-plane state). done reports eventual
-// success — for a link-establish that means the link came up, which
-// can take minutes.
-type Enactor interface {
-	Enact(cmd *Command, done func(ok bool))
+// Hold is an accepted command held to its TTE and then enacted, a row
+// of the frontend's hold table. Its one queued event, fire (bound when
+// the row is made), runs the agent's enact function at the TTE, which
+// then owns the row until it calls Done: at once, or minutes later
+// for a link-establish, whose success means the link came up. A Hold
+// never completed is dropped like an agent that never answers.
+type Hold struct {
+	// Cmd is the command as the agent received it.
+	Cmd   Command
+	agent *Agent
+	fire  func()
 }
 
-// EnactorFunc adapts a function to Enactor.
-type EnactorFunc func(cmd *Command, done func(ok bool))
-
-// Enact implements Enactor.
-func (f EnactorFunc) Enact(cmd *Command, done func(ok bool)) { f(cmd, done) }
+// Done reports the command's result over the fastest available
+// channel and frees the row; h must not be used again.
+func (h *Hold) Done(ok bool) {
+	a := h.agent
+	a.respond(&h.Cmd, ok)
+	a.frontend.freeHold(h)
+}
 
 // Agent is the SDN agent on one node: it receives commands over any
 // channel, holds them to their TTE, enacts them, and reports
@@ -29,14 +36,17 @@ type Agent struct {
 
 	eng      *sim.Engine
 	frontend *Frontend
-	enactor  Enactor
+	// enact executes a held command on the node (the core controller
+	// wires it to the radio fabric and data-plane state).
+	enact func(h *Hold)
 
 	// connected tracks the agent's own view of in-band connectivity.
 	connected bool
 	// stopped ends the maintenance loops (node left, or agent
 	// rebooted and replaced by a fresh instance).
 	stopped bool
-	// seen deduplicates retried commands (ID → true).
+	// seen deduplicates retried commands by the ID each arrived with
+	// (ID → true).
 	seen map[uint64]bool
 	// Enacted counts executed commands.
 	Enacted int
@@ -99,9 +109,9 @@ func DefaultAgentConfig() AgentConfig {
 }
 
 // newAgent is created via Frontend.Register.
-func newAgent(eng *sim.Engine, fe *Frontend, node string, enactor Enactor, cfg AgentConfig) *Agent {
+func newAgent(eng *sim.Engine, fe *Frontend, node string, enact func(h *Hold), cfg AgentConfig) *Agent {
 	a := &Agent{
-		Node: node, eng: eng, frontend: fe, enactor: enactor,
+		Node: node, eng: eng, frontend: fe, enact: enact,
 		seen:            make(map[uint64]bool),
 		fencingDisabled: cfg.DisableEpochFencing,
 	}
@@ -199,39 +209,46 @@ func (a *Agent) receive(cmd *Command, via Channel) {
 	if cmd.TTE > enactAt {
 		enactAt = cmd.TTE
 	}
-	a.eng.At(enactAt, func() {
-		if a.stopped {
-			return // rebooted while holding the command to its TTE
+	h := a.frontend.newHold()
+	h.Cmd, h.agent = *cmd, a
+	a.eng.At(enactAt, h.fire)
+}
+
+// enactHeld runs at a held command's TTE: it enacts the command unless
+// the agent stopped or a higher epoch arrived meanwhile.
+func (h *Hold) enactHeld() {
+	a, cmd := h.agent, &h.Cmd
+	if a.stopped {
+		a.frontend.freeHold(h) // rebooted while holding the command to its TTE
+		return
+	}
+	if cmd.TTE > 0 && cmd.Kind.RequiresSync() && a.eng.Now() > cmd.TTE {
+		// Should be unreachable: the receive guard drops late sync
+		// commands and enactAt is clamped to the TTE. Counting it
+		// (rather than silently enacting) turns the §4.2 sync
+		// discipline into a checkable invariant.
+		a.LateSyncEnactments++
+	}
+	if cmd.Epoch > 0 && cmd.Epoch < a.highestEpoch {
+		// A higher epoch arrived while this command was held to its
+		// TTE: the issuer was deposed mid-hold. The fence applies at
+		// enact time too, not just at receive.
+		if !a.fencingDisabled {
+			a.StaleEpochRejections++
+			a.frontend.freeHold(h)
+			return
 		}
-		if cmd.TTE > 0 && cmd.Kind.RequiresSync() && a.eng.Now() > cmd.TTE {
-			// Should be unreachable: the receive guard drops late sync
-			// commands and enactAt is clamped to the TTE. Counting it
-			// (rather than silently enacting) turns the §4.2 sync
-			// discipline into a checkable invariant.
-			a.LateSyncEnactments++
+		a.StaleEpochAccepts++
+	}
+	if cmd.Epoch > 0 {
+		if cmd.Epoch < a.maxEnactedEpoch {
+			a.EpochRegressions++
+		} else {
+			a.maxEnactedEpoch = cmd.Epoch
 		}
-		if cmd.Epoch > 0 && cmd.Epoch < a.highestEpoch {
-			// A higher epoch arrived while this command was held to its
-			// TTE: the issuer was deposed mid-hold. The fence applies at
-			// enact time too, not just at receive.
-			if !a.fencingDisabled {
-				a.StaleEpochRejections++
-				return
-			}
-			a.StaleEpochAccepts++
-		}
-		if cmd.Epoch > 0 {
-			if cmd.Epoch < a.maxEnactedEpoch {
-				a.EpochRegressions++
-			} else {
-				a.maxEnactedEpoch = cmd.Epoch
-			}
-		}
-		a.Enacted++
-		a.enactor.Enact(cmd, func(ok bool) {
-			a.respond(cmd, ok)
-		})
-	})
+	}
+	a.Enacted++
+	a.enact(h)
 }
 
 // respond reports a command result over the fastest available

@@ -57,29 +57,29 @@ func TestHeartbeatRoundTripDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestInBandCommandAndResponseDoNotAllocate: a command's trip down, its
-// response's trip up, in-band or over satcom, and the command row from
-// Send to completion allocate nothing once warm. The far end is a bare,
-// unregistered agent the test answers for: an agent's receive side
-// (dedupe map, hold to TTE, enactor callback) is not a table row.
+// TestInBandCommandAndResponseDoNotAllocate: a command's trip down, a
+// registered agent's receive, hold to the TTE and enactment, and its
+// response's trip up, in-band or over satcom, allocate nothing once
+// warm; nor does the command row from Send to completion. The far
+// node's agent loses the mesh while it holds the satcom leg's command,
+// so it answers over satcom.
 func TestInBandCommandAndResponseDoNotAllocate(t *testing.T) {
 	w := newWorld(t, 3, true)
 	node := nodeID(3)
-	w.fe.Unregister(node)
-	far := &Agent{Node: node, eng: w.eng, frontend: w.fe, connected: true}
-	cmd := &Command{Node: node, Kind: KindDrain}
 	w.eng.Run(10)
 	w.fe.cfg.TimeoutFastS = 3600                // outlasts any satcom response
 	w.fe.Enactments = make([]Enactment, 0, 200) // the log's growth is not a row
+	// Nor is the dedupe map's: its growth is amortized over commands.
+	w.fe.agents[node].seen = make(map[uint64]bool, 256)
 	leg := func(inBand bool) {
 		w.fe.lastHeard[node] = w.eng.Now() // heard in-band
-		w.fe.Send(cmd, nil)
-		w.eng.Run(w.eng.Now() + 1)
-		far.connected = inBand
-		far.respond(cmd, true)
+		w.fe.Send(Command{Node: node, Kind: KindDrain, TTE: w.fe.PickTTE([]string{node})}, nil)
+		w.eng.Run(w.eng.Now() + 1) // delivered and held
+		w.ib.SetPartitioned(node, !inBand)
 		for n := len(w.fe.Enactments); len(w.fe.Enactments) == n; {
 			w.eng.Step()
 		}
+		w.ib.SetPartitioned(node, false)
 	}
 	if allocs := testing.AllocsPerRun(50, func() { leg(true); leg(false) }); allocs != 0 {
 		t.Errorf("a command and its response allocate %.0f times", allocs)
@@ -94,26 +94,36 @@ func TestInBandCommandAndResponseDoNotAllocate(t *testing.T) {
 	if channels[ChannelInBand] != 51 || channels[ChannelSatcom] != 51 {
 		t.Errorf("responses by channel %v, want 51 in-band and 51 over satcom", channels)
 	}
+	if a := w.fe.agents[node]; a.Enacted != 102 {
+		t.Errorf("the agent enacted %d commands, want 102", a.Enacted)
+	}
 }
 
-// TestRetryCycleAllocatesOnlyTheCommandCopy: a timeout, its back-off
-// and the re-dispatch run on the command row and its bound closures.
-// The one object a cycle makes is the Command copy that carries the
-// retry's fresh ID, since an agent may still hold the old one.
-func TestRetryCycleAllocatesOnlyTheCommandCopy(t *testing.T) {
-	w := newWorld(t, 2, false) // no mesh: nobody is in-band
-	w.fe.cfg.Retry.MaxAttempts = 0
-	w.fe.Send(&Command{Node: nodeID(2), Kind: KindRouteUpdate, TTE: 1}, nil)
-	cycle := func() {
-		for r := w.fe.Retries; w.fe.Retries == r; {
-			w.eng.Step()
+// TestRetryCycleDoesNotAllocate: a timeout, its back-off and the
+// re-dispatch run on the command row and its bound closures; the retry
+// re-stamps the row's command in place. A route update waits for the
+// mesh; a drain goes by satcom, riding a message row the gateway
+// delivers to a node with no agent.
+func TestRetryCycleDoesNotAllocate(t *testing.T) {
+	for _, kind := range []Kind{KindRouteUpdate, KindDrain} {
+		w := newWorld(t, 2, false) // no mesh: nobody is in-band
+		w.fe.Unregister(nodeID(2))
+		w.fe.cfg.Retry.MaxAttempts = 0
+		w.fe.Send(Command{Node: nodeID(2), Kind: kind, TTE: 1}, nil)
+		cycle := func() {
+			for r := w.fe.Retries; w.fe.Retries == r; {
+				w.eng.Step()
+			}
 		}
-	}
-	cycle()
-	if allocs := testing.AllocsPerRun(100, cycle); allocs != 1 {
-		t.Errorf("a retry cycle allocates %.0f times, want 1 (the Command copy)", allocs)
-	}
-	if livePending(w.fe) != 1 || len(w.fe.freeCmds) != 0 || w.fe.Timeouts != 102 {
-		t.Errorf("live rows %d, free %d, timeouts %d; want 1, 0, 102", livePending(w.fe), len(w.fe.freeCmds), w.fe.Timeouts)
+		cycle()
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Errorf("%v: a retry cycle allocates %.0f times, want 0", kind, allocs)
+		}
+		if livePending(w.fe) != 1 || len(w.fe.freeCmds) != 0 || w.fe.Timeouts != 102 {
+			t.Errorf("%v: live rows %d, free %d, timeouts %d; want 1, 0, 102", kind, livePending(w.fe), len(w.fe.freeCmds), w.fe.Timeouts)
+		}
+		if satcom := kind == KindDrain; satcom != (w.fe.sat.Delivered >= 101) {
+			t.Errorf("%v: %d satcom deliveries", kind, w.fe.sat.Delivered)
+		}
 	}
 }

@@ -25,7 +25,7 @@ import (
 
 // Kind classifies commands; timeouts and channel policies are per
 // kind.
-type Kind int
+type Kind uint8
 
 const (
 	// KindLinkEstablish commands a node to form a link (needs TTE
@@ -86,7 +86,10 @@ func (k Kind) WireBytes() int {
 	}
 }
 
-// Command is one CDPI instruction to one node.
+// Command is one CDPI instruction to one node. It is a value: the
+// frontend's command row, every message that carries an attempt and
+// the agent's hold each own a copy, so re-stamping a retry in place
+// leaves an earlier attempt in flight or held untouched.
 type Command struct {
 	// ID is assigned by the frontend.
 	ID uint64
@@ -97,9 +100,12 @@ type Command struct {
 	// TTE is the absolute enactment time. Nodes hold the command
 	// until TTE (GPS-synchronized clocks).
 	TTE float64
-	// Payload is opaque to the CDPI (the intent layer puts link/route
-	// descriptors here).
+	// Payload is opaque to the CDPI (the intent layer puts the link
+	// intent a link command acts on here). It holds a pointer, so a
+	// copy of the Command allocates nothing.
 	Payload interface{}
+	// Route is a route update's forwarding entry, fixed at send time.
+	Route RouteEntry
 	// Attempt counts retries.
 	Attempt int
 	// Epoch is the issuing control process's fencing epoch. Agents
@@ -111,8 +117,16 @@ type Command struct {
 	Epoch uint64
 }
 
+// RouteEntry is the forwarding state a route update programs on its
+// node: request ID's entry of generation Gen points at NextHop, or is
+// removed when NextHop is "".
+type RouteEntry struct {
+	ID, NextHop string
+	Gen         int
+}
+
 // Channel identifies how a command travelled.
-type Channel int
+type Channel uint8
 
 const (
 	// ChannelSatcom is Tier 0.

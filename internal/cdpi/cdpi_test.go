@@ -20,7 +20,7 @@ type world struct {
 }
 
 // okEnactor immediately succeeds.
-var okEnactor = EnactorFunc(func(cmd *Command, done func(bool)) { done(true) })
+var okEnactor = func(h *Hold) { h.Done(true) }
 
 func newWorld(t *testing.T, nodes int, connected bool) *world {
 	t.Helper()
@@ -71,7 +71,7 @@ func TestSendInBandFast(t *testing.T) {
 	start := w.eng.Now()
 	var doneAt float64 = -1
 	var result bool
-	cmd := &Command{Node: "hbal-003", Kind: KindRouteUpdate, TTE: w.fe.PickTTE([]string{"hbal-003"})}
+	cmd := Command{Node: "hbal-003", Kind: KindRouteUpdate, TTE: w.fe.PickTTE([]string{"hbal-003"})}
 	w.fe.Send(cmd, func(ok bool) { result = ok; doneAt = w.eng.Now() })
 	w.eng.Run(start + 60)
 	if doneAt < 0 || !result {
@@ -115,7 +115,7 @@ func TestSatcomFallback(t *testing.T) {
 	start := w.eng.Now()
 	var doneAt float64 = -1
 	var ok bool
-	cmd := &Command{Node: "hbal-001", Kind: KindLinkEstablish, TTE: w.fe.PickTTE([]string{"hbal-001"})}
+	cmd := Command{Node: "hbal-001", Kind: KindLinkEstablish, TTE: w.fe.PickTTE([]string{"hbal-001"})}
 	w.fe.Send(cmd, func(o bool) { ok = o; doneAt = w.eng.Now() })
 	w.eng.Run(start + 3600)
 	if doneAt < 0 {
@@ -134,7 +134,7 @@ func TestRouteUpdateNeverOverSatcom(t *testing.T) {
 	w := newWorld(t, 2, false) // not in-band
 	w.eng.Run(5)
 	var completed, ok bool
-	cmd := &Command{Node: "hbal-001", Kind: KindRouteUpdate}
+	cmd := Command{Node: "hbal-001", Kind: KindRouteUpdate}
 	w.fe.Send(cmd, func(o bool) { completed, ok = true, o })
 	w.eng.Run(w.eng.Now() + 600)
 	if !completed {
@@ -153,7 +153,7 @@ func TestRetryOnLostInBand(t *testing.T) {
 	w.eng.Run(10)
 	// Cut hbal-003 off right after sending; the in-band attempt dies;
 	// a retry over satcom (fresh TTE) must eventually succeed.
-	cmd := &Command{Node: "hbal-003", Kind: KindLinkEstablish, TTE: w.fe.PickTTE([]string{"hbal-003"})}
+	cmd := Command{Node: "hbal-003", Kind: KindLinkEstablish, TTE: w.fe.PickTTE([]string{"hbal-003"})}
 	var ok bool
 	var completed bool
 	w.fe.Send(cmd, func(o bool) { completed, ok = true, o })
@@ -179,17 +179,17 @@ func TestSideChannelInference(t *testing.T) {
 	w.eng.Run(5)
 	start := w.eng.Now()
 	var doneAt float64 = -1
-	enactorConnects := EnactorFunc(func(cmd *Command, done func(bool)) {
+	enactorConnects := func(h *Hold) {
 		// Enacting the link connects the node to the mesh.
 		w.net.Connect("gs-0", "hbal-001")
 		w.rt.TopologyChanged()
 		// The explicit response would take a satcom round trip; delay
 		// it far beyond the side-channel inference.
-		w.eng.After(600, func() { done(true) })
-	})
+		w.eng.After(600, func() { h.Done(true) })
+	}
 	w.fe.agents = map[string]*Agent{} // reset and re-register with the connecting enactor
 	w.fe.Register("hbal-001", enactorConnects)
-	cmd := &Command{Node: "hbal-001", Kind: KindLinkEstablish, TTE: w.fe.PickTTE([]string{"hbal-001"})}
+	cmd := Command{Node: "hbal-001", Kind: KindLinkEstablish, TTE: w.fe.PickTTE([]string{"hbal-001"})}
 	w.fe.Send(cmd, func(ok bool) { doneAt = w.eng.Now() })
 	w.eng.Run(start + 3600)
 	if doneAt < 0 {
@@ -219,12 +219,12 @@ func TestSideChannelCompletesInIDOrder(t *testing.T) {
 	node := nodeID(1)
 	var order []int
 	var follow uint64
-	sync := func() *Command { return &Command{Node: node, Kind: KindLinkEstablish, TTE: 1e6} }
+	sync := func() Command { return Command{Node: node, Kind: KindLinkEstablish, TTE: 1e6} }
 	w.fe.Send(sync(), func(bool) {
 		order = append(order, 1)
 		follow = w.fe.Send(sync(), func(bool) { order = append(order, 3) })
 	})
-	w.fe.Send(&Command{Node: node, Kind: KindDrain, TTE: 1e6}, nil)
+	w.fe.Send(Command{Node: node, Kind: KindDrain, TTE: 1e6}, nil)
 	w.fe.Send(sync(), func(bool) { order = append(order, 2) })
 	w.fe.agentConnected(node)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
@@ -246,10 +246,10 @@ func TestLateSyncCommandDropped(t *testing.T) {
 	sat := satcom.NewGateway(eng, satcom.DefaultProviders())
 	fe := NewFrontend(eng, sat, ib, DefaultFrontendConfig(), DefaultAgentConfig())
 	enacted := 0
-	a := fe.Register("hbal-001", EnactorFunc(func(cmd *Command, done func(bool)) {
+	a := fe.Register("hbal-001", func(h *Hold) {
 		enacted++
-		done(true)
-	}))
+		h.Done(true)
+	})
 	eng.Run(500) // advance well past zero so TTE-in-the-past stays positive
 	late := &Command{ID: 999, Node: "hbal-001", Kind: KindLinkEstablish, TTE: eng.Now() - 100}
 	a.receive(late, ChannelSatcom)
@@ -285,14 +285,14 @@ func TestEnactmentDistributionsInBandVsSatcom(t *testing.T) {
 	wIn := newWorld(t, 3, true)
 	wIn.eng.Run(10)
 	for i := 0; i < 30; i++ {
-		cmd := &Command{Node: "hbal-002", Kind: KindRouteUpdate, TTE: wIn.fe.PickTTE([]string{"hbal-002"})}
+		cmd := Command{Node: "hbal-002", Kind: KindRouteUpdate, TTE: wIn.fe.PickTTE([]string{"hbal-002"})}
 		wIn.fe.Send(cmd, nil)
 		wIn.eng.Run(wIn.eng.Now() + 30)
 	}
 	wSat := newWorld(t, 3, false)
 	wSat.eng.Run(10)
 	for i := 0; i < 10; i++ {
-		cmd := &Command{Node: "hbal-002", Kind: KindLinkEstablish, TTE: wSat.fe.PickTTE([]string{"hbal-002"})}
+		cmd := Command{Node: "hbal-002", Kind: KindLinkEstablish, TTE: wSat.fe.PickTTE([]string{"hbal-002"})}
 		wSat.fe.Send(cmd, nil)
 		wSat.eng.Run(wSat.eng.Now() + 2400)
 	}
@@ -324,7 +324,7 @@ func BenchmarkInBandCommand(b *testing.B) {
 	w.eng.Run(10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cmd := &Command{Node: "hbal-002", Kind: KindRouteUpdate, TTE: w.fe.PickTTE([]string{"hbal-002"})}
+		cmd := Command{Node: "hbal-002", Kind: KindRouteUpdate, TTE: w.fe.PickTTE([]string{"hbal-002"})}
 		w.fe.Send(cmd, nil)
 		w.eng.Run(w.eng.Now() + 10)
 	}

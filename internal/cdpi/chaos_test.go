@@ -19,14 +19,14 @@ func TestRetryEscalationThroughOutages(t *testing.T) {
 
 	enacted := 0
 	w.fe.agents = map[string]*Agent{}
-	w.fe.Register("hbal-003", EnactorFunc(func(cmd *Command, done func(bool)) {
+	w.fe.Register("hbal-003", func(h *Hold) {
 		enacted++
-		done(true)
-	}))
+		h.Done(true)
+	})
 	w.fe.lastHeard["hbal-003"] = w.eng.Now() // node starts in-band
 
 	var completed, ok bool
-	cmd := &Command{Node: "hbal-003", Kind: KindLinkEstablish, TTE: w.fe.PickTTE([]string{"hbal-003"})}
+	cmd := Command{Node: "hbal-003", Kind: KindLinkEstablish, TTE: w.fe.PickTTE([]string{"hbal-003"})}
 	start := w.eng.Now()
 	w.fe.Send(cmd, func(o bool) { completed, ok = true, o })
 
@@ -106,7 +106,7 @@ func TestFrontendCrashDropsPendingState(t *testing.T) {
 	w := newWorld(t, 2, true)
 	w.eng.Run(10)
 	var completed bool
-	cmd := &Command{Node: "hbal-002", Kind: KindDrain, TTE: w.fe.PickTTE([]string{"hbal-002"})}
+	cmd := Command{Node: "hbal-002", Kind: KindDrain, TTE: w.fe.PickTTE([]string{"hbal-002"})}
 	w.fe.Send(cmd, func(bool) { completed = true })
 	if livePending(w.fe) != 1 {
 		t.Fatalf("pending = %d, want 1", livePending(w.fe))
@@ -115,7 +115,7 @@ func TestFrontendCrashDropsPendingState(t *testing.T) {
 	if livePending(w.fe) != 0 {
 		t.Error("crash must wipe pending commands")
 	}
-	if id := w.fe.Send(&Command{Node: "hbal-002", Kind: KindDrain}, nil); id != 0 {
+	if id := w.fe.Send(Command{Node: "hbal-002", Kind: KindDrain}, nil); id != 0 {
 		t.Error("crashed frontend must refuse sends")
 	}
 	w.eng.Run(w.eng.Now() + 120)
@@ -131,7 +131,7 @@ func TestFrontendCrashDropsPendingState(t *testing.T) {
 		t.Error("heartbeat model must rebuild after restart")
 	}
 	var ok bool
-	w.fe.Send(&Command{Node: "hbal-002", Kind: KindDrain, TTE: w.fe.PickTTE([]string{"hbal-002"})},
+	w.fe.Send(Command{Node: "hbal-002", Kind: KindDrain, TTE: w.fe.PickTTE([]string{"hbal-002"})},
 		func(o bool) { ok = o })
 	w.eng.Run(w.eng.Now() + 120)
 	if !ok {

@@ -40,17 +40,18 @@ func DefaultFrontendConfig() FrontendConfig {
 }
 
 // Enactment records the outcome of one command for telemetry
-// (Fig. 9's enactment-time distributions).
+// (Fig. 9's enactment-time distributions). The log keeps one per
+// command for the whole run, so its fields pack into 24 bytes.
 type Enactment struct {
-	Kind        Kind
 	SubmittedAt float64
 	CompletedAt float64
-	Attempts    int
+	Kind        Kind
+	Channel     Channel
 	OK          bool
 	// Inferred marks completion learned via the in-band side channel
 	// rather than an explicit response.
 	Inferred bool
-	Channel  Channel
+	Attempts int32
 }
 
 // Latency is the submission-to-completion time.
@@ -70,9 +71,10 @@ type Frontend struct {
 
 	nextCmd uint64
 	// pending lists each node's live command rows by ascending ID.
-	pending  map[string][]*pendingCmd
-	freeCmds []*pendingCmd
-	freeMsgs []*msg
+	pending   map[string][]*pendingCmd
+	freeCmds  []*pendingCmd
+	freeMsgs  []*msg
+	freeHolds []*Hold
 
 	// down marks the frontend process crashed: incoming telemetry is
 	// not recorded and sends are refused until Restart.
@@ -96,9 +98,10 @@ type Frontend struct {
 // pendingCmd is a command-table row, from Send until its command
 // completes or the frontend crashes; its closures are bound once.
 // Completion and Crash cancel its timeout, but a queued re-dispatch
-// (retrying) holds the row until it fires, a no-op if not live.
+// (retrying) holds the row until it fires, a no-op if not live. cmd
+// is the current attempt: a retry re-stamps it in place.
 type pendingCmd struct {
-	cmd                *Command
+	cmd                Command
 	submittedAt        float64
 	attempts           int
 	timer              sim.Timer
@@ -130,23 +133,29 @@ func NewFrontend(eng *sim.Engine, sat *satcom.Gateway, ib *InBand, cfg FrontendC
 		lastHeard: make(map[string]float64),
 		pending:   make(map[string][]*pendingCmd),
 	}
-	// Satcom deliveries are dispatched to agents by node ID.
+	// A command over satcom rides its message row as the payload:
+	// delivered, it reaches the node's agent; dropped, the row is freed
+	// and the loss surfaces as the command's response timeout.
 	sat.Deliver = func(m *satcom.Message) {
-		if cmd, ok := m.Payload.(*Command); ok {
-			if a, ok := fe.agents[cmd.Node]; ok {
-				a.receive(cmd, ChannelSatcom)
-			}
+		if r, ok := m.Payload.(*msg); ok {
+			fe.arrive(r)
+		}
+	}
+	sat.OnDrop = func(m *satcom.Message, _ string) {
+		if r, ok := m.Payload.(*msg); ok {
+			fe.freeMsg(r)
 		}
 	}
 	return fe
 }
 
-// Register creates (or returns) the SDN agent for a node.
-func (fe *Frontend) Register(node string, enactor Enactor) *Agent {
+// Register creates (or returns) the SDN agent for a node; enact
+// executes the commands it holds to their TTE.
+func (fe *Frontend) Register(node string, enact func(h *Hold)) *Agent {
 	if a, ok := fe.agents[node]; ok {
 		return a
 	}
-	a := newAgent(fe.eng, fe, node, enactor, fe.agentCfg)
+	a := newAgent(fe.eng, fe, node, enact, fe.agentCfg)
 	fe.agents[node] = a
 	return a
 }
@@ -170,7 +179,7 @@ func (fe *Frontend) RebootAgent(node string) *Agent {
 		return nil
 	}
 	fe.Unregister(node)
-	return fe.Register(node, a.enactor)
+	return fe.Register(node, a.enact)
 }
 
 // Crash models the controller process dying: every in-flight
@@ -256,7 +265,8 @@ func (fe *Frontend) PickTTE(nodes []string) float64 {
 // Send dispatches a command to its node, choosing the lowest-latency
 // channel, tracking the response, and retrying on timeout with
 // channel cycling. done (optional) fires once with the final result.
-func (fe *Frontend) Send(cmd *Command, done func(ok bool)) uint64 {
+// Returns the command's ID, 0 if the frontend is down.
+func (fe *Frontend) Send(cmd Command, done func(ok bool)) uint64 {
 	if fe.down {
 		return 0 // crashed frontend accepts nothing
 	}
@@ -279,7 +289,7 @@ func (fe *Frontend) Send(cmd *Command, done func(ok bool)) uint64 {
 
 // dispatch transmits one attempt and arms its timeout.
 func (fe *Frontend) dispatch(p *pendingCmd) {
-	cmd := p.cmd
+	cmd := &p.cmd
 	useInBand := fe.InBandUp(cmd.Node)
 	if cmd.Kind.RequiresInBand() && !useInBand {
 		// Cannot go over satcom; wait a beat and retry (the node may
@@ -290,11 +300,11 @@ func (fe *Frontend) dispatch(p *pendingCmd) {
 	if useInBand {
 		fe.transmit(fe.newMsg(msgCommand, nil, cmd, false), cmd.Node, false, cmd.Kind.WireBytes())
 	} else {
-		fe.sat.Send(&satcom.Message{
+		fe.sat.Send(satcom.Message{
 			Dest: cmd.Node, Size: cmd.Kind.WireBytes(),
 			TTE:            cmd.TTE,
 			RequiresInBand: cmd.Kind.RequiresInBand(),
-			Payload:        cmd,
+			Payload:        fe.newMsg(msgCommandSat, nil, cmd, false),
 		})
 	}
 	timeout := fe.cfg.TimeoutFastS
@@ -327,14 +337,13 @@ func (fe *Frontend) timeout(p *pendingCmd) {
 	fe.Retries++
 	// Retry is a NEW command ID so the agent doesn't dedupe it ("set
 	// a new TTE, and retried the command"); the new, highest ID moves
-	// the row to the end of its node's list.
-	fe.nextCmd++
-	fresh := *p.cmd
-	fresh.ID = fe.nextCmd
-	fresh.Attempt = p.attempts
+	// the row to the end of its node's list. Earlier attempts in flight
+	// or held carry their own copies.
 	fe.unlist(p)
-	p.cmd = &fresh
-	fe.pending[fresh.Node] = append(fe.pending[fresh.Node], p)
+	fe.nextCmd++
+	p.cmd.ID = fe.nextCmd
+	p.cmd.Attempt = p.attempts
+	fe.pending[p.cmd.Node] = append(fe.pending[p.cmd.Node], p)
 	// Back off before the re-dispatch (unified capped-exponential
 	// policy with seeded jitter), picking the fresh TTE at dispatch
 	// time so it reflects channel state after the wait.
@@ -375,7 +384,7 @@ func (fe *Frontend) complete(p *pendingCmd, ok bool, via Channel, inferred bool)
 		Kind:        p.cmd.Kind,
 		SubmittedAt: p.submittedAt,
 		CompletedAt: fe.eng.Now(),
-		Attempts:    p.attempts,
+		Attempts:    int32(p.attempts),
 		OK:          ok,
 		Inferred:    inferred,
 		Channel:     via,

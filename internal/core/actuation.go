@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"minkowski/internal/cdpi"
 	"minkowski/internal/dataplane"
@@ -13,47 +12,69 @@ import (
 	"minkowski/internal/sim"
 )
 
-// linkPayload is the CDPI payload of a link command: everything a
-// node needs to form (or drop) a link — "a future enactment
-// timestamp, anticipated pointing geometry, transmit and receive
-// channel characteristics, and the identity of the intended peer."
-type linkPayload struct {
-	intent *intent.LinkIntent
-}
-
-// routePayload is the CDPI payload of a route command for one node.
-type routePayload struct {
-	routeID string
-	nextHop string // "" = remove the entry
-	gen     int
-	path    []string
-}
-
 // armState tracks a link-establishment intent across its two
 // endpoint enactments: the fabric attempt starts only when both
-// radios have armed (the synchronization the TTE exists for).
+// radios have armed (the synchronization the TTE exists for). It is a
+// row of the controller's arm table. Its give-up timer's event,
+// onTimeout, is bound once and acts for li.
 type armState struct {
-	li      *intent.LinkIntent
-	armed   map[string]bool
-	done    map[string]func(bool)
+	li *intent.LinkIntent
+	// ends are the link's two endpoints in node order.
+	ends    [2]armEnd
 	timeout sim.Timer
 	// attempt number currently in flight.
-	attempt int
+	attempt   int
+	onTimeout func()
+	// pinned rows are never reused: an event bound to one may still be
+	// queued with no handle left to cancel it.
+	pinned bool
 }
 
-// complete invokes the armed agents' completion callbacks in
-// deterministic (node-sorted) order — callback order drives RNG draw
-// order downstream, so map iteration here would break replayability.
+// armEnd is one endpoint: armed once its agent enacted the command,
+// which it holds until the attempt resolves.
+type armEnd struct {
+	node  string
+	armed bool
+	hold  *cdpi.Hold
+}
+
+// complete answers the armed agents' held enactments in node order —
+// response order drives RNG draw order downstream, so it must not
+// depend on anything but the nodes.
 func (a *armState) complete(ok bool) {
-	keys := make([]string, 0, len(a.done))
-	for k := range a.done {
-		keys = append(keys, k)
+	for i := range a.ends {
+		if h := a.ends[i].hold; h != nil {
+			a.ends[i].hold = nil
+			h.Done(ok)
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		a.done[k](ok)
+}
+
+// newArm takes an arm row off the free list, or makes one.
+func (c *Controller) newArm(li *intent.LinkIntent, attempt int) *armState {
+	var a *armState
+	if n := len(c.freeArms); n > 0 {
+		a, c.freeArms = c.freeArms[n-1], c.freeArms[:n-1]
+	} else {
+		a = &armState{}
+		a.onTimeout = func() { c.armTimeout(a) }
 	}
-	a.done = map[string]func(bool){}
+	a.li, a.attempt = li, attempt
+	a.ends[0].node, a.ends[1].node = li.NodeA, li.NodeB
+	if li.NodeB < li.NodeA {
+		a.ends[0].node, a.ends[1].node = li.NodeB, li.NodeA
+	}
+	return a
+}
+
+// freeArm returns a row whose timer was canceled to the free list,
+// unless it is pinned. Holds it still keeps are dropped unanswered.
+func (c *Controller) freeArm(a *armState) {
+	if a.pinned {
+		return
+	}
+	*a = armState{onTimeout: a.onTimeout}
+	c.freeArms = append(c.freeArms, a)
 }
 
 // actuate dispatches the reconciler's actions over the CDPI on behalf
@@ -68,14 +89,14 @@ func (c *Controller) actuate(acts intent.Actions) {
 // command dispatch funnels through here so the fault covers the acting
 // primary, the deposed rogue, and the realignment loop alike; p's
 // other planes (lease, replication, telemetry) are untouched.
-func (c *Controller) sendFor(p *ctlState, cmd *cdpi.Command, done func(bool)) {
+func (c *Controller) sendFor(p *ctlState, cmd cdpi.Command) {
 	if c.cmdDeaf[p.replica] {
 		c.obsm.cmdDeafDrops.Inc()
 		c.Obs.Rec.Event("cmd-deaf-drop", "replica="+p.replica)
 		return
 	}
 	c.obsm.dispatches.Inc()
-	c.Frontend.Send(cmd, done)
+	c.Frontend.Send(cmd, nil)
 }
 
 // actuateFor dispatches actions for one control process — the acting
@@ -111,13 +132,11 @@ func (c *Controller) commandEstablish(p *ctlState, li *intent.LinkIntent, attemp
 			c.DuplicateEstablishes++
 		}
 	}
-	nodes := []string{li.NodeA, li.NodeB}
-	tte := c.Frontend.PickTTE(nodes)
-	arm := &armState{
-		li:      li,
-		armed:   map[string]bool{},
-		done:    map[string]func(bool){},
-		attempt: attempt,
+	nodes := [2]string{li.NodeA, li.NodeB}
+	tte := c.Frontend.PickTTE(nodes[:])
+	arm := c.newArm(li, attempt)
+	if prev, ok := p.arms[li.Link]; ok {
+		prev.pinned = true // its timer stays queued
 	}
 	p.arms[li.Link] = arm
 	if attempt == 1 {
@@ -129,25 +148,25 @@ func (c *Controller) commandEstablish(p *ctlState, li *intent.LinkIntent, attemp
 	c.Log.Appendf(now, explain.EvCommand, li.Link.String(),
 		"link-establish attempt %d tte=%.0f", attempt, tte)
 	for _, node := range nodes {
-		cmd := &cdpi.Command{
+		c.sendFor(p, cdpi.Command{
 			Node: node, Kind: cdpi.KindLinkEstablish,
-			TTE: tte, Payload: &linkPayload{intent: li},
+			TTE: tte, Payload: li,
 			Epoch: p.epoch,
-		}
-		c.sendFor(p, cmd, nil)
+		})
 	}
 	// Give-up timeout: if the link is not up (or being attempted)
 	// well after the TTE plus the slowest acquisition, count the
 	// attempt as failed and retry or abandon.
 	wait := (tte - now) + 300
-	arm.timeout = c.Eng.After(wait, func() { c.armTimeout(li) })
+	arm.timeout = c.Eng.After(wait, arm.onTimeout)
 }
 
-// armTimeout fires when an establishment attempt went nowhere. The
-// owning process is re-resolved by intent pointer at fire time: a
-// promotion swaps the acting state wholesale, so a closure must never
-// capture a process reference at dispatch time.
-func (c *Controller) armTimeout(li *intent.LinkIntent) {
+// armTimeout fires when the establishment attempt of fired's intent
+// went nowhere. The owning process is re-resolved by intent pointer at
+// fire time: a promotion swaps the acting state wholesale, so an event
+// must never capture a process reference at dispatch time.
+func (c *Controller) armTimeout(fired *armState) {
+	li := fired.li
 	p, arm := c.armOwner(li)
 	if arm == nil {
 		return
@@ -157,53 +176,60 @@ func (c *Controller) armTimeout(li *intent.LinkIntent) {
 			return // established; OnUp already handled it
 		}
 		// Still slewing/acquiring: give the radios more time rather
-		// than declaring failure under them.
-		arm.timeout = c.Eng.After(120, func() { c.armTimeout(li) })
+		// than declaring failure under them. The new event acts for
+		// fired's intent; when that is another arm's, this arm's own
+		// timer may still be queued, its handle overwritten.
+		if arm != fired {
+			arm.pinned, fired.pinned = true, true
+		}
+		arm.timeout = c.Eng.After(120, fired.onTimeout)
 		return
 	}
 	c.finishAttempt(p, li.Link, false)
 }
 
-// enact is every node agent's Enactor: it executes CDPI commands
-// against the node's radios and forwarding tables.
-func (c *Controller) enact(node string, cmd *cdpi.Command, done func(bool)) {
-	switch p := cmd.Payload.(type) {
-	case *linkPayload:
-		switch cmd.Kind {
-		case cdpi.KindLinkEstablish:
-			c.enactEstablish(node, p.intent, done)
-		case cdpi.KindLinkWithdraw:
-			c.enactWithdraw(node, p.intent, done)
-		default:
-			done(false)
-		}
-	case *routePayload:
-		if p.nextHop == "" {
-			c.Data.RemoveEntry(node, p.routeID, p.gen)
+// enact is every node agent's enact function: it executes a held CDPI
+// command against the node's radios and forwarding tables.
+func (c *Controller) enact(h *cdpi.Hold) {
+	cmd := &h.Cmd
+	switch cmd.Kind {
+	case cdpi.KindLinkEstablish:
+		c.enactEstablish(cmd.Node, cmd.Payload.(*intent.LinkIntent), h)
+	case cdpi.KindLinkWithdraw:
+		// First enactment wins; the second is a no-op.
+		c.Fabric.Withdraw(cmd.Payload.(*intent.LinkIntent).Link)
+		h.Done(true)
+	case cdpi.KindRouteUpdate:
+		if r := cmd.Route; r.NextHop == "" {
+			c.Data.RemoveEntry(cmd.Node, r.ID, r.Gen)
 		} else {
-			c.Data.InstallEntry(node, p.routeID, p.nextHop, p.gen)
-			c.checkRouteProgrammed(p.routeID)
+			c.Data.InstallEntry(cmd.Node, r.ID, r.NextHop, r.Gen)
+			c.checkRouteProgrammed(r.ID)
 		}
-		done(true)
+		h.Done(true)
 	default:
 		// Drains and other node-level commands succeed trivially.
-		done(true)
+		h.Done(true)
 	}
 }
 
 // enactEstablish arms one endpoint; when both endpoints are armed the
 // radios begin the slew/search sequence.
-func (c *Controller) enactEstablish(node string, li *intent.LinkIntent, done func(bool)) {
+func (c *Controller) enactEstablish(node string, li *intent.LinkIntent, h *cdpi.Hold) {
 	p, arm := c.armOwner(li)
 	if arm == nil {
 		// The intent was superseded (withdrawn/failed) — or its
 		// issuing process died — before this command arrived.
-		done(false)
+		h.Done(false)
 		return
 	}
-	arm.armed[node] = true
-	arm.done[node] = done
-	if !arm.armed[li.NodeA] || !arm.armed[li.NodeB] {
+	// The end is the node's: one link ID, one pair of nodes.
+	e := &arm.ends[0]
+	if e.node != node {
+		e = &arm.ends[1]
+	}
+	e.armed, e.hold = true, h
+	if !arm.ends[0].armed || !arm.ends[1].armed {
 		return // waiting for the peer's enactment
 	}
 	// Both endpoints armed: start the physical attempt. If the
@@ -232,13 +258,6 @@ func (c *Controller) enactEstablish(node string, li *intent.LinkIntent, done fun
 	p.Intents.MarkInstalling(li.Link, c.Eng.Now())
 }
 
-// enactWithdraw drops the link from one endpoint (first enactment
-// wins; the second is a no-op).
-func (c *Controller) enactWithdraw(node string, li *intent.LinkIntent, done func(bool)) {
-	c.Fabric.Withdraw(li.Link) // no-op if already gone
-	done(true)
-}
-
 // commandWithdraw sends the teardown commands — the *predictive*
 // path: a planned withdrawal the network can route around before the
 // physics force the issue.
@@ -249,15 +268,16 @@ func (c *Controller) commandWithdraw(p *ctlState, li *intent.LinkIntent) {
 	if arm, ok := p.arms[li.Link]; ok {
 		arm.timeout.Cancel()
 		delete(p.arms, li.Link)
+		c.freeArm(arm)
 	}
-	tte := c.Frontend.PickTTE([]string{li.NodeA, li.NodeB})
-	for _, node := range []string{li.NodeA, li.NodeB} {
-		cmd := &cdpi.Command{
+	nodes := [2]string{li.NodeA, li.NodeB}
+	tte := c.Frontend.PickTTE(nodes[:])
+	for _, node := range nodes {
+		c.sendFor(p, cdpi.Command{
 			Node: node, Kind: cdpi.KindLinkWithdraw,
-			TTE: tte, Payload: &linkPayload{intent: li},
+			TTE: tte, Payload: li,
 			Epoch: p.epoch,
-		}
-		c.sendFor(p, cmd, nil)
+		})
 	}
 	// If neither endpoint is reachable the fabric link (if any) will
 	// fail on its own; mark the intent withdrawn when the fabric
@@ -279,17 +299,16 @@ func (c *Controller) commandRouteProgram(p *ctlState, ri *intent.RouteIntent) {
 	c.Log.Appendf(c.Eng.Now(), explain.EvRouteIntent, ri.ID, "program gen %d path %v", ri.Generation, ri.Path)
 	for i := 0; i < len(ri.Path)-1; i++ {
 		node, next := ri.Path[i], ri.Path[i+1]
-		tte := c.Frontend.PickTTE([]string{node})
+		tte := c.Frontend.PickTTE(ri.Path[i : i+1])
 		if ri.Generation > 1 {
 			tte += c.Eng.RNG("actuation").Float64() * routeStaggerS
 		}
-		cmd := &cdpi.Command{
+		c.sendFor(p, cdpi.Command{
 			Node: node, Kind: cdpi.KindRouteUpdate,
-			TTE:     tte,
-			Payload: &routePayload{routeID: ri.ID, nextHop: next, gen: ri.Generation, path: ri.Path},
-			Epoch:   p.epoch,
-		}
-		c.sendFor(p, cmd, nil)
+			TTE:   tte,
+			Route: cdpi.RouteEntry{ID: ri.ID, NextHop: next, Gen: ri.Generation},
+			Epoch: p.epoch,
+		})
 	}
 }
 
@@ -298,13 +317,11 @@ func (c *Controller) commandRouteRemoval(p *ctlState, ri *intent.RouteIntent) {
 	p.Journal.DropRoute(ri.ID)
 	c.Log.Appendf(c.Eng.Now(), explain.EvRouteIntent, ri.ID, "remove gen %d", ri.Generation)
 	for i := 0; i < len(ri.Path)-1; i++ {
-		node := ri.Path[i]
-		cmd := &cdpi.Command{
-			Node: node, Kind: cdpi.KindRouteUpdate,
-			Payload: &routePayload{routeID: ri.ID, nextHop: "", gen: ri.Generation},
-			Epoch:   p.epoch,
-		}
-		c.sendFor(p, cmd, nil)
+		c.sendFor(p, cdpi.Command{
+			Node: ri.Path[i], Kind: cdpi.KindRouteUpdate,
+			Route: cdpi.RouteEntry{ID: ri.ID, Gen: ri.Generation},
+			Epoch: p.epoch,
+		})
 	}
 	c.Data.DropRoute(ri.ID)
 }
@@ -331,13 +348,12 @@ func (c *Controller) realignRoutes() {
 			if !c.Frontend.InBandUp(node) {
 				continue
 			}
-			cmd := &cdpi.Command{
+			c.sendFor(&c.ctlState, cdpi.Command{
 				Node: node, Kind: cdpi.KindRouteUpdate,
-				TTE:     c.Frontend.PickTTE([]string{node}),
-				Payload: &routePayload{routeID: ri.ID, nextHop: next, gen: ri.Generation, path: ri.Path},
-				Epoch:   c.epoch,
-			}
-			c.sendFor(&c.ctlState, cmd, nil)
+				TTE:   c.Frontend.PickTTE(ri.Path[i : i+1]),
+				Route: cdpi.RouteEntry{ID: ri.ID, NextHop: next, Gen: ri.Generation},
+				Epoch: c.epoch,
+			})
 		}
 	}
 }
@@ -363,6 +379,8 @@ func (c *Controller) finishAttempt(p *ctlState, id radio.LinkID, ok bool) {
 	arm.complete(ok)
 	arm.timeout.Cancel()
 	delete(p.arms, id)
+	attempt := arm.attempt
+	c.freeArm(arm)
 	if ok {
 		return
 	}
@@ -370,17 +388,17 @@ func (c *Controller) finishAttempt(p *ctlState, id radio.LinkID, ok bool) {
 	if !active {
 		return
 	}
-	if arm.attempt >= maxEstablishAttempts {
+	if attempt >= maxEstablishAttempts {
 		p.Intents.MarkFailed(id, "acquire-failed", c.Eng.Now())
 		p.Journal.DropLink(id)
 		c.Log.Append(c.Eng.Now(), explain.EvLinkState, id.String(),
-			fmt.Sprintf("abandoned after %d attempts", arm.attempt))
+			fmt.Sprintf("abandoned after %d attempts", attempt))
 		return
 	}
 	// Retry at once — "since Loon's TS-SDN lacked a feedback loop and
 	// relied on modeled data for network planning, links were retried
 	// repeatedly."
-	c.commandEstablish(p, li, arm.attempt+1)
+	c.commandEstablish(p, li, attempt+1)
 }
 
 // onLinkUp handles the fabric's link-up callback. It fans out to
@@ -400,6 +418,7 @@ func (c *Controller) onLinkUp(l *radio.Link) {
 			arm.complete(true)
 			arm.timeout.Cancel()
 			delete(p.arms, l.ID)
+			c.freeArm(arm)
 		}
 	}
 	c.Log.Append(now, explain.EvLinkState, l.ID.String(), "established")

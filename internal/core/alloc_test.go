@@ -5,6 +5,8 @@ package core
 import (
 	"runtime"
 	"testing"
+
+	"minkowski/internal/intent"
 )
 
 // TestBackhaulRefreshDoesNotAllocate: releasing a balloon's backhaul
@@ -28,30 +30,66 @@ func TestBackhaulRefreshDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// mallocsPerSimHourCeiling is the whole-run allocation gate: the count
-// the canonical run measured when control-plane traffic became table
-// rows (29,790 per sim-hour over its first two hours on amd64, go1.24),
-// plus 10 %. The same two hours made 67,533 before.
-const mallocsPerSimHourCeiling = 32_769
+// TestArmRowsDoNotAllocate: an establishment attempt's arm is a reused
+// row: taking one, arming its give-up timer (an event bound once) and
+// both ends, answering them and freeing it allocate nothing once warm.
+func TestArmRowsDoNotAllocate(t *testing.T) {
+	c := New(fastConfig(1))
+	li := &intent.LinkIntent{NodeA: "hbal-002", NodeB: "hbal-001"}
+	cycle := func() {
+		arm := c.newArm(li, 1)
+		arm.timeout = c.Eng.After(300, arm.onTimeout)
+		arm.ends[0].armed, arm.ends[1].armed = true, true
+		arm.complete(true)
+		arm.timeout.Cancel()
+		c.freeArm(arm)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("an arm row's cycle allocates %.0f times, want 0", allocs)
+	}
+	if arm := c.newArm(li, 1); arm.ends[0].node != "hbal-001" || arm.ends[1].node != "hbal-002" || len(c.freeArms) != 0 {
+		t.Errorf("ends %+v, %d free rows; want the one row, its ends in node order", arm.ends, len(c.freeArms))
+	}
+}
 
-// TestWholeRunMallocsPerSimHour runs the canonical 21-balloon scenario
-// for two sim-hours and fails if its heap allocations per sim-hour
-// exceed the ceiling: a count gate, so that a per-message or per-sample
-// allocation creeping back into a real run shows as a number.
+// The whole-run allocation gates: mallocs per sim-hour the canonical
+// scenario measured (amd64, go1.24) once commands, agent enactments,
+// satcom messages and enact spans became reused rows, plus 10 %: 16,575
+// over the 21-balloon run's first two hours (29,778 before) and 62,590
+// over the 56-balloon run's first hour (182,532 before).
+const (
+	mallocsPerSimHourCeiling   = 18_233
+	mallocsPerSimHourCeiling56 = 68_849
+)
+
+// TestWholeRunMallocsPerSimHour runs the canonical scenario, 21
+// balloons for two sim-hours and 56 for one, and fails if its heap
+// allocations per sim-hour exceed the ceiling: a count gate, so that a
+// per-message or per-sample allocation creeping back into a real run
+// shows as a number.
 func TestWholeRunMallocsPerSimHour(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 1
-	cfg.FleetSize = 21
-	c := New(cfg)
-	const hours = 2
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	c.RunHours(hours)
-	runtime.ReadMemStats(&after)
-	perHour := float64(after.Mallocs-before.Mallocs) / hours
-	t.Logf("%.0f mallocs per sim-hour (ceiling %d)", perHour, mallocsPerSimHourCeiling)
-	if perHour > mallocsPerSimHourCeiling {
-		t.Errorf("%.0f mallocs per sim-hour, ceiling %d", perHour, mallocsPerSimHourCeiling)
+	for _, leg := range []struct {
+		fleet   int
+		hours   float64
+		ceiling float64
+	}{
+		{21, 2, mallocsPerSimHourCeiling},
+		{56, 1, mallocsPerSimHourCeiling56},
+	} {
+		cfg := DefaultConfig()
+		cfg.Seed = 1
+		cfg.FleetSize = leg.fleet
+		c := New(cfg)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c.RunHours(leg.hours)
+		runtime.ReadMemStats(&after)
+		perHour := float64(after.Mallocs-before.Mallocs) / leg.hours
+		t.Logf("%d balloons: %.0f mallocs per sim-hour (ceiling %.0f)", leg.fleet, perHour, leg.ceiling)
+		if perHour > leg.ceiling {
+			t.Errorf("%d balloons: %.0f mallocs per sim-hour, ceiling %.0f", leg.fleet, perHour, leg.ceiling)
+		}
 	}
 }

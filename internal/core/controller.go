@@ -109,6 +109,9 @@ type Controller struct {
 	// rogue is the deposed ex-primary's still-running control process
 	// during a controller partition (nil otherwise).
 	rogue *ctlState
+	// freeArms holds arm rows no queued event can reach, for reuse by
+	// any control process.
+	freeArms []*armState
 	// actingID / standbyID name which replica holds each role.
 	actingID, standbyID string
 	// standbyDown marks the standby seat empty (replica dead, or not
@@ -470,9 +473,7 @@ func (c *Controller) stepFleet(dt float64) {
 // registerNode attaches a CDPI agent to a node.
 func (c *Controller) registerNode(n *platform.Node) {
 	node := n.ID
-	a := c.Frontend.Register(node, cdpi.EnactorFunc(func(cmd *cdpi.Command, done func(bool)) {
-		c.enact(node, cmd, done)
-	}))
+	a := c.Frontend.Register(node, c.enact)
 	c.attachReporter(a)
 	// Seed the plausibility gate with the controller's own model, so a
 	// byzantine node cannot poison the reference with its first report.
@@ -604,11 +605,10 @@ func (c *Controller) solveCycle() {
 // snapshot records the current physical+logical state.
 func (c *Controller) snapshot(plan *solver.Plan) {
 	snap := explain.Snapshot{
-		At:        c.Eng.Now(),
-		Intents:   map[string]string{},
-		Routes:    map[string][]string{},
-		Positions: map[string]geo.LLA{},
-		Value:     plan.Utility,
+		At:      c.Eng.Now(),
+		Intents: map[string]string{},
+		Routes:  map[string][]string{},
+		Value:   plan.Utility,
 	}
 	for _, l := range c.Fabric.UpLinks() {
 		snap.Links = append(snap.Links, l.ID.String())
@@ -618,9 +618,6 @@ func (c *Controller) snapshot(plan *solver.Plan) {
 	}
 	for _, ri := range c.Intents.ActiveRoutes() {
 		snap.Routes[ri.ID] = ri.Path
-	}
-	for _, n := range c.Fleet.Nodes() {
-		snap.Positions[n.ID] = n.Position()
 	}
 	c.Scrubber.Record(snap)
 }

@@ -134,8 +134,8 @@ func TestEventLogAndScrubber(t *testing.T) {
 	if !ok {
 		t.Fatal("no snapshot at t=1h")
 	}
-	if len(snap.Positions) == 0 {
-		t.Error("snapshot has no positions")
+	if len(snap.Intents) == 0 || len(snap.Links) == 0 {
+		t.Errorf("snapshot has %d intents and %d links, want some of each", len(snap.Intents), len(snap.Links))
 	}
 }
 

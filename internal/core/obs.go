@@ -124,7 +124,7 @@ func (c *Controller) onEnactment(e cdpi.Enactment) {
 	sp := c.Obs.Tracer.Current().ChildAt("enact", e.SubmittedAt)
 	sp.SetAttr("kind", e.Kind.String())
 	sp.SetAttr("channel", e.Channel.String())
-	sp.SetAttrInt("attempts", e.Attempts)
+	sp.SetAttrInt("attempts", int(e.Attempts))
 	sp.SetAttrBool("ok", e.OK)
 	if e.Inferred {
 		sp.SetAttrBool("inferred", true)

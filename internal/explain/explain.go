@@ -119,8 +119,6 @@ type Snapshot struct {
 	Intents map[string]string
 	// Routes maps request → node path.
 	Routes map[string][]string
-	// Positions maps node → position.
-	Positions map[string]geo.LLA
 	// Value is the solver's utility for the active plan (observation
 	// 4: "identify a metric for the value of each given network
 	// solution").

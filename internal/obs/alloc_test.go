@@ -53,3 +53,38 @@ func TestRecorderEventDoesNotAllocate(t *testing.T) {
 		t.Fatal("the full ring evicted nothing")
 	}
 }
+
+// TestEnactSpanDoesNotAllocate: with the recorder on, a warm solve
+// cycle of enact spans — StartCycle, ChildAt on the open cycle, an
+// enact span's attributes, EndSpan and its flight record — allocates
+// nothing: it reuses the spans of the cycle it evicts, with their
+// attribute and child storage.
+func TestEnactSpanDoesNotAllocate(t *testing.T) {
+	clock := 0.0
+	o := New(Config{Enabled: true, CycleCap: 2, FlightCap: 64}, func() float64 { return clock })
+	cycle := func() {
+		clock += 60
+		root := o.Tracer.StartCycle("solve-cycle")
+		root.SetAttrInt("cycle", 7)
+		for i := 0; i < 20; i++ {
+			sp := o.Tracer.Current().ChildAt("enact", clock-30)
+			sp.SetAttr("kind", "link-establish")
+			sp.SetAttr("channel", "in-band")
+			sp.SetAttrInt("attempts", 2)
+			sp.SetAttrBool("ok", true)
+			sp.SetAttrBool("inferred", true)
+			sp.EndSpan()
+		}
+		root.EndSpan()
+	}
+	for c := 0; c < 3; c++ { // the third cycle evicts the first
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a cycle of enact spans allocates %.0f times, want 0", allocs)
+	}
+	d := o.Rec.Dump()
+	if last := d.Records[len(d.Records)-2]; last.Kind != "span" || last.Name != "enact" || last.Detail != "dur=30" {
+		t.Errorf("flight record %+v, want the last enact span with dur=30", last)
+	}
+}

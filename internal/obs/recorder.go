@@ -3,13 +3,17 @@ package obs
 import "strconv"
 
 // Record is one flight-recorder entry. Kind is "span", "event", or
-// "metric"; Detail is a pre-formatted string (strconv, never fmt).
+// "metric"; Detail is a pre-formatted string (strconv, never fmt). A
+// span record keeps its duration as a number in the ring; Dump formats
+// it into Detail.
 type Record struct {
 	T       float64 `json:"t"`
 	Replica string  `json:"replica,omitempty"`
 	Kind    string  `json:"kind"`
 	Name    string  `json:"name"`
 	Detail  string  `json:"detail,omitempty"`
+
+	dur float64
 }
 
 // FlightDump is the "black box" attached to chaos violations: the
@@ -85,8 +89,7 @@ func (r *Recorder) spanDone(s *Span) {
 	if r == nil || !r.enabled {
 		return
 	}
-	r.push(Record{Kind: "span", Name: s.Name,
-		Detail: "dur=" + strconv.FormatFloat(s.End-s.Start, 'g', -1, 64)})
+	r.push(Record{Kind: "span", Name: s.Name, dur: s.End - s.Start})
 }
 
 // Dump exports the records inside the lookback window, oldest first.
@@ -101,6 +104,9 @@ func (r *Recorder) Dump() *FlightDump {
 	cutoff := at - r.window
 	emit := func(rec Record) {
 		if rec.T >= cutoff {
+			if rec.Kind == "span" {
+				rec.Detail, rec.dur = "dur="+strconv.FormatFloat(rec.dur, 'g', -1, 64), 0
+			}
 			d.Records = append(d.Records, rec)
 		}
 	}

@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 func newTestObs(enabled bool, clock *float64) *Obs {
 	return New(Config{Enabled: enabled, CycleCap: 3}, func() float64 { return *clock })
@@ -92,5 +95,39 @@ func TestSpanCompletionFeedsRecorder(t *testing.T) {
 	r := d.Records[0]
 	if r.Kind != "span" || r.Name != "cycle" || r.Detail != "dur=2.5" || r.T != 2.5 {
 		t.Fatalf("record = %+v", r)
+	}
+}
+
+// TestTreesNeverChangeUnderCaller: the trees Trees returned stay as
+// they were while the tracer evicts their cycles and reuses the spans.
+func TestTreesNeverChangeUnderCaller(t *testing.T) {
+	clock := 0.0
+	o := newTestObs(true, &clock)
+	cycle := func(i int) {
+		clock += 10
+		s := o.Tracer.StartCycle("cycle")
+		s.SetAttrInt("n", i)
+		c := s.ChildAt("enact", clock-5)
+		c.SetAttr("kind", "drain")
+		c.EndSpan()
+		s.EndSpan()
+	}
+	for i := 0; i < 3; i++ {
+		cycle(i)
+	}
+	trees := o.Tracer.Trees()
+	before, err := json.Marshal(trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 3; i < 10; i++ {
+		cycle(i)
+	}
+	after, _ := json.Marshal(trees)
+	if string(before) != string(after) {
+		t.Errorf("returned trees changed:\nbefore %s\nafter  %s", before, after)
+	}
+	if now, _ := json.Marshal(o.Tracer.Trees()); string(now) == string(before) {
+		t.Error("the tracer's own trees did not move on")
 	}
 }

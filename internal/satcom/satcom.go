@@ -15,12 +15,15 @@ package satcom
 
 import (
 	"math"
+	"math/rand"
 
 	"minkowski/internal/backoff"
 	"minkowski/internal/sim"
 )
 
-// Message is one control-plane datagram.
+// Message is one control-plane datagram. Send copies it into a row of
+// the gateway's message table; the row handed to Deliver or OnDrop is
+// valid only during that call.
 type Message struct {
 	// ID is assigned by the gateway.
 	ID uint64
@@ -38,6 +41,10 @@ type Message struct {
 	Payload interface{}
 	// Attempts counts gateway transmission tries (outage requeues).
 	Attempts int
+
+	// deliver and retransmit, bound once when the row is made, are the
+	// row's one queued event: its arrival, or its requeued attempt.
+	deliver, retransmit func()
 }
 
 // Provider is one satellite messaging service.
@@ -58,6 +65,9 @@ type Provider struct {
 	// nextFree[node] is when the provider can next transmit to a
 	// node.
 	nextFree map[string]float64
+	// rng is the provider's latency stream, resolved on its first
+	// draw: seeding a source is costly, and a run may never need it.
+	rng *rand.Rand
 }
 
 // DefaultProviders returns the two services: a LEO IoT network
@@ -98,13 +108,14 @@ type Gateway struct {
 	providers []*Provider
 
 	// Deliver is invoked when a message reaches its destination
-	// node's satcom modem.
+	// node's satcom modem. m's row is reused once Deliver returns.
 	Deliver func(m *Message)
 	// OnDrop is invoked when the gateway discards a message (TTE
-	// infeasible or requires in-band). The production system had no
-	// such prompt notification — the TS-SDN relied on timeouts — so
-	// the default frontend ignores it; the ablation benches wire it
-	// up to measure what notification would have saved.
+	// infeasible or requires in-band); m's row is reused once OnDrop
+	// returns. The production system had no such prompt notification —
+	// the TS-SDN relied on timeouts — so the CDPI frontend uses it only
+	// to free what the message carried, and still learns of the loss
+	// by timeout.
 	OnDrop func(m *Message, why string)
 
 	// Retry governs requeues while every provider is in outage
@@ -115,6 +126,7 @@ type Gateway struct {
 	// maintenance); down providers accept no new transmissions but
 	// in-flight messages still arrive.
 	down map[string]bool
+	free []*Message
 
 	nextID uint64
 	// Counters.
@@ -170,14 +182,25 @@ func (g *Gateway) Available() bool {
 // full outage the message is queued and retried on the gateway's
 // backoff policy until a provider returns or its TTE becomes
 // infeasible.
-func (g *Gateway) Send(m *Message) (uint64, bool) {
+func (g *Gateway) Send(msg Message) (uint64, bool) {
+	var m *Message // a free row, or a new one with its events bound
+	if n := len(g.free); n > 0 {
+		m, g.free = g.free[n-1], g.free[:n-1]
+	} else {
+		m = &Message{}
+		m.deliver = func() { g.arrive(m) }
+		m.retransmit = func() { g.transmit(m) }
+	}
+	msg.deliver, msg.retransmit = m.deliver, m.retransmit
+	*m = msg
 	g.nextID++
-	m.ID = g.nextID
+	id := g.nextID
+	m.ID = id
 	if m.RequiresInBand {
 		g.drop(m, "requires-in-band")
-		return m.ID, false
+		return id, false
 	}
-	return m.ID, g.transmit(m)
+	return id, g.transmit(m)
 }
 
 // transmit performs one transmission attempt (initial or requeued).
@@ -210,15 +233,22 @@ func (g *Gateway) transmit(m *Message) bool {
 	}
 	txAt := math.Max(now, best.nextFree[m.Dest])
 	best.nextFree[m.Dest] = txAt + best.PerNodeIntervalS
-	oneWay := best.DrawOneWay(g.eng.RNG("satcom-" + best.Name))
+	if best.rng == nil {
+		best.rng = g.eng.RNG("satcom-" + best.Name)
+	}
+	oneWay := best.DrawOneWay(best.rng)
 	g.Sent++
-	g.eng.At(txAt+oneWay, func() {
-		g.Delivered++
-		if g.Deliver != nil {
-			g.Deliver(m)
-		}
-	})
+	g.eng.At(txAt+oneWay, m.deliver)
 	return true
+}
+
+// arrive hands m to Deliver, then frees its row.
+func (g *Gateway) arrive(m *Message) {
+	g.Delivered++
+	if g.Deliver != nil {
+		g.Deliver(m)
+	}
+	g.release(m)
 }
 
 // requeue schedules a retry during a full outage, or drops the
@@ -234,13 +264,21 @@ func (g *Gateway) requeue(m *Message) bool {
 		return false
 	}
 	g.Requeued++
-	g.eng.After(delay, func() { g.transmit(m) })
+	g.eng.After(delay, m.retransmit)
 	return true
 }
 
+// release returns a row no queued event can reach to the free list.
+func (g *Gateway) release(m *Message) {
+	*m = Message{deliver: m.deliver, retransmit: m.retransmit}
+	g.free = append(g.free, m)
+}
+
+// drop discards m: OnDrop sees it, then its row is freed.
 func (g *Gateway) drop(m *Message, why string) {
 	g.Dropped++
 	if g.OnDrop != nil {
 		g.OnDrop(m, why)
 	}
+	g.release(m)
 }

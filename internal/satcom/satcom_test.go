@@ -11,8 +11,8 @@ func TestDeliveryAndCallback(t *testing.T) {
 	eng := sim.New(1)
 	g := NewGateway(eng, DefaultProviders())
 	var got *Message
-	g.Deliver = func(m *Message) { got = m }
-	id, ok := g.Send(&Message{Dest: "hbal-001", Size: 512})
+	g.Deliver = func(m *Message) { cp := *m; got = &cp }
+	id, ok := g.Send(Message{Dest: "hbal-001", Size: 512})
 	if !ok || id == 0 {
 		t.Fatal("send rejected")
 	}
@@ -50,7 +50,7 @@ func TestLatencyDistributionMatchesPaper(t *testing.T) {
 				done = true
 			}
 		}
-		g.Send(&Message{Dest: dest, Size: 512})
+		g.Send(Message{Dest: dest, Size: 512})
 		eng.Run(eng.Now() + 4000)
 	}
 	sort.Float64s(rtts)
@@ -78,7 +78,7 @@ func TestPerNodeRateLimit(t *testing.T) {
 	// Burst of 5 messages to the same balloon: the gateway must space
 	// transmissions by the per-node interval across both providers.
 	for i := 0; i < 5; i++ {
-		g.Send(&Message{Dest: "hbal-001", Size: 1024})
+		g.Send(Message{Dest: "hbal-001", Size: 1024})
 	}
 	eng.Run(3600)
 	if len(deliveries) != 5 {
@@ -99,9 +99,9 @@ func TestTTEDrop(t *testing.T) {
 	var droppedWhy string
 	g.OnDrop = func(m *Message, why string) { droppedWhy = why }
 	// TTE 5 s in the future: no provider can make it.
-	_, ok := g.Send(&Message{Dest: "hbal-001", Size: 512, TTE: eng.Now() + 5})
-	if ok {
-		t.Error("infeasible TTE must be dropped")
+	id, ok := g.Send(Message{Dest: "hbal-001", Size: 512, TTE: eng.Now() + 5})
+	if ok || id != 1 {
+		t.Errorf("Send = %d, %v; want message 1 dropped: no provider meets its TTE", id, ok)
 	}
 	if droppedWhy != "tte-infeasible" {
 		t.Errorf("drop reason = %q", droppedWhy)
@@ -116,7 +116,7 @@ func TestTTEFeasibleAccepted(t *testing.T) {
 	g := NewGateway(eng, DefaultProviders())
 	delivered := false
 	g.Deliver = func(m *Message) { delivered = true }
-	_, ok := g.Send(&Message{Dest: "hbal-001", Size: 512, TTE: eng.Now() + 600})
+	_, ok := g.Send(Message{Dest: "hbal-001", Size: 512, TTE: eng.Now() + 600})
 	if !ok {
 		t.Fatal("10-minute TTE should be feasible")
 	}
@@ -131,8 +131,8 @@ func TestRequiresInBandDrop(t *testing.T) {
 	g := NewGateway(eng, DefaultProviders())
 	var why string
 	g.OnDrop = func(m *Message, w string) { why = w }
-	if _, ok := g.Send(&Message{Dest: "hbal-001", RequiresInBand: true}); ok {
-		t.Error("in-band-only message must be dropped by the satcom gateway")
+	if id, ok := g.Send(Message{Dest: "hbal-001", RequiresInBand: true}); ok || id != 1 {
+		t.Errorf("Send = %d, %v; want message 1 dropped by the satcom gateway (in-band only)", id, ok)
 	}
 	if why != "requires-in-band" {
 		t.Errorf("drop reason = %q", why)
@@ -145,8 +145,8 @@ func TestProviderSpreading(t *testing.T) {
 	eng := sim.New(1)
 	providers := DefaultProviders()
 	g := NewGateway(eng, providers)
-	g.Send(&Message{Dest: "x", Size: 100})
-	g.Send(&Message{Dest: "x", Size: 100})
+	g.Send(Message{Dest: "x", Size: 100})
+	g.Send(Message{Dest: "x", Size: 100})
 	// Both providers should now have a nextFree entry for x.
 	usedBoth := providers[0].nextFree["x"] > 0 && providers[1].nextFree["x"] > 0
 	if !usedBoth {
@@ -166,11 +166,11 @@ func TestDeterminism(t *testing.T) {
 		var times []float64
 		g.Deliver = func(m *Message) { times = append(times, eng.Now()) }
 		for i := 0; i < 10; i++ {
-			g.Send(&Message{Dest: "hbal-001", Size: 100})
+			g.Send(Message{Dest: "hbal-001", Size: 100})
 		}
 		g.SetProviderDown("all", true)
 		for i := 0; i < 10; i++ {
-			g.Send(&Message{Dest: "hbal-002", Size: 100})
+			g.Send(Message{Dest: "hbal-002", Size: 100})
 		}
 		eng.At(600, func() { g.SetProviderDown("all", false) })
 		eng.Run(7200)
@@ -190,12 +190,43 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestMessageRowsStayInert: a message row is reused only once its one
+// queued event has fired or it was dropped. A message requeued through
+// an outage keeps its row while another is dropped and a third is sent
+// on the dropped one's row, and each lands as it was sent.
+func TestMessageRowsStayInert(t *testing.T) {
+	eng := sim.New(1)
+	g := NewGateway(eng, DefaultProviders())
+	var delivered []Message
+	g.Deliver = func(m *Message) { delivered = append(delivered, *m) }
+	var dropped []uint64
+	g.OnDrop = func(m *Message, _ string) { dropped = append(dropped, m.ID) }
+	g.SetProviderDown("all", true)
+	g.Send(Message{Dest: "hbal-001", Payload: "a"})                       // requeued
+	g.Send(Message{Dest: "hbal-002", Payload: "b", RequiresInBand: true}) // dropped
+	g.Send(Message{Dest: "hbal-003", Payload: "c"})                       // requeued, on b's row
+	eng.At(60, func() { g.SetProviderDown("all", false) })
+	eng.Run(3600)
+	if len(dropped) != 1 || dropped[0] != 2 {
+		t.Errorf("dropped %v, want [2]", dropped)
+	}
+	sort.Slice(delivered, func(i, j int) bool { return delivered[i].ID < delivered[j].ID })
+	if len(delivered) != 2 ||
+		delivered[0].ID != 1 || delivered[0].Dest != "hbal-001" || delivered[0].Payload != "a" ||
+		delivered[1].ID != 3 || delivered[1].Dest != "hbal-003" || delivered[1].Payload != "c" {
+		t.Errorf("delivered %+v, want messages 1 and 3 as sent", delivered)
+	}
+	if len(g.free) != 2 || g.Requeued < 2 {
+		t.Errorf("free rows %d, requeued %d; want 2 rows for 3 messages, both live ones requeued", len(g.free), g.Requeued)
+	}
+}
+
 func BenchmarkSend(b *testing.B) {
 	eng := sim.New(1)
 	g := NewGateway(eng, DefaultProviders())
 	g.Deliver = func(m *Message) {}
 	for i := 0; i < b.N; i++ {
-		g.Send(&Message{Dest: "hbal-001", Size: 512})
+		g.Send(Message{Dest: "hbal-001", Size: 512})
 		if i%100 == 99 {
 			eng.Run(eng.Now() + 10000)
 		}
