@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"minkowski"
 	"minkowski/internal/explain"
@@ -59,20 +58,16 @@ func run(args []string, stdout io.Writer) error {
 		scrubAt = sim.Now()
 	}
 	// 1. State at the scrub point.
-	if snap, ok := sim.StateAt(scrubAt); ok {
-		printState(stdout, scrubAt, snap)
+	if st, ok := sim.StateAt(scrubAt); ok {
+		printState(stdout, scrubAt, st)
 	} else {
 		fmt.Fprintln(stdout, "no snapshot recorded yet")
 	}
 	// 2. Change-log.
-	f := explain.Filter{Kind: explain.EventKind(*kind), Subject: *subject, To: scrubAt}
+	f := explain.Filter{Kind: *kind, Subject: *subject, To: scrubAt}
 	events := sim.Events(f)
 	fmt.Fprintf(stdout, "\n== change log (%d matching events, last %d) ==\n", len(events), *limit)
-	start := 0
-	if len(events) > *limit {
-		start = len(events) - *limit
-	}
-	for _, e := range events[start:] {
+	for _, e := range events[max(0, len(events)-*limit):] {
 		fmt.Fprintln(stdout, e)
 	}
 	// 3. Why-not.
@@ -82,22 +77,16 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// printState renders a scrubber snapshot: installed links in recorded
-// order, routes by request ID (Snapshot.Routes is a map; the output is
-// byte-identical for one snapshot).
-func printState(w io.Writer, scrubAt float64, snap explain.Snapshot) {
-	fmt.Fprintf(w, "== state at t=%.0fs (snapshot t=%.0fs, plan value %.0f) ==\n", scrubAt, snap.At, snap.Value)
-	fmt.Fprintf(w, "installed links (%d):\n", len(snap.Links))
-	for _, l := range snap.Links {
-		fmt.Fprintf(w, "  %s [%s]\n", l, snap.Intents[l])
+// printState renders a scrubbed state: installed links in link-ID
+// order, routes by request ID.
+func printState(w io.Writer, scrubAt float64, st explain.State) {
+	fmt.Fprintf(w, "== state at t=%.0fs (snapshot t=%.0fs, plan value %.0f) ==\n", scrubAt, st.At, st.Value)
+	fmt.Fprintf(w, "installed links (%d):\n", len(st.Links))
+	for _, l := range st.Links {
+		fmt.Fprintf(w, "  %s [%s]\n", l.ID, l.Intent)
 	}
-	fmt.Fprintf(w, "routes (%d):\n", len(snap.Routes))
-	ids := make([]string, 0, len(snap.Routes))
-	for id := range snap.Routes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		fmt.Fprintf(w, "  %s: %v\n", id, snap.Routes[id])
+	fmt.Fprintf(w, "routes (%d):\n", len(st.Routes))
+	for _, r := range st.Routes {
+		fmt.Fprintf(w, "  %s: %v\n", r.ID, r.Path)
 	}
 }

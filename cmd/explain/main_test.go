@@ -9,42 +9,40 @@ import (
 	"testing"
 
 	"minkowski/internal/explain"
+	"minkowski/internal/radio"
 )
 
-// TestPrintStateIsByteStable: Snapshot.Routes is a map, and this
-// repository's contract is byte-identical output — every rendering of
-// one snapshot must be the same bytes, routes in request-ID order.
+// TestPrintStateIsByteStable: the scrubbed state arrives as ordered
+// slices, and this repository's contract is byte-identical output —
+// every rendering of one state is the same bytes, links in link-ID
+// order with their intent and routes in request-ID order.
 func TestPrintStateIsByteStable(t *testing.T) {
-	snap := explain.Snapshot{
+	st := explain.State{
 		At: 5400, Value: 350e6,
-		Links:   []string{"gs-0/xcvr-0|hbal-001/xcvr-1"},
-		Intents: map[string]string{"gs-0/xcvr-0|hbal-001/xcvr-1": "installed"},
-		Routes:  map[string][]string{},
+		Links: []explain.Installed{
+			{ID: radio.MakeLinkID("gs-0/xcvr-0", "hbal-001/xcvr-1"), Intent: "established"},
+			{ID: radio.MakeLinkID("hbal-001/xcvr-0", "hbal-002/xcvr-0")},
+		},
 	}
-	for i := 7; i >= 1; i-- {
-		id := fmt.Sprintf("backhaul/hbal-%03d", i)
-		snap.Routes[id] = []string{fmt.Sprintf("hbal-%03d", i), "hbal-001", "gs-0"}
+	for i := 1; i <= 2; i++ {
+		st.Routes = append(st.Routes, explain.Route{
+			ID: fmt.Sprintf("backhaul/hbal-%03d", i), Path: []string{fmt.Sprintf("hbal-%03d", i), "gs-0"},
+		})
 	}
-	render := func() string {
+	const want = `== state at t=5460s (snapshot t=5400s, plan value 350000000) ==
+installed links (2):
+  gs-0/xcvr-0<->hbal-001/xcvr-1 [established]
+  hbal-001/xcvr-0<->hbal-002/xcvr-0 []
+routes (2):
+  backhaul/hbal-001: [hbal-001 gs-0]
+  backhaul/hbal-002: [hbal-002 gs-0]
+`
+	for i := 0; i < 2; i++ {
 		var b bytes.Buffer
-		printState(&b, 5460, snap)
-		return b.String()
-	}
-	first := render()
-	// A small map's iteration starts at a random offset, so one repeat
-	// would agree by chance one time in eight.
-	for i := 0; i < 32; i++ {
-		if got := render(); got != first {
-			t.Fatalf("rendering %d differs:\n%s\nvs\n%s", i+2, got, first)
+		printState(&b, 5460, st)
+		if b.String() != want {
+			t.Fatalf("rendering %d:\n%s\nwant:\n%s", i+1, b.String(), want)
 		}
-	}
-	at := -1
-	for i := 1; i <= 7; i++ {
-		next := strings.Index(first, fmt.Sprintf("  backhaul/hbal-%03d: ", i))
-		if next <= at {
-			t.Fatalf("route %d missing or out of request-ID order in:\n%s", i, first)
-		}
-		at = next
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"minkowski/internal/cdpi"
 	"minkowski/internal/dataplane"
 	"minkowski/internal/explain"
@@ -145,8 +143,7 @@ func (c *Controller) commandEstablish(p *ctlState, li *intent.LinkIntent, attemp
 		p.Intents.MarkRetry(li.Link, now)
 	}
 	p.Journal.RecordLink(li)
-	c.Log.Appendf(now, explain.EvCommand, li.Link.String(),
-		"link-establish attempt %d tte=%.0f", attempt, tte)
+	c.Log.Add(explain.Event{At: now, Op: explain.Establish, Link: li.Link, N: attempt, TTE: tte})
 	for _, node := range nodes {
 		c.sendFor(p, cdpi.Command{
 			Node: node, Kind: cdpi.KindLinkEstablish,
@@ -241,11 +238,13 @@ func (c *Controller) enactEstablish(node string, li *intent.LinkIntent, h *cdpi.
 		p.Intents.MarkInstalling(li.Link, now)
 		if l.Up() {
 			p.Intents.MarkEstablished(li.Link, now)
+			// Logged like a link-up: the scrubber's fold sees the adoption.
+			c.Log.Add(explain.Event{At: now, Op: explain.LinkUp, Link: li.Link})
 			c.finishAttempt(p, li.Link, true)
 		}
 		return // still installing: OnUp/OnDown will resolve it
 	}
-	xa, xb := c.findXcvr(li.XA), c.findXcvr(li.XB)
+	xa, xb := c.Xcvr(li.XA), c.Xcvr(li.XB)
 	if xa == nil || xb == nil {
 		c.finishAttempt(p, li.Link, false)
 		return
@@ -263,7 +262,7 @@ func (c *Controller) enactEstablish(node string, li *intent.LinkIntent, h *cdpi.
 // physics force the issue.
 func (c *Controller) commandWithdraw(p *ctlState, li *intent.LinkIntent) {
 	now := c.Eng.Now()
-	c.Log.Append(now, explain.EvCommand, li.Link.String(), "link-withdraw")
+	c.Log.Add(explain.Event{At: now, Op: explain.Withdraw, Link: li.Link})
 	// Cancel any in-flight establishment.
 	if arm, ok := p.arms[li.Link]; ok {
 		arm.timeout.Cancel()
@@ -296,7 +295,7 @@ func (c *Controller) commandWithdraw(p *ctlState, li *intent.LinkIntent) {
 func (c *Controller) commandRouteProgram(p *ctlState, ri *intent.RouteIntent) {
 	c.Data.DeclareRoute(&dataplane.Route{ID: ri.ID, Path: ri.Path, Generation: ri.Generation})
 	p.Journal.RecordRoute(ri)
-	c.Log.Appendf(c.Eng.Now(), explain.EvRouteIntent, ri.ID, "program gen %d path %v", ri.Generation, ri.Path)
+	c.Log.Add(explain.Event{At: c.Eng.Now(), Op: explain.RouteProgram, Name: ri.ID, N: ri.Generation, Path: ri.Path})
 	for i := 0; i < len(ri.Path)-1; i++ {
 		node, next := ri.Path[i], ri.Path[i+1]
 		tte := c.Frontend.PickTTE(ri.Path[i : i+1])
@@ -315,7 +314,7 @@ func (c *Controller) commandRouteProgram(p *ctlState, ri *intent.RouteIntent) {
 // commandRouteRemoval withdraws a route's entries.
 func (c *Controller) commandRouteRemoval(p *ctlState, ri *intent.RouteIntent) {
 	p.Journal.DropRoute(ri.ID)
-	c.Log.Appendf(c.Eng.Now(), explain.EvRouteIntent, ri.ID, "remove gen %d", ri.Generation)
+	c.Log.Add(explain.Event{At: c.Eng.Now(), Op: explain.RouteRemove, Name: ri.ID, N: ri.Generation})
 	for i := 0; i < len(ri.Path)-1; i++ {
 		c.sendFor(p, cdpi.Command{
 			Node: ri.Path[i], Kind: cdpi.KindRouteUpdate,
@@ -391,8 +390,7 @@ func (c *Controller) finishAttempt(p *ctlState, id radio.LinkID, ok bool) {
 	if attempt >= maxEstablishAttempts {
 		p.Intents.MarkFailed(id, "acquire-failed", c.Eng.Now())
 		p.Journal.DropLink(id)
-		c.Log.Append(c.Eng.Now(), explain.EvLinkState, id.String(),
-			fmt.Sprintf("abandoned after %d attempts", attempt))
+		c.Log.Add(explain.Event{At: c.Eng.Now(), Op: explain.LinkAbandoned, Link: id, N: attempt})
 		return
 	}
 	// Retry at once — "since Loon's TS-SDN lacked a feedback loop and
@@ -413,15 +411,9 @@ func (c *Controller) onLinkUp(l *radio.Link) {
 		if li, ok := p.Intents.ActiveLink(l.ID); ok {
 			p.Journal.RecordLink(li)
 		}
-		// Complete the arm state successfully.
-		if arm, ok := p.arms[l.ID]; ok {
-			arm.complete(true)
-			arm.timeout.Cancel()
-			delete(p.arms, l.ID)
-			c.freeArm(arm)
-		}
+		c.finishAttempt(p, l.ID, true)
 	}
-	c.Log.Append(now, explain.EvLinkState, l.ID.String(), "established")
+	c.Log.Add(explain.Event{At: now, Op: explain.LinkUp, Link: l.ID})
 	// Fig. 10: compare the radios' measurement with the model's
 	// expectation for B2B links. A byzantine endpoint inflates its
 	// reported margin; the calibration sample's plausibility bound is
@@ -450,7 +442,7 @@ func (c *Controller) onLinkDown(l *radio.Link, r radio.Reason) {
 		c.Recovery.LinkEvent(now, r == radio.ReasonWithdrawn)
 		c.RecoveryCtrl.LinkEvent(now, r == radio.ReasonWithdrawn)
 	}
-	c.Log.Append(now, explain.EvLinkState, l.ID.String(), "down: "+r.String())
+	c.Log.Add(explain.Event{At: now, Op: explain.LinkDown, Link: l.ID, Reason: r})
 	for _, p := range c.procs() {
 		switch {
 		case r == radio.ReasonWithdrawn:
@@ -467,8 +459,8 @@ func (c *Controller) onLinkDown(l *radio.Link, r radio.Reason) {
 	}
 }
 
-// findXcvr locates a transceiver by ID on the current fleet.
-func (c *Controller) findXcvr(id string) *platform.Transceiver {
+// Xcvr locates a transceiver by ID on the current fleet.
+func (c *Controller) Xcvr(id string) *platform.Transceiver {
 	for _, n := range c.Fleet.Nodes() {
 		for _, x := range n.Xcvrs {
 			if x.ID == id {

@@ -54,13 +54,13 @@ func TestArmRowsDoNotAllocate(t *testing.T) {
 }
 
 // The whole-run allocation gates: mallocs per sim-hour the canonical
-// scenario measured (amd64, go1.24) once commands, agent enactments,
-// satcom messages and enact spans became reused rows, plus 10 %: 16,575
-// over the 21-balloon run's first two hours (29,778 before) and 62,590
-// over the 56-balloon run's first hour (182,532 before).
+// scenario measured (amd64, go1.24) once the change-log became typed
+// rows and the time scrubber a fold over them, plus 10 %: 12,074 over
+// the 21-balloon run's first two hours (16,575 before) and 44,350 over
+// the 56-balloon run's first hour (62,590 before).
 const (
-	mallocsPerSimHourCeiling   = 18_233
-	mallocsPerSimHourCeiling56 = 68_849
+	mallocsPerSimHourCeiling   = 13_281
+	mallocsPerSimHourCeiling56 = 48_785
 )
 
 // TestWholeRunMallocsPerSimHour runs the canonical scenario, 21

@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 
 	"minkowski/internal/cdpi"
-	"minkowski/internal/explain"
 	"minkowski/internal/geo"
 	"minkowski/internal/platform"
 )
@@ -74,12 +73,10 @@ func (c *Controller) onPositionReport(node string, pos geo.LLA) {
 	wasQ := c.PosGuard.Quarantined(node)
 	accepted := c.PosGuard.Observe(node, pos, c.Eng.Now())
 	if !accepted && !wasQ {
-		c.Log.Appendf(c.Eng.Now(), explain.EvAnomaly, node,
-			"telemetry quarantine: implausible position report (%.2f,%.2f)",
+		c.anomaly(node, "telemetry quarantine: implausible position report (%.2f,%.2f)",
 			geo.ToDeg(pos.Lat), geo.ToDeg(pos.Lon))
 	} else if accepted && wasQ {
-		c.Log.Append(c.Eng.Now(), explain.EvAnomaly, node,
-			"telemetry quarantine lifted: plausible reports resumed")
+		c.anomaly(node, "telemetry quarantine lifted: plausible reports resumed")
 	}
 }
 

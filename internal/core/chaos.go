@@ -42,46 +42,40 @@ func (c *Controller) InstallChaos(s chaos.Scenario) (*chaos.Injector, error) {
 		},
 		SatcomOutage: func(provider string, down bool) {
 			c.Sat.SetProviderDown(provider, down)
-			c.Log.Appendf(c.Eng.Now(), explain.EvAnomaly, "satcom-"+provider,
-				"provider outage=%v (gateway degrades to in-band-only TTE when none left)", down)
+			c.anomaly("satcom-"+provider, "provider outage=%v (gateway degrades to in-band-only TTE when none left)", down)
 		},
 		GatewayLoss: c.setGatewayDown,
 		Partition: func(node string, isolated bool) {
 			c.InBand.SetPartitioned(node, isolated)
-			c.Log.Appendf(c.Eng.Now(), explain.EvAnomaly, node, "manet partition=%v", isolated)
+			c.anomaly(node, "manet partition=%v", isolated)
 		},
 		AgentReboot: c.rebootAgent,
 		TelemetryStale: func(stale bool) {
 			c.gaugesFrozen = stale
-			c.Log.Appendf(c.Eng.Now(), explain.EvAnomaly, "weather-telemetry",
-				"gauge ingestion frozen=%v", stale)
+			c.anomaly("weather-telemetry", "gauge ingestion frozen=%v", stale)
 		},
 		SolverOutage: func(down bool) {
 			c.solverDown = down
-			c.Log.Appendf(c.Eng.Now(), explain.EvAnomaly, "solver", "outage=%v", down)
+			c.anomaly("solver", "outage=%v", down)
 		},
 		PartialPartition: func(from, to string, blocked bool) {
 			c.Net.SetDeaf(from, to, blocked)
 			// The mesh lost (or regained) a directed edge; let the
 			// router converge around it.
 			c.Router.TopologyChanged()
-			c.Log.Appendf(c.Eng.Now(), explain.EvAnomaly, from+">"+to,
-				"partial partition blocked=%v (one direction only)", blocked)
+			c.anomaly(from+">"+to, "partial partition blocked=%v (one direction only)", blocked)
 		},
 		Byzantine: func(node string, active bool) {
 			c.SetByzantine(node, active)
-			c.Log.Appendf(c.Eng.Now(), explain.EvAnomaly, node,
-				"byzantine telemetry active=%v (spoofed positions and margins)", active)
+			c.anomaly(node, "byzantine telemetry active=%v (spoofed positions and margins)", active)
 		},
 		LeaseFlap: func(active bool) {
 			if c.Lease == nil {
-				c.Log.Append(c.Eng.Now(), explain.EvAnomaly, "lease-cell",
-					"lease-flap ignored: replication disabled")
+				c.anomaly("lease-cell", "lease-flap ignored: replication disabled")
 				return
 			}
 			c.Lease.SetFlapping(active)
-			c.Log.Appendf(c.Eng.Now(), explain.EvAnomaly, "lease-cell",
-				"lease cell flapping=%v (acquire/renew dropped; reads still served)", active)
+			c.anomaly("lease-cell", "lease cell flapping=%v (acquire/renew dropped; reads still served)", active)
 		},
 		ReplicaPartition: func(replica string, deaf bool) {
 			if deaf {
@@ -89,8 +83,7 @@ func (c *Controller) InstallChaos(s chaos.Scenario) (*chaos.Injector, error) {
 			} else {
 				delete(c.cmdDeaf, replica)
 			}
-			c.Log.Appendf(c.Eng.Now(), explain.EvAnomaly, replica,
-				"replica command path deaf=%v (lease/replication/telemetry unaffected)", deaf)
+			c.anomaly(replica, "replica command path deaf=%v (lease/replication/telemetry unaffected)", deaf)
 		},
 	})
 	inj.Schedule(s)
@@ -106,11 +99,7 @@ func (c *Controller) Crash() {
 	if c.down {
 		return
 	}
-	now := c.Eng.Now()
-	c.down = true
-	c.Crashes++
-	c.dropActingMemory()
-	c.Frontend.Crash()
+	c.killActing()
 	if c.Repl != nil {
 		// A full controller-crash is a total control-plane outage
 		// under replication too: the standby replica (and any rogue)
@@ -122,7 +111,7 @@ func (c *Controller) Crash() {
 		c.discardRogue()
 	}
 	c.Obs.Rec.Event("crash", "")
-	c.Log.Append(now, explain.EvAnomaly, "controller", "process crashed")
+	c.anomaly("controller", "process crashed")
 }
 
 // Restart brings the controller back and reconciles intended-vs-actual
@@ -136,8 +125,7 @@ func (c *Controller) Restart() {
 	if !c.down {
 		if c.Repl != nil && c.standbyDown {
 			c.attachStandby()
-			c.Log.Appendf(c.Eng.Now(), explain.EvAnomaly, "controller",
-				"returning replica %s rejoined as warm standby", c.standbyID)
+			c.anomaly("controller", "returning replica %s rejoined as warm standby", c.standbyID)
 		}
 		return
 	}
@@ -174,7 +162,6 @@ func (c *Controller) Down() bool { return c.down }
 //     generations so reprograms stay monotonic against the forwarding
 //     entries that survived on the nodes.
 func (c *Controller) reconcileFromJournal(how string) {
-	now := c.Eng.Now()
 	readoptedLinks, expired := 0, 0
 	for _, li := range c.Journal.Links() {
 		l, ok := c.Fabric.Get(li.Link)
@@ -204,8 +191,7 @@ func (c *Controller) reconcileFromJournal(how string) {
 	c.Obs.Rec.Event("journal-reconcile", "how="+how+
 		" readopted="+strconv.Itoa(readoptedLinks+readoptedRoutes)+
 		" expired="+strconv.Itoa(expired))
-	c.Log.Appendf(now, explain.EvAnomaly, "controller",
-		"%s; reconciled from journal: links readopted=%d expired=%d routes readopted=%d",
+	c.anomaly("controller", "%s; reconciled from journal: links readopted=%d expired=%d routes readopted=%d",
 		how, readoptedLinks, expired, readoptedRoutes)
 }
 
@@ -225,7 +211,7 @@ func (c *Controller) setGatewayDown(gs string, down bool) {
 		delete(c.gwDown, gs)
 		c.InBand.SetPartitioned(gs, false)
 	}
-	c.Log.Appendf(c.Eng.Now(), explain.EvAnomaly, gs, "gateway site down=%v", down)
+	c.anomaly(gs, "gateway site down=%v", down)
 }
 
 // rebootAgent models a node-side SDN-agent reboot with config wipe:
@@ -245,7 +231,7 @@ func (c *Controller) rebootAgent(node string) {
 	}
 	c.Fabric.FailNode(node, radio.ReasonPowerLoss)
 	c.Data.FlushNode(node)
-	c.Log.Append(c.Eng.Now(), explain.EvAnomaly, node, "agent rebooted with config wipe")
+	c.anomaly(node, "agent rebooted with config wipe")
 }
 
 // liveGateways filters chaos-lost sites out of the solver's gateway
@@ -275,11 +261,9 @@ func (c *Controller) checkWeatherStaleness() {
 	}
 	c.WxModel.Degraded = stale
 	if stale {
-		c.Log.Append(c.Eng.Now(), explain.EvAnomaly, "weather-model",
-			"inputs stale; degraded fallback chain active with pessimism penalty")
+		c.anomaly("weather-model", "inputs stale; degraded fallback chain active with pessimism penalty")
 	} else {
-		c.Log.Append(c.Eng.Now(), explain.EvAnomaly, "weather-model",
-			"fresh inputs resumed; degraded mode cleared")
+		c.anomaly("weather-model", "fresh inputs resumed; degraded mode cleared")
 	}
 }
 
@@ -498,4 +482,9 @@ func (c *Controller) TelemetryDigest() uint64 {
 		w("cmddeaf drops=%d deaf=%v\n", c.CmdDeafDrops(), deaf)
 	}
 	return h.Sum64()
+}
+
+// anomaly logs an anomaly note about subject, its detail rendered now.
+func (c *Controller) anomaly(subject, format string, args ...any) {
+	c.Log.Add(explain.Event{At: c.Eng.Now(), Op: explain.Anomaly, Name: subject, Detail: fmt.Sprintf(format, args...)})
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"minkowski/internal/cdpi"
 	"minkowski/internal/dataplane"
 	"minkowski/internal/explain"
@@ -63,7 +61,6 @@ type Controller struct {
 	Churn        *telemetry.Churn
 	ModelErr     *telemetry.ModelError
 	Log          *explain.Log
-	Scrubber     *explain.Scrubber
 	SolveRuns    int
 
 	// Robustness (chaos harness + crash-restart reconciliation).
@@ -276,8 +273,7 @@ func build(cfg Config, preFix bool) *Controller {
 		Churn:        &telemetry.Churn{},
 		ModelErr:     &telemetry.ModelError{MaxAbsDB: marginRejectDB},
 		PosGuard:     telemetry.NewPositionGuard(),
-		Log:          &explain.Log{Cap: 200000},
-		Scrubber:     &explain.Scrubber{Cap: 5000},
+		Log:          &explain.Log{},
 		gateways:     gateways,
 		todOff:       cfg.StartTODHours * 3600,
 		wasOn:        map[string]bool{},
@@ -368,7 +364,7 @@ func (c *Controller) install() {
 		}
 		c.Forecast = weather.Issue(c.Wx, weather.DefaultForecastConfig(), c.Cfg.Seed^int64(c.Eng.Now()))
 		c.rebuildFusion()
-		c.Log.Append(eng.Now(), explain.EvWeather, "forecast", "new ECMWF-style forecast ingested")
+		c.Log.Add(explain.Event{At: eng.Now(), Op: explain.Weather, Name: "forecast", Detail: "new ECMWF-style forecast ingested"})
 		return true
 	})
 	// LTE service management.
@@ -439,10 +435,10 @@ func (c *Controller) stepFleet(dt float64) {
 	joined, left := c.Fleet.DrainEvents()
 	for _, n := range joined {
 		c.registerNode(n)
-		c.Log.Append(now, explain.EvNodeJoin, n.ID, "joined the fleet")
+		c.Log.Add(explain.Event{At: now, Op: explain.NodeJoin, Name: n.ID, Detail: "joined the fleet"})
 	}
 	for _, n := range left {
-		c.Log.Append(now, explain.EvNodeLeave, n.ID, "left the fleet (recycled)")
+		c.Log.Add(explain.Event{At: now, Op: explain.NodeLeave, Name: n.ID, Detail: "left the fleet (recycled)"})
 		c.Fabric.FailNode(n.ID, radio.ReasonGeometry)
 		c.Frontend.Unregister(n.ID)
 		c.Data.FlushNode(n.ID)
@@ -461,10 +457,10 @@ func (c *Controller) stepFleet(dt float64) {
 		if c.wasOn[id] && !on {
 			c.Fabric.FailNode(id, radio.ReasonPowerLoss)
 			c.Data.FlushNode(id)
-			c.Log.Append(now, explain.EvNodeLeave, id, "payload powered down")
+			c.Log.Add(explain.Event{At: now, Op: explain.NodeLeave, Name: id, Detail: "payload powered down"})
 		}
 		if !c.wasOn[id] && on {
-			c.Log.Append(now, explain.EvNodeJoin, id, "payload powered up (daily bootstrap)")
+			c.Log.Add(explain.Event{At: now, Op: explain.NodeJoin, Name: id, Detail: "payload powered up (daily bootstrap)"})
 		}
 		c.wasOn[id] = on
 	}
@@ -541,8 +537,7 @@ func (c *Controller) solveCycle() {
 		// but author nothing new.
 		c.obsm.solveHolds.Inc()
 		sp.SetAttrBool("held", true)
-		c.Log.Appendf(now, explain.EvAnomaly, fmt.Sprintf("cycle-%d", c.SolveRuns),
-			"solver unavailable; holding last-known-good plan")
+		c.Log.Add(explain.Event{At: now, Op: explain.SolveHeld, N: c.SolveRuns})
 		c.realignRoutes()
 		return
 	}
@@ -559,20 +554,9 @@ func (c *Controller) solveCycle() {
 	ev.SetAttrInt("pairs", int(evalDelta.PairsEnumerated))
 	ev.SetAttrInt("reevals", int(evalDelta.ReEvals))
 	ev.EndSpan()
-	existing := map[radio.LinkID]bool{}
-	for _, l := range c.Fabric.UpLinks() {
-		existing[l.ID] = true
-	}
-	in := solver.Input{
-		Candidates: graph,
-		Requests:   c.NBI.SolverRequests(),
-		Existing:   existing,
-		Gateways:   c.liveGateways(),
-		Drained:    c.gwDown,
-	}
 	so := sp.Child("solve")
 	solveBefore := c.Solver.Stats()
-	plan := c.Solver.Solve(in)
+	plan := c.Solver.Solve(c.solverInput(graph))
 	work := c.Solver.Stats().Sub(solveBefore)
 	so.SetAttrInt("dijkstra_runs", int(work.DijkstraRuns))
 	so.SetAttrInt("adj_scanned", int(work.AdjScanned))
@@ -584,10 +568,9 @@ func (c *Controller) solveCycle() {
 	so.EndSpan()
 	c.lastPlan = plan
 	c.realignRoutes()
-	c.Log.Appendf(now, explain.EvSolve, fmt.Sprintf("cycle-%d", c.SolveRuns),
-		"candidates=%d links=%d redundant=%d routes=%d unsatisfied=%d utility=%.0f evalpairs=%d reevals=%d",
-		len(graph), len(plan.Links), plan.RedundantCount(), len(plan.Routes), len(plan.Unsatisfied), plan.Utility,
-		evalDelta.PairsEnumerated, evalDelta.ReEvals)
+	c.Log.Add(explain.Event{At: now, Op: explain.Solved, N: c.SolveRuns, Summary: &explain.Summary{
+		Candidates: len(graph), Links: len(plan.Links), Redundant: plan.RedundantCount(), Routes: len(plan.Routes),
+		Unsatisfied: len(plan.Unsatisfied), Utility: plan.Utility, EvalPairs: evalDelta.PairsEnumerated, ReEvals: evalDelta.ReEvals}})
 	di := sp.Child("dispatch")
 	acts := c.Intents.Reconcile(plan, now)
 	c.actuate(acts)
@@ -598,28 +581,21 @@ func (c *Controller) solveCycle() {
 	di.EndSpan()
 	c.Obs.Rec.Metric("solve-cycle",
 		cycleMetricDetail(len(plan.Links), len(plan.Routes), len(plan.Unsatisfied), plan.Utility))
-	// Snapshot for the scrubber.
-	c.snapshot(plan)
+	// The scrubber's state at this cycle is the log's fold to here.
+	c.Log.EndCycle(now)
 }
 
-// snapshot records the current physical+logical state.
-func (c *Controller) snapshot(plan *solver.Plan) {
-	snap := explain.Snapshot{
-		At:      c.Eng.Now(),
-		Intents: map[string]string{},
-		Routes:  map[string][]string{},
-		Value:   plan.Utility,
-	}
+// solverInput is the solver's view of the world around a candidate
+// graph: the backhaul requests, the links up now and the live gateways.
+func (c *Controller) solverInput(graph []*linkeval.Report) solver.Input {
+	existing := map[radio.LinkID]bool{}
 	for _, l := range c.Fabric.UpLinks() {
-		snap.Links = append(snap.Links, l.ID.String())
+		existing[l.ID] = true
 	}
-	for _, li := range c.Intents.ActiveLinks() {
-		snap.Intents[li.Link.String()] = li.State.String()
+	return solver.Input{
+		Candidates: graph, Requests: c.NBI.SolverRequests(), Existing: existing,
+		Gateways: c.liveGateways(), Drained: c.gwDown,
 	}
-	for _, ri := range c.Intents.ActiveRoutes() {
-		snap.Routes[ri.ID] = ri.Path
-	}
-	c.Scrubber.Record(snap)
 }
 
 // Run simulates until the given time (seconds).

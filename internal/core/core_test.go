@@ -122,20 +122,26 @@ func TestEventLogAndScrubber(t *testing.T) {
 	if len(c.Log.Query(explain.Filter{})) == 0 {
 		t.Fatal("empty event log")
 	}
-	solves := c.Log.Query(explain.Filter{Kind: explain.EvSolve})
+	solves := c.Log.Query(explain.Filter{Kind: "solve"})
 	if len(solves) < 100 {
 		t.Errorf("solve events = %d", len(solves))
 	}
-	ups := c.Log.Query(explain.Filter{Kind: explain.EvLinkState})
+	ups := c.Log.Query(explain.Filter{Kind: "link-state"})
 	if len(ups) == 0 {
 		t.Error("no link-state events")
 	}
-	snap, ok := c.Scrubber.StateAt(3600)
+	st, ok := c.Log.StateAt(3600)
 	if !ok {
-		t.Fatal("no snapshot at t=1h")
+		t.Fatal("no state at t=1h")
 	}
-	if len(snap.Intents) == 0 || len(snap.Links) == 0 {
-		t.Errorf("snapshot has %d intents and %d links, want some of each", len(snap.Intents), len(snap.Links))
+	intents := 0
+	for _, l := range st.Links {
+		if l.Intent != "" {
+			intents++
+		}
+	}
+	if intents == 0 || len(st.Routes) == 0 {
+		t.Errorf("state has %d links with intents and %d routes, want some of each", intents, len(st.Routes))
 	}
 }
 
@@ -200,7 +206,7 @@ func TestNodeRecyclingHandled(t *testing.T) {
 	c := New(cfg)
 	c.FMS.RecycleRadiusM = 120e3 // force recycling
 	c.RunHours(6)
-	leaves := c.Log.Query(explain.Filter{Kind: explain.EvNodeLeave})
+	leaves := c.Log.Query(explain.Filter{Kind: "node-leave"})
 	if len(leaves) == 0 {
 		t.Skip("no recycling happened in this seed/window")
 	}

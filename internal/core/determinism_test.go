@@ -214,10 +214,10 @@ func TestNightfallPowerDownDeterminism(t *testing.T) {
 		lastAt, linksUp := -1.0, false
 		for _, e := range c.Log.Query(explain.Filter{}) {
 			fmt.Fprintln(&log, e)
-			if e.Kind == explain.EvLinkState {
+			if e.Kind() == "link-state" {
 				linksUp = true
 			}
-			if e.Kind == explain.EvNodeLeave && e.Detail == "payload powered down" {
+			if e.Op == explain.NodeLeave && e.Detail == "payload powered down" {
 				if e.At == lastAt && linksUp {
 					sameStep++
 				}

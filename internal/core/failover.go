@@ -3,7 +3,6 @@ package core
 import (
 	"strconv"
 
-	"minkowski/internal/explain"
 	"minkowski/internal/intent"
 	"minkowski/internal/radio"
 	"minkowski/internal/solver"
@@ -19,8 +18,8 @@ type ctlState struct {
 	Intents *intent.Store
 	Journal *Journal
 	arms    map[radio.LinkID]*armState
-	// lastPlan retains the most recent solver output for the scrubber
-	// and last-known-good actuation.
+	// lastPlan retains the most recent solver output for why-not
+	// queries and last-known-good actuation.
 	lastPlan *solver.Plan
 	// epoch is the fencing epoch this process holds. Zero means
 	// replication (and fencing) is disabled.
@@ -76,8 +75,7 @@ func (c *Controller) leaseTick() {
 			// were down): re-acquire at a fresh epoch.
 			if ep, ok := c.Lease.Acquire(c.actingID, now); ok {
 				c.epoch = ep
-				c.Log.Appendf(now, explain.EvAnomaly, "controller",
-					"primary %s re-acquired a lapsed lease at epoch %d", c.actingID, ep)
+				c.anomaly("controller", "primary %s re-acquired a lapsed lease at epoch %d", c.actingID, ep)
 			}
 		}
 	}
@@ -98,14 +96,12 @@ func (c *Controller) leaseTick() {
 // as a rogue process that keeps solving and dispatching at the stale
 // epoch until the partition heals.
 func (c *Controller) promote(epoch uint64) {
-	now := c.Eng.Now()
 	c.Journal.Sink = nil // the old stream endpoint is gone either way
 	if !c.down {
 		r := c.ctlState
 		c.rogue = &r
 		c.installRogueLoop()
-		c.Log.Appendf(now, explain.EvAnomaly, "controller",
-			"primary %s deposed while partitioned; continues as rogue at stale epoch %d",
+		c.anomaly("controller", "primary %s deposed while partitioned; continues as rogue at stale epoch %d",
 			c.actingID, r.epoch)
 	} else {
 		// The primary process is dead; the promoting standby brings
@@ -126,8 +122,7 @@ func (c *Controller) promote(epoch uint64) {
 	c.Promotions++
 	c.Obs.Rec.SetReplica(c.actingID)
 	c.Obs.Rec.Event("promote", "replica="+c.actingID+" epoch="+strconv.FormatUint(epoch, 10))
-	c.Log.Appendf(now, explain.EvAnomaly, "controller",
-		"standby %s promoted to primary at epoch %d (lease lapsed)", c.actingID, epoch)
+	c.anomaly("controller", "standby %s promoted to primary at epoch %d (lease lapsed)", c.actingID, epoch)
 	c.reconcileFromJournal("promoted")
 }
 
@@ -154,13 +149,9 @@ func (c *Controller) FailPrimary() {
 	if c.down {
 		return
 	}
-	c.down = true
-	c.Crashes++
-	c.dropActingMemory()
-	c.Frontend.Crash()
+	c.killActing()
 	c.Obs.Rec.Event("fail-primary", "replica="+c.actingID)
-	c.Log.Append(c.Eng.Now(), explain.EvAnomaly, "controller",
-		"primary process died; standby replica alive, lease will lapse")
+	c.anomaly("controller", "primary process died; standby replica alive, lease will lapse")
 }
 
 // RejoinStandby ends a controller-failover window: the replica that
@@ -174,9 +165,7 @@ func (c *Controller) RejoinStandby() {
 		return
 	}
 	c.attachStandby()
-	c.Log.Appendf(c.Eng.Now(), explain.EvAnomaly, "controller",
-		"replica %s rejoined as warm standby of %s (epoch %d)",
-		c.standbyID, c.actingID, c.epoch)
+	c.anomaly("controller", "replica %s rejoined as warm standby of %s (epoch %d)", c.standbyID, c.actingID, c.epoch)
 }
 
 // PartitionPrimary isolates the acting primary from the lease service
@@ -188,8 +177,7 @@ func (c *Controller) RejoinStandby() {
 // no-op.
 func (c *Controller) PartitionPrimary() {
 	if c.Repl == nil {
-		c.Log.Append(c.Eng.Now(), explain.EvAnomaly, "controller",
-			"controller-partition ignored: replication disabled")
+		c.anomaly("controller", "controller-partition ignored: replication disabled")
 		return
 	}
 	if c.down || c.leasePartitioned {
@@ -197,8 +185,7 @@ func (c *Controller) PartitionPrimary() {
 	}
 	c.leasePartitioned = true
 	c.Repl.Disconnect()
-	c.Log.Append(c.Eng.Now(), explain.EvAnomaly, "controller",
-		"primary partitioned from lease service and standby (process still live)")
+	c.anomaly("controller", "primary partitioned from lease service and standby (process still live)")
 }
 
 // HealPrimary ends a controller partition. If a standby promoted in
@@ -210,18 +197,15 @@ func (c *Controller) HealPrimary() {
 		return
 	}
 	c.leasePartitioned = false
-	now := c.Eng.Now()
 	if c.rogue != nil {
 		dep, ep := c.rogue.replica, c.rogue.epoch
 		c.discardRogue()
 		c.Standdowns++
 		c.Obs.Rec.Event("standdown", "replica="+dep+" stale_epoch="+strconv.FormatUint(ep, 10))
-		c.Log.Appendf(now, explain.EvAnomaly, "controller",
-			"partition healed: deposed primary %s stood down (stale epoch %d < %d) and rejoins as standby",
+		c.anomaly("controller", "partition healed: deposed primary %s stood down (stale epoch %d < %d) and rejoins as standby",
 			dep, ep, c.epoch)
 	} else {
-		c.Log.Append(now, explain.EvAnomaly, "controller",
-			"partition healed before the lease lapsed; primary resumes renewing")
+		c.anomaly("controller", "partition healed before the lease lapsed; primary resumes renewing")
 	}
 	if !c.down {
 		c.attachStandby()
@@ -242,10 +226,12 @@ func (c *Controller) discardRogue() {
 	c.rogue = nil
 }
 
-// dropActingMemory discards the acting process's in-memory state (arm
-// timers, intent store, last plan). The journal is durable storage and
-// survives.
-func (c *Controller) dropActingMemory() {
+// killActing marks the acting process dead, discards its in-memory
+// state (arm timers, intent store, last plan) and takes the CDPI
+// frontend down with it. The journal is durable storage and survives.
+func (c *Controller) killActing() {
+	c.down = true
+	c.Crashes++
 	// Map order is safe here: Timer.Cancel removes only its own event and
 	// schedules nothing; pops follow (at, seq), a total order.
 	for _, arm := range c.arms {
@@ -254,6 +240,7 @@ func (c *Controller) dropActingMemory() {
 	c.arms = map[radio.LinkID]*armState{}
 	c.Intents = intent.NewStore()
 	c.lastPlan = nil
+	c.Frontend.Crash()
 }
 
 // installRogueLoop keeps the deposed ex-primary solving on its own
@@ -289,24 +276,11 @@ func (c *Controller) rogueSolve() {
 	if len(xcvrs) == 0 {
 		return
 	}
-	graph := c.Evaluator.CandidateGraph(xcvrs, c.Cfg.PredictiveLeadS)
-	existing := map[radio.LinkID]bool{}
-	for _, l := range c.Fabric.UpLinks() {
-		existing[l.ID] = true
-	}
-	in := solver.Input{
-		Candidates: graph,
-		Requests:   c.NBI.SolverRequests(),
-		Existing:   existing,
-		Gateways:   c.liveGateways(),
-		Drained:    c.gwDown,
-	}
-	plan := c.Solver.Solve(in)
+	plan := c.Solver.Solve(c.solverInput(c.Evaluator.CandidateGraph(xcvrs, c.Cfg.PredictiveLeadS)))
 	r.lastPlan = plan
 	acts := r.Intents.Reconcile(plan, now)
 	if !acts.Empty() {
-		c.Log.Appendf(now, explain.EvAnomaly, "controller",
-			"deposed primary %s (epoch %d) dispatched establish=%d withdraw=%d routes=%d at stale epoch",
+		c.anomaly("controller", "deposed primary %s (epoch %d) dispatched establish=%d withdraw=%d routes=%d at stale epoch",
 			r.replica, r.epoch, len(acts.EstablishLinks), len(acts.WithdrawLinks), len(acts.ProgramRoutes))
 	}
 	c.actuateFor(r, acts)

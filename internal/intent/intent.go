@@ -120,14 +120,12 @@ func (ri *RouteIntent) Clone() *RouteIntent {
 	return &cp
 }
 
-// Store tracks all intents and their history.
+// Store tracks all intents and the history of link intents.
 type Store struct {
 	nextID  uint64
 	links   map[radio.LinkID]*LinkIntent
 	routes  map[string]*RouteIntent
 	history []*LinkIntent
-	// RouteHistory holds removed route intents.
-	RouteHistory []*RouteIntent
 }
 
 // NewStore creates an empty intent store.
@@ -337,7 +335,6 @@ func (st *Store) Reconcile(plan *solver.Plan, now float64) Actions {
 		if ok {
 			gen = cur.Generation + 1
 			cur.State = RouteRemoved
-			st.RouteHistory = append(st.RouteHistory, cur)
 			acts.RemoveRoutes = append(acts.RemoveRoutes, cur)
 		}
 		ri := &RouteIntent{
@@ -352,7 +349,6 @@ func (st *Store) Reconcile(plan *solver.Plan, now float64) Actions {
 		if _, ok := plan.Routes[ri.ID]; !ok {
 			ri.State = RouteRemoved
 			delete(st.routes, ri.ID)
-			st.RouteHistory = append(st.RouteHistory, ri)
 			acts.RemoveRoutes = append(acts.RemoveRoutes, ri)
 		}
 	}

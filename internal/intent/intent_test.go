@@ -167,8 +167,8 @@ func TestRouteReprogramOnPathChange(t *testing.T) {
 	if acts.ProgramRoutes[0].Generation != 2 {
 		t.Errorf("generation = %d, want 2", acts.ProgramRoutes[0].Generation)
 	}
-	if len(st.RouteHistory) != 1 || st.RouteHistory[0].State != RouteRemoved {
-		t.Error("old generation must be in history")
+	if old := acts.RemoveRoutes[0]; old.Generation != 1 || old.State != RouteRemoved {
+		t.Errorf("removed %+v, want the old generation, marked removed", old)
 	}
 }
 

@@ -284,8 +284,6 @@ type Recovery struct {
 	// RecoveredWithNewLink counts repairs that required installing a
 	// new link vs not (the paper: 92.4% without).
 	RecoveredWithNewLink, RecoveredWithoutNewLink int
-	// TotalBreaks and SlowRecoveries (beyond window) for context.
-	TotalBreaks, SlowRecoveries int
 
 	// recent link events for attribution: time → planned?
 	recentEvents []linkEvent
@@ -358,7 +356,6 @@ func (rc *Recovery) ObserveNode(now float64, node string, reachable bool, linksI
 	ob, broken := rc.open[node]
 	if !reachable {
 		if !broken {
-			rc.TotalBreaks++
 			rc.open[node] = openBreak{at: now, cause: rc.attribute(now), linksUp0: linksInstalledTotal}
 		}
 		return
@@ -369,7 +366,6 @@ func (rc *Recovery) ObserveNode(now float64, node string, reachable bool, linksI
 	delete(rc.open, node)
 	dur := now - ob.at
 	if dur > rc.WindowS {
-		rc.SlowRecoveries++
 		return
 	}
 	switch ob.cause {

@@ -21,11 +21,11 @@ package minkowski
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"minkowski/internal/chaos"
 	"minkowski/internal/core"
+	"minkowski/internal/dataplane"
 	"minkowski/internal/explain"
 	"minkowski/internal/geo"
 	"minkowski/internal/itu"
@@ -184,13 +184,7 @@ func (s *Simulation) Nodes() []Node {
 }
 
 func (s *Simulation) dataUp(id string) bool {
-	return s.c.Data.Operable("backhaul/"+id, linkChecker{s.c})
-}
-
-type linkChecker struct{ c *core.Controller }
-
-func (lc linkChecker) LinkUp(a, b string) bool {
-	return lc.c.Fabric.Adjacent(a, b)
+	return s.c.Data.Operable("backhaul/"+id, dataplane.LinkCheckerFunc(s.c.Fabric.Adjacent))
 }
 
 // Routes returns the programmed source-destination routes (request
@@ -233,10 +227,10 @@ func (s *Simulation) Events(f explain.Filter) []explain.Event {
 	return s.c.Log.Query(f)
 }
 
-// StateAt returns the recorded snapshot at or before t (the time
-// scrubber).
-func (s *Simulation) StateAt(t float64) (explain.Snapshot, bool) {
-	return s.c.Scrubber.StateAt(t)
+// StateAt returns the state at the last solve cycle at or before t
+// (the time scrubber: a fold over the change-log).
+func (s *Simulation) StateAt(t float64) (explain.State, bool) {
+	return s.c.Log.StateAt(t)
 }
 
 // WhyNot explains why the last plan did not include a link between
@@ -246,17 +240,7 @@ func (s *Simulation) WhyNot(xcvrA, xcvrB string) string {
 	if plan == nil {
 		return "no solve has run yet"
 	}
-	var xa, xb *platform.Transceiver
-	for _, n := range s.c.Fleet.Nodes() {
-		for _, x := range n.Xcvrs {
-			if x.ID == xcvrA {
-				xa = x
-			}
-			if x.ID == xcvrB {
-				xb = x
-			}
-		}
-	}
+	xa, xb := s.c.Xcvr(xcvrA), s.c.Xcvr(xcvrB)
 	if xa == nil || xb == nil {
 		return "unknown transceiver"
 	}
@@ -294,11 +278,6 @@ func (s *Simulation) Summary() string {
 	fmt.Fprintf(&b, "balloons: %d powered, %d control-connected, %d data-connected\n", oper, ctrl, data)
 	la, ca, da := s.Availability()
 	fmt.Fprintf(&b, "availability: link=%.3f control=%.3f data=%.3f\n", la, ca, da)
-	routeIDs := make([]string, 0)
-	for id := range s.Routes() {
-		routeIDs = append(routeIDs, id)
-	}
-	sort.Strings(routeIDs)
-	fmt.Fprintf(&b, "routes: %d programmed\n", len(routeIDs))
+	fmt.Fprintf(&b, "routes: %d programmed\n", len(s.Routes()))
 	return b.String()
 }

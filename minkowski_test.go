@@ -70,7 +70,7 @@ func TestAvailabilityLayering(t *testing.T) {
 func TestEventQueriesAndScrubber(t *testing.T) {
 	sim := NewSimulation(quickScenario(3))
 	sim.RunHours(1)
-	if len(sim.Events(explain.Filter{Kind: explain.EvSolve})) == 0 {
+	if len(sim.Events(explain.Filter{Kind: "solve"})) == 0 {
 		t.Error("no solve events visible through the public API")
 	}
 	if _, ok := sim.StateAt(1800); !ok {
