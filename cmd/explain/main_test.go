@@ -79,3 +79,38 @@ func TestExplainGoldens(t *testing.T) {
 		})
 	}
 }
+
+// TestParseArgs: a -kind no row has is rejected with one stderr line
+// naming every valid kind, as the other commands reject bad values; a
+// valid kind is accepted silently.
+func TestParseArgs(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		wantErr string // substring of the one-line message; "" = accepted
+	}{
+		{"defaults", nil, ""},
+		{"known kind", []string{"-kind", "route-intent", "-subject", "hbal-001"}, ""},
+		{"misspelt kind", []string{"-kind", "comand"},
+			`-kind "comand" is not one of node-join, node-leave, weather, anomaly, command, link-state, route-intent, solve`},
+		{"unknown flag", []string{"-scale", "2"}, "flag provided but not defined: -scale"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var msg strings.Builder
+			o, err := parseArgs(tc.args, &msg)
+			if tc.wantErr == "" {
+				if err != nil || o == nil || msg.Len() != 0 {
+					t.Fatalf("parseArgs(%q) = %v, %v, printed %q; want accepted silently", tc.args, o, err, msg.String())
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("parseArgs(%q) accepted; want error containing %q", tc.args, tc.wantErr)
+			}
+			first, _, _ := strings.Cut(msg.String(), "\n")
+			if !strings.Contains(first, tc.wantErr) {
+				t.Errorf("parseArgs(%q) first line %q; want it to contain %q", tc.args, first, tc.wantErr)
+			}
+		})
+	}
+}

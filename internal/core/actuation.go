@@ -293,7 +293,7 @@ func (c *Controller) commandWithdraw(p *ctlState, li *intent.LinkIntent) {
 // temporary blackholes the paper's actuation layer suffered when a
 // topology change and its route updates raced.
 func (c *Controller) commandRouteProgram(p *ctlState, ri *intent.RouteIntent) {
-	c.Data.DeclareRoute(&dataplane.Route{ID: ri.ID, Path: ri.Path, Generation: ri.Generation})
+	c.Data.DeclareRoute(dataplane.Route{ID: ri.ID, Path: ri.Path, Generation: ri.Generation})
 	p.Journal.RecordRoute(ri)
 	c.Log.Add(explain.Event{At: c.Eng.Now(), Op: explain.RouteProgram, Name: ri.ID, N: ri.Generation, Path: ri.Path})
 	for i := 0; i < len(ri.Path)-1; i++ {

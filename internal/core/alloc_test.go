@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"minkowski/internal/intent"
+	"minkowski/internal/radio"
+	"minkowski/internal/sim"
 )
 
 // TestBackhaulRefreshDoesNotAllocate: releasing a balloon's backhaul
@@ -53,14 +55,39 @@ func TestArmRowsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestRejournaledLinkDoesNotAllocate: re-recording a link the journal
+// already holds (an establish retry, the link-up of a commanded link),
+// with the standby stream attached and warm, overwrites both journals'
+// entries in place: the row, its ring slot and its arrival event
+// allocate nothing.
+func TestRejournaledLinkDoesNotAllocate(t *testing.T) {
+	eng := sim.New(1)
+	r := NewReplicator(eng)
+	j := NewJournal()
+	r.Bootstrap(j, 1)
+	li := &intent.LinkIntent{ID: 1, Link: radio.MakeLinkID("a/x0", "b/x1"), State: intent.LinkCommanded}
+	cycle := func() {
+		li.Attempts++
+		j.RecordLink(li)
+		eng.Run(eng.Now() + 1)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("re-journaling a link allocates %.0f times, want 0", allocs)
+	}
+	if r.InFlight() != 0 || r.Applied != r.Published || j.Digest() != r.StandbyJournal().Digest() {
+		t.Errorf("stream did not converge: in flight %d, applied %d of %d", r.InFlight(), r.Applied, r.Published)
+	}
+}
+
 // The whole-run allocation gates: mallocs per sim-hour the canonical
-// scenario measured (amd64, go1.24) once the change-log became typed
-// rows and the time scrubber a fold over them, plus 10 %: 12,074 over
-// the 21-balloon run's first two hours (16,575 before) and 44,350 over
-// the 56-balloon run's first hour (62,590 before).
+// scenario measured (amd64, go1.24) once journal writes became value
+// rows and data-plane routes values, plus 10 %: 11,717 over the
+// 21-balloon run's first two hours (12,073 before) and 42,048 over the
+// 56-balloon run's first hour (44,344 before).
 const (
-	mallocsPerSimHourCeiling   = 13_281
-	mallocsPerSimHourCeiling56 = 48_785
+	mallocsPerSimHourCeiling   = 12_889
+	mallocsPerSimHourCeiling56 = 46_253
 )
 
 // TestWholeRunMallocsPerSimHour runs the canonical scenario, 21

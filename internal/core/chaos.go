@@ -106,7 +106,7 @@ func (c *Controller) Crash() {
 		// dies with the primary, and the standby's journal copy dies
 		// as process memory. Restart brings the pair back.
 		c.standbyDown = true
-		c.Journal.Sink = nil
+		c.Journal.tail = nil
 		c.Repl.Reset()
 		c.discardRogue()
 	}
@@ -166,13 +166,12 @@ func (c *Controller) reconcileFromJournal(how string) {
 	for _, li := range c.Journal.Links() {
 		l, ok := c.Fabric.Get(li.Link)
 		if ok && l.Up() {
-			cp := *li
-			cp.State = intent.LinkEstablished
-			if cp.EstablishedAt == 0 {
-				cp.EstablishedAt = l.EstablishedAt
+			li.State = intent.LinkEstablished
+			if li.EstablishedAt == 0 {
+				li.EstablishedAt = l.EstablishedAt
 			}
-			c.Intents.Adopt(&cp)
-			c.Journal.RecordLink(&cp)
+			c.Intents.Adopt(&li)
+			c.Journal.RecordLink(&li)
 			readoptedLinks++
 			continue
 		}
@@ -181,9 +180,7 @@ func (c *Controller) reconcileFromJournal(how string) {
 	}
 	readoptedRoutes := 0
 	for _, ri := range c.Journal.Routes() {
-		cp := *ri
-		cp.Path = append([]string(nil), ri.Path...)
-		c.Intents.AdoptRoute(&cp)
+		c.Intents.AdoptRoute(&ri)
 		readoptedRoutes++
 	}
 	c.Readopted += readoptedLinks + readoptedRoutes
@@ -353,7 +350,7 @@ func (c *Controller) probeDelivery() {
 // store says every edge of the route's declared path is an Established
 // link — the controller's own claim that the route should be carrying
 // traffic right now.
-func (c *Controller) routeBelievedHealthy(r *dataplane.Route) bool {
+func (c *Controller) routeBelievedHealthy(r dataplane.Route) bool {
 	for i := 0; i+1 < len(r.Path); i++ {
 		li, ok := c.Intents.ActiveLink(radio.MakeLinkID(r.Path[i], r.Path[i+1]))
 		if !ok || li.State != intent.LinkEstablished {
@@ -370,7 +367,7 @@ func (c *Controller) routeBelievedHealthy(r *dataplane.Route) bool {
 // deafHop distinguishes a walk silenced by a deafened direction (a
 // partition of the path, excused by the delivery meter) from a walk
 // that died on missing entries, a down link, or a loop.
-func (c *Controller) deliveryWalk(r *dataplane.Route) (delivered, deafHop bool) {
+func (c *Controller) deliveryWalk(r dataplane.Route) (delivered, deafHop bool) {
 	cur, dst := r.Path[0], r.Path[len(r.Path)-1]
 	for hops := 0; hops < 64; hops++ {
 		if cur == dst {
@@ -409,12 +406,9 @@ func (c *Controller) deliveryWalk(r *dataplane.Route) (delivered, deafHop bool) 
 // the intent store is legitimately empty.
 func (c *Controller) JournalIntentMismatches() []string {
 	var out []string
-	for _, li := range c.Journal.Links() {
-		if l, ok := c.Fabric.Get(li.Link); !ok || !l.Up() {
-			continue
-		}
-		if _, ok := c.Intents.ActiveLink(li.Link); !ok {
-			out = append(out, fmt.Sprintf("journaled up link %s has no live intent", li.Link))
+	for _, l := range c.Fabric.UpLinks() {
+		if _, live := c.Intents.ActiveLink(l.ID); !live && c.Journal.HasLink(l.ID) {
+			out = append(out, fmt.Sprintf("journaled up link %s has no live intent", l.ID))
 		}
 	}
 	for _, li := range c.Intents.ActiveLinks() {

@@ -309,7 +309,7 @@ func build(cfg Config, preFix bool) *Controller {
 		c.Lease = &LeaseService{TTLS: leaseTTLS}
 		ep, _ := c.Lease.Acquire(c.actingID, 0)
 		c.epoch = ep
-		c.Repl = NewReplicator(eng, replDelayS)
+		c.Repl = NewReplicator(eng)
 		c.attachStandby()
 	}
 	c.installObs()

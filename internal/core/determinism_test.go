@@ -141,10 +141,10 @@ func runWithObs(mut func(*Config)) (journal, obsExport []byte) {
 func runExports(c *Controller) []byte {
 	var buf bytes.Buffer
 	for _, li := range c.Journal.Links() {
-		fmt.Fprintf(&buf, "link %+v\n", *li)
+		fmt.Fprintf(&buf, "link %+v\n", li)
 	}
 	for _, ri := range c.Journal.Routes() {
-		fmt.Fprintf(&buf, "route %+v\n", *ri)
+		fmt.Fprintf(&buf, "route %+v\n", ri)
 	}
 	graph := c.Evaluator.CandidateGraph(c.Fleet.Transceivers(), c.Cfg.PredictiveLeadS)
 	for _, r := range graph {

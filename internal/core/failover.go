@@ -96,7 +96,7 @@ func (c *Controller) leaseTick() {
 // as a rogue process that keeps solving and dispatching at the stale
 // epoch until the partition heals.
 func (c *Controller) promote(epoch uint64) {
-	c.Journal.Sink = nil // the old stream endpoint is gone either way
+	c.Journal.tail = nil // the old stream endpoint is gone either way
 	if !c.down {
 		r := c.ctlState
 		c.rogue = &r
@@ -127,11 +127,10 @@ func (c *Controller) promote(epoch uint64) {
 }
 
 // attachStandby (re)connects the replication stream: snapshot the
-// acting journal into the standby seat and tap every future write.
+// acting journal into the standby seat and tail every future write.
 func (c *Controller) attachStandby() {
 	c.standbyDown = false
 	c.Repl.Bootstrap(c.Journal, c.epoch)
-	c.Journal.Sink = c.Repl
 }
 
 // FailPrimary kills only the acting primary process (the

@@ -136,3 +136,66 @@ func TestMeasurementDoesNotSteer(t *testing.T) {
 		})
 	}
 }
+
+// streamScripts are the replicated fault scripts TestGoldenStreamDigests
+// pins: each drives the journal stream through a seat change or a
+// disconnect and then a second fault while rows may still be in flight.
+func streamScripts() []chaos.Scenario {
+	return []chaos.Scenario{
+		{Name: "failover-partition", Faults: []chaos.Fault{
+			{Kind: chaos.ControllerFailover, At: 3600, Duration: 600},
+			{Kind: chaos.ControllerPartition, At: 6600, Duration: 600},
+		}},
+		{Name: "crash-failover", Faults: []chaos.Fault{
+			{Kind: chaos.ControllerCrash, At: 3600, Duration: 420},
+			{Kind: chaos.ControllerFailover, At: 6600, Duration: 600},
+		}},
+		{Name: "replica-partition-partition", Faults: []chaos.Fault{
+			{Kind: chaos.ReplicaPartition, Target: "ctl-a", At: 3000, Duration: 900},
+			{Kind: chaos.ControllerPartition, At: 6600, Duration: 600},
+		}},
+	}
+}
+
+// streamDigest runs a 21-balloon replicated controller under script
+// for three sim-hours and returns its TelemetryDigest: the event count,
+// the stream's Published/Applied/DroppedDisconnected counters and both
+// journals' digests are all in it.
+func streamDigest(seed int64, script chaos.Scenario) uint64 {
+	cfg := DefaultConfig()
+	cfg.Seed = seed
+	cfg.FleetSize = 21
+	cfg.ReplicationEnabled = true
+	c := New(cfg)
+	mustInstallChaos(c, script)
+	c.RunHours(3)
+	return c.TelemetryDigest()
+}
+
+// TestGoldenStreamDigests pins the replicated controller's telemetry
+// digest under three fault scripts and two seeds, so a change to how
+// the journal ships rows to the standby that moves an event, a stream
+// counter or either journal shows as a changed constant.
+func TestGoldenStreamDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden constants were captured on amd64; %s may fuse or round float ops differently", runtime.GOARCH)
+	}
+	golden := map[string]uint64{
+		"failover-partition/seed3":           0xde54dda7bb6709a4,
+		"failover-partition/seed11":          0x21db512cbd89e8da,
+		"crash-failover/seed3":               0xc866f7b1152d04a1,
+		"crash-failover/seed11":              0x70046a8b37f2b33c,
+		"replica-partition-partition/seed3":  0xc3f5fb7a65f41331,
+		"replica-partition-partition/seed11": 0x1a82fb4baa843a63,
+	}
+	for _, s := range streamScripts() {
+		for _, seed := range []int64{3, 11} {
+			name := fmt.Sprintf("%s/seed%d", s.Name, seed)
+			t.Run(name, func(t *testing.T) {
+				if got := streamDigest(seed, s); got != golden[name] {
+					t.Errorf("telemetry digest %#x, golden %#x", got, golden[name])
+				}
+			})
+		}
+	}
+}

@@ -3,22 +3,12 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 
 	"minkowski/internal/intent"
 	"minkowski/internal/radio"
 )
-
-// JournalSink observes journal mutations. Payloads handed to a sink
-// are the journal's own deep copies — a sink that retains them (the
-// replication stream does) must clone again before crossing an
-// asynchronous boundary.
-type JournalSink interface {
-	LinkWritten(li *intent.LinkIntent)
-	LinkDropped(id radio.LinkID)
-	RouteWritten(ri *intent.RouteIntent)
-	RouteDropped(id string)
-}
 
 // Journal is the controller's dispatch-time write-ahead record: a copy
 // of every live link and route intent, updated at each state
@@ -28,43 +18,76 @@ type JournalSink interface {
 // dies with a crash, but the journal survives and seeds
 // reconciliation on restart.
 //
-// Entries are deep-enough copies: a journaled intent shares no mutable
-// state with the live store, so post-crash reads see exactly what was
-// last journaled, not whatever the dying process mutated afterwards.
+// Every write is one row holding the intent by value, folded in by
+// apply: a journaled intent shares no mutable state with the live
+// store, so post-crash reads see exactly what was last journaled, not
+// whatever the dying process mutated afterwards.
 type Journal struct {
-	links  map[radio.LinkID]*intent.LinkIntent
-	routes map[string]*intent.RouteIntent
-	// Sink, when set, observes every mutation — the tap the standby
-	// replication stream rides. The standby's own journal has no sink.
-	Sink JournalSink
+	links  map[radio.LinkID]intent.LinkIntent
+	routes map[string]intent.RouteIntent
+	// tail, when set, ships every row to the standby (Replicator.send).
+	// Only the acting primary's journal has one.
+	tail *Replicator
+}
+
+// rowOp is what a journal row does.
+type rowOp uint8
+
+const (
+	recordLink rowOp = iota
+	dropLink
+	recordRoute
+	dropRoute
+)
+
+// row is one journal write. A drop carries only its key: link.Link or
+// route.ID. A recorded route's path is the journal's own copy and is
+// never written again, so the standby may share it.
+type row struct {
+	op    rowOp
+	link  intent.LinkIntent
+	route intent.RouteIntent
+	// dst is the standby journal a row in flight was sent to.
+	dst *Journal
 }
 
 // NewJournal creates an empty journal.
 func NewJournal() *Journal {
 	return &Journal{
-		links:  map[radio.LinkID]*intent.LinkIntent{},
-		routes: map[string]*intent.RouteIntent{},
+		links:  map[radio.LinkID]intent.LinkIntent{},
+		routes: map[string]intent.RouteIntent{},
+	}
+}
+
+// apply folds one row into the journal: the primary on write, the
+// standby on arrival.
+func (j *Journal) apply(r *row) {
+	switch r.op {
+	case recordLink:
+		j.links[r.link.Link] = r.link
+	case dropLink:
+		delete(j.links, r.link.Link)
+	case recordRoute:
+		j.routes[r.route.ID] = r.route
+	case dropRoute:
+		delete(j.routes, r.route.ID)
+	}
+}
+
+// write applies a row and ships it down the tail, if any.
+func (j *Journal) write(r *row) {
+	j.apply(r)
+	if j.tail != nil {
+		j.tail.send(r)
 	}
 }
 
 // RecordLink journals the current state of a link intent.
-func (j *Journal) RecordLink(li *intent.LinkIntent) {
-	if li == nil {
-		return
-	}
-	cp := li.Clone()
-	j.links[li.Link] = cp
-	if j.Sink != nil {
-		j.Sink.LinkWritten(cp)
-	}
-}
+func (j *Journal) RecordLink(li *intent.LinkIntent) { j.write(&row{op: recordLink, link: *li}) }
 
 // DropLink removes a terminated link intent.
 func (j *Journal) DropLink(id radio.LinkID) {
-	delete(j.links, id)
-	if j.Sink != nil {
-		j.Sink.LinkDropped(id)
-	}
+	j.write(&row{op: dropLink, link: intent.LinkIntent{Link: id}})
 }
 
 // HasLink reports whether the journal holds a record for this link —
@@ -74,62 +97,37 @@ func (j *Journal) HasLink(id radio.LinkID) bool {
 	return ok
 }
 
-// RecordRoute journals the current state of a route intent.
+// RecordRoute journals the current state of a route intent, with its
+// own copy of the path.
 func (j *Journal) RecordRoute(ri *intent.RouteIntent) {
-	if ri == nil {
-		return
-	}
-	cp := ri.Clone()
-	j.routes[ri.ID] = cp
-	if j.Sink != nil {
-		j.Sink.RouteWritten(cp)
-	}
+	r := row{op: recordRoute, route: *ri}
+	r.route.Path = slices.Clone(ri.Path)
+	j.write(&r)
 }
 
 // DropRoute removes a terminated route intent.
 func (j *Journal) DropRoute(id string) {
-	delete(j.routes, id)
-	if j.Sink != nil {
-		j.Sink.RouteDropped(id)
-	}
+	j.write(&row{op: dropRoute, route: intent.RouteIntent{ID: id}})
 }
 
 // Links returns journaled link intents sorted by link ID (restart
 // reconciliation must iterate deterministically).
-func (j *Journal) Links() []*intent.LinkIntent {
-	out := make([]*intent.LinkIntent, 0, len(j.links))
+func (j *Journal) Links() []intent.LinkIntent {
+	out := make([]intent.LinkIntent, 0, len(j.links))
 	for _, li := range j.links {
 		out = append(out, li)
 	}
-	sort.Slice(out, func(i, k int) bool {
-		if out[i].Link.A != out[k].Link.A {
-			return out[i].Link.A < out[k].Link.A
-		}
-		return out[i].Link.B < out[k].Link.B
-	})
+	slices.SortFunc(out, func(a, b intent.LinkIntent) int { return a.Link.Compare(b.Link) })
 	return out
 }
 
 // Routes returns journaled route intents sorted by ID.
-func (j *Journal) Routes() []*intent.RouteIntent {
-	out := make([]*intent.RouteIntent, 0, len(j.routes))
+func (j *Journal) Routes() []intent.RouteIntent {
+	out := make([]intent.RouteIntent, 0, len(j.routes))
 	for _, ri := range j.routes {
 		out = append(out, ri)
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
-}
-
-// Clone deep-copies the journal's contents (sink and write counter
-// excluded) — the bootstrap snapshot a standby starts tailing from.
-func (j *Journal) Clone() *Journal {
-	out := NewJournal()
-	for id, li := range j.links {
-		out.links[id] = li.Clone()
-	}
-	for id, ri := range j.routes {
-		out.routes[id] = ri.Clone()
-	}
+	slices.SortFunc(out, func(a, b intent.RouteIntent) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 

@@ -8,27 +8,13 @@ import (
 	"minkowski/internal/sim"
 )
 
-// captureSink retains every payload the journal hands it, standing in
-// for the replication stream in isolation tests.
-type captureSink struct {
-	links  []*intent.LinkIntent
-	routes []*intent.RouteIntent
-}
-
-func (s *captureSink) LinkWritten(li *intent.LinkIntent)   { s.links = append(s.links, li) }
-func (s *captureSink) LinkDropped(id radio.LinkID)         {}
-func (s *captureSink) RouteWritten(ri *intent.RouteIntent) { s.routes = append(s.routes, ri) }
-func (s *captureSink) RouteDropped(id string)              {}
-
 // TestJournalDeepCopyIsolation is the property the journal's crash
-// semantics depend on: RecordLink/RecordRoute must deep-copy, so
-// mutating the live intent after recording changes neither the
-// journaled entry nor the payload handed to the sink. A shared pointer
-// here would let the dying process rewrite history.
+// semantics depend on: RecordLink/RecordRoute must journal the intent
+// by value, path included, so mutating the live intent after recording
+// cannot change the journaled entry. A shared path here would let the
+// dying process rewrite history.
 func TestJournalDeepCopyIsolation(t *testing.T) {
 	j := NewJournal()
-	sink := &captureSink{}
-	j.Sink = sink
 
 	li := &intent.LinkIntent{
 		ID:    42,
@@ -65,56 +51,30 @@ func TestJournalDeepCopyIsolation(t *testing.T) {
 	if len(jl) != 1 {
 		t.Fatalf("journaled links = %d, want 1", len(jl))
 	}
-	if jl[0] == li {
-		t.Fatal("journal retained the live link intent pointer")
-	}
 	if jl[0].State != intent.LinkCommanded || jl[0].EstablishedAt != 0 || jl[0].Attempts != 1 {
-		t.Errorf("journaled link mutated through the live intent: %+v", *jl[0])
+		t.Errorf("journaled link mutated through the live intent: %+v", jl[0])
 	}
 	jr := j.Routes()
 	if len(jr) != 1 {
 		t.Fatalf("journaled routes = %d, want 1", len(jr))
 	}
-	if jr[0] == ri {
-		t.Fatal("journal retained the live route intent pointer")
-	}
 	if jr[0].State != intent.RoutePending || jr[0].Generation != 1 {
-		t.Errorf("journaled route mutated through the live intent: %+v", *jr[0])
+		t.Errorf("journaled route mutated through the live intent: %+v", jr[0])
 	}
 	if len(jr[0].Path) != 3 || jr[0].Path[1] != "b" {
 		t.Errorf("journaled route path shares backing store with the live intent: %v", jr[0].Path)
 	}
-
-	// The sink payload (what the replication stream sees) must be just
-	// as isolated from the live intent.
-	if len(sink.links) != 1 || len(sink.routes) != 1 {
-		t.Fatalf("sink saw %d links / %d routes, want 1 / 1", len(sink.links), len(sink.routes))
-	}
-	if sink.links[0] == li {
-		t.Fatal("sink received the live link intent pointer")
-	}
-	if sink.links[0].State != intent.LinkCommanded || sink.links[0].Attempts != 1 {
-		t.Errorf("sink link payload mutated through the live intent: %+v", *sink.links[0])
-	}
-	if sink.routes[0] == ri {
-		t.Fatal("sink received the live route intent pointer")
-	}
-	if len(sink.routes[0].Path) != 3 || sink.routes[0].Path[1] != "b" {
-		t.Errorf("sink route payload shares path backing store: %v", sink.routes[0].Path)
-	}
 }
 
 // TestReplicatorPayloadIsolation pushes the same property one hop
-// further: the replication stream clones again before crossing its
-// asynchronous boundary, so mutating the primary's journaled copy after
-// the write (a subsequent RecordLink on the same key) cannot corrupt
-// what lands at the standby.
+// further: a row crosses the stream's asynchronous boundary by value,
+// so mutating the live intent, or re-recording it on the same key,
+// while the row is in flight cannot corrupt what lands at the standby.
 func TestReplicatorPayloadIsolation(t *testing.T) {
 	eng := sim.New(1)
-	r := NewReplicator(eng, 0.5)
+	r := NewReplicator(eng)
 	primary := NewJournal()
 	r.Bootstrap(primary, 1)
-	primary.Sink = r
 
 	li := &intent.LinkIntent{
 		ID:        7,
@@ -133,7 +93,7 @@ func TestReplicatorPayloadIsolation(t *testing.T) {
 		t.Fatalf("standby links = %d, want 1", len(got))
 	}
 	if got[0].State != intent.LinkCommanded || got[0].Attempts != 0 {
-		t.Errorf("standby copy mutated through the live intent: %+v", *got[0])
+		t.Errorf("standby copy mutated through the live intent: %+v", got[0])
 	}
 	if r.Applied != 1 {
 		t.Errorf("Applied = %d, want 1", r.Applied)
@@ -147,5 +107,48 @@ func TestReplicatorPayloadIsolation(t *testing.T) {
 	eng.Run(2)
 	if a, s := primary.Digest(), r.StandbyJournal().Digest(); a != s {
 		t.Errorf("digests diverge after stream drain: primary=%x standby=%x", a, s)
+	}
+}
+
+// TestInFlightRowsDropOnSeatChange: rows still on the wire when the
+// stream disconnects, the standby dies with the primary (Reset) or a
+// promotion takes the standby's journal are counted as dropped on
+// arrival, and none reaches the journal that takes the seat next (nor
+// the taken one).
+func TestInFlightRowsDropOnSeatChange(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		change func(r *Replicator) *Journal // returns the journal that left the seat
+	}{
+		{"disconnect", func(r *Replicator) *Journal { r.Disconnect(); return r.StandbyJournal() }},
+		{"reset", func(r *Replicator) *Journal { old := r.StandbyJournal(); r.Reset(); return old }},
+		{"take", func(r *Replicator) *Journal { j, _ := r.TakeStandbyJournal(); return j }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New(1)
+			r := NewReplicator(eng)
+			primary := NewJournal()
+			r.Bootstrap(primary, 1)
+			id := radio.MakeLinkID("a/x0", "b/x1")
+			primary.RecordLink(&intent.LinkIntent{ID: 1, Link: id, State: intent.LinkCommanded})
+			primary.RecordRoute(&intent.RouteIntent{ID: "r1", Path: []string{"a", "b"}})
+			primary.DropLink(id)
+			if r.InFlight() != 3 || r.Published != 3 {
+				t.Fatalf("in flight %d, published %d; want 3, 3", r.InFlight(), r.Published)
+			}
+			left := tc.change(r)
+			// A fresh primary re-seeds the seat before the rows arrive.
+			r.Bootstrap(NewJournal(), 2)
+			eng.Run(1)
+			if r.InFlight() != 0 || r.DroppedDisconnected != 3 || r.Applied != 0 {
+				t.Errorf("in flight %d, dropped %d, applied %d; want 0, 3, 0",
+					r.InFlight(), r.DroppedDisconnected, r.Applied)
+			}
+			for _, j := range []*Journal{r.StandbyJournal(), left} {
+				if len(j.Links()) != 0 || len(j.Routes()) != 0 {
+					t.Errorf("a row in flight across the seat change landed: links %v, routes %v", j.Links(), j.Routes())
+				}
+			}
+		})
 	}
 }

@@ -1,53 +1,61 @@
 package core
 
 import (
-	"minkowski/internal/intent"
-	"minkowski/internal/radio"
+	"maps"
+
 	"minkowski/internal/sim"
 )
 
-// Replicator is the primary → standby journal stream. It taps the
-// acting primary's journal (as its JournalSink) and applies each
-// mutation to the warm standby's journal copy after a one-way
-// datacenter-to-datacenter delay. The standby therefore trails the
-// primary by at most DelayS plus whatever is in flight, and a
+// Replicator is the primary → standby journal stream. The acting
+// primary's journal tails every row it writes into the stream, and the
+// warm standby's journal applies each row replDelayS later (one-way
+// datacenter-to-datacenter latency). The standby therefore trails the
+// primary by at most that delay plus whatever is in flight, and a
 // promotion reconciles from that slightly-stale snapshot exactly the
 // way a crash-restart reconciles from the durable journal.
 type Replicator struct {
 	eng *sim.Engine
-	// DelayS is the one-way stream latency.
-	DelayS float64
 
 	connected bool
 	standby   *Journal
 	// standbyEpoch is the acting primary's epoch when the standby's
 	// snapshot was bootstrapped.
 	standbyEpoch uint64
-	inflight     int
+
+	// q is a ring of the rows in flight, oldest at q[head]. Rows arrive
+	// in send order, since every one is delayed by the same replDelayS,
+	// so one event per row pops them.
+	q       []row
+	head, n int
+	arrival func() // arrive, bound once
 
 	// Published / Applied / DroppedDisconnected count stream traffic:
-	// mutations entering the stream, mutations applied to the standby,
-	// and mutations discarded because the stream was down (partition)
-	// or the standby seat changed hands mid-flight.
+	// rows entering the stream, rows applied to the standby, and rows
+	// discarded because the stream was down (partition) or the standby
+	// seat changed hands mid-flight.
 	Published, Applied, DroppedDisconnected int
 }
 
 // NewReplicator creates a disconnected replicator; Bootstrap attaches
 // a standby.
-func NewReplicator(eng *sim.Engine, delayS float64) *Replicator {
-	return &Replicator{eng: eng, DelayS: delayS, standby: NewJournal()}
+func NewReplicator(eng *sim.Engine) *Replicator {
+	r := &Replicator{eng: eng, standby: NewJournal()}
+	r.arrival = r.arrive
+	return r
 }
 
 // Bootstrap (re)seeds the standby seat with a snapshot of the acting
-// journal at the given epoch and connects the stream.
+// journal at the given epoch, connects the stream and makes it the
+// acting journal's tail.
 func (r *Replicator) Bootstrap(acting *Journal, epoch uint64) {
-	r.standby = acting.Clone()
+	r.standby = &Journal{links: maps.Clone(acting.links), routes: maps.Clone(acting.routes)}
 	r.standbyEpoch = epoch
 	r.connected = true
+	acting.tail = r
 }
 
 // Disconnect severs the stream (controller partition): subsequent
-// publishes are dropped, and events already in flight are discarded on
+// rows are dropped, and rows already in flight are discarded on
 // arrival.
 func (r *Replicator) Disconnect() { r.connected = false }
 
@@ -65,67 +73,52 @@ func (r *Replicator) Reset() {
 // primary has no standby until the old one rejoins).
 func (r *Replicator) TakeStandbyJournal() (*Journal, uint64) {
 	j, ep := r.standby, r.standbyEpoch
-	r.standby = NewJournal()
-	r.standbyEpoch = 0
-	r.connected = false
+	r.Reset()
 	return j, ep
 }
 
 // Connected reports whether the stream is attached.
 func (r *Replicator) Connected() bool { return r.connected }
 
-// InFlight reports mutations published but not yet applied or dropped.
-func (r *Replicator) InFlight() int { return r.inflight }
+// InFlight reports rows sent but not yet applied or dropped.
+func (r *Replicator) InFlight() int { return r.n }
 
 // StandbyJournal exposes the standby's journal copy (tests, digests).
 func (r *Replicator) StandbyJournal() *Journal { return r.standby }
 
-// send ships one mutation down the stream. The destination journal is
-// captured at send time: if the standby seat changes hands while the
-// event is in flight (a promotion took the journal), the event is
-// dropped rather than applied to a journal someone else now owns.
-func (r *Replicator) send(apply func(dst *Journal)) {
+// send ships one row down the stream, addressed to the current standby
+// journal: if the seat changes hands while the row is in flight (a
+// promotion took the journal), the row is dropped rather than applied
+// to a journal someone else now owns.
+func (r *Replicator) send(w *row) {
 	if !r.connected {
 		r.DroppedDisconnected++
 		return
 	}
 	r.Published++
-	r.inflight++
-	dst := r.standby
-	r.eng.After(r.DelayS, func() {
-		r.inflight--
-		if !r.connected || r.standby != dst {
-			r.DroppedDisconnected++
-			return
-		}
+	if r.n == len(r.q) { // full: grow, oldest first
+		q := make([]row, max(16, 2*len(r.q)))
+		copy(q, r.q[r.head:])
+		copy(q[len(r.q)-r.head:], r.q[:r.head])
+		r.q, r.head = q, 0
+	}
+	w.dst = r.standby
+	r.q[(r.head+r.n)%len(r.q)] = *w
+	r.n++
+	r.eng.After(replDelayS, r.arrival)
+}
+
+// arrive applies the oldest row in flight, or drops it when the
+// stream is down or the seat changed hands.
+func (r *Replicator) arrive() {
+	f := &r.q[r.head]
+	r.head = (r.head + 1) % len(r.q)
+	r.n--
+	if !r.connected || r.standby != f.dst {
+		r.DroppedDisconnected++
+	} else {
 		r.Applied++
-		apply(dst)
-	})
-}
-
-// JournalSink implementation. Payloads arriving from the journal are
-// its own copies, but they are cloned again before crossing the
-// asynchronous stream boundary — the journal is free to mutate its
-// copy (re-record) while an event is in flight.
-
-// LinkWritten replicates a link-intent write.
-func (r *Replicator) LinkWritten(li *intent.LinkIntent) {
-	cp := li.Clone()
-	r.send(func(dst *Journal) { dst.RecordLink(cp) })
-}
-
-// LinkDropped replicates a link-intent drop.
-func (r *Replicator) LinkDropped(id radio.LinkID) {
-	r.send(func(dst *Journal) { dst.DropLink(id) })
-}
-
-// RouteWritten replicates a route-intent write.
-func (r *Replicator) RouteWritten(ri *intent.RouteIntent) {
-	cp := ri.Clone()
-	r.send(func(dst *Journal) { dst.RecordRoute(cp) })
-}
-
-// RouteDropped replicates a route-intent drop.
-func (r *Replicator) RouteDropped(id string) {
-	r.send(func(dst *Journal) { dst.DropRoute(id) })
+		f.dst.apply(f)
+	}
+	*f = row{} // let go of the path and the journal
 }

@@ -54,14 +54,14 @@ type entry struct {
 type State struct {
 	// entries[node][routeID] = next hop + generation.
 	entries map[string]map[string]entry
-	routes  map[string]*Route
+	routes  map[string]Route
 }
 
 // NewState creates empty data-plane state.
 func NewState() *State {
 	return &State{
 		entries: map[string]map[string]entry{},
-		routes:  map[string]*Route{},
+		routes:  map[string]Route{},
 	}
 }
 
@@ -116,7 +116,7 @@ func (s *State) NextHopFor(node, routeID string) (nextHop string, gen int, ok bo
 }
 
 // DeclareRoute registers the intended route (before programming).
-func (s *State) DeclareRoute(r *Route) { s.routes[r.ID] = r }
+func (s *State) DeclareRoute(r Route) { s.routes[r.ID] = r }
 
 // DropRoute removes the route and all its entries.
 func (s *State) DropRoute(routeID string) {
@@ -131,14 +131,14 @@ func (s *State) DropRoute(routeID string) {
 }
 
 // Route returns a declared route.
-func (s *State) Route(id string) (*Route, bool) {
+func (s *State) Route(id string) (Route, bool) {
 	r, ok := s.routes[id]
 	return r, ok
 }
 
 // Routes returns all declared routes sorted by ID.
-func (s *State) Routes() []*Route {
-	out := make([]*Route, 0, len(s.routes))
+func (s *State) Routes() []Route {
+	out := make([]Route, 0, len(s.routes))
 	for _, r := range s.routes {
 		out = append(out, r)
 	}

@@ -17,7 +17,7 @@ func key(a, b string) string {
 
 func (m meshUp) LinkUp(a, b string) bool { return m[key(a, b)] }
 
-func prog(s *State, r *Route) {
+func prog(s *State, r Route) {
 	s.DeclareRoute(r)
 	for i := 0; i < len(r.Path)-1; i++ {
 		s.InstallEntry(r.Path[i], r.ID, r.Path[i+1], r.Generation)
@@ -26,7 +26,7 @@ func prog(s *State, r *Route) {
 
 func TestRouteProgrammingLifecycle(t *testing.T) {
 	s := NewState()
-	r := &Route{ID: "r1", Path: []string{"hbal-003", "hbal-002", "hbal-001", "gs-0"}}
+	r := Route{ID: "r1", Path: []string{"hbal-003", "hbal-002", "hbal-001", "gs-0"}}
 	s.DeclareRoute(r)
 	if s.FullyProgrammed("r1") {
 		t.Error("unprogrammed route must not be fully programmed")
@@ -44,7 +44,7 @@ func TestRouteProgrammingLifecycle(t *testing.T) {
 
 func TestOperableRequiresLinksAndEntries(t *testing.T) {
 	s := NewState()
-	r := &Route{ID: "r1", Path: []string{"b2", "b1", "gs"}}
+	r := Route{ID: "r1", Path: []string{"b2", "b1", "gs"}}
 	prog(s, r)
 	links := meshUp{key("b2", "b1"): true, key("b1", "gs"): true}
 	if !s.Operable("r1", links) {
@@ -65,7 +65,7 @@ func TestOperableRequiresLinksAndEntries(t *testing.T) {
 
 func TestDropRoute(t *testing.T) {
 	s := NewState()
-	r := &Route{ID: "r1", Path: []string{"b1", "gs"}}
+	r := Route{ID: "r1", Path: []string{"b1", "gs"}}
 	prog(s, r)
 	s.DropRoute("r1")
 	if _, ok := s.Route("r1"); ok {
@@ -105,7 +105,7 @@ func TestDisjointPaths(t *testing.T) {
 func TestRoutesSorted(t *testing.T) {
 	s := NewState()
 	for _, id := range []string{"zz", "mm", "aa"} {
-		prog(s, &Route{ID: id, Path: []string{"a", "b"}})
+		prog(s, Route{ID: id, Path: []string{"a", "b"}})
 	}
 	var ids []string
 	for _, r := range s.Routes() {

@@ -64,6 +64,17 @@ type Summary struct {
 // Kind names the row's class.
 func (e Event) Kind() string { return kinds[e.Op] }
 
+// Kinds lists the kinds a Filter can select, each once, in op order.
+func Kinds() []string {
+	var out []string
+	for _, k := range kinds {
+		if k != "" && !slices.Contains(out, k) {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
 // Subject renders the entity the row is about.
 func (e Event) Subject() string {
 	switch {

@@ -80,15 +80,6 @@ type LinkIntent struct {
 	FailReason string
 }
 
-// Clone returns an independent deep copy. Journal entries and
-// replication-stream payloads must not share mutable state with the
-// live store, or a later state transition would silently rewrite
-// history.
-func (li *LinkIntent) Clone() *LinkIntent {
-	cp := *li
-	return &cp
-}
-
 // RouteState is the lifecycle of a route intent.
 type RouteState int
 
@@ -111,13 +102,6 @@ type RouteIntent struct {
 	Generation int
 	State      RouteState
 	CreatedAt  float64
-}
-
-// Clone returns an independent deep copy (including the path slice).
-func (ri *RouteIntent) Clone() *RouteIntent {
-	cp := *ri
-	cp.Path = append([]string(nil), ri.Path...)
-	return &cp
 }
 
 // Store tracks all intents and the history of link intents.
