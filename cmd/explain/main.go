@@ -58,8 +58,16 @@ func parseArgs(args []string, errOut io.Writer) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if o.kind != "" && !slices.Contains(kinds, o.kind) {
-		err := fmt.Errorf("-kind %q is not one of %s", o.kind, strings.Join(kinds, ", "))
+	var err error
+	switch {
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q (explain takes flags only)", fs.Arg(0))
+	case o.kind != "" && !slices.Contains(kinds, o.kind):
+		err = fmt.Errorf("-kind %q is not one of %s", o.kind, strings.Join(kinds, ", "))
+	case o.limit < 0:
+		err = fmt.Errorf("-limit must be at least 0, got %d", o.limit)
+	}
+	if err != nil {
 		fmt.Fprintf(errOut, "explain: %v\n", err)
 		return nil, err
 	}

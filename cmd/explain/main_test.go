@@ -80,9 +80,10 @@ func TestExplainGoldens(t *testing.T) {
 	}
 }
 
-// TestParseArgs: a -kind no row has is rejected with one stderr line
-// naming every valid kind, as the other commands reject bad values; a
-// valid kind is accepted silently.
+// TestParseArgs: a -kind no row has (the line names every valid kind),
+// a negative -limit and a stray positional argument are each rejected
+// with one stderr line, as the other commands reject bad values; valid
+// values are accepted silently.
 func TestParseArgs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -94,6 +95,10 @@ func TestParseArgs(t *testing.T) {
 		{"misspelt kind", []string{"-kind", "comand"},
 			`-kind "comand" is not one of node-join, node-leave, weather, anomaly, command, link-state, route-intent, solve`},
 		{"unknown flag", []string{"-scale", "2"}, "flag provided but not defined: -scale"},
+		{"zero limit", []string{"-limit", "0"}, ""},
+		{"negative limit", []string{"-limit", "-1"}, "-limit must be at least 0, got -1"},
+		{"stray positional", []string{"-hours", "1", "link-state"}, `unexpected argument "link-state" (explain takes flags only)`},
+		{"flag after positional is stray too", []string{"extra", "-limit", "5"}, `unexpected argument "extra"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var msg strings.Builder

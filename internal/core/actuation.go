@@ -332,7 +332,8 @@ func (c *Controller) commandRouteRemoval(p *ctlState, ri *intent.RouteIntent) {
 // commands using the CDPI to align node behavior with the desired
 // intents."
 func (c *Controller) realignRoutes() {
-	for _, ri := range c.Intents.ActiveRoutes() {
+	c.routes = c.Intents.AppendActiveRoutes(c.routes[:0])
+	for _, ri := range c.routes {
 		if c.Data.FullyProgrammed(ri.ID) {
 			continue
 		}

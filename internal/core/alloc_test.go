@@ -16,11 +16,11 @@ import (
 func TestBackhaulRefreshDoesNotAllocate(t *testing.T) {
 	c := New(fastConfig(1))
 	c.RunHours(0.5)
-	reqs := c.NBI.ActiveRequests()
+	reqs := c.NBI.SolverRequests()
 	if len(reqs) == 0 {
 		t.Fatal("no balloon holds a backhaul request")
 	}
-	node := reqs[0].Node
+	node := reqs[0].Src
 	if allocs := testing.AllocsPerRun(100, func() {
 		c.NBI.ReleaseBackhaul(node)
 		c.manageService()
@@ -80,29 +80,84 @@ func TestRejournaledLinkDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// The whole-run allocation gates: mallocs per sim-hour the canonical
-// scenario measured (amd64, go1.24) once journal writes became value
-// rows and data-plane routes values, plus 10 %: 11,717 over the
-// 21-balloon run's first two hours (12,073 before) and 42,048 over the
-// 56-balloon run's first hour (44,344 before).
+// TestSolverInputAndReconcileDoNotAllocate: once warm, the solve
+// cycle's work around the evaluator and the solver allocates nothing:
+// predicting every node's position, rebuilding the solver's input (the
+// installed-link map, the backhaul requests), reconciling a plan the
+// intent store already holds and walking the route intents to realign.
+func TestSolverInputAndReconcileDoNotAllocate(t *testing.T) {
+	c := New(fastConfig(1))
+	c.RunHours(1)
+	c.xcvrs = c.Fleet.AppendTransceivers(c.xcvrs[:0])
+	graph := c.Evaluator.CandidateGraph(c.xcvrs, c.Cfg.PredictiveLeadS)
+	in := c.solverInput(graph)
+	if len(in.Existing) == 0 || len(in.Requests) == 0 {
+		t.Fatalf("precondition: %d links up, %d requests open", len(in.Existing), len(in.Requests))
+	}
+	plan := c.Solver.Solve(in)
+	st := intent.NewStore()
+	st.Reconcile(plan, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, n := range c.Fleet.Nodes() {
+			c.predictPosition(n, c.Cfg.PredictiveLeadS)
+		}
+		c.solverInput(graph)
+		if acts := st.Reconcile(plan, 1); !acts.Empty() {
+			t.Fatalf("reconciling the plan again acts: %+v", acts)
+		}
+		c.realignRoutes()
+	})
+	if allocs != 0 {
+		t.Errorf("the solve cycle's glue allocates %.0f times, want 0", allocs)
+	}
+	if len(c.routes) == 0 {
+		t.Error("precondition: realignRoutes walked no route intent")
+	}
+}
+
+// TestAvailabilitySamplesDoNotAllocate: the Fig. 6-8 samplers read
+// every node's layers through a link checker bound once, so a sample
+// of an unchanged mesh allocates nothing.
+func TestAvailabilitySamplesDoNotAllocate(t *testing.T) {
+	c := New(fastConfig(1))
+	c.RunHours(1)
+	c.sampleTelemetry()
+	c.sampleRecovery()
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.sampleTelemetry()
+		c.sampleRecovery()
+	}); allocs != 0 {
+		t.Errorf("an availability sample allocates %.0f times, want 0", allocs)
+	}
+}
+
+// The whole-run allocation gates: what the canonical scenario
+// allocated per sim-hour (amd64, go1.24) once the solve cycle and the
+// samplers reused their buffers, plus 10 %: 6,152 mallocs and 2.16 MB
+// over the 21-balloon run's first two hours (11,717 and 3.13 MB
+// before), 33,343 mallocs and 16.3 MB over the 56-balloon run's first
+// hour (42,051 and 18.3 MB before). Both runs' first hours hold the
+// growth of every reused buffer.
 const (
-	mallocsPerSimHourCeiling   = 12_889
-	mallocsPerSimHourCeiling56 = 46_253
+	mallocsPerSimHourCeiling   = 6_768
+	mallocsPerSimHourCeiling56 = 36_678
+	bytesPerSimHourCeiling     = 2_374_000
+	bytesPerSimHourCeiling56   = 17_915_000
 )
 
 // TestWholeRunMallocsPerSimHour runs the canonical scenario, 21
 // balloons for two sim-hours and 56 for one, and fails if its heap
-// allocations per sim-hour exceed the ceiling: a count gate, so that a
-// per-message or per-sample allocation creeping back into a real run
-// shows as a number.
+// allocations or allocated bytes per sim-hour exceed their ceilings:
+// count gates, so that a per-message, per-sample or per-cycle
+// allocation creeping back into a real run shows as a number.
 func TestWholeRunMallocsPerSimHour(t *testing.T) {
 	for _, leg := range []struct {
-		fleet   int
-		hours   float64
-		ceiling float64
+		fleet          int
+		hours          float64
+		ceiling, bytes float64
 	}{
-		{21, 2, mallocsPerSimHourCeiling},
-		{56, 1, mallocsPerSimHourCeiling56},
+		{21, 2, mallocsPerSimHourCeiling, bytesPerSimHourCeiling},
+		{56, 1, mallocsPerSimHourCeiling56, bytesPerSimHourCeiling56},
 	} {
 		cfg := DefaultConfig()
 		cfg.Seed = 1
@@ -114,9 +169,13 @@ func TestWholeRunMallocsPerSimHour(t *testing.T) {
 		c.RunHours(leg.hours)
 		runtime.ReadMemStats(&after)
 		perHour := float64(after.Mallocs-before.Mallocs) / leg.hours
-		t.Logf("%d balloons: %.0f mallocs per sim-hour (ceiling %.0f)", leg.fleet, perHour, leg.ceiling)
+		bytesPerHour := float64(after.TotalAlloc-before.TotalAlloc) / leg.hours
+		t.Logf("%d balloons: %.0f mallocs and %.0f bytes per sim-hour (ceilings %.0f, %.0f)", leg.fleet, perHour, bytesPerHour, leg.ceiling, leg.bytes)
 		if perHour > leg.ceiling {
 			t.Errorf("%d balloons: %.0f mallocs per sim-hour, ceiling %.0f", leg.fleet, perHour, leg.ceiling)
+		}
+		if bytesPerHour > leg.bytes {
+			t.Errorf("%d balloons: %.0f bytes per sim-hour, ceiling %.0f", leg.fleet, bytesPerHour, leg.bytes)
 		}
 	}
 }

@@ -270,10 +270,9 @@ func (c *Controller) checkWeatherStaleness() {
 // availability signals the chaosavail figure samples through fault
 // windows. Both are NaN when nothing is in service.
 func (c *Controller) PlaneFracs() (data, ctrl float64) {
-	links := dataplane.LinkCheckerFunc(c.Fabric.Adjacent)
 	total, dataUp, ctrlUp := 0, 0, 0
 	for _, n := range c.Fleet.Nodes() {
-		_, ctrl, data, ok := c.layers(n, links)
+		_, ctrl, data, ok := c.layers(n)
 		if !ok {
 			continue
 		}

@@ -102,7 +102,10 @@ type Controller struct {
 	obsm obsMetrics
 
 	gateways []string
-	todOff   float64
+	// fabricLinks is Fabric.Adjacent as the data plane's link checker,
+	// bound once: a method value made per availability sample allocates.
+	fabricLinks dataplane.LinkChecker
+	todOff      float64
 	// rogue is the deposed ex-primary's still-running control process
 	// during a controller partition (nil otherwise).
 	rogue *ctlState
@@ -129,6 +132,14 @@ type Controller struct {
 	// lastEvalStats snapshots the evaluator's cumulative work counters
 	// at the previous solve cycle, for per-cycle telemetry deltas.
 	lastEvalStats linkeval.Stats
+	// The solve cycle's lists, rebuilt in place every cycle so that a
+	// cycle's inputs make no garbage: the operational transceivers, the
+	// up links, the route intents realignRoutes walks, and the solver's
+	// input (its Existing map and Requests slice are reused too).
+	xcvrs   []*platform.Transceiver
+	up      []*radio.Link
+	routes  []*intent.RouteIntent
+	solveIn solver.Input
 	// down marks the controller process crashed: its periodic loops
 	// skip work until restart. The physical world and node agents run
 	// on regardless.
@@ -275,6 +286,7 @@ func build(cfg Config, preFix bool) *Controller {
 		PosGuard:     telemetry.NewPositionGuard(),
 		Log:          &explain.Log{},
 		gateways:     gateways,
+		fabricLinks:  dataplane.LinkCheckerFunc(fabric.Adjacent),
 		todOff:       cfg.StartTODHours * 3600,
 		wasOn:        map[string]bool{},
 		gwDown:       map[string]bool{},
@@ -330,11 +342,7 @@ func (c *Controller) predictPosition(n *platform.Node, lead float64) (p geo.LLA)
 	if n.Kind == platform.KindGround || lead <= 0 {
 		return n.Position()
 	}
-	pts := c.FMS.PredictTrajectory(n.Balloon, lead, lead)
-	if len(pts) == 0 {
-		return n.Position()
-	}
-	return pts[len(pts)-1].Pos
+	return c.FMS.PredictPosition(n.Balloon, lead, lead)
 }
 
 // install schedules every periodic process.
@@ -541,13 +549,13 @@ func (c *Controller) solveCycle() {
 		c.realignRoutes()
 		return
 	}
-	xcvrs := c.Fleet.Transceivers()
-	if len(xcvrs) == 0 {
+	c.xcvrs = c.Fleet.AppendTransceivers(c.xcvrs[:0])
+	if len(c.xcvrs) == 0 {
 		sp.SetAttrBool("empty", true)
 		return
 	}
 	ev := sp.Child("evaluate")
-	graph := c.Evaluator.CandidateGraph(xcvrs, c.Cfg.PredictiveLeadS)
+	graph := c.Evaluator.CandidateGraph(c.xcvrs, c.Cfg.PredictiveLeadS)
 	evalDelta := c.Evaluator.Stats().Sub(c.lastEvalStats)
 	c.lastEvalStats = c.Evaluator.Stats()
 	ev.SetAttrInt("candidates", len(graph))
@@ -579,23 +587,27 @@ func (c *Controller) solveCycle() {
 	di.SetAttrInt("program_routes", len(acts.ProgramRoutes))
 	di.SetAttrInt("remove_routes", len(acts.RemoveRoutes))
 	di.EndSpan()
-	c.Obs.Rec.Metric("solve-cycle",
-		cycleMetricDetail(len(plan.Links), len(plan.Routes), len(plan.Unsatisfied), plan.Utility))
 	// The scrubber's state at this cycle is the log's fold to here.
 	c.Log.EndCycle(now)
 }
 
 // solverInput is the solver's view of the world around a candidate
 // graph: the backhaul requests, the links up now and the live gateways.
+// It is rebuilt in c.solveIn, whose map and slices the next cycle
+// overwrites; the solver reads them only during the solve.
 func (c *Controller) solverInput(graph []*linkeval.Report) solver.Input {
-	existing := map[radio.LinkID]bool{}
-	for _, l := range c.Fabric.UpLinks() {
-		existing[l.ID] = true
+	in := &c.solveIn
+	if in.Existing == nil {
+		in.Existing = map[radio.LinkID]bool{}
 	}
-	return solver.Input{
-		Candidates: graph, Requests: c.NBI.SolverRequests(), Existing: existing,
-		Gateways: c.liveGateways(), Drained: c.gwDown,
+	clear(in.Existing)
+	c.up = c.Fabric.AppendUpLinks(c.up[:0])
+	for _, l := range c.up {
+		in.Existing[l.ID] = true
 	}
+	in.Candidates, in.Requests = graph, c.NBI.AppendSolverRequests(in.Requests[:0])
+	in.Gateways, in.Drained = c.liveGateways(), c.gwDown
+	return *in
 }
 
 // Run simulates until the given time (seconds).

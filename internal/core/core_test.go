@@ -235,7 +235,12 @@ func TestTOD(t *testing.T) {
 func TestOperationalNodeCount(t *testing.T) {
 	c := New(fastConfig(1))
 	c.RunHours(1)
-	ops := c.Fleet.OperationalNodes()
+	var ops []*platform.Node
+	for _, n := range c.Fleet.Nodes() {
+		if n.Operational() {
+			ops = append(ops, n)
+		}
+	}
 	// 3 ground stations + 8 balloons (power disabled).
 	if len(ops) != 11 {
 		t.Errorf("operational nodes = %d, want 11", len(ops))

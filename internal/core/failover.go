@@ -271,11 +271,11 @@ func (c *Controller) rogueSolve() {
 	if c.solverDown {
 		return
 	}
-	xcvrs := c.Fleet.Transceivers()
-	if len(xcvrs) == 0 {
+	c.xcvrs = c.Fleet.AppendTransceivers(c.xcvrs[:0])
+	if len(c.xcvrs) == 0 {
 		return
 	}
-	plan := c.Solver.Solve(c.solverInput(c.Evaluator.CandidateGraph(xcvrs, c.Cfg.PredictiveLeadS)))
+	plan := c.Solver.Solve(c.solverInput(c.Evaluator.CandidateGraph(c.xcvrs, c.Cfg.PredictiveLeadS)))
 	r.lastPlan = plan
 	acts := r.Intents.Reconcile(plan, now)
 	if !acts.Empty() {

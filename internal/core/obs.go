@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"minkowski/internal/cdpi"
 	"minkowski/internal/obs"
 )
@@ -130,14 +128,4 @@ func (c *Controller) onEnactment(e cdpi.Enactment) {
 		sp.SetAttrBool("inferred", true)
 	}
 	sp.EndSpan()
-}
-
-// cycleMetricDetail formats the per-cycle flight-recorder metric
-// record (strconv only; pushing the record allocates nothing, as
-// obs.TestRecorderEventDoesNotAllocate pins).
-func cycleMetricDetail(links, routes, unsatisfied int, utility float64) string {
-	return "links=" + strconv.Itoa(links) +
-		" routes=" + strconv.Itoa(routes) +
-		" unsatisfied=" + strconv.Itoa(unsatisfied) +
-		" utility=" + strconv.FormatFloat(utility, 'g', -1, 64)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"minkowski/internal/dataplane"
 	"minkowski/internal/linkeval"
 	"minkowski/internal/platform"
 	"minkowski/internal/solver"
@@ -22,20 +21,19 @@ func (c *Controller) inService(n *platform.Node) bool {
 // to an SDN endpoint) and the data plane (its programmed backhaul route
 // operable). ok is false when n is not in service. Every availability
 // probe reads the layers through here.
-func (c *Controller) layers(n *platform.Node, links dataplane.LinkChecker) (link, ctrl, data, ok bool) {
+func (c *Controller) layers(n *platform.Node) (link, ctrl, data, ok bool) {
 	if !c.inService(n) {
 		return false, false, false, false
 	}
-	return c.Fabric.NodeUp(n.ID), c.InBand.Connected(n.ID), c.Data.Operable("backhaul/"+n.ID, links), true
+	return c.Fabric.NodeUp(n.ID), c.InBand.Connected(n.ID), c.Data.Operable("backhaul/"+n.ID, c.fabricLinks), true
 }
 
 // sampleTelemetry observes the Fig. 6/7 signals for every balloon
 // currently in its potential service window.
 func (c *Controller) sampleTelemetry() {
 	now := c.Eng.Now()
-	links := dataplane.LinkCheckerFunc(c.Fabric.Adjacent)
 	for _, n := range c.Fleet.Nodes() {
-		link, ctrl, data, ok := c.layers(n, links)
+		link, ctrl, data, ok := c.layers(n)
 		if !ok {
 			continue
 		}
@@ -47,8 +45,8 @@ func (c *Controller) sampleTelemetry() {
 	installed := c.Fabric.UpCount()
 	grounds := len(c.gateways)
 	operBalloons := 0
-	for _, n := range c.Fleet.OperationalNodes() {
-		if n.Kind == platform.KindBalloon {
+	for _, n := range c.Fleet.Nodes() {
+		if n.Kind == platform.KindBalloon && n.Operational() {
 			operBalloons++
 		}
 	}
@@ -74,10 +72,9 @@ func (c *Controller) intendedLinkCount() int {
 // recovering within 20 s for 75% of broken routes.
 func (c *Controller) sampleRecovery() {
 	now := c.Eng.Now()
-	links := dataplane.LinkCheckerFunc(c.Fabric.Adjacent)
 	installed := c.Fabric.UpCount()
 	for _, n := range c.Fleet.Nodes() {
-		_, ctrl, data, ok := c.layers(n, links)
+		_, ctrl, data, ok := c.layers(n)
 		if !ok {
 			continue
 		}
@@ -90,7 +87,8 @@ func (c *Controller) sampleRecovery() {
 // over hour (Fig. 4). Only runs when Cfg.ChurnSampling is set.
 func (c *Controller) sampleChurn() {
 	ch := &c.churn
-	g := c.Evaluator.CandidateGraph(c.Fleet.Transceivers(), 0)
+	c.xcvrs = c.Fleet.AppendTransceivers(c.xcvrs[:0])
+	g := c.Evaluator.CandidateGraph(c.xcvrs, 0)
 	c.Churn.ObserveSize(g)
 	ch.cur = linkeval.AppendIDs(ch.cur[:0], g)
 	if ch.haveMin {

@@ -46,7 +46,7 @@ func AppA(o Options) *Result {
 	for k := 1; k <= 5; k++ {
 		links, redundant, satisfied := solveWithXcvrs(o.Seed, nBalloons, k)
 		frac := 0.0
-		lmin, lmax := solver.RedundancyBoundsN(nBalloons, 3, k)
+		lmin, lmax := solver.RedundancyBounds(nBalloons, 3, k)
 		if lmax > lmin {
 			frac = max(0, float64(links-lmin)/float64(lmax-lmin))
 		}
@@ -86,7 +86,9 @@ func solveWithXcvrs(seed int64, nBalloons, k int) (links, redundant, satisfied i
 	}
 	var xs []*platform.Transceiver
 	var reqs []solver.Request
+	ids := platform.NewIDs() // the solver numbers nodes by their Index
 	for _, n := range nodes {
+		ids.Register(n)
 		xs = append(xs, n.Xcvrs...)
 		if n.Kind == platform.KindBalloon {
 			reqs = append(reqs, solver.Request{ID: "backhaul/" + n.ID, Src: n.ID, MinBitrateBps: 50e6})

@@ -195,8 +195,10 @@ func TestWhyNot(t *testing.T) {
 	n2 := platform.NewBalloonNode(b2)
 	b3 := &flight.Balloon{ID: "hbal-003", Pos: geo.LLADeg(-1, 48.0, 18000)} // 1200+ km away
 	n3 := platform.NewBalloonNode(b3)
+	ids := platform.NewIDs() // the solver numbers nodes by their Index
 	for _, n := range []*platform.Node{n1, n2, n3} {
 		n.Power.CommsOn = true
+		ids.Register(n)
 	}
 	e := linkeval.New(linkeval.DefaultConfig(), clearSky{}, nil)
 	var xs []*platform.Transceiver

@@ -181,8 +181,7 @@ func (f *FMS) Step(dt float64) {
 func (f *FMS) recycleLaunch() *Balloon {
 	// Find the dominant wind heading at a random layer and enter from
 	// the opposite side.
-	layers := f.wind.Layers()
-	l := layers[f.rng.Intn(len(layers))]
+	l := f.wind.Layer(f.rng.Intn(f.wind.NumLayers()))
 	// Enter well inside the recycle boundary so the fresh vehicle has
 	// time to work its way in before being declared lost itself.
 	entryDist := math.Min(400e3, 0.45*f.RecycleRadiusM) + f.rng.Float64()*math.Min(200e3, 0.2*f.RecycleRadiusM)
@@ -206,10 +205,9 @@ func (f *FMS) decideAltitude(b *Balloon) {
 		return
 	}
 	// Loiter: choose the layer with the lowest wind speed.
-	layers := f.wind.Layers()
 	best, bi := math.Inf(1), 0
-	for i, l := range layers {
-		if s := l.Speed(); s < best {
+	for i := range f.wind.NumLayers() {
+		if s := f.wind.Layer(i).Speed(); s < best {
 			best, bi = s, i
 		}
 	}
@@ -240,4 +238,16 @@ func (f *FMS) PredictTrajectory(b *Balloon, horizonS, stepS float64) []Predicted
 		out = append(out, PredictedPoint{LeadS: lead, Pos: ghost.Pos})
 	}
 	return out
+}
+
+// PredictPosition is PredictTrajectory's last point without the
+// trajectory: the ghost's position after every step that fits in the
+// horizon, or b's own position when none does.
+func (f *FMS) PredictPosition(b *Balloon, horizonS, stepS float64) geo.LLA {
+	ghost := *b
+	for lead := stepS; lead <= horizonS; lead += stepS {
+		f.decideAltitude(&ghost)
+		ghost.Step(f.wind, stepS)
+	}
+	return ghost.Pos
 }

@@ -154,6 +154,25 @@ func TestPredictTrajectory(t *testing.T) {
 	}
 }
 
+// TestPredictPositionIsTrajectoryEnd: the one-point prediction the
+// Link Evaluator reads is the trajectory's last point bit for bit,
+// through station-keeping and loiter decisions alike, and b's own
+// position when no step fits the horizon.
+func TestPredictPositionIsTrajectoryEnd(t *testing.T) {
+	f, _ := testSetup(8)
+	for _, b := range f.Fleet {
+		for _, h := range [][2]float64{{180, 180}, {3600, 300}, {7200, 600}} {
+			pred := f.PredictTrajectory(b, h[0], h[1])
+			if got, want := f.PredictPosition(b, h[0], h[1]), pred[len(pred)-1].Pos; got != want {
+				t.Errorf("%s over %v s: PredictPosition %v, trajectory end %v", b.ID, h, got, want)
+			}
+		}
+		if got := f.PredictPosition(b, 60, 120); got != b.Pos {
+			t.Errorf("%s: a horizon shorter than the step predicts %v, want the balloon's own %v", b.ID, got, b.Pos)
+		}
+	}
+}
+
 func TestPredictionErrorGrowsWithLead(t *testing.T) {
 	// Predict, then actually fly with evolving winds, and compare.
 	f, w := testSetup(5)

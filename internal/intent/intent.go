@@ -12,7 +12,8 @@
 package intent
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"minkowski/internal/radio"
 	"minkowski/internal/rf"
@@ -110,13 +111,21 @@ type Store struct {
 	links   map[radio.LinkID]*LinkIntent
 	routes  map[string]*RouteIntent
 	history []*LinkIntent
+
+	// Reconcile's scratch, reused from pass to pass: the plan's link
+	// set and route IDs, and the live intents it walks.
+	planned    map[radio.LinkID]bool
+	routeIDs   []string
+	liveLinks  []*LinkIntent
+	liveRoutes []*RouteIntent
 }
 
 // NewStore creates an empty intent store.
 func NewStore() *Store {
 	return &Store{
-		links:  map[radio.LinkID]*LinkIntent{},
-		routes: map[string]*RouteIntent{},
+		links:   map[radio.LinkID]*LinkIntent{},
+		routes:  map[string]*RouteIntent{},
+		planned: map[radio.LinkID]bool{},
 	}
 }
 
@@ -128,27 +137,33 @@ func (st *Store) ActiveLink(id radio.LinkID) (*LinkIntent, bool) {
 
 // ActiveLinks returns live link intents sorted by link ID.
 func (st *Store) ActiveLinks() []*LinkIntent {
-	out := make([]*LinkIntent, 0, len(st.links))
+	return st.appendActiveLinks(make([]*LinkIntent, 0, len(st.links)))
+}
+
+func (st *Store) appendActiveLinks(dst []*LinkIntent) []*LinkIntent {
+	start := len(dst)
 	for _, li := range st.links {
-		out = append(out, li)
+		dst = append(dst, li)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Link.A != out[j].Link.A {
-			return out[i].Link.A < out[j].Link.A
-		}
-		return out[i].Link.B < out[j].Link.B
-	})
-	return out
+	slices.SortFunc(dst[start:], func(a, b *LinkIntent) int { return a.Link.Compare(b.Link) })
+	return dst
 }
 
 // ActiveRoutes returns live route intents sorted by ID.
 func (st *Store) ActiveRoutes() []*RouteIntent {
-	out := make([]*RouteIntent, 0, len(st.routes))
+	return st.AppendActiveRoutes(make([]*RouteIntent, 0, len(st.routes)))
+}
+
+// AppendActiveRoutes appends the live route intents to dst, sorted by
+// ID, and returns the extended slice: a caller that passes the previous
+// call's slice back, emptied, allocates nothing once it has room.
+func (st *Store) AppendActiveRoutes(dst []*RouteIntent) []*RouteIntent {
+	start := len(dst)
 	for _, ri := range st.routes {
-		out = append(out, ri)
+		dst = append(dst, ri)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	slices.SortFunc(dst[start:], func(a, b *RouteIntent) int { return strings.Compare(a.ID, b.ID) })
+	return dst
 }
 
 // History returns completed link intents in completion order.
@@ -278,9 +293,9 @@ func (a Actions) Empty() bool {
 // first send the withdraw commands).
 func (st *Store) Reconcile(plan *solver.Plan, now float64) Actions {
 	var acts Actions
-	planned := map[radio.LinkID]solver.Chosen{}
+	clear(st.planned)
 	for _, c := range plan.Links {
-		planned[c.Report.ID] = c
+		st.planned[c.Report.ID] = true
 	}
 	// Links to establish: planned but no live intent.
 	// Deterministic order: iterate plan.Links (already sorted).
@@ -303,13 +318,19 @@ func (st *Store) Reconcile(plan *solver.Plan, now float64) Actions {
 		acts.EstablishLinks = append(acts.EstablishLinks, li)
 	}
 	// Links to withdraw: live intent but not planned.
-	for _, li := range st.ActiveLinks() {
-		if _, ok := planned[li.Link]; !ok {
+	st.liveLinks = st.appendActiveLinks(st.liveLinks[:0])
+	for _, li := range st.liveLinks {
+		if !st.planned[li.Link] {
 			acts.WithdrawLinks = append(acts.WithdrawLinks, li)
 		}
 	}
 	// Routes.
-	for _, id := range sortedRouteIDs(plan.Routes) {
+	st.routeIDs = st.routeIDs[:0]
+	for id := range plan.Routes {
+		st.routeIDs = append(st.routeIDs, id)
+	}
+	slices.Sort(st.routeIDs)
+	for _, id := range st.routeIDs {
 		path := plan.Routes[id]
 		cur, ok := st.routes[id]
 		if ok && samePath(cur.Path, path) {
@@ -329,7 +350,8 @@ func (st *Store) Reconcile(plan *solver.Plan, now float64) Actions {
 		acts.ProgramRoutes = append(acts.ProgramRoutes, ri)
 	}
 	// Routes to remove: live but not in the plan.
-	for _, ri := range st.ActiveRoutes() {
+	st.liveRoutes = st.AppendActiveRoutes(st.liveRoutes[:0])
+	for _, ri := range st.liveRoutes {
 		if _, ok := plan.Routes[ri.ID]; !ok {
 			ri.State = RouteRemoved
 			delete(st.routes, ri.ID)
@@ -337,15 +359,6 @@ func (st *Store) Reconcile(plan *solver.Plan, now float64) Actions {
 		}
 	}
 	return acts
-}
-
-func sortedRouteIDs(m map[string][]string) []string {
-	out := make([]string, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func samePath(a, b []string) bool {

@@ -10,7 +10,8 @@
 package nbi
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"minkowski/internal/dataplane"
 	"minkowski/internal/solver"
@@ -36,7 +37,8 @@ type BackhaulRequest struct {
 
 // Service is the NBI registry, one backhaul request per node.
 type Service struct {
-	requests map[string]*BackhaulRequest
+	requests map[string]*BackhaulRequest // by node
+	byID     []*BackhaulRequest          // the same requests, sorted by ID
 }
 
 // NewService creates an empty NBI.
@@ -51,6 +53,8 @@ func (s *Service) RequestBackhaul(node string, classifier dataplane.FlowClassifi
 	if !ok {
 		r = &BackhaulRequest{ID: "backhaul/" + node, Node: node}
 		s.requests[node] = r
+		at, _ := slices.BinarySearchFunc(s.byID, r.ID, func(q *BackhaulRequest, id string) int { return strings.Compare(q.ID, id) })
+		s.byID = slices.Insert(s.byID, at, r)
 	}
 	r.Classifier, r.RedundancyGroup, r.Active = classifier, redundancyGroup, true
 	return r.ID
@@ -81,26 +85,19 @@ func (s *Service) HasActiveBackhaul(node string) bool {
 	return ok && r.Active
 }
 
-// ActiveRequests returns active backhaul requests sorted by ID.
-func (s *Service) ActiveRequests() []*BackhaulRequest {
-	var out []*BackhaulRequest
-	for _, r := range s.requests {
+// AppendSolverRequests appends the active backhaul requests to dst as
+// solver connectivity requests (Dst empty = any gateway), sorted by ID,
+// and returns the extended slice: a caller that passes the previous
+// call's slice back, emptied, allocates nothing.
+func (s *Service) AppendSolverRequests(dst []solver.Request) []solver.Request {
+	for _, r := range s.byID {
 		if r.Active {
-			out = append(out, r)
+			dst = append(dst, solver.Request{ID: r.ID, Src: r.Node, MinBitrateBps: r.Classifier.MinBitrateBps})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return dst
 }
 
-// SolverRequests converts active backhaul requests into solver
-// connectivity requests (Dst empty = any gateway).
-func (s *Service) SolverRequests() []solver.Request {
-	var out []solver.Request
-	for _, r := range s.ActiveRequests() {
-		out = append(out, solver.Request{
-			ID: r.ID, Src: r.Node, MinBitrateBps: r.Classifier.MinBitrateBps,
-		})
-	}
-	return out
-}
+// SolverRequests returns AppendSolverRequests' list in a slice of the
+// caller's own.
+func (s *Service) SolverRequests() []solver.Request { return s.AppendSolverRequests(nil) }

@@ -19,7 +19,7 @@ func TestBackhaulLifecycle(t *testing.T) {
 	if id != "backhaul/hbal-001" {
 		t.Errorf("id = %q", id)
 	}
-	if len(s.ActiveRequests()) != 1 || !s.HasActiveBackhaul("hbal-001") {
+	if len(s.SolverRequests()) != 1 || !s.HasActiveBackhaul("hbal-001") {
 		t.Fatal("request not active")
 	}
 	if s.HasActiveBackhaul("hbal-002") {
@@ -30,7 +30,7 @@ func TestBackhaulLifecycle(t *testing.T) {
 		t.Errorf("solver requests = %+v", reqs)
 	}
 	s.ReleaseBackhaul("hbal-001")
-	if len(s.ActiveRequests()) != 0 || s.HasActiveBackhaul("hbal-001") {
+	if len(s.SolverRequests()) != 0 || s.HasActiveBackhaul("hbal-001") {
 		t.Error("released request still active")
 	}
 	// Re-request reactivates with new parameters.
@@ -41,16 +41,27 @@ func TestBackhaulLifecycle(t *testing.T) {
 	}
 }
 
-// TestSolverRequestsSorted files three requests in descending order: a
-// map walk over so few entries never yields them ascending, so an
-// unsorted SolverRequests fails here on every run.
+// TestSolverRequestsSorted files three requests in descending order,
+// so a list kept in filing order fails here; a released request drops
+// out and its re-request comes back in place.
 func TestSolverRequestsSorted(t *testing.T) {
 	s := NewService()
 	for _, src := range []string{"hbal-009", "hbal-005", "hbal-001"} {
 		s.RequestBackhaul(src, classifier(10), "")
 	}
 	reqs := s.SolverRequests()
-	if len(reqs) != 3 || reqs[0].Src != "hbal-001" || reqs[1].Src != "hbal-005" {
+	if len(reqs) != 3 || reqs[0].Src != "hbal-001" || reqs[1].Src != "hbal-005" || reqs[2].Src != "hbal-009" {
 		t.Errorf("requests not sorted: %+v", reqs)
+	}
+	s.ReleaseBackhaul("hbal-005")
+	if reqs = s.AppendSolverRequests(reqs[:0]); len(reqs) != 2 || reqs[1].Src != "hbal-009" {
+		t.Errorf("after a release: %+v", reqs)
+	}
+	s.Reactivate("hbal-005")
+	if reqs = s.AppendSolverRequests(reqs[:0]); len(reqs) != 3 || reqs[1].Src != "hbal-005" {
+		t.Errorf("after a re-request: %+v", reqs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { reqs = s.AppendSolverRequests(reqs[:0]) }); allocs != 0 {
+		t.Errorf("AppendSolverRequests into a reused buffer allocates %.0f times", allocs)
 	}
 }

@@ -2,8 +2,8 @@ package obs
 
 import "strconv"
 
-// Record is one flight-recorder entry. Kind is "span", "event", or
-// "metric"; Detail is a pre-formatted string (strconv, never fmt). A
+// Record is one flight-recorder entry. Kind is "span" or "event";
+// Detail is a pre-formatted string (strconv, never fmt). A
 // span record keeps its duration as a number in the ring; Dump formats
 // it into Detail.
 type Record struct {
@@ -77,11 +77,6 @@ func (r *Recorder) push(rec Record) {
 // Event appends an event record.
 func (r *Recorder) Event(name, detail string) {
 	r.push(Record{Kind: "event", Name: name, Detail: detail})
-}
-
-// Metric appends a metric record (per-cycle telemetry summaries).
-func (r *Recorder) Metric(name, detail string) {
-	r.push(Record{Kind: "metric", Name: name, Detail: detail})
 }
 
 // spanDone mirrors a completed span into the ring.

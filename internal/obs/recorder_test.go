@@ -49,7 +49,7 @@ func TestRecorderReplicaRestamp(t *testing.T) {
 	o.Rec.Event("before", "")
 	o.Rec.SetReplica("B")
 	clock = 1
-	o.Rec.Metric("after", "x=1")
+	o.Rec.Event("after", "x=1")
 	d := o.Rec.Dump()
 	if len(d.Records) != 2 || d.Records[0].Replica != "A" || d.Records[1].Replica != "B" {
 		t.Fatalf("records = %+v", d.Records)
@@ -57,8 +57,8 @@ func TestRecorderReplicaRestamp(t *testing.T) {
 	if d.Replica != "B" {
 		t.Fatalf("dump replica = %q, want B", d.Replica)
 	}
-	if d.Records[1].Kind != "metric" || d.Records[1].Detail != "x=1" {
-		t.Fatalf("metric record = %+v", d.Records[1])
+	if d.Records[1].Kind != "event" || d.Records[1].Detail != "x=1" {
+		t.Fatalf("event record = %+v", d.Records[1])
 	}
 }
 
@@ -66,7 +66,7 @@ func TestDisabledRecorderDropsAndDumpsNil(t *testing.T) {
 	clock := 0.0
 	o := New(Config{Enabled: false}, func() float64 { return clock })
 	o.Rec.Event("x", "")
-	o.Rec.Metric("y", "")
+	o.Rec.Event("y", "")
 	if o.Rec.Dump() != nil {
 		t.Fatal("disabled recorder must dump nil")
 	}

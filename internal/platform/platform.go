@@ -178,6 +178,8 @@ type Fleet struct {
 	joined, left []*Node
 
 	byVehicle map[*flight.Balloon]*Node
+	// inFMS is Step's scratch: the vehicles the FMS flies this step.
+	inFMS map[*flight.Balloon]bool
 }
 
 // NewFleet wraps an FMS fleet and ground stations.
@@ -188,6 +190,7 @@ func NewFleet(fms *flight.FMS, grounds []*Node) *Fleet {
 		Balloons:  make(map[string]*Node),
 		Grounds:   grounds,
 		byVehicle: make(map[*flight.Balloon]*Node),
+		inFMS:     make(map[*flight.Balloon]bool),
 	}
 	for _, g := range grounds {
 		f.IDs.Register(g)
@@ -226,16 +229,16 @@ func (f *Fleet) Step(t, dt float64) {
 	f.FMS.Step(dt)
 	// Reconcile: any vehicle in the FMS fleet without a node is a
 	// join; any node whose vehicle is gone is a leave.
-	current := make(map[*flight.Balloon]bool, len(f.FMS.Fleet))
+	clear(f.inFMS)
 	joinedStart, leftStart := len(f.joined), len(f.left)
 	for _, b := range f.FMS.Fleet {
-		current[b] = true
+		f.inFMS[b] = true
 		if _, ok := f.byVehicle[b]; !ok {
 			f.join(b)
 		}
 	}
 	for veh, node := range f.byVehicle {
-		if !current[veh] {
+		if !f.inFMS[veh] {
 			delete(f.byVehicle, veh)
 			delete(f.Balloons, node.ID)
 			f.left = append(f.left, node)
@@ -269,23 +272,18 @@ func (f *Fleet) DrainEvents() (joined, left []*Node) {
 // the fleet as it was then.
 func (f *Fleet) Nodes() []*Node { return f.nodes }
 
-// OperationalNodes returns the nodes whose payloads are powered.
-func (f *Fleet) OperationalNodes() []*Node {
-	var out []*Node
-	for _, n := range f.Nodes() {
+// AppendTransceivers appends every transceiver on an operational node
+// to dst, in Nodes order, and returns the extended slice: a caller that
+// passes the previous call's slice back, emptied, allocates nothing.
+func (f *Fleet) AppendTransceivers(dst []*Transceiver) []*Transceiver {
+	for _, n := range f.nodes {
 		if n.Operational() {
-			out = append(out, n)
+			dst = append(dst, n.Xcvrs...)
 		}
 	}
-	return out
+	return dst
 }
 
 // Transceivers returns every transceiver on operational nodes, in
-// deterministic order.
-func (f *Fleet) Transceivers() []*Transceiver {
-	var out []*Transceiver
-	for _, n := range f.OperationalNodes() {
-		out = append(out, n.Xcvrs...)
-	}
-	return out
-}
+// deterministic order, in a slice of the caller's own.
+func (f *Fleet) Transceivers() []*Transceiver { return f.AppendTransceivers(nil) }

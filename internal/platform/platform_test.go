@@ -253,10 +253,21 @@ func TestNodesViewSurvivesMembershipChange(t *testing.T) {
 	}
 }
 
+// operational returns f's nodes whose payloads are powered.
+func operational(f *Fleet) []*Node {
+	var out []*Node
+	for _, n := range f.Nodes() {
+		if n.Operational() {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 func TestOperationalFollowsPower(t *testing.T) {
 	f, w := newTestFleet(5)
 	// At midnight no balloon is operational; the ground station is.
-	ops := f.OperationalNodes()
+	ops := operational(f)
 	if len(ops) != 1 || ops[0].Kind != KindGround {
 		t.Errorf("at t=0 (midnight) only the GS should be operational, got %d", len(ops))
 	}
@@ -265,7 +276,7 @@ func TestOperationalFollowsPower(t *testing.T) {
 		w.Step(60)
 		f.Step(float64(tick)*60, 60)
 	}
-	ops = f.OperationalNodes()
+	ops = operational(f)
 	if len(ops) != 6 {
 		t.Errorf("at noon all 6 nodes should be operational, got %d", len(ops))
 	}
@@ -282,6 +293,14 @@ func TestTransceiversEnumeration(t *testing.T) {
 	if len(xs) != 17 {
 		t.Fatalf("transceivers = %d, want 17", len(xs))
 	}
+	buf := f.AppendTransceivers(make([]*Transceiver, 0, len(xs)))
+	if !slices.Equal(buf, xs) {
+		t.Error("AppendTransceivers and Transceivers list different transceivers")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { buf = f.AppendTransceivers(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendTransceivers into a reused buffer allocates %.0f times", allocs)
+	}
+
 	seen := map[string]bool{}
 	for _, x := range xs {
 		if seen[x.ID] {

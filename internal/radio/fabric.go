@@ -92,8 +92,9 @@ type Fabric struct {
 	eng   *sim.Engine
 	wx    *weather.Field
 	links map[LinkID]*Link
-	// live holds the same links as the map, in LinkID order.
-	live []*Link
+	// live holds the same links as the map, in LinkID order; checking
+	// is checkAll's reused copy of it.
+	live, checking []*Link
 	// adj indexes the links in StateUp by endpoint node (see nodeAdj);
 	// upCount is how many there are. A link is in the index exactly
 	// while its State is StateUp: finishAcquire and end update it
@@ -361,10 +362,11 @@ func (f *Fabric) end(l *Link, r Reason) {
 }
 
 // checkAll re-evaluates every installed link against the truth, in
-// LinkID order. It walks a snapshot: a check can end a link, and the
-// OnDown callback may establish another.
+// LinkID order. It walks a snapshot, copied into a buffer it reuses: a
+// check can end a link, and the OnDown callback may establish another.
 func (f *Fabric) checkAll() {
-	for _, l := range f.Links() {
+	f.checking = append(f.checking[:0], f.live...)
+	for _, l := range f.checking {
 		if l.State == StateUp {
 			f.checkLink(l)
 		}
@@ -431,18 +433,25 @@ func (f *Fabric) Get(id LinkID) (*Link, bool) {
 // The slice is the caller's own.
 func (f *Fabric) Links() []*Link { return slices.Clone(f.live) }
 
-// UpLinks returns only the links in StateUp, sorted by ID.
+// UpLinks returns only the links in StateUp, sorted by ID, in a slice
+// of the caller's own.
 func (f *Fabric) UpLinks() []*Link {
 	if f.upCount == 0 {
 		return nil
 	}
-	out := make([]*Link, 0, f.upCount)
+	return f.AppendUpLinks(make([]*Link, 0, f.upCount))
+}
+
+// AppendUpLinks appends the links in StateUp to dst, sorted by ID, and
+// returns the extended slice: a caller that passes the previous call's
+// slice back, emptied, allocates nothing once it has room.
+func (f *Fabric) AppendUpLinks(dst []*Link) []*Link {
 	for _, l := range f.live {
 		if l.Up() {
-			out = append(out, l)
+			dst = append(dst, l)
 		}
 	}
-	return out
+	return dst
 }
 
 // History returns all completed links in completion order.

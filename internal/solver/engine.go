@@ -4,8 +4,12 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"minkowski/internal/linkeval"
+	"minkowski/internal/platform"
+	"minkowski/internal/radio"
 	"minkowski/internal/rf"
 )
 
@@ -21,19 +25,21 @@ import (
 // edge is the engine's mutable view of one candidate; what a path
 // search reads of it lives in the parallel edgeCost record.
 type edge struct {
-	rep      *linkeval.Report
-	a, b     int32 // node indices
-	group    int32 // node-pair group: the edges joining the same two platforms
-	class    int32 // bitrate class: how many distinct request bitrates it carries
-	viable   bool
-	chosen   bool
-	exist    bool
-	marginal bool
+	rep       *linkeval.Report
+	a, b      int32 // node numbers
+	group     int32 // node-pair group: the edges joining the same two platforms
+	class     int32 // bitrate class: how many distinct request bitrates it carries
+	ch        uint8 // channel index, once chosen
+	viable    bool
+	chosen    bool
+	redundant bool // chosen by the secondary objective
+	exist     bool
+	marginal  bool
 }
 
 // reqView is a request resolved against the node table.
 type reqView struct {
-	src, dst int32 // node indices; dst < 0 means "any gateway"
+	src, dst int32 // node numbers; dst < 0 means "any gateway"
 	srcIsDst bool
 	minBr    float64
 	util     float64 // per-path-edge utility contribution, max(minBr, 1)
@@ -41,12 +47,16 @@ type reqView struct {
 
 // ctx is the engine's per-solve state. Every slice is scratch owned
 // by the Solver and reused across cycles; reset() rebuilds it from an
-// Input without reallocating on the steady state.
+// Input without reallocating on the steady state. A node's number is
+// its platform.Node.Index (DESIGN §10).
 type ctx struct {
 	cfg       Config
-	in        *Input
-	nodes     []string // node index -> ID
-	nodeOf    map[string]int32
+	node      []*platform.Node // number -> the node the candidates name (nil: none)
+	drained   []bool           // per number: Input.Drained holds its node
+	byName    []int32          // the numbered nodes, in ID order, for name lookups
+	up        []radio.LinkID   // Input.Existing's installed links, in LinkID order
+	picked    []int32          // chosen edges, in commit order
+	iso       int32            // the isolated number that a source no candidate carries searches from
 	gw        []bool
 	edges     []edge
 	cost      []edgeCost // per edge: see edgeCost
@@ -82,60 +92,44 @@ type ctx struct {
 	sp spScratch // the shortest-path search's state and work counters
 }
 
-func (c *ctx) internNode(id string) int32 {
-	if i, ok := c.nodeOf[id]; ok {
-		return i
-	}
-	i := int32(len(c.nodes))
-	c.nodes = append(c.nodes, id)
-	c.nodeOf[id] = i
-	return i
-}
-
 // reset rebuilds the ctx for one solve.
 func (c *ctx) reset(cfg Config, in *Input) {
 	c.cfg = cfg
-	c.in = in
-	c.nodes = c.nodes[:0]
-	if c.nodeOf == nil {
-		c.nodeOf = make(map[string]int32, 256)
-	} else {
-		clear(c.nodeOf)
+	nV := 0
+	for _, rep := range in.Candidates {
+		nV = max(nV, int(rep.XA.Node.Index)+1, int(rep.XB.Node.Index)+1)
 	}
-	c.edges = c.edges[:0]
-	c.cost = c.cost[:0]
+	c.node = grow(c.node, nV)
+	c.drained = grow(c.drained, nV)
+	c.up = c.up[:0]
+	for id, on := range in.Existing {
+		if on {
+			c.up = append(c.up, id)
+		}
+	}
+	slices.SortFunc(c.up, radio.LinkID.Compare)
+	c.edges, c.cost, c.picked, c.byName = c.edges[:0], c.cost[:0], c.picked[:0], c.byName[:0]
 	if c.channels == nil {
 		c.channels = rf.EBandChannels()
 	}
 	for _, rep := range in.Candidates {
-		na, nb := rep.XA.Node.ID, rep.XB.Node.ID
-		if in.Drained[na] || in.Drained[nb] {
+		a, b := c.see(rep.XA.Node, in.Drained), c.see(rep.XB.Node, in.Drained)
+		if c.drained[a] || c.drained[b] {
 			continue
 		}
-		e := edge{
-			rep:      rep,
-			a:        c.internNode(na),
-			b:        c.internNode(nb),
-			viable:   true,
-			exist:    in.Existing[rep.ID],
-			marginal: rep.Class == rf.Marginal,
-		}
+		_, exist := slices.BinarySearchFunc(c.up, rep.ID, radio.LinkID.Compare)
+		e := edge{rep: rep, a: a, b: b, viable: true, exist: exist, marginal: rep.Class == rf.Marginal}
 		c.edges = append(c.edges, e)
 		c.cost = append(c.cost, edgeCost{c1: c.pathCost(&e), bitrate: rep.Budget.BitrateBps})
 	}
-	for _, g := range in.Gateways {
-		c.internNode(g)
-	}
-	for _, r := range in.Requests {
-		c.internNode(r.Src)
-		if r.Dst != "" {
-			c.internNode(r.Dst)
-		}
-	}
-	nV := len(c.nodes)
+	slices.SortFunc(c.byName, func(a, b int32) int { return strings.Compare(c.node[a].ID, c.node[b].ID) })
+	c.iso = int32(nV)
+	nV++ // iso's slot
 	c.gw = grow(c.gw, nV)
 	for _, g := range in.Gateways {
-		c.gw[c.nodeOf[g]] = true
+		if i := c.lookup(g); i < c.iso {
+			c.gw[i] = true
+		}
 	}
 	c.adj = growRows(c.adj, nV)
 	c.chosenAdj = growRows(c.chosenAdj, nV)
@@ -153,13 +147,13 @@ func (c *ctx) reset(cfg Config, in *Input) {
 	c.reqs = grow(c.reqs, nR)
 	for i, r := range in.Requests {
 		rq := &c.reqs[i]
-		rq.src = c.nodeOf[r.Src]
+		rq.src = min(c.lookup(r.Src), c.iso)
 		rq.dst = -1
 		if r.Dst != "" {
-			rq.dst = c.nodeOf[r.Dst]
-			rq.srcIsDst = rq.src == rq.dst
+			rq.dst = c.lookup(r.Dst)
+			rq.srcIsDst = r.Src == r.Dst
 		} else {
-			rq.srcIsDst = c.gw[rq.src]
+			rq.srcIsDst = slices.Contains(in.Gateways, r.Src)
 		}
 		rq.minBr = r.MinBitrateBps
 		rq.util = math.Max(r.MinBitrateBps, 1)
@@ -172,6 +166,29 @@ func (c *ctx) reset(cfg Config, in *Input) {
 	c.sp.ensure(nV)
 	c.classify()
 	c.group()
+}
+
+// see enters a candidate's endpoint in the node table at its Index and
+// returns that number. The nodes of one Input must be registered in one
+// platform.IDs table: two at one Index would be one node to the search.
+func (c *ctx) see(n *platform.Node, drained map[string]bool) int32 {
+	if m := c.node[n.Index]; m == nil {
+		c.node[n.Index], c.drained[n.Index] = n, drained[n.ID]
+		c.byName = append(c.byName, n.Index)
+	} else if m != n {
+		panic("solver: nodes " + m.ID + " and " + n.ID + " share index " + strconv.Itoa(int(n.Index)))
+	}
+	return n.Index
+}
+
+// lookup returns the number of the node a name stands for: its Index
+// when a candidate carries it, else iso+1 (no search reaches it).
+func (c *ctx) lookup(name string) int32 {
+	k, ok := slices.BinarySearchFunc(c.byName, name, func(i int32, name string) int { return strings.Compare(c.node[i].ID, name) })
+	if !ok {
+		return c.iso + 1
+	}
+	return c.byName[k]
 }
 
 // classify sets every edge's bitrate class: the number of distinct
@@ -195,7 +212,7 @@ func (c *ctx) classify() {
 // group sorts the edges into node-pair groups, flat, each in edge
 // order, computes every group's dominance and builds the scan rows.
 func (c *ctx) group() {
-	nV := len(c.nodes)
+	nV := len(c.adj)
 	c.pairSeen = grow(c.pairSeen, nV)
 	c.pairGrp = grow(c.pairGrp, nV)
 	ng := int32(0)
@@ -398,8 +415,6 @@ func insertEnt(row []adjEnt, a adjEnt) []adjEnt {
 func (s *Solver) run(in *Input) *Plan {
 	c := &s.c
 	c.reset(s.cfg, in)
-	nR := len(in.Requests)
-	plan := &Plan{Routes: make(map[string][]string, nR)}
 
 	// --- Initial routing phase --------------------------------------
 	for ri := range c.reqs {
@@ -451,7 +466,7 @@ func (s *Solver) run(in *Input) *Plan {
 		if best < 0 {
 			break
 		}
-		c.choose(plan, best, false)
+		c.choose(best, false)
 		c.compact()
 		// Re-route requests whose path lost an edge, plus pathless
 		// requests not yet proven permanently unreachable. The
@@ -490,44 +505,50 @@ func (s *Solver) run(in *Input) *Plan {
 			c.shortestPath(int32(ri), c.chosenAdj)
 		}
 	}
+	c.addRedundancy()
+	return c.plan(in)
+}
+
+// plan builds the solve's output. A plan outlives the candidates (their
+// evaluator's next graph overwrites them), so it owns what it holds,
+// each list sized once: the links in ID order with copies of their
+// reports, and the route paths cut from one array.
+func (c *ctx) plan(in *Input) *Plan {
+	plan := &Plan{Routes: make(map[string][]string, len(in.Requests))}
+	slices.SortFunc(c.picked, func(a, b int32) int { return c.edges[a].rep.ID.Compare(c.edges[b].rep.ID) })
+	plan.Links = make([]Chosen, len(c.picked))
+	own := make([]linkeval.Report, len(c.picked))
+	for i, ei := range c.picked {
+		e := &c.edges[ei]
+		own[i] = *e.rep
+		plan.Links[i] = Chosen{Report: &own[i], Channel: c.channels[e.ch], Redundant: e.redundant, KeptFromPrevious: e.exist}
+	}
+	hops := len(c.reqs) // a path's source and one node per edge; an unsatisfied request's slot goes unused
+	for _, p := range c.paths {
+		hops += len(p)
+	}
+	names := make([]string, hops)
 	for ri, r := range in.Requests {
 		if !c.has[ri] {
 			plan.Unsatisfied = append(plan.Unsatisfied, r)
 			continue
 		}
-		// The node path, read off the edge path (freshly allocated: it
-		// escapes into the plan).
+		// The node path, read off the edge path.
+		k := len(c.paths[ri]) + 1
+		np := names[:k:k]
+		names = names[k:]
+		np[0] = r.Src
 		n := c.reqs[ri].src
-		np := make([]string, 1, len(c.paths[ri])+1)
-		np[0] = c.nodes[n]
-		for _, ei := range c.paths[ri] {
+		for i, ei := range c.paths[ri] {
 			if e := &c.edges[ei]; e.a == n {
 				n = e.b
 			} else {
 				n = e.a
 			}
-			np = append(np, c.nodes[n])
+			np[i+1] = c.node[n].ID
 		}
 		plan.Routes[r.ID] = np
 		plan.Utility += r.MinBitrateBps
-	}
-
-	c.addRedundancy(plan)
-	sort.Slice(plan.Links, func(i, j int) bool {
-		a, b := plan.Links[i].Report.ID, plan.Links[j].Report.ID
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		return a.B < b.B
-	})
-	// The candidates live in storage their evaluator's next graph
-	// overwrites (linkeval.CandidateGraph), and a plan outlives that
-	// call — as lastPlan, in the intent store, under explain.WhyNot —
-	// so it takes the reports it chose by value.
-	own := make([]linkeval.Report, len(plan.Links))
-	for i := range plan.Links {
-		own[i] = *plan.Links[i].Report
-		plan.Links[i].Report = &own[i]
 	}
 	return plan
 }
@@ -546,23 +567,23 @@ func (c *ctx) pathBroken(ri int) bool {
 // choose commits an edge — channel assignment + conflict elimination —
 // or, when no channel is free at both ends, retires it and reports
 // false.
-func (c *ctx) choose(plan *Plan, idx int32, redundant bool) bool {
+func (c *ctx) choose(idx int32, redundant bool) bool {
 	e := &c.edges[idx]
-	ch, chBit, ok := c.pickChannel(e)
-	if !ok {
+	// The lowest channel unused at both endpoint platforms.
+	used, ch := c.chanMask[e.a]|c.chanMask[e.b], uint8(0)
+	for int(ch) < len(c.channels) && used&(1<<ch) != 0 {
+		ch++
+	}
+	if int(ch) == len(c.channels) {
 		c.retire(e)
 		return false
 	}
-	e.chosen = true
+	e.chosen, e.redundant, e.ch = true, redundant, ch
 	c.cost[idx].c1 = c.pathCost(e)
 	c.touch(e)
-	c.chanMask[e.a] |= chBit
-	c.chanMask[e.b] |= chBit
-	plan.Links = append(plan.Links, Chosen{
-		Report: e.rep, Channel: ch,
-		Redundant:        redundant,
-		KeptFromPrevious: e.exist,
-	})
+	c.chanMask[e.a] |= 1 << ch
+	c.chanMask[e.b] |= 1 << ch
+	c.picked = append(c.picked, idx)
 	// One pairing per transceiver.
 	for _, n := range [2]int32{e.a, e.b} {
 		for _, oa := range c.adj[n] {
@@ -579,27 +600,11 @@ func (c *ctx) choose(plan *Plan, idx int32, redundant bool) bool {
 	return true
 }
 
-// pickChannel returns the lowest channel unused at both endpoint
-// platforms, plus its bitmask bit.
-func (c *ctx) pickChannel(e *edge) (rf.Channel, uint16, bool) {
-	used := c.chanMask[e.a] | c.chanMask[e.b]
-	for k, ch := range c.channels {
-		if bit := uint16(1) << uint(k); used&bit == 0 {
-			return ch, bit, true
-		}
-	}
-	return rf.Channel{}, 0, false
-}
-
 // addRedundancy implements the secondary objective: task idle
 // transceivers with extra links until the Appendix A redundancy
 // target is reached. The scoring — including its float accumulation
 // order — is the seed's, verbatim.
-func (c *ctx) addRedundancy(plan *Plan) {
-	for i := range c.nodes {
-		c.degree[i] = 0
-		c.nodeCls[i] = 0
-	}
+func (c *ctx) addRedundancy() {
 	balloons, grounds := 0, 0
 	for i := range c.edges {
 		e := &c.edges[i]
@@ -619,7 +624,7 @@ func (c *ctx) addRedundancy(plan *Plan) {
 			c.degree[e.b]++
 		}
 	}
-	lmin, lmax := RedundancyBounds(balloons, grounds)
+	lmin, lmax := RedundancyBounds(balloons, grounds, 3)
 	target := int(c.cfg.RedundancyTargetFrac * float64(lmax-lmin))
 	for added := 0; added < target; added++ {
 		best, bestScore := int32(-1), math.Inf(-1)
@@ -642,7 +647,7 @@ func (c *ctx) addRedundancy(plan *Plan) {
 		if best < 0 {
 			break
 		}
-		if !c.choose(plan, best, true) {
+		if !c.choose(best, true) {
 			added--
 			continue
 		}

@@ -80,6 +80,7 @@ func newEqWorld(nBalloons int, seed uint64) *eqWorld {
 		w.nodes = append(w.nodes, n)
 		w.balloons = append(w.balloons, b)
 	}
+	indexed(w.nodes...)
 	w.eval = linkeval.New(linkeval.DefaultConfig(), clearSky{}, nil)
 	return w
 }
@@ -246,6 +247,7 @@ func TestHopCapUnreachableBecomesRoutable(t *testing.T) {
 	x := mkNode("x", 1)
 	m := mkNode("m", 3)
 	d := mkNode("d", 1)
+	indexed(s, x, m, d)
 	mkRep := func(xa, xb *platform.Transceiver) *linkeval.Report {
 		return &linkeval.Report{
 			ID: radio.MakeLinkID(xa.ID, xb.ID), XA: xa, XB: xb,
@@ -387,6 +389,7 @@ func hubWorld() Input {
 	for i := 0; i < spokes; i++ {
 		ring = append(ring, mkNode(fmt.Sprintf("s%02d", i), 3))
 	}
+	indexed(append(ring, hub)...)
 	in := Input{Gateways: []string{"gw"}}
 	add := func(xa, xb *platform.Transceiver, bps float64) {
 		in.Candidates = append(in.Candidates, &linkeval.Report{
@@ -510,5 +513,84 @@ func TestPlanOwnsItsReports(t *testing.T) {
 		if evaluators[l.Report] {
 			t.Errorf("link %v: the plan points into the evaluator's storage", kept[i].ID)
 		}
+	}
+}
+
+// TestIndexKeyedLookupsMatchReference: the engine numbers nodes by
+// platform.Node.Index and tests Existing and Drained by number and by
+// a search of the sorted installed links; the reference keys both by
+// name. On eqWorld inputs whose nodes are registered out of name order
+// with gaps, the plans must be the same through every shape the maps
+// and names take: an Existing map with switched-off entries and links
+// no candidate carries, a drained balloon and a drained gateway, and
+// requests naming a node, a destination and a gateway that no
+// candidate carries. A second numbering of the same nodes must give the
+// same plans and the same work counters.
+func TestIndexKeyedLookupsMatchReference(t *testing.T) {
+	w := newEqWorld(12, 0x1DE7)
+	renumber := func(stride int) {
+		ids := platform.NewIDs()
+		for i := len(w.nodes) - 1; i >= 0; i-- {
+			for k := 0; k < stride; k++ {
+				ids.Intern(fmt.Sprintf("gap-%d-%d", i, k))
+			}
+			ids.Register(w.nodes[i])
+		}
+	}
+	input := func(existing map[radio.LinkID]bool) Input {
+		in := w.input(existing)
+		in.Existing = flipExisting(existing,
+			radio.MakeLinkID("gone/x0", "hbal-000/xcvr-0"), // installed, no longer a candidate
+			in.Candidates[0].ID)                            // switched on, or off when installed
+		in.Existing[radio.MakeLinkID("off/x0", "off/x1")] = false
+		switch w.cycle % 3 {
+		case 0:
+			in.Drained = map[string]bool{w.balloons[4].ID: true, "gs-alpha": true, "nowhere": true}
+		case 1:
+			in.Drained = map[string]bool{w.balloons[7].ID: true}
+		}
+		in.Gateways = append(in.Gateways, "gs-ghost")
+		in.Requests = append(in.Requests,
+			Request{ID: "absent-src", Src: "hbal-999", MinBitrateBps: 50e6},
+			Request{ID: "to-balloon", Src: w.balloons[2].ID, Dst: w.balloons[9].ID, MinBitrateBps: 20e6},
+			Request{ID: "absent-dst", Src: w.balloons[3].ID, Dst: "hbal-999", MinBitrateBps: 20e6},
+			Request{ID: "from-gateway", Src: "gs-beta", MinBitrateBps: 1e6},
+			Request{ID: "from-ghost", Src: "gs-ghost", MinBitrateBps: 1e6},
+			Request{ID: "ghost-to-self", Src: "gs-ghost", Dst: "gs-ghost", MinBitrateBps: 1e6})
+		return in
+	}
+	a, b, ref := New(DefaultConfig()), New(DefaultConfig()), New(DefaultConfig())
+	existing := map[radio.LinkID]bool{}
+	sawUnsat, sawDrain := false, false
+	for cyc := 0; cyc < 6; cyc++ {
+		in := input(existing)
+		refPlan := ref.SolveReference(in)
+		want := refPlan.Fingerprint()
+		renumber(1)
+		if got := a.Solve(in).Fingerprint(); got != want {
+			t.Fatalf("cycle %d: engine diverged from reference\nengine:\n%s\nreference:\n%s", cyc, got, want)
+		}
+		renumber(3)
+		if got := b.Solve(in).Fingerprint(); got != want {
+			t.Fatalf("cycle %d: a second numbering diverged from reference\nengine:\n%s\nreference:\n%s", cyc, got, want)
+		}
+		if a.Stats() != b.Stats() {
+			t.Fatalf("cycle %d: work counters depend on the numbering: %+v vs %+v", cyc, a.Stats(), b.Stats())
+		}
+		for _, id := range []string{"absent-src", "absent-dst"} {
+			if _, ok := refPlan.Routes[id]; ok {
+				t.Fatalf("cycle %d: request %s to or from a node no candidate carries was routed", cyc, id)
+			}
+		}
+		if _, ok := refPlan.Routes["from-ghost"]; !ok {
+			t.Fatalf("cycle %d: a request from a gateway is satisfied where it stands", cyc)
+		}
+		sawUnsat = sawUnsat || len(refPlan.Unsatisfied) > 2
+		sawDrain = sawDrain || in.Drained != nil
+		existing = existingFrom(refPlan)
+		w.drift()
+	}
+	if !sawUnsat || !sawDrain {
+		t.Fatalf("vacuous scenario: unsatisfied beyond the absent nodes %v, drains %v", sawUnsat, sawDrain)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
 	"testing"
 
 	"minkowski/internal/obs"
@@ -54,8 +53,6 @@ func (h *obsBenchHarness) cycle(s *Solver, in Input, n int) *Plan {
 	for range p.Links {
 		h.dispatches.Inc()
 	}
-	h.o.Rec.Metric("solve-cycle", "links="+strconv.Itoa(len(p.Links))+
-		" routes="+strconv.Itoa(len(p.Routes)))
 	sp.EndSpan()
 	return p
 }

@@ -362,7 +362,7 @@ func (c *refCtx) addRedundancy(plan *Plan) {
 		}
 	}
 	base := len(plan.Links)
-	lmin, lmax := RedundancyBounds(len(balloons), len(grounds))
+	lmin, lmax := RedundancyBounds(len(balloons), len(grounds), 3)
 	target := int(c.cfg.RedundancyTargetFrac * float64(lmax-lmin))
 	for added := 0; added < target; added++ {
 		best, bestScore := -1, math.Inf(-1)

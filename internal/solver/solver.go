@@ -257,25 +257,16 @@ func NewWarm() *Warm { return &Warm{} }
 func (s *Solver) SolveWarm(in Input, _ *Warm) *Plan { return s.Solve(in) }
 
 // RedundancyBounds returns Appendix A's L_min and L_max for a
-// topology of B balloons (3 transceivers each) and G ground stations
-// (2 transceivers each): L_min = B (each balloon needs a route) and
-// L_max = floor((2G + 3B) / 2).
-func RedundancyBounds(b, g int) (lmin, lmax int) {
-	return RedundancyBoundsN(b, g, 3)
-}
-
-// RedundancyBoundsN generalizes Appendix A to k transceivers per
-// balloon (the §3.2 transceiver-count study): L_min = B and
-// L_max = floor((2G + kB) / 2).
-func RedundancyBoundsN(b, g, xcvrsPerBalloon int) (lmin, lmax int) {
-	return b, (2*g + xcvrsPerBalloon*b) / 2
-}
+// topology of B balloons with k transceivers each (3 in production;
+// the §3.2 study varies it) and G two-transceiver ground stations:
+// L_min = B (each balloon needs a route), L_max = floor((2G + kB) / 2).
+func RedundancyBounds(b, g, k int) (lmin, lmax int) { return b, (2*g + k*b) / 2 }
 
 // RedundancyFraction is Appendix A's utilization metric:
 // (L − L_min) / (L_max − L_min), clamped to [0, 1]; NaN when the
 // formula degenerates.
 func RedundancyFraction(links, balloons, grounds int) float64 {
-	lmin, lmax := RedundancyBounds(balloons, grounds)
+	lmin, lmax := RedundancyBounds(balloons, grounds, 3)
 	if lmax <= lmin {
 		return math.NaN()
 	}

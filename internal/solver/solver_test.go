@@ -18,6 +18,16 @@ type clearSky struct{}
 func (clearSky) EstimateRain(geo.LLA) (float64, bool) { return 0, true }
 func (clearSky) AgeSeconds() float64                  { return 0 }
 
+// indexed registers nodes in one fresh IDs table, as a Fleet does: the
+// solver numbers a node by its Index.
+func indexed(nodes ...*platform.Node) []*platform.Node {
+	ids := platform.NewIDs()
+	for _, n := range nodes {
+		ids.Register(n)
+	}
+	return nodes
+}
+
 func mkBalloon(id string, latDeg, lonDeg float64) *platform.Node {
 	b := &flight.Balloon{ID: id, Pos: geo.LLADeg(latDeg, lonDeg, 18000)}
 	n := platform.NewBalloonNode(b)
@@ -34,6 +44,7 @@ func world(nBalloons int) (nodes []*platform.Node, candidates []*linkeval.Report
 		id := "hbal-00" + string(rune('1'+i))
 		nodes = append(nodes, mkBalloon(id, -1, 36.8+1.35*float64(i)))
 	}
+	indexed(nodes...)
 	var xs []*platform.Transceiver
 	for _, n := range nodes {
 		xs = append(xs, n.Xcvrs...)
@@ -259,7 +270,7 @@ func TestEmptyInput(t *testing.T) {
 func TestRedundancyBoundsAndFraction(t *testing.T) {
 	// Appendix A with 2-transceiver ground stations: B=10, G=3 →
 	// L_min=10, L_max=floor((6+30)/2)=18.
-	lmin, lmax := RedundancyBounds(10, 3)
+	lmin, lmax := RedundancyBounds(10, 3, 3)
 	if lmin != 10 || lmax != 18 {
 		t.Errorf("bounds = %d,%d want 10,18", lmin, lmax)
 	}
@@ -290,7 +301,7 @@ func TestMarginalLinksOnlyWhenNecessary(t *testing.T) {
 	far := mkBalloon("hbal-001", -1, 42.6) // ~665 km from everything
 	near := mkBalloon("hbal-002", -1, 37.2)
 	var xs []*platform.Transceiver
-	for _, n := range []*platform.Node{gs, far, near} {
+	for _, n := range indexed(gs, far, near) {
 		xs = append(xs, n.Xcvrs...)
 	}
 	e := linkeval.New(linkeval.DefaultConfig(), clearSky{}, nil)

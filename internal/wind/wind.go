@@ -98,12 +98,11 @@ func NewField(cfg Config) *Field {
 	return f
 }
 
-// Layers returns a snapshot copy of the current layer states.
-func (f *Field) Layers() []Layer {
-	out := make([]Layer, len(f.layers))
-	copy(out, f.layers)
-	return out
-}
+// NumLayers returns how many altitude bands the field has.
+func (f *Field) NumLayers() int { return len(f.layers) }
+
+// Layer returns band i's current state, bottom band first.
+func (f *Field) Layer(i int) Layer { return f.layers[i] }
 
 // LayerAt returns the layer containing the altitude, clamping to the
 // navigable band.

@@ -9,7 +9,7 @@ import (
 
 func TestLayersCoverBand(t *testing.T) {
 	f := NewField(DefaultConfig())
-	layers := f.Layers()
+	layers := f.layers
 	if len(layers) != DefaultConfig().LayerCount {
 		t.Fatalf("layer count = %d", len(layers))
 	}
@@ -25,10 +25,10 @@ func TestLayersCoverBand(t *testing.T) {
 
 func TestLayerAtClamps(t *testing.T) {
 	f := NewField(DefaultConfig())
-	if got := f.LayerAt(5000); got != f.Layers()[0] {
+	if got := f.LayerAt(5000); got != f.layers[0] {
 		t.Error("below-band altitude should clamp to the bottom layer")
 	}
-	last := f.Layers()[len(f.Layers())-1]
+	last := f.layers[len(f.layers)-1]
 	if got := f.LayerAt(25000); got != last {
 		t.Error("above-band altitude should clamp to the top layer")
 	}
@@ -43,7 +43,7 @@ func TestInitialHeadingsSpread(t *testing.T) {
 	// spread of headings must cover a wide arc.
 	f := NewField(DefaultConfig())
 	minH, maxH := math.Inf(1), math.Inf(-1)
-	for _, l := range f.Layers() {
+	for _, l := range f.layers {
 		h := l.Heading()
 		if h < minH {
 			minH = h
@@ -64,7 +64,7 @@ func TestDeterminism(t *testing.T) {
 		f1.Step(60)
 		f2.Step(60)
 	}
-	l1, l2 := f1.Layers(), f2.Layers()
+	l1, l2 := f1.layers, f2.layers
 	for i := range l1 {
 		if l1[i] != l2[i] {
 			t.Fatal("same seed must give identical wind evolution")
@@ -77,7 +77,7 @@ func TestStepKeepsSpeedsBounded(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		f.Step(60)
 	}
-	for _, l := range f.Layers() {
+	for _, l := range f.layers {
 		if s := l.Speed(); s > 60 {
 			t.Errorf("layer wind %v m/s is unphysical (OU not mean-reverting?)", s)
 		}
@@ -118,7 +118,7 @@ func TestBestLayerToward(t *testing.T) {
 	for bDeg := 0.0; bDeg < 360; bDeg += 30 {
 		bearing := geo.Deg(bDeg)
 		i, along := f.BestLayerToward(bearing)
-		if i < 0 || i >= len(f.Layers()) {
+		if i < 0 || i >= len(f.layers) {
 			t.Fatalf("layer index out of range: %d", i)
 		}
 		// With 10 well-spread layers there should almost always be a
@@ -134,7 +134,7 @@ func TestLayerCenterAltClamps(t *testing.T) {
 	if got := f.LayerCenterAlt(-5); got != f.LayerCenterAlt(0) {
 		t.Error("negative index should clamp")
 	}
-	n := len(f.Layers())
+	n := len(f.layers)
 	if got := f.LayerCenterAlt(n + 5); got != f.LayerCenterAlt(n-1) {
 		t.Error("overflow index should clamp")
 	}
