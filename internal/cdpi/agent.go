@@ -32,7 +32,8 @@ func (h *Hold) Done(ok bool) {
 // node's in-band connection to the frontend (heartbeats + the
 // connect event that powers the side channel).
 type Agent struct {
-	Node string
+	// Index is the node's place in the mesh's IDs table.
+	Index int32
 
 	eng      *sim.Engine
 	frontend *Frontend
@@ -109,9 +110,9 @@ func DefaultAgentConfig() AgentConfig {
 }
 
 // newAgent is created via Frontend.Register.
-func newAgent(eng *sim.Engine, fe *Frontend, node string, enact func(h *Hold), cfg AgentConfig) *Agent {
+func newAgent(eng *sim.Engine, fe *Frontend, node int32, enact func(h *Hold), cfg AgentConfig) *Agent {
 	a := &Agent{
-		Node: node, eng: eng, frontend: fe, enact: enact,
+		Index: node, eng: eng, frontend: fe, enact: enact,
 		seen:            make(map[uint64]bool),
 		fencingDisabled: cfg.DisableEpochFencing,
 	}
@@ -143,7 +144,7 @@ func newAgent(eng *sim.Engine, fe *Frontend, node string, enact func(h *Hold), c
 
 // sendUp transmits m from the agent toward the EC.
 func (a *Agent) sendUp(m *msg, size int) {
-	a.frontend.transmit(m, a.Node, !a.frontend.ib.SymmetricCompat, size)
+	a.frontend.transmit(m, a.Index, !a.frontend.ib.SymmetricCompat, size)
 }
 
 // stop ends the maintenance loops; the agent object stays valid for
@@ -158,7 +159,7 @@ func (a *Agent) checkConnectivity() {
 	// The agent's notion of "connected" is whether IT can reach the
 	// EC: heartbeats and responses travel the up direction, so a dead
 	// uplink means disconnected even if downstream commands still land.
-	now := a.frontend.ib.ConnectedUp(a.Node)
+	now := a.frontend.ib.ConnectedUp(a.Index)
 	if now && !a.connected {
 		a.connected = true
 		a.sendUp(a.frontend.newMsg(msgConnect, a, nil, false), 96)
@@ -267,5 +268,7 @@ func (a *Agent) respondSatcom(cmd *Command, ok bool) {
 	// The uplink shares the provider latency model; draw one.
 	p := a.frontend.satProviderForResponse()
 	lat := p.DrawOneWay(a.eng.RNG("satcom-up"))
-	a.eng.After(lat, a.frontend.newMsg(msgResponseSat, a, cmd, ok).arrive)
+	m := a.frontend.newMsg(msgResponseSat, a, cmd, ok)
+	m.node = a.Index
+	a.eng.After(lat, m.arrive)
 }

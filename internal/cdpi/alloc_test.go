@@ -20,7 +20,7 @@ func TestInBandVerdictsDoNotAllocate(t *testing.T) {
 	w.ib.SetPartitioned(nodeID(2), true)
 	verdicts := map[string]func() bool{
 		"Connected":   func() bool { return w.ib.Connected(nodeID(4)) && !w.ib.Connected(nodeID(2)) },
-		"ConnectedUp": func() bool { return w.ib.ConnectedUp(nodeID(3)) && w.ib.ConnectedUp("gs-1") },
+		"ConnectedUp": func() bool { return w.ib.ConnectedUp(w.fe.idx(nodeID(3))) && w.ib.ConnectedUp(w.fe.idx("gs-1")) },
 		"RoutedUp":    func() bool { return w.ib.RoutedUp(nodeID(4)) && !w.ib.RoutedUp("no-such-node") },
 	}
 	for name, ask := range verdicts {
@@ -40,14 +40,14 @@ func TestInBandVerdictsDoNotAllocate(t *testing.T) {
 func TestHeartbeatRoundTripDoesNotAllocate(t *testing.T) {
 	w := newWorld(t, 3, true)
 	reports := 0
-	w.fe.OnPositionReport = func(string, geo.LLA) { reports++ }
+	w.fe.OnPositionReport = func(int32, geo.LLA) { reports++ }
 	for i := 1; i <= 3; i++ {
-		w.fe.agents[nodeID(i)].StateReport = func() geo.LLA { return geo.LLA{Alt: 20e3} }
+		w.fe.node(w.fe.idx(nodeID(i))).agent.StateReport = func() geo.LLA { return geo.LLA{Alt: 20e3} }
 	}
 	w.eng.Run(30)
 	before := reports
 	if allocs := testing.AllocsPerRun(20, func() {
-		w.fe.agents[nodeID(1)].connected = false
+		w.fe.node(w.fe.idx(nodeID(1))).agent.connected = false
 		w.eng.Run(w.eng.Now() + 5)
 	}); allocs != 0 {
 		t.Errorf("a heartbeat round allocates %.0f times", allocs)
@@ -70,9 +70,9 @@ func TestInBandCommandAndResponseDoNotAllocate(t *testing.T) {
 	w.fe.cfg.TimeoutFastS = 3600                // outlasts any satcom response
 	w.fe.Enactments = make([]Enactment, 0, 200) // the log's growth is not a row
 	// Nor is the dedupe map's: its growth is amortized over commands.
-	w.fe.agents[node].seen = make(map[uint64]bool, 256)
+	w.fe.node(w.fe.idx(node)).agent.seen = make(map[uint64]bool, 256)
 	leg := func(inBand bool) {
-		w.fe.lastHeard[node] = w.eng.Now() // heard in-band
+		w.fe.heardAt(node, w.eng.Now()) // heard in-band
 		w.fe.Send(Command{Node: node, Kind: KindDrain, TTE: w.fe.PickTTE([]string{node})}, nil)
 		w.eng.Run(w.eng.Now() + 1) // delivered and held
 		w.ib.SetPartitioned(node, !inBand)
@@ -94,7 +94,7 @@ func TestInBandCommandAndResponseDoNotAllocate(t *testing.T) {
 	if channels[ChannelInBand] != 51 || channels[ChannelSatcom] != 51 {
 		t.Errorf("responses by channel %v, want 51 in-band and 51 over satcom", channels)
 	}
-	if a := w.fe.agents[node]; a.Enacted != 102 {
+	if a := w.fe.node(w.fe.idx(node)).agent; a.Enacted != 102 {
 		t.Errorf("the agent enacted %d commands, want 102", a.Enacted)
 	}
 }
@@ -107,7 +107,7 @@ func TestInBandCommandAndResponseDoNotAllocate(t *testing.T) {
 func TestRetryCycleDoesNotAllocate(t *testing.T) {
 	for _, kind := range []Kind{KindRouteUpdate, KindDrain} {
 		w := newWorld(t, 2, false) // no mesh: nobody is in-band
-		w.fe.Unregister(nodeID(2))
+		w.fe.Unregister(w.fe.idx(nodeID(2)))
 		w.fe.cfg.Retry.MaxAttempts = 0
 		w.fe.Send(Command{Node: nodeID(2), Kind: kind, TTE: 1}, nil)
 		cycle := func() {

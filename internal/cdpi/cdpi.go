@@ -288,18 +288,17 @@ func (ib *InBand) PathUp(node string) ([]string, bool) { return ib.path(node, tr
 // direction, whatever SymmetricCompat pretends.
 func (ib *InBand) RoutedUp(node string) bool { return ib.routeTo(node, true) }
 
-// ConnectedUp reports whether the node can currently reach the EC
-// in-band (the direction heartbeats and responses travel).
-func (ib *InBand) ConnectedUp(node string) bool {
-	return ib.routeTo(node, !ib.SymmetricCompat)
-}
+// ConnectedUp reports whether the node at index node can currently
+// reach the EC in-band (the direction heartbeats and responses travel).
+func (ib *InBand) ConnectedUp(node int32) bool { return ib.route(node, !ib.SymmetricCompat) }
 
-// Transit routes size bytes from the EC to the node (up: back) now and
-// returns the one-way latency: the wired leg plus each hop of the path,
-// or the wired leg alone if none is routed. Routed bytes count in Bytes.
-func (ib *InBand) Transit(node string, up bool, size int) (lat float64, routed bool) {
+// Transit routes size bytes from the EC to the node at index node (up:
+// back) now and returns the one-way latency: the wired leg plus each
+// hop of the path, or the wired leg alone if none is routed. Routed
+// bytes count in Bytes.
+func (ib *InBand) Transit(node int32, up bool, size int) (lat float64, routed bool) {
 	lat = ib.WiredOneWayS
-	routed = ib.routeTo(node, up)
+	routed = ib.route(node, up)
 	if routed {
 		ib.Bytes += int64(size)
 		for k := 1; k < len(ib.best); k++ {

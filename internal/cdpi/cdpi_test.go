@@ -42,10 +42,32 @@ func newWorld(t *testing.T, nodes int, connected bool) *world {
 	sat := satcom.NewGateway(eng, satcom.DefaultProviders())
 	fe := NewFrontend(eng, sat, ib, DefaultFrontendConfig(), DefaultAgentConfig())
 	for i := 1; i <= nodes; i++ {
-		fe.Register(nodeID(i), okEnactor)
+		fe.Register(fe.idx(nodeID(i)), okEnactor)
 	}
-	fe.Register("gs-0", okEnactor)
+	fe.Register(fe.idx("gs-0"), okEnactor)
 	return &world{eng: eng, net: net, rt: rt, fe: fe, ib: ib}
+}
+
+// heardAt records an in-band heartbeat from a node at time at.
+func (fe *Frontend) heardAt(name string, at float64) {
+	n := fe.node(fe.idx(name))
+	n.heardAt, n.heard = at, true
+}
+
+// dropAgents forgets every agent without stopping it.
+func (fe *Frontend) dropAgents() {
+	for i := range fe.nodes {
+		fe.nodes[i].agent = nil
+	}
+}
+
+// idx is the index of a node the test mesh holds.
+func (fe *Frontend) idx(name string) int32 {
+	i, ok := fe.ib.Net.IDs().Lookup(name)
+	if !ok {
+		panic("no node " + name)
+	}
+	return i
 }
 
 func nodeID(i int) string { return "hbal-00" + string(rune('0'+i)) }
@@ -97,7 +119,7 @@ func TestPickTTEPolicy(t *testing.T) {
 	}
 	// A node that has never heartbeated forces the satcom TTE for the
 	// whole intent.
-	w.fe.Register("hbal-009", okEnactor)
+	w.fe.Register(w.net.AddNode("hbal-009"), okEnactor)
 	mixed := w.fe.PickTTE([]string{"hbal-001", "hbal-009"}) - w.eng.Now()
 	if mixed != w.fe.cfg.TTESatcomS {
 		t.Errorf("mixed TTE delta = %v, want %v (slowest recipient rules)", mixed, w.fe.cfg.TTESatcomS)
@@ -187,8 +209,8 @@ func TestSideChannelInference(t *testing.T) {
 		// it far beyond the side-channel inference.
 		w.eng.After(600, func() { h.Done(true) })
 	}
-	w.fe.agents = map[string]*Agent{} // reset and re-register with the connecting enactor
-	w.fe.Register("hbal-001", enactorConnects)
+	w.fe.dropAgents() // reset and re-register with the connecting enactor
+	w.fe.Register(w.fe.idx("hbal-001"), enactorConnects)
 	cmd := Command{Node: "hbal-001", Kind: KindLinkEstablish, TTE: w.fe.PickTTE([]string{"hbal-001"})}
 	w.fe.Send(cmd, func(ok bool) { doneAt = w.eng.Now() })
 	w.eng.Run(start + 3600)
@@ -226,7 +248,7 @@ func TestSideChannelCompletesInIDOrder(t *testing.T) {
 	})
 	w.fe.Send(Command{Node: node, Kind: KindDrain, TTE: 1e6}, nil)
 	w.fe.Send(sync(), func(bool) { order = append(order, 2) })
-	w.fe.agentConnected(node)
+	w.fe.agentConnected(w.fe.idx(node))
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Errorf("completed %v, want [1 2]", order)
 	}
@@ -246,7 +268,7 @@ func TestLateSyncCommandDropped(t *testing.T) {
 	sat := satcom.NewGateway(eng, satcom.DefaultProviders())
 	fe := NewFrontend(eng, sat, ib, DefaultFrontendConfig(), DefaultAgentConfig())
 	enacted := 0
-	a := fe.Register("hbal-001", func(h *Hold) {
+	a := fe.Register(fe.idx("hbal-001"), func(h *Hold) {
 		enacted++
 		h.Done(true)
 	})
@@ -269,7 +291,7 @@ func TestLateSyncCommandDropped(t *testing.T) {
 func TestAgentDeduplicatesRetries(t *testing.T) {
 	w := newWorld(t, 1, true)
 	w.eng.Run(10)
-	a := w.fe.agents["hbal-001"]
+	a := w.fe.node(w.fe.idx("hbal-001")).agent
 	cmd := &Command{ID: 77, Node: "hbal-001", Kind: KindDrain, TTE: w.eng.Now() + 1}
 	a.receive(cmd, ChannelInBand)
 	a.receive(cmd, ChannelSatcom) // duplicate

@@ -18,12 +18,12 @@ func TestRetryEscalationThroughOutages(t *testing.T) {
 	w.fe.sat.SetProviderDown("all", true)
 
 	enacted := 0
-	w.fe.agents = map[string]*Agent{}
-	w.fe.Register("hbal-003", func(h *Hold) {
+	w.fe.dropAgents()
+	w.fe.Register(w.fe.idx("hbal-003"), func(h *Hold) {
 		enacted++
 		h.Done(true)
 	})
-	w.fe.lastHeard["hbal-003"] = w.eng.Now() // node starts in-band
+	w.fe.heardAt("hbal-003", w.eng.Now()) // node starts in-band
 
 	var completed, ok bool
 	cmd := Command{Node: "hbal-003", Kind: KindLinkEstablish, TTE: w.fe.PickTTE([]string{"hbal-003"})}
@@ -82,7 +82,7 @@ func TestRetryEscalationThroughOutages(t *testing.T) {
 // is expired, independent of event ordering at that instant.
 func TestHeartbeatBoundaryIsStrict(t *testing.T) {
 	w := newWorld(t, 1, true)
-	w.fe.lastHeard["hbal-001"] = w.eng.Now()
+	w.fe.heardAt("hbal-001", w.eng.Now())
 	if !w.fe.InBandUp("hbal-001") {
 		t.Fatal("fresh heartbeat must count as in-band")
 	}
@@ -91,8 +91,8 @@ func TestHeartbeatBoundaryIsStrict(t *testing.T) {
 		t.Error("heartbeat just inside the window must count as in-band")
 	}
 	// Freeze further heartbeats, then land exactly on the boundary.
-	w.fe.agents["hbal-001"].stop()
-	w.fe.lastHeard["hbal-001"] = 100
+	w.fe.node(w.fe.idx("hbal-001")).agent.stop()
+	w.fe.heardAt("hbal-001", 100)
 	w.eng.Run(100 + w.fe.cfg.HeartbeatTimeoutS)
 	if w.fe.InBandUp("hbal-001") {
 		t.Error("heartbeat exactly HeartbeatTimeoutS old must be expired (strict comparison)")
@@ -137,6 +137,9 @@ func TestFrontendCrashDropsPendingState(t *testing.T) {
 	if !ok {
 		t.Error("restarted frontend must process commands again")
 	}
+	if id := w.fe.Send(Command{Node: "no-such-node", Kind: KindDrain}, nil); id != 0 {
+		t.Error("a command to a node the mesh has never seen must be refused")
+	}
 }
 
 // TestAgentRebootWipesDedupeState verifies the config-wipe semantics:
@@ -145,14 +148,14 @@ func TestFrontendCrashDropsPendingState(t *testing.T) {
 func TestAgentRebootWipesDedupeState(t *testing.T) {
 	w := newWorld(t, 1, true)
 	w.eng.Run(10)
-	old := w.fe.agents["hbal-001"]
+	old := w.fe.node(w.fe.idx("hbal-001")).agent
 	cmd := &Command{ID: 500, Node: "hbal-001", Kind: KindDrain, TTE: w.eng.Now() + 1}
 	old.receive(cmd, ChannelInBand)
 	w.eng.Run(w.eng.Now() + 5)
 	if old.Enacted != 1 {
 		t.Fatalf("enacted = %d, want 1", old.Enacted)
 	}
-	fresh := w.fe.RebootAgent("hbal-001")
+	fresh := w.fe.RebootAgent(w.fe.idx("hbal-001"))
 	if fresh == nil || fresh == old {
 		t.Fatal("reboot must produce a fresh agent instance")
 	}

@@ -5,6 +5,7 @@ import (
 
 	"minkowski/internal/backoff"
 	"minkowski/internal/geo"
+	"minkowski/internal/platform"
 	"minkowski/internal/satcom"
 	"minkowski/internal/sim"
 )
@@ -65,13 +66,11 @@ type Frontend struct {
 	sat *satcom.Gateway
 	ib  *InBand
 
-	agents    map[string]*Agent
-	agentCfg  AgentConfig
-	lastHeard map[string]float64 // last in-band heartbeat per node
+	// nodes is the per-node state, by node index.
+	nodes    []nodeState
+	agentCfg AgentConfig
 
-	nextCmd uint64
-	// pending lists each node's live command rows by ascending ID.
-	pending   map[string][]*pendingCmd
+	nextCmd   uint64
 	freeCmds  []*pendingCmd
 	freeMsgs  []*msg
 	freeHolds []*Hold
@@ -87,7 +86,7 @@ type Frontend struct {
 	// OnPositionReport, when set, receives each heartbeat's sampled
 	// state report (the node's self-claimed position). The controller
 	// wires this to the byzantine-telemetry guard.
-	OnPositionReport func(node string, pos geo.LLA)
+	OnPositionReport func(node int32, pos geo.LLA)
 	// OnEnactment, when set, receives every completed command right
 	// after it is appended to Enactments (and before the command's own
 	// done callback runs, so observers see the completion first). The
@@ -99,15 +98,34 @@ type Frontend struct {
 // completes or the frontend crashes; its closures are bound once.
 // Completion and Crash cancel its timeout, but a queued re-dispatch
 // (retrying) holds the row until it fires, a no-op if not live. cmd
-// is the current attempt: a retry re-stamps it in place.
+// is the current attempt: a retry re-stamps it in place; node is its
+// destination's index.
 type pendingCmd struct {
 	cmd                Command
+	node               int32
 	submittedAt        float64
 	attempts           int
 	timer              sim.Timer
 	done               func(ok bool)
 	live, retrying     bool
 	onTimeout, onRetry func()
+}
+
+// nodeState is the frontend's state for one node: its agent (nil when
+// none), its last in-band heartbeat (when heard), and its live command
+// rows by ascending ID.
+type nodeState struct {
+	agent   *Agent
+	heardAt float64
+	heard   bool
+	pending []*pendingCmd
+}
+
+// node returns the state of the node at index i, growing the table to
+// hold it. The pointer is good until the table next grows.
+func (fe *Frontend) node(i int32) *nodeState {
+	fe.nodes = platform.Fit(fe.nodes, i)
+	return &fe.nodes[i]
 }
 
 // freeCmd returns a row no queued event can reach to the free list.
@@ -118,21 +136,15 @@ func (fe *Frontend) freeCmd(p *pendingCmd) {
 
 // unlist takes a row off its node's pending list.
 func (fe *Frontend) unlist(p *pendingCmd) {
-	l := fe.pending[p.cmd.Node]
-	i := slices.Index(l, p)
-	fe.pending[p.cmd.Node] = slices.Delete(l, i, i+1)
+	n := &fe.nodes[p.node]
+	i := slices.Index(n.pending, p)
+	n.pending = slices.Delete(n.pending, i, i+1)
 }
 
 // NewFrontend creates the frontend over a satcom gateway and an
 // in-band path.
 func NewFrontend(eng *sim.Engine, sat *satcom.Gateway, ib *InBand, cfg FrontendConfig, agentCfg AgentConfig) *Frontend {
-	fe := &Frontend{
-		cfg: cfg, eng: eng, sat: sat, ib: ib,
-		agents:    make(map[string]*Agent),
-		agentCfg:  agentCfg,
-		lastHeard: make(map[string]float64),
-		pending:   make(map[string][]*pendingCmd),
-	}
+	fe := &Frontend{cfg: cfg, eng: eng, sat: sat, ib: ib, agentCfg: agentCfg}
 	// A command over satcom rides its message row as the payload:
 	// delivered, it reaches the node's agent; dropped, the row is freed
 	// and the loss surfaces as the command's response timeout.
@@ -149,33 +161,33 @@ func NewFrontend(eng *sim.Engine, sat *satcom.Gateway, ib *InBand, cfg FrontendC
 	return fe
 }
 
-// Register creates (or returns) the SDN agent for a node; enact
-// executes the commands it holds to their TTE.
-func (fe *Frontend) Register(node string, enact func(h *Hold)) *Agent {
-	if a, ok := fe.agents[node]; ok {
-		return a
+// Register creates (or returns) the SDN agent for the node at index
+// node of the mesh's IDs table; enact executes the commands it holds
+// to their TTE.
+func (fe *Frontend) Register(node int32, enact func(h *Hold)) *Agent {
+	n := fe.node(node)
+	if n.agent == nil {
+		n.agent = newAgent(fe.eng, fe, node, enact, fe.agentCfg)
 	}
-	a := newAgent(fe.eng, fe, node, enact, fe.agentCfg)
-	fe.agents[node] = a
-	return a
+	return n.agent
 }
 
 // Unregister removes a node's agent (node left the network) and
 // stops its maintenance loops.
-func (fe *Frontend) Unregister(node string) {
-	if a, ok := fe.agents[node]; ok {
-		a.stop()
+func (fe *Frontend) Unregister(node int32) {
+	n := fe.node(node)
+	if n.agent != nil {
+		n.agent.stop()
 	}
-	delete(fe.agents, node)
-	delete(fe.lastHeard, node)
+	n.agent, n.heard = nil, false
 }
 
 // RebootAgent models a node-side agent reboot with config wipe: the
 // old agent stops, and a fresh one (empty dedupe state, disconnected)
 // takes its place. Returns the new agent.
-func (fe *Frontend) RebootAgent(node string) *Agent {
-	a, ok := fe.agents[node]
-	if !ok {
+func (fe *Frontend) RebootAgent(node int32) *Agent {
+	a := fe.node(node).agent
+	if a == nil {
 		return nil
 	}
 	fe.Unregister(node)
@@ -189,20 +201,17 @@ func (fe *Frontend) RebootAgent(node string) *Agent {
 // (the paper's §6 restart-safety hazard).
 func (fe *Frontend) Crash() {
 	fe.down = true
-	// Map order is safe here: Timer.Cancel removes only its own event and
-	// schedules nothing, so removal order shapes only the heap and the free
-	// lists, never which events fire; pops follow (at, seq), a total order.
-	for _, l := range fe.pending {
-		for _, p := range l {
+	for i := range fe.nodes {
+		n := &fe.nodes[i]
+		for _, p := range n.pending {
 			p.timer.Cancel()
 			p.live = false
 			if !p.retrying {
 				fe.freeCmd(p)
 			}
 		}
+		n.pending, n.heard = n.pending[:0], false
 	}
-	clear(fe.pending)
-	clear(fe.lastHeard)
 }
 
 // Restart brings the frontend back; the heartbeat world model
@@ -214,8 +223,14 @@ func (fe *Frontend) Restart() { fe.down = false }
 // heartbeat exactly HeartbeatTimeoutS old is expired, so liveness at
 // the boundary no longer depends on event ordering.
 func (fe *Frontend) InBandUp(node string) bool {
-	last, ok := fe.lastHeard[node]
-	return ok && fe.eng.Now()-last < fe.cfg.HeartbeatTimeoutS
+	i, ok := fe.ib.Net.IDs().Lookup(node)
+	return ok && fe.inBandUp(i)
+}
+
+// inBandUp is InBandUp by node index.
+func (fe *Frontend) inBandUp(node int32) bool {
+	n := fe.node(node)
+	return n.heard && fe.eng.Now()-n.heardAt < fe.cfg.HeartbeatTimeoutS
 }
 
 // agentConnected fires when a node's agent establishes its in-band
@@ -223,15 +238,15 @@ func (fe *Frontend) InBandUp(node string) bool {
 // for that node is inferred successful ("this connection request
 // would typically reach the CDPI frontend many seconds before the
 // satcom response arrived").
-func (fe *Frontend) agentConnected(node string) {
+func (fe *Frontend) agentConnected(node int32) {
 	if fe.down {
 		return
 	}
-	fe.lastHeard[node] = fe.eng.Now()
+	fe.heardFrom(node)
 	// In ascending ID, up to the last sent so far: a completion's done
 	// callback may send the node more.
 	last := fe.nextCmd
-	for i, l := 0, fe.pending[node]; i < len(l) && l[i].cmd.ID <= last; l = fe.pending[node] {
+	for i, l := 0, fe.nodes[node].pending; i < len(l) && l[i].cmd.ID <= last; l = fe.nodes[node].pending {
 		if p := l[i]; p.cmd.Kind.RequiresSync() {
 			fe.complete(p, true, ChannelInBand, true) // takes p off the list
 		} else {
@@ -256,6 +271,12 @@ func (fe *Frontend) PickTTE(nodes []string) float64 {
 			break
 		}
 	}
+	return fe.tte(allInBand)
+}
+
+// tte is PickTTE's choice once it knows whether every recipient is
+// in-band.
+func (fe *Frontend) tte(allInBand bool) float64 {
 	if allInBand || !fe.sat.Available() {
 		return fe.eng.Now() + fe.cfg.TTEInBandS
 	}
@@ -265,10 +286,12 @@ func (fe *Frontend) PickTTE(nodes []string) float64 {
 // Send dispatches a command to its node, choosing the lowest-latency
 // channel, tracking the response, and retrying on timeout with
 // channel cycling. done (optional) fires once with the final result.
-// Returns the command's ID, 0 if the frontend is down.
+// Returns the command's ID, 0 if the frontend is down or the mesh has
+// never seen the node.
 func (fe *Frontend) Send(cmd Command, done func(ok bool)) uint64 {
-	if fe.down {
-		return 0 // crashed frontend accepts nothing
+	node, known := fe.ib.Net.IDs().Lookup(cmd.Node)
+	if fe.down || !known {
+		return 0 // a crashed frontend accepts nothing; an unknown node has no row
 	}
 	fe.nextCmd++
 	cmd.ID = fe.nextCmd
@@ -281,8 +304,9 @@ func (fe *Frontend) Send(cmd Command, done func(ok bool)) uint64 {
 		p.onTimeout = func() { fe.timeout(p) }
 		p.onRetry = func() { fe.retry(p) }
 	}
-	p.cmd, p.submittedAt, p.attempts, p.done, p.live = cmd, fe.eng.Now(), 1, done, true
-	fe.pending[cmd.Node] = append(fe.pending[cmd.Node], p)
+	p.node, p.cmd, p.submittedAt, p.attempts, p.done, p.live = node, cmd, fe.eng.Now(), 1, done, true
+	n := fe.node(node)
+	n.pending = append(n.pending, p)
 	fe.dispatch(p)
 	return cmd.ID
 }
@@ -290,7 +314,7 @@ func (fe *Frontend) Send(cmd Command, done func(ok bool)) uint64 {
 // dispatch transmits one attempt and arms its timeout.
 func (fe *Frontend) dispatch(p *pendingCmd) {
 	cmd := &p.cmd
-	useInBand := fe.InBandUp(cmd.Node)
+	useInBand := fe.inBandUp(p.node)
 	if cmd.Kind.RequiresInBand() && !useInBand {
 		// Cannot go over satcom; wait a beat and retry (the node may
 		// come in-band).
@@ -298,13 +322,15 @@ func (fe *Frontend) dispatch(p *pendingCmd) {
 		return
 	}
 	if useInBand {
-		fe.transmit(fe.newMsg(msgCommand, nil, cmd, false), cmd.Node, false, cmd.Kind.WireBytes())
+		fe.transmit(fe.newMsg(msgCommand, nil, cmd, false), p.node, false, cmd.Kind.WireBytes())
 	} else {
+		m := fe.newMsg(msgCommandSat, nil, cmd, false)
+		m.node = p.node
 		fe.sat.Send(satcom.Message{
 			Dest: cmd.Node, Size: cmd.Kind.WireBytes(),
 			TTE:            cmd.TTE,
 			RequiresInBand: cmd.Kind.RequiresInBand(),
-			Payload:        fe.newMsg(msgCommandSat, nil, cmd, false),
+			Payload:        m,
 		})
 	}
 	timeout := fe.cfg.TimeoutFastS
@@ -343,7 +369,7 @@ func (fe *Frontend) timeout(p *pendingCmd) {
 	fe.nextCmd++
 	p.cmd.ID = fe.nextCmd
 	p.cmd.Attempt = p.attempts
-	fe.pending[p.cmd.Node] = append(fe.pending[p.cmd.Node], p)
+	fe.nodes[p.node].pending = append(fe.nodes[p.node].pending, p)
 	// Back off before the re-dispatch (unified capped-exponential
 	// policy with seeded jitter), picking the fresh TTE at dispatch
 	// time so it reflects channel state after the wait.
@@ -360,14 +386,14 @@ func (fe *Frontend) retry(p *pendingCmd) {
 		return
 	}
 	if p.cmd.TTE > 0 {
-		p.cmd.TTE = fe.PickTTE([]string{p.cmd.Node})
+		p.cmd.TTE = fe.tte(fe.inBandUp(p.node))
 	}
 	fe.dispatch(p)
 }
 
 // response handles an agent's explicit command response.
-func (fe *Frontend) response(cmd *Command, ok bool, via Channel) {
-	for _, p := range fe.pending[cmd.Node] {
+func (fe *Frontend) response(node int32, cmd *Command, ok bool, via Channel) {
+	for _, p := range fe.nodes[node].pending {
 		if p.cmd.ID == cmd.ID {
 			fe.complete(p, ok, via, false)
 			return
@@ -410,16 +436,29 @@ func (fe *Frontend) satProviderForResponse() *satcom.Provider {
 	return ps[int(fe.nextCmd)%len(ps)]
 }
 
+// sum totals one counter over the registered agents.
+func (fe *Frontend) sum(count func(a *Agent) int) int {
+	total := 0
+	for _, n := range fe.nodes {
+		if n.agent != nil {
+			total += count(n.agent)
+		}
+	}
+	return total
+}
+
+// heardFrom records an in-band heartbeat from the node now.
+func (fe *Frontend) heardFrom(node int32) {
+	n := fe.node(node)
+	n.heardAt, n.heard = fe.eng.Now(), true
+}
+
 // LateSyncEnactments sums the fleet's late-sync violation counters:
 // sync-required commands any agent executed after their TTE. Always 0
 // in a correct run (the chaos search's no-intent-after-expiry
 // invariant).
 func (fe *Frontend) LateSyncEnactments() int {
-	total := 0
-	for _, a := range fe.agents {
-		total += a.LateSyncEnactments
-	}
-	return total
+	return fe.sum(func(a *Agent) int { return a.LateSyncEnactments })
 }
 
 // StaleEpochRejections sums the fleet's fence hits: commands agents
@@ -427,33 +466,21 @@ func (fe *Frontend) LateSyncEnactments() int {
 // nonzero count during a controller partition is the fence WORKING —
 // the deposed primary's dispatches bouncing off.
 func (fe *Frontend) StaleEpochRejections() int {
-	total := 0
-	for _, a := range fe.agents {
-		total += a.StaleEpochRejections
-	}
-	return total
+	return fe.sum(func(a *Agent) int { return a.StaleEpochRejections })
 }
 
 // StaleEpochAccepts sums stale-epoch commands agents enacted anyway
 // (only possible with fencing disabled). Always 0 in a correct run —
 // the no-stale-epoch-acceptance invariant.
 func (fe *Frontend) StaleEpochAccepts() int {
-	total := 0
-	for _, a := range fe.agents {
-		total += a.StaleEpochAccepts
-	}
-	return total
+	return fe.sum(func(a *Agent) int { return a.StaleEpochAccepts })
 }
 
 // EpochRegressions sums enactments whose epoch regressed below an
 // epoch the same agent had already enacted. Always 0 in a correct run
 // — the epoch-monotonicity invariant.
 func (fe *Frontend) EpochRegressions() int {
-	total := 0
-	for _, a := range fe.agents {
-		total += a.EpochRegressions
-	}
-	return total
+	return fe.sum(func(a *Agent) int { return a.EpochRegressions })
 }
 
 // MinSyncSlack returns the fleet-wide minimum arrival headroom (TTE −
@@ -461,12 +488,10 @@ func (fe *Frontend) EpochRegressions() int {
 // whether any were observed. It is the continuous margin behind the
 // late-sync-enactment invariant: the smaller the worst slack, the
 // closer the run came to losing a sync command to the receive guard.
-// (Minimum over the agent map is order-independent, so iteration order
-// cannot leak into the result.)
 func (fe *Frontend) MinSyncSlack() (float64, bool) {
 	min, seen := 0.0, false
-	for _, a := range fe.agents {
-		if a.hasSyncSlack && (!seen || a.minSyncSlackS < min) {
+	for _, n := range fe.nodes {
+		if a := n.agent; a != nil && a.hasSyncSlack && (!seen || a.minSyncSlackS < min) {
 			min = a.minSyncSlackS
 			seen = true
 		}

@@ -19,10 +19,11 @@ const (
 // for a command over satcom the gateway's delivery or drop, which the
 // row rides as the satcom message's payload. agent is the sender: a
 // heartbeat in flight across RebootAgent reaches the stopped agent,
-// never its replacement. cmd is the attempt's own copy.
+// never its replacement. node is the index of the node a message goes
+// to or comes from; cmd is the attempt's own copy.
 type msg struct {
 	kind                   msgKind
-	node                   string
+	node                   int32
 	up, routed, ok, hasPos bool
 	agent                  *Agent
 	cmd                    Command
@@ -54,7 +55,7 @@ func (fe *Frontend) freeMsg(m *msg) {
 }
 
 // transmit sends m in-band toward node, or from it when up.
-func (fe *Frontend) transmit(m *msg, node string, up bool, size int) {
+func (fe *Frontend) transmit(m *msg, node int32, up bool, size int) {
 	var lat float64
 	lat, m.routed = fe.ib.Transit(node, up, size)
 	m.node, m.up = node, up
@@ -64,13 +65,13 @@ func (fe *Frontend) transmit(m *msg, node string, up bool, size int) {
 // arrive delivers m, in-band only if its path existed when it left and
 // still does. The row is freed first: what m does may send.
 func (fe *Frontend) arrive(m *msg) {
-	delivered := m.routed && fe.ib.routeTo(m.node, m.up)
+	delivered := m.routed && fe.ib.route(m.node, m.up)
 	r := *m
 	fe.freeMsg(m)
 	switch r.kind {
 	case msgHeartbeat:
 		if delivered && !r.agent.stopped && !fe.down {
-			fe.lastHeard[r.node] = fe.eng.Now()
+			fe.heardFrom(r.node)
 			if r.hasPos && fe.OnPositionReport != nil {
 				fe.OnPositionReport(r.node, r.pos)
 			}
@@ -80,21 +81,21 @@ func (fe *Frontend) arrive(m *msg) {
 			fe.agentConnected(r.node)
 		}
 	case msgCommand: // a lost command surfaces as its response timeout
-		if a, ok := fe.agents[r.node]; ok && delivered {
+		if a := fe.node(r.node).agent; a != nil && delivered {
 			a.receive(&r.cmd, ChannelInBand)
 		}
 	case msgCommandSat:
-		if a, ok := fe.agents[r.cmd.Node]; ok {
+		if a := fe.node(r.node).agent; a != nil {
 			a.receive(&r.cmd, ChannelSatcom)
 		}
 	case msgResponse:
 		if delivered {
-			fe.response(&r.cmd, r.ok, ChannelInBand)
+			fe.response(r.node, &r.cmd, r.ok, ChannelInBand)
 		} else {
 			r.agent.respondSatcom(&r.cmd, r.ok)
 		}
 	case msgResponseSat:
-		fe.response(&r.cmd, r.ok, ChannelSatcom)
+		fe.response(r.node, &r.cmd, r.ok, ChannelSatcom)
 	}
 }
 

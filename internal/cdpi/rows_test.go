@@ -10,8 +10,8 @@ import (
 // livePending counts the frontend's live command rows.
 func livePending(fe *Frontend) int {
 	n := 0
-	for _, l := range fe.pending {
-		n += len(l)
+	for _, s := range fe.nodes {
+		n += len(s.pending)
 	}
 	return n
 }
@@ -21,7 +21,7 @@ func livePending(fe *Frontend) int {
 // leaving its retry's back-off queued.
 func timeOutOnce(t *testing.T, w *world, node string, done func(bool)) {
 	t.Helper()
-	w.fe.agents[node].enact = func(*Hold) {}
+	w.fe.node(w.fe.idx(node)).agent.enact = func(*Hold) {}
 	w.fe.Send(Command{Node: node, Kind: KindLinkEstablish, TTE: w.fe.PickTTE([]string{node})}, done)
 	for w.fe.Timeouts == 0 {
 		w.eng.Step()
@@ -46,7 +46,7 @@ func TestStaleRowsStayInert(t *testing.T) {
 		var dones []bool
 		timeOutOnce(t, w, nodeID(2), func(ok bool) { dones = append(dones, ok) })
 		// The side channel completes the command during its back-off.
-		w.fe.agentConnected(nodeID(2))
+		w.fe.agentConnected(w.fe.idx(nodeID(2)))
 		if len(dones) != 1 || !dones[0] || !w.fe.Enactments[0].Inferred || w.fe.Enactments[0].Attempts != 2 {
 			t.Fatalf("side channel: dones %v, enactments %+v", dones, w.fe.Enactments)
 		}
@@ -62,8 +62,8 @@ func TestStaleRowsStayInert(t *testing.T) {
 		if w.fe.Retries != 1 || w.fe.Timeouts != 1 || len(dones) != 1 {
 			t.Errorf("the stale retry acted: retries %d, timeouts %d, dones %v", w.fe.Retries, w.fe.Timeouts, dones)
 		}
-		if !okB || w.fe.agents[nodeID(1)].Enacted != 1 || w.fe.Enactments[1].Attempts != 1 {
-			t.Errorf("second command: ok %v, enacted %d, enactments %+v", okB, w.fe.agents[nodeID(1)].Enacted, w.fe.Enactments)
+		if !okB || w.fe.node(w.fe.idx(nodeID(1))).agent.Enacted != 1 || w.fe.Enactments[1].Attempts != 1 {
+			t.Errorf("second command: ok %v, enacted %d, enactments %+v", okB, w.fe.node(w.fe.idx(nodeID(1))).agent.Enacted, w.fe.Enactments)
 		}
 		if len(w.fe.freeCmds) != 2 {
 			t.Errorf("free rows %d after the retry fired, want 2", len(w.fe.freeCmds))
@@ -92,7 +92,7 @@ func TestStaleRowsStayInert(t *testing.T) {
 			t.Fatalf("after the crash: live rows %d, free %d; want 0, 1 (the retrying row is held)", livePending(w.fe), len(w.fe.freeCmds))
 		}
 		w.eng.Run(w.eng.Now() + 10)
-		if a := w.fe.agents[nodeID(1)]; a.Enacted != 1 {
+		if a := w.fe.node(w.fe.idx(nodeID(1))).agent; a.Enacted != 1 {
 			t.Errorf("the in-flight delivery must still reach its agent: enacted %d", a.Enacted)
 		}
 		if called != 0 || len(w.fe.Enactments) != enactments || w.fe.Retries != 1 || w.fe.Timeouts != 1 {
@@ -110,10 +110,10 @@ func TestStaleRowsStayInert(t *testing.T) {
 	t.Run("reboot-heartbeat-in-flight", func(t *testing.T) {
 		w := newWorld(t, 2, true)
 		node := nodeID(2)
-		w.fe.agents[node].StateReport = func() geo.LLA { return geo.LLA{Alt: 20e3} }
+		w.fe.node(w.fe.idx(node)).agent.StateReport = func() geo.LLA { return geo.LLA{Alt: 20e3} }
 		reports := 0
-		w.fe.OnPositionReport = func(n string, _ geo.LLA) {
-			if n == node {
+		w.fe.OnPositionReport = func(n int32, _ geo.LLA) {
+			if n == w.fe.idx(node) {
 				reports++
 			}
 		}
@@ -121,8 +121,8 @@ func TestStaleRowsStayInert(t *testing.T) {
 		if reports != 2 {
 			t.Fatalf("reports %d before the reboot, want 2 (t=0 and t=5)", reports)
 		}
-		old := w.fe.agents[node]
-		w.fe.RebootAgent(node)
+		old := w.fe.node(w.fe.idx(node)).agent
+		w.fe.RebootAgent(w.fe.idx(node))
 		w.eng.Run(11)
 		if reports != 2 {
 			t.Errorf("reports %d: the in-flight heartbeat reached the replacement, not its stopped sender", reports)
@@ -145,7 +145,7 @@ func TestStaleRowsStayInert(t *testing.T) {
 			tte float64
 		}
 		var enacted []enactment
-		w.fe.agents[node].enact = func(h *Hold) {
+		w.fe.node(w.fe.idx(node)).agent.enact = func(h *Hold) {
 			enacted = append(enacted, enactment{h.Cmd.ID, w.eng.Now(), h.Cmd.TTE})
 			h.Done(true)
 		}
@@ -184,8 +184,8 @@ func TestStaleRowsStayInert(t *testing.T) {
 		var dones []bool
 		w.fe.Send(Command{Node: node, Kind: KindDrain, TTE: w.fe.PickTTE([]string{node})}, func(ok bool) { dones = append(dones, ok) })
 		w.eng.Run(w.eng.Now() + 1) // delivered and held to its TTE
-		old := w.fe.agents[node]
-		fresh := w.fe.RebootAgent(node)
+		old := w.fe.node(w.fe.idx(node)).agent
+		fresh := w.fe.RebootAgent(w.fe.idx(node))
 		w.eng.Run(w.eng.Now() + 120)
 		if old.Enacted != 0 || fresh.Enacted != 1 {
 			t.Errorf("enacted: stopped agent %d, replacement %d; want 0, 1 (the retry)", old.Enacted, fresh.Enacted)
@@ -225,7 +225,7 @@ func TestStaleRowsStayInert(t *testing.T) {
 		w.eng.Run(w.eng.Now() + 1)
 		w.fe.Crash()
 		w.eng.Run(w.eng.Now() + 1200)
-		if a := w.fe.agents[nodeID(2)]; a.Enacted != 1 {
+		if a := w.fe.node(w.fe.idx(nodeID(2))).agent; a.Enacted != 1 {
 			t.Errorf("the in-flight satcom delivery must still reach its agent: enacted %d", a.Enacted)
 		}
 		if len(dones) != 1 || len(w.fe.Enactments) != 1 {

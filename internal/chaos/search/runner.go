@@ -10,6 +10,7 @@ import (
 	"minkowski/internal/geo"
 	"minkowski/internal/manet"
 	"minkowski/internal/obs"
+	"minkowski/internal/platform"
 )
 
 // Options tune one script execution.
@@ -363,26 +364,25 @@ func runOnce(s Script, opts Options) (Result, error) {
 	})
 
 	// --- position-sanity probe --------------------------------------
-	posViolated := map[string]bool{}
-	maxPosFrac := 0.0 // worst error as a fraction of the bound (margin evidence)
+	// Balloons in Nodes order, so breaches in one tick record in a
+	// run-independent order.
+	var posViolated []bool // by node index
+	maxPosFrac := 0.0      // worst error as a fraction of the bound (margin evidence)
 	c.Eng.Every(60, func() bool {
-		for id, n := range c.Fleet.Balloons {
-			if !n.Operational() || posViolated[id] {
+		for _, n := range c.Fleet.Balloons() {
+			posViolated = platform.Fit(posViolated, n.Index)
+			if !n.Operational() || posViolated[n.Index] {
 				continue
 			}
-			est, ok := c.EstimatedPosition(id)
-			if !ok {
-				continue
-			}
-			d := geo.SlantRange(est, n.Position())
+			d := geo.SlantRange(c.EstimatedPosition(n), n.Position())
 			if frac := d / positionBoundM; frac > maxPosFrac {
 				maxPosFrac = frac
 			}
 			if d > positionBoundM {
-				posViolated[id] = true
+				posViolated[n.Index] = true
 				record(InvPositionSanity,
 					fmt.Sprintf("controller believes %s is %.0f km from its true position (bound %.0f km)",
-						id, d/1e3, positionBoundM/1e3))
+						n.ID, d/1e3, positionBoundM/1e3))
 			}
 		}
 		return true

@@ -2,8 +2,10 @@ package search
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"minkowski/internal/chaos"
@@ -173,5 +175,38 @@ func TestShrinkKeepsScaleItsTargetNeeds(t *testing.T) {
 	}
 	if shrunk.Scale != 2 {
 		t.Errorf("shrunk to scale %d, where the fleet has no hbal-015", shrunk.Scale)
+	}
+}
+
+// TestSimultaneousViolationsRecordInOrder: eleven byzantine balloons
+// breach position sanity within the same probe ticks; every run must
+// record the violations in one order, so the first violation and the
+// report built on it do not vary between runs.
+func TestSimultaneousViolationsRecordInOrder(t *testing.T) {
+	s := Script{Name: "simultaneous", Seed: 4028864712777624925, Scale: 1, Hours: 1.5}
+	for i := 1; i <= 11; i++ {
+		s.Faults = append(s.Faults, ScriptFault{Kind: "byzantine-telemetry", Target: fmt.Sprintf("hbal-%03d", i), At: 900, Duration: 120})
+	}
+	var first []Violation
+	for run := 0; run < 4; run++ {
+		res, err := Run(s, Options{PreFix: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = res.Violations
+			perTick, most := map[float64]int{}, 0
+			for _, v := range first {
+				perTick[v.At]++
+				most = max(most, perTick[v.At])
+			}
+			if most < 2 {
+				t.Fatalf("precondition: %d violations, at most %d in one tick; want several", len(first), most)
+			}
+			continue
+		}
+		if !slices.Equal(res.Violations, first) {
+			t.Fatalf("run %d recorded %v, run 0 %v", run, res.Violations, first)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"minkowski/internal/radio"
 	"minkowski/internal/rf"
 )
 
@@ -37,7 +38,7 @@ func TestTTEOverride(t *testing.T) {
 	cfg.TTESatcomOverrideS = 42
 	c := New(cfg)
 	// A node that never heartbeated forces the satcom TTE.
-	c.Frontend.Register("ghost", nil)
+	c.Frontend.Register(c.Fleet.IDs.Intern("ghost"), nil)
 	got := c.Frontend.PickTTE([]string{"ghost"}) - c.Eng.Now()
 	if got != 42 {
 		t.Errorf("satcom TTE = %v, want overridden 42", got)
@@ -68,8 +69,8 @@ func TestHysteresisKnobReducesChurn(t *testing.T) {
 		c := New(cfg)
 		c.RunHours(4)
 		w := 0
-		for _, li := range c.Intents.History() {
-			if li.FailReason == "withdrawn" {
+		for _, l := range c.Fabric.History() {
+			if l.EndReason == radio.ReasonWithdrawn {
 				w++
 			}
 		}

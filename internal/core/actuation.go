@@ -422,7 +422,7 @@ func (c *Controller) onLinkUp(l *radio.Link) {
 	if !l.IsB2G() {
 		if rep := c.Evaluator.EvaluatePair(l.XA, l.XB, 0); rep != nil {
 			measured := l.Measured.RxPowerDBm
-			if c.byzantine[l.XA.Node.ID] || c.byzantine[l.XB.Node.ID] {
+			if c.byzantine[l.XA.Node.Index] || c.byzantine[l.XB.Node.Index] {
 				measured += byzantineMarginSpoofDB
 			}
 			c.ModelErr.Record(measured, rep.Budget.RxPowerDBm)

@@ -20,7 +20,7 @@ func TestBackhaulRefreshDoesNotAllocate(t *testing.T) {
 	if len(reqs) == 0 {
 		t.Fatal("no balloon holds a backhaul request")
 	}
-	node := reqs[0].Src
+	node, _ := c.Fleet.IDs.Lookup(reqs[0].Src)
 	if allocs := testing.AllocsPerRun(100, func() {
 		c.NBI.ReleaseBackhaul(node)
 		c.manageService()
@@ -132,17 +132,18 @@ func TestAvailabilitySamplesDoNotAllocate(t *testing.T) {
 }
 
 // The whole-run allocation gates: what the canonical scenario
-// allocated per sim-hour (amd64, go1.24) once the solve cycle and the
-// samplers reused their buffers, plus 10 %: 6,152 mallocs and 2.16 MB
-// over the 21-balloon run's first two hours (11,717 and 3.13 MB
-// before), 33,343 mallocs and 16.3 MB over the 56-balloon run's first
-// hour (42,051 and 18.3 MB before). Both runs' first hours hold the
-// growth of every reused buffer.
+// allocated per sim-hour (amd64, go1.24) once the solve cycle, the
+// samplers and the reconciler's actions reused their buffers and the
+// per-node tables were keyed by node index, plus 10 %: 5,810 mallocs
+// and 2.13 MB over the 21-balloon run's first two hours (6,149 and
+// 2.15 MB before), 32,399 mallocs and 16.1 MB over the 56-balloon
+// run's first hour (33,343 and 16.3 MB before). Both runs' first
+// hours hold the growth of every reused buffer.
 const (
-	mallocsPerSimHourCeiling   = 6_768
-	mallocsPerSimHourCeiling56 = 36_678
-	bytesPerSimHourCeiling     = 2_374_000
-	bytesPerSimHourCeiling56   = 17_915_000
+	mallocsPerSimHourCeiling   = 6_391
+	mallocsPerSimHourCeiling56 = 35_639
+	bytesPerSimHourCeiling     = 2_344_000
+	bytesPerSimHourCeiling56   = 17_753_000
 )
 
 // TestWholeRunMallocsPerSimHour runs the canonical scenario, 21

@@ -20,32 +20,29 @@ const byzantineMarginSpoofDB = 45
 // attachReporter wires an agent's heartbeat state report to the
 // node's (possibly byzantine) self-claimed position.
 func (c *Controller) attachReporter(a *cdpi.Agent) {
-	node := a.Node
+	node := a.Index
 	a.StateReport = func() geo.LLA { return c.reportedPosition(node) }
 }
 
-// SetByzantine marks (or clears) a node as byzantine: while set, its
-// agent reports spoofed positions and its radios report inflated
-// margins.
-func (c *Controller) SetByzantine(node string, active bool) {
-	if active {
-		c.byzantine[node] = true
-	} else {
-		delete(c.byzantine, node)
-	}
+// SetByzantine marks (or clears) the node at index node as byzantine:
+// while set, its agent reports spoofed positions and its radios report
+// inflated margins.
+func (c *Controller) SetByzantine(node int32, active bool) {
+	c.byzantine = platform.Fit(c.byzantine, node)
+	c.byzantine[node] = active
 }
 
 // reportedPosition is what a node's agent claims in heartbeats: truth
 // for honest nodes, a deterministic lie for byzantine ones.
-func (c *Controller) reportedPosition(node string) geo.LLA {
-	n := c.nodeByID(node)
+func (c *Controller) reportedPosition(node int32) geo.LLA {
+	n := c.Fleet.Node(node)
 	if n == nil {
 		return geo.LLA{}
 	}
 	if !c.byzantine[node] {
 		return n.Position()
 	}
-	return spoofPosition(node, n.Position())
+	return spoofPosition(n.ID, n.Position())
 }
 
 // spoofPosition is the byzantine lie: a fixed large displacement at a
@@ -65,18 +62,18 @@ func spoofPosition(node string, truth geo.LLA) geo.LLA {
 // freezes at the last accepted fix); with the guard disabled the
 // report is adopted blindly — the pre-fix behaviour that lets a
 // byzantine node drag the controller's world model anywhere.
-func (c *Controller) onPositionReport(node string, pos geo.LLA) {
+func (c *Controller) onPositionReport(node int32, pos geo.LLA) {
 	if c.preFix {
-		c.reported[node] = pos
+		c.reported[node] = report{pos: pos, ok: true}
 		return
 	}
 	wasQ := c.PosGuard.Quarantined(node)
 	accepted := c.PosGuard.Observe(node, pos, c.Eng.Now())
 	if !accepted && !wasQ {
-		c.anomaly(node, "telemetry quarantine: implausible position report (%.2f,%.2f)",
+		c.anomaly(c.Fleet.IDs.Name(node), "telemetry quarantine: implausible position report (%.2f,%.2f)",
 			geo.ToDeg(pos.Lat), geo.ToDeg(pos.Lon))
 	} else if accepted && wasQ {
-		c.anomaly(node, "telemetry quarantine lifted: plausible reports resumed")
+		c.anomaly(c.Fleet.IDs.Name(node), "telemetry quarantine lifted: plausible reports resumed")
 	}
 }
 
@@ -87,11 +84,11 @@ func (c *Controller) onPositionReport(node string, pos geo.LLA) {
 // to the pre-guard baseline.
 func (c *Controller) estimatedPosition(n *platform.Node) (geo.LLA, bool) {
 	if c.preFix {
-		p, ok := c.reported[n.ID]
-		return p, ok
+		r := c.reported[n.Index]
+		return r.pos, r.ok
 	}
-	if c.PosGuard.Quarantined(n.ID) {
-		if p, _, ok := c.PosGuard.LastGood(n.ID); ok {
+	if c.PosGuard.Quarantined(n.Index) {
+		if p, _, ok := c.PosGuard.LastGood(n.Index); ok {
 			return p, true
 		}
 	}
@@ -100,29 +97,11 @@ func (c *Controller) estimatedPosition(n *platform.Node) (geo.LLA, bool) {
 
 // EstimatedPosition returns the controller's current belief of a
 // node's position: the telemetry-derived estimate when one overrides
-// the model, otherwise ground truth. ok=false when the node is
-// unknown. The chaos search's position-sanity invariant compares this
-// against truth.
-func (c *Controller) EstimatedPosition(node string) (geo.LLA, bool) {
-	n := c.nodeByID(node)
-	if n == nil {
-		return geo.LLA{}, false
-	}
+// the model, otherwise ground truth. The chaos search's
+// position-sanity invariant compares this against truth.
+func (c *Controller) EstimatedPosition(n *platform.Node) geo.LLA {
 	if p, ok := c.estimatedPosition(n); ok {
-		return p, true
+		return p
 	}
-	return n.Position(), true
-}
-
-// nodeByID resolves a node by ID on the current fleet.
-func (c *Controller) nodeByID(id string) *platform.Node {
-	if n, ok := c.Fleet.Balloons[id]; ok {
-		return n
-	}
-	for _, g := range c.Fleet.Grounds {
-		if g.ID == id {
-			return g
-		}
-	}
-	return nil
+	return n.Position()
 }

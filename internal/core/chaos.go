@@ -11,7 +11,6 @@ import (
 	"minkowski/internal/dataplane"
 	"minkowski/internal/explain"
 	"minkowski/internal/intent"
-	"minkowski/internal/platform"
 	"minkowski/internal/radio"
 	"minkowski/internal/telemetry"
 )
@@ -66,7 +65,8 @@ func (c *Controller) InstallChaos(s chaos.Scenario) (*chaos.Injector, error) {
 			c.anomaly(from+">"+to, "partial partition blocked=%v (one direction only)", blocked)
 		},
 		Byzantine: func(node string, active bool) {
-			c.SetByzantine(node, active)
+			i, _ := c.Fleet.IDs.Lookup(node)
+			c.SetByzantine(i, active)
 			c.anomaly(node, "byzantine telemetry active=%v (spoofed positions and margins)", active)
 		},
 		LeaseFlap: func(active bool) {
@@ -216,15 +216,16 @@ func (c *Controller) setGatewayDown(gs string, down bool) {
 // (empty dedupe memory, disconnected) replaces the old one. The
 // actuation loop re-pushes whatever the node should hold.
 func (c *Controller) rebootAgent(node string) {
-	if a := c.Frontend.RebootAgent(node); a != nil {
+	i, _ := c.Fleet.IDs.Lookup(node)
+	if a := c.Frontend.RebootAgent(i); a != nil {
 		c.attachReporter(a) // the fresh agent reports like its predecessor
 	}
-	if n := c.nodeByID(node); n != nil {
+	if n := c.Fleet.Node(i); n != nil {
 		// Re-registration re-seeds the position-plausibility gate from
 		// the controller's own model: a quarantined node must not
 		// inherit its spoofed last-good fix (nor the quarantine flag)
 		// across a reboot.
-		c.PosGuard.Seed(node, n.Position(), c.Eng.Now())
+		c.PosGuard.Seed(i, n.Position(), c.Eng.Now())
 	}
 	c.Fabric.FailNode(node, radio.ReasonPowerLoss)
 	c.Data.FlushNode(node)
@@ -271,7 +272,7 @@ func (c *Controller) checkWeatherStaleness() {
 // windows. Both are NaN when nothing is in service.
 func (c *Controller) PlaneFracs() (data, ctrl float64) {
 	total, dataUp, ctrlUp := 0, 0, 0
-	for _, n := range c.Fleet.Nodes() {
+	for _, n := range c.Fleet.Balloons() {
 		_, ctrl, data, ok := c.layers(n)
 		if !ok {
 			continue
@@ -327,8 +328,8 @@ func (c *Controller) probeDelivery() {
 			c.liveGw = append(c.liveGw, i)
 		}
 	}
-	for _, n := range c.Fleet.Nodes() {
-		if n.Kind != platform.KindBalloon || !c.inService(n) {
+	for _, n := range c.Fleet.Balloons() {
+		if !c.inService(n) {
 			continue
 		}
 		rid := "backhaul/" + n.ID
@@ -444,7 +445,7 @@ func (c *Controller) TelemetryDigest() uint64 {
 		w("ri %s %d %v\n", ri.ID, ri.Generation, ri.Path)
 	}
 	w("hist=%d fab=%d solves=%d crashes=%d dup=%d readopt=%d expired=%d\n",
-		len(c.Intents.History()), len(c.Fabric.History()), c.SolveRuns,
+		c.Intents.Ended(), len(c.Fabric.History()), c.SolveRuns,
 		c.Crashes, c.DuplicateEstablishes, c.Readopted, c.ExpiredOnRestart)
 	w("reach l=%.6f c=%.6f d=%.6f\n",
 		c.Reach.Ratio(telemetry.LayerLink),

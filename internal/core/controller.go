@@ -120,7 +120,9 @@ type Controller struct {
 	// leasePartitioned blocks the acting primary from reaching the
 	// lease service and the replication stream (controller-partition).
 	leasePartitioned bool
-	wasOn            map[string]bool
+	// wasOn, byzantine and reported are keyed by node index. wasOn is
+	// each node's payload power at the last fleet step.
+	wasOn []bool
 	// churn is the Fig. 4 sampler's memory: the link identities of the
 	// previous minute's and hour's candidate graphs, kept by value
 	// (the graphs themselves are overwritten by the evaluator's next
@@ -155,7 +157,7 @@ type Controller struct {
 	solverDown bool
 	// byzantine marks nodes under an active byzantine-telemetry fault:
 	// their agents report spoofed positions and margins.
-	byzantine map[string]bool
+	byzantine []bool
 	// cmdDeaf marks replicas under an active replica-partition fault:
 	// commands that replica dispatches toward the CDPI are lost.
 	cmdDeaf map[string]bool
@@ -166,7 +168,14 @@ type Controller struct {
 	// preFix marks a NewPreFix controller: self-reported positions skip
 	// the telemetry guard and are adopted blindly into reported.
 	preFix   bool
-	reported map[string]geo.LLA
+	reported []report
+}
+
+// report is a NewPreFix controller's adopted self-report of a node's
+// position.
+type report struct {
+	pos geo.LLA
+	ok  bool
 }
 
 // New builds and wires a controller; call Run to simulate.
@@ -288,12 +297,9 @@ func build(cfg Config, preFix bool) *Controller {
 		gateways:     gateways,
 		fabricLinks:  dataplane.LinkCheckerFunc(fabric.Adjacent),
 		todOff:       cfg.StartTODHours * 3600,
-		wasOn:        map[string]bool{},
 		gwDown:       map[string]bool{},
-		byzantine:    map[string]bool{},
 		cmdDeaf:      map[string]bool{},
 		preFix:       preFix,
-		reported:     map[string]geo.LLA{},
 	}
 	if cfg.DeliveryProbeS > 0 {
 		c.Delivery = dataplane.NewDeliveryMeter(deliveryGraceS)
@@ -435,7 +441,7 @@ func (c *Controller) stepFleet(dt float64) {
 	now := c.Eng.Now()
 	c.Fleet.Step(now+c.todOff, dt)
 	if c.Cfg.DisablePower {
-		for _, n := range c.Fleet.Balloons {
+		for _, n := range c.Fleet.Balloons() {
 			n.Power.CommsOn = true
 			n.Power.BatteryWh = platform.BatteryCapacityWh
 		}
@@ -448,41 +454,40 @@ func (c *Controller) stepFleet(dt float64) {
 	for _, n := range left {
 		c.Log.Add(explain.Event{At: now, Op: explain.NodeLeave, Name: n.ID, Detail: "left the fleet (recycled)"})
 		c.Fabric.FailNode(n.ID, radio.ReasonGeometry)
-		c.Frontend.Unregister(n.ID)
+		c.Frontend.Unregister(n.Index)
 		c.Data.FlushNode(n.ID)
-		c.NBI.ReleaseBackhaul(n.ID)
+		c.NBI.ReleaseBackhaul(n.Index)
 	}
 	// Power transitions: flush hardware state on power-down. ID order,
 	// not map order: when two balloons power down in one step, the order
 	// of the FailNode calls decides what mesh the first one's OnDown
 	// callbacks see and how the log reads.
-	for _, n := range c.Fleet.Nodes() {
-		if n.Kind != platform.KindBalloon {
-			continue
-		}
+	for _, n := range c.Fleet.Balloons() {
 		id := n.ID
-		on := n.Operational()
-		if c.wasOn[id] && !on {
+		was, on := c.wasOn[n.Index], n.Operational()
+		if was && !on {
 			c.Fabric.FailNode(id, radio.ReasonPowerLoss)
 			c.Data.FlushNode(id)
 			c.Log.Add(explain.Event{At: now, Op: explain.NodeLeave, Name: id, Detail: "payload powered down"})
 		}
-		if !c.wasOn[id] && on {
+		if !was && on {
 			c.Log.Add(explain.Event{At: now, Op: explain.NodeJoin, Name: id, Detail: "payload powered up (daily bootstrap)"})
 		}
-		c.wasOn[id] = on
+		c.wasOn[n.Index] = on
 	}
 }
 
 // registerNode attaches a CDPI agent to a node.
 func (c *Controller) registerNode(n *platform.Node) {
-	node := n.ID
-	a := c.Frontend.Register(node, c.enact)
+	a := c.Frontend.Register(n.Index, c.enact)
 	c.attachReporter(a)
 	// Seed the plausibility gate with the controller's own model, so a
 	// byzantine node cannot poison the reference with its first report.
-	c.PosGuard.Seed(node, n.Position(), c.Eng.Now())
-	c.wasOn[node] = n.Operational()
+	c.PosGuard.Seed(n.Index, n.Position(), c.Eng.Now())
+	c.wasOn = platform.Fit(c.wasOn, n.Index)
+	c.wasOn[n.Index] = n.Operational()
+	c.byzantine = platform.Fit(c.byzantine, n.Index)
+	c.reported = platform.Fit(c.reported, n.Index)
 }
 
 // rebuildFusion refreshes the fused source ordering after a new
@@ -508,22 +513,19 @@ func (c *Controller) rebuildFusion() {
 // manageService emulates the LTE management stack: balloons in the
 // region with power get backhaul requests; others are released.
 func (c *Controller) manageService() {
-	for _, n := range c.Fleet.Nodes() {
-		if n.Kind != platform.KindBalloon {
-			continue
-		}
+	for _, n := range c.Fleet.Balloons() {
 		inRegion := c.Cfg.Region.Contains(n.Position())
 		if inRegion && n.Operational() {
-			// The classifier and group strings are built once, with the
-			// node's first request.
-			if !c.NBI.Reactivate(n.ID) {
-				c.NBI.RequestBackhaul(n.ID, dataplane.FlowClassifier{
+			// The classifier's strings are built once, with the node's
+			// first request.
+			if !c.NBI.Reactivate(n.Index) {
+				c.NBI.RequestBackhaul(n, dataplane.FlowClassifier{
 					SrcPrefix: n.ID + "::/64", DstPrefix: "epc::/64",
 					MinBitrateBps: backhaulBitrateBps,
-				}, "rg-"+n.ID)
+				})
 			}
 		} else {
-			c.NBI.ReleaseBackhaul(n.ID)
+			c.NBI.ReleaseBackhaul(n.Index)
 		}
 	}
 }

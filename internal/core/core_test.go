@@ -32,8 +32,8 @@ func TestControllerBootstrapsNetwork(t *testing.T) {
 	}
 	// Some balloons must have in-band control connectivity.
 	ctrl := 0
-	for id := range c.Fleet.Balloons {
-		if c.InBand.Connected(id) {
+	for _, n := range c.Fleet.Balloons() {
+		if c.InBand.Connected(n.ID) {
 			ctrl++
 		}
 	}
@@ -63,7 +63,7 @@ func TestControllerDeterminism(t *testing.T) {
 	run := func() []byte {
 		c := New(fastConfig(42))
 		c.RunHours(1)
-		return fmt.Appendf(runExports(c), "links %d history %d\n", len(c.Fabric.UpLinks()), len(c.Intents.History()))
+		return fmt.Appendf(runExports(c), "links %d history %d\n", len(c.Fabric.UpLinks()), c.Intents.Ended())
 	}
 	diffRuns(t, "second run", run(), run())
 }
@@ -159,11 +159,9 @@ func TestIntentsTrackFabric(t *testing.T) {
 			t.Errorf("installed link %v intent state %v", l.ID, li.State)
 		}
 	}
-	// History must contain terminated intents with reasons.
-	for _, li := range c.Intents.History() {
-		if li.EndedAt == 0 {
-			t.Error("history entry without end time")
-		}
+	// Link intents must have ended along the way.
+	if c.Intents.Ended() == 0 {
+		t.Error("no link intent ended in 2 h")
 	}
 }
 
@@ -214,8 +212,8 @@ func TestNodeRecyclingHandled(t *testing.T) {
 	if len(c.Fabric.UpLinks()) == 0 {
 		t.Error("network dead after recycling")
 	}
-	if len(c.Fleet.Balloons) != cfg.FleetSize {
-		t.Errorf("fleet size drifted: %d", len(c.Fleet.Balloons))
+	if n := len(c.Fleet.Balloons()); n != cfg.FleetSize {
+		t.Errorf("fleet size drifted: %d", n)
 	}
 }
 

@@ -263,17 +263,18 @@ func TestRebootReseedsPositionGuard(t *testing.T) {
 		},
 	})
 
+	i, _ := c.Fleet.IDs.Lookup(node)
 	c.Run(3599)
-	if !c.PosGuard.Quarantined(node) {
+	if !c.PosGuard.Quarantined(i) {
 		t.Fatal("node not quarantined before the reboot — byzantine window had no effect")
 	}
-	_, preAt, _ := c.PosGuard.LastGood(node)
+	_, preAt, _ := c.PosGuard.LastGood(i)
 	if preAt >= 3000 {
 		t.Fatalf("LastGood advanced to %v during quarantine — envelope walked outward", preAt)
 	}
 
 	c.Run(3600.5)
-	_, at, ok := c.PosGuard.LastGood(node)
+	_, at, ok := c.PosGuard.LastGood(i)
 	if !ok || at < 3600 {
 		t.Fatalf("LastGood at = %v after reboot, want >= 3600 — re-registration did not re-seed", at)
 	}
@@ -281,14 +282,14 @@ func TestRebootReseedsPositionGuard(t *testing.T) {
 	// The node is still byzantine; the fresh envelope must reject its
 	// next spoofed report, not have inherited it.
 	c.Run(4700)
-	if !c.PosGuard.Quarantined(node) {
+	if !c.PosGuard.Quarantined(i) {
 		t.Error("node not re-quarantined after reboot while still byzantine")
 	}
 
 	// After the byzantine window lifts, honest telemetry clears the
 	// quarantine for good.
 	c.RunHours(2)
-	if c.PosGuard.Quarantined(node) {
+	if c.PosGuard.Quarantined(i) {
 		t.Error("node still quarantined well after the byzantine window ended")
 	}
 }

@@ -7,13 +7,13 @@ import (
 	"minkowski/internal/telemetry"
 )
 
-// inService reports whether a balloon counts toward availability:
+// inService reports whether balloon n counts toward availability:
 // powered AND under an active backhaul request. The paper's ratios
 // measure time "the layer was successfully operable over the total
 // potential operable time" — a balloon outside the service region
 // isn't potential operable time.
 func (c *Controller) inService(n *platform.Node) bool {
-	return n.Kind == platform.KindBalloon && n.Operational() && c.NBI.HasActiveBackhaul(n.ID)
+	return n.Operational() && c.NBI.HasActiveBackhaul(n.Index)
 }
 
 // layers reads n's availability now, layer by layer: the link layer
@@ -32,21 +32,21 @@ func (c *Controller) layers(n *platform.Node) (link, ctrl, data, ok bool) {
 // currently in its potential service window.
 func (c *Controller) sampleTelemetry() {
 	now := c.Eng.Now()
-	for _, n := range c.Fleet.Nodes() {
+	for _, n := range c.Fleet.Balloons() {
 		link, ctrl, data, ok := c.layers(n)
 		if !ok {
 			continue
 		}
-		c.Reach.Observe(now, n.ID, telemetry.LayerLink, link)
-		c.Reach.Observe(now, n.ID, telemetry.LayerControl, ctrl)
-		c.Reach.Observe(now, n.ID, telemetry.LayerData, data)
+		c.Reach.Observe(now, n.Index, telemetry.LayerLink, link)
+		c.Reach.Observe(now, n.Index, telemetry.LayerControl, ctrl)
+		c.Reach.Observe(now, n.Index, telemetry.LayerData, data)
 	}
 	// Fig. 7: redundancy utilization (established vs intended).
 	installed := c.Fabric.UpCount()
 	grounds := len(c.gateways)
 	operBalloons := 0
-	for _, n := range c.Fleet.Nodes() {
-		if n.Kind == platform.KindBalloon && n.Operational() {
+	for _, n := range c.Fleet.Balloons() {
+		if n.Operational() {
 			operBalloons++
 		}
 	}
@@ -73,13 +73,13 @@ func (c *Controller) intendedLinkCount() int {
 func (c *Controller) sampleRecovery() {
 	now := c.Eng.Now()
 	installed := c.Fabric.UpCount()
-	for _, n := range c.Fleet.Nodes() {
+	for _, n := range c.Fleet.Balloons() {
 		_, ctrl, data, ok := c.layers(n)
 		if !ok {
 			continue
 		}
-		c.Recovery.ObserveNode(now, n.ID, data, installed)
-		c.RecoveryCtrl.ObserveNode(now, n.ID, ctrl, installed)
+		c.Recovery.ObserveNode(now, n.Index, data, installed)
+		c.RecoveryCtrl.ObserveNode(now, n.Index, ctrl, installed)
 	}
 }
 

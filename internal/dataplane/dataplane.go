@@ -1,6 +1,7 @@
 // Package dataplane models the SDN-programmed data plane of §4.1
 // (Tier 2) and Appendix C: full source-destination IPv6 routes pinned
-// to assigned paths, flow classifiers, and redundancy groups.
+// to assigned paths, and flow classifiers. Appendix C's redundancy
+// groups (routes seeking disjoint paths) are not modelled.
 //
 // Forwarding state lives per node. A programmed route is *operable*
 // only when every node on its path holds the forwarding entry and
@@ -37,10 +38,6 @@ type Route struct {
 	Generation int
 	// Path is the node sequence from source to destination.
 	Path []string
-	// RedundancyGroup tags routes that must seek disjoint paths
-	// (Appendix C: "routes with the same redundancy group tag would
-	// seek disjoint paths").
-	RedundancyGroup string
 }
 
 // entry is one forwarding-table row.
@@ -186,6 +183,4 @@ type FlowClassifier struct {
 	SrcPrefix, DstPrefix string
 	// MinBitrateBps is the bandwidth reservation.
 	MinBitrateBps float64
-	// RedundancyGroup requests path-disjoint redundancy.
-	RedundancyGroup string
 }

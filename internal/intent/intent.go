@@ -7,8 +7,9 @@
 // commands using the CDPI to align node behavior with the desired
 // intents").
 //
-// The artifact appendix's link_intents table is exactly this
-// package's history: "state transitions of each attempted link."
+// The artifact appendix's link_intents table is the state transitions
+// of each attempted link; the store keeps live intents and a count of
+// ended ones.
 package intent
 
 import (
@@ -105,19 +106,21 @@ type RouteIntent struct {
 	CreatedAt  float64
 }
 
-// Store tracks all intents and the history of link intents.
+// Store tracks all live intents and counts the link intents that ended.
 type Store struct {
-	nextID  uint64
-	links   map[radio.LinkID]*LinkIntent
-	routes  map[string]*RouteIntent
-	history []*LinkIntent
+	nextID uint64
+	links  map[radio.LinkID]*LinkIntent
+	routes map[string]*RouteIntent
+	ended  int
 
-	// Reconcile's scratch, reused from pass to pass: the plan's link
-	// set and route IDs, and the live intents it walks.
+	// Reconcile's storage, reused from pass to pass: the plan's link
+	// set and route IDs, the live intents it walks, and the actions it
+	// returns.
 	planned    map[radio.LinkID]bool
 	routeIDs   []string
 	liveLinks  []*LinkIntent
 	liveRoutes []*RouteIntent
+	acts       Actions
 }
 
 // NewStore creates an empty intent store.
@@ -166,8 +169,8 @@ func (st *Store) AppendActiveRoutes(dst []*RouteIntent) []*RouteIntent {
 	return dst
 }
 
-// History returns completed link intents in completion order.
-func (st *Store) History() []*LinkIntent { return st.history }
+// Ended returns how many link intents have reached a terminal state.
+func (st *Store) Ended() int { return st.ended }
 
 // --- State transitions (driven by the actuation layer) --------------
 
@@ -228,7 +231,7 @@ func (st *Store) finish(id radio.LinkID, s LinkState, reason string, now float64
 	li.FailReason = reason
 	li.EndedAt = now
 	delete(st.links, id)
-	st.history = append(st.history, li)
+	st.ended++
 }
 
 // MarkRouteProgrammed records full programming.
@@ -290,9 +293,12 @@ func (a Actions) Empty() bool {
 // intents and flagging obsolete ones. It mutates the store (new
 // intents appear as Pending; obsolete route intents are removed) but
 // leaves link-intent termination to the actuation layer (which must
-// first send the withdraw commands).
+// first send the withdraw commands). The actions' slices are the
+// store's own: the next Reconcile overwrites them.
 func (st *Store) Reconcile(plan *solver.Plan, now float64) Actions {
-	var acts Actions
+	acts := &st.acts
+	acts.EstablishLinks, acts.WithdrawLinks = acts.EstablishLinks[:0], acts.WithdrawLinks[:0]
+	acts.ProgramRoutes, acts.RemoveRoutes = acts.ProgramRoutes[:0], acts.RemoveRoutes[:0]
 	clear(st.planned)
 	for _, c := range plan.Links {
 		st.planned[c.Report.ID] = true
@@ -333,7 +339,7 @@ func (st *Store) Reconcile(plan *solver.Plan, now float64) Actions {
 	for _, id := range st.routeIDs {
 		path := plan.Routes[id]
 		cur, ok := st.routes[id]
-		if ok && samePath(cur.Path, path) {
+		if ok && slices.Equal(cur.Path, path) {
 			continue
 		}
 		gen := 1
@@ -358,17 +364,5 @@ func (st *Store) Reconcile(plan *solver.Plan, now float64) Actions {
 			acts.RemoveRoutes = append(acts.RemoveRoutes, ri)
 		}
 	}
-	return acts
-}
-
-func samePath(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return *acts
 }

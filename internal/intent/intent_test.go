@@ -78,12 +78,13 @@ func TestReconcileWithdrawsObsoleteLinks(t *testing.T) {
 	if _, live := st.ActiveLink(r13.ID); !live {
 		t.Error("intent must remain live until actuation confirms withdrawal")
 	}
+	li := acts.WithdrawLinks[0]
 	st.MarkWithdrawn(r13.ID, 12)
 	if _, live := st.ActiveLink(r13.ID); live {
 		t.Error("MarkWithdrawn must retire the intent")
 	}
-	if len(st.History()) != 1 || st.History()[0].State != LinkWithdrawn {
-		t.Error("history must record the withdrawal")
+	if st.Ended() != 1 || li.State != LinkWithdrawn {
+		t.Error("the withdrawal must end the intent")
 	}
 }
 
@@ -107,12 +108,11 @@ func TestLinkLifecycleTimestamps(t *testing.T) {
 		t.Errorf("attempts = %d", li.Attempts)
 	}
 	st.MarkFailed(id, "rf-fade", 500)
-	if len(st.History()) != 1 {
-		t.Fatal("failure must move intent to history")
+	if st.Ended() != 1 {
+		t.Fatal("failure must end the intent")
 	}
-	h := st.History()[0]
-	if h.State != LinkFailed || h.FailReason != "rf-fade" || h.EndedAt != 500 {
-		t.Errorf("history = %+v", h)
+	if li.State != LinkFailed || li.FailReason != "rf-fade" || li.EndedAt != 500 {
+		t.Errorf("ended intent = %+v", li)
 	}
 }
 
@@ -135,15 +135,15 @@ func TestTerminalStatesAreFinal(t *testing.T) {
 	st := NewStore()
 	n1, n2 := mkNode("hbal-001"), mkNode("hbal-002")
 	rep := mkReport(n1, n2, 0, 0)
-	st.Reconcile(planWith([]*linkeval.Report{rep}, nil), 0)
+	li := st.Reconcile(planWith([]*linkeval.Report{rep}, nil), 0).EstablishLinks[0]
 	st.MarkWithdrawn(rep.ID, 5)
-	// Further marks must be no-ops (intent is in history).
+	// Further marks must be no-ops (the intent has ended).
 	st.MarkEstablished(rep.ID, 6)
 	st.MarkFailed(rep.ID, "late", 7)
-	if len(st.History()) != 1 {
-		t.Errorf("history = %d entries", len(st.History()))
+	if st.Ended() != 1 {
+		t.Errorf("ended = %d intents", st.Ended())
 	}
-	if st.History()[0].State != LinkWithdrawn {
+	if li.State != LinkWithdrawn {
 		t.Error("terminal state must not change")
 	}
 }

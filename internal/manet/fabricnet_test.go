@@ -30,12 +30,12 @@ func fabricLine(t *testing.T) (*sim.Engine, *FabricNet) {
 	}}
 	gs := platform.NewGroundStation("gs-0", geo.LLADeg(-1, 36.3, 1600), nil)
 	fleet := platform.NewFleet(fms, []*platform.Node{gs})
-	for _, n := range fleet.Balloons {
+	for _, n := range fleet.Balloons() {
 		n.Power.CommsOn = true
 		n.Power.BatteryWh = platform.BatteryCapacityWh
 	}
 	fab := radio.NewFabric(eng, weather.NewField(wcfg), fleet.IDs, cfg)
-	b1, b2 := fleet.Balloons["hbal-001"], fleet.Balloons["hbal-002"]
+	b1, b2 := fleet.Named("hbal-001"), fleet.Named("hbal-002")
 	fab.Establish(b1.Xcvrs[0], b2.Xcvrs[0], rf.EBandChannels()[0], 1)
 	fab.Establish(b1.Xcvrs[1], gs.Xcvrs[0], rf.EBandChannels()[1], 1)
 	eng.Run(300)

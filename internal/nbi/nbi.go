@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"minkowski/internal/dataplane"
+	"minkowski/internal/platform"
 	"minkowski/internal/solver"
 )
 
@@ -26,10 +27,6 @@ type BackhaulRequest struct {
 	Node string
 	// Classifier matches the traffic.
 	Classifier dataplane.FlowClassifier
-	// RedundancyGroup, when set, asks for disjoint paths across
-	// requests sharing the tag (combined with SCTP multi-homing and
-	// S1-Flex in production).
-	RedundancyGroup string
 	// Active requests feed the solver; deactivated ones linger for
 	// history.
 	Active bool
@@ -37,52 +34,53 @@ type BackhaulRequest struct {
 
 // Service is the NBI registry, one backhaul request per node.
 type Service struct {
-	requests map[string]*BackhaulRequest // by node
-	byID     []*BackhaulRequest          // the same requests, sorted by ID
+	requests []*BackhaulRequest // by node index; nil where a node has none
+	byID     []*BackhaulRequest // the same requests, sorted by ID
 }
 
 // NewService creates an empty NBI.
-func NewService() *Service {
-	return &Service{requests: map[string]*BackhaulRequest{}}
-}
+func NewService() *Service { return &Service{} }
 
 // RequestBackhaul registers (or reactivates) a backhaul request for a
 // node. Returns the request ID.
-func (s *Service) RequestBackhaul(node string, classifier dataplane.FlowClassifier, redundancyGroup string) string {
-	r, ok := s.requests[node]
-	if !ok {
-		r = &BackhaulRequest{ID: "backhaul/" + node, Node: node}
-		s.requests[node] = r
+func (s *Service) RequestBackhaul(n *platform.Node, classifier dataplane.FlowClassifier) string {
+	s.requests = platform.Fit(s.requests, n.Index)
+	r := s.requests[n.Index]
+	if r == nil {
+		r = &BackhaulRequest{ID: "backhaul/" + n.ID, Node: n.ID}
+		s.requests[n.Index] = r
 		at, _ := slices.BinarySearchFunc(s.byID, r.ID, func(q *BackhaulRequest, id string) int { return strings.Compare(q.ID, id) })
 		s.byID = slices.Insert(s.byID, at, r)
 	}
-	r.Classifier, r.RedundancyGroup, r.Active = classifier, redundancyGroup, true
+	r.Classifier, r.Active = classifier, true
 	return r.ID
 }
 
 // Reactivate re-activates a node's existing backhaul request as it
 // stands, reporting false when the node has none.
-func (s *Service) Reactivate(node string) bool {
-	r, ok := s.requests[node]
-	if ok {
+func (s *Service) Reactivate(node int32) bool {
+	s.requests = platform.Fit(s.requests, node)
+	r := s.requests[node]
+	if r != nil {
 		r.Active = true
 	}
-	return ok
+	return r != nil
 }
 
 // ReleaseBackhaul deactivates a node's backhaul (e.g. the LTE stack
 // detected the balloon left the serving region).
-func (s *Service) ReleaseBackhaul(node string) {
-	if r, ok := s.requests[node]; ok {
+func (s *Service) ReleaseBackhaul(node int32) {
+	s.requests = platform.Fit(s.requests, node)
+	if r := s.requests[node]; r != nil {
 		r.Active = false
 	}
 }
 
 // HasActiveBackhaul reports whether a node's backhaul request is
 // active.
-func (s *Service) HasActiveBackhaul(node string) bool {
-	r, ok := s.requests[node]
-	return ok && r.Active
+func (s *Service) HasActiveBackhaul(node int32) bool {
+	s.requests = platform.Fit(s.requests, node)
+	return s.requests[node] != nil && s.requests[node].Active
 }
 
 // AppendSolverRequests appends the active backhaul requests to dst as

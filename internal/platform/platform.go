@@ -3,7 +3,6 @@ package platform
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"minkowski/internal/antenna"
@@ -166,10 +165,12 @@ func NewGroundStation(id string, site geo.LLA, terrain []antenna.Occlusion) *Nod
 type Fleet struct {
 	FMS *flight.FMS
 	// IDs indexes every node the fleet has ever held.
-	IDs      *IDs
-	Balloons map[string]*Node // by node ID; the membership of record
-	Grounds  []*Node
-	// nodes is what Nodes hands out, rebuilt from Grounds and Balloons
+	IDs     *IDs
+	Grounds []*Node
+	// members is the membership of record by node index: nil where the
+	// index names a node that left.
+	members []*Node
+	// nodes is what Nodes hands out, rebuilt from Grounds and members
 	// whenever membership changes.
 	nodes []*Node
 
@@ -177,23 +178,27 @@ type Fleet struct {
 	// call to DrainEvents (consumed by the SDN's entity layer).
 	joined, left []*Node
 
-	byVehicle map[*flight.Balloon]*Node
-	// inFMS is Step's scratch: the vehicles the FMS flies this step.
-	inFMS map[*flight.Balloon]bool
+	// inFMS is Step's scratch, by node index: the vehicles the FMS
+	// flies this step.
+	inFMS []bool
+}
+
+// Fit returns s extended with zero values so that s[i] exists: the
+// growth step of every table keyed by node index.
+func Fit[T any](s []T, i int32) []T {
+	if n := int(i) + 1; n > len(s) {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
 }
 
 // NewFleet wraps an FMS fleet and ground stations.
 func NewFleet(fms *flight.FMS, grounds []*Node) *Fleet {
-	f := &Fleet{
-		FMS:       fms,
-		IDs:       NewIDs(),
-		Balloons:  make(map[string]*Node),
-		Grounds:   grounds,
-		byVehicle: make(map[*flight.Balloon]*Node),
-		inFMS:     make(map[*flight.Balloon]bool),
-	}
+	f := &Fleet{FMS: fms, IDs: NewIDs(), Grounds: grounds}
 	for _, g := range grounds {
 		f.IDs.Register(g)
+		f.members = Fit(f.members, g.Index)
+		f.members[g.Index] = g
 	}
 	for _, b := range fms.Fleet {
 		f.join(b)
@@ -203,21 +208,41 @@ func NewFleet(fms *flight.FMS, grounds []*Node) *Fleet {
 }
 
 // join wraps a vehicle new to the fleet in a node.
-func (f *Fleet) join(b *flight.Balloon) {
+func (f *Fleet) join(b *flight.Balloon) *Node {
 	n := NewBalloonNode(b)
 	f.IDs.Register(n)
-	f.Balloons[n.ID] = n
-	f.byVehicle[b] = n
+	f.members = Fit(f.members, n.Index)
+	f.members[n.Index] = n
 	f.joined = append(f.joined, n)
+	return n
+}
+
+// Node returns the member at index i, or nil when none holds it.
+func (f *Fleet) Node(i int32) *Node {
+	if int(i) >= len(f.members) {
+		return nil
+	}
+	return f.members[i]
+}
+
+// Named returns the member called name, or nil.
+func (f *Fleet) Named(name string) *Node {
+	i, ok := f.IDs.Lookup(name)
+	if !ok {
+		return nil
+	}
+	return f.Node(i)
 }
 
 // rebuildNodes replaces the Nodes view: ground stations, then balloons
 // in ID order.
 func (f *Fleet) rebuildNodes() {
-	nodes := make([]*Node, 0, len(f.Grounds)+len(f.Balloons))
+	nodes := make([]*Node, 0, len(f.members))
 	nodes = append(nodes, f.Grounds...)
-	for _, n := range f.Balloons {
-		nodes = append(nodes, n)
+	for _, n := range f.members {
+		if n != nil && n.Kind == KindBalloon {
+			nodes = append(nodes, n)
+		}
 	}
 	slices.SortFunc(nodes[len(f.Grounds):], func(a, b *Node) int { return strings.Compare(a.ID, b.ID) })
 	f.nodes = nodes
@@ -228,32 +253,30 @@ func (f *Fleet) rebuildNodes() {
 func (f *Fleet) Step(t, dt float64) {
 	f.FMS.Step(dt)
 	// Reconcile: any vehicle in the FMS fleet without a node is a
-	// join; any node whose vehicle is gone is a leave.
+	// join; any balloon whose vehicle is gone is a leave, in Nodes
+	// order.
+	f.inFMS = Fit(f.inFMS, int32(f.IDs.Len()-1))
 	clear(f.inFMS)
 	joinedStart, leftStart := len(f.joined), len(f.left)
 	for _, b := range f.FMS.Fleet {
-		f.inFMS[b] = true
-		if _, ok := f.byVehicle[b]; !ok {
-			f.join(b)
+		n := f.Named(b.ID)
+		if n == nil || n.Balloon != b {
+			n = f.join(b)
+		}
+		f.inFMS = Fit(f.inFMS, n.Index)
+		f.inFMS[n.Index] = true
+	}
+	for _, n := range f.Balloons() {
+		if !f.inFMS[n.Index] {
+			f.members[n.Index] = nil
+			f.left = append(f.left, n)
 		}
 	}
-	for veh, node := range f.byVehicle {
-		if !f.inFMS[veh] {
-			delete(f.byVehicle, veh)
-			delete(f.Balloons, node.ID)
-			f.left = append(f.left, node)
-		}
-	}
-	// The sweep above ranges a pointer-keyed map; sort this step's
-	// departures so leave events drain in a run-independent order.
-	sort.Slice(f.left[leftStart:], func(i, j int) bool {
-		return f.left[leftStart+i].ID < f.left[leftStart+j].ID
-	})
 	if len(f.joined) > joinedStart || len(f.left) > leftStart {
 		f.rebuildNodes()
 	}
 	// Power.
-	for _, n := range f.Balloons {
+	for _, n := range f.Balloons() {
 		n.Power.Step(t, dt)
 	}
 }
@@ -271,6 +294,10 @@ func (f *Fleet) DrainEvents() (joined, left []*Node) {
 // than editing it, so a caller ranging over an earlier result keeps
 // the fleet as it was then.
 func (f *Fleet) Nodes() []*Node { return f.nodes }
+
+// Balloons returns the balloons of Nodes, in ID order, on the same
+// terms.
+func (f *Fleet) Balloons() []*Node { return f.nodes[len(f.Grounds):] }
 
 // AppendTransceivers appends every transceiver on an operational node
 // to dst, in Nodes order, and returns the extended slice: a caller that

@@ -180,8 +180,8 @@ func TestFleetRecyclingProducesLeaveJoin(t *testing.T) {
 	if joined != left {
 		t.Errorf("replacement recycling must balance: joined=%d left=%d", joined, left)
 	}
-	if len(f.Balloons) != 10 {
-		t.Errorf("fleet node count drifted to %d", len(f.Balloons))
+	if len(f.Balloons()) != 10 {
+		t.Errorf("fleet node count drifted to %d", len(f.Balloons()))
 	}
 }
 
@@ -243,11 +243,11 @@ func TestNodesViewSurvivesMembershipChange(t *testing.T) {
 		t.Error("a held Nodes view was edited by a membership change")
 	}
 	now := f.Nodes()
-	if slices.Equal(now, was) || len(now) != 1+len(f.Balloons) || now[0] != f.Grounds[0] {
+	if slices.Equal(now, was) || len(now) != 1+len(f.Balloons()) || now[0] != f.Grounds[0] {
 		t.Fatalf("fresh view does not reflect the recycled fleet: %v", now)
 	}
 	for i, n := range now[1:] {
-		if f.Balloons[n.ID] != n || (i > 0 && now[i].ID >= n.ID) {
+		if f.Named(n.ID) != n || (i > 0 && now[i].ID >= n.ID) {
 			t.Errorf("fresh view entry %d (%s) is not the fleet's balloons in ID order", i+1, n.ID)
 		}
 	}

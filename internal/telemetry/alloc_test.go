@@ -12,7 +12,7 @@ func TestObserveDoesNotAllocate(t *testing.T) {
 	sample := func() {
 		now += 30
 		for _, layer := range []Layer{LayerLink, LayerControl, LayerData} {
-			r.Observe(now, "hbal-001", layer, true)
+			r.Observe(now, 0, layer, true)
 		}
 	}
 	sample()

@@ -1,6 +1,9 @@
 package telemetry
 
-import "minkowski/internal/geo"
+import (
+	"minkowski/internal/geo"
+	"minkowski/internal/platform"
+)
 
 // PositionGuard is the controller-side plausibility gate for
 // self-reported node positions. A byzantine (or just broken) GPS can
@@ -36,12 +39,15 @@ type PositionGuard struct {
 	// Rejected counts the reports the gate refused.
 	Rejected int
 
-	last map[string]fix
+	// last is each node's reference fix, by node index.
+	last []fix
 }
 
 type fix struct {
-	pos geo.LLA
-	at  float64
+	// seen marks a fix the node has: seeded or adopted.
+	seen bool
+	pos  geo.LLA
+	at   float64
 	// quarantined marks the node's reports currently implausible.
 	quarantined bool
 }
@@ -49,32 +55,28 @@ type fix struct {
 // NewPositionGuard returns a guard with the default envelope:
 // 80 m/s credible speed, 2 km of slack, and a 120 km absolute cap.
 func NewPositionGuard() *PositionGuard {
-	return &PositionGuard{MaxSpeedMS: 80, SlackM: 2000, MaxEnvelopeM: 120_000, last: map[string]fix{}}
+	return &PositionGuard{MaxSpeedMS: 80, SlackM: 2000, MaxEnvelopeM: 120_000}
 }
 
 // Seed installs a trusted initial fix (the controller's own model at
 // node registration), so a byzantine node cannot poison the reference
 // with its very first report.
-func (g *PositionGuard) Seed(node string, pos geo.LLA, at float64) {
-	if g.last == nil {
-		g.last = map[string]fix{}
-	}
-	g.last[node] = fix{pos: pos, at: at}
+func (g *PositionGuard) Seed(node int32, pos geo.LLA, at float64) {
+	g.last = platform.Fit(g.last, node)
+	g.last[node] = fix{seen: true, pos: pos, at: at}
 }
 
 // Observe gates one self-reported position at time now. It returns
 // true when the report is plausible (and adopts it as the node's new
 // reference); false quarantines the node until a plausible report
 // arrives.
-func (g *PositionGuard) Observe(node string, pos geo.LLA, now float64) bool {
-	if g.last == nil {
-		g.last = map[string]fix{}
-	}
-	prev, ok := g.last[node]
-	if !ok {
+func (g *PositionGuard) Observe(node int32, pos geo.LLA, now float64) bool {
+	g.last = platform.Fit(g.last, node)
+	prev := g.last[node]
+	if !prev.seen {
 		// Unseeded node: adopt the first report (nothing to test
 		// against). Callers that can Seed should.
-		g.last[node] = fix{pos: pos, at: now}
+		g.last[node] = fix{seen: true, pos: pos, at: now}
 		return true
 	}
 	dt := now - prev.at
@@ -86,7 +88,7 @@ func (g *PositionGuard) Observe(node string, pos geo.LLA, now float64) bool {
 		limit = g.MaxEnvelopeM
 	}
 	if geo.SlantRange(prev.pos, pos) <= limit {
-		g.last[node] = fix{pos: pos, at: now}
+		g.last[node] = fix{seen: true, pos: pos, at: now}
 		return true
 	}
 	// Implausible: keep the old reference (advancing its timestamp
@@ -100,15 +102,15 @@ func (g *PositionGuard) Observe(node string, pos geo.LLA, now float64) bool {
 
 // Quarantined reports whether the node's latest report was rejected
 // and no plausible report has arrived since.
-func (g *PositionGuard) Quarantined(node string) bool {
-	return g.last[node].quarantined
+func (g *PositionGuard) Quarantined(node int32) bool {
+	return int(node) < len(g.last) && g.last[node].quarantined
 }
 
 // LastGood returns the node's last accepted fix, if any.
-func (g *PositionGuard) LastGood(node string) (geo.LLA, float64, bool) {
-	f, ok := g.last[node]
-	if !ok {
+func (g *PositionGuard) LastGood(node int32) (geo.LLA, float64, bool) {
+	if int(node) >= len(g.last) || !g.last[node].seen {
 		return geo.LLA{}, 0, false
 	}
+	f := g.last[node]
 	return f.pos, f.at, true
 }

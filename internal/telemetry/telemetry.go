@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"minkowski/internal/linkeval"
+	"minkowski/internal/platform"
 	"minkowski/internal/radio"
 	"minkowski/internal/stats"
 )
@@ -38,8 +39,9 @@ type Reachability struct {
 	// seconds; a period no sample reached holds zero potential.
 	operable  [3][]float64
 	potential [3][]float64
-	// last holds each node's previous sample per layer, for integration.
-	last map[string]*[3]reachSample
+	// last holds each node's previous sample per layer, for
+	// integration, by node index.
+	last [][3]reachSample
 }
 
 // reachSample is one node's last observation of one layer.
@@ -50,20 +52,16 @@ type reachSample struct {
 
 // NewReachability creates a tracker with the given bucketing period.
 func NewReachability(periodS float64) *Reachability {
-	return &Reachability{PeriodS: periodS, last: map[string]*[3]reachSample{}}
+	return &Reachability{PeriodS: periodS}
 }
 
 // Observe records that a node's layer has been `up` since the last
 // observation. Call at a fixed cadence while the node is *potentially
 // operable* (powered service window); omit calls when the node is
 // legitimately dark (night) so that potential time excludes it.
-func (r *Reachability) Observe(now float64, node string, layer Layer, up bool) {
-	n := r.last[node]
-	if n == nil {
-		n = new([3]reachSample)
-		r.last[node] = n
-	}
-	s := &n[layer]
+func (r *Reachability) Observe(now float64, node int32, layer Layer, up bool) {
+	r.last = platform.Fit(r.last, node)
+	s := &r.last[node][layer]
 	// Ignore gaps (node was dark between observations).
 	if dt := now - s.t; s.seen && dt > 0 && dt < r.PeriodS {
 		p := int(s.t / r.PeriodS)
@@ -277,8 +275,8 @@ type Recovery struct {
 	// a breakage to be its cause.
 	AttributionS float64
 
-	// Open breakages per node: start time and cause.
-	open map[string]openBreak
+	// Breakages by node index: start time and cause of an open one.
+	open []openBreak
 	// Withdrawn and Failed recovery-time samples.
 	Withdrawn, Failed, Unknown stats.Sample
 	// RecoveredWithNewLink counts repairs that required installing a
@@ -290,6 +288,7 @@ type Recovery struct {
 }
 
 type openBreak struct {
+	broken   bool
 	at       float64
 	cause    RecoveryCause
 	linksUp0 int // links installed at break time (new-link detection)
@@ -302,7 +301,7 @@ type linkEvent struct {
 
 // NewRecovery creates the tracker with the paper's 5-minute window.
 func NewRecovery() *Recovery {
-	return &Recovery{WindowS: 300, AttributionS: 15, open: map[string]openBreak{}}
+	return &Recovery{WindowS: 300, AttributionS: 15}
 }
 
 // LinkEvent records a link termination (planned = withdrawal) for
@@ -319,14 +318,14 @@ func (rc *Recovery) LinkEvent(now float64, planned bool) {
 	}
 	rc.recentEvents = rc.recentEvents[cut:]
 	// Retroactive attribution of open breaks.
-	for node, ob := range rc.open {
-		if ob.cause == CauseUnknown && now-ob.at <= rc.AttributionS && now >= ob.at {
+	for i := range rc.open {
+		ob := &rc.open[i]
+		if ob.broken && ob.cause == CauseUnknown && now-ob.at <= rc.AttributionS && now >= ob.at {
 			if planned {
 				ob.cause = CauseWithdrawn
 			} else {
 				ob.cause = CauseFailed
 			}
-			rc.open[node] = ob
 		}
 	}
 }
@@ -352,18 +351,19 @@ func (rc *Recovery) attribute(t float64) RecoveryCause {
 // ObserveNode records a node's data-plane reachability at time now;
 // linksInstalledTotal is the current installed-link count (used to
 // detect whether recovery required new links).
-func (rc *Recovery) ObserveNode(now float64, node string, reachable bool, linksInstalledTotal int) {
-	ob, broken := rc.open[node]
+func (rc *Recovery) ObserveNode(now float64, node int32, reachable bool, linksInstalledTotal int) {
+	rc.open = platform.Fit(rc.open, node)
+	ob := rc.open[node]
 	if !reachable {
-		if !broken {
-			rc.open[node] = openBreak{at: now, cause: rc.attribute(now), linksUp0: linksInstalledTotal}
+		if !ob.broken {
+			rc.open[node] = openBreak{broken: true, at: now, cause: rc.attribute(now), linksUp0: linksInstalledTotal}
 		}
 		return
 	}
-	if !broken {
+	if !ob.broken {
 		return
 	}
-	delete(rc.open, node)
+	rc.open[node].broken = false
 	dur := now - ob.at
 	if dur > rc.WindowS {
 		return

@@ -15,7 +15,7 @@ func TestReachabilityRatios(t *testing.T) {
 	r := NewReachability(3600)
 	// Node up for 600 s, down for 400 s: ratio 0.6.
 	for i := 0; i <= 10; i++ {
-		r.Observe(float64(i*100), "n1", LayerLink, i < 6)
+		r.Observe(float64(i*100), 0, LayerLink, i < 6)
 	}
 	got := r.Ratio(LayerLink)
 	if math.Abs(got-0.6) > 0.01 {
@@ -25,12 +25,12 @@ func TestReachabilityRatios(t *testing.T) {
 
 func TestReachabilityIgnoresDarkGaps(t *testing.T) {
 	r := NewReachability(3600)
-	r.Observe(0, "n1", LayerLink, true)
-	r.Observe(100, "n1", LayerLink, true)
+	r.Observe(0, 0, LayerLink, true)
+	r.Observe(100, 0, LayerLink, true)
 	// Gap of 2 h (node dark at night) must not count as potential
 	// time.
-	r.Observe(7300, "n1", LayerLink, true)
-	r.Observe(7400, "n1", LayerLink, true)
+	r.Observe(7300, 0, LayerLink, true)
+	r.Observe(7400, 0, LayerLink, true)
 	if got := r.Ratio(LayerLink); math.Abs(got-1.0) > 1e-9 {
 		t.Errorf("ratio with dark gap = %v, want 1.0", got)
 	}
@@ -40,7 +40,7 @@ func TestReachabilitySeries(t *testing.T) {
 	r := NewReachability(1000)
 	// Period 0: always up; period 1: always down.
 	for i := 0; i <= 20; i++ {
-		r.Observe(float64(i*100), "n1", LayerData, i < 10)
+		r.Observe(float64(i*100), 0, LayerData, i < 10)
 	}
 	s := r.Series(LayerData)
 	if len(s) < 2 {
@@ -62,7 +62,7 @@ func TestRatioSumsInPeriodOrder(t *testing.T) {
 		for p := 0; p < 5; p++ {
 			now := float64(2*p) * 1e5
 			for k := 0; k < 4; k++ {
-				r.Observe(now, "n1", LayerControl, (p+k)%3 != 0)
+				r.Observe(now, 0, LayerControl, (p+k)%3 != 0)
 				now += math.Pow(10, float64(p))/3 + float64(k)/10
 			}
 		}
@@ -147,16 +147,16 @@ func TestRecoveryAttribution(t *testing.T) {
 	rc := NewRecovery()
 	// A withdrawal at t=100 breaks node n1 at t=105; recovers at 125.
 	rc.LinkEvent(100, true)
-	rc.ObserveNode(105, "n1", false, 10)
-	rc.ObserveNode(125, "n1", true, 10)
+	rc.ObserveNode(105, 0, false, 10)
+	rc.ObserveNode(125, 0, true, 10)
 	if rc.Withdrawn.N() != 1 || rc.Withdrawn.Median() != 20 {
 		t.Errorf("withdrawn sample = %v", rc.Withdrawn.Values())
 	}
 	// A failure at t=200 breaks n2 at 202; recovers at 280 with a new
 	// link (count goes 10 → 11).
 	rc.LinkEvent(200, false)
-	rc.ObserveNode(202, "n2", false, 10)
-	rc.ObserveNode(280, "n2", true, 11)
+	rc.ObserveNode(202, 1, false, 10)
+	rc.ObserveNode(280, 1, true, 11)
 	if rc.Failed.N() != 1 || rc.Failed.Median() != 78 {
 		t.Errorf("failed sample = %v", rc.Failed.Values())
 	}
@@ -172,8 +172,8 @@ func TestRecoveryAttribution(t *testing.T) {
 func TestRecoveryWindowExcludesSlow(t *testing.T) {
 	rc := NewRecovery()
 	rc.LinkEvent(0, false)
-	rc.ObserveNode(1, "n1", false, 5)
-	rc.ObserveNode(1000, "n1", true, 5) // 999 s > 300 s window
+	rc.ObserveNode(1, 0, false, 5)
+	rc.ObserveNode(1000, 0, true, 5) // 999 s > 300 s window
 	if rc.Failed.N() != 0 {
 		t.Error("slow recovery must not enter the <5 min distribution")
 	}
@@ -182,8 +182,8 @@ func TestRecoveryWindowExcludesSlow(t *testing.T) {
 func TestRecoveryUnknownCause(t *testing.T) {
 	rc := NewRecovery()
 	// No link events anywhere near the break.
-	rc.ObserveNode(500, "n1", false, 5)
-	rc.ObserveNode(520, "n1", true, 5)
+	rc.ObserveNode(500, 0, false, 5)
+	rc.ObserveNode(520, 0, true, 5)
 	if rc.Unknown.N() != 1 {
 		t.Error("break without nearby link events must be unknown-cause")
 	}
@@ -192,10 +192,10 @@ func TestRecoveryUnknownCause(t *testing.T) {
 func TestRecoveryRepeatedObservations(t *testing.T) {
 	rc := NewRecovery()
 	rc.LinkEvent(10, false)
-	rc.ObserveNode(11, "n1", false, 5)
-	rc.ObserveNode(12, "n1", false, 5) // still broken: no double count
-	rc.ObserveNode(20, "n1", true, 5)
-	rc.ObserveNode(21, "n1", true, 5) // still fine: no phantom break
+	rc.ObserveNode(11, 0, false, 5)
+	rc.ObserveNode(12, 0, false, 5) // still broken: no double count
+	rc.ObserveNode(20, 0, true, 5)
+	rc.ObserveNode(21, 0, true, 5) // still fine: no phantom break
 	if rc.Failed.N() != 1 {
 		t.Errorf("samples = %d", rc.Failed.N())
 	}
